@@ -1,16 +1,11 @@
 """Confidence-ranking calibration toolkit for small multimodal classifiers."""
 
 from .calibration import (
-    MaskChain,
     RankingRecord,
+    chain_objective,
     compute_vrr,
     confidence_increment,
-    difference_pair_loss,
-    enumerate_chain_pairs,
     evaluate_vrr,
-    hinge_pair_loss,
-    sample_chain,
-    sample_objective,
 )
 from .data import (
     CorruptionSpec,
@@ -26,10 +21,8 @@ from .metrics import MetricsReport, ScoredPrediction, accuracy, aurc, build_repo
 from .model import (
     ClassifierParams,
     ModelSpec,
-    Prediction,
     SubsetMask,
-    confidence_of,
-    forward,
+    forward_masks,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -49,10 +42,8 @@ __all__ = [
     "ClassifierParams",
     "CorruptionSpec",
     "Dataset",
-    "MaskChain",
     "MetricsReport",
     "ModelSpec",
-    "Prediction",
     "RankingRecord",
     "ScoredPrediction",
     "SubsetMask",
@@ -61,18 +52,15 @@ __all__ = [
     "accuracy",
     "aurc",
     "build_report",
+    "chain_objective",
     "compute_vrr",
     "confidence_increment",
-    "confidence_of",
     "corrupt_gaussian",
-    "difference_pair_loss",
     "e_aurc",
-    "enumerate_chain_pairs",
     "evaluate",
     "evaluate_vrr",
-    "forward",
+    "forward_masks",
     "generate_synthetic",
-    "hinge_pair_loss",
     "init_params",
     "lambda_sweep",
     "load_checkpoint",
@@ -80,8 +68,6 @@ __all__ = [
     "mean_nll",
     "noise_sweep",
     "replicate",
-    "sample_chain",
-    "sample_objective",
     "save_checkpoint",
     "split",
     "train",

@@ -1,4 +1,4 @@
-"""Confidence-ranking calibration: mask chains, pair losses, VRR.
+"""Confidence-ranking calibration: removal chains, the batched objective, VRR.
 
 The guiding principle: a classifier's confidence should not increase when a
 modality is removed. For nested masks T < S the confidence increment
@@ -24,15 +24,7 @@ from .errors import (
     SpecError,
     StateError,
 )
-from .model import (
-    ClassifierParams,
-    Prediction,
-    SubsetMask,
-    classify_latents,
-    encode_modality,
-    encoder_backward,
-    zeros_like_params,
-)
+from .model import ClassifierParams, SubsetMask, backward_masks, forward_masks, presence_matrix
 from .numerics import Array, nll_loss, nll_loss_grad
 
 REGULARIZER_VARIANTS = ("hinge", "difference", "none")
@@ -43,85 +35,60 @@ EXHAUSTIVE_MODALITY_LIMIT = 5
 _VRR_STREAM = 3
 
 
-@dataclass(frozen=True)
-class MaskChain:
-    """Nested masks from the full set down to a singleton, one removal per step."""
-
-    masks: tuple[SubsetMask, ...]
-
-    def __post_init__(self):
-        if not self.masks:
-            raise SpecError("chain must contain at least one mask")
-        for smaller, larger in zip(self.masks[1:], self.masks):
-            if not smaller.is_subset_of(larger) or len(larger) - len(smaller) != 1:
-                raise SpecError(
-                    f"chain step {larger.format()} -> {smaller.format()} must remove exactly one modality"
-                )
-        if len(self.masks[-1]) != 1:
-            raise SpecError("chain must end at a single modality")
-
-    @property
-    def num_pairs(self) -> int:
-        return len(self.masks) - 1
-
-
-def sample_chain(num_modalities: int, rng: np.random.Generator) -> MaskChain:
-    """Remove one uniformly chosen modality at a time until one remains."""
+def removal_orders(rng: np.random.Generator, num_samples: int, num_modalities: int) -> Array:
+    """(N, M) removal orders, one uniform random permutation per sample, from one draw."""
     if num_modalities < 1:
         raise SpecError("need at least one modality")
-    remaining = list(range(num_modalities))
-    masks = [SubsetMask.of(remaining)]
-    while len(remaining) > 1:
-        remaining.pop(int(rng.integers(len(remaining))))
-        masks.append(SubsetMask.of(remaining))
-    return MaskChain(masks=tuple(masks))
+    return rng.random((num_samples, num_modalities)).argsort(axis=1)
 
 
-def enumerate_chain_pairs(chain: MaskChain) -> list[tuple[SubsetMask, SubsetMask]]:
-    """(T, S) pairs along the chain, in removal order."""
-    return [(chain.masks[i + 1], chain.masks[i]) for i in range(chain.num_pairs)]
+def chain_presence(orders) -> Array:
+    """(B, M, M) presence of each sample's removal chain.
+
+    Mask 0 is the full set and mask k+1 drops orders[b, k] from mask k, so the
+    chain ends at the single modality orders[b, M-1]; consecutive masks
+    (k+1, k) are the chain's (T, S) pairs.
+    """
+    orders = np.asarray(orders)
+    if orders.ndim != 2 or orders.shape[1] < 1:
+        raise SpecError(f"removal orders {orders.shape} must be (B, M) with M >= 1")
+    num_modalities = orders.shape[1]
+    if np.any(np.sort(orders, axis=1) != np.arange(num_modalities)):
+        raise SpecError("each removal order must be a permutation of the modalities")
+    position = np.empty_like(orders)
+    np.put_along_axis(position, orders, np.arange(num_modalities)[None, :], axis=1)
+    return position[:, None, :] >= np.arange(num_modalities)[None, :, None]
 
 
-def _check_confidence(value: float, name: str) -> float:
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise DomainError(f"{name} must be in [0, 1], got {value}")
-    return value
+def _check_confidence(values, name: str) -> Array:
+    values = np.asarray(values, dtype=np.float64)
+    if not np.all((values >= 0.0) & (values <= 1.0)):
+        raise DomainError(f"{name} must be in [0, 1], got {values}")
+    return values
 
 
-def confidence_increment(conf_t: float, conf_s: float) -> float:
+def confidence_increment(conf_t, conf_s):
     """conf(S) - conf(T); negative means removing a modality raised confidence."""
-    conf_t = _check_confidence(conf_t, "conf_t")
-    conf_s = _check_confidence(conf_s, "conf_s")
-    return conf_s - conf_t
+    return _check_confidence(conf_s, "conf_s") - _check_confidence(conf_t, "conf_t")
 
 
-def hinge_pair_loss(conf_t: float, conf_s: float) -> float:
-    """max(0, conf_t - conf_s); zero loss and zero gradients at equality."""
-    conf_t = _check_confidence(conf_t, "conf_t")
-    conf_s = _check_confidence(conf_s, "conf_s")
-    return max(0.0, conf_t - conf_s)
+def pair_losses(variant: str, conf_t: Array, conf_s: Array) -> tuple[Array, Array]:
+    """Per-pair penalty and its derivative w.r.t. conf_t (w.r.t. conf_s it is the negative).
+
+    hinge is max(0, conf_t - conf_s), with zero loss and zero gradient at
+    equality; difference is conf_t - conf_s regardless of sign; none is zero.
+    """
+    if variant == "hinge":
+        active = conf_t > conf_s
+        return np.where(active, conf_t - conf_s, 0.0), active.astype(np.float64)
+    if variant == "difference":
+        return conf_t - conf_s, np.ones_like(conf_t)
+    if variant == "none":
+        return np.zeros_like(conf_t), np.zeros_like(conf_t)
+    raise ConfigError(f"unknown regularizer variant {variant!r}")
 
 
-def hinge_pair_grads(conf_t: float, conf_s: float) -> tuple[float, float]:
-    """(d/d conf_t, d/d conf_s); nonzero only where the hinge is active."""
-    if conf_t > conf_s:
-        return 1.0, -1.0
-    return 0.0, 0.0
-
-
-def difference_pair_loss(conf_t: float, conf_s: float) -> float:
-    """conf_t - conf_s, penalized regardless of sign."""
-    conf_t = _check_confidence(conf_t, "conf_t")
-    conf_s = _check_confidence(conf_s, "conf_s")
-    return conf_t - conf_s
-
-
-def difference_pair_grads(conf_t: float, conf_s: float) -> tuple[float, float]:
-    return 1.0, -1.0
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankingRecord:
     """One nested (T, S) pair with both confidences and the increment."""
 
@@ -134,142 +101,83 @@ class RankingRecord:
 
 
 @dataclass
-class ObjectiveResult:
-    total_loss: float
+class ChainObjective:
+    """Batch sums of the composite objective, with the gradient of `loss`."""
+
+    loss: float
     cls_loss: float
     reg_loss: float
     grads: ClassifierParams
-    records: list[RankingRecord]
-    full_prediction: Prediction
+    confidence: Array
+    full_correct: Array
 
 
-def _confidence_grad_wrt_logits(probs: Array, predicted: int) -> Array:
-    # d max_k p_k / d z = p_c * (onehot_c - p), differentiating through the
-    # argmax class fixed by this forward pass.
-    grad = -probs[predicted] * probs
-    grad[predicted] += probs[predicted]
-    return grad
-
-
-def sample_objective(
+def chain_objective(
     params: ClassifierParams,
-    sample_features: Sequence[Array | None],
-    label: int,
-    chain: MaskChain,
+    features: Sequence[Array],
+    labels,
+    presence,
     variant: str = "hinge",
     lam: float = 0.0,
     skip_on_wrong_full: bool = True,
     detach_superset: bool = False,
-) -> ObjectiveResult:
-    """Composite per-sample objective over one removal chain.
+) -> ChainObjective:
+    """Composite objective summed over a batch, each sample on its own removal chain.
 
-    Classification loss averages the per-mask NLL over all masks of the chain
-    (1/M factor); the ranking penalty sums the variant's pair loss over the
-    chain's (T, S) pairs and is weighted by `lam`. With `skip_on_wrong_full`
-    the penalty is dropped (loss and gradients) whenever the full-mask
-    prediction is wrong. Gradients flow through both pair confidences unless
-    `detach_superset` stops the conf(S) side.
+    `presence[b]` is sample b's chain of K masks (see chain_presence); mask 0
+    is the full set. Per sample, the classification loss averages the NLL over
+    the K masks (1/M factor for a full chain); the ranking penalty sums the
+    variant's pair loss over the (mask k+1, mask k) pairs and is weighted by
+    `lam`. With `skip_on_wrong_full` the penalty is dropped (loss and
+    gradients) for samples whose full-mask prediction is wrong. Gradients
+    flow through both pair confidences unless `detach_superset` stops the
+    conf(S) side.
     """
     if variant not in REGULARIZER_VARIANTS:
         raise ConfigError(f"unknown regularizer variant {variant!r}")
     if lam < 0:
         raise ConfigError(f"lambda must be >= 0, got {lam}")
-    num_modalities = len(sample_features)
-    if chain.masks[0].present != frozenset(range(num_modalities)):
+    presence = np.asarray(presence, dtype=bool)
+    if presence.ndim != 3 or presence.shape[2] != len(features):
         raise StateError(
-            f"chain starts at {chain.masks[0].format()}, expected the full set of "
-            f"{num_modalities} modalities"
+            f"chains {presence.shape} do not cover the {len(features)} modalities of the samples"
         )
+    labels = np.asarray(labels)
+    fwd = forward_masks(params, features, presence)
+    num_masks = presence.shape[1]
+    nll = nll_loss(fwd.probs, labels[:, None])
+    logit_grads = nll_loss_grad(fwd.probs, labels[:, None]) / num_masks
 
-    # Encoder latents do not depend on the mask, so each modality is encoded
-    # once and every mask in the chain reuses the cached latent.
-    enc_caches = [encode_modality(params, m, sample_features[m]) for m in range(num_modalities)]
-    preds: list[Prediction] = []
-    fused_rows: list[Array] = []
-    for mask in chain.masks:
-        fused, pred = classify_latents(
-            params, [enc_caches[m].latent for m in mask.sorted_indices()]
-        )
-        preds.append(pred)
-        fused_rows.append(fused)
+    confidence = fwd.confidence
+    predicted = fwd.predicted
+    full_correct = predicted[:, 0] == labels
+    if variant == "none":
+        gate = np.zeros(len(labels))
+    else:
+        gate = full_correct.astype(np.float64) if skip_on_wrong_full else np.ones(len(labels))
+    pair_loss, d_conf_t = pair_losses(variant, confidence[:, 1:], confidence[:, :-1])
+    reg = pair_loss.sum(axis=1) * gate
 
-    n_masks = len(chain.masks)
-    cls_loss = sum(nll_loss(p.probs, label) for p in preds) / n_masks
-    logit_grads = [nll_loss_grad(p.probs, label) / n_masks for p in preds]
+    if lam > 0.0 and variant != "none":
+        d_conf_t = lam * gate[:, None] * d_conf_t
+        d_conf = np.zeros_like(confidence)
+        d_conf[:, 1:] += d_conf_t
+        if not detach_superset:
+            d_conf[:, :-1] -= d_conf_t
+        # d max_k p_k / d z = p_c * (onehot_c - p), differentiating through the
+        # argmax class fixed by this forward pass.
+        d_logits = -fwd.probs
+        np.put_along_axis(d_logits, predicted[..., None], 1.0 - confidence[..., None], axis=-1)
+        logit_grads += (d_conf * confidence)[..., None] * d_logits
 
-    records = []
-    for i in range(chain.num_pairs):
-        conf_s, conf_t = preds[i].confidence, preds[i + 1].confidence
-        records.append(
-            RankingRecord(
-                t_mask=chain.masks[i + 1],
-                s_mask=chain.masks[i],
-                conf_t=conf_t,
-                conf_s=conf_s,
-                ci=confidence_increment(conf_t, conf_s),
-            )
-        )
-
-    full_correct = preds[0].predicted_class == label
-    reg_active = variant != "none" and not (skip_on_wrong_full and not full_correct)
-
-    reg_loss = 0.0
-    if reg_active:
-        conf_grads = np.zeros(n_masks)
-        for i in range(chain.num_pairs):
-            conf_s, conf_t = preds[i].confidence, preds[i + 1].confidence
-            if variant == "hinge":
-                reg_loss += hinge_pair_loss(conf_t, conf_s)
-                g_t, g_s = hinge_pair_grads(conf_t, conf_s)
-            else:
-                reg_loss += difference_pair_loss(conf_t, conf_s)
-                g_t, g_s = difference_pair_grads(conf_t, conf_s)
-            conf_grads[i + 1] += g_t
-            if not detach_superset:
-                conf_grads[i] += g_s
-        if lam > 0.0:
-            for i in range(n_masks):
-                if conf_grads[i] != 0.0:
-                    logit_grads[i] += (
-                        lam
-                        * conf_grads[i]
-                        * _confidence_grad_wrt_logits(preds[i].probs, preds[i].predicted_class)
-                    )
-
-    # Backward, merging across masks: head gradients accumulate directly and
-    # each modality collects its latent gradient over every mask containing it
-    # before a single encoder backward pass (valid because the encoder map is
-    # linear in its upstream gradient).
-    grads = zeros_like_params(params)
-    d_latents = [None] * num_modalities
-    for i, mask in enumerate(chain.masks):
-        g_row = logit_grads[i][None, :]
-        grads.head_w += fused_rows[i].T @ g_row
-        grads.head_b += logit_grads[i]
-        d_latent = (g_row @ params.head_w.T) / len(mask)
-        for m in mask.present:
-            if d_latents[m] is None:
-                d_latents[m] = d_latent.copy()
-            else:
-                d_latents[m] += d_latent
-    for m in range(num_modalities):
-        if d_latents[m] is None:
-            continue
-        genc = grads.encoders[m]
-        d_w1, d_b1, d_w2, d_b2 = encoder_backward(params, m, enc_caches[m], d_latents[m])
-        genc.w1[...] = d_w1
-        genc.b1[...] = d_b1
-        genc.w2[...] = d_w2
-        genc.b2[...] = d_b2
-
-    total_loss = cls_loss + lam * reg_loss
-    return ObjectiveResult(
-        total_loss=total_loss,
-        cls_loss=cls_loss,
-        reg_loss=reg_loss,
-        grads=grads,
-        records=records,
-        full_prediction=preds[0],
+    cls = nll.mean(axis=1)
+    return ChainObjective(
+        loss=float(np.sum(cls + lam * reg)),
+        cls_loss=float(cls.sum()),
+        reg_loss=float(reg.sum()),
+        grads=backward_masks(params, fwd, logit_grads),
+        confidence=confidence,
+        full_correct=full_correct,
     )
 
 
@@ -281,14 +189,16 @@ def compute_vrr(records: Sequence[RankingRecord]) -> float:
     return violations / len(records)
 
 
-def all_single_removal_pairs(num_modalities: int) -> list[tuple[SubsetMask, SubsetMask]]:
-    """Every (T, S) with T = S minus one modality, over all S with |S| >= 2."""
+def all_single_removal_pairs(num_modalities: int) -> list[tuple[int, int]]:
+    """Every (T, S) with T = S minus one modality, over all S with |S| >= 2.
+
+    Masks are modality bit codes (bit m set when modality m is present).
+    """
     pairs = []
     for size in range(num_modalities, 1, -1):
         for s_indices in itertools.combinations(range(num_modalities), size):
-            s_mask = SubsetMask.of(s_indices)
-            for removed in s_indices:
-                pairs.append((SubsetMask.of(set(s_indices) - {removed}), s_mask))
+            s_code = sum(1 << m for m in s_indices)
+            pairs.extend((s_code ^ (1 << m), s_code) for m in s_indices)
     return pairs
 
 
@@ -308,11 +218,13 @@ def evaluate_vrr(
 ) -> VrrEvaluation:
     """Dataset-level VRR.
 
-    Sampled mode draws `repeats` removal chains per sample from rngs derived
-    from (seed, repeat, sample index), mirroring training. Exhaustive mode
-    enumerates every single-removal pair (allowed up to 5 modalities). The
-    attribution counts, among violations where S is the full set, how often
-    each removed modality caused the confidence increase.
+    Sampled mode gives every sample `repeats` removal chains; repeat r takes
+    row i of one removal-order draw keyed by (seed, repeat). Exhaustive mode
+    classifies every sample on all 2^M - 1 subsets at once and enumerates
+    every single-removal pair (allowed up to 5 modalities). Records are
+    ordered by sample. The attribution counts, among violations where S is
+    the full set, how often each removed modality caused the confidence
+    increase.
     """
     if mode not in ("sampled", "exhaustive"):
         raise ConfigError(f"unknown VRR mode {mode!r}")
@@ -320,49 +232,58 @@ def evaluate_vrr(
         raise EmptyInputError("empty dataset")
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    num_modalities = dataset.num_modalities
+    num_samples, num_modalities = dataset.num_samples, dataset.num_modalities
+    bits = 1 << np.arange(num_modalities)
+
+    # Each mode yields, per sample, K masks (as modality bit codes) with their
+    # confidences, plus the (T, S) pairs as column indices shared by all samples.
     if mode == "exhaustive":
         if num_modalities > EXHAUSTIVE_MODALITY_LIMIT:
             raise CapabilityError(
                 f"exhaustive enumeration capped at {EXHAUSTIVE_MODALITY_LIMIT} modalities, "
                 f"got {num_modalities}"
             )
-        template = all_single_removal_pairs(num_modalities)
+        lattice = np.arange(1, 1 << num_modalities)
+        presence = (lattice[:, None] & bits) > 0
+        conf = forward_masks(params, dataset.modalities, presence).confidence
+        code = np.broadcast_to(lattice, conf.shape)
+        t_col, s_col = np.array(all_single_removal_pairs(num_modalities)).T - 1
+    else:
+        confs, codes = [], []
+        for r in range(repeats):
+            rng = np.random.default_rng([seed, _VRR_STREAM, r])
+            presence = chain_presence(removal_orders(rng, num_samples, num_modalities))
+            confs.append(forward_masks(params, dataset.modalities, presence).confidence)
+            codes.append(presence @ bits)
+        conf, code = np.concatenate(confs, axis=1), np.concatenate(codes, axis=1)
+        t_col = np.concatenate(
+            [r * num_modalities + np.arange(1, num_modalities) for r in range(repeats)]
+        )
+        s_col = t_col - 1
 
-    full_set = frozenset(range(num_modalities))
-    records: list[RankingRecord] = []
-    attribution = {m: 0 for m in range(num_modalities)}
-    for i in range(dataset.num_samples):
-        features = dataset.features(i)
-        latents = [encode_modality(params, m, features[m]).latent for m in range(num_modalities)]
-        conf_cache: dict[frozenset, float] = {}
-
-        def conf_of(mask: SubsetMask) -> float:
-            cached = conf_cache.get(mask.present)
-            if cached is None:
-                chosen = [latents[m] for m in mask.sorted_indices()]
-                cached = classify_latents(params, chosen)[1].confidence
-                conf_cache[mask.present] = cached
-            return cached
-
-        if mode == "sampled":
-            pairs = []
-            for r in range(repeats):
-                rng = np.random.default_rng([seed, _VRR_STREAM, r, i])
-                pairs.extend(enumerate_chain_pairs(sample_chain(num_modalities, rng)))
-        else:
-            pairs = template
-        for t_mask, s_mask in pairs:
-            conf_t, conf_s = conf_of(t_mask), conf_of(s_mask)
-            ci = confidence_increment(conf_t, conf_s)
-            records.append(
-                RankingRecord(
-                    t_mask=t_mask, s_mask=s_mask, conf_t=conf_t, conf_s=conf_s, ci=ci, sample_id=i
-                )
-            )
-            if ci < 0.0 and s_mask.present == full_set:
-                (removed,) = s_mask.present - t_mask.present
-                attribution[removed] += 1
+    t_code, s_code = code[:, t_col], code[:, s_col]
+    conf_t, conf_s = conf[:, t_col], conf[:, s_col]
+    ci = confidence_increment(conf_t, conf_s)
+    masks = {
+        c: SubsetMask.of(m for m in range(num_modalities) if c >> m & 1)
+        for c in set(code.ravel().tolist())
+    }
+    sample_ids = np.repeat(np.arange(num_samples), len(t_col))
+    records = [
+        RankingRecord(
+            t_mask=masks[t], s_mask=masks[s], conf_t=c_t, conf_s=c_s, ci=c, sample_id=i
+        )
+        for i, t, s, c_t, c_s, c in zip(
+            sample_ids.tolist(),
+            t_code.ravel().tolist(),
+            s_code.ravel().tolist(),
+            conf_t.ravel().tolist(),
+            conf_s.ravel().tolist(),
+            ci.ravel().tolist(),
+        )
+    ]
+    removed = (t_code ^ s_code)[(ci < 0.0) & (s_code == bits.sum())]
+    attribution = {m: int(np.sum(removed == 1 << m)) for m in range(num_modalities)}
     return VrrEvaluation(vrr=compute_vrr(records), records=records, attribution=attribution)
 
 

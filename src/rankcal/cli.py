@@ -1,9 +1,10 @@
 """Config-driven command line: generate | train | compare | sweep.
 
 All experiment parameters live in one JSON config; the flags only pick the
-config file, output directory, seed override, and sweep parallelism, so a run
-is reproducible from the config alone. `CML_SEED` in the environment (or
---seed, which wins) overrides the configured training seed.
+config file, output directory, seed override, and (for sweep) lambda-sweep
+parallelism, so a run is reproducible from the config alone. `CML_SEED` in
+the environment (or --seed, which wins) overrides the configured training
+seed.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import calibration, data, trainer
-from .errors import ConfigError, DivergenceError, ParseError
+from .errors import ConfigError, NumericError
 from .metrics import MetricsReport, mean_abs_conf_shift
 from .model import ClassifierParams, ModelSpec, SubsetMask, load_checkpoint, save_checkpoint
 
@@ -108,23 +109,9 @@ def _prepare(cfg: dict, base: Path) -> PreparedData:
 
 
 def _build_train_config(cfg: dict, model_spec: ModelSpec, seed_override: int | None) -> trainer.TrainConfig:
-    section = dict(cfg.get("train", {}))
-    seed = int(section.get("seed", 0))
+    config = trainer.TrainConfig.from_json_dict(cfg.get("train", {}), model_spec)
     if seed_override is not None:
-        seed = seed_override
-    config = trainer.TrainConfig(
-        model=model_spec,
-        epochs=int(section.get("epochs", 50)),
-        learning_rate=float(section.get("learning_rate", 1e-3)),
-        batch_size=int(section.get("batch_size", 32)),
-        lam=float(section.get("lambda", 0.0)),
-        variant=str(section.get("variant", "hinge")),
-        skip_on_wrong_full=bool(section.get("skip_on_wrong_full", True)),
-        detach_superset=bool(section.get("detach_superset", False)),
-        seed=seed,
-        vrr_mode=str(section.get("vrr_mode", "sampled")),
-        vrr_repeats=int(section.get("vrr_repeats", 1)),
-    )
+        config = replace(config, seed=seed_override)
     config.validate()
     return config
 
@@ -164,18 +151,7 @@ def _write_run_dir(
 ) -> None:
     run_dir.mkdir(parents=True, exist_ok=True)
     snapshot = dict(cfg)
-    snapshot["resolved_train"] = {
-        "epochs": config.epochs,
-        "learning_rate": config.learning_rate,
-        "batch_size": config.batch_size,
-        "lambda": config.lam,
-        "variant": config.variant,
-        "skip_on_wrong_full": config.skip_on_wrong_full,
-        "detach_superset": config.detach_superset,
-        "seed": config.seed,
-        "vrr_mode": config.vrr_mode,
-        "vrr_repeats": config.vrr_repeats,
-    }
+    snapshot["resolved_train"] = config.to_json_dict()
     # The timestamp is the single non-reproducible key in the run directory.
     snapshot["meta"] = {"written_at": datetime.now(timezone.utc).isoformat()}
     _write_json(run_dir / CONFIG_SNAPSHOT_NAME, snapshot)
@@ -213,20 +189,7 @@ def _load_run(
     spec, params = load_checkpoint(run_dir / CHECKPOINT_NAME)
     with open(run_dir / CONFIG_SNAPSHOT_NAME, "r", encoding="utf-8") as fh:
         snapshot = json.load(fh)
-    resolved = snapshot["resolved_train"]
-    config = trainer.TrainConfig(
-        model=spec,
-        epochs=int(resolved["epochs"]),
-        learning_rate=float(resolved["learning_rate"]),
-        batch_size=int(resolved["batch_size"]),
-        lam=float(resolved["lambda"]),
-        variant=resolved["variant"],
-        skip_on_wrong_full=bool(resolved["skip_on_wrong_full"]),
-        detach_superset=bool(resolved["detach_superset"]),
-        seed=int(resolved["seed"]),
-        vrr_mode=resolved["vrr_mode"],
-        vrr_repeats=int(resolved["vrr_repeats"]),
-    )
+    config = trainer.TrainConfig.from_json_dict(snapshot["resolved_train"], spec)
     with open(run_dir / METRICS_NAME, "r", encoding="utf-8") as fh:
         report = MetricsReport.from_json_dict(json.load(fh))
     return spec, params, config, report
@@ -367,16 +330,20 @@ def main(argv: list[str] | None = None) -> int:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the experiment config JSON")
         cmd.add_argument("--out", default=None, help="output directory override")
-        cmd.add_argument("--jobs", type=int, default=1, help="parallel sweep cells")
         cmd.add_argument("--seed", type=int, default=None, help="seed override")
+        if name == "sweep":
+            cmd.add_argument("--jobs", type=int, default=1, help="parallel lambda-sweep cells")
     args = parser.parse_args(argv)
-
-    seed_override = args.seed
-    if seed_override is None and os.environ.get("CML_SEED"):
-        seed_override = int(os.environ["CML_SEED"])
 
     config_path = Path(args.config)
     try:
+        seed_override = args.seed
+        env_seed = os.environ.get("CML_SEED")
+        if seed_override is None and env_seed:
+            try:
+                seed_override = int(env_seed)
+            except ValueError:
+                raise ConfigError(f"CML_SEED must be an integer, got {env_seed!r}") from None
         if args.command == "generate":
             return cmd_generate(config_path, args.out)
         if args.command == "train":
@@ -384,7 +351,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "compare":
             return cmd_compare(config_path, args.out)
         return cmd_sweep(config_path, args.out, seed_override, args.jobs)
-    except (ConfigError, ParseError, DivergenceError, OSError, ValueError, RuntimeError) as exc:
+    # Every rankcal.errors type derives from one of these.
+    except (NumericError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

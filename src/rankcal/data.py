@@ -10,6 +10,7 @@ means to the origin, making the modality uninformative.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -233,9 +234,12 @@ def _load_modality_csv(path: Path, dim: int) -> np.ndarray:
             if len(cells) != dim:
                 raise ParseError(str(path), lineno, f"expected {dim} columns, got {len(cells)}")
             try:
-                rows.append([float(c) for c in cells])
+                row = [float(c) for c in cells]
             except ValueError:
                 raise ParseError(str(path), lineno, f"non-numeric cell in {line!r}") from None
+            if not all(math.isfinite(v) for v in row):
+                raise ParseError(str(path), lineno, f"non-finite cell in {line!r}")
+            rows.append(row)
     return np.asarray(rows, dtype=np.float64).reshape(len(rows), dim)
 
 

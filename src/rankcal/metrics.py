@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyInputError, SpecError, StateError
-from .model import ClassifierParams, SubsetMask, forward
+from .model import ClassifierParams, SubsetMask, forward_masks, presence_matrix
 
 NLL_SCALE = 10.0
 AURC_SCALE = 1000.0
@@ -91,14 +91,10 @@ def mean_abs_conf_shift(
         raise EmptyInputError("no masks")
     if dataset.num_samples == 0:
         raise EmptyInputError("empty dataset")
-    total = 0.0
-    for i in range(dataset.num_samples):
-        features = dataset.features(i)
-        for mask in masks:
-            conf_a = forward(params_a, features, mask)[0].confidence
-            conf_b = forward(params_b, features, mask)[0].confidence
-            total += abs(conf_a - conf_b)
-    return total / (dataset.num_samples * len(masks))
+    presence = presence_matrix(masks, dataset.num_modalities)
+    conf_a = forward_masks(params_a, dataset.modalities, presence).confidence
+    conf_b = forward_masks(params_b, dataset.modalities, presence).confidence
+    return float(np.abs(conf_a - conf_b).mean())
 
 
 def confidence_by_subset_size(records) -> dict[int, float]:

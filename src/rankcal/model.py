@@ -4,25 +4,23 @@ Each modality gets its own two-layer encoder (affine -> ReLU -> affine); the
 latents of the modalities that are actually present are fused by an arithmetic
 mean and fed to a shared linear head. Removing a modality is true absence via
 the mask, never zero-filling, so the same parameters serve every subset.
+
+One batched path serves training and evaluation: forward_masks encodes a batch
+of rows once and classifies it under K masks at a time, given as a presence
+tensor, and backward_masks returns the matching parameter gradients.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import DimensionError, MaskError, SpecError, StateError
-from .numerics import (
-    Array,
-    affine_backward,
-    affine_forward,
-    relu,
-    relu_backward,
-    softmax,
-)
+from .numerics import Array, affine_backward, affine_forward, relu, relu_backward, softmax
 
 CHECKPOINT_MAGIC = "rankcal-checkpoint v1"
 
@@ -123,11 +121,38 @@ class EncoderParams:
     b2: Array
 
 
-@dataclass
 class ClassifierParams:
-    encoders: list[EncoderParams]
-    head_w: Array
-    head_b: Array
+    """Every parameter array as a view into one flat float64 buffer.
+
+    `flat` holds the arrays in declaration order (per modality w1, b1, w2, b2;
+    then the head weights and bias), which is also the checkpoint order. An
+    in-place write to `flat` shows through every named array and vice versa;
+    rebinding a named attribute would break that link.
+    """
+
+    def __init__(self, encoders: Sequence[EncoderParams], head_w, head_b):
+        arrays = [a for e in encoders for a in (e.w1, e.b1, e.w2, e.b2)] + [head_w, head_b]
+        flat = np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])
+        self._bind(flat, [np.shape(a) for a in arrays])
+
+    @classmethod
+    def from_flat(cls, shapes: Sequence[tuple[int, ...]], flat: Array) -> "ClassifierParams":
+        """Views of `shapes` into `flat` itself (no copy)."""
+        params = cls.__new__(cls)
+        params._bind(flat, shapes)
+        return params
+
+    def _bind(self, flat: Array, shapes: Sequence[tuple[int, ...]]) -> None:
+        if flat.dtype != np.float64 or flat.ndim != 1:
+            raise DimensionError(f"flat parameters must be 1-D float64: {flat.dtype}{flat.shape}")
+        sizes = [math.prod(shape) for shape in shapes]
+        if sum(sizes) != flat.size or len(shapes) < 6 or len(shapes) % 4 != 2:
+            raise DimensionError(f"flat vector of size {flat.size} does not match shapes {shapes}")
+        chunks = np.split(flat, np.cumsum(sizes)[:-1])
+        views = [chunk.reshape(shape) for chunk, shape in zip(chunks, shapes)]
+        self.flat = flat
+        self.encoders = [EncoderParams(*views[i : i + 4]) for i in range(0, len(views) - 2, 4)]
+        self.head_w, self.head_b = views[-2:]
 
     @property
     def num_modalities(self) -> int:
@@ -146,16 +171,6 @@ class ClassifierParams:
     def spec_signature(self) -> tuple:
         return tuple(a.shape for a in self.arrays())
 
-    def copy(self) -> "ClassifierParams":
-        return ClassifierParams(
-            encoders=[
-                EncoderParams(e.w1.copy(), e.b1.copy(), e.w2.copy(), e.b2.copy())
-                for e in self.encoders
-            ],
-            head_w=self.head_w.copy(),
-            head_b=self.head_b.copy(),
-        )
-
 
 def derived_spec(params: ClassifierParams) -> ModelSpec:
     """Reconstruct the ModelSpec implied by parameter shapes."""
@@ -167,201 +182,136 @@ def derived_spec(params: ClassifierParams) -> ModelSpec:
     )
 
 
+def param_shapes(spec: ModelSpec) -> list[tuple[int, ...]]:
+    """Parameter array shapes in declaration order."""
+    shapes: list[tuple[int, ...]] = []
+    for d in spec.modality_dims:
+        shapes += [(d, spec.hidden_dim), (spec.hidden_dim,), (spec.hidden_dim, spec.latent_dim)]
+        shapes.append((spec.latent_dim,))
+    return shapes + [(spec.latent_dim, spec.num_classes), (spec.num_classes,)]
+
+
 def init_params(spec: ModelSpec, seed: int) -> ClassifierParams:
     """Uniform Xavier weights in +-sqrt(6 / (fan_in + fan_out)); zero biases."""
     rng = np.random.default_rng(seed)
-
-    def xavier(fan_in: int, fan_out: int) -> Array:
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-    encoders = []
-    for d in spec.modality_dims:
-        encoders.append(
-            EncoderParams(
-                w1=xavier(d, spec.hidden_dim),
-                b1=np.zeros(spec.hidden_dim),
-                w2=xavier(spec.hidden_dim, spec.latent_dim),
-                b2=np.zeros(spec.latent_dim),
-            )
-        )
-    return ClassifierParams(
-        encoders=encoders,
-        head_w=xavier(spec.latent_dim, spec.num_classes),
-        head_b=np.zeros(spec.num_classes),
-    )
+    shapes = param_shapes(spec)
+    params = ClassifierParams.from_flat(shapes, np.zeros(sum(math.prod(s) for s in shapes)))
+    for weights in params.arrays():
+        if weights.ndim == 2:
+            limit = np.sqrt(6.0 / sum(weights.shape))
+            weights[...] = rng.uniform(-limit, limit, size=weights.shape)
+    return params
 
 
-def zeros_like_params(params: ClassifierParams) -> ClassifierParams:
-    return ClassifierParams(
-        encoders=[
-            EncoderParams(
-                np.zeros_like(e.w1), np.zeros_like(e.b1), np.zeros_like(e.w2), np.zeros_like(e.b2)
-            )
-            for e in params.encoders
-        ],
-        head_w=np.zeros_like(params.head_w),
-        head_b=np.zeros_like(params.head_b),
-    )
-
-
-def add_params(into: ClassifierParams, other: ClassifierParams) -> None:
-    """In-place accumulation, used when summing per-sample gradients."""
-    for a, b in zip(into.arrays(), other.arrays()):
-        a += b
-
-
-def scale_params(params: ClassifierParams, factor: float) -> None:
-    for a in params.arrays():
-        a *= factor
-
-
-def flatten_params(params: ClassifierParams) -> Array:
-    return np.concatenate([a.ravel() for a in params.arrays()])
-
-
-def unflatten_params(template: ClassifierParams, flat: Array) -> ClassifierParams:
-    out = zeros_like_params(template)
-    offset = 0
-    for a in out.arrays():
-        a[...] = flat[offset : offset + a.size].reshape(a.shape)
-        offset += a.size
-    if offset != flat.size:
-        raise DimensionError(f"flat vector of size {flat.size} does not match template ({offset})")
-    return out
-
-
-@dataclass(frozen=True)
-class Prediction:
-    probs: Array
-    predicted_class: int
-    confidence: float
+def presence_matrix(masks: Sequence[SubsetMask], num_modalities: int) -> Array:
+    """(K, M) boolean matrix: row k marks the modalities of masks[k]."""
+    presence = np.zeros((len(masks), num_modalities), dtype=bool)
+    for k, mask in enumerate(masks):
+        mask.validate_for(num_modalities)
+        presence[k, list(mask.present)] = True
+    return presence
 
 
 @dataclass
-class EncoderCache:
-    """Activations of one modality encoder; independent of any mask."""
+class MaskedForward:
+    """Activations of a batch of rows under K masks; what backward_masks needs.
 
-    x: Array
-    pre_hidden: Array
-    hidden: Array
-    latent: Array
+    `weights` (the presence divided by each mask's size) is (K, M) when every
+    row shares its masks and (B, K, M) when each row has its own. Encoders
+    that no mask uses are not run; their `hidden` entry is None.
+    """
 
-
-@dataclass
-class ForwardCache:
-    """Intermediate activations needed by backward; keyed to one forward call."""
-
-    mask: SubsetMask
-    encoders: dict[int, EncoderCache]
+    features: Sequence[Array | None]
+    hidden: list[Array | None]
+    weights: Array
     fused: Array
     probs: Array
-    predicted_class: int
+
+    @property
+    def predicted(self) -> Array:
+        """(B, K) argmax class; exact ties go to the lowest index."""
+        return self.probs.argmax(axis=-1)
+
+    @property
+    def confidence(self) -> Array:
+        """(B, K) probability of the predicted class."""
+        return self.probs.max(axis=-1)
 
 
-def encode_modality(params: ClassifierParams, modality: int, feats) -> EncoderCache:
-    """Run one modality's encoder on a single feature vector."""
-    if feats is None:
-        raise DimensionError(f"modality {modality} is in the mask but has no features")
-    x = np.asarray(feats, dtype=np.float64).reshape(1, -1)
-    enc = params.encoders[modality]
-    if x.shape[1] != enc.w1.shape[0]:
+def forward_masks(
+    params: ClassifierParams, features: Sequence[Array | None], presence
+) -> MaskedForward:
+    """Encode each modality once for all rows, then mean-fuse and classify per mask.
+
+    `features[m]` is the (B, d_m) block of modality m; it may be None when no
+    mask contains m, since absent modalities are skipped, never zero-filled.
+    """
+    num_modalities = params.num_modalities
+    if len(features) != num_modalities:
+        raise DimensionError(f"expected {num_modalities} modality blocks, got {len(features)}")
+    presence = np.asarray(presence, dtype=bool)
+    if presence.ndim not in (2, 3) or presence.shape[-1] != num_modalities:
         raise DimensionError(
-            f"modality {modality}: feature dim {x.shape[1]} != expected {enc.w1.shape[0]}"
+            f"presence {presence.shape} must be (K, {num_modalities}) or (B, K, {num_modalities})"
         )
-    h_pre = affine_forward(x, enc.w1, enc.b1)
-    h = relu(h_pre)
-    return EncoderCache(x=x, pre_hidden=h_pre, hidden=h, latent=affine_forward(h, enc.w2, enc.b2))
+    sizes = presence.sum(axis=-1, keepdims=True)
+    if not sizes.all():
+        raise MaskError("every mask must contain at least one modality")
+    used = presence.reshape(-1, num_modalities).any(axis=0)
+
+    hidden: list[Array | None] = [None] * num_modalities
+    latents = None
+    for m in np.flatnonzero(used):
+        enc = params.encoders[m]
+        x = features[m]
+        if x is None:
+            raise DimensionError(f"modality {m} is in a mask but has no features")
+        if np.ndim(x) != 2 or np.shape(x)[1] != enc.w1.shape[0]:
+            raise DimensionError(
+                f"modality {m}: features {np.shape(x)} are not (B, {enc.w1.shape[0]})"
+            )
+        hidden[m] = relu(affine_forward(x, enc.w1, enc.b1))
+        latent = affine_forward(hidden[m], enc.w2, enc.b2)
+        if latents is None:
+            latents = np.zeros((latent.shape[0], num_modalities, latent.shape[1]))
+        elif latent.shape[0] != latents.shape[0]:
+            raise DimensionError(f"modality {m} has {latent.shape[0]} rows, not {latents.shape[0]}")
+        latents[:, m] = latent
+    if presence.ndim == 3 and presence.shape[0] != latents.shape[0]:
+        raise DimensionError(f"presence has {presence.shape[0]} rows, features {latents.shape[0]}")
+
+    weights = presence / sizes
+    fused = weights @ latents
+    batch, num_masks, latent_dim = fused.shape
+    logits = affine_forward(fused.reshape(-1, latent_dim), params.head_w, params.head_b)
+    probs = softmax(logits).reshape(batch, num_masks, -1)
+    return MaskedForward(features, hidden, weights, fused, probs)
 
 
-def classify_latents(
-    params: ClassifierParams, latents: Sequence[Array]
-) -> tuple[Array, Prediction]:
-    """Mean-fuse the given latents and apply the linear head + softmax."""
-    fused = latents[0].copy()
-    for latent in latents[1:]:
-        fused += latent
-    fused /= len(latents)
-    logits = affine_forward(fused, params.head_w, params.head_b)
-    probs = softmax(logits[0])
-    predicted = int(np.argmax(probs))
-    return fused, Prediction(
-        probs=probs, predicted_class=predicted, confidence=float(probs[predicted])
+def backward_masks(params: ClassifierParams, fwd: MaskedForward, logit_grads) -> ClassifierParams:
+    """Exact parameter gradients of sum(logit_grads * logits) over every row and mask.
+
+    Each modality collects its latent gradient over every mask containing it
+    before one encoder backward pass; encoders that no mask used get zeros.
+    """
+    g = np.asarray(logit_grads, dtype=np.float64)
+    if g.shape != fwd.probs.shape:
+        raise StateError(f"logit gradients {g.shape} do not match the forward {fwd.probs.shape}")
+    batch, num_masks, num_classes = g.shape
+    grads = ClassifierParams.from_flat(params.spec_signature(), np.zeros_like(params.flat))
+    d_fused, grads.head_w[...], grads.head_b[...] = affine_backward(
+        fwd.fused.reshape(-1, fwd.fused.shape[-1]), params.head_w, g.reshape(-1, num_classes)
     )
-
-
-def encoder_backward(
-    params: ClassifierParams, modality: int, cache: EncoderCache, d_latent: Array
-) -> tuple[Array, Array, Array, Array]:
-    """Gradients (w1, b1, w2, b2) of one encoder given the latent gradient."""
-    enc = params.encoders[modality]
-    d_hidden, d_w2, d_b2 = affine_backward(cache.hidden, enc.w2, d_latent)
-    d_pre = relu_backward(cache.pre_hidden, d_hidden)
-    _, d_w1, d_b1 = affine_backward(cache.x, enc.w1, d_pre)
-    return d_w1, d_b1, d_w2, d_b2
-
-
-def forward(
-    params: ClassifierParams,
-    sample_features: Sequence[Array | None],
-    mask: SubsetMask,
-) -> tuple[Prediction, ForwardCache]:
-    """Encode present modalities, fuse latents by their mean, classify."""
-    mask.validate_for(params.num_modalities)
-    if len(sample_features) != params.num_modalities:
-        raise DimensionError(
-            f"expected {params.num_modalities} modality vectors, got {len(sample_features)}"
+    d_latents = np.swapaxes(fwd.weights, -1, -2) @ d_fused.reshape(batch, num_masks, -1)
+    for m, hidden in enumerate(fwd.hidden):
+        if hidden is None:
+            continue
+        enc, genc = params.encoders[m], grads.encoders[m]
+        d_hidden, genc.w2[...], genc.b2[...] = affine_backward(hidden, enc.w2, d_latents[:, m])
+        _, genc.w1[...], genc.b1[...] = affine_backward(
+            fwd.features[m], enc.w1, relu_backward(hidden, d_hidden)
         )
-    encoders = {
-        m: encode_modality(params, m, sample_features[m]) for m in mask.sorted_indices()
-    }
-    fused, prediction = classify_latents(params, [encoders[m].latent for m in sorted(encoders)])
-    cache = ForwardCache(
-        mask=mask,
-        encoders=encoders,
-        fused=fused,
-        probs=prediction.probs,
-        predicted_class=prediction.predicted_class,
-    )
-    return prediction, cache
-
-
-def backward(
-    params: ClassifierParams,
-    cache: ForwardCache,
-    loss_grad_wrt_logits: Array,
-    mask: SubsetMask,
-) -> ClassifierParams:
-    """Exact gradients for one forward call; absent encoders get zero gradient."""
-    if mask.present != cache.mask.present:
-        raise StateError(f"mask {mask.format()} does not match cache mask {cache.mask.format()}")
-    g_logits = np.asarray(loss_grad_wrt_logits, dtype=np.float64).reshape(1, -1)
-    if g_logits.shape[1] != params.head_w.shape[1]:
-        raise DimensionError(
-            f"logits grad dim {g_logits.shape[1]} != {params.head_w.shape[1]} classes"
-        )
-    grads = zeros_like_params(params)
-    d_fused, d_head_w, d_head_b = affine_backward(cache.fused, params.head_w, g_logits)
-    grads.head_w[...] = d_head_w
-    grads.head_b[...] = d_head_b
-    d_latent = d_fused / len(mask)
-    for m in mask.sorted_indices():
-        genc = grads.encoders[m]
-        d_w1, d_b1, d_w2, d_b2 = encoder_backward(params, m, cache.encoders[m], d_latent)
-        genc.w1[...] = d_w1
-        genc.b1[...] = d_b1
-        genc.w2[...] = d_w2
-        genc.b2[...] = d_b2
     return grads
-
-
-def confidence_of(
-    params: ClassifierParams,
-    sample_features: Sequence[Array | None],
-    mask: SubsetMask,
-) -> tuple[float, int]:
-    pred, _ = forward(params, sample_features, mask)
-    return pred.confidence, pred.predicted_class
 
 
 def save_checkpoint(path, spec: ModelSpec, params: ClassifierParams) -> None:
@@ -378,8 +328,7 @@ def save_checkpoint(path, spec: ModelSpec, params: ClassifierParams) -> None:
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC.encode("ascii") + b"\n")
         fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
-        for a in params.arrays():
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        fh.write(params.flat.astype("<f8").tobytes())
 
 
 def load_checkpoint(path) -> tuple[ModelSpec, ClassifierParams]:
@@ -390,23 +339,10 @@ def load_checkpoint(path) -> tuple[ModelSpec, ClassifierParams]:
         header = json.loads(fh.readline().decode("ascii"))
         spec = ModelSpec.from_json_dict(header["spec"])
         shapes = [tuple(s) for s in header["arrays"]]
-        arrays = []
-        for shape in shapes:
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise StateError(f"{path}: truncated checkpoint")
-            arrays.append(np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape))
-    expected = 4 * spec.num_modalities + 2
-    if len(arrays) != expected:
-        raise StateError(f"{path}: expected {expected} arrays, found {len(arrays)}")
-    encoders = [
-        EncoderParams(
-            w1=arrays[4 * m],
-            b1=arrays[4 * m + 1],
-            w2=arrays[4 * m + 2],
-            b2=arrays[4 * m + 3],
-        )
-        for m in range(spec.num_modalities)
-    ]
-    return spec, ClassifierParams(encoders=encoders, head_w=arrays[-2], head_b=arrays[-1])
+        payload = fh.read()
+    if shapes != param_shapes(spec):
+        raise StateError(f"{path}: array shapes {shapes} do not match the spec")
+    if len(payload) != 8 * sum(math.prod(s) for s in shapes):
+        raise StateError(f"{path}: payload of {len(payload)} bytes does not match the header")
+    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    return spec, ClassifierParams.from_flat(shapes, flat)

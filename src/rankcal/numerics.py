@@ -1,12 +1,13 @@
 """Dense layer primitives, losses, the Adam optimizer, and a gradient checker.
 
-Everything operates on row-major float64 numpy arrays and is a pure function
-of its inputs: identical calls give bit-identical results.
+Everything operates on row-major float64 numpy arrays, batched over rows.
+Apart from adam_update, which steps its parameters and state in place, every
+function is pure: identical calls give bit-identical results.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -73,38 +74,44 @@ def relu_backward(inputs, upstream_grad) -> Array:
 
 
 def softmax(logits) -> Array:
-    """Max-subtracted softmax over a single logits vector."""
-    z = _as_vector(logits, "logits")
-    if z.shape[0] < 2:
+    """Max-subtracted softmax over the last axis (one distribution per row)."""
+    z = np.asarray(logits, dtype=np.float64)
+    if z.ndim < 1 or z.shape[-1] < 2:
         raise DimensionError("softmax needs at least 2 logits")
     if not np.all(np.isfinite(z)):
         raise NumericError(f"non-finite logits: {z}")
-    shifted = z - z.max()
-    exp = np.exp(shifted)
-    return exp / exp.sum()
+    exp = np.exp(z - z.max(axis=-1, keepdims=True))
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def nll_loss(probs, label: int) -> float:
-    """Negative log-likelihood of the true class."""
-    p = _as_vector(probs, "probs")
-    if not 0 <= label < p.shape[0]:
-        raise IndexError(f"label {label} out of range for {p.shape[0]} classes")
-    return float(-np.log(p[label]))
+def _label_column(probs, labels) -> tuple[Array, Array]:
+    p = np.asarray(probs, dtype=np.float64)
+    y = np.broadcast_to(np.asarray(labels), p.shape[:-1])
+    if np.any((y < 0) | (y >= p.shape[-1])):
+        raise IndexError(f"labels {y} out of range for {p.shape[-1]} classes")
+    return p, y[..., None]
 
 
-def nll_loss_grad(probs, label: int) -> Array:
+def nll_loss(probs, labels) -> Array:
+    """Negative log-likelihood of the true class, per row of `probs`.
+
+    `labels` broadcasts against the leading axes of `probs`.
+    """
+    p, y = _label_column(probs, labels)
+    return -np.log(np.take_along_axis(p, y, axis=-1)[..., 0])
+
+
+def nll_loss_grad(probs, labels) -> Array:
     """Gradient of nll_loss w.r.t. the logits that produced `probs`: probs - onehot."""
-    p = _as_vector(probs, "probs")
-    if not 0 <= label < p.shape[0]:
-        raise IndexError(f"label {label} out of range for {p.shape[0]} classes")
+    p, y = _label_column(probs, labels)
     grad = p.copy()
-    grad[label] -= 1.0
+    np.put_along_axis(grad, y, np.take_along_axis(p, y, axis=-1) - 1.0, axis=-1)
     return grad
 
 
-@dataclass(frozen=True)
+@dataclass
 class AdamState:
-    """Optimizer state over a flat parameter vector."""
+    """Optimizer state over a flat parameter vector; adam_update advances it in place."""
 
     first_moment: Array
     second_moment: Array
@@ -133,21 +140,23 @@ def init_adam_state(
     )
 
 
-def adam_update(params, grads, state: AdamState) -> tuple[Array, AdamState]:
-    """One bias-corrected Adam step; returns new params and state."""
-    p = _as_vector(params, "params")
+def adam_update(params: Array, grads, state: AdamState) -> None:
+    """One bias-corrected Adam step, applied in place to `params` and `state`."""
     g = _as_vector(grads, "grads")
-    if p.shape != g.shape or p.shape != state.first_moment.shape:
+    if params.ndim != 1 or params.shape != g.shape or params.shape != state.first_moment.shape:
         raise DimensionError(
-            f"params {p.shape}, grads {g.shape}, state {state.first_moment.shape} disagree"
+            f"params {params.shape}, grads {g.shape}, state {state.first_moment.shape} disagree"
         )
-    t = state.step_count + 1
-    m = state.beta1 * state.first_moment + (1.0 - state.beta1) * g
-    v = state.beta2 * state.second_moment + (1.0 - state.beta2) * g * g
+    state.step_count += 1
+    t = state.step_count
+    m, v = state.first_moment, state.second_moment
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * g * g
     m_hat = m / (1.0 - state.beta1**t)
     v_hat = v / (1.0 - state.beta2**t)
-    new_params = p - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    return new_params, replace(state, first_moment=m, second_moment=v, step_count=t)
+    params -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
 
 
 @dataclass(frozen=True)

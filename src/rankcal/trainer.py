@@ -1,13 +1,13 @@
 """Training loop, evaluation protocol, and the sweep/replication harnesses.
 
-One training run is fully deterministic: data order, per-sample removal
-chains, and VRR evaluation all draw from rng streams derived from
-(seed, stream tag, epoch, sample index), so reruns are bit-identical.
+One training run is fully deterministic: data order, removal chains, and VRR
+evaluation all draw from rng streams derived from (seed, stream tag, epoch or
+repeat), so reruns are bit-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -15,41 +15,41 @@ import numpy as np
 from .calibration import (
     REGULARIZER_VARIANTS,
     VrrEvaluation,
+    chain_objective,
+    chain_presence,
     evaluate_vrr,
-    sample_chain,
-    sample_objective,
+    removal_orders,
 )
 from .data import CorruptionSpec, Dataset, corrupt_gaussian
-from .errors import ConfigError, DivergenceError, EmptyInputError, SpecError, SweepError
+from .errors import (
+    ConfigError,
+    DivergenceError,
+    EmptyInputError,
+    NumericError,
+    SpecError,
+    SweepError,
+)
 from .metrics import (
     MetricsReport,
     ScoredPrediction,
     build_report,
     confidence_by_subset_size,
 )
-from .model import (
-    ClassifierParams,
-    ModelSpec,
-    SubsetMask,
-    add_params,
-    derived_spec,
-    flatten_params,
-    forward,
-    init_params,
-    scale_params,
-    unflatten_params,
-)
-from .numerics import nll_loss, init_adam_state, adam_update
+from .model import ClassifierParams, ModelSpec, SubsetMask, derived_spec, forward_masks, init_params
+from .numerics import adam_update, init_adam_state, nll_loss
 
-# Stream tags keeping shuffling and chain draws independent.
+# Stream tags keeping shuffling and removal-order draws independent.
 _SHUFFLE_STREAM = 1
 _CHAIN_STREAM = 2
+
+# Config key of each TrainConfig field whose name differs from it.
+_CONFIG_KEYS = {"lam": "lambda"}
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     model: ModelSpec
-    epochs: int
+    epochs: int = 50
     learning_rate: float = 1e-3
     batch_size: int = 32
     lam: float = 0.0
@@ -59,9 +59,6 @@ class TrainConfig:
     seed: int = 0
     vrr_mode: str = "sampled"
     vrr_repeats: int = 1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     def validate(self) -> None:
         if self.epochs < 1:
@@ -80,6 +77,32 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
+    @classmethod
+    def _json_fields(cls) -> dict:
+        """Config key -> field, for every field but the model spec."""
+        return {_CONFIG_KEYS.get(f.name, f.name): f for f in fields(cls) if f.name != "model"}
+
+    def to_json_dict(self) -> dict:
+        """Every training setting under its config key (the model spec excluded)."""
+        return {key: getattr(self, f.name) for key, f in self._json_fields().items()}
+
+    @classmethod
+    def from_json_dict(cls, obj: dict, model: ModelSpec) -> "TrainConfig":
+        """Parse a "train" section; missing keys take their defaults, unknown keys fail."""
+        if not isinstance(obj, dict):
+            raise ConfigError(f"train: expected a JSON object, got {obj!r}")
+        known = cls._json_fields()
+        values = {}
+        for key, raw in obj.items():
+            if key not in known:
+                raise ConfigError(f"train.{key}: unknown key")
+            kind = type(known[key].default)
+            accepted = (int, float) if kind is float else kind
+            if isinstance(raw, bool) != (kind is bool) or not isinstance(raw, accepted):
+                raise ConfigError(f"train.{key}: expected {kind.__name__}, got {raw!r}")
+            values[known[key].name] = kind(raw)
+        return cls(model=model, **values)
 
 
 @dataclass(frozen=True)
@@ -108,73 +131,57 @@ def _check_dataset(config: TrainConfig, dataset: Dataset) -> None:
         )
 
 
-def train(
-    config: TrainConfig,
-    train_set: Dataset,
-    validation_set: Dataset | None = None,
-) -> RunResult:
-    """Mini-batch Adam over the per-sample chain objective.
+def train(config: TrainConfig, train_set: Dataset) -> RunResult:
+    """Mini-batch Adam over the batched chain objective.
 
-    Every sample gets a fresh removal chain each epoch from an rng keyed by
-    (seed, epoch, sample index); one optimizer step is taken per mini-batch on
-    the mean of the per-sample gradients.
+    Each epoch draws one removal order per sample from an rng keyed by
+    (seed, epoch) and indexes it by sample id, so a sample's chain does not
+    depend on the batch it lands in; one optimizer step is taken per
+    mini-batch on the mean of the per-sample gradients.
     """
     config.validate()
     if train_set.num_samples == 0:
         raise EmptyInputError("empty training set")
     _check_dataset(config, train_set)
-    num_modalities = train_set.num_modalities
 
     params = init_params(config.model, config.seed)
-    flat = flatten_params(params)
-    state = init_adam_state(
-        flat.size,
-        learning_rate=config.learning_rate,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        epsilon=config.epsilon,
-    )
+    state = init_adam_state(params.flat.size, learning_rate=config.learning_rate)
 
     n = train_set.num_samples
     history: list[EpochStats] = []
     for epoch in range(config.epochs):
         order = np.random.default_rng([config.seed, _SHUFFLE_STREAM, epoch]).permutation(n)
+        chains = chain_presence(
+            removal_orders(
+                np.random.default_rng([config.seed, _CHAIN_STREAM, epoch]),
+                n,
+                train_set.num_modalities,
+            )
+        )
         cls_sum = 0.0
         reg_sum = 0.0
         correct = 0
         for batch_idx, start in enumerate(range(0, n, config.batch_size)):
             batch = order[start : start + config.batch_size]
-            grads = None
-            batch_loss = 0.0
-            for i in batch:
-                i = int(i)
-                chain = sample_chain(
-                    num_modalities, np.random.default_rng([config.seed, _CHAIN_STREAM, epoch, i])
-                )
-                result = sample_objective(
+            try:
+                result = chain_objective(
                     params,
-                    train_set.features(i),
-                    train_set.label(i),
-                    chain,
+                    [block[batch] for block in train_set.modalities],
+                    train_set.labels[batch],
+                    chains[batch],
                     variant=config.variant,
                     lam=config.lam,
                     skip_on_wrong_full=config.skip_on_wrong_full,
                     detach_superset=config.detach_superset,
                 )
-                if grads is None:
-                    grads = result.grads
-                else:
-                    add_params(grads, result.grads)
-                batch_loss += result.total_loss
-                cls_sum += result.cls_loss
-                reg_sum += result.reg_loss
-                if result.full_prediction.predicted_class == train_set.label(i):
-                    correct += 1
-            if not np.isfinite(batch_loss):
-                raise DivergenceError(epoch=epoch, batch=batch_idx, loss=batch_loss)
-            scale_params(grads, 1.0 / len(batch))
-            flat, state = adam_update(flat, flatten_params(grads), state)
-            params = unflatten_params(params, flat)
+            except NumericError:
+                raise DivergenceError(epoch=epoch, batch=batch_idx, loss=float("nan")) from None
+            if not np.isfinite(result.loss):
+                raise DivergenceError(epoch=epoch, batch=batch_idx, loss=result.loss)
+            cls_sum += result.cls_loss
+            reg_sum += result.reg_loss
+            correct += int(result.full_correct.sum())
+            adam_update(params.flat, result.grads.flat / len(batch), state)
         history.append(
             EpochStats(
                 cls_loss=cls_sum / n,
@@ -185,35 +192,33 @@ def train(
     return RunResult(params=params, history=history)
 
 
+def _full_mask_forward(params: ClassifierParams, dataset: Dataset):
+    full = np.ones((1, dataset.num_modalities), dtype=bool)
+    return forward_masks(params, dataset.modalities, full)
+
+
 def score_full_mask(params: ClassifierParams, dataset: Dataset) -> list[ScoredPrediction]:
     """Full-modality predictions scored against the labels."""
-    full = SubsetMask.full(dataset.num_modalities)
-    scored = []
-    for i in range(dataset.num_samples):
-        pred, _ = forward(params, dataset.features(i), full)
-        label = dataset.label(i)
-        scored.append(
-            ScoredPrediction(
-                confidence=pred.confidence,
-                correct=pred.predicted_class == label,
-                nll_term=nll_loss(pred.probs, label),
-            )
+    fwd = _full_mask_forward(params, dataset)
+    probs = fwd.probs[:, 0]
+    return [
+        ScoredPrediction(confidence=conf, correct=ok, nll_term=nll)
+        for conf, ok, nll in zip(
+            fwd.confidence[:, 0].tolist(),
+            (fwd.predicted[:, 0] == dataset.labels).tolist(),
+            nll_loss(probs, dataset.labels).tolist(),
         )
-    return scored
+    ]
 
 
 def full_mask_accuracy(params: ClassifierParams, dataset: Dataset) -> float:
-    full = SubsetMask.full(dataset.num_modalities)
-    correct = sum(
-        1
-        for i in range(dataset.num_samples)
-        if forward(params, dataset.features(i), full)[0].predicted_class == dataset.label(i)
-    )
+    correct = int(np.sum(_full_mask_forward(params, dataset).predicted[:, 0] == dataset.labels))
     return 100.0 * correct / dataset.num_samples
 
 
-def evaluate(params: ClassifierParams, test_set: Dataset, config: TrainConfig) -> MetricsReport:
-    """Full evaluation protocol: full-mask metrics plus VRR and subset confidences."""
+def _evaluate(
+    params: ClassifierParams, test_set: Dataset, config: TrainConfig
+) -> tuple[MetricsReport, VrrEvaluation]:
     if test_set.num_samples == 0:
         raise EmptyInputError("empty test set")
     _check_dataset(config, test_set)
@@ -223,21 +228,20 @@ def evaluate(params: ClassifierParams, test_set: Dataset, config: TrainConfig) -
     vrr_eval = evaluate_vrr(
         params, test_set, seed=config.seed, mode=config.vrr_mode, repeats=config.vrr_repeats
     )
-    conf_by_size = confidence_by_subset_size(vrr_eval.records)
-    return build_report(scored, vrr_eval.vrr, conf_by_size)
+    report = build_report(scored, vrr_eval.vrr, confidence_by_subset_size(vrr_eval.records))
+    return report, vrr_eval
+
+
+def evaluate(params: ClassifierParams, test_set: Dataset, config: TrainConfig) -> MetricsReport:
+    """Full evaluation protocol: full-mask metrics plus VRR and subset confidences."""
+    return _evaluate(params, test_set, config)[0]
 
 
 def run_and_evaluate(
     config: TrainConfig, train_set: Dataset, test_set: Dataset
 ) -> RunResult:
     result = train(config, train_set)
-    result.vrr_evaluation = evaluate_vrr(
-        result.params, test_set, seed=config.seed, mode=config.vrr_mode, repeats=config.vrr_repeats
-    )
-    scored = score_full_mask(result.params, test_set)
-    result.report = build_report(
-        scored, result.vrr_evaluation.vrr, confidence_by_subset_size(result.vrr_evaluation.records)
-    )
+    result.report, result.vrr_evaluation = _evaluate(result.params, test_set, config)
     return result
 
 

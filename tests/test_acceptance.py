@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from rankcal.calibration import sample_chain, sample_objective
+from rankcal.calibration import chain_objective, chain_presence
 from rankcal.data import (
     SyntheticSpec,
     generate_synthetic,
@@ -27,16 +27,11 @@ from rankcal.data import (
 )
 from rankcal.errors import ParseError
 from rankcal.metrics import ScoredPrediction, aurc, e_aurc
-from rankcal.model import (
-    ModelSpec,
-    SubsetMask,
-    flatten_params,
-    forward,
-    init_params,
-    unflatten_params,
-)
+from rankcal.model import ModelSpec, SubsetMask, init_params
 from rankcal.numerics import grad_check
 from rankcal.trainer import TrainConfig, lambda_sweep, noise_sweep, run_and_evaluate
+
+from reference import reference_probs
 
 
 def verdict(name: str, passed: bool, detail: str) -> None:
@@ -164,20 +159,21 @@ def experiment() -> Experiment:
 def test_criterion_1_composite_gradient():
     started = time.time()
     spec = ModelSpec(modality_dims=(4, 5, 6), hidden_dim=7, latent_dim=5, num_classes=4)
-    params0 = init_params(spec, seed=3)
+    params = init_params(spec, seed=3)
+    flat0 = params.flat.copy()
     rng = np.random.default_rng(42)
-    feats = [rng.standard_normal(d) for d in spec.modality_dims]
-    chain = sample_chain(3, np.random.default_rng(7))
-    label = 2
+    feats = [rng.standard_normal((1, d)) for d in spec.modality_dims]
+    chain = chain_presence([[2, 1, 0]])
+    label = np.array([2])
 
     def objective(flat):
-        params = unflatten_params(params0, flat)
-        out = sample_objective(
+        params.flat[:] = flat
+        out = chain_objective(
             params, feats, label, chain, variant="hinge", lam=10.0, skip_on_wrong_full=False
         )
-        return out.total_loss, flatten_params(out.grads)
+        return out.loss, out.grads.flat
 
-    result = grad_check(objective, flatten_params(params0), tolerance=1e-4)
+    result = grad_check(objective, flat0, tolerance=1e-4)
     elapsed = time.time() - started
     verdict(
         "criterion 1: composite gradient",
@@ -211,9 +207,9 @@ def test_criterion_2_metric_oracles():
         feats = fixture.features(i)
         for size in range(3, 1, -1):
             for s_idx in itertools.combinations(range(3), size):
-                conf_s = forward(params, feats, SubsetMask.of(s_idx))[0].confidence
+                conf_s = reference_probs(params, feats, s_idx).max()
                 for t_idx in itertools.combinations(s_idx, size - 1):
-                    conf_t = forward(params, feats, SubsetMask.of(t_idx))[0].confidence
+                    conf_t = reference_probs(params, feats, t_idx).max()
                     total += 1
                     violations += conf_s - conf_t < 0
     vrr_ok = result.vrr == violations / total and len(result.records) == 9 * 50

@@ -6,17 +6,14 @@ import numpy as np
 import pytest
 
 from rankcal.calibration import (
-    MaskChain,
     RankingRecord,
+    chain_objective,
+    chain_presence,
     compute_vrr,
     confidence_increment,
-    difference_pair_loss,
-    enumerate_chain_pairs,
     evaluate_vrr,
-    hinge_pair_grads,
-    hinge_pair_loss,
-    sample_chain,
-    sample_objective,
+    pair_losses,
+    removal_orders,
     write_records_csv,
 )
 from rankcal.data import Dataset
@@ -33,13 +30,14 @@ from rankcal.model import (
     EncoderParams,
     ModelSpec,
     SubsetMask,
-    flatten_params,
-    forward,
+    backward_masks,
+    forward_masks,
     init_params,
-    unflatten_params,
-    zeros_like_params,
+    presence_matrix,
 )
-from rankcal.numerics import grad_check, nll_loss
+from rankcal.numerics import grad_check, nll_loss, nll_loss_grad
+
+from reference import reference_objective, reference_probs
 
 SPEC3 = ModelSpec(modality_dims=(3, 4, 2), hidden_dim=6, latent_dim=4, num_classes=3)
 
@@ -66,56 +64,65 @@ def random_dataset(spec: ModelSpec, n: int, seed: int) -> Dataset:
     )
 
 
+def zero_params(spec: ModelSpec) -> ClassifierParams:
+    params = init_params(spec, seed=0)
+    params.flat[:] = 0.0
+    return params
+
+
+def chain_masks(presence_row) -> list[list[int]]:
+    """The masks of one sample's chain as sorted index lists."""
+    return [np.flatnonzero(mask).tolist() for mask in presence_row]
+
+
+def reference_confidence(params, feats, mask) -> float:
+    return float(reference_probs(params, feats, mask).max())
+
+
 class TestSampleChain:
     def test_structure_three_modalities(self):
-        chain = sample_chain(3, np.random.default_rng(0))
-        assert [len(m) for m in chain.masks] == [3, 2, 1]
-        assert chain.num_pairs == 2
+        chains = chain_presence(removal_orders(np.random.default_rng(0), 5, 3))
+        assert chains.shape == (5, 3, 3)
+        assert np.array_equal(chains.sum(axis=2), np.tile([3, 2, 1], (5, 1)))
+        # each mask is a subset of the one before it
+        assert np.all(chains[:, 1:] <= chains[:, :-1])
 
     def test_single_modality(self):
-        chain = sample_chain(1, np.random.default_rng(0))
-        assert len(chain.masks) == 1
-        assert enumerate_chain_pairs(chain) == []
+        chains = chain_presence(removal_orders(np.random.default_rng(0), 2, 1))
+        assert chains.shape == (2, 1, 1) and chains.all()
 
     def test_zero_modalities_rejected(self):
         with pytest.raises(SpecError):
-            sample_chain(0, np.random.default_rng(0))
+            removal_orders(np.random.default_rng(0), 4, 0)
+        with pytest.raises(SpecError):
+            chain_presence(np.zeros((4, 0), dtype=int))
 
     def test_deterministic_given_rng_state(self):
-        a = sample_chain(4, np.random.default_rng(123))
-        b = sample_chain(4, np.random.default_rng(123))
-        assert a == b
+        a = removal_orders(np.random.default_rng(123), 10, 4)
+        b = removal_orders(np.random.default_rng(123), 10, 4)
+        assert np.array_equal(a, b)
 
     def test_removal_roughly_uniform(self):
-        # over 600 chains each of the 3 modalities should be removed first
+        # over 600 samples each of the 3 modalities should be removed first
         # about a third of the time
-        counts = {0: 0, 1: 0, 2: 0}
-        for seed in range(600):
-            chain = sample_chain(3, np.random.default_rng(seed))
-            (removed,) = chain.masks[0].present - chain.masks[1].present
-            counts[removed] += 1
-        for c in counts.values():
+        first = removal_orders(np.random.default_rng(0), 600, 3)[:, 0]
+        for c in np.bincount(first, minlength=3):
             assert 0.2 < c / 600 < 0.47
 
     def test_invalid_chain_rejected(self):
         with pytest.raises(SpecError):
-            MaskChain(masks=(SubsetMask.of([0, 1, 2]), SubsetMask.of([0])))
+            chain_presence(np.array([[0, 0, 2]]))
 
 
 class TestEnumerateChainPairs:
     def test_hand_example(self):
-        chain = MaskChain(
-            masks=(SubsetMask.of([0, 1, 2]), SubsetMask.of([0, 2]), SubsetMask.of([2]))
-        )
-        pairs = enumerate_chain_pairs(chain)
-        assert pairs == [
-            (SubsetMask.of([0, 2]), SubsetMask.of([0, 1, 2])),
-            (SubsetMask.of([2]), SubsetMask.of([0, 2])),
-        ]
+        # removing 1 then 0 walks {0,1,2} -> {0,2} -> {2}
+        (chain,) = chain_presence(np.array([[1, 0, 2]]))
+        assert chain_masks(chain) == [[0, 1, 2], [0, 2], [2]]
 
     def test_two_modalities_one_pair(self):
-        chain = sample_chain(2, np.random.default_rng(1))
-        assert len(enumerate_chain_pairs(chain)) == 1
+        (chain,) = chain_presence(removal_orders(np.random.default_rng(1), 1, 2))
+        assert len(chain) - 1 == 1
 
 
 class TestPairLosses:
@@ -131,161 +138,198 @@ class TestPairLosses:
             confidence_increment(0.5, 1.2)
 
     def test_hinge(self):
-        assert hinge_pair_loss(0.8, 0.6) == pytest.approx(0.2)
-        assert hinge_pair_loss(0.5, 0.7) == 0.0
-        assert hinge_pair_loss(0.6, 0.6) == 0.0
-        assert hinge_pair_grads(0.6, 0.6) == (0.0, 0.0)
-        assert hinge_pair_grads(0.8, 0.6) == (1.0, -1.0)
+        loss, d_t = pair_losses("hinge", np.array([0.8, 0.5, 0.6]), np.array([0.6, 0.7, 0.6]))
+        assert loss == pytest.approx([0.2, 0.0, 0.0])
+        # zero gradient at equality, +1 w.r.t. conf_t where active
+        assert np.array_equal(d_t, [1.0, 0.0, 0.0])
 
     def test_difference(self):
-        assert difference_pair_loss(0.8, 0.6) == pytest.approx(0.2)
-        assert difference_pair_loss(0.5, 0.7) == pytest.approx(-0.2)
-        assert difference_pair_loss(0.4, 0.4) == 0.0
+        loss, d_t = pair_losses("difference", np.array([0.8, 0.5, 0.4]), np.array([0.6, 0.7, 0.4]))
+        assert loss == pytest.approx([0.2, -0.2, 0.0])
+        assert np.array_equal(d_t, [1.0, 1.0, 1.0])
 
     def test_identities_with_ci(self):
         # hinge = max(0, -ci) and difference = -ci for any record
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            conf_t, conf_s = rng.uniform(0, 1, size=2)
-            ci = confidence_increment(conf_t, conf_s)
-            assert hinge_pair_loss(conf_t, conf_s) == max(0.0, -ci)
-            assert difference_pair_loss(conf_t, conf_s) == -ci
+        conf_t, conf_s = np.random.default_rng(2).uniform(0, 1, size=(2, 100))
+        ci = confidence_increment(conf_t, conf_s)
+        assert np.array_equal(pair_losses("hinge", conf_t, conf_s)[0], np.maximum(0.0, -ci))
+        assert np.array_equal(pair_losses("difference", conf_t, conf_s)[0], -ci)
+        assert not pair_losses("none", conf_t, conf_s)[0].any()
 
 
 class TestSampleObjective:
     def setup_method(self):
         self.params = init_params(SPEC3, seed=0)
         rng = np.random.default_rng(1)
-        self.feats = [3 * rng.standard_normal(d) for d in SPEC3.modality_dims]
-        self.chain = sample_chain(3, np.random.default_rng(101))
+        self.feats = [3 * rng.standard_normal((1, d)) for d in SPEC3.modality_dims]
+        self.labels = np.array([1])
+        # removes 0 then 2: {0,1,2} -> {1,2} -> {1}
+        self.chain = chain_presence(np.array([[0, 2, 1]]))
+
+    def objective(self, variant, lam=0.0, labels=None, **kwargs):
+        labels = self.labels if labels is None else labels
+        return chain_objective(self.params, self.feats, labels, self.chain, variant, lam, **kwargs)
 
     def test_lambda_zero_is_pure_classification(self):
-        res = sample_objective(self.params, self.feats, 1, self.chain, "hinge", lam=0.0)
-        assert res.total_loss == res.cls_loss
-        assert len(res.records) == 2
+        res = self.objective("hinge", lam=0.0)
+        assert res.loss == res.cls_loss
+        assert res.confidence.shape == (1, 3)
 
     def test_one_over_m_factor(self):
-        res = sample_objective(self.params, self.feats, 1, self.chain, "none")
+        res = self.objective("none")
         unfactored = sum(
-            nll_loss(forward(self.params, self.feats, mask)[0].probs, 1)
-            for mask in self.chain.masks
+            nll_loss(reference_probs(self.params, [x[0] for x in self.feats], mask), 1)
+            for mask in chain_masks(self.chain[0])
         )
-        assert res.cls_loss * len(self.chain.masks) == pytest.approx(unfactored, rel=1e-12)
+        assert res.cls_loss * 3 == pytest.approx(unfactored, rel=1e-12)
 
     def test_variant_none_matches_lambda_zero_bitwise(self):
-        a = sample_objective(self.params, self.feats, 1, self.chain, "hinge", lam=0.0)
-        b = sample_objective(self.params, self.feats, 1, self.chain, "none", lam=0.0)
-        assert a.total_loss == b.total_loss
-        assert flatten_params(a.grads).tobytes() == flatten_params(b.grads).tobytes()
+        a = self.objective("hinge", lam=0.0)
+        b = self.objective("none", lam=0.0)
+        assert a.loss == b.loss
+        assert a.grads.flat.tobytes() == b.grads.flat.tobytes()
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ConfigError):
-            sample_objective(self.params, self.feats, 1, self.chain, "hinge", lam=-1.0)
+            self.objective("hinge", lam=-1.0)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError):
-            sample_objective(self.params, self.feats, 1, self.chain, "l2")
+            self.objective("l2")
 
     def test_chain_sample_mismatch(self):
-        chain2 = sample_chain(2, np.random.default_rng(0))
+        self.chain = chain_presence(np.array([[0, 1]]))
         with pytest.raises(StateError):
-            sample_objective(self.params, self.feats, 1, chain2, "hinge")
+            self.objective("hinge")
 
     def test_skip_on_wrong_full_zeroes_regularizer(self):
         # fixture where the full-mask prediction is wrong and the hinge fires
-        params = init_params(SPEC3, seed=0)
-        rng = np.random.default_rng(1)
-        feats = [3 * rng.standard_normal(d) for d in SPEC3.modality_dims]
-        chain = sample_chain(3, np.random.default_rng(101))
-        pred, _ = forward(params, feats, SubsetMask.full(3))
-        wrong = int(np.argmin(pred.probs))
-        assert pred.predicted_class != wrong
+        probs = reference_probs(self.params, [x[0] for x in self.feats], [0, 1, 2])
+        wrong = np.array([int(np.argmin(probs))])
+        assert np.argmax(probs) != wrong[0]
 
-        live = sample_objective(
-            params, feats, wrong, chain, "hinge", lam=10.0, skip_on_wrong_full=False
-        )
+        live = self.objective("hinge", lam=10.0, labels=wrong, skip_on_wrong_full=False)
         assert live.reg_loss > 0.0
-        skipped = sample_objective(
-            params, feats, wrong, chain, "hinge", lam=10.0, skip_on_wrong_full=True
-        )
-        baseline = sample_objective(params, feats, wrong, chain, "none")
+        skipped = self.objective("hinge", lam=10.0, labels=wrong, skip_on_wrong_full=True)
+        baseline = self.objective("none", labels=wrong)
         assert skipped.reg_loss == 0.0
-        assert skipped.total_loss == baseline.total_loss
-        assert flatten_params(skipped.grads).tobytes() == flatten_params(baseline.grads).tobytes()
+        assert skipped.loss == baseline.loss
+        assert skipped.grads.flat.tobytes() == baseline.grads.flat.tobytes()
 
     def test_records_carry_pair_confidences(self):
-        res = sample_objective(self.params, self.feats, 1, self.chain, "hinge", lam=2.0)
-        for rec, (t_mask, s_mask) in zip(res.records, enumerate_chain_pairs(self.chain)):
-            assert rec.t_mask == t_mask and rec.s_mask == s_mask
-            conf_t = forward(self.params, self.feats, t_mask)[0].confidence
-            conf_s = forward(self.params, self.feats, s_mask)[0].confidence
-            assert rec.conf_t == conf_t and rec.conf_s == conf_s
-            assert rec.ci == conf_s - conf_t
+        res = self.objective("hinge", lam=2.0)
+        feats = [x[0] for x in self.feats]
+        for k, mask in enumerate(chain_masks(self.chain[0])):
+            assert res.confidence[0, k] == pytest.approx(
+                reference_confidence(self.params, feats, mask), rel=0, abs=1e-15
+            )
+
+    @pytest.mark.parametrize("variant", ["hinge", "difference", "none"])
+    @pytest.mark.parametrize("skip_on_wrong_full", [True, False])
+    @pytest.mark.parametrize("detach_superset", [True, False])
+    def test_matches_per_sample_reference(self, variant, skip_on_wrong_full, detach_superset):
+        spec = ModelSpec(modality_dims=(3, 4, 2, 5), hidden_dim=6, latent_dim=4, num_classes=3)
+        for trial in range(5):
+            params = init_params(spec, seed=trial)
+            rng = np.random.default_rng(100 + trial)
+            feats = [3 * rng.standard_normal((7, d)) for d in spec.modality_dims]
+            labels = rng.integers(0, 3, size=7)
+            chains = chain_presence(removal_orders(rng, 7, 4))
+            flags = dict(skip_on_wrong_full=skip_on_wrong_full, detach_superset=detach_superset)
+            res = chain_objective(params, feats, labels, chains, variant, 2.5, **flags)
+            parts = [
+                reference_objective(
+                    params, [x[b] for x in feats], int(labels[b]), chain_masks(chains[b]),
+                    variant, 2.5, **flags,
+                )
+                for b in range(7)
+            ]
+            assert res.loss == pytest.approx(sum(p[0] for p in parts), rel=0, abs=1e-12)
+            assert res.cls_loss == pytest.approx(sum(p[1] for p in parts), rel=0, abs=1e-12)
+            assert res.reg_loss == pytest.approx(sum(p[2] for p in parts), rel=0, abs=1e-12)
+            assert np.max(np.abs(res.grads.flat - sum(p[3] for p in parts))) <= 1e-12
+
+    def test_detach_superset_stops_superset_gradient(self):
+        # one full-to-singleton pair: with detach only conf(T) gets a penalty
+        # gradient, so encoders present only in S keep their classification-only
+        # gradient while the loss itself is unchanged
+        labels = self.labels
+        chain = chain_presence(np.array([[0, 2, 1]]))[:, [0, 2]]
+        live = chain_objective(self.params, self.feats, labels, chain, "difference", 5.0,
+                               skip_on_wrong_full=False)
+        detached = chain_objective(self.params, self.feats, labels, chain, "difference", 5.0,
+                                   skip_on_wrong_full=False, detach_superset=True)
+        plain = chain_objective(self.params, self.feats, labels, chain, "none")
+        assert detached.loss == live.loss
+        for m in (0, 2):  # only in S, so only reachable through conf(S)
+            assert np.array_equal(detached.grads.encoders[m].w1, plain.grads.encoders[m].w1)
+            assert not np.array_equal(live.grads.encoders[m].w1, plain.grads.encoders[m].w1)
 
 
 class TestCompositeGradient:
     def test_merged_backward_matches_per_mask_composition(self):
         # the chain objective merges encoder backwards across masks; it must
-        # agree with composing model.backward mask by mask
-        from rankcal.model import backward
-        from rankcal.numerics import nll_loss_grad
-
+        # agree with composing backward_masks mask by mask
         params = init_params(SPEC3, seed=8)
         rng = np.random.default_rng(9)
-        feats = [rng.standard_normal(d) for d in SPEC3.modality_dims]
-        chain = sample_chain(3, np.random.default_rng(10))
-        label = 1
-        res = sample_objective(params, feats, label, chain, "none")
+        feats = [rng.standard_normal((4, d)) for d in SPEC3.modality_dims]
+        labels = np.array([1, 0, 2, 1])
+        chains = chain_presence(removal_orders(rng, 4, 3))
+        res = chain_objective(params, feats, labels, chains, "none")
 
-        reference = zeros_like_params(params)
-        n_masks = len(chain.masks)
-        for mask in chain.masks:
-            pred, cache = forward(params, feats, mask)
-            part = backward(params, cache, nll_loss_grad(pred.probs, label) / n_masks, mask)
-            for a, b in zip(reference.arrays(), part.arrays()):
-                a += b
-        for a, b in zip(res.grads.arrays(), reference.arrays()):
-            assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
+        reference = np.zeros_like(params.flat)
+        for b in range(4):
+            row = [x[b : b + 1] for x in feats]
+            for mask in chains[b]:
+                fwd = forward_masks(params, row, mask[None, :])
+                g = nll_loss_grad(fwd.probs, labels[b]) / 3
+                reference += backward_masks(params, fwd, g).flat
+        assert np.allclose(res.grads.flat, reference, rtol=1e-12, atol=1e-15)
 
     def test_grad_check_hinge(self):
         # fixture chosen away from hinge kinks and argmax ties
         # (margins all > 1e-2, far beyond the 1e-5 probe step)
         spec = ModelSpec(modality_dims=(4, 5, 6), hidden_dim=7, latent_dim=5, num_classes=4)
-        params0 = init_params(spec, seed=3)
+        params = init_params(spec, seed=3)
+        flat0 = params.flat.copy()
         rng = np.random.default_rng(42)
-        feats = [rng.standard_normal(d) for d in spec.modality_dims]
-        chain = sample_chain(3, np.random.default_rng(7))
-        label = 2
+        feats = [rng.standard_normal((1, d)) for d in spec.modality_dims]
+        chain = chain_presence(np.array([[2, 1, 0]]))
+        label = np.array([2])
 
-        res = sample_objective(params0, feats, label, chain, "hinge", lam=10.0, skip_on_wrong_full=False)
-        for rec in res.records:
-            assert abs(rec.conf_t - rec.conf_s) > 1e-3
-
-        def objective(flat):
-            params = unflatten_params(params0, flat)
-            out = sample_objective(
+        def run():
+            return chain_objective(
                 params, feats, label, chain, "hinge", lam=10.0, skip_on_wrong_full=False
             )
-            return out.total_loss, flatten_params(out.grads)
 
-        result = grad_check(objective, flatten_params(params0), tolerance=1e-4)
+        assert np.all(np.abs(np.diff(run().confidence)) > 1e-3)
+
+        def objective(flat):
+            params.flat[:] = flat
+            out = run()
+            return out.loss, out.grads.flat
+
+        result = grad_check(objective, flat0, tolerance=1e-4)
         assert result.passed, result.max_rel_error
 
     def test_grad_check_difference(self):
+        # a batch of three samples, each on its own chain
         spec = ModelSpec(modality_dims=(4, 5, 6), hidden_dim=7, latent_dim=5, num_classes=4)
-        params0 = init_params(spec, seed=3)
+        params = init_params(spec, seed=3)
+        flat0 = params.flat.copy()
         rng = np.random.default_rng(42)
-        feats = [rng.standard_normal(d) for d in spec.modality_dims]
-        chain = sample_chain(3, np.random.default_rng(7))
+        feats = [rng.standard_normal((3, d)) for d in spec.modality_dims]
+        chains = chain_presence(np.array([[2, 1, 0], [0, 1, 2], [1, 2, 0]]))
+        labels = np.array([2, 0, 3])
 
         def objective(flat):
-            params = unflatten_params(params0, flat)
-            out = sample_objective(
-                params, feats, 2, chain, "difference", lam=5.0, skip_on_wrong_full=False
+            params.flat[:] = flat
+            out = chain_objective(
+                params, feats, labels, chains, "difference", lam=5.0, skip_on_wrong_full=False
             )
-            return out.total_loss, flatten_params(out.grads)
+            return out.loss, out.grads.flat
 
-        result = grad_check(objective, flatten_params(params0), tolerance=1e-4)
+        result = grad_check(objective, flat0, tolerance=1e-4)
         assert result.passed, result.max_rel_error
 
 
@@ -326,7 +370,7 @@ def brute_force_pairs(num_modalities: int) -> list[tuple[frozenset, frozenset]]:
 
 class TestEvaluateVrr:
     def test_constant_model_zero_vrr(self):
-        params = zeros_like_params(init_params(SPEC3, seed=0))
+        params = zero_params(SPEC3)
         dataset = random_dataset(SPEC3, 20, seed=3)
         result = evaluate_vrr(params, dataset, seed=0, mode="sampled")
         assert result.vrr == 0.0
@@ -345,8 +389,8 @@ class TestEvaluateVrr:
         for i in range(dataset.num_samples):
             feats = dataset.features(i)
             for t_set, s_set in expected_pairs:
-                conf_t = forward(params, feats, SubsetMask.of(t_set))[0].confidence
-                conf_s = forward(params, feats, SubsetMask.of(s_set))[0].confidence
+                conf_t = reference_confidence(params, feats, t_set)
+                conf_s = reference_confidence(params, feats, s_set)
                 total += 1
                 if conf_s - conf_t < 0:
                     violations += 1
@@ -364,7 +408,7 @@ class TestEvaluateVrr:
 
     def test_sampled_equals_exhaustive_on_constant_model_two_modalities(self):
         spec = ModelSpec(modality_dims=(2, 3), hidden_dim=4, latent_dim=3, num_classes=2)
-        params = zeros_like_params(init_params(spec, seed=0))
+        params = zero_params(spec)
         dataset = Dataset(
             modalities=[np.ones((8, 2)), np.ones((8, 3))],
             labels=np.zeros(8, dtype=np.int64),

@@ -126,6 +126,52 @@ class TestTrainCommand:
         snapshot = json.loads((run_dir / "config.json").read_text())
         assert snapshot["resolved_train"]["seed"] == 11
 
+    def test_non_numeric_env_seed_fails_naming_variable(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path / "config.json")
+        monkeypatch.setenv("CML_SEED", "abc")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "CML_SEED" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_non_finite_csv_cell_fails_naming_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "gen.json")
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "ds")]) == 0
+        csv = tmp_path / "ds" / "modality_1.csv"
+        lines = csv.read_text().splitlines()
+        lines[2] = ",".join(["nan"] + lines[2].split(",")[1:])
+        csv.write_text("\n".join(lines) + "\n")
+        train_cfg = tmp_path / "train.json"
+        obj = json.loads(cfg.read_text())
+        obj["data"] = {"manifest": "ds/manifest.json"}
+        train_cfg.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["train", "--config", str(train_cfg), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "modality_1.csv:3:" in err
+
+    @pytest.mark.parametrize(
+        "train, message",
+        [
+            ({"lamda": 10.0}, "train.lamda: unknown key"),
+            ({"epochs": "3"}, "train.epochs: expected int"),
+            ({"epochs": 2.5}, "train.epochs: expected int"),
+            ({"lambda": True}, "train.lambda: expected float"),
+            ({"skip_on_wrong_full": "false"}, "train.skip_on_wrong_full: expected bool"),
+            ({"variant": 1}, "train.variant: expected str"),
+        ],
+    )
+    def test_bad_train_key_fails_naming_it(self, tmp_path, capsys, train, message):
+        cfg = write_config(tmp_path / "config.json", train=train)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and message in err
+
+    def test_jobs_only_on_sweep(self, tmp_path):
+        cfg = write_config(tmp_path / "config.json")
+        with pytest.raises(SystemExit):
+            main(["train", "--config", str(cfg), "--jobs", "2"])
+
     def test_exactly_one_data_source_required(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({"data": {}}))

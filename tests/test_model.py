@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,25 +11,37 @@ from rankcal.model import (
     EncoderParams,
     ModelSpec,
     SubsetMask,
-    backward,
-    confidence_of,
+    backward_masks,
     derived_spec,
-    flatten_params,
-    forward,
+    forward_masks,
     init_params,
     load_checkpoint,
+    param_shapes,
+    presence_matrix,
     save_checkpoint,
-    unflatten_params,
-    zeros_like_params,
 )
 from rankcal.numerics import grad_check, nll_loss, nll_loss_grad
+
+from reference import reference_probs
 
 SPEC = ModelSpec(modality_dims=(3, 4, 2), hidden_dim=6, latent_dim=4, num_classes=3)
 
 
-def random_features(spec: ModelSpec, seed: int) -> list[np.ndarray]:
+def random_features(spec: ModelSpec, seed: int, rows: int = 1) -> list[np.ndarray]:
+    """One (rows, d_m) block per modality."""
     rng = np.random.default_rng(seed)
-    return [rng.standard_normal(d) for d in spec.modality_dims]
+    return [rng.standard_normal((rows, d)) for d in spec.modality_dims]
+
+
+def zero_params(spec: ModelSpec) -> ClassifierParams:
+    params = init_params(spec, seed=0)
+    params.flat[:] = 0.0
+    return params
+
+
+def run(params, feats, *masks):
+    """forward_masks on the given masks, shared by every row."""
+    return forward_masks(params, feats, presence_matrix(masks, params.num_modalities))
 
 
 def identity_passthrough_params() -> ClassifierParams:
@@ -81,12 +95,12 @@ class TestInitParams:
     def test_deterministic(self):
         a = init_params(SPEC, seed=7)
         b = init_params(SPEC, seed=7)
-        assert flatten_params(a).tobytes() == flatten_params(b).tobytes()
+        assert a.flat.tobytes() == b.flat.tobytes()
 
     def test_seeds_differ(self):
         a = init_params(SPEC, seed=7)
         b = init_params(SPEC, seed=8)
-        assert not np.array_equal(flatten_params(a), flatten_params(b))
+        assert not np.array_equal(a.flat, b.flat)
 
     def test_biases_zero(self):
         params = init_params(SPEC, seed=0)
@@ -106,96 +120,128 @@ class TestInitParams:
         assert derived_spec(init_params(SPEC, seed=0)) == SPEC
 
 
+class TestClassifierParams:
+    def test_named_arrays_are_views_of_flat(self):
+        params = init_params(SPEC, seed=2)
+        params.flat[:] = np.arange(params.flat.size)
+        assert params.encoders[0].w1[0, 1] == 1.0
+        assert params.head_b[-1] == params.flat.size - 1
+        params.encoders[1].b2[...] = -5.0
+        start = sum(int(np.prod(s)) for s in param_shapes(SPEC)[:7])
+        assert np.all(params.flat[start : start + SPEC.latent_dim] == -5.0)
+
+    def test_constructor_packs_arrays_in_declaration_order(self):
+        params = identity_passthrough_params()
+        expected = np.concatenate([np.ravel(a) for a in params.arrays()])
+        assert np.array_equal(params.flat, expected)
+        assert params.spec_signature() == tuple(param_shapes(derived_spec(params)))
+
+    def test_flat_size_mismatch_rejected(self):
+        with pytest.raises(DimensionError):
+            ClassifierParams.from_flat(param_shapes(SPEC), np.zeros(3))
+
+
 class TestForward:
     def test_fused_latents_hand_example(self):
         params = identity_passthrough_params()
-        feats = [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
-        _, cache = forward(params, feats, SubsetMask.of([0, 1]))
-        assert np.array_equal(cache.fused, [[2.0, 3.0]])
+        feats = [np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]])]
+        fwd = run(params, feats, SubsetMask.of([0, 1]))
+        assert np.array_equal(fwd.fused, [[[2.0, 3.0]]])
 
     def test_mean_of_equal_latents(self):
         params = identity_passthrough_params()
-        feats = [np.array([1.5, 0.5]), np.array([1.5, 0.5])]
-        _, cache = forward(params, feats, SubsetMask.of([0, 1]))
-        assert np.array_equal(cache.fused, [[1.5, 0.5]])
+        feats = [np.array([[1.5, 0.5]]), np.array([[1.5, 0.5]])]
+        fwd = run(params, feats, SubsetMask.of([0, 1]))
+        assert np.array_equal(fwd.fused, [[[1.5, 0.5]]])
 
     def test_singleton_mask_is_that_latent(self):
         params = identity_passthrough_params()
-        feats = [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
-        _, cache = forward(params, feats, SubsetMask.of([1]))
-        assert np.array_equal(cache.fused, [[3.0, 4.0]])
+        feats = [np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]])]
+        fwd = run(params, feats, SubsetMask.of([1]), SubsetMask.of([0]))
+        assert np.array_equal(fwd.fused, [[[3.0, 4.0], [1.0, 2.0]]])
 
     def test_deterministic_bit_identical(self):
         params = init_params(SPEC, seed=1)
-        feats = random_features(SPEC, 2)
+        feats = random_features(SPEC, 2, rows=5)
         mask = SubsetMask.of([0, 2])
-        a, _ = forward(params, feats, mask)
-        b, _ = forward(params, feats, mask)
-        assert a.probs.tobytes() == b.probs.tobytes()
+        assert run(params, feats, mask).probs.tobytes() == run(params, feats, mask).probs.tobytes()
 
     def test_mask_order_irrelevant(self):
         params = init_params(SPEC, seed=1)
-        feats = random_features(SPEC, 2)
-        a, _ = forward(params, feats, SubsetMask.of([2, 0, 1]))
-        b, _ = forward(params, feats, SubsetMask.of([1, 2, 0]))
+        feats = random_features(SPEC, 2, rows=5)
+        a = run(params, feats, SubsetMask.of([2, 0, 1]))
+        b = run(params, feats, SubsetMask.of([1, 2, 0]))
         assert a.probs.tobytes() == b.probs.tobytes()
 
     def test_absent_features_allowed_when_masked_out(self):
         params = init_params(SPEC, seed=1)
-        feats = random_features(SPEC, 2)
+        feats = random_features(SPEC, 2, rows=5)
         feats[1] = None
-        pred, _ = forward(params, feats, SubsetMask.of([0, 2]))
-        assert np.isfinite(pred.probs).all()
+        fwd = run(params, feats, SubsetMask.of([0, 2]), SubsetMask.of([2]))
+        assert np.isfinite(fwd.probs).all()
+        assert fwd.hidden[1] is None
 
     def test_masked_out_of_range(self):
         params = init_params(SPEC, seed=1)
         with pytest.raises(MaskError):
-            forward(params, random_features(SPEC, 0), SubsetMask.of([3]))
+            run(params, random_features(SPEC, 0), SubsetMask.of([3]))
 
     def test_dimension_mismatch(self):
         params = init_params(SPEC, seed=1)
         feats = random_features(SPEC, 0)
-        feats[0] = np.ones(5)
+        feats[0] = np.ones((1, 5))
         with pytest.raises(DimensionError):
-            forward(params, feats, SubsetMask.of([0]))
+            run(params, feats, SubsetMask.of([0]))
+
+    def test_per_row_masks_match_per_sample_reference(self):
+        # each row under its own masks, against the per-sample oracle
+        params = init_params(SPEC, seed=3)
+        feats = random_features(SPEC, 4, rows=6)
+        rng = np.random.default_rng(5)
+        presence = rng.random((6, 4, 3)) < 0.6
+        presence[..., 0] |= ~presence.any(axis=-1)
+        probs = forward_masks(params, feats, presence).probs
+        for b, k in np.ndindex(6, 4):
+            row = [x[b] for x in feats]
+            expected = reference_probs(params, row, np.flatnonzero(presence[b, k]))
+            assert np.allclose(probs[b, k], expected, rtol=0, atol=1e-15)
+
+    def test_empty_mask_rejected(self):
+        params = init_params(SPEC, seed=1)
+        with pytest.raises(MaskError):
+            forward_masks(params, random_features(SPEC, 0), np.zeros((1, 3), dtype=bool))
 
 
 class TestConfidence:
     def test_zero_params_uniform_tie_break(self):
-        params = zeros_like_params(init_params(SPEC, seed=0))
-        conf, cls = confidence_of(params, random_features(SPEC, 3), SubsetMask.full(3))
-        assert cls == 0
-        assert abs(conf - 1.0 / SPEC.num_classes) < 1e-15
+        fwd = run(zero_params(SPEC), random_features(SPEC, 3), SubsetMask.full(3))
+        assert fwd.predicted[0, 0] == 0
+        assert abs(fwd.confidence[0, 0] - 1.0 / SPEC.num_classes) < 1e-15
 
     def test_head_bias_sets_probs(self):
-        params = zeros_like_params(init_params(SPEC, seed=0))
+        params = zero_params(SPEC)
         params.head_b[...] = np.log([0.7, 0.2, 0.1])
-        conf, cls = confidence_of(params, random_features(SPEC, 3), SubsetMask.full(3))
-        assert cls == 0
-        assert abs(conf - 0.7) < 1e-12
+        fwd = run(params, random_features(SPEC, 3), SubsetMask.full(3))
+        assert fwd.predicted[0, 0] == 0
+        assert abs(fwd.confidence[0, 0] - 0.7) < 1e-12
 
     def test_exact_tie_goes_to_lowest_index(self):
         spec = ModelSpec(modality_dims=(2, 2), hidden_dim=2, latent_dim=2, num_classes=2)
-        params = zeros_like_params(init_params(spec, seed=0))
-        conf, cls = confidence_of(params, [np.ones(2), np.ones(2)], SubsetMask.full(2))
-        assert cls == 0 and conf == 0.5
+        fwd = run(zero_params(spec), [np.ones((1, 2)), np.ones((1, 2))], SubsetMask.full(2))
+        assert fwd.predicted[0, 0] == 0 and fwd.confidence[0, 0] == 0.5
 
     def test_confidence_bounds(self):
-        rng = np.random.default_rng(9)
         for seed in range(10):
             params = init_params(SPEC, seed=seed)
-            feats = [rng.standard_normal(d) for d in SPEC.modality_dims]
-            conf, _ = confidence_of(params, feats, SubsetMask.full(3))
-            assert 1.0 / SPEC.num_classes <= conf < 1.0
+            conf = run(params, random_features(SPEC, seed, rows=4), SubsetMask.full(3)).confidence
+            assert np.all(1.0 / SPEC.num_classes <= conf) and np.all(conf < 1.0)
 
 
 class TestBackward:
     def test_absent_modality_zero_grads(self):
         params = init_params(SPEC, seed=4)
-        feats = random_features(SPEC, 5)
-        mask = SubsetMask.of([0, 2])
-        pred, cache = forward(params, feats, mask)
-        grads = backward(params, cache, nll_loss_grad(pred.probs, 1), mask)
+        fwd = run(params, random_features(SPEC, 5, rows=3), SubsetMask.of([0, 2]))
+        grads = backward_masks(params, fwd, nll_loss_grad(fwd.probs, 1))
         absent = grads.encoders[1]
         assert not absent.w1.any() and not absent.b1.any()
         assert not absent.w2.any() and not absent.b2.any()
@@ -205,36 +251,36 @@ class TestBackward:
         # With |mask| = 1 the fused latent is the encoder latent itself, so
         # the encoder must see the undivided upstream gradient.
         params = init_params(SPEC, seed=4)
-        feats = random_features(SPEC, 5)
-        mask = SubsetMask.of([1])
-        pred, cache = forward(params, feats, mask)
-        g = nll_loss_grad(pred.probs, 0)
-        grads = backward(params, cache, g, mask)
-        d_fused = g[None, :] @ params.head_w.T
-        d_w2_expected = cache.encoders[1].hidden.T @ d_fused
+        fwd = run(params, random_features(SPEC, 5), SubsetMask.of([1]))
+        g = nll_loss_grad(fwd.probs, 0)
+        grads = backward_masks(params, fwd, g)
+        d_fused = g[0] @ params.head_w.T
+        d_w2_expected = fwd.hidden[1].T @ d_fused
         assert np.allclose(grads.encoders[1].w2, d_w2_expected, atol=1e-15)
 
     def test_mask_cache_mismatch(self):
+        # logit gradients for other masks than the forward pass ran on
         params = init_params(SPEC, seed=4)
-        feats = random_features(SPEC, 5)
-        pred, cache = forward(params, feats, SubsetMask.of([0, 1]))
+        fwd = run(params, random_features(SPEC, 5), SubsetMask.of([0, 1]))
+        other = run(params, random_features(SPEC, 5), SubsetMask.of([0, 1]), SubsetMask.of([2]))
         with pytest.raises(StateError):
-            backward(params, cache, nll_loss_grad(pred.probs, 0), SubsetMask.of([0, 2]))
+            backward_masks(params, fwd, nll_loss_grad(other.probs, 0))
 
     @pytest.mark.parametrize("mask_indices", [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)])
     def test_grad_check_every_mask_size(self, mask_indices):
-        params0 = init_params(SPEC, seed=6)
-        feats = random_features(SPEC, 7)
+        params = init_params(SPEC, seed=6)
+        flat0 = params.flat.copy()
+        feats = random_features(SPEC, 7, rows=2)
         mask = SubsetMask.of(mask_indices)
-        label = 2
+        labels = np.array([[2], [0]])
 
         def objective(flat):
-            params = unflatten_params(params0, flat)
-            pred, cache = forward(params, feats, mask)
-            grads = backward(params, cache, nll_loss_grad(pred.probs, label), mask)
-            return nll_loss(pred.probs, label), flatten_params(grads)
+            params.flat[:] = flat
+            fwd = run(params, feats, mask)
+            grads = backward_masks(params, fwd, nll_loss_grad(fwd.probs, labels))
+            return float(nll_loss(fwd.probs, labels).sum()), grads.flat
 
-        result = grad_check(objective, flatten_params(params0), tolerance=1e-4)
+        result = grad_check(objective, flat0, tolerance=1e-4)
         assert result.passed, f"mask {mask_indices}: {result.max_rel_error}"
 
 
@@ -245,7 +291,7 @@ class TestCheckpoint:
         save_checkpoint(path, SPEC, params)
         spec_loaded, loaded = load_checkpoint(path)
         assert spec_loaded == SPEC
-        assert flatten_params(loaded).tobytes() == flatten_params(params).tobytes()
+        assert loaded.flat.tobytes() == params.flat.tobytes()
 
     def test_rewrite_byte_identical(self, tmp_path):
         params = init_params(SPEC, seed=11)
@@ -257,5 +303,24 @@ class TestCheckpoint:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"not a checkpoint\n{}\n")
+        with pytest.raises(StateError):
+            load_checkpoint(path)
+
+    def test_header_spec_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, SPEC, init_params(SPEC, seed=11))
+        other = ModelSpec(modality_dims=(3, 4, 2), hidden_dim=5, latent_dim=4, num_classes=3)
+        lines = path.read_bytes().split(b"\n", 2)
+        header = json.loads(lines[1])
+        header["spec"] = other.to_json_dict()
+        path.write_bytes(lines[0] + b"\n" + json.dumps(header).encode() + b"\n" + lines[2])
+        with pytest.raises(StateError):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, SPEC, init_params(SPEC, seed=11))
+        with open(path, "ab") as fh:
+            fh.write(b"\0" * 8)
         with pytest.raises(StateError):
             load_checkpoint(path)

@@ -143,6 +143,12 @@ class TestSoftmax:
             assert abs(p.sum() - 1.0) <= 1e-12
             assert np.all(p > 0.0) and np.all(p < 1.0)
 
+    def test_rows_are_independent_distributions(self):
+        z = np.random.default_rng(8).standard_normal((4, 3, 5))
+        p = softmax(z)
+        for row in np.ndindex(4, 3):
+            assert np.allclose(p[row], softmax(z[row]), rtol=0, atol=1e-15)
+
 
 class TestNllLoss:
     def test_confident_correct_goes_to_zero(self):
@@ -165,6 +171,14 @@ class TestNllLoss:
         expected[1] -= 1.0
         assert np.array_equal(g, expected)
 
+    def test_labels_broadcast_over_rows(self):
+        p = softmax(np.random.default_rng(9).standard_normal((3, 2, 4)))
+        labels = np.array([0, 3, 1])[:, None]
+        loss, grad = nll_loss(p, labels), nll_loss_grad(p, labels)
+        for b, k in np.ndindex(3, 2):
+            assert loss[b, k] == nll_loss(p[b, k], labels[b, 0])
+            assert np.array_equal(grad[b, k], nll_loss_grad(p[b, k], labels[b, 0]))
+
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(4)
         z = rng.standard_normal(5)
@@ -186,18 +200,19 @@ class TestAdam:
     def test_zero_gradient_leaves_params(self):
         state = init_adam_state(3, learning_rate=0.1)
         params = np.array([1.0, -2.0, 3.0])
-        new_params, new_state = adam_update(params, np.zeros(3), state)
-        assert np.array_equal(new_params, params)
-        assert new_state.step_count == 1
+        adam_update(params, np.zeros(3), state)
+        assert np.array_equal(params, [1.0, -2.0, 3.0])
+        assert state.step_count == 1
 
     def test_first_step_is_learning_rate_times_sign(self):
         for g in (0.37, -12.0, 1e-4):
             state = init_adam_state(1, learning_rate=1e-3)
-            new_params, _ = adam_update(np.array([0.5]), np.array([g]), state)
+            params = np.array([0.5])
+            adam_update(params, np.array([g]), state)
             # bias-corrected first step: lr * g / (|g| + eps)
             expected = 0.5 - 1e-3 * g / (abs(g) + state.epsilon)
-            assert abs(new_params[0] - expected) < 1e-18
-            assert abs((0.5 - new_params[0]) - 1e-3 * np.sign(g)) < 1e-6
+            assert abs(params[0] - expected) < 1e-18
+            assert abs((0.5 - params[0]) - 1e-3 * np.sign(g)) < 1e-6
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
@@ -208,7 +223,7 @@ class TestAdam:
             p = params.copy()
             s = init_adam_state(7, learning_rate=0.01)
             for g in grads:
-                p, s = adam_update(p, g, s)
+                adam_update(p, g, s)
             return p
 
         assert run().tobytes() == run().tobytes()
@@ -217,7 +232,7 @@ class TestAdam:
         state = init_adam_state(1, learning_rate=0.1)
         p = np.zeros(1)
         for expected in (1, 2, 3):
-            p, state = adam_update(p, np.ones(1), state)
+            adam_update(p, np.ones(1), state)
             assert state.step_count == expected
 
     def test_shape_mismatch(self):

@@ -8,7 +8,7 @@ import pytest
 from rankcal.data import Dataset, SyntheticSpec, generate_synthetic, split
 from rankcal.errors import ConfigError, DivergenceError, EmptyInputError, SpecError, SweepError
 from rankcal.metrics import ScoredPrediction, accuracy, aurc, e_aurc, mean_nll
-from rankcal.model import ModelSpec, SubsetMask, flatten_params, forward, init_params, zeros_like_params
+from rankcal.model import ModelSpec, SubsetMask, init_params
 from rankcal.numerics import nll_loss
 from rankcal.trainer import (
     DEFAULT_LAMBDA_GRID,
@@ -24,6 +24,8 @@ from rankcal.trainer import (
     run_and_evaluate,
     train,
 )
+
+from reference import reference_probs
 
 MODEL = ModelSpec(modality_dims=(4, 3), hidden_dim=8, latent_dim=4, num_classes=2)
 
@@ -63,20 +65,34 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             config(variant="quadratic").validate()
 
+    def test_json_round_trip_keeps_config_keys(self):
+        cfg = config(lam=2.5, variant="difference", detach_superset=True, vrr_repeats=3)
+        obj = cfg.to_json_dict()
+        assert sorted(obj) == sorted(
+            ["epochs", "learning_rate", "batch_size", "lambda", "variant", "skip_on_wrong_full",
+             "detach_superset", "seed", "vrr_mode", "vrr_repeats"]
+        )
+        assert obj["lambda"] == 2.5
+        assert TrainConfig.from_json_dict(obj, MODEL) == cfg
+
+    def test_json_missing_keys_take_defaults(self):
+        assert TrainConfig.from_json_dict({}, MODEL) == TrainConfig(model=MODEL)
+        assert TrainConfig.from_json_dict({"lambda": 10}, MODEL).lam == 10.0
+
 
 class TestTrain:
     def test_lambda_zero_matches_variant_none_bitwise(self):
         train_set, _ = make_sets()
         a = train(config(lam=0.0, variant="hinge"), train_set)
         b = train(config(lam=0.0, variant="none"), train_set)
-        assert flatten_params(a.params).tobytes() == flatten_params(b.params).tobytes()
+        assert a.params.flat.tobytes() == b.params.flat.tobytes()
 
     def test_deterministic_rerun(self):
         train_set, _ = make_sets()
         cfg = config(lam=5.0, epochs=3)
         a = train(cfg, train_set)
         b = train(cfg, train_set)
-        assert flatten_params(a.params).tobytes() == flatten_params(b.params).tobytes()
+        assert a.params.flat.tobytes() == b.params.flat.tobytes()
         assert a.history == b.history
 
     def test_history_length_is_epochs(self):
@@ -125,7 +141,8 @@ class TestTrain:
 class TestEvaluate:
     def test_constant_model(self):
         train_set, test_set = make_sets()
-        params = zeros_like_params(init_params(MODEL, seed=0))
+        params = init_params(MODEL, seed=0)
+        params.flat[:] = 0.0
         report = evaluate(params, test_set, config())
         # constant output predicts class 0 everywhere on a balanced test set
         assert report.accuracy_pct == pytest.approx(50.0)
@@ -149,15 +166,14 @@ class TestEvaluate:
         report = evaluate(result.params, fixture, cfg)
 
         scored = []
-        full = SubsetMask.full(2)
         for i in range(fixture.num_samples):
-            pred, _ = forward(result.params, fixture.features(i), full)
+            probs = reference_probs(result.params, fixture.features(i), [0, 1])
             label = fixture.label(i)
             scored.append(
                 ScoredPrediction(
-                    confidence=pred.confidence,
-                    correct=pred.predicted_class == label,
-                    nll_term=nll_loss(pred.probs, label),
+                    confidence=float(probs.max()),
+                    correct=int(np.argmax(probs)) == label,
+                    nll_term=float(nll_loss(probs, label)),
                 )
             )
         assert report.accuracy_pct == accuracy(scored)
