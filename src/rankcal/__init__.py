@@ -1,7 +1,7 @@
 """Confidence-ranking calibration toolkit for small multimodal classifiers."""
 
 from .calibration import (
-    RankingRecord,
+    RankingRecords,
     chain_objective,
     compute_vrr,
     confidence_increment,
@@ -44,7 +44,7 @@ __all__ = [
     "Dataset",
     "MetricsReport",
     "ModelSpec",
-    "RankingRecord",
+    "RankingRecords",
     "ScoredPrediction",
     "SubsetMask",
     "SyntheticSpec",

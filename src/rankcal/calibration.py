@@ -24,8 +24,8 @@ from .errors import (
     SpecError,
     StateError,
 )
-from .model import ClassifierParams, SubsetMask, backward_masks, forward_masks, presence_matrix
-from .numerics import Array, nll_loss, nll_loss_grad
+from .model import ClassifierParams, backward_masks, forward_masks
+from .numerics import Array, describe_bad, nll_loss, nll_loss_grad
 
 REGULARIZER_VARIANTS = ("hinge", "difference", "none")
 
@@ -62,8 +62,9 @@ def chain_presence(orders) -> Array:
 
 def _check_confidence(values, name: str) -> Array:
     values = np.asarray(values, dtype=np.float64)
-    if not np.all((values >= 0.0) & (values <= 1.0)):
-        raise DomainError(f"{name} must be in [0, 1], got {values}")
+    bad = ~((values >= 0.0) & (values <= 1.0))
+    if bad.any():
+        raise DomainError(f"{name} must be in [0, 1]; outside: {describe_bad(bad)}")
     return values
 
 
@@ -88,16 +89,22 @@ def pair_losses(variant: str, conf_t: Array, conf_s: Array) -> tuple[Array, Arra
     raise ConfigError(f"unknown regularizer variant {variant!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class RankingRecord:
-    """One nested (T, S) pair with both confidences and the increment."""
+@dataclass(frozen=True, eq=False)
+class RankingRecords:
+    """Nested (T, S) pairs as columns, one entry per pair, ordered by sample.
 
-    t_mask: SubsetMask
-    s_mask: SubsetMask
-    conf_t: float
-    conf_s: float
-    ci: float
-    sample_id: int = -1
+    Masks are modality bit codes (bit m set when m is present); ci = conf_s - conf_t.
+    """
+
+    sample_id: Array
+    t_code: Array
+    s_code: Array
+    conf_t: Array
+    conf_s: Array
+    ci: Array
+
+    def __len__(self) -> int:
+        return len(self.ci)
 
 
 @dataclass
@@ -181,12 +188,11 @@ def chain_objective(
     )
 
 
-def compute_vrr(records: Sequence[RankingRecord]) -> float:
+def compute_vrr(records: RankingRecords) -> float:
     """Fraction of records whose confidence increment is strictly negative."""
-    if not records:
+    if not len(records):
         raise EmptyInputError("no ranking records")
-    violations = sum(1 for r in records if r.ci < 0.0)
-    return violations / len(records)
+    return int(np.count_nonzero(records.ci < 0.0)) / len(records)
 
 
 def all_single_removal_pairs(num_modalities: int) -> list[tuple[int, int]]:
@@ -205,7 +211,7 @@ def all_single_removal_pairs(num_modalities: int) -> list[tuple[int, int]]:
 @dataclass
 class VrrEvaluation:
     vrr: float
-    records: list[RankingRecord]
+    records: RankingRecords
     attribution: dict[int, int]
 
 
@@ -264,35 +270,26 @@ def evaluate_vrr(
     t_code, s_code = code[:, t_col], code[:, s_col]
     conf_t, conf_s = conf[:, t_col], conf[:, s_col]
     ci = confidence_increment(conf_t, conf_s)
-    masks = {
-        c: SubsetMask.of(m for m in range(num_modalities) if c >> m & 1)
-        for c in set(code.ravel().tolist())
-    }
-    sample_ids = np.repeat(np.arange(num_samples), len(t_col))
-    records = [
-        RankingRecord(
-            t_mask=masks[t], s_mask=masks[s], conf_t=c_t, conf_s=c_s, ci=c, sample_id=i
-        )
-        for i, t, s, c_t, c_s, c in zip(
-            sample_ids.tolist(),
-            t_code.ravel().tolist(),
-            s_code.ravel().tolist(),
-            conf_t.ravel().tolist(),
-            conf_s.ravel().tolist(),
-            ci.ravel().tolist(),
-        )
-    ]
+    records = RankingRecords(
+        sample_id=np.repeat(np.arange(num_samples), len(t_col)),
+        t_code=t_code.ravel(),
+        s_code=s_code.ravel(),
+        conf_t=conf_t.ravel(),
+        conf_s=conf_s.ravel(),
+        ci=ci.ravel(),
+    )
     removed = (t_code ^ s_code)[(ci < 0.0) & (s_code == bits.sum())]
     attribution = {m: int(np.sum(removed == 1 << m)) for m in range(num_modalities)}
     return VrrEvaluation(vrr=compute_vrr(records), records=records, attribution=attribution)
 
 
-def write_records_csv(path, records: Sequence[RankingRecord]) -> None:
+def write_records_csv(path, records: RankingRecords) -> None:
     """CSV dump: sample_id,t_mask,s_mask,conf_t,conf_s,ci with 9-digit floats."""
+    # The name of every bit code up to the largest, as SubsetMask.format writes it (5 -> "0+2").
+    bits = range(int(records.s_code.max(initial=0)).bit_length())
+    names = np.array(["+".join(str(m) for m in bits if c >> m & 1) for c in range(1 << len(bits))])
+    columns = (records.sample_id, names[records.t_code], names[records.s_code])
+    columns += (records.conf_t, records.conf_s, records.ci)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("sample_id,t_mask,s_mask,conf_t,conf_s,ci\n")
-        for r in records:
-            fh.write(
-                f"{r.sample_id},{r.t_mask.format()},{r.s_mask.format()},"
-                f"{r.conf_t:.9g},{r.conf_s:.9g},{r.ci:.9g}\n"
-            )
+        fh.writelines(map("{},{},{},{:.9g},{:.9g},{:.9g}\n".format, *(c.tolist() for c in columns)))

@@ -13,12 +13,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import calibration, data, trainer
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_section
 from .metrics import MetricsReport, mean_abs_conf_shift
 from .model import ClassifierParams, ModelSpec, SubsetMask, load_checkpoint, save_checkpoint
 
@@ -42,7 +42,9 @@ def _load_config(path: Path) -> dict:
             raise ConfigError(f"{path}: invalid JSON ({exc.msg} at line {exc.lineno})") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    data_section = cfg.get("data", {})
+    data_section = check_section(
+        "data", cfg.get("data", {}), ("synthetic", "manifest", "test_manifest")
+    )
     if ("synthetic" in data_section) == ("manifest" in data_section):
         raise ConfigError("config data section needs exactly one of 'synthetic' or 'manifest'")
     return cfg
@@ -75,7 +77,7 @@ def _prepare(cfg: dict, base: Path) -> PreparedData:
         train_set = dataset
         test_set = data.load_csv_dataset(_resolve(base, test_manifest))
     elif "split" in cfg:
-        split_cfg = cfg["split"]
+        split_cfg = check_section("split", cfg["split"], ("train_fraction", "seed"))
         train_set, test_set = data.split(
             dataset,
             train_fraction=float(split_cfg.get("train_fraction", 0.75)),
@@ -88,7 +90,7 @@ def _prepare(cfg: dict, base: Path) -> PreparedData:
         train_set = data.standardize_apply(train_set, stats)
         test_set = data.standardize_apply(test_set, stats)
 
-    model_cfg = cfg.get("model", {})
+    model_cfg = check_section("model", cfg.get("model", {}), [f.name for f in fields(ModelSpec)])
     model_spec = ModelSpec(
         modality_dims=tuple(model_cfg.get("modality_dims", train_set.modality_dims)),
         hidden_dim=int(model_cfg.get("hidden_dim", DEFAULT_HIDDEN_DIM)),

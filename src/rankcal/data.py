@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, SpecError, SplitError
+from .errors import ParseError, SpecError, SplitError, check_section
 
 # Stream tags for mean placement, feature noise, and corruption draws.
 _MEANS_STREAM = 11
@@ -61,6 +61,9 @@ class SyntheticSpec:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SyntheticSpec":
+        """Parse a "data.synthetic" section; noise_std and seed are optional."""
+        required = ("num_classes", "modality_dims", "samples_per_class", "class_separation")
+        check_section("data.synthetic", obj, [f.name for f in fields(cls)], required)
         num_classes = int(obj["num_classes"])
         dims = tuple(obj["modality_dims"])
         per_class = obj["samples_per_class"]

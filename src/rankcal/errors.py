@@ -27,6 +27,22 @@ class ConfigError(ValueError):
     """Invalid configuration value."""
 
 
+def check_section(name: str, section, known, required=()) -> dict:
+    """Return a config section (a JSON object) after checking its keys against `known`/`required`.
+
+    Errors name the key by its dotted path, e.g. "model.hiden_dim: unknown key".
+    """
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name}: expected a JSON object, got {section!r}")
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"{name}.{key}: unknown key")
+    for key in required:
+        if key not in section:
+            raise ConfigError(f"{name}.{key}: missing key")
+    return section
+
+
 class DomainError(ValueError):
     """Argument outside its mathematical domain."""
 

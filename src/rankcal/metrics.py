@@ -13,7 +13,7 @@ NLL x10, AURC and E-AURC x1000, VRR as a percentage.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -98,15 +98,27 @@ def mean_abs_conf_shift(
 
 
 def confidence_by_subset_size(records) -> dict[int, float]:
-    """Mean confidence per mask size over the distinct (sample, mask) pairs seen."""
-    seen: dict[tuple[int, frozenset], float] = {}
-    for r in records:
-        seen[(r.sample_id, r.t_mask.present)] = r.conf_t
-        seen[(r.sample_id, r.s_mask.present)] = r.conf_s
-    by_size: dict[int, list[float]] = {}
-    for (_, mask), conf in seen.items():
-        by_size.setdefault(len(mask), []).append(conf)
-    return {size: float(np.mean(confs)) for size, confs in sorted(by_size.items())}
+    """Mean confidence per mask size over the distinct (sample, mask) pairs seen.
+
+    Masks are read in t, s order; as in a dict, a repeated (sample, mask) keeps its first
+    position and last confidence. Sample ids index a dense table: row numbers, as evaluate_vrr's.
+    """
+    codes = np.column_stack([records.t_code, records.s_code]).ravel()
+    conf = np.column_stack([records.conf_t, records.conf_s]).ravel()
+    top = int(codes.max(initial=0))
+    keys = np.repeat(records.sample_id, 2) * (top + 1) + codes
+    index = np.arange(len(keys))
+    first = np.full(int(keys.max(initial=0)) + 1, len(keys))
+    np.minimum.at(first, keys, index)
+    last = np.zeros_like(first)
+    np.maximum.at(last, keys, index)
+    seen = np.flatnonzero(first[keys] == index)
+    sizes = ((codes[seen, None] >> np.arange(top.bit_length())) & 1).sum(axis=1)
+    values = conf[last[keys[seen]]]
+    return {
+        int(size): float(np.mean(values[sizes == size]))
+        for size in np.flatnonzero(np.bincount(sizes))
+    }
 
 
 @dataclass(frozen=True)
@@ -124,42 +136,21 @@ class MetricsReport:
     mean_confidence_by_subset_size: dict[int, float]
 
     def to_json_dict(self) -> dict:
-        return {
-            "accuracy_pct": self.accuracy_pct,
-            "nll_raw": self.nll_raw,
-            "nll_scaled": self.nll_scaled,
-            "aurc_raw": self.aurc_raw,
-            "aurc_scaled": self.aurc_scaled,
-            "e_aurc_raw": self.e_aurc_raw,
-            "e_aurc_scaled": self.e_aurc_scaled,
-            "vrr_raw": self.vrr_raw,
-            "vrr_pct": self.vrr_pct,
-            "mean_confidence_full": self.mean_confidence_full,
-            "mean_confidence_by_subset_size": {
-                str(size): conf for size, conf in sorted(self.mean_confidence_by_subset_size.items())
-            },
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        obj["mean_confidence_by_subset_size"] = {
+            str(size): conf for size, conf in sorted(self.mean_confidence_by_subset_size.items())
         }
+        return obj
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "MetricsReport":
-        return cls(
-            accuracy_pct=obj["accuracy_pct"],
-            nll_raw=obj["nll_raw"],
-            nll_scaled=obj["nll_scaled"],
-            aurc_raw=obj["aurc_raw"],
-            aurc_scaled=obj["aurc_scaled"],
-            e_aurc_raw=obj["e_aurc_raw"],
-            e_aurc_scaled=obj["e_aurc_scaled"],
-            vrr_raw=obj["vrr_raw"],
-            vrr_pct=obj["vrr_pct"],
-            mean_confidence_full=obj["mean_confidence_full"],
-            mean_confidence_by_subset_size={
-                int(k): v for k, v in obj["mean_confidence_by_subset_size"].items()
-            },
-        )
+        values = {f.name: obj[f.name] for f in fields(cls)}
+        by_size = values["mean_confidence_by_subset_size"]
+        values["mean_confidence_by_subset_size"] = {int(k): v for k, v in by_size.items()}
+        return cls(**values)
 
 
 CSV_SUMMARY_FIELDS = (

@@ -86,12 +86,6 @@ class SubsetMask:
     def full(cls, num_modalities: int) -> "SubsetMask":
         return cls(frozenset(range(num_modalities)))
 
-    def __len__(self) -> int:
-        return len(self.present)
-
-    def __contains__(self, index: int) -> bool:
-        return index in self.present
-
     def is_subset_of(self, other: "SubsetMask") -> bool:
         return self.present < other.present
 
@@ -345,4 +339,6 @@ def load_checkpoint(path) -> tuple[ModelSpec, ClassifierParams]:
     if len(payload) != 8 * sum(math.prod(s) for s in shapes):
         raise StateError(f"{path}: payload of {len(payload)} bytes does not match the header")
     flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    if not np.isfinite(flat).all():
+        raise StateError(f"{path}: non-finite parameter values")
     return spec, ClassifierParams.from_flat(shapes, flat)

@@ -35,6 +35,12 @@ def _as_vector(values, name: str) -> Array:
     return out
 
 
+def describe_bad(bad: Array) -> str:
+    """One line for a boolean mask of bad entries: how many, and the first one's index."""
+    first = tuple(int(i) for i in np.argwhere(bad)[0])
+    return f"{int(bad.sum())} of {bad.size}, the first at index {first}"
+
+
 def affine_forward(inputs, weights, bias) -> Array:
     """out[i, j] = sum_k inputs[i, k] * weights[k, j] + bias[j]."""
     x = _as_matrix(inputs, "inputs")
@@ -78,8 +84,9 @@ def softmax(logits) -> Array:
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim < 1 or z.shape[-1] < 2:
         raise DimensionError("softmax needs at least 2 logits")
-    if not np.all(np.isfinite(z)):
-        raise NumericError(f"non-finite logits: {z}")
+    bad = ~np.isfinite(z)
+    if bad.any():
+        raise NumericError(f"non-finite logits: {describe_bad(bad)}")
     exp = np.exp(z - z.max(axis=-1, keepdims=True))
     return exp / exp.sum(axis=-1, keepdims=True)
 

@@ -28,8 +28,10 @@ from .errors import (
     NumericError,
     SpecError,
     SweepError,
+    check_section,
 )
 from .metrics import (
+    CSV_SUMMARY_FIELDS,
     MetricsReport,
     ScoredPrediction,
     build_report,
@@ -90,13 +92,9 @@ class TrainConfig:
     @classmethod
     def from_json_dict(cls, obj: dict, model: ModelSpec) -> "TrainConfig":
         """Parse a "train" section; missing keys take their defaults, unknown keys fail."""
-        if not isinstance(obj, dict):
-            raise ConfigError(f"train: expected a JSON object, got {obj!r}")
         known = cls._json_fields()
         values = {}
-        for key, raw in obj.items():
-            if key not in known:
-                raise ConfigError(f"train.{key}: unknown key")
+        for key, raw in check_section("train", obj, known).items():
             kind = type(known[key].default)
             accepted = (int, float) if kind is float else kind
             if isinstance(raw, bool) != (kind is bool) or not isinstance(raw, accepted):
@@ -379,16 +377,6 @@ class ReplicateResult:
     per_run: list[dict[str, float]] = field(default_factory=list)
 
 
-_REPLICATE_METRICS = (
-    "accuracy_pct",
-    "nll_scaled",
-    "aurc_scaled",
-    "e_aurc_scaled",
-    "vrr_pct",
-    "mean_confidence_full",
-)
-
-
 def aggregate_runs(per_run: Sequence[dict[str, float]]) -> tuple[dict[str, float], dict[str, float]]:
     """Per-metric mean and sample standard deviation (n-1 denominator)."""
     if not per_run:
@@ -421,7 +409,7 @@ def replicate(
         except DivergenceError:
             failed += 1
             continue
-        per_run.append({name: getattr(report, name) for name in _REPLICATE_METRICS})
+        per_run.append({name: getattr(report, name) for name in CSV_SUMMARY_FIELDS})
     if not per_run:
         raise SweepError("every replicate run diverged")
     means, stds = aggregate_runs(per_run)

@@ -1,15 +1,17 @@
-"""Per-sample reference model and chain objective: the oracle for the batched path.
+"""Per-sample reference model, chain objective and VRR records: oracles for the batched path.
 
-Plain loops over one sample and one mask at a time, written independently of
-rankcal's batched forward_masks/backward_masks/chain_objective so tests can
-compare the two.
+Plain loops over one sample, one mask and one pair at a time, written
+independently of rankcal's batched forward_masks/backward_masks/chain_objective
+and its columnar VRR records so tests can compare the two.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from rankcal.model import ClassifierParams, EncoderParams
+from rankcal.model import ClassifierParams, EncoderParams, SubsetMask
 
 
 def _encode(params, feats):
@@ -107,3 +109,77 @@ def reference_objective(
             genc.b1 += d_pre
     grads = ClassifierParams(encoders=encoders, head_w=head_w, head_b=head_b)
     return cls + lam * reg, cls, reg, grads.flat
+
+
+def _code(mask) -> int:
+    return sum(1 << m for m in mask)
+
+
+def reference_vrr(confidence, num_samples: int, num_modalities: int, orders=None):
+    """Per-pair VRR loop: (rows, vrr, attribution).
+
+    `confidence(i, mask)` is sample i's confidence under `mask`, a tuple of
+    modality indices. With `orders` None every single-removal pair is visited:
+    supersets S largest first in combinations order, then the removed modality
+    ascending. Otherwise `orders[r][i]` is sample i's removal order in repeat r
+    and the pairs are its chain's (mask k+1, mask k). Rows are
+    (sample_id, t_code, s_code, conf_t, conf_s, ci), ordered by sample, then
+    repeat, then pair. The attribution counts, among violations whose S is the
+    full set, the removed modality.
+    """
+    modalities = range(num_modalities)
+    rows = []
+    for i in range(num_samples):
+        if orders is None:
+            pairs = [
+                (tuple(m for m in s if m != removed), s)
+                for size in range(num_modalities, 1, -1)
+                for s in itertools.combinations(modalities, size)
+                for removed in s
+            ]
+        else:
+            pairs = []
+            for order in orders:
+                chain = [tuple(sorted(order[i][k:])) for k in modalities]
+                pairs += [(chain[k + 1], chain[k]) for k in range(num_modalities - 1)]
+        for t, s in pairs:
+            conf_t, conf_s = confidence(i, t), confidence(i, s)
+            rows.append((i, _code(t), _code(s), conf_t, conf_s, conf_s - conf_t))
+    violations = [row for row in rows if row[5] < 0.0]
+    full = _code(modalities)
+    attribution = {
+        m: sum(1 for row in violations if row[2] == full and row[1] ^ row[2] == 1 << m)
+        for m in modalities
+    }
+    return rows, len(violations) / len(rows), attribution
+
+
+def reference_confidence_lookup(params, dataset):
+    """confidence(i, mask) for reference_vrr from reference_probs."""
+    return lambda i, mask: float(reference_probs(params, dataset.features(i), mask).max())
+
+
+def reference_confidence_by_subset_size(rows) -> dict[int, float]:
+    """The dict walk over per-pair rows that the columnar metric replaces."""
+    seen: dict[tuple[int, int], float] = {}
+    for sample_id, t_code, s_code, conf_t, conf_s, _ in rows:
+        seen[(sample_id, t_code)] = conf_t
+        seen[(sample_id, s_code)] = conf_s
+    by_size: dict[int, list[float]] = {}
+    for (_, code), conf in seen.items():
+        by_size.setdefault(bin(code).count("1"), []).append(conf)
+    return {size: float(np.mean(confs)) for size, confs in sorted(by_size.items())}
+
+
+def reference_records_csv(rows) -> str:
+    """records.csv text from the per-record f-string formatter."""
+
+    def name(code: int) -> str:
+        return SubsetMask.of(m for m in range(code.bit_length()) if code >> m & 1).format()
+
+    lines = ["sample_id,t_mask,s_mask,conf_t,conf_s,ci\n"]
+    for sample_id, t_code, s_code, conf_t, conf_s, ci in rows:
+        lines.append(
+            f"{sample_id},{name(t_code)},{name(s_code)},{conf_t:.9g},{conf_s:.9g},{ci:.9g}\n"
+        )
+    return "".join(lines)

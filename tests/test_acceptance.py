@@ -74,12 +74,14 @@ class Experiment:
 
 
 def _pooled_subset_confidence(records, num_modalities: int) -> float:
-    seen: dict[tuple[int, frozenset], float] = {}
-    for r in records:
-        if len(r.t_mask) < num_modalities:
-            seen[(r.sample_id, r.t_mask.present)] = r.conf_t
-        if len(r.s_mask) < num_modalities:
-            seen[(r.sample_id, r.s_mask.present)] = r.conf_s
+    full = (1 << num_modalities) - 1
+    columns = (records.sample_id, records.t_code, records.s_code, records.conf_t, records.conf_s)
+    seen: dict[tuple[int, int], float] = {}
+    for sample_id, t_code, s_code, conf_t, conf_s in zip(*(c.tolist() for c in columns)):
+        if t_code != full:
+            seen[(sample_id, t_code)] = conf_t
+        if s_code != full:
+            seen[(sample_id, s_code)] = conf_s
     return float(np.mean(list(seen.values())))
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from rankcal.calibration import (
-    RankingRecord,
+    _VRR_STREAM,
+    RankingRecords,
     chain_objective,
     chain_presence,
     compute_vrr,
@@ -29,30 +30,47 @@ from rankcal.model import (
     ClassifierParams,
     EncoderParams,
     ModelSpec,
-    SubsetMask,
     backward_masks,
     forward_masks,
     init_params,
     presence_matrix,
 )
+from rankcal.metrics import confidence_by_subset_size
 from rankcal.numerics import grad_check, nll_loss, nll_loss_grad
 
-from reference import reference_objective, reference_probs
+from reference import (
+    reference_confidence_by_subset_size,
+    reference_confidence_lookup,
+    reference_objective,
+    reference_probs,
+    reference_records_csv,
+    reference_vrr,
+)
 
 SPEC3 = ModelSpec(modality_dims=(3, 4, 2), hidden_dim=6, latent_dim=4, num_classes=3)
 
 
-def make_record(ci: float, sample_id: int = 0) -> RankingRecord:
+COLUMNS = ("sample_id", "t_code", "s_code", "conf_t", "conf_s", "ci")
+
+
+def make_records(cis) -> RankingRecords:
+    """One ({0}, {0, 1}) pair on sample 0 per increment."""
+    ci = np.asarray(cis, dtype=np.float64)
     conf_s = 0.5 + ci / 2
     conf_t = 0.5 - ci / 2
-    return RankingRecord(
-        t_mask=SubsetMask.of([0]),
-        s_mask=SubsetMask.of([0, 1]),
+    return RankingRecords(
+        sample_id=np.zeros(len(ci), dtype=np.int64),
+        t_code=np.full(len(ci), 0b01),
+        s_code=np.full(len(ci), 0b11),
         conf_t=conf_t,
         conf_s=conf_s,
         ci=conf_s - conf_t,
-        sample_id=sample_id,
     )
+
+
+def record_rows(records: RankingRecords) -> list[tuple]:
+    """The columns zipped into (sample_id, t_code, s_code, conf_t, conf_s, ci) rows."""
+    return list(zip(*(getattr(records, name).tolist() for name in COLUMNS)))
 
 
 def random_dataset(spec: ModelSpec, n: int, seed: int) -> Dataset:
@@ -335,27 +353,26 @@ class TestCompositeGradient:
 
 class TestComputeVrr:
     def test_hand_example(self):
-        records = [make_record(ci) for ci in (0.1, -0.2, 0.3, -0.05)]
-        assert compute_vrr(records) == 0.5
+        assert compute_vrr(make_records([0.1, -0.2, 0.3, -0.05])) == 0.5
 
     def test_no_violations(self):
-        assert compute_vrr([make_record(ci) for ci in (0.0, 0.1, 0.2)]) == 0.0
+        assert compute_vrr(make_records([0.0, 0.1, 0.2])) == 0.0
 
     def test_all_violations(self):
-        assert compute_vrr([make_record(ci) for ci in (-0.1, -0.2)]) == 1.0
+        assert compute_vrr(make_records([-0.1, -0.2])) == 1.0
 
     def test_zero_is_not_a_violation(self):
-        assert compute_vrr([make_record(0.0)]) == 0.0
+        assert compute_vrr(make_records([0.0])) == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
-            compute_vrr([])
+            compute_vrr(make_records([]))
 
     def test_order_and_duplication_invariance(self):
-        records = [make_record(ci) for ci in (0.1, -0.2, 0.3, -0.05)]
-        shuffled = [records[i] for i in (2, 0, 3, 1)]
-        assert compute_vrr(shuffled) == compute_vrr(records)
-        assert compute_vrr(records + records) == compute_vrr(records)
+        cis = [0.1, -0.2, 0.3, -0.05]
+        shuffled = make_records([cis[i] for i in (2, 0, 3, 1)])
+        assert compute_vrr(shuffled) == compute_vrr(make_records(cis))
+        assert compute_vrr(make_records(cis + cis)) == compute_vrr(make_records(cis))
 
 
 def brute_force_pairs(num_modalities: int) -> list[tuple[frozenset, frozenset]]:
@@ -374,7 +391,7 @@ class TestEvaluateVrr:
         dataset = random_dataset(SPEC3, 20, seed=3)
         result = evaluate_vrr(params, dataset, seed=0, mode="sampled")
         assert result.vrr == 0.0
-        assert all(r.ci == 0.0 for r in result.records)
+        assert np.all(result.records.ci == 0.0)
 
     def test_exhaustive_three_modalities_matches_brute_force(self):
         params = init_params(SPEC3, seed=5)
@@ -400,9 +417,11 @@ class TestEvaluateVrr:
         params = init_params(SPEC3, seed=5)
         dataset = random_dataset(SPEC3, 10, seed=6)
         result = evaluate_vrr(params, dataset, seed=1, mode="sampled")
-        valid = set(brute_force_pairs(3))
-        for rec in result.records:
-            assert (rec.t_mask.present, rec.s_mask.present) in valid
+        valid = {
+            (sum(1 << m for m in t), sum(1 << m for m in s)) for t, s in brute_force_pairs(3)
+        }
+        for pair in zip(result.records.t_code.tolist(), result.records.s_code.tolist()):
+            assert pair in valid
         # one chain per sample: M - 1 pairs each
         assert len(result.records) == 2 * dataset.num_samples
 
@@ -423,7 +442,7 @@ class TestEvaluateVrr:
         dataset = random_dataset(SPEC3, 10, seed=6)
         a = evaluate_vrr(params, dataset, seed=9, mode="sampled")
         b = evaluate_vrr(params, dataset, seed=9, mode="sampled")
-        assert a.records == b.records
+        assert record_rows(a.records) == record_rows(b.records)
 
     def test_repeats_add_chains(self):
         params = init_params(SPEC3, seed=5)
@@ -474,18 +493,80 @@ class TestEvaluateVrr:
         assert result.vrr == 0.5
 
 
+class TestColumnarRecords:
+    """The columnar records against the per-pair loop they replace."""
+
+    @staticmethod
+    def lattice_confidence(params, dataset):
+        """confidence(i, mask) looked up in one batched forward over every subset."""
+        m = dataset.num_modalities
+        lattice = np.arange(1, 1 << m)
+        presence = (lattice[:, None] & (1 << np.arange(m))) > 0
+        table = forward_masks(params, dataset.modalities, presence).confidence
+        return lambda i, mask: float(table[i, sum(1 << j for j in mask) - 1])
+
+    @pytest.mark.parametrize("num_modalities", [3, 5])
+    @pytest.mark.parametrize("mode, repeats", [("exhaustive", 1), ("sampled", 1), ("sampled", 3)])
+    def test_matches_per_pair_oracle(self, num_modalities, mode, repeats):
+        spec = ModelSpec(
+            modality_dims=tuple(range(2, 2 + num_modalities)),
+            hidden_dim=6,
+            latent_dim=4,
+            num_classes=3,
+        )
+        params = init_params(spec, seed=5)
+        dataset = random_dataset(spec, 30, seed=6)
+        result = evaluate_vrr(params, dataset, seed=4, mode=mode, repeats=repeats)
+        orders = None
+        if mode == "sampled":
+            orders = [
+                removal_orders(np.random.default_rng([4, _VRR_STREAM, r]), 30, num_modalities)
+                for r in range(repeats)
+            ]
+
+        confidence = self.lattice_confidence(params, dataset)
+        rows, vrr, attribution = reference_vrr(confidence, 30, num_modalities, orders)
+        assert record_rows(result.records) == rows
+        assert result.vrr == vrr
+        assert result.attribution == attribution
+        by_size = confidence_by_subset_size(result.records)
+        assert by_size == reference_confidence_by_subset_size(rows)
+
+        # the same pairs with confidences from the per-sample reference model
+        lookup = reference_confidence_lookup(params, dataset)
+        ref_rows, _, _ = reference_vrr(lookup, 30, num_modalities, orders)
+        assert [row[:3] for row in ref_rows] == [row[:3] for row in rows]
+        np.testing.assert_allclose(
+            [row[3:5] for row in ref_rows], [row[3:5] for row in rows], rtol=1e-12, atol=0
+        )
+
+    def test_dedupe_keeps_first_position_and_last_value(self):
+        # a dict keeps a key's first position and its last value; the means
+        # are then taken in that order
+        records = RankingRecords(
+            sample_id=np.array([0, 1, 0]),
+            t_code=np.array([1, 1, 1]),
+            s_code=np.array([3, 3, 3]),
+            conf_t=np.array([0.1, 0.2, 0.3]),
+            conf_s=np.array([0.4, 0.5, 0.6]),
+            ci=np.array([0.3, 0.3, 0.3]),
+        )
+        rows = record_rows(records)
+        assert confidence_by_subset_size(records) == reference_confidence_by_subset_size(rows)
+        expected = {1: np.mean([0.3, 0.2]), 2: np.mean([0.6, 0.5])}
+        assert confidence_by_subset_size(records) == expected
+
+
 class TestRecordsCsv:
     def test_format(self, tmp_path):
-        records = [
-            RankingRecord(
-                t_mask=SubsetMask.of([0, 2]),
-                s_mask=SubsetMask.of([0, 1, 2]),
-                conf_t=0.517784605835080,
-                conf_s=0.493476308493800,
-                ci=-0.024308297341280,
-                sample_id=4,
-            )
-        ]
+        records = RankingRecords(
+            sample_id=np.array([4]),
+            t_code=np.array([0b101]),
+            s_code=np.array([0b111]),
+            conf_t=np.array([0.517784605835080]),
+            conf_s=np.array([0.493476308493800]),
+            ci=np.array([-0.024308297341280]),
+        )
         path = tmp_path / "records.csv"
         write_records_csv(path, records)
         lines = path.read_text().splitlines()
@@ -495,3 +576,26 @@ class TestRecordsCsv:
         assert float(fields[3]) == pytest.approx(0.517784605835080, rel=1e-9)
         # nine significant digits
         assert fields[3] == f"{0.517784605835080:.9g}"
+
+    def test_bytes_match_per_record_formatter(self, tmp_path):
+        rng = np.random.default_rng(11)
+        n = 400
+        s_code = rng.integers(1, 32, size=n)
+        s_code[s_code & (s_code - 1) == 0] |= 0b11000  # at least two modalities
+        lowest = s_code & -s_code
+        conf_t = rng.random(n) ** rng.integers(1, 60, size=n)
+        conf_s = rng.random(n)
+        special = [0.0, 1.0, 5e-324, 1e-300, 0.1, 2 / 3, 1 - 2**-53, 123456789e-17]
+        conf_t[: len(special)] = special
+        conf_s[: len(special)] = special[::-1]
+        records = RankingRecords(
+            sample_id=np.sort(rng.integers(0, 10_000, size=n)),
+            t_code=s_code ^ lowest,
+            s_code=s_code,
+            conf_t=conf_t,
+            conf_s=conf_s,
+            ci=conf_s - conf_t,
+        )
+        path = tmp_path / "records.csv"
+        write_records_csv(path, records)
+        assert path.read_bytes() == reference_records_csv(record_rows(records)).encode("ascii")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rankcal.cli import main
@@ -167,6 +168,30 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and message in err
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"model": {"hiden_dim": 8}}, "model.hiden_dim: unknown key"),
+            ({"split": {"sed": 3}}, "split.sed: unknown key"),
+            ({"data": {"synthetic": {}, "manifests": "x"}}, "data.manifests: unknown key"),
+            (
+                {"data": {"synthetic": {"num_classes": 2, "noise_sdt": 5}}},
+                "data.synthetic.noise_sdt: unknown key",
+            ),
+            (
+                {"data": {"synthetic": {"num_classes": 2, "modality_dims": [4, 3]}}},
+                "data.synthetic.samples_per_class: missing key",
+            ),
+            ({"model": [8]}, "model: expected a JSON object"),
+        ],
+    )
+    def test_bad_section_key_fails_naming_it(self, tmp_path, capsys, overrides, message):
+        cfg = write_config(tmp_path / "config.json", **overrides)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and message in err
+        assert not (tmp_path / "run").exists()
+
     def test_jobs_only_on_sweep(self, tmp_path):
         cfg = write_config(tmp_path / "config.json")
         with pytest.raises(SystemExit):
@@ -218,6 +243,24 @@ class TestCompareCommand:
         curve = (out_dir / "confidence_by_subset_size.csv").read_text().splitlines()
         assert curve[0] == "subset_size,conf_baseline,conf_cml"
         assert len(curve) == 1 + 2  # one row per subset size 1..M
+
+    def test_non_finite_checkpoint_fails_naming_it(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "config.json")
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(run_dir)]) == 0
+        checkpoint = run_dir / "checkpoint.bin"
+        raw = bytearray(checkpoint.read_bytes())
+        raw[-8:] = np.float64(np.nan).tobytes()
+        checkpoint.write_bytes(bytes(raw))
+        compare_cfg = write_config(
+            tmp_path / "compare.json",
+            compare={"baseline_run": str(run_dir), "cml_run": str(run_dir)},
+        )
+        capsys.readouterr()
+        assert main(["compare", "--config", str(compare_cfg), "--out", str(tmp_path / "c")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert f"{checkpoint}: non-finite parameter values" in err
 
     def test_spec_mismatch_fails(self, tmp_path):
         cfg_a = write_config(tmp_path / "a.json", output_dir="run_a")

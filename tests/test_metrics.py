@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rankcal.calibration import RankingRecord
+from rankcal.calibration import RankingRecords
 from rankcal.data import Dataset
 from rankcal.errors import EmptyInputError, SpecError, StateError
 from rankcal.metrics import (
@@ -193,32 +193,16 @@ class TestMeanAbsConfShift:
 
 class TestConfidenceBySubsetSize:
     def test_groups_and_dedupes(self):
-        rec1 = RankingRecord(
-            t_mask=SubsetMask.of([0]),
-            s_mask=SubsetMask.of([0, 1]),
-            conf_t=0.6,
-            conf_s=0.8,
-            ci=0.2,
-            sample_id=0,
+        # pair 2 repeats pair 1's sample and masks (e.g. another chain): no double count
+        records = RankingRecords(
+            sample_id=np.array([0, 0, 0]),
+            t_code=np.array([0b01, 0b01, 0b10]),
+            s_code=np.array([0b11, 0b11, 0b11]),
+            conf_t=np.array([0.6, 0.6, 0.4]),
+            conf_s=np.array([0.8, 0.8, 0.8]),
+            ci=np.array([0.2, 0.2, 0.4]),
         )
-        # same sample and masks seen again (e.g. another chain): no double count
-        rec2 = RankingRecord(
-            t_mask=SubsetMask.of([0]),
-            s_mask=SubsetMask.of([0, 1]),
-            conf_t=0.6,
-            conf_s=0.8,
-            ci=0.2,
-            sample_id=0,
-        )
-        rec3 = RankingRecord(
-            t_mask=SubsetMask.of([1]),
-            s_mask=SubsetMask.of([0, 1]),
-            conf_t=0.4,
-            conf_s=0.8,
-            ci=0.4,
-            sample_id=0,
-        )
-        by_size = confidence_by_subset_size([rec1, rec2, rec3])
+        by_size = confidence_by_subset_size(records)
         assert by_size[1] == pytest.approx(0.5)
         assert by_size[2] == pytest.approx(0.8)
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rankcal import calibration, trainer
 from rankcal.data import Dataset, SyntheticSpec, generate_synthetic, split
 from rankcal.errors import ConfigError, DivergenceError, EmptyInputError, SpecError, SweepError
 from rankcal.metrics import ScoredPrediction, accuracy, aurc, e_aurc, mean_nll
@@ -192,6 +193,36 @@ class TestEvaluate:
         train_set, test_set = make_sets()
         result = run_and_evaluate(config(epochs=2), train_set, test_set)
         assert sorted(result.report.mean_confidence_by_subset_size) == [1, 2]
+
+
+class TestBenchmarkContract:
+    """The lattice benchmark rebinds trainer.evaluate_vrr and counts records with len()."""
+
+    def test_evaluate_calls_the_module_global(self, monkeypatch):
+        assert trainer.evaluate_vrr is calibration.evaluate_vrr
+        calls = []
+
+        def counting(*args, **kwargs):
+            result = calibration.evaluate_vrr(*args, **kwargs)
+            calls.append(len(result.records))
+            return result
+
+        monkeypatch.setattr(trainer, "evaluate_vrr", counting)
+        _, test_set = make_sets(per_class=5)
+        evaluate(init_params(MODEL, seed=0), test_set, config())
+        assert calls == [test_set.num_samples]
+
+    def test_exhaustive_record_count_five_modalities(self):
+        spec = ModelSpec(modality_dims=(2, 3, 2, 1, 2), hidden_dim=4, latent_dim=3, num_classes=3)
+        rng = np.random.default_rng(0)
+        n = 7
+        dataset = Dataset(
+            modalities=[rng.standard_normal((n, d)) for d in spec.modality_dims],
+            labels=rng.integers(0, 3, size=n),
+            num_classes=3,
+        )
+        result = calibration.evaluate_vrr(init_params(spec, 0), dataset, seed=0, mode="exhaustive")
+        assert len(result.records) == n * sum(math.comb(5, s) * s for s in range(2, 6)) == n * 75
 
 
 class TestLambdaSweep:
