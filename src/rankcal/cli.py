@@ -13,14 +13,15 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import calibration, data, trainer
-from .errors import ConfigError, NumericError, check_section
-from .metrics import MetricsReport, mean_abs_conf_shift
-from .model import ClassifierParams, ModelSpec, SubsetMask, load_checkpoint, save_checkpoint
+from .errors import ConfigError, NumericError, StateError, check_section
+from .metrics import mean_abs_conf_shift
+from .model import SPEC_SCHEMA, ClassifierParams, ModelSpec, SubsetMask
+from .model import load_checkpoint, save_checkpoint
 
 DEFAULT_HIDDEN_DIM = 128
 DEFAULT_LATENT_DIM = 64
@@ -43,7 +44,7 @@ def _load_config(path: Path) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     data_section = check_section(
-        "data", cfg.get("data", {}), ("synthetic", "manifest", "test_manifest")
+        "data", cfg.get("data", {}), {"synthetic": dict, "manifest": str, "test_manifest": str}
     )
     if ("synthetic" in data_section) == ("manifest" in data_section):
         raise ConfigError("config data section needs exactly one of 'synthetic' or 'manifest'")
@@ -77,11 +78,11 @@ def _prepare(cfg: dict, base: Path) -> PreparedData:
         train_set = dataset
         test_set = data.load_csv_dataset(_resolve(base, test_manifest))
     elif "split" in cfg:
-        split_cfg = check_section("split", cfg["split"], ("train_fraction", "seed"))
+        split_cfg = check_section("split", cfg["split"], {"train_fraction": float, "seed": int})
         train_set, test_set = data.split(
             dataset,
-            train_fraction=float(split_cfg.get("train_fraction", 0.75)),
-            seed=int(split_cfg.get("seed", 0)),
+            train_fraction=split_cfg.get("train_fraction", 0.75),
+            seed=split_cfg.get("seed", 0),
         )
     else:
         train_set = test_set = dataset
@@ -90,13 +91,14 @@ def _prepare(cfg: dict, base: Path) -> PreparedData:
         train_set = data.standardize_apply(train_set, stats)
         test_set = data.standardize_apply(test_set, stats)
 
-    model_cfg = check_section("model", cfg.get("model", {}), [f.name for f in fields(ModelSpec)])
-    model_spec = ModelSpec(
-        modality_dims=tuple(model_cfg.get("modality_dims", train_set.modality_dims)),
-        hidden_dim=int(model_cfg.get("hidden_dim", DEFAULT_HIDDEN_DIM)),
-        latent_dim=int(model_cfg.get("latent_dim", DEFAULT_LATENT_DIM)),
-        num_classes=int(model_cfg.get("num_classes", train_set.num_classes)),
-    )
+    defaults = {
+        "modality_dims": train_set.modality_dims,
+        "hidden_dim": DEFAULT_HIDDEN_DIM,
+        "latent_dim": DEFAULT_LATENT_DIM,
+        "num_classes": train_set.num_classes,
+    }
+    model_cfg = check_section("model", cfg.get("model", {}), SPEC_SCHEMA)
+    model_spec = ModelSpec(**(defaults | model_cfg))
     if model_spec.modality_dims != train_set.modality_dims:
         raise ConfigError(
             f"configured modality_dims {model_spec.modality_dims} do not match the data "
@@ -185,16 +187,14 @@ def cmd_train(config_path: Path, out_override: str | None, seed_override: int | 
     return 0
 
 
-def _load_run(
-    run_dir: Path,
-) -> tuple[ModelSpec, ClassifierParams, trainer.TrainConfig, MetricsReport]:
+def _load_run(run_dir: Path) -> tuple[ModelSpec, ClassifierParams, trainer.TrainConfig]:
     spec, params = load_checkpoint(run_dir / CHECKPOINT_NAME)
-    with open(run_dir / CONFIG_SNAPSHOT_NAME, "r", encoding="utf-8") as fh:
+    snapshot_path = run_dir / CONFIG_SNAPSHOT_NAME
+    with open(snapshot_path, "r", encoding="utf-8") as fh:
         snapshot = json.load(fh)
-    config = trainer.TrainConfig.from_json_dict(snapshot["resolved_train"], spec)
-    with open(run_dir / METRICS_NAME, "r", encoding="utf-8") as fh:
-        report = MetricsReport.from_json_dict(json.load(fh))
-    return spec, params, config, report
+    if not isinstance(snapshot, dict) or "resolved_train" not in snapshot:
+        raise StateError(f"{snapshot_path}: missing key 'resolved_train'")
+    return spec, params, trainer.TrainConfig.from_json_dict(snapshot["resolved_train"], spec)
 
 
 def cmd_compare(config_path: Path, out_override: str | None) -> int:
@@ -204,8 +204,8 @@ def cmd_compare(config_path: Path, out_override: str | None) -> int:
         if key not in compare_cfg:
             raise ConfigError(f"compare section needs {key!r}")
     base = config_path.parent
-    spec_a, params_a, config_a, _ = _load_run(_resolve(base, compare_cfg["baseline_run"]))
-    spec_b, params_b, config_b, _ = _load_run(_resolve(base, compare_cfg["cml_run"]))
+    spec_a, params_a, config_a = _load_run(_resolve(base, compare_cfg["baseline_run"]))
+    spec_b, params_b, config_b = _load_run(_resolve(base, compare_cfg["cml_run"]))
     if spec_a != spec_b:
         raise ConfigError("runs have different model specs")
     if "test_manifest" in compare_cfg:
@@ -290,8 +290,8 @@ def cmd_sweep(
     target_sets = _parse_target_sets(sweep_cfg.get("target_sets"), prepared.test.num_modalities)
     base = config_path.parent
     if "baseline_run" in sweep_cfg and "cml_run" in sweep_cfg:
-        _, params_a, _, _ = _load_run(_resolve(base, sweep_cfg["baseline_run"]))
-        _, params_b, _, _ = _load_run(_resolve(base, sweep_cfg["cml_run"]))
+        _, params_a, _ = _load_run(_resolve(base, sweep_cfg["baseline_run"]))
+        _, params_b, _ = _load_run(_resolve(base, sweep_cfg["cml_run"]))
     else:
         if config.lam <= 0:
             raise ConfigError(

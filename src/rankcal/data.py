@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,16 @@ from .errors import ParseError, SpecError, SplitError, check_section
 _MEANS_STREAM = 11
 _FEATURES_STREAM = 12
 _CORRUPT_STREAM = 13
+
+# JSON kind of every "data.synthetic" key; per-class and per-modality values may be one scalar.
+_SYNTHETIC_SCHEMA = {
+    "num_classes": int,
+    "modality_dims": list[int],
+    "samples_per_class": int | list[int],
+    "class_separation": float | list[float],
+    "noise_std": float | list[float],
+    "seed": int,
+}
 
 
 @dataclass(frozen=True)
@@ -63,17 +74,17 @@ class SyntheticSpec:
     def from_json_dict(cls, obj: dict) -> "SyntheticSpec":
         """Parse a "data.synthetic" section; noise_std and seed are optional."""
         required = ("num_classes", "modality_dims", "samples_per_class", "class_separation")
-        check_section("data.synthetic", obj, [f.name for f in fields(cls)], required)
-        num_classes = int(obj["num_classes"])
+        obj = check_section("data.synthetic", obj, _SYNTHETIC_SCHEMA, required)
+        num_classes = obj["num_classes"]
         dims = tuple(obj["modality_dims"])
         per_class = obj["samples_per_class"]
         if isinstance(per_class, int):
             per_class = [per_class] * num_classes
         separation = obj["class_separation"]
-        if isinstance(separation, (int, float)):
+        if isinstance(separation, float):
             separation = [separation] * len(dims)
         noise = obj.get("noise_std", 1.0)
-        if isinstance(noise, (int, float)):
+        if isinstance(noise, float):
             noise = [noise] * len(dims)
         return cls(
             num_classes=num_classes,
@@ -81,7 +92,7 @@ class SyntheticSpec:
             samples_per_class=tuple(per_class),
             class_separation=tuple(separation),
             noise_std=tuple(noise),
-            seed=int(obj.get("seed", 0)),
+            seed=obj.get("seed", 0),
         )
 
 
@@ -190,10 +201,6 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     return Dataset(modalities=modalities, labels=labels, num_classes=spec.num_classes)
 
 
-def _format_float(value: float) -> str:
-    return f"{value:.9g}"
-
-
 def write_csv_dataset(dataset: Dataset, out_dir, prefix: str = "modality") -> Path:
     """Write headerless per-modality CSVs, a labels file, and the manifest.
 
@@ -206,14 +213,13 @@ def write_csv_dataset(dataset: Dataset, out_dir, prefix: str = "modality") -> Pa
     entries = []
     for m, block in enumerate(dataset.modalities):
         name = f"{prefix}_{m}.csv"
+        row_format = ",".join(["{:.9g}"] * block.shape[1]) + "\n"
         with open(out / name, "w", encoding="ascii", newline="\n") as fh:
-            for row in block:
-                fh.write(",".join(_format_float(v) for v in row) + "\n")
+            fh.writelines(map(row_format.format, *block.T.tolist()))
         entries.append({"path": name, "dim": int(block.shape[1])})
     labels_name = "labels.csv"
     with open(out / labels_name, "w", encoding="ascii", newline="\n") as fh:
-        for value in dataset.labels:
-            fh.write(f"{int(value)}\n")
+        fh.writelines(map("{}\n".format, dataset.labels.tolist()))
     manifest = {
         "num_classes": dataset.num_classes,
         "modalities": entries,
@@ -226,7 +232,39 @@ def write_csv_dataset(dataset: Dataset, out_dir, prefix: str = "modality") -> Pa
     return manifest_path
 
 
+# The only bytes the C-level parse may see. Anything else (letters as in nan/inf,
+# "_" as in 1_0, or whitespace such as "\x1c", which np.loadtxt strips and
+# float() does not) sends the file to the line-wise reader.
+_NUMERIC_CSV_BYTES = b"0123456789eE.+-, \t\r\n"
+
+
 def _load_modality_csv(path: Path, dim: int) -> np.ndarray:
+    """Parse a modality file in one np.loadtxt call, or else line by line.
+
+    The block is kept only when the file holds nothing but _NUMERIC_CSV_BYTES,
+    loadtxt parses it, and the result has `dim` columns of finite values.
+    Every other file (a parse error, an empty or whitespace-only file, a
+    non-finite value) is decided by _read_modality_lines, the one reader that
+    names the offending line, so both paths give the same array or error.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if not raw.translate(None, _NUMERIC_CSV_BYTES):
+        try:
+            with warnings.catch_warnings():
+                # "input contained no data" becomes an exception, not a leaked warning.
+                warnings.simplefilter("error", UserWarning)
+                lines = raw.decode("ascii").splitlines()
+                block = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None, dtype=np.float64)
+        except (ValueError, UserWarning):
+            pass
+        else:
+            if block.shape[1] == dim and np.isfinite(block).all():
+                return block
+    return _read_modality_lines(path, dim)
+
+
+def _read_modality_lines(path: Path, dim: int) -> np.ndarray:
     rows = []
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):

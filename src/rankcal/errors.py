@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import types
+import typing
+
 
 class DimensionError(ValueError):
     """Operand shapes do not conform."""
@@ -27,20 +30,42 @@ class ConfigError(ValueError):
     """Invalid configuration value."""
 
 
-def check_section(name: str, section, known, required=()) -> dict:
-    """Return a config section (a JSON object) after checking its keys against `known`/`required`.
+def check_section(name: str, section, schema: dict, required=()) -> dict:
+    """Check a config section (a JSON object) against `schema`, a key -> kind map.
 
-    Errors name the key by its dotted path, e.g. "model.hiden_dim: unknown key".
+    Returns the section's values, each converted by _check_value. Unknown,
+    missing and mistyped keys fail naming the key by its dotted path, e.g.
+    "model.hiden_dim: unknown key" or "model.hidden_dim: expected int, got 'x'".
     """
     if not isinstance(section, dict):
         raise ConfigError(f"{name}: expected a JSON object, got {section!r}")
     for key in section:
-        if key not in known:
+        if key not in schema:
             raise ConfigError(f"{name}.{key}: unknown key")
     for key in required:
         if key not in section:
             raise ConfigError(f"{name}.{key}: missing key")
-    return section
+    return {key: _check_value(f"{name}.{key}", raw, schema[key]) for key, raw in section.items()}
+
+
+def _check_value(path: str, raw, kind):
+    """Return the JSON value `raw` as `kind`, or fail naming `path`.
+
+    `kind` is bool, int, float (which also takes an int), str or dict, `list[T]`
+    of one of those, or a union such as `int | list[int]`. A bool is never
+    taken for a number.
+    """
+    for option in typing.get_args(kind) if isinstance(kind, types.UnionType) else (kind,):
+        if typing.get_origin(option) is list:
+            if isinstance(raw, list):
+                (item,) = typing.get_args(option)
+                return [_check_value(f"{path}[{i}]", v, item) for i, v in enumerate(raw)]
+        elif isinstance(raw, bool) == (option is bool) and isinstance(
+            raw, (int, float) if option is float else option
+        ):
+            return option(raw)
+    expected = kind.__name__ if isinstance(kind, type) else str(kind)
+    raise ConfigError(f"{path}: expected {expected}, got {raw!r}")
 
 
 class DomainError(ValueError):

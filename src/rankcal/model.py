@@ -19,10 +19,14 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, MaskError, SpecError, StateError
+from .errors import DimensionError, MaskError, SpecError, StateError, check_section
 from .numerics import Array, affine_backward, affine_forward, relu, relu_backward, softmax
 
 CHECKPOINT_MAGIC = "rankcal-checkpoint v1"
+
+# JSON kind of every ModelSpec key, in a config "model" section and a checkpoint header.
+SPEC_SCHEMA = {"modality_dims": list[int], "hidden_dim": int, "latent_dim": int, "num_classes": int}
+_HEADER_SCHEMA = {"spec": dict, "arrays": list[list[int]], "dtype": str}
 
 
 @dataclass(frozen=True)
@@ -57,12 +61,8 @@ class ModelSpec:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ModelSpec":
-        return cls(
-            modality_dims=tuple(obj["modality_dims"]),
-            hidden_dim=int(obj["hidden_dim"]),
-            latent_dim=int(obj["latent_dim"]),
-            num_classes=int(obj["num_classes"]),
-        )
+        """Parse a spec object; every key is required and errors name it as spec.<key>."""
+        return cls(**check_section("spec", obj, SPEC_SCHEMA, required=SPEC_SCHEMA))
 
 
 @dataclass(frozen=True)
@@ -330,8 +330,12 @@ def load_checkpoint(path) -> tuple[ModelSpec, ClassifierParams]:
         magic = fh.readline().rstrip(b"\n").decode("ascii", errors="replace")
         if magic != CHECKPOINT_MAGIC:
             raise StateError(f"{path}: not a checkpoint file (magic {magic!r})")
-        header = json.loads(fh.readline().decode("ascii"))
-        spec = ModelSpec.from_json_dict(header["spec"])
+        try:
+            header = json.loads(fh.readline().decode("ascii"))
+            header = check_section("header", header, _HEADER_SCHEMA, required=("spec", "arrays"))
+            spec = ModelSpec.from_json_dict(header["spec"])
+        except ValueError as exc:
+            raise StateError(f"{path}: {exc}") from None
         shapes = [tuple(s) for s in header["arrays"]]
         payload = fh.read()
     if shapes != param_shapes(spec):

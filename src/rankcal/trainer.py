@@ -93,14 +93,9 @@ class TrainConfig:
     def from_json_dict(cls, obj: dict, model: ModelSpec) -> "TrainConfig":
         """Parse a "train" section; missing keys take their defaults, unknown keys fail."""
         known = cls._json_fields()
-        values = {}
-        for key, raw in check_section("train", obj, known).items():
-            kind = type(known[key].default)
-            accepted = (int, float) if kind is float else kind
-            if isinstance(raw, bool) != (kind is bool) or not isinstance(raw, accepted):
-                raise ConfigError(f"train.{key}: expected {kind.__name__}, got {raw!r}")
-            values[known[key].name] = kind(raw)
-        return cls(model=model, **values)
+        schema = {key: type(f.default) for key, f in known.items()}
+        values = check_section("train", obj, schema)
+        return cls(model=model, **{known[key].name: value for key, value in values.items()})
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,18 @@
-"""Per-sample reference model, chain objective and VRR records: oracles for the batched path.
+"""Per-sample reference model, chain objective, VRR records and CSV I/O: oracles for the batched path.
 
-Plain loops over one sample, one mask and one pair at a time, written
-independently of rankcal's batched forward_masks/backward_masks/chain_objective
-and its columnar VRR records so tests can compare the two.
+Plain loops over one sample, one mask, one pair or one cell at a time, written
+independently of rankcal's batched forward_masks/backward_masks/chain_objective,
+its columnar VRR records and its block CSV reader/writer so tests can compare the two.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
+from rankcal.errors import ParseError
 from rankcal.model import ClassifierParams, EncoderParams, SubsetMask
 
 
@@ -183,3 +185,34 @@ def reference_records_csv(rows) -> str:
             f"{sample_id},{name(t_code)},{name(s_code)},{conf_t:.9g},{conf_s:.9g},{ci:.9g}\n"
         )
     return "".join(lines)
+
+
+def reference_load_modality_csv(path, dim: int) -> np.ndarray:
+    """A modality CSV read line by line and cell by cell with float()."""
+    rows = []
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            cells = line.split(",")
+            if len(cells) != dim:
+                raise ParseError(str(path), lineno, f"expected {dim} columns, got {len(cells)}")
+            try:
+                row = [float(c) for c in cells]
+            except ValueError:
+                raise ParseError(str(path), lineno, f"non-numeric cell in {line!r}") from None
+            if not all(math.isfinite(v) for v in row):
+                raise ParseError(str(path), lineno, f"non-finite cell in {line!r}")
+            rows.append(row)
+    return np.asarray(rows, dtype=np.float64).reshape(len(rows), dim)
+
+
+def reference_dataset_csv(dataset) -> dict[str, str]:
+    """File name -> text of write_csv_dataset's CSVs, from the per-cell formatter."""
+    files = {
+        f"modality_{m}.csv": "".join(",".join(f"{v:.9g}" for v in row) + "\n" for row in block)
+        for m, block in enumerate(dataset.modalities)
+    }
+    files["labels.csv"] = "".join(f"{int(value)}\n" for value in dataset.labels)
+    return files

@@ -10,18 +10,19 @@ from rankcal.cli import main
 from rankcal.data import load_csv_dataset
 
 
+SYNTHETIC = {
+    "num_classes": 2,
+    "modality_dims": [4, 3],
+    "samples_per_class": 30,
+    "class_separation": [4.0, 2.0],
+    "noise_std": 1.0,
+    "seed": 3,
+}
+
+
 def write_config(path: Path, **overrides) -> Path:
     cfg = {
-        "data": {
-            "synthetic": {
-                "num_classes": 2,
-                "modality_dims": [4, 3],
-                "samples_per_class": 30,
-                "class_separation": [4.0, 2.0],
-                "noise_std": 1.0,
-                "seed": 3,
-            }
-        },
+        "data": {"synthetic": dict(SYNTHETIC)},
         "split": {"train_fraction": 0.8, "seed": 0},
         "model": {"hidden_dim": 8, "latent_dim": 4},
         "train": {
@@ -183,6 +184,23 @@ class TestTrainCommand:
                 "data.synthetic.samples_per_class: missing key",
             ),
             ({"model": [8]}, "model: expected a JSON object"),
+            ({"model": {"hidden_dim": "x"}}, "model.hidden_dim: expected int, got 'x'"),
+            ({"model": {"modality_dims": [4, "3"]}}, "model.modality_dims[1]: expected int"),
+            ({"split": {"train_fraction": "0.8"}}, "split.train_fraction: expected float"),
+            ({"split": {"seed": 1.5}}, "split.seed: expected int, got 1.5"),
+            ({"data": {"manifest": 3}}, "data.manifest: expected str, got 3"),
+            (
+                {"data": {"synthetic": {**SYNTHETIC, "num_classes": "x"}}},
+                "data.synthetic.num_classes: expected int, got 'x'",
+            ),
+            (
+                {"data": {"synthetic": {**SYNTHETIC, "samples_per_class": [30, "x"]}}},
+                "data.synthetic.samples_per_class[1]: expected int, got 'x'",
+            ),
+            (
+                {"data": {"synthetic": {**SYNTHETIC, "class_separation": "4"}}},
+                "data.synthetic.class_separation: expected float | list[float], got '4'",
+            ),
         ],
     )
     def test_bad_section_key_fails_naming_it(self, tmp_path, capsys, overrides, message):
@@ -261,6 +279,42 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert f"{checkpoint}: non-finite parameter values" in err
+
+    @staticmethod
+    def compare_error(tmp_path, capsys, run_dir: Path) -> str:
+        """The single stderr line of a compare of `run_dir` with itself that must exit 1."""
+        compare_cfg = write_config(
+            tmp_path / "compare.json",
+            compare={"baseline_run": str(run_dir), "cml_run": str(run_dir)},
+        )
+        capsys.readouterr()
+        assert main(["compare", "--config", str(compare_cfg), "--out", str(tmp_path / "c")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        return err
+
+    def test_incomplete_checkpoint_header_fails_naming_it(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "config.json")
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(run_dir)]) == 0
+        checkpoint = run_dir / "checkpoint.bin"
+        magic, header, payload = checkpoint.read_bytes().split(b"\n", 2)
+        header = json.loads(header)
+        del header["spec"]["hidden_dim"]
+        checkpoint.write_bytes(b"\n".join([magic, json.dumps(header).encode(), payload]))
+        err = self.compare_error(tmp_path, capsys, run_dir)
+        assert f"{checkpoint}: spec.hidden_dim: missing key" in err
+
+    def test_snapshot_without_resolved_train_fails_naming_it(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "config.json")
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(run_dir)]) == 0
+        snapshot = run_dir / "config.json"
+        obj = json.loads(snapshot.read_text())
+        del obj["resolved_train"]
+        snapshot.write_text(json.dumps(obj))
+        err = self.compare_error(tmp_path, capsys, run_dir)
+        assert f"{snapshot}: missing key 'resolved_train'" in err
 
     def test_spec_mismatch_fails(self, tmp_path):
         cfg_a = write_config(tmp_path / "a.json", output_dir="run_a")

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import random
 
 import numpy as np
 import pytest
 
+from rankcal import data
 from rankcal.data import (
     CorruptionSpec,
     Dataset,
@@ -19,6 +21,8 @@ from rankcal.data import (
     write_csv_dataset,
 )
 from rankcal.errors import ParseError, SpecError, SplitError
+
+from reference import reference_dataset_csv, reference_load_modality_csv
 
 
 def basic_spec(**overrides) -> SyntheticSpec:
@@ -153,6 +157,133 @@ class TestCsvRoundTrip:
         write_csv_dataset(loaded, tmp_path / "b")
         for name in ("modality_0.csv", "modality_1.csv", "labels.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def fixture_dataset() -> Dataset:
+    """The acceptance-fixture size: 4 classes x 150 rows, dims (6, 6, 6)."""
+    return generate_synthetic(
+        basic_spec(
+            num_classes=4,
+            modality_dims=(6, 6, 6),
+            samples_per_class=(150,) * 4,
+            class_separation=(6.0, 3.0, 2.5),
+            noise_std=(1.0, 1.0, 1.0),
+        )
+    )
+
+
+def extreme_dataset() -> Dataset:
+    """Signed zeros, subnormals, near-overflow values and a dim-1 modality."""
+    values = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308]
+    values += [1e300, -1e300, 1.7976931348623157e308, 123456789.987654321, -1e-5, 0.1]
+    return Dataset(
+        modalities=[np.array(values).reshape(4, 3), np.array([[1e300], [-0.0], [5e-324], [7.0]])],
+        labels=np.array([0, 1, 1, 0]),
+        num_classes=2,
+    )
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("make", [fixture_dataset, extreme_dataset])
+    def test_bytes_match_per_cell_formatter(self, tmp_path, make):
+        dataset = make()
+        write_csv_dataset(dataset, tmp_path)
+        for name, text in reference_dataset_csv(dataset).items():
+            assert (tmp_path / name).read_bytes() == text.encode("ascii"), name
+
+
+def read_outcome(read, path, dim):
+    """The array bits a modality reader returns, or the line and message of its ParseError."""
+    try:
+        block = read(path, dim)
+    except ParseError as exc:
+        return exc.line, str(exc)
+    return block.shape, block.dtype.str, block.tobytes()
+
+
+class TestModalityCsvReader:
+    """The block reader against the line-wise oracle: the same array bits or the same error."""
+
+    @pytest.mark.parametrize(
+        "text, dim, error_line",
+        [
+            pytest.param("1,2\n\n3,4\n\n", 2, None, id="blank-lines"),
+            pytest.param("1,2\n   \n\t\n3,4\n", 2, None, id="whitespace-only-lines"),
+            pytest.param("1.5,2\r\n3,4e-3\r\n", 2, None, id="crlf"),
+            pytest.param(" 1 ,\t2\n3 , 4 \n", 2, None, id="whitespace-around-cells"),
+            pytest.param("1_0,2\n3,4\n", 2, None, id="underscore-cell"),
+            pytest.param("1,2\n3\x1c,4\n", 2, 2, id="whitespace-only-loadtxt-strips"),
+            pytest.param("", 3, None, id="empty-file"),
+            pytest.param("\n\n", 1, None, id="only-blank-lines"),
+            pytest.param("1\n-2.5\n3e2\n", 1, None, id="dim-1"),
+            pytest.param("0.1,0.2,0.3", 3, None, id="one-row-no-final-newline"),
+            pytest.param("1,2\n3,4\n5\n", 2, 3, id="column-count"),
+            pytest.param("1,2,3\n", 2, 1, id="one-row-column-count"),
+            pytest.param("1,2\n3,x\n", 2, 2, id="non-numeric"),
+            pytest.param("1,2\n3,4\nnan,1\n", 2, 3, id="nan"),
+            pytest.param("1,2\n-inf,1\n", 2, 2, id="inf"),
+            pytest.param("1,2\n1e400,1\n", 2, 2, id="overflow-to-inf"),
+            pytest.param("1,2\n3\n4,x\n", 2, 2, id="column-count-before-non-numeric"),
+            pytest.param("1,2\nx,4\n5\n", 2, 2, id="non-numeric-before-column-count"),
+        ],
+    )
+    def test_matches_line_wise_oracle(self, tmp_path, text, dim, error_line):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode("ascii"))
+        outcome = read_outcome(data._load_modality_csv, path, dim)
+        assert outcome == read_outcome(reference_load_modality_csv, path, dim)
+        assert outcome[0] == error_line if error_line else len(outcome) == 3
+
+    def test_written_file_skips_the_line_wise_reader(self, tmp_path, monkeypatch):
+        dataset = fixture_dataset()
+        write_csv_dataset(dataset, tmp_path)
+
+        def unexpected(path, dim):
+            raise AssertionError(f"{path} went to the line-wise reader")
+
+        monkeypatch.setattr(data, "_read_modality_lines", unexpected)
+        for m in range(dataset.num_modalities):
+            path = tmp_path / f"modality_{m}.csv"
+            block = data._load_modality_csv(path, 6)
+            assert block.tobytes() == reference_load_modality_csv(path, 6).tobytes()
+
+    def test_fuzzed_cells_match_oracle(self, tmp_path):
+        rng = random.Random(2024)
+        # Number characters, the words of nan/inf, and whitespace only one parser strips.
+        alphabet = "0123456789.eE+-_ \tinfaINFAN\x0b\x0c\x1c\x1f#"
+        path = tmp_path / "m.csv"
+        for _ in range(400):
+            dim = rng.randint(1, 3)
+            lines = []
+            for _ in range(rng.randint(0, 4)):
+                cells = [
+                    "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 4)))
+                    if rng.random() < 0.5
+                    else repr(rng.uniform(-1e3, 1e3))
+                    for _ in range(dim if rng.random() < 0.9 else rng.randint(1, 4))
+                ]
+                lines.append(",".join(cells) + rng.choice(["\n", "\r\n", "\n\n"]))
+            path.write_bytes("".join(lines).encode("ascii"))
+            assert read_outcome(data._load_modality_csv, path, dim) == read_outcome(
+                reference_load_modality_csv, path, dim
+            ), path.read_bytes()
+
+    def test_fuzzed_numbers_are_bit_identical(self, tmp_path):
+        rng = random.Random(7)
+        path = tmp_path / "m.csv"
+        lines = []
+        for _ in range(300):
+            cells = []
+            for _ in range(6):
+                digits = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 25)))
+                sign = rng.choice(["", "-", "+"])
+                exponent = rng.randint(-320, 307)
+                cells.append(f"{sign}{digits[0]}.{digits[1:]}e{exponent}")
+            lines.append(",".join(cells) + "\n")
+        path.write_text("".join(lines))
+        outcome = read_outcome(data._load_modality_csv, path, 6)
+        assert outcome[0] == (300, 6)
+        assert outcome == read_outcome(reference_load_modality_csv, path, 6)
 
 
 def write_manifest(tmp_path, modalities, labels, num_classes=2):
