@@ -56,7 +56,7 @@ def chain_presence(orders) -> Array:
     if np.any(np.sort(orders, axis=1) != np.arange(num_modalities)):
         raise SpecError("each removal order must be a permutation of the modalities")
     position = np.empty_like(orders)
-    np.put_along_axis(position, orders, np.arange(num_modalities)[None, :], axis=1)
+    position[np.arange(len(orders))[:, None], orders] = np.arange(num_modalities)
     return position[:, None, :] >= np.arange(num_modalities)[None, :, None]
 
 
@@ -128,6 +128,7 @@ def chain_objective(
     lam: float = 0.0,
     skip_on_wrong_full: bool = True,
     detach_superset: bool = False,
+    out: ClassifierParams | None = None,
 ) -> ChainObjective:
     """Composite objective summed over a batch, each sample on its own removal chain.
 
@@ -138,7 +139,7 @@ def chain_objective(
     `lam`. With `skip_on_wrong_full` the penalty is dropped (loss and
     gradients) for samples whose full-mask prediction is wrong. Gradients
     flow through both pair confidences unless `detach_superset` stops the
-    conf(S) side.
+    conf(S) side. The gradients overwrite `out` when it is given.
     """
     if variant not in REGULARIZER_VARIANTS:
         raise ConfigError(f"unknown regularizer variant {variant!r}")
@@ -151,9 +152,11 @@ def chain_objective(
         )
     labels = np.asarray(labels)
     fwd = forward_masks(params, features, presence)
-    num_masks = presence.shape[1]
-    nll = nll_loss(fwd.probs, labels[:, None])
-    logit_grads = nll_loss_grad(fwd.probs, labels[:, None]) / num_masks
+    batch, num_masks, num_classes = fwd.probs.shape
+    # One row per (sample, mask), so the labels need no broadcast.
+    rows, row_labels = fwd.probs.reshape(-1, num_classes), labels.repeat(num_masks)
+    nll = nll_loss(rows, row_labels).reshape(batch, num_masks)
+    logit_grads = nll_loss_grad(rows, row_labels).reshape(fwd.probs.shape) / num_masks
 
     confidence = fwd.confidence
     predicted = fwd.predicted
@@ -173,16 +176,16 @@ def chain_objective(
             d_conf[:, :-1] -= d_conf_t
         # d max_k p_k / d z = p_c * (onehot_c - p), differentiating through the
         # argmax class fixed by this forward pass.
-        d_logits = -fwd.probs
-        np.put_along_axis(d_logits, predicted[..., None], 1.0 - confidence[..., None], axis=-1)
-        logit_grads += (d_conf * confidence)[..., None] * d_logits
+        d_logits = -rows
+        d_logits[np.arange(len(rows)), predicted.ravel()] = 1.0 - confidence.ravel()
+        logit_grads += (d_conf * confidence)[..., None] * d_logits.reshape(fwd.probs.shape)
 
-    cls = nll.mean(axis=1)
+    cls = nll.sum(axis=1) / num_masks
     return ChainObjective(
         loss=float(np.sum(cls + lam * reg)),
         cls_loss=float(cls.sum()),
         reg_loss=float(reg.sum()),
-        grads=backward_masks(params, fwd, logit_grads),
+        grads=backward_masks(params, fwd, logit_grads, out),
         confidence=confidence,
         full_correct=full_correct,
     )

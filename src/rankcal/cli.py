@@ -32,6 +32,22 @@ HISTORY_NAME = "history.csv"
 METRICS_NAME = "metrics.json"
 RECORDS_NAME = "records.csv"
 
+# JSON kind of every top-level config key; each section is then checked by its reader.
+_CONFIG_SCHEMA = {
+    **dict.fromkeys(("data", "split", "model", "train", "compare", "sweep"), dict),
+    "standardize": bool,
+    "output_dir": str,
+}
+_COMPARE_SCHEMA = {"baseline_run": str, "cml_run": str, "test_manifest": str}
+_SWEEP_SCHEMA = {
+    "kind": str,
+    "lambda_grid": list[float],
+    "epsilons": list[float],
+    "target_sets": list[list[int]],
+    "baseline_run": str,
+    "cml_run": str,
+}
+
 
 def _load_config(path: Path) -> dict:
     if not path.exists():
@@ -43,6 +59,7 @@ def _load_config(path: Path) -> dict:
             raise ConfigError(f"{path}: invalid JSON ({exc.msg} at line {exc.lineno})") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
+    cfg = check_section("", cfg, _CONFIG_SCHEMA)
     data_section = check_section(
         "data", cfg.get("data", {}), {"synthetic": dict, "manifest": str, "test_manifest": str}
     )
@@ -199,10 +216,9 @@ def _load_run(run_dir: Path) -> tuple[ModelSpec, ClassifierParams, trainer.Train
 
 def cmd_compare(config_path: Path, out_override: str | None) -> int:
     cfg = _load_config(config_path)
-    compare_cfg = cfg.get("compare", {})
-    for key in ("baseline_run", "cml_run"):
-        if key not in compare_cfg:
-            raise ConfigError(f"compare section needs {key!r}")
+    compare_cfg = check_section(
+        "compare", cfg.get("compare", {}), _COMPARE_SCHEMA, required=("baseline_run", "cml_run")
+    )
     base = config_path.parent
     spec_a, params_a, config_a = _load_run(_resolve(base, compare_cfg["baseline_run"]))
     spec_b, params_b, config_b = _load_run(_resolve(base, compare_cfg["cml_run"]))
@@ -259,7 +275,7 @@ def cmd_sweep(
     config_path: Path, out_override: str | None, seed_override: int | None, jobs: int
 ) -> int:
     cfg = _load_config(config_path)
-    sweep_cfg = cfg.get("sweep", {})
+    sweep_cfg = check_section("sweep", cfg.get("sweep", {}), _SWEEP_SCHEMA)
     kind = sweep_cfg.get("kind")
     if kind not in ("lambda", "noise"):
         raise ConfigError("sweep section needs kind: 'lambda' or 'noise'")
@@ -270,8 +286,6 @@ def cmd_sweep(
 
     if kind == "lambda":
         grid = sweep_cfg.get("lambda_grid", list(trainer.DEFAULT_LAMBDA_GRID))
-        if not grid:
-            raise ConfigError("empty lambda grid")
         result = trainer.lambda_sweep(config, grid, prepared.train, prepared.test, jobs=jobs)
         with open(out / "sweep_lambda.csv", "w", encoding="ascii", newline="\n") as fh:
             fh.write("lambda,val_acc,val_vrr\n")
@@ -304,7 +318,7 @@ def cmd_sweep(
         params_a,
         params_b,
         prepared.test,
-        epsilons=[float(e) for e in epsilons],
+        epsilons=epsilons,
         target_sets=target_sets,
         seed=config.seed,
     )

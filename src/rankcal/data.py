@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, SpecError, SplitError, check_section
+from .errors import ConfigError, ParseError, SpecError, SplitError, check_section
 
 # Stream tags for mean placement, feature noise, and corruption draws.
 _MEANS_STREAM = 11
@@ -33,6 +33,9 @@ _SYNTHETIC_SCHEMA = {
     "noise_std": float | list[float],
     "seed": int,
 }
+# JSON kind of every manifest key and of every key of a manifest's modality entry; all required.
+_MANIFEST_SCHEMA = {"num_classes": int, "modalities": list[dict], "labels": str}
+_ENTRY_SCHEMA = {"path": str, "dim": int}
 
 
 @dataclass(frozen=True)
@@ -292,14 +295,17 @@ def load_csv_dataset(manifest_path) -> Dataset:
             manifest = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(str(manifest_path), exc.lineno, exc.msg) from None
-    for key in ("num_classes", "modalities", "labels"):
-        if key not in manifest:
-            raise ParseError(str(manifest_path), 1, f"manifest missing key {key!r}")
-    num_classes = int(manifest["num_classes"])
+    try:
+        manifest = check_section("manifest", manifest, _MANIFEST_SCHEMA, _MANIFEST_SCHEMA)
+        entries = [
+            check_section(f"manifest.modalities[{i}]", entry, _ENTRY_SCHEMA, _ENTRY_SCHEMA)
+            for i, entry in enumerate(manifest["modalities"])
+        ]
+    except ConfigError as exc:
+        raise ParseError(str(manifest_path), 1, str(exc)) from None
+    num_classes = manifest["num_classes"]
     base = manifest_path.parent
-    modalities = []
-    for entry in manifest["modalities"]:
-        modalities.append(_load_modality_csv(base / entry["path"], int(entry["dim"])))
+    modalities = [_load_modality_csv(base / entry["path"], entry["dim"]) for entry in entries]
     labels_path = base / manifest["labels"]
     labels = []
     with open(labels_path, "r", encoding="ascii") as fh:
@@ -319,7 +325,7 @@ def load_csv_dataset(manifest_path) -> Dataset:
     counts = {len(labels)} | {m.shape[0] for m in modalities}
     if len(counts) != 1:
         sizes = ", ".join(
-            f"{entry['path']}={m.shape[0]}" for entry, m in zip(manifest["modalities"], modalities)
+            f"{entry['path']}={m.shape[0]}" for entry, m in zip(entries, modalities)
         )
         raise ParseError(
             str(manifest_path), 1, f"row counts disagree: {sizes}, labels={len(labels)}"

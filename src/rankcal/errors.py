@@ -35,25 +35,27 @@ def check_section(name: str, section, schema: dict, required=()) -> dict:
 
     Returns the section's values, each converted by _check_value. Unknown,
     missing and mistyped keys fail naming the key by its dotted path, e.g.
-    "model.hiden_dim: unknown key" or "model.hidden_dim: expected int, got 'x'".
+    "model.hiden_dim: unknown key" or "model.hidden_dim: expected int, got 'x'";
+    an empty `name` checks a top-level object, whose paths are the bare keys.
     """
     if not isinstance(section, dict):
         raise ConfigError(f"{name}: expected a JSON object, got {section!r}")
+    prefix = f"{name}." if name else ""
     for key in section:
         if key not in schema:
-            raise ConfigError(f"{name}.{key}: unknown key")
+            raise ConfigError(f"{prefix}{key}: unknown key")
     for key in required:
         if key not in section:
-            raise ConfigError(f"{name}.{key}: missing key")
-    return {key: _check_value(f"{name}.{key}", raw, schema[key]) for key, raw in section.items()}
+            raise ConfigError(f"{prefix}{key}: missing key")
+    return {key: _check_value(prefix + key, raw, schema[key]) for key, raw in section.items()}
 
 
 def _check_value(path: str, raw, kind):
     """Return the JSON value `raw` as `kind`, or fail naming `path`.
 
     `kind` is bool, int, float (which also takes an int), str or dict, `list[T]`
-    of one of those, or a union such as `int | list[int]`. A bool is never
-    taken for a number.
+    of any kind, or a union such as `int | list[int]`. A bool is never taken
+    for a number.
     """
     for option in typing.get_args(kind) if isinstance(kind, types.UnionType) else (kind,):
         if typing.get_origin(option) is list:
@@ -64,6 +66,8 @@ def _check_value(path: str, raw, kind):
             raw, (int, float) if option is float else option
         ):
             return option(raw)
+    if kind is dict:
+        raise ConfigError(f"{path}: expected a JSON object, got {raw!r}")
     expected = kind.__name__ if isinstance(kind, type) else str(kind)
     raise ConfigError(f"{path}: expected {expected}, got {raw!r}")
 

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionError, MaskError, SpecError, StateError, check_section
-from .numerics import Array, affine_backward, affine_forward, relu, relu_backward, softmax
+from .numerics import Array, softmax
 
 CHECKPOINT_MAGIC = "rankcal-checkpoint v1"
 
@@ -212,10 +212,10 @@ class MaskedForward:
 
     `weights` (the presence divided by each mask's size) is (K, M) when every
     row shares its masks and (B, K, M) when each row has its own. Encoders
-    that no mask uses are not run; their `hidden` entry is None.
+    that no mask uses are not run; their `features` and `hidden` entries are None.
     """
 
-    features: Sequence[Array | None]
+    features: list[Array | None]
     hidden: list[Array | None]
     weights: Array
     fused: Array
@@ -254,58 +254,66 @@ def forward_masks(
     used = presence.reshape(-1, num_modalities).any(axis=0)
 
     hidden: list[Array | None] = [None] * num_modalities
+    blocks: list[Array | None] = [None] * num_modalities
     latents = None
-    for m in np.flatnonzero(used):
+    for m in used.nonzero()[0]:
         enc = params.encoders[m]
-        x = features[m]
-        if x is None:
+        if features[m] is None:
             raise DimensionError(f"modality {m} is in a mask but has no features")
-        if np.ndim(x) != 2 or np.shape(x)[1] != enc.w1.shape[0]:
-            raise DimensionError(
-                f"modality {m}: features {np.shape(x)} are not (B, {enc.w1.shape[0]})"
-            )
-        hidden[m] = relu(affine_forward(x, enc.w1, enc.b1))
-        latent = affine_forward(hidden[m], enc.w2, enc.b2)
+        x = blocks[m] = np.asarray(features[m], dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != enc.w1.shape[0]:
+            raise DimensionError(f"modality {m}: features {x.shape} are not (B, {enc.w1.shape[0]})")
         if latents is None:
-            latents = np.zeros((latent.shape[0], num_modalities, latent.shape[1]))
-        elif latent.shape[0] != latents.shape[0]:
-            raise DimensionError(f"modality {m} has {latent.shape[0]} rows, not {latents.shape[0]}")
-        latents[:, m] = latent
+            latents = np.zeros((x.shape[0], num_modalities, enc.w2.shape[1]))
+        elif x.shape[0] != latents.shape[0]:
+            raise DimensionError(f"modality {m} has {x.shape[0]} rows, not {latents.shape[0]}")
+        hidden[m] = np.maximum(x @ enc.w1 + enc.b1, 0.0)
+        np.add(hidden[m] @ enc.w2, enc.b2, out=latents[:, m])
     if presence.ndim == 3 and presence.shape[0] != latents.shape[0]:
         raise DimensionError(f"presence has {presence.shape[0]} rows, features {latents.shape[0]}")
 
     weights = presence / sizes
     fused = weights @ latents
     batch, num_masks, latent_dim = fused.shape
-    logits = affine_forward(fused.reshape(-1, latent_dim), params.head_w, params.head_b)
+    logits = fused.reshape(-1, latent_dim) @ params.head_w + params.head_b
     probs = softmax(logits).reshape(batch, num_masks, -1)
-    return MaskedForward(features, hidden, weights, fused, probs)
+    return MaskedForward(blocks, hidden, weights, fused, probs)
 
 
-def backward_masks(params: ClassifierParams, fwd: MaskedForward, logit_grads) -> ClassifierParams:
+def backward_masks(
+    params: ClassifierParams, fwd: MaskedForward, logit_grads, out: ClassifierParams | None = None
+) -> ClassifierParams:
     """Exact parameter gradients of sum(logit_grads * logits) over every row and mask.
 
     Each modality collects its latent gradient over every mask containing it
     before one encoder backward pass; encoders that no mask used get zeros.
+    The gradients overwrite every array of `out` when it is given (so one
+    buffer serves every batch) and go to a new ClassifierParams otherwise.
     """
     g = np.asarray(logit_grads, dtype=np.float64)
     if g.shape != fwd.probs.shape:
         raise StateError(f"logit gradients {g.shape} do not match the forward {fwd.probs.shape}")
     batch, num_masks, num_classes = g.shape
-    grads = ClassifierParams.from_flat(params.spec_signature(), np.zeros_like(params.flat))
-    d_fused, grads.head_w[...], grads.head_b[...] = affine_backward(
-        fwd.fused.reshape(-1, fwd.fused.shape[-1]), params.head_w, g.reshape(-1, num_classes)
-    )
-    d_latents = np.swapaxes(fwd.weights, -1, -2) @ d_fused.reshape(batch, num_masks, -1)
-    for m, hidden in enumerate(fwd.hidden):
+    if out is None:
+        out = ClassifierParams.from_flat(params.spec_signature(), np.empty_like(params.flat))
+    out.flat.fill(0.0)  # encoders that no mask used keep these zeros
+    g = g.reshape(-1, num_classes)
+    np.matmul(fwd.fused.reshape(-1, fwd.fused.shape[-1]).T, g, out=out.head_w)
+    g.sum(axis=0, out=out.head_b)
+    d_fused = (g @ params.head_w.T).reshape(batch, num_masks, -1)
+    d_latents = fwd.weights.swapaxes(-1, -2) @ d_fused
+    for m, (enc, genc) in enumerate(zip(params.encoders, out.encoders)):
+        hidden = fwd.hidden[m]
         if hidden is None:
             continue
-        enc, genc = params.encoders[m], grads.encoders[m]
-        d_hidden, genc.w2[...], genc.b2[...] = affine_backward(hidden, enc.w2, d_latents[:, m])
-        _, genc.w1[...], genc.b1[...] = affine_backward(
-            fwd.features[m], enc.w1, relu_backward(hidden, d_hidden)
-        )
-    return grads
+        d_latent = d_latents[:, m]
+        np.matmul(hidden.T, d_latent, out=genc.w2)
+        d_latent.sum(axis=0, out=genc.b2)
+        # The ReLU subgradient at exactly zero is zero; no input gradient is needed.
+        d_pre = np.where(hidden > 0.0, d_latent @ enc.w2.T, 0.0)
+        np.matmul(fwd.features[m].T, d_pre, out=genc.w1)
+        d_pre.sum(axis=0, out=genc.b1)
+    return out
 
 
 def save_checkpoint(path, spec: ModelSpec, params: ClassifierParams) -> None:

@@ -84,19 +84,21 @@ def softmax(logits) -> Array:
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim < 1 or z.shape[-1] < 2:
         raise DimensionError("softmax needs at least 2 logits")
-    bad = ~np.isfinite(z)
-    if bad.any():
-        raise NumericError(f"non-finite logits: {describe_bad(bad)}")
+    if not np.isfinite(z).all():
+        raise NumericError(f"non-finite logits: {describe_bad(~np.isfinite(z))}")
     exp = np.exp(z - z.max(axis=-1, keepdims=True))
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def _label_column(probs, labels) -> tuple[Array, Array]:
+def _true_class_index(probs, labels) -> tuple[Array, tuple[Array, Array]]:
+    """`probs` as one row per distribution, and the (row, label) index of each true class."""
     p = np.asarray(probs, dtype=np.float64)
-    y = np.broadcast_to(np.asarray(labels), p.shape[:-1])
-    if np.any((y < 0) | (y >= p.shape[-1])):
+    y = np.asarray(labels)
+    if y.shape != p.shape[:-1]:
+        y = np.broadcast_to(y, p.shape[:-1])
+    if ((y < 0) | (y >= p.shape[-1])).any():
         raise IndexError(f"labels {y} out of range for {p.shape[-1]} classes")
-    return p, y[..., None]
+    return p.reshape(-1, p.shape[-1]), (np.arange(y.size), y.ravel())
 
 
 def nll_loss(probs, labels) -> Array:
@@ -104,16 +106,16 @@ def nll_loss(probs, labels) -> Array:
 
     `labels` broadcasts against the leading axes of `probs`.
     """
-    p, y = _label_column(probs, labels)
-    return -np.log(np.take_along_axis(p, y, axis=-1)[..., 0])
+    rows, true_class = _true_class_index(probs, labels)
+    return -np.log(rows[true_class]).reshape(np.shape(probs)[:-1])
 
 
 def nll_loss_grad(probs, labels) -> Array:
     """Gradient of nll_loss w.r.t. the logits that produced `probs`: probs - onehot."""
-    p, y = _label_column(probs, labels)
-    grad = p.copy()
-    np.put_along_axis(grad, y, np.take_along_axis(p, y, axis=-1) - 1.0, axis=-1)
-    return grad
+    rows, true_class = _true_class_index(probs, labels)
+    grad = rows.copy()
+    grad[true_class] -= 1.0
+    return grad.reshape(np.shape(probs))
 
 
 @dataclass

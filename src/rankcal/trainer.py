@@ -138,11 +138,13 @@ def train(config: TrainConfig, train_set: Dataset) -> RunResult:
     _check_dataset(config, train_set)
 
     params = init_params(config.model, config.seed)
+    grads = ClassifierParams.from_flat(params.spec_signature(), np.zeros_like(params.flat))
     state = init_adam_state(params.flat.size, learning_rate=config.learning_rate)
 
     n = train_set.num_samples
     history: list[EpochStats] = []
     for epoch in range(config.epochs):
+        # The epoch's sample order is gathered once, so every batch is a contiguous slice.
         order = np.random.default_rng([config.seed, _SHUFFLE_STREAM, epoch]).permutation(n)
         chains = chain_presence(
             removal_orders(
@@ -150,22 +152,25 @@ def train(config: TrainConfig, train_set: Dataset) -> RunResult:
                 n,
                 train_set.num_modalities,
             )
-        )
+        )[order]
+        features = [block[order] for block in train_set.modalities]
+        labels = train_set.labels[order]
         cls_sum = 0.0
         reg_sum = 0.0
         correct = 0
         for batch_idx, start in enumerate(range(0, n, config.batch_size)):
-            batch = order[start : start + config.batch_size]
+            batch = slice(start, start + config.batch_size)
             try:
                 result = chain_objective(
                     params,
-                    [block[batch] for block in train_set.modalities],
-                    train_set.labels[batch],
+                    [block[batch] for block in features],
+                    labels[batch],
                     chains[batch],
                     variant=config.variant,
                     lam=config.lam,
                     skip_on_wrong_full=config.skip_on_wrong_full,
                     detach_superset=config.detach_superset,
+                    out=grads,
                 )
             except NumericError:
                 raise DivergenceError(epoch=epoch, batch=batch_idx, loss=float("nan")) from None
@@ -174,7 +179,8 @@ def train(config: TrainConfig, train_set: Dataset) -> RunResult:
             cls_sum += result.cls_loss
             reg_sum += result.reg_loss
             correct += int(result.full_correct.sum())
-            adam_update(params.flat, result.grads.flat / len(batch), state)
+            grads.flat /= len(result.full_correct)
+            adam_update(params.flat, grads.flat, state)
         history.append(
             EpochStats(
                 cls_loss=cls_sum / n,

@@ -3,6 +3,8 @@
 Plain loops over one sample, one mask, one pair or one cell at a time, written
 independently of rankcal's batched forward_masks/backward_masks/chain_objective,
 its columnar VRR records and its block CSV reader/writer so tests can compare the two.
+reference_train is the training loop as it was before the per-epoch gather and
+the reused gradient buffer, around the same chain_objective.
 """
 
 from __future__ import annotations
@@ -12,8 +14,11 @@ import math
 
 import numpy as np
 
-from rankcal.errors import ParseError
-from rankcal.model import ClassifierParams, EncoderParams, SubsetMask
+from rankcal import trainer
+from rankcal.calibration import chain_objective, chain_presence, removal_orders
+from rankcal.errors import DivergenceError, NumericError, ParseError
+from rankcal.model import ClassifierParams, EncoderParams, SubsetMask, init_params
+from rankcal.numerics import adam_update, init_adam_state
 
 
 def _encode(params, feats):
@@ -216,3 +221,40 @@ def reference_dataset_csv(dataset) -> dict[str, str]:
     }
     files["labels.csv"] = "".join(f"{int(value)}\n" for value in dataset.labels)
     return files
+
+
+def reference_train(config, train_set):
+    """(params, history) of trainer.train's loop with a fancy gather and a fresh gradient per batch."""
+    params = init_params(config.model, config.seed)
+    state = init_adam_state(params.flat.size, learning_rate=config.learning_rate)
+    n = train_set.num_samples
+    history = []
+    for epoch in range(config.epochs):
+        order = np.random.default_rng([config.seed, trainer._SHUFFLE_STREAM, epoch]).permutation(n)
+        chain_rng = np.random.default_rng([config.seed, trainer._CHAIN_STREAM, epoch])
+        chains = chain_presence(removal_orders(chain_rng, n, train_set.num_modalities))
+        cls_sum = reg_sum = 0.0
+        correct = 0
+        for batch_idx, start in enumerate(range(0, n, config.batch_size)):
+            batch = order[start : start + config.batch_size]
+            try:
+                result = chain_objective(
+                    params,
+                    [block[batch] for block in train_set.modalities],
+                    train_set.labels[batch],
+                    chains[batch],
+                    variant=config.variant,
+                    lam=config.lam,
+                    skip_on_wrong_full=config.skip_on_wrong_full,
+                    detach_superset=config.detach_superset,
+                )
+            except NumericError:
+                raise DivergenceError(epoch=epoch, batch=batch_idx, loss=float("nan")) from None
+            if not np.isfinite(result.loss):
+                raise DivergenceError(epoch=epoch, batch=batch_idx, loss=result.loss)
+            cls_sum += result.cls_loss
+            reg_sum += result.reg_loss
+            correct += int(result.full_correct.sum())
+            adam_update(params.flat, result.grads.flat / len(batch), state)
+        history.append(trainer.EpochStats(cls_sum / n, reg_sum / n, 100.0 * correct / n))
+    return params, history

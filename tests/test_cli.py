@@ -10,6 +10,9 @@ from rankcal.cli import main
 from rankcal.data import load_csv_dataset
 
 
+# A manifest whose modality entry lacks its dim; the check fails before any CSV is read.
+BAD_MANIFEST = {"num_classes": 2, "modalities": [{"path": "m0.csv"}], "labels": "labels.csv"}
+
 SYNTHETIC = {
     "num_classes": 2,
     "modality_dims": [4, 3],
@@ -201,6 +204,9 @@ class TestTrainCommand:
                 {"data": {"synthetic": {**SYNTHETIC, "class_separation": "4"}}},
                 "data.synthetic.class_separation: expected float | list[float], got '4'",
             ),
+            ({"trian": {"lambda": 10.0, "epochs": 1}}, "trian: unknown key"),
+            ({"output_dir": 3}, "output_dir: expected str, got 3"),
+            ({"standardize": "no"}, "standardize: expected bool, got 'no'"),
         ],
     )
     def test_bad_section_key_fails_naming_it(self, tmp_path, capsys, overrides, message):
@@ -368,3 +374,44 @@ class TestSweepCommand:
     def test_missing_kind_fails(self, tmp_path):
         cfg = write_config(tmp_path / "config.json", sweep={})
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) != 0
+
+
+class TestCommandSections:
+    @pytest.mark.parametrize(
+        "command, overrides, message",
+        [
+            (
+                "compare",
+                {"compare": {"baseline_run": 3, "cml_run": "run"}},
+                "compare.baseline_run: expected str, got 3",
+            ),
+            ("compare", {"compare": {"cml_run": "run"}}, "compare.baseline_run: missing key"),
+            (
+                "compare",
+                {"compare": {"baseline_run": "run", "cml_run": "run", "test_manfest": "x"}},
+                "compare.test_manfest: unknown key",
+            ),
+            (
+                "sweep",
+                {"sweep": {"kind": "noise", "epsilons": ["x"]}},
+                "sweep.epsilons[0]: expected float, got 'x'",
+            ),
+            (
+                "sweep",
+                {"sweep": {"kind": "noise", "target_sets": [[0], "1"]}},
+                "sweep.target_sets[1]: expected list[int], got '1'",
+            ),
+            (
+                "train",
+                {"data": {"test_manifest": "bad_manifest.json"}},
+                "bad_manifest.json:1: manifest.modalities[0].dim: missing key",
+            ),
+        ],
+    )
+    def test_bad_key_fails_naming_it(self, tmp_path, capsys, command, overrides, message):
+        (tmp_path / "bad_manifest.json").write_text(json.dumps(BAD_MANIFEST))
+        cfg = write_config(tmp_path / "config.json", **overrides)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and message in err
+        assert not (tmp_path / "out").exists()

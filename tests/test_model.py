@@ -258,6 +258,22 @@ class TestBackward:
         d_w2_expected = fwd.hidden[1].T @ d_fused
         assert np.allclose(grads.encoders[1].w2, d_w2_expected, atol=1e-15)
 
+    def test_reused_buffer_matches_fresh_buffer(self):
+        # The first call fills every encoder's gradients; the second uses no
+        # modality 1, whose stale gradients must be zeroed, not kept.
+        params = init_params(SPEC, seed=4)
+        feats = random_features(SPEC, 5, rows=3)
+        out = ClassifierParams.from_flat(params.spec_signature(), np.zeros_like(params.flat))
+        full = run(params, feats, SubsetMask.full(3), SubsetMask.of([1]))
+        backward_masks(params, full, nll_loss_grad(full.probs, 1), out)
+        assert out.encoders[1].w1.any() and out.encoders[1].b2.any()
+        partial = run(params, feats, SubsetMask.of([0, 2]), SubsetMask.of([2]))
+        g = nll_loss_grad(partial.probs, 1)
+        assert backward_masks(params, partial, g, out) is out
+        assert out.flat.tobytes() == backward_masks(params, partial, g).flat.tobytes()
+        unused = out.encoders[1]
+        assert not (unused.w1.any() or unused.b1.any() or unused.w2.any() or unused.b2.any())
+
     def test_mask_cache_mismatch(self):
         # logit gradients for other masks than the forward pass ran on
         params = init_params(SPEC, seed=4)

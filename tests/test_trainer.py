@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ from rankcal.trainer import (
     train,
 )
 
-from reference import reference_probs
+from reference import reference_probs, reference_train
 
 MODEL = ModelSpec(modality_dims=(4, 3), hidden_dim=8, latent_dim=4, num_classes=2)
 
@@ -137,6 +138,64 @@ class TestTrain:
                 train(config(learning_rate=1e12, epochs=10), train_set)
         assert excinfo.value.epoch >= 0
         assert excinfo.value.batch >= 0
+
+
+class TestTrainMatchesReferenceLoop:
+    """train gathers once per epoch and reuses one gradient buffer; the bytes must not change."""
+
+    MODEL3 = ModelSpec(modality_dims=(4, 3, 2), hidden_dim=8, latent_dim=4, num_classes=3)
+
+    @staticmethod
+    def train_set() -> Dataset:
+        spec = SyntheticSpec(
+            num_classes=3,
+            modality_dims=(4, 3, 2),
+            samples_per_class=(25, 25, 25),
+            class_separation=(4.0, 2.0, 1.0),
+            noise_std=(1.0, 1.0, 1.0),
+            seed=5,
+        )
+        return generate_synthetic(spec)
+
+    @staticmethod
+    def history_bytes(history) -> bytes:
+        return np.array([dataclasses.astuple(stats) for stats in history]).tobytes()
+
+    # 75 samples: batches of 16 leave a ragged last batch of 11; 100 is one batch of all.
+    @pytest.mark.parametrize("batch_size", [16, 100])
+    @pytest.mark.parametrize("detach_superset", [False, True])
+    @pytest.mark.parametrize("skip_on_wrong_full", [True, False])
+    @pytest.mark.parametrize("variant", calibration.REGULARIZER_VARIANTS)
+    def test_params_and_history_byte_identical(
+        self, variant, skip_on_wrong_full, detach_superset, batch_size
+    ):
+        cfg = config(
+            model=self.MODEL3,
+            epochs=3,
+            batch_size=batch_size,
+            lam=5.0,
+            variant=variant,
+            skip_on_wrong_full=skip_on_wrong_full,
+            detach_superset=detach_superset,
+            seed=4,
+        )
+        train_set = self.train_set()
+        result = train(cfg, train_set)
+        params, history = reference_train(cfg, train_set)
+        assert result.params.flat.tobytes() == params.flat.tobytes()
+        assert self.history_bytes(result.history) == self.history_bytes(history)
+
+    def test_divergence_at_the_same_epoch_and_batch(self):
+        cfg = config(model=self.MODEL3, learning_rate=1e12, epochs=10, lam=5.0)
+        train_set = self.train_set()
+        errors = []
+        for run in (train, reference_train):
+            with np.errstate(divide="ignore"), pytest.raises(DivergenceError) as excinfo:
+                run(cfg, train_set)
+            errors.append(excinfo.value)
+        new, old = ((e.epoch, e.batch, repr(e.loss)) for e in errors)
+        assert new == old
+        assert new[:2] != (0, 0)  # at least one Adam step ran on the reused buffer first
 
 
 class TestEvaluate:
