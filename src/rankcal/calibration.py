@@ -56,7 +56,7 @@ def chain_presence(orders) -> Array:
     if np.any(np.sort(orders, axis=1) != np.arange(num_modalities)):
         raise SpecError("each removal order must be a permutation of the modalities")
     position = np.empty_like(orders)
-    position[np.arange(len(orders))[:, None], orders] = np.arange(num_modalities)
+    np.put_along_axis(position, orders, np.arange(num_modalities)[None, :], axis=1)
     return position[:, None, :] >= np.arange(num_modalities)[None, :, None]
 
 
@@ -152,11 +152,9 @@ def chain_objective(
         )
     labels = np.asarray(labels)
     fwd = forward_masks(params, features, presence)
-    batch, num_masks, num_classes = fwd.probs.shape
-    # One row per (sample, mask), so the labels need no broadcast.
-    rows, row_labels = fwd.probs.reshape(-1, num_classes), labels.repeat(num_masks)
-    nll = nll_loss(rows, row_labels).reshape(batch, num_masks)
-    logit_grads = nll_loss_grad(rows, row_labels).reshape(fwd.probs.shape) / num_masks
+    num_masks = presence.shape[1]
+    nll = nll_loss(fwd.probs, labels[:, None])
+    logit_grads = nll_loss_grad(fwd.probs, labels[:, None]) / num_masks
 
     confidence = fwd.confidence
     predicted = fwd.predicted
@@ -176,8 +174,8 @@ def chain_objective(
             d_conf[:, :-1] -= d_conf_t
         # d max_k p_k / d z = p_c * (onehot_c - p), differentiating through the
         # argmax class fixed by this forward pass.
-        d_logits = -rows
-        d_logits[np.arange(len(rows)), predicted.ravel()] = 1.0 - confidence.ravel()
+        d_logits = -fwd.probs.reshape(-1, fwd.probs.shape[-1])
+        d_logits[np.arange(len(d_logits)), predicted.ravel()] = 1.0 - confidence.ravel()
         logit_grads += (d_conf * confidence)[..., None] * d_logits.reshape(fwd.probs.shape)
 
     cls = nll.sum(axis=1) / num_masks

@@ -66,9 +66,8 @@ def _check_value(path: str, raw, kind):
             raw, (int, float) if option is float else option
         ):
             return option(raw)
-    if kind is dict:
-        raise ConfigError(f"{path}: expected a JSON object, got {raw!r}")
     expected = kind.__name__ if isinstance(kind, type) else str(kind)
+    expected = "a JSON object" if kind is dict else expected
     raise ConfigError(f"{path}: expected {expected}, got {raw!r}")
 
 

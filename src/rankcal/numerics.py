@@ -1,4 +1,4 @@
-"""Dense layer primitives, losses, the Adam optimizer, and a gradient checker.
+"""Softmax, the NLL loss, the Adam optimizer, and a gradient checker.
 
 Everything operates on row-major float64 numpy arrays, batched over rows.
 Apart from adam_update, which steps its parameters and state in place, every
@@ -21,13 +21,6 @@ ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
 
-def _as_matrix(values, name: str) -> Array:
-    out = np.asarray(values, dtype=np.float64)
-    if out.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got shape {out.shape}")
-    return out
-
-
 def _as_vector(values, name: str) -> Array:
     out = np.asarray(values, dtype=np.float64)
     if out.ndim != 1:
@@ -39,44 +32,6 @@ def describe_bad(bad: Array) -> str:
     """One line for a boolean mask of bad entries: how many, and the first one's index."""
     first = tuple(int(i) for i in np.argwhere(bad)[0])
     return f"{int(bad.sum())} of {bad.size}, the first at index {first}"
-
-
-def affine_forward(inputs, weights, bias) -> Array:
-    """out[i, j] = sum_k inputs[i, k] * weights[k, j] + bias[j]."""
-    x = _as_matrix(inputs, "inputs")
-    w = _as_matrix(weights, "weights")
-    b = _as_vector(bias, "bias")
-    if x.shape[1] != w.shape[0]:
-        raise DimensionError(f"inputs {x.shape} do not conform with weights {w.shape}")
-    if b.shape[0] != w.shape[1]:
-        raise DimensionError(f"bias {b.shape} does not conform with weights {w.shape}")
-    return x @ w + b
-
-
-def affine_backward(inputs, weights, upstream_grad) -> tuple[Array, Array, Array]:
-    """Gradients of affine_forward: (d_inputs, d_weights, d_bias)."""
-    x = _as_matrix(inputs, "inputs")
-    w = _as_matrix(weights, "weights")
-    g = _as_matrix(upstream_grad, "upstream_grad")
-    if g.shape != (x.shape[0], w.shape[1]) or x.shape[1] != w.shape[0]:
-        raise DimensionError(
-            f"upstream {g.shape} does not conform with inputs {x.shape} and weights {w.shape}"
-        )
-    return g @ w.T, x.T @ g, g.sum(axis=0)
-
-
-def relu(inputs) -> Array:
-    x = np.asarray(inputs, dtype=np.float64)
-    return np.maximum(x, 0.0)
-
-
-def relu_backward(inputs, upstream_grad) -> Array:
-    """Subgradient at exactly zero is zero."""
-    x = np.asarray(inputs, dtype=np.float64)
-    g = np.asarray(upstream_grad, dtype=np.float64)
-    if x.shape != g.shape:
-        raise DimensionError(f"upstream {g.shape} does not match inputs {x.shape}")
-    return np.where(x > 0.0, g, 0.0)
 
 
 def softmax(logits) -> Array:
@@ -93,9 +48,7 @@ def softmax(logits) -> Array:
 def _true_class_index(probs, labels) -> tuple[Array, tuple[Array, Array]]:
     """`probs` as one row per distribution, and the (row, label) index of each true class."""
     p = np.asarray(probs, dtype=np.float64)
-    y = np.asarray(labels)
-    if y.shape != p.shape[:-1]:
-        y = np.broadcast_to(y, p.shape[:-1])
+    y = np.broadcast_to(np.asarray(labels), p.shape[:-1])
     if ((y < 0) | (y >= p.shape[-1])).any():
         raise IndexError(f"labels {y} out of range for {p.shape[-1]} classes")
     return p.reshape(-1, p.shape[-1]), (np.arange(y.size), y.ravel())

@@ -8,110 +8,12 @@ import pytest
 from rankcal.errors import DimensionError, NumericError
 from rankcal.numerics import (
     adam_update,
-    affine_backward,
-    affine_forward,
     grad_check,
     init_adam_state,
     nll_loss,
     nll_loss_grad,
-    relu,
-    relu_backward,
     softmax,
 )
-
-
-def naive_affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros((x.shape[0], w.shape[1]))
-    for i in range(x.shape[0]):
-        for j in range(w.shape[1]):
-            acc = b[j]
-            for k in range(x.shape[1]):
-                acc += x[i, k] * w[k, j]
-            out[i, j] = acc
-    return out
-
-
-class TestAffineForward:
-    def test_identity_weights(self):
-        out = affine_forward([[1.0, 2.0]], np.eye(2), [0.0, 0.0])
-        assert np.array_equal(out, [[1.0, 2.0]])
-
-    def test_hand_example(self):
-        out = affine_forward([[1.0, 1.0]], [[2.0], [3.0]], [1.0])
-        assert np.array_equal(out, [[6.0]])
-
-    def test_matches_naive_triple_loop(self):
-        rng = np.random.default_rng(0)
-        for n, d_in, d_out in [(3, 4, 2), (1, 7, 5), (32, 32, 32)]:
-            x = rng.standard_normal((n, d_in))
-            w = rng.standard_normal((d_in, d_out))
-            b = rng.standard_normal(d_out)
-            assert np.max(np.abs(affine_forward(x, w, b) - naive_affine(x, w, b))) < 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            affine_forward([[1.0, 2.0]], [[1.0], [2.0], [3.0]], [0.0])
-        with pytest.raises(DimensionError):
-            affine_forward([[1.0, 2.0]], [[1.0], [2.0]], [0.0, 0.0])
-
-    def test_pure_bit_identical(self):
-        rng = np.random.default_rng(1)
-        x, w, b = rng.standard_normal((3, 4)), rng.standard_normal((4, 2)), rng.standard_normal(2)
-        assert affine_forward(x, w, b).tobytes() == affine_forward(x, w, b).tobytes()
-
-
-class TestAffineBackward:
-    def test_zero_upstream(self):
-        gx, gw, gb = affine_backward([[1.0, 2.0]], [[1.0], [1.0]], [[0.0]])
-        assert not gx.any() and not gw.any() and not gb.any()
-
-    def test_scalar_chain_rule(self):
-        gx, gw, gb = affine_backward([[2.0]], [[3.0]], [[1.0]])
-        assert gx[0, 0] == 3.0 and gw[0, 0] == 2.0 and gb[0] == 1.0
-
-    def test_matches_finite_differences(self):
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal((3, 4))
-        w = rng.standard_normal((4, 2))
-        b = rng.standard_normal(2)
-        upstream = rng.standard_normal((3, 2))
-
-        def loss_of(x_, w_, b_):
-            return float(np.sum(affine_forward(x_, w_, b_) * upstream))
-
-        gx, gw, gb = affine_backward(x, w, upstream)
-        step = 1e-6
-        for arr, grad in [(x, gx), (w, gw), (b, gb)]:
-            flat = arr.reshape(-1)
-            for idx in range(flat.size):
-                saved = flat[idx]
-                flat[idx] = saved + step
-                plus = loss_of(x, w, b)
-                flat[idx] = saved - step
-                minus = loss_of(x, w, b)
-                flat[idx] = saved
-                numeric = (plus - minus) / (2 * step)
-                analytic = grad.reshape(-1)[idx]
-                assert abs(analytic - numeric) / max(1.0, abs(analytic) + abs(numeric)) < 1e-5
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            affine_backward([[1.0, 2.0]], [[1.0], [2.0]], [[1.0, 1.0]])
-
-
-class TestRelu:
-    def test_hand_values(self):
-        assert np.array_equal(relu([-1.0, 0.0, 2.0]), [0.0, 0.0, 2.0])
-
-    def test_positive_identity(self):
-        x = np.array([0.5, 3.0, 1e-9])
-        assert np.array_equal(relu(x), x)
-
-    def test_backward(self):
-        assert np.array_equal(relu_backward([-1.0, 2.0], [5.0, 5.0]), [0.0, 5.0])
-
-    def test_backward_zero_input_gets_zero_grad(self):
-        assert np.array_equal(relu_backward([0.0, 1.0], [7.0, 7.0]), [0.0, 7.0])
 
 
 class TestSoftmax:
