@@ -17,7 +17,7 @@ from .data import (
     split,
     write_csv_dataset,
 )
-from .metrics import MetricsReport, ScoredPrediction, accuracy, aurc, build_report, e_aurc, mean_nll
+from .metrics import MetricsReport, accuracy, aurc, build_report, e_aurc, mean_nll
 from .model import (
     ClassifierParams,
     ModelSpec,
@@ -45,7 +45,6 @@ __all__ = [
     "MetricsReport",
     "ModelSpec",
     "RankingRecords",
-    "ScoredPrediction",
     "SubsetMask",
     "SyntheticSpec",
     "TrainConfig",

@@ -10,6 +10,7 @@ removal chain, weighted by lambda on top of the classification loss.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -196,17 +197,20 @@ def compute_vrr(records: RankingRecords) -> float:
     return int(np.count_nonzero(records.ci < 0.0)) / len(records)
 
 
-def all_single_removal_pairs(num_modalities: int) -> list[tuple[int, int]]:
-    """Every (T, S) with T = S minus one modality, over all S with |S| >= 2.
+@functools.cache
+def _lattice_pairs(num_modalities: int) -> tuple[Array, Array]:
+    """Read-only (t_col, s_col) of every (S minus one modality, S) with |S| >= 2.
 
-    Masks are modality bit codes (bit m set when modality m is present).
+    Column c of the lattice is the mask with bit code c + 1 (bit m set when m is present).
     """
     pairs = []
     for size in range(num_modalities, 1, -1):
         for s_indices in itertools.combinations(range(num_modalities), size):
             s_code = sum(1 << m for m in s_indices)
             pairs.extend((s_code ^ (1 << m), s_code) for m in s_indices)
-    return pairs
+    t_col, s_col = np.array(pairs).T - 1
+    t_col.flags.writeable = s_col.flags.writeable = False
+    return t_col, s_col
 
 
 @dataclass
@@ -214,6 +218,7 @@ class VrrEvaluation:
     vrr: float
     records: RankingRecords
     attribution: dict[int, int]
+    full_probs: Array
 
 
 def evaluate_vrr(
@@ -231,7 +236,8 @@ def evaluate_vrr(
     every single-removal pair (allowed up to 5 modalities). Records are
     ordered by sample. The attribution counts, among violations where S is
     the full set, how often each removed modality caused the confidence
-    increase.
+    increase. `full_probs` comes from the same forward as the records: the
+    lattice's full-set column, or the head of repeat 0's chains.
     """
     if mode not in ("sampled", "exhaustive"):
         raise ConfigError(f"unknown VRR mode {mode!r}")
@@ -243,7 +249,7 @@ def evaluate_vrr(
     bits = 1 << np.arange(num_modalities)
 
     # Each mode yields, per sample, K masks (as modality bit codes) with their
-    # confidences, plus the (T, S) pairs as column indices shared by all samples.
+    # class probabilities, plus the (T, S) pairs as column indices shared by all samples.
     if mode == "exhaustive":
         if num_modalities > EXHAUSTIVE_MODALITY_LIMIT:
             raise CapabilityError(
@@ -251,23 +257,25 @@ def evaluate_vrr(
                 f"got {num_modalities}"
             )
         lattice = np.arange(1, 1 << num_modalities)
-        presence = (lattice[:, None] & bits) > 0
-        conf = forward_masks(params, dataset.modalities, presence).confidence
-        code = np.broadcast_to(lattice, conf.shape)
-        t_col, s_col = np.array(all_single_removal_pairs(num_modalities)).T - 1
+        probs = forward_masks(params, dataset.modalities, (lattice[:, None] & bits) > 0).probs
+        full_probs = probs[:, -1]
+        code = np.broadcast_to(lattice, probs.shape[:2])
+        t_col, s_col = _lattice_pairs(num_modalities)
     else:
-        confs, codes = [], []
+        draws, codes = [], []
         for r in range(repeats):
             rng = np.random.default_rng([seed, _VRR_STREAM, r])
             presence = chain_presence(removal_orders(rng, num_samples, num_modalities))
-            confs.append(forward_masks(params, dataset.modalities, presence).confidence)
+            draws.append(forward_masks(params, dataset.modalities, presence).probs)
             codes.append(presence @ bits)
-        conf, code = np.concatenate(confs, axis=1), np.concatenate(codes, axis=1)
-        t_col = np.concatenate(
-            [r * num_modalities + np.arange(1, num_modalities) for r in range(repeats)]
-        )
+        probs, code = np.concatenate(draws, axis=1), np.concatenate(codes, axis=1)
+        full_probs = probs[:, 0]  # repeat 0's chains start at the full set
+        starts = num_modalities * np.arange(repeats)[:, None]
+        t_col = (starts + np.arange(1, num_modalities)).ravel()
         s_col = t_col - 1
 
+    # A running maximum over the class slices: np.max over a short last axis is slow per row.
+    conf = functools.reduce(np.maximum, np.moveaxis(probs, -1, 0))
     t_code, s_code = code[:, t_col], code[:, s_col]
     conf_t, conf_s = conf[:, t_col], conf[:, s_col]
     ci = confidence_increment(conf_t, conf_s)
@@ -280,8 +288,8 @@ def evaluate_vrr(
         ci=ci.ravel(),
     )
     removed = (t_code ^ s_code)[(ci < 0.0) & (s_code == bits.sum())]
-    attribution = {m: int(np.sum(removed == 1 << m)) for m in range(num_modalities)}
-    return VrrEvaluation(vrr=compute_vrr(records), records=records, attribution=attribution)
+    attribution = dict(enumerate(np.count_nonzero(removed[:, None] == bits, axis=0).tolist()))
+    return VrrEvaluation(compute_vrr(records), records, attribution, full_probs)
 
 
 def write_records_csv(path, records: RankingRecords) -> None:

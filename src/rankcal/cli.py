@@ -279,6 +279,10 @@ def cmd_sweep(
     kind = sweep_cfg.get("kind")
     if kind not in ("lambda", "noise"):
         raise ConfigError("sweep section needs kind: 'lambda' or 'noise'")
+    runs = [key for key in ("baseline_run", "cml_run") if key in sweep_cfg]
+    if kind == "noise" and len(runs) == 1:
+        (missing,) = {"baseline_run", "cml_run"} - set(runs)
+        raise ConfigError(f"sweep.{missing}: missing key (sweep.{runs[0]} given)")
     prepared = _prepare(cfg, config_path.parent)
     config = _build_train_config(cfg, prepared.model_spec, seed_override)
     out = _out_dir(cfg, config_path.parent, out_override, "sweep")
@@ -303,7 +307,7 @@ def cmd_sweep(
         raise ConfigError("empty epsilon grid")
     target_sets = _parse_target_sets(sweep_cfg.get("target_sets"), prepared.test.num_modalities)
     base = config_path.parent
-    if "baseline_run" in sweep_cfg and "cml_run" in sweep_cfg:
+    if runs:
         _, params_a, _ = _load_run(_resolve(base, sweep_cfg["baseline_run"]))
         _, params_b, _ = _load_run(_resolve(base, sweep_cfg["cml_run"]))
     else:

@@ -18,61 +18,54 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyInputError, SpecError, StateError
+from .errors import DimensionError, EmptyInputError, SpecError, StateError
 from .model import ClassifierParams, SubsetMask, forward_masks, presence_matrix
+from .numerics import Array
 
 NLL_SCALE = 10.0
 AURC_SCALE = 1000.0
 VRR_SCALE = 100.0
 
 
-@dataclass(frozen=True)
-class ScoredPrediction:
-    confidence: float
-    correct: bool
-    nll_term: float
+def _columns(*columns) -> list[Array]:
+    """The per-prediction columns as 1-D arrays of one nonzero length."""
+    arrays = [np.asarray(c) for c in columns]
+    if any(a.ndim != 1 or len(a) != len(arrays[0]) for a in arrays):
+        raise DimensionError(f"columns {[a.shape for a in arrays]} are not 1-D of one length")
+    if not len(arrays[0]):
+        raise EmptyInputError("no predictions")
+    return arrays
 
 
-def accuracy(preds: Sequence[ScoredPrediction]) -> float:
+def accuracy(correct) -> float:
     """Percentage of correct predictions."""
-    if not preds:
-        raise EmptyInputError("no predictions")
-    return 100.0 * sum(1 for p in preds if p.correct) / len(preds)
+    (correct,) = _columns(correct)
+    return 100.0 * int(np.count_nonzero(correct)) / len(correct)
 
 
-def error_rate(preds: Sequence[ScoredPrediction]) -> float:
-    return 100.0 - accuracy(preds)
+def mean_nll(nll) -> float:
+    (nll,) = _columns(nll)
+    return float(np.mean(nll))
 
 
-def mean_nll(preds: Sequence[ScoredPrediction]) -> float:
-    if not preds:
-        raise EmptyInputError("no predictions")
-    return float(np.mean([p.nll_term for p in preds]))
+def _risk_coverage_average(errors_in_order: Array) -> float:
+    # cumsum adds left to right, as a running Python total would; np.sum would not.
+    risk = np.cumsum(errors_in_order) / np.arange(1, len(errors_in_order) + 1)
+    return float(np.cumsum(risk)[-1] / len(errors_in_order))
 
 
-def _risk_coverage_average(correct_in_order: Sequence[bool]) -> float:
-    errors = 0
-    total = 0.0
-    for i, ok in enumerate(correct_in_order, start=1):
-        if not ok:
-            errors += 1
-        total += errors / i
-    return total / len(correct_in_order)
-
-
-def aurc(preds: Sequence[ScoredPrediction]) -> float:
+def aurc(confidence, correct) -> float:
     """Area under the discrete risk-coverage curve (lower is better)."""
-    if not preds:
-        raise EmptyInputError("no predictions")
-    order = sorted(range(len(preds)), key=lambda i: (-preds[i].confidence, i))
-    return _risk_coverage_average([preds[i].correct for i in order])
+    confidence, correct = _columns(confidence, correct)
+    order = np.argsort(-confidence, kind="stable")  # ties keep their original order
+    return _risk_coverage_average(~correct.astype(bool)[order])
 
 
-def e_aurc(preds: Sequence[ScoredPrediction]) -> float:
+def e_aurc(confidence, correct) -> float:
     """AURC in excess of the best achievable ordering (all correct first)."""
-    value = aurc(preds)
-    num_correct = sum(1 for p in preds if p.correct)
-    optimal = _risk_coverage_average([True] * num_correct + [False] * (len(preds) - num_correct))
+    value = aurc(confidence, correct)
+    num_correct = int(np.count_nonzero(correct))
+    optimal = _risk_coverage_average(np.arange(len(correct)) >= num_correct)
     excess = value - optimal
     assert excess >= -1e-12, f"E-AURC below zero beyond float noise: {excess}"
     return max(excess, 0.0)
@@ -113,7 +106,9 @@ def confidence_by_subset_size(records) -> dict[int, float]:
     last = np.zeros_like(first)
     np.maximum.at(last, keys, index)
     seen = np.flatnonzero(first[keys] == index)
-    sizes = ((codes[seen, None] >> np.arange(top.bit_length())) & 1).sum(axis=1)
+    # Popcount one bit at a time over every code: a sum over a short last axis is slow per row.
+    seen_codes = codes[seen]
+    sizes = sum(((seen_codes >> m) & 1 for m in range(top.bit_length())), np.zeros_like(seen))
     values = conf[last[keys[seen]]]
     return {
         int(size): float(np.mean(values[sizes == size]))
@@ -172,18 +167,21 @@ def report_csv_row(report: MetricsReport) -> str:
 
 
 def build_report(
-    predictions: Sequence[ScoredPrediction] | None,
+    confidence,
+    correct,
+    nll,
     vrr: float | None,
     mean_conf_by_size: dict[int, float] | None,
 ) -> MetricsReport:
-    """Assemble a report, applying the reporting scales."""
-    if predictions is None or vrr is None or mean_conf_by_size is None:
+    """Assemble a report from per-prediction columns, applying the reporting scales."""
+    if any(value is None for value in (confidence, correct, nll, vrr, mean_conf_by_size)):
         raise StateError("missing report constituent")
-    nll_value = mean_nll(predictions)
-    aurc_value = aurc(predictions)
-    e_aurc_value = e_aurc(predictions)
+    confidence, correct, nll = _columns(confidence, correct, nll)
+    nll_value = mean_nll(nll)
+    aurc_value = aurc(confidence, correct)
+    e_aurc_value = e_aurc(confidence, correct)
     return MetricsReport(
-        accuracy_pct=accuracy(predictions),
+        accuracy_pct=accuracy(correct),
         nll_raw=nll_value,
         nll_scaled=nll_value * NLL_SCALE,
         aurc_raw=aurc_value,
@@ -192,7 +190,7 @@ def build_report(
         e_aurc_scaled=e_aurc_value * AURC_SCALE,
         vrr_raw=vrr,
         vrr_pct=vrr * VRR_SCALE,
-        mean_confidence_full=float(np.mean([p.confidence for p in predictions])),
+        mean_confidence_full=float(np.mean(confidence)),
         mean_confidence_by_subset_size=dict(mean_conf_by_size),
     )
 

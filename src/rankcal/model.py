@@ -86,9 +86,6 @@ class SubsetMask:
     def full(cls, num_modalities: int) -> "SubsetMask":
         return cls(frozenset(range(num_modalities)))
 
-    def is_subset_of(self, other: "SubsetMask") -> bool:
-        return self.present < other.present
-
     def sorted_indices(self) -> tuple[int, ...]:
         return tuple(sorted(self.present))
 
@@ -248,6 +245,10 @@ def forward_masks(
         raise DimensionError(
             f"presence {presence.shape} must be (K, {num_modalities}) or (B, K, {num_modalities})"
         )
+    if presence.shape[-2] == 0:
+        raise MaskError(f"presence {presence.shape} holds no masks")
+    if presence.ndim == 3 and presence.shape[0] == 0:
+        raise DimensionError(f"presence {presence.shape} has no rows")
     sizes = presence.sum(axis=-1, keepdims=True)
     if not sizes.all():
         raise MaskError("every mask must contain at least one modality")
@@ -261,8 +262,9 @@ def forward_masks(
         if features[m] is None:
             raise DimensionError(f"modality {m} is in a mask but has no features")
         x = blocks[m] = np.asarray(features[m], dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != enc.w1.shape[0]:
-            raise DimensionError(f"modality {m}: features {x.shape} are not (B, {enc.w1.shape[0]})")
+        x_dim = enc.w1.shape[0]
+        if x.ndim != 2 or x.shape[1] != x_dim or x.shape[0] == 0:
+            raise DimensionError(f"modality {m}: features {x.shape} are not (B>=1, {x_dim})")
         if latents is None:
             latents = np.zeros((x.shape[0], num_modalities, enc.w2.shape[1]))
         elif x.shape[0] != latents.shape[0]:

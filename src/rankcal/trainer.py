@@ -33,7 +33,6 @@ from .errors import (
 from .metrics import (
     CSV_SUMMARY_FIELDS,
     MetricsReport,
-    ScoredPrediction,
     build_report,
     confidence_by_subset_size,
 )
@@ -191,28 +190,10 @@ def train(config: TrainConfig, train_set: Dataset) -> RunResult:
     return RunResult(params=params, history=history)
 
 
-def _full_mask_forward(params: ClassifierParams, dataset: Dataset):
-    full = np.ones((1, dataset.num_modalities), dtype=bool)
-    return forward_masks(params, dataset.modalities, full)
-
-
-def score_full_mask(params: ClassifierParams, dataset: Dataset) -> list[ScoredPrediction]:
-    """Full-modality predictions scored against the labels."""
-    fwd = _full_mask_forward(params, dataset)
-    probs = fwd.probs[:, 0]
-    return [
-        ScoredPrediction(confidence=conf, correct=ok, nll_term=nll)
-        for conf, ok, nll in zip(
-            fwd.confidence[:, 0].tolist(),
-            (fwd.predicted[:, 0] == dataset.labels).tolist(),
-            nll_loss(probs, dataset.labels).tolist(),
-        )
-    ]
-
-
 def full_mask_accuracy(params: ClassifierParams, dataset: Dataset) -> float:
-    correct = int(np.sum(_full_mask_forward(params, dataset).predicted[:, 0] == dataset.labels))
-    return 100.0 * correct / dataset.num_samples
+    full = np.ones((1, dataset.num_modalities), dtype=bool)
+    predicted = forward_masks(params, dataset.modalities, full).predicted[:, 0]
+    return 100.0 * int(np.sum(predicted == dataset.labels)) / dataset.num_samples
 
 
 def _evaluate(
@@ -223,11 +204,14 @@ def _evaluate(
     _check_dataset(config, test_set)
     if derived_spec(params) != config.model:
         raise SpecError("parameter shapes do not match the configured model spec")
-    scored = score_full_mask(params, test_set)
+    # The full-mask metrics read the probabilities of the VRR forward: one forward per evaluation.
     vrr_eval = evaluate_vrr(
         params, test_set, seed=config.seed, mode=config.vrr_mode, repeats=config.vrr_repeats
     )
-    report = build_report(scored, vrr_eval.vrr, confidence_by_subset_size(vrr_eval.records))
+    probs, labels = vrr_eval.full_probs, test_set.labels
+    confidence, correct = probs.max(axis=-1), probs.argmax(axis=-1) == labels
+    by_size = confidence_by_subset_size(vrr_eval.records)
+    report = build_report(confidence, correct, nll_loss(probs, labels), vrr_eval.vrr, by_size)
     return report, vrr_eval
 
 

@@ -2,7 +2,8 @@
 
 Plain loops over one sample, one mask, one pair or one cell at a time, written
 independently of rankcal's batched forward_masks/backward_masks/chain_objective,
-its columnar VRR records and its block CSV reader/writer so tests can compare the two.
+its columnar VRR records and AURC, and its block CSV reader/writer, so tests
+can compare the two.
 reference_train is the training loop as it was before the per-epoch gather and
 the reused gradient buffer, around the same chain_objective.
 """
@@ -176,6 +177,19 @@ def reference_confidence_by_subset_size(rows) -> dict[int, float]:
     for (_, code), conf in seen.items():
         by_size.setdefault(bin(code).count("1"), []).append(conf)
     return {size: float(np.mean(confs)) for size, confs in sorted(by_size.items())}
+
+
+def reference_aurc(confidence, correct) -> float:
+    """AURC by a Python sort keyed on (-confidence, index) and a running risk total."""
+    confidence, correct = list(map(float, confidence)), list(map(bool, correct))
+    order = sorted(range(len(confidence)), key=lambda i: (-confidence[i], i))
+    errors = 0
+    total = 0.0
+    for i, index in enumerate(order, start=1):
+        if not correct[index]:
+            errors += 1
+        total += errors / i
+    return total / len(order)
 
 
 def reference_records_csv(rows) -> str:

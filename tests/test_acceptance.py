@@ -26,7 +26,7 @@ from rankcal.data import (
     write_csv_dataset,
 )
 from rankcal.errors import ParseError
-from rankcal.metrics import ScoredPrediction, aurc, e_aurc
+from rankcal.metrics import aurc, e_aurc
 from rankcal.model import ModelSpec, SubsetMask, init_params
 from rankcal.numerics import grad_check
 from rankcal.trainer import TrainConfig, lambda_sweep, noise_sweep, run_and_evaluate
@@ -185,10 +185,10 @@ def test_criterion_1_composite_gradient():
 
 
 def test_criterion_2_metric_oracles():
-    good = [ScoredPrediction(0.9, True, 0.1), ScoredPrediction(0.8, False, 1.0)]
-    bad = [ScoredPrediction(0.9, False, 1.0), ScoredPrediction(0.8, True, 0.1)]
-    aurc_ok = aurc(good) == 0.25 and aurc(bad) == 0.75
-    e_aurc_ok = e_aurc(bad) == 0.5 and e_aurc(good) == 0.0
+    good = ([0.9, 0.8], [True, False])
+    bad = ([0.9, 0.8], [False, True])
+    aurc_ok = aurc(*good) == 0.25 and aurc(*bad) == 0.75
+    e_aurc_ok = e_aurc(*bad) == 0.5 and e_aurc(*good) == 0.0
 
     spec = ModelSpec(modality_dims=(3, 4, 2), hidden_dim=6, latent_dim=4, num_classes=3)
     params = init_params(spec, seed=5)
@@ -219,10 +219,12 @@ def test_criterion_2_metric_oracles():
     rng = np.random.default_rng(7)
     min_e_aurc = min(
         e_aurc(
-            [
-                ScoredPrediction(float(rng.uniform(0.1, 1.0)), bool(rng.integers(2)), 0.1)
-                for _ in range(int(rng.integers(1, 30)))
-            ]
+            *zip(
+                *[
+                    (float(rng.uniform(0.1, 1.0)), bool(rng.integers(2)))
+                    for _ in range(int(rng.integers(1, 30)))
+                ]
+            )
         )
         for _ in range(1000)
     )

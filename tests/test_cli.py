@@ -402,6 +402,16 @@ class TestCommandSections:
                 "sweep.target_sets[1]: expected list[int], got '1'",
             ),
             (
+                "sweep",
+                {"sweep": {"kind": "noise", "baseline_run": "run"}},
+                "sweep.cml_run: missing key (sweep.baseline_run given)",
+            ),
+            (
+                "sweep",
+                {"sweep": {"kind": "noise", "cml_run": "run"}},
+                "sweep.baseline_run: missing key (sweep.cml_run given)",
+            ),
+            (
                 "train",
                 {"data": {"test_manifest": "bad_manifest.json"}},
                 "bad_manifest.json:1: manifest.modalities[0].dim: missing key",

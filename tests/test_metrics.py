@@ -7,16 +7,14 @@ import pytest
 
 from rankcal.calibration import RankingRecords
 from rankcal.data import Dataset
-from rankcal.errors import EmptyInputError, SpecError, StateError
+from rankcal.errors import DimensionError, EmptyInputError, SpecError, StateError
 from rankcal.metrics import (
     MetricsReport,
-    ScoredPrediction,
     accuracy,
     aurc,
     build_report,
     confidence_by_subset_size,
     e_aurc,
-    error_rate,
     format_mean_std,
     mean_abs_conf_shift,
     mean_nll,
@@ -26,113 +24,108 @@ from rankcal.metrics import (
 from rankcal.model import ModelSpec, SubsetMask, init_params
 
 
-def pred(confidence: float, correct: bool, nll: float = 0.5) -> ScoredPrediction:
-    return ScoredPrediction(confidence=confidence, correct=correct, nll_term=nll)
-
-
-def random_preds(rng: np.random.Generator, n: int) -> list[ScoredPrediction]:
-    return [
-        pred(float(rng.uniform(0.2, 1.0)), bool(rng.integers(2)), float(rng.uniform(0, 3)))
-        for _ in range(n)
-    ]
-
-
 class TestAccuracy:
     def test_all_correct(self):
-        assert accuracy([pred(0.9, True)] * 5) == 100.0
+        assert accuracy(np.ones(5, dtype=bool)) == 100.0
 
     def test_one_of_four(self):
-        preds = [pred(0.9, True), pred(0.8, False), pred(0.7, False), pred(0.6, False)]
-        assert accuracy(preds) == 25.0
+        assert accuracy(np.array([True, False, False, False])) == 25.0
 
     def test_none_correct(self):
-        assert accuracy([pred(0.9, False)] * 3) == 0.0
+        assert accuracy(np.zeros(3, dtype=bool)) == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
-            accuracy([])
-
-    def test_accuracy_plus_error_rate_is_hundred_exactly(self):
-        rng = np.random.default_rng(0)
-        for n in (3, 7, 13):
-            preds = random_preds(rng, n)
-            assert accuracy(preds) + error_rate(preds) == 100.0
+            accuracy(np.zeros(0, dtype=bool))
 
 
 class TestMeanNll:
     def test_single_half(self):
-        assert mean_nll([pred(0.5, True, nll=math.log(2.0))]) == pytest.approx(math.log(2.0))
+        assert mean_nll(np.array([math.log(2.0)])) == pytest.approx(math.log(2.0))
 
     def test_confident_goes_to_zero(self):
-        assert mean_nll([pred(1.0, True, nll=1e-15)] * 2) < 1e-14
+        assert mean_nll(np.full(2, 1e-15)) < 1e-14
 
     def test_matches_naive_sum(self):
         rng = np.random.default_rng(1)
-        preds = random_preds(rng, 37)
-        naive = sum(p.nll_term for p in preds) / len(preds)
-        assert abs(mean_nll(preds) - naive) < 1e-12
+        nll = rng.uniform(0, 3, 37)
+        naive = sum(nll.tolist()) / len(nll)
+        assert abs(mean_nll(nll) - naive) < 1e-12
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
-            mean_nll([])
+            mean_nll(np.zeros(0))
 
 
 class TestAurc:
     def test_all_correct_is_zero(self):
-        assert aurc([pred(0.9, True), pred(0.5, True)]) == 0.0
+        assert aurc([0.9, 0.5], [True, True]) == 0.0
 
     def test_hand_example_good_ranking(self):
         # top-1 risk 0, top-2 risk 1/2 -> mean 0.25
-        assert aurc([pred(0.9, True), pred(0.8, False)]) == 0.25
+        assert aurc([0.9, 0.8], [True, False]) == 0.25
 
     def test_hand_example_bad_ranking(self):
         # top-1 risk 1, top-2 risk 1/2 -> mean 0.75
-        assert aurc([pred(0.9, False), pred(0.8, True)]) == 0.75
+        assert aurc([0.9, 0.8], [False, True]) == 0.75
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(2)
         confs = rng.permutation(np.linspace(0.1, 0.99, 25))
         correct = rng.integers(2, size=25).astype(bool)
-        preds = [pred(float(c), bool(ok)) for c, ok in zip(confs, correct)]
-        squashed = [pred(float(0.5 * c**3 + 0.1), bool(ok)) for c, ok in zip(confs, correct)]
-        assert aurc(preds) == aurc(squashed)
+        assert aurc(confs, correct) == aurc(0.5 * confs**3 + 0.1, correct)
 
     def test_permutation_invariance_distinct_confidences(self):
         rng = np.random.default_rng(3)
         confs = np.linspace(0.2, 0.9, 15)
         correct = rng.integers(2, size=15).astype(bool)
-        preds = [pred(float(c), bool(ok)) for c, ok in zip(confs, correct)]
         order = rng.permutation(15)
-        shuffled = [preds[i] for i in order]
-        assert aurc(shuffled) == aurc(preds)
-        assert e_aurc(shuffled) == e_aurc(preds)
+        assert aurc(confs[order], correct[order]) == aurc(confs, correct)
+        assert e_aurc(confs[order], correct[order]) == e_aurc(confs, correct)
 
     def test_tie_break_by_original_index(self):
         # equal confidences: the earlier element is ranked first
-        assert aurc([pred(0.8, False), pred(0.8, True)]) == 0.75
-        assert aurc([pred(0.8, True), pred(0.8, False)]) == 0.25
+        assert aurc([0.8, 0.8], [False, True]) == 0.75
+        assert aurc([0.8, 0.8], [True, False]) == 0.25
+
+    def test_bit_equal_to_sorted_key_loop_with_ties(self):
+        from reference import reference_aurc
+
+        rng = np.random.default_rng(8)
+        for _ in range(2000):
+            n = int(rng.integers(1, 40))
+            # few distinct levels, so most cases have tied confidences
+            confs = rng.integers(1, int(rng.integers(2, 6)), size=n) / 5.0
+            correct = rng.integers(2, size=n).astype(bool)
+            value = reference_aurc(confs, correct)
+            optimal = reference_aurc(np.zeros(n), np.sort(correct)[::-1])
+            assert aurc(confs, correct) == value
+            assert e_aurc(confs, correct) == max(value - optimal, 0.0)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
-            aurc([])
+            aurc(np.zeros(0), np.zeros(0, dtype=bool))
+
+    def test_mismatched_columns_rejected(self):
+        with pytest.raises(DimensionError):
+            aurc(np.zeros(3), np.zeros(2, dtype=bool))
 
 
 class TestEAurc:
     def test_all_correct_zero(self):
-        assert e_aurc([pred(0.9, True)] * 4 ) == 0.0
+        assert e_aurc(np.full(4, 0.9), np.ones(4, dtype=bool)) == 0.0
 
     def test_hand_example(self):
-        assert e_aurc([pred(0.9, False), pred(0.8, True)]) == 0.5
+        assert e_aurc([0.9, 0.8], [False, True]) == 0.5
 
     def test_perfectly_ranked_zero(self):
-        preds = [pred(0.9, True), pred(0.8, True), pred(0.5, False), pred(0.4, False)]
-        assert e_aurc(preds) == 0.0
+        assert e_aurc([0.9, 0.8, 0.5, 0.4], [True, True, False, False]) == 0.0
 
     def test_non_negative_on_random_fixtures(self):
         rng = np.random.default_rng(4)
         for _ in range(300):
-            preds = random_preds(rng, int(rng.integers(1, 40)))
-            assert e_aurc(preds) >= 0.0
+            n = int(rng.integers(1, 40))
+            assert e_aurc(rng.uniform(0.2, 1.0, n), rng.integers(2, size=n).astype(bool)) >= 0.0
 
 
 class TestMeanAbsConfShift:
@@ -209,8 +202,9 @@ class TestConfidenceBySubsetSize:
 
 class TestBuildReport:
     def make_report(self) -> MetricsReport:
-        preds = [pred(0.9, True, nll=2.049), pred(0.8, False, nll=2.049)]
-        return build_report(preds, vrr=0.2338, mean_conf_by_size={1: 0.5, 2: 0.85})
+        by_size = {1: 0.5, 2: 0.85}
+        nll = [2.049, 2.049]
+        return build_report([0.9, 0.8], [True, False], nll, vrr=0.2338, mean_conf_by_size=by_size)
 
     def test_scales(self):
         report = self.make_report()
@@ -222,19 +216,20 @@ class TestBuildReport:
         assert report.e_aurc_scaled == pytest.approx(report.e_aurc_raw * 1000)
 
     def test_scale_arithmetic_example(self):
-        preds = [pred(0.9, True, nll=0.1)] * 9 + [pred(0.95, False, nll=0.1)]
-        report = build_report(preds, vrr=0.0, mean_conf_by_size={2: 0.9})
+        confs, correct = [0.9] * 9 + [0.95], [True] * 9 + [False]
+        report = build_report(confs, correct, [0.1] * 10, vrr=0.0, mean_conf_by_size={2: 0.9})
         assert report.aurc_scaled == pytest.approx(report.aurc_raw * 1000)
         # 0.0114 raw -> 11.4 scaled is plain arithmetic
         assert 0.0114 * 1000 == pytest.approx(11.4)
 
     def test_missing_constituent_rejected(self):
+        preds = ([0.9], [True], [0.5])
         with pytest.raises(StateError):
-            build_report(None, vrr=0.1, mean_conf_by_size={})
+            build_report(None, None, None, vrr=0.1, mean_conf_by_size={})
         with pytest.raises(StateError):
-            build_report([pred(0.9, True)], vrr=None, mean_conf_by_size={})
+            build_report(*preds, vrr=None, mean_conf_by_size={})
         with pytest.raises(StateError):
-            build_report([pred(0.9, True)], vrr=0.1, mean_conf_by_size=None)
+            build_report(*preds, vrr=0.1, mean_conf_by_size=None)
 
     def test_json_round_trip(self):
         report = self.make_report()

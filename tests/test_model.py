@@ -76,11 +76,6 @@ class TestSubsetMask:
         with pytest.raises(MaskError):
             SubsetMask.of([-1, 0])
 
-    def test_subset_relation(self):
-        assert SubsetMask.of([0]).is_subset_of(SubsetMask.of([0, 2]))
-        assert not SubsetMask.of([0, 2]).is_subset_of(SubsetMask.of([0, 2]))
-        assert not SubsetMask.of([1]).is_subset_of(SubsetMask.of([0, 2]))
-
     def test_format_and_parse(self):
         mask = SubsetMask.of([2, 0])
         assert mask.format() == "0+2"
@@ -210,6 +205,20 @@ class TestForward:
         params = init_params(SPEC, seed=1)
         with pytest.raises(MaskError):
             forward_masks(params, random_features(SPEC, 0), np.zeros((1, 3), dtype=bool))
+
+    @pytest.mark.parametrize(
+        "presence_shape, rows, error, message",
+        [
+            ((2, 0, 3), 2, MaskError, "presence (2, 0, 3) holds no masks"),
+            ((0, 3), 2, MaskError, "presence (0, 3) holds no masks"),
+            ((1, 3), 0, DimensionError, "modality 0: features (0, 3) are not (B>=1, 3)"),
+        ],
+    )
+    def test_empty_batch_rejected(self, presence_shape, rows, error, message):
+        params = init_params(SPEC, seed=1)
+        with pytest.raises(error) as excinfo:
+            forward_masks(params, random_features(SPEC, 0, rows), np.ones(presence_shape, bool))
+        assert str(excinfo.value) == message
 
 
 class TestConfidence:

@@ -9,7 +9,7 @@ import pytest
 from rankcal import calibration, trainer
 from rankcal.data import Dataset, SyntheticSpec, generate_synthetic, split
 from rankcal.errors import ConfigError, DivergenceError, EmptyInputError, SpecError, SweepError
-from rankcal.metrics import ScoredPrediction, accuracy, aurc, e_aurc, mean_nll
+from rankcal.metrics import accuracy, aurc, e_aurc, mean_nll
 from rankcal.model import ModelSpec, SubsetMask, init_params
 from rankcal.numerics import nll_loss
 from rankcal.trainer import (
@@ -225,21 +225,15 @@ class TestEvaluate:
         result = train(cfg, train_set)
         report = evaluate(result.params, fixture, cfg)
 
-        scored = []
-        for i in range(fixture.num_samples):
-            probs = reference_probs(result.params, fixture.features(i), [0, 1])
-            label = fixture.label(i)
-            scored.append(
-                ScoredPrediction(
-                    confidence=float(probs.max()),
-                    correct=int(np.argmax(probs)) == label,
-                    nll_term=float(nll_loss(probs, label)),
-                )
-            )
-        assert report.accuracy_pct == accuracy(scored)
-        assert report.nll_raw == pytest.approx(mean_nll(scored), rel=1e-12)
-        assert report.aurc_raw == pytest.approx(aurc(scored), rel=1e-12)
-        assert report.e_aurc_raw == pytest.approx(e_aurc(scored), abs=1e-15)
+        probs = [reference_probs(result.params, fixture.features(i), [0, 1]) for i in range(10)]
+        labels = [fixture.label(i) for i in range(10)]
+        confidence = np.array([p.max() for p in probs])
+        correct = np.array([int(np.argmax(p)) == y for p, y in zip(probs, labels)])
+        nll = np.array([nll_loss(p, y) for p, y in zip(probs, labels)])
+        assert report.accuracy_pct == accuracy(correct)
+        assert report.nll_raw == pytest.approx(mean_nll(nll), rel=1e-12)
+        assert report.aurc_raw == pytest.approx(aurc(confidence, correct), rel=1e-12)
+        assert report.e_aurc_raw == pytest.approx(e_aurc(confidence, correct), abs=1e-15)
 
     def test_spec_mismatch_rejected(self):
         train_set, test_set = make_sets()
@@ -252,6 +246,35 @@ class TestEvaluate:
         train_set, test_set = make_sets()
         result = run_and_evaluate(config(epochs=2), train_set, test_set)
         assert sorted(result.report.mean_confidence_by_subset_size) == [1, 2]
+
+    @pytest.mark.parametrize("mode, repeats", [("exhaustive", 1), ("sampled", 1), ("sampled", 3)])
+    def test_one_forward_per_vrr_draw(self, monkeypatch, mode, repeats):
+        calls = []
+        forward_masks = calibration.forward_masks
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return forward_masks(*args, **kwargs)
+
+        for module in (calibration, trainer):
+            monkeypatch.setattr(module, "forward_masks", counting)
+        _, test_set = make_sets(per_class=5)
+        evaluate(init_params(MODEL, seed=0), test_set, config(vrr_mode=mode, vrr_repeats=repeats))
+        assert len(calls) == repeats
+
+    @pytest.mark.parametrize("mode, repeats", [("exhaustive", 1), ("sampled", 2)])
+    def test_full_probs_match_the_full_mask_records(self, mode, repeats):
+        train_set, test_set = make_sets(per_class=10)
+        params = train(config(epochs=2), train_set).params
+        result = calibration.evaluate_vrr(params, test_set, seed=3, mode=mode, repeats=repeats)
+        records, conf = result.records, result.full_probs.max(axis=-1)
+        assert result.full_probs.shape == (test_set.num_samples, MODEL.num_classes)
+        full = records.s_code == (1 << MODEL.num_modalities) - 1
+        if mode == "sampled":  # repeat 0's chains: the first pair of every sample
+            full &= np.arange(len(records)) % (repeats * (MODEL.num_modalities - 1)) == 0
+        ids = records.sample_id[full]
+        assert np.array_equal(np.unique(ids), np.arange(test_set.num_samples))
+        assert records.conf_s[full].tobytes() == conf[ids].tobytes()
 
 
 class TestBenchmarkContract:
