@@ -6,6 +6,10 @@ ci = conf(S) - conf(T) should be non-negative; the fraction of sampled pairs
 with ci < 0 is the violating ranking rate (VRR). Training adds a hinge
 penalty max(0, conf(T) - conf(S)) over the pairs of a randomly sampled
 removal chain, weighted by lambda on top of the classification loss.
+
+chain_objective checks its inputs, then runs objective_core: the check-free
+arithmetic of one batch (forward_core, the NLL, the penalty and backward_core).
+trainer.train runs the same checks once per run and objective_core per batch.
 """
 
 from __future__ import annotations
@@ -20,13 +24,14 @@ import numpy as np
 from .errors import (
     CapabilityError,
     ConfigError,
+    DimensionError,
     DomainError,
     EmptyInputError,
     SpecError,
     StateError,
 )
-from .model import ClassifierParams, backward_masks, forward_masks
-from .numerics import Array, describe_bad, nll_loss, nll_loss_grad
+from .model import ClassifierParams, backward_core, forward_core, forward_masks, prepare_masks
+from .numerics import Array, describe_bad
 
 REGULARIZER_VARIANTS = ("hinge", "difference", "none")
 
@@ -120,6 +125,15 @@ class ChainObjective:
     full_correct: Array
 
 
+def check_labels(labels, num_classes: int) -> Array:
+    """1-D `labels` as an array; DomainError names the first row outside [0, num_classes)."""
+    labels = np.asarray(labels)
+    bad = np.flatnonzero((labels < 0) | (labels >= num_classes))
+    if len(bad):
+        raise DomainError(f"label {labels[bad[0]]} at row {bad[0]} is outside [0, {num_classes})")
+    return labels
+
+
 def chain_objective(
     params: ClassifierParams,
     features: Sequence[Array],
@@ -152,18 +166,38 @@ def chain_objective(
             f"chains {presence.shape} do not cover the {len(features)} modalities of the samples"
         )
     labels = np.asarray(labels)
-    fwd = forward_masks(params, features, presence)
-    num_masks = presence.shape[1]
-    nll = nll_loss(fwd.probs, labels[:, None])
-    logit_grads = nll_loss_grad(fwd.probs, labels[:, None]) / num_masks
+    if labels.shape != presence.shape[:1]:
+        raise DimensionError(f"labels {labels.shape} do not match the chains {presence.shape}")
+    check_labels(labels, params.head_w.shape[1])
+    blocks, weights = prepare_masks(params, features, presence)
+    label_col = np.repeat(labels[:, None], presence.shape[1], axis=1)
+    options = (variant, lam, skip_on_wrong_full, detach_superset)
+    return objective_core(params, blocks, weights, label_col, *options, out)
 
-    confidence = fwd.confidence
-    predicted = fwd.predicted
-    full_correct = predicted[:, 0] == labels
+
+def objective_core(
+    params, blocks, weights, label_col, variant, lam, skip_on_wrong_full, detach_superset, out
+) -> ChainObjective:
+    """chain_objective without its checks, on prepare_masks's `blocks` and (B, K, M) `weights`.
+
+    `label_col` is (B, K): each row's label, already range-checked, once per mask.
+    """
+    fwd = forward_core(params, blocks, weights)
+    batch, num_masks, num_classes = fwd.probs.shape
+    probs = fwd.probs.reshape(-1, num_classes)
+    rows = np.arange(len(probs))
+    true_class = (rows, label_col.ravel())
+    logit_grads = probs.copy()
+    logit_grads[true_class] -= 1.0
+    logit_grads /= num_masks
+
+    predicted = probs.argmax(axis=-1)  # the value read at the argmax is exactly the max
+    confidence = probs[rows, predicted].reshape(batch, num_masks)
+    full_correct = predicted[::num_masks] == label_col[:, 0]
     if variant == "none":
-        gate = np.zeros(len(labels))
+        gate = np.zeros(batch)
     else:
-        gate = full_correct.astype(np.float64) if skip_on_wrong_full else np.ones(len(labels))
+        gate = full_correct.astype(np.float64) if skip_on_wrong_full else np.ones(batch)
     pair_loss, d_conf_t = pair_losses(variant, confidence[:, 1:], confidence[:, :-1])
     reg = pair_loss.sum(axis=1) * gate
 
@@ -175,16 +209,16 @@ def chain_objective(
             d_conf[:, :-1] -= d_conf_t
         # d max_k p_k / d z = p_c * (onehot_c - p), differentiating through the
         # argmax class fixed by this forward pass.
-        d_logits = -fwd.probs.reshape(-1, fwd.probs.shape[-1])
-        d_logits[np.arange(len(d_logits)), predicted.ravel()] = 1.0 - confidence.ravel()
-        logit_grads += (d_conf * confidence)[..., None] * d_logits.reshape(fwd.probs.shape)
+        d_logits = -probs
+        d_logits[rows, predicted] = 1.0 - confidence.ravel()
+        logit_grads += (d_conf * confidence).reshape(-1, 1) * d_logits
 
-    cls = nll.sum(axis=1) / num_masks
+    cls = -np.log(probs[true_class]).reshape(batch, num_masks).sum(axis=1) / num_masks
     return ChainObjective(
         loss=float(np.sum(cls + lam * reg)),
         cls_loss=float(cls.sum()),
         reg_loss=float(reg.sum()),
-        grads=backward_masks(params, fwd, logit_grads, out),
+        grads=backward_core(params, fwd, logit_grads, out),
         confidence=confidence,
         full_correct=full_correct,
     )

@@ -47,6 +47,11 @@ _SWEEP_SCHEMA = {
     "baseline_run": str,
     "cml_run": str,
 }
+# The keys that each sweep kind reads.
+_SWEEP_KEYS = {
+    "lambda": ("kind", "lambda_grid"),
+    "noise": ("kind", "epsilons", "target_sets", "baseline_run", "cml_run"),
+}
 
 
 def _load_config(path: Path) -> dict:
@@ -274,11 +279,16 @@ def _parse_target_sets(raw, num_modalities: int) -> list[SubsetMask]:
 def cmd_sweep(
     config_path: Path, out_override: str | None, seed_override: int | None, jobs: int
 ) -> int:
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     cfg = _load_config(config_path)
     sweep_cfg = check_section("sweep", cfg.get("sweep", {}), _SWEEP_SCHEMA)
     kind = sweep_cfg.get("kind")
-    if kind not in ("lambda", "noise"):
+    if kind not in _SWEEP_KEYS:
         raise ConfigError("sweep section needs kind: 'lambda' or 'noise'")
+    unread = [key for key in sweep_cfg if key not in _SWEEP_KEYS[kind]]
+    if unread:
+        raise ConfigError(f'sweep.{unread[0]}: unknown key for kind "{kind}"')
     runs = [key for key in ("baseline_run", "cml_run") if key in sweep_cfg]
     if kind == "noise" and len(runs) == 1:
         (missing,) = {"baseline_run", "cml_run"} - set(runs)

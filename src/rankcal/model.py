@@ -7,11 +7,15 @@ the mask, never zero-filling, so the same parameters serve every subset.
 
 One batched path serves training and evaluation: forward_masks encodes a batch
 of rows once and classifies it under K masks at a time, given as a presence
-tensor, and backward_masks returns the matching parameter gradients.
+tensor, and backward_masks returns the matching parameter gradients. Each is a
+boundary around a core: prepare_masks and the shape check of backward_masks
+check and convert the inputs, and forward_core/backward_core do only the
+arithmetic, so a caller that has checked its inputs once can call them per batch.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -139,8 +143,8 @@ class ClassifierParams:
         sizes = [math.prod(shape) for shape in shapes]
         if sum(sizes) != flat.size or len(shapes) < 6 or len(shapes) % 4 != 2:
             raise DimensionError(f"flat vector of size {flat.size} does not match shapes {shapes}")
-        chunks = np.split(flat, np.cumsum(sizes)[:-1])
-        views = [chunk.reshape(shape) for chunk, shape in zip(chunks, shapes)]
+        starts = itertools.accumulate(sizes, initial=0)
+        views = [flat[i : i + size].reshape(shape) for i, size, shape in zip(starts, sizes, shapes)]
         self.flat = flat
         self.encoders = [EncoderParams(*views[i : i + 4]) for i in range(0, len(views) - 2, 4)]
         self.head_w, self.head_b = views[-2:]
@@ -229,13 +233,13 @@ class MaskedForward:
         return self.probs.max(axis=-1)
 
 
-def forward_masks(
+def prepare_masks(
     params: ClassifierParams, features: Sequence[Array | None], presence
-) -> MaskedForward:
-    """Encode each modality once for all rows, then mean-fuse and classify per mask.
+) -> tuple[list[Array | None], Array]:
+    """The checks of forward_masks: the float64 feature blocks and the mask weights.
 
-    `features[m]` is the (B, d_m) block of modality m; it may be None when no
-    mask contains m, since absent modalities are skipped, never zero-filled.
+    A block is None for a modality that no mask uses; the weights are the
+    presence divided by each mask's size, (K, M) or (B, K, M) like it.
     """
     num_modalities = params.num_modalities
     if len(features) != num_modalities:
@@ -254,27 +258,46 @@ def forward_masks(
         raise MaskError("every mask must contain at least one modality")
     used = presence.reshape(-1, num_modalities).any(axis=0)
 
-    hidden: list[Array | None] = [None] * num_modalities
     blocks: list[Array | None] = [None] * num_modalities
-    latents = None
+    rows = None
     for m in used.nonzero()[0]:
-        enc = params.encoders[m]
         if features[m] is None:
             raise DimensionError(f"modality {m} is in a mask but has no features")
         x = blocks[m] = np.asarray(features[m], dtype=np.float64)
-        x_dim = enc.w1.shape[0]
+        x_dim = params.encoders[m].w1.shape[0]
         if x.ndim != 2 or x.shape[1] != x_dim or x.shape[0] == 0:
             raise DimensionError(f"modality {m}: features {x.shape} are not (B>=1, {x_dim})")
+        rows = x.shape[0] if rows is None else rows
+        if x.shape[0] != rows:
+            raise DimensionError(f"modality {m} has {x.shape[0]} rows, not {rows}")
+    if presence.ndim == 3 and presence.shape[0] != rows:
+        raise DimensionError(f"presence has {presence.shape[0]} rows, features {rows}")
+    return blocks, presence / sizes
+
+
+def forward_masks(
+    params: ClassifierParams, features: Sequence[Array | None], presence
+) -> MaskedForward:
+    """Encode each modality once for all rows, then mean-fuse and classify per mask.
+
+    `features[m]` is the (B, d_m) block of modality m; it may be None when no
+    mask contains m, since absent modalities are skipped, never zero-filled.
+    """
+    return forward_core(params, *prepare_masks(params, features, presence))
+
+
+def forward_core(params: ClassifierParams, blocks: list[Array | None], weights) -> MaskedForward:
+    """forward_masks without its checks, on prepare_masks's output; softmax still checks."""
+    hidden: list[Array | None] = [None] * len(blocks)
+    latents = None
+    for m, x in enumerate(blocks):
+        if x is None:
+            continue
+        enc = params.encoders[m]
         if latents is None:
-            latents = np.zeros((x.shape[0], num_modalities, enc.w2.shape[1]))
-        elif x.shape[0] != latents.shape[0]:
-            raise DimensionError(f"modality {m} has {x.shape[0]} rows, not {latents.shape[0]}")
+            latents = np.zeros((x.shape[0], len(blocks), enc.w2.shape[1]))
         hidden[m] = np.maximum(x @ enc.w1 + enc.b1, 0.0)
         np.add(hidden[m] @ enc.w2, enc.b2, out=latents[:, m])
-    if presence.ndim == 3 and presence.shape[0] != latents.shape[0]:
-        raise DimensionError(f"presence has {presence.shape[0]} rows, features {latents.shape[0]}")
-
-    weights = presence / sizes
     fused = weights @ latents
     batch, num_masks, latent_dim = fused.shape
     logits = fused.reshape(-1, latent_dim) @ params.head_w + params.head_b
@@ -295,11 +318,18 @@ def backward_masks(
     g = np.asarray(logit_grads, dtype=np.float64)
     if g.shape != fwd.probs.shape:
         raise StateError(f"logit gradients {g.shape} do not match the forward {fwd.probs.shape}")
-    batch, num_masks, num_classes = g.shape
+    return backward_core(params, fwd, g, out)
+
+
+def backward_core(
+    params: ClassifierParams, fwd: MaskedForward, logit_grads: Array, out: ClassifierParams | None
+) -> ClassifierParams:
+    """backward_masks without its checks: `logit_grads` is float64 with fwd.probs's size."""
+    batch, num_masks, num_classes = fwd.probs.shape
     if out is None:
         out = ClassifierParams.from_flat(params.spec_signature(), np.empty_like(params.flat))
     out.flat.fill(0.0)  # encoders that no mask used keep these zeros
-    g = g.reshape(-1, num_classes)
+    g = logit_grads.reshape(-1, num_classes)
     np.matmul(fwd.fused.reshape(-1, fwd.fused.shape[-1]).T, g, out=out.head_w)
     g.sum(axis=0, out=out.head_b)
     d_fused = (g @ params.head_w.T).reshape(batch, num_masks, -1)

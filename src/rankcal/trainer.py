@@ -15,9 +15,10 @@ import numpy as np
 from .calibration import (
     REGULARIZER_VARIANTS,
     VrrEvaluation,
-    chain_objective,
     chain_presence,
+    check_labels,
     evaluate_vrr,
+    objective_core,
     removal_orders,
 )
 from .data import CorruptionSpec, Dataset, corrupt_gaussian
@@ -37,6 +38,7 @@ from .metrics import (
     confidence_by_subset_size,
 )
 from .model import ClassifierParams, ModelSpec, SubsetMask, derived_spec, forward_masks, init_params
+from .model import prepare_masks
 from .numerics import adam_update, init_adam_state, nll_loss
 
 # Stream tags keeping shuffling and removal-order draws independent.
@@ -129,7 +131,8 @@ def train(config: TrainConfig, train_set: Dataset) -> RunResult:
     Each epoch draws one removal order per sample from an rng keyed by
     (seed, epoch) and indexes it by sample id, so a sample's chain does not
     depend on the batch it lands in; one optimizer step is taken per
-    mini-batch on the mean of the per-sample gradients.
+    mini-batch on the mean of the per-sample gradients. The inputs are checked
+    once, before the first batch; each batch then runs only objective_core.
     """
     config.validate()
     if train_set.num_samples == 0:
@@ -137,39 +140,38 @@ def train(config: TrainConfig, train_set: Dataset) -> RunResult:
     _check_dataset(config, train_set)
 
     params = init_params(config.model, config.seed)
+    # The checks of chain_objective, once per run; every batch then runs only its core.
+    num_modalities = train_set.num_modalities
+    full = np.ones((1, num_modalities), dtype=bool)
+    blocks, _ = prepare_masks(params, train_set.modalities, full)
+    labels = check_labels(train_set.labels, config.model.num_classes)
     grads = ClassifierParams.from_flat(params.spec_signature(), np.zeros_like(params.flat))
     state = init_adam_state(params.flat.size, learning_rate=config.learning_rate)
+    options = (config.variant, config.lam, config.skip_on_wrong_full, config.detach_superset)
 
     n = train_set.num_samples
     history: list[EpochStats] = []
     for epoch in range(config.epochs):
         # The epoch's sample order is gathered once, so every batch is a contiguous slice.
         order = np.random.default_rng([config.seed, _SHUFFLE_STREAM, epoch]).permutation(n)
-        chains = chain_presence(
-            removal_orders(
-                np.random.default_rng([config.seed, _CHAIN_STREAM, epoch]),
-                n,
-                train_set.num_modalities,
-            )
-        )[order]
-        features = [block[order] for block in train_set.modalities]
-        labels = train_set.labels[order]
+        chain_rng = np.random.default_rng([config.seed, _CHAIN_STREAM, epoch])
+        chains = chain_presence(removal_orders(chain_rng, n, num_modalities))[order]
+        weights = chains / chains.sum(axis=-1, keepdims=True)
+        features = [block[order] for block in blocks]
+        label_col = np.repeat(labels[order, None], num_modalities, axis=1)
         cls_sum = 0.0
         reg_sum = 0.0
         correct = 0
         for batch_idx, start in enumerate(range(0, n, config.batch_size)):
             batch = slice(start, start + config.batch_size)
             try:
-                result = chain_objective(
+                result = objective_core(
                     params,
                     [block[batch] for block in features],
-                    labels[batch],
-                    chains[batch],
-                    variant=config.variant,
-                    lam=config.lam,
-                    skip_on_wrong_full=config.skip_on_wrong_full,
-                    detach_superset=config.detach_superset,
-                    out=grads,
+                    weights[batch],
+                    label_col[batch],
+                    *options,
+                    grads,
                 )
             except NumericError:
                 raise DivergenceError(epoch=epoch, batch=batch_idx, loss=float("nan")) from None

@@ -4,8 +4,12 @@ Plain loops over one sample, one mask, one pair or one cell at a time, written
 independently of rankcal's batched forward_masks/backward_masks/chain_objective,
 its columnar VRR records and AURC, and its block CSV reader/writer, so tests
 can compare the two.
+reference_chain_objective is chain_objective as the composition of batched
+forward, NLL and backward that it was before its checks moved to the boundary,
+written out in plain numpy with the same float operations in the same order.
 reference_train is the training loop as it was before the per-epoch gather and
-the reused gradient buffer, around the same chain_objective.
+the reused gradient buffer, around chain_objective; since train and
+chain_objective share one core, only reference_chain_objective pins the arithmetic.
 """
 
 from __future__ import annotations
@@ -117,6 +121,88 @@ def reference_objective(
             genc.b1 += d_pre
     grads = ClassifierParams(encoders=encoders, head_w=head_w, head_b=head_b)
     return cls + lam * reg, cls, reg, grads.flat
+
+
+def reference_chain_objective(
+    params,
+    features,
+    labels,
+    presence,
+    variant: str = "hinge",
+    lam: float = 0.0,
+    skip_on_wrong_full: bool = True,
+    detach_superset: bool = False,
+):
+    """(loss, cls, reg, flat gradient, confidence, full_correct) of a batch of removal chains.
+
+    Every chain starts at the full set, so every encoder runs.
+    """
+    presence = np.asarray(presence, dtype=bool)
+    labels = np.asarray(labels)
+    batch, num_masks, num_modalities = presence.shape
+    weights = presence / presence.sum(axis=-1, keepdims=True)
+    latents = np.zeros((batch, num_modalities, params.head_w.shape[0]))
+    blocks, hidden = [], []
+    for m, enc in enumerate(params.encoders):
+        blocks.append(np.asarray(features[m], dtype=np.float64))
+        hidden.append(np.maximum(blocks[m] @ enc.w1 + enc.b1, 0.0))
+        latents[:, m] = hidden[m] @ enc.w2 + enc.b2
+    fused = weights @ latents
+    logits = fused.reshape(-1, fused.shape[-1]) @ params.head_w + params.head_b
+    exp = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    probs = (exp / exp.sum(axis=-1, keepdims=True)).reshape(batch, num_masks, -1)
+
+    rows = probs.reshape(-1, probs.shape[-1])
+    labels_per_mask = np.broadcast_to(labels[:, None], (batch, num_masks)).ravel()
+    true_class = (np.arange(rows.shape[0]), labels_per_mask)
+    nll = -np.log(rows[true_class]).reshape(batch, num_masks)
+    onehot_grad = rows.copy()
+    onehot_grad[true_class] -= 1.0
+    logit_grads = onehot_grad.reshape(probs.shape) / num_masks
+
+    confidence = probs.max(axis=-1)
+    predicted = probs.argmax(axis=-1)
+    full_correct = predicted[:, 0] == labels
+    if variant == "none":
+        gate = np.zeros(batch)
+    else:
+        gate = full_correct.astype(np.float64) if skip_on_wrong_full else np.ones(batch)
+    conf_t, conf_s = confidence[:, 1:], confidence[:, :-1]
+    if variant == "hinge":
+        active = conf_t > conf_s
+        pair_loss, d_conf_t = np.where(active, conf_t - conf_s, 0.0), active.astype(np.float64)
+    elif variant == "difference":
+        pair_loss, d_conf_t = conf_t - conf_s, np.ones_like(conf_t)
+    else:
+        pair_loss, d_conf_t = np.zeros_like(conf_t), np.zeros_like(conf_t)
+    reg = pair_loss.sum(axis=1) * gate
+    if lam > 0.0 and variant != "none":
+        d_conf_t = lam * gate[:, None] * d_conf_t
+        d_conf = np.zeros_like(confidence)
+        d_conf[:, 1:] += d_conf_t
+        if not detach_superset:
+            d_conf[:, :-1] -= d_conf_t
+        d_logits = -rows
+        d_logits[np.arange(len(d_logits)), predicted.ravel()] = 1.0 - confidence.ravel()
+        logit_grads += (d_conf * confidence)[..., None] * d_logits.reshape(probs.shape)
+    cls = nll.sum(axis=1) / num_masks
+
+    g = logit_grads.reshape(-1, probs.shape[-1])
+    d_fused = (g @ params.head_w.T).reshape(batch, num_masks, -1)
+    d_latents = weights.swapaxes(-1, -2) @ d_fused
+    encoders = []
+    for m, enc in enumerate(params.encoders):
+        d_latent = d_latents[:, m]
+        d_pre = np.where(hidden[m] > 0.0, d_latent @ enc.w2.T, 0.0)
+        encoders.append(
+            EncoderParams(
+                blocks[m].T @ d_pre, d_pre.sum(axis=0), hidden[m].T @ d_latent, d_latent.sum(axis=0)
+            )
+        )
+    head_w = fused.reshape(-1, fused.shape[-1]).T @ g
+    grads = ClassifierParams(encoders=encoders, head_w=head_w, head_b=g.sum(axis=0))
+    loss = float(np.sum(cls + lam * reg))
+    return loss, float(cls.sum()), float(reg.sum()), grads.flat, confidence, full_correct
 
 
 def _code(mask) -> int:

@@ -7,6 +7,7 @@ import pytest
 
 from rankcal.calibration import (
     _VRR_STREAM,
+    REGULARIZER_VARIANTS,
     RankingRecords,
     chain_objective,
     chain_presence,
@@ -21,6 +22,7 @@ from rankcal.data import Dataset
 from rankcal.errors import (
     CapabilityError,
     ConfigError,
+    DimensionError,
     DomainError,
     EmptyInputError,
     SpecError,
@@ -39,6 +41,7 @@ from rankcal.metrics import confidence_by_subset_size
 from rankcal.numerics import grad_check, nll_loss, nll_loss_grad
 
 from reference import (
+    reference_chain_objective,
     reference_confidence_by_subset_size,
     reference_confidence_lookup,
     reference_objective,
@@ -349,6 +352,58 @@ class TestCompositeGradient:
 
         result = grad_check(objective, flat0, tolerance=1e-4)
         assert result.passed, result.max_rel_error
+
+
+class TestObjectiveMatchesComposition:
+    """chain_objective runs the check-free core; its bytes must match the plain composition."""
+
+    @pytest.mark.parametrize("num_modalities", [2, 3, 5])
+    @pytest.mark.parametrize("batch", [1, 11, 32])
+    @pytest.mark.parametrize("lam", [0.0, 2.5])
+    @pytest.mark.parametrize("detach_superset", [False, True])
+    @pytest.mark.parametrize("skip_on_wrong_full", [True, False])
+    @pytest.mark.parametrize("variant", REGULARIZER_VARIANTS)
+    def test_bytes_equal(
+        self, variant, skip_on_wrong_full, detach_superset, lam, batch, num_modalities
+    ):
+        dims = tuple(range(2, 2 + num_modalities))
+        spec = ModelSpec(modality_dims=dims, hidden_dim=7, latent_dim=5, num_classes=4)
+        params = init_params(spec, seed=num_modalities)
+        rng = np.random.default_rng([batch, num_modalities])
+        feats = [2 * rng.standard_normal((batch, d)) for d in dims]
+        labels = rng.integers(0, 4, size=batch)
+        chains = chain_presence(removal_orders(rng, batch, num_modalities))
+        options = (variant, lam, skip_on_wrong_full, detach_superset)
+        # a stale buffer: every gradient array must be overwritten
+        out = ClassifierParams.from_flat(params.spec_signature(), np.full_like(params.flat, np.nan))
+        res = chain_objective(params, feats, labels, chains, *options, out=out)
+        loss, cls, reg, grads, confidence, full_correct = reference_chain_objective(
+            params, feats, labels, chains, *options
+        )
+        assert (res.loss, res.cls_loss, res.reg_loss) == (loss, cls, reg)
+        assert res.grads.flat.tobytes() == grads.tobytes()
+        assert res.confidence.tobytes() == confidence.tobytes()
+        assert np.array_equal(res.full_correct, full_correct)
+
+
+class TestObjectiveBoundary:
+    def setup_method(self):
+        self.params = init_params(SPEC3, seed=0)
+        rng = np.random.default_rng(2)
+        self.feats = [rng.standard_normal((11, d)) for d in SPEC3.modality_dims]
+        self.chains = chain_presence(removal_orders(rng, 11, 3))
+
+    def test_labels_of_the_wrong_length_name_both_shapes(self):
+        with pytest.raises(DimensionError) as excinfo:
+            chain_objective(self.params, self.feats, np.zeros(12, int), self.chains)
+        assert str(excinfo.value) == "labels (12,) do not match the chains (11, 3, 3)"
+
+    def test_label_out_of_range_names_the_first_bad_row(self):
+        labels = np.zeros(11, int)
+        labels[[4, 7]] = [3, -1]
+        with pytest.raises(DomainError) as excinfo:
+            chain_objective(self.params, self.feats, labels, self.chains)
+        assert str(excinfo.value) == "label 3 at row 4 is outside [0, 3)"
 
 
 class TestComputeVrr:

@@ -412,6 +412,23 @@ class TestCommandSections:
                 "sweep.baseline_run: missing key (sweep.cml_run given)",
             ),
             (
+                "sweep",
+                {
+                    "sweep": {
+                        "kind": "lambda",
+                        "lambda_grid": [1.0],
+                        "baseline_run": "nonexistent_run",
+                        "epsilons": [0.3],
+                    }
+                },
+                'sweep.baseline_run: unknown key for kind "lambda"',
+            ),
+            (
+                "sweep",
+                {"sweep": {"kind": "noise", "lambda_grid": [1.0]}},
+                'sweep.lambda_grid: unknown key for kind "noise"',
+            ),
+            (
                 "train",
                 {"data": {"test_manifest": "bad_manifest.json"}},
                 "bad_manifest.json:1: manifest.modalities[0].dim: missing key",
@@ -425,3 +442,12 @@ class TestCommandSections:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and message in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("jobs", ["-4", "0"])
+    def test_non_positive_jobs_fail_naming_the_flag(self, tmp_path, capsys, jobs):
+        cfg = write_config(tmp_path / "config.json", sweep={"kind": "lambda", "lambda_grid": [1.0]})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: --jobs must be >= 1, got {jobs}"]
+        assert not out.exists()

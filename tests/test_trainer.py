@@ -6,9 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from rankcal import calibration, trainer
+from rankcal import calibration, model, trainer
 from rankcal.data import Dataset, SyntheticSpec, generate_synthetic, split
-from rankcal.errors import ConfigError, DivergenceError, EmptyInputError, SpecError, SweepError
+from rankcal.errors import (
+    ConfigError,
+    DivergenceError,
+    DomainError,
+    EmptyInputError,
+    SpecError,
+    SweepError,
+)
 from rankcal.metrics import accuracy, aurc, e_aurc, mean_nll
 from rankcal.model import ModelSpec, SubsetMask, init_params
 from rankcal.numerics import nll_loss
@@ -196,6 +203,51 @@ class TestTrainMatchesReferenceLoop:
         new, old = ((e.epoch, e.batch, repr(e.loss)) for e in errors)
         assert new == old
         assert new[:2] != (0, 0)  # at least one Adam step ran on the reused buffer first
+
+
+class TestTrainBoundary:
+    """train checks its inputs once per run; each batch runs only the check-free core."""
+
+    def test_out_of_range_label_fails_before_the_first_batch(self, monkeypatch):
+        train_set, _ = make_sets()
+        labels = train_set.labels.copy()
+        labels[[6, 9]] = [2, 5]
+        bad = dataclasses.replace(train_set, labels=labels)
+        batches = []
+        monkeypatch.setattr(trainer, "objective_core", lambda *args: batches.append(args))
+        with pytest.raises(DomainError) as excinfo:
+            train(config(), bad)
+        assert str(excinfo.value) == "label 2 at row 6 is outside [0, 2)"
+        assert batches == []
+
+    def test_integer_features_train_like_their_float_copies(self):
+        train_set, _ = make_sets()
+        ints = [np.rint(4 * block).astype(np.int64) for block in train_set.modalities]
+        as_int = dataclasses.replace(train_set, modalities=ints)
+        as_float = dataclasses.replace(train_set, modalities=[b.astype(np.float64) for b in ints])
+        cfg = config(epochs=2, lam=5.0)
+        a, b = train(cfg, as_int), train(cfg, as_float)
+        assert a.params.flat.tobytes() == b.params.flat.tobytes()
+        assert a.history == b.history
+
+    def test_checks_run_once_per_call(self, monkeypatch):
+        calls = {"prepare_masks": 0, "check_labels": 0}
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        # every binding that a batch could reach
+        for name, module in [("prepare_masks", m) for m in (model, calibration, trainer)] + [
+            ("check_labels", m) for m in (calibration, trainer)
+        ]:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        train_set, _ = make_sets()  # 80 samples: 5 batches of 16 per epoch
+        train(config(epochs=3), train_set)
+        assert calls == {"prepare_masks": 1, "check_labels": 1}
 
 
 class TestEvaluate:
