@@ -61,8 +61,7 @@ def chain_presence(orders) -> Array:
     num_modalities = orders.shape[1]
     if np.any(np.sort(orders, axis=1) != np.arange(num_modalities)):
         raise SpecError("each removal order must be a permutation of the modalities")
-    position = np.empty_like(orders)
-    np.put_along_axis(position, orders, np.arange(num_modalities)[None, :], axis=1)
+    position = orders.argsort(axis=1)  # the inverse permutation: each modality's removal step
     return position[:, None, :] >= np.arange(num_modalities)[None, :, None]
 
 
@@ -309,7 +308,7 @@ def evaluate_vrr(
         s_col = t_col - 1
 
     # A running maximum over the class slices: np.max over a short last axis is slow per row.
-    conf = functools.reduce(np.maximum, np.moveaxis(probs, -1, 0))
+    conf = functools.reduce(np.maximum, probs.T).T
     t_code, s_code = code[:, t_col], code[:, s_col]
     conf_t, conf_s = conf[:, t_col], conf[:, s_col]
     ci = confidence_increment(conf_t, conf_s)

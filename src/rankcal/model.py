@@ -11,6 +11,10 @@ tensor, and backward_masks returns the matching parameter gradients. Each is a
 boundary around a core: prepare_masks and the shape check of backward_masks
 check and convert the inputs, and forward_core/backward_core do only the
 arithmetic, so a caller that has checked its inputs once can call them per batch.
+Every encoder has the same hidden and latent sizes, so each encoder layer's
+parameters are stacked over the modalities and the cores run a layer for all of
+them in one numpy call; only the first-layer matmul, whose input dims differ,
+runs once per modality.
 """
 
 from __future__ import annotations
@@ -119,20 +123,25 @@ class EncoderParams:
 class ClassifierParams:
     """Every parameter array as a view into one flat float64 buffer.
 
-    `flat` holds the arrays in declaration order (per modality w1, b1, w2, b2;
-    then the head weights and bias), which is also the checkpoint order. An
-    in-place write to `flat` shows through every named array and vice versa;
-    rebinding a named attribute would break that link.
+    `flat` holds each modality's first-layer weights `w1[m]` (d_m, H) in
+    order, then the stacked `b1` (M, H), `w2` (M, H, L) and `b2` (M, L), then
+    the head weights and bias, so one numpy call runs a layer for every
+    modality. `encoders[m]` holds views of modality m's slices. `arrays()`
+    and `spec_signature()` keep declaration order (per modality w1, b1, w2,
+    b2; then the head), which is also the checkpoint order. An in-place write
+    to `flat` shows through every named array and vice versa; rebinding a
+    named attribute would break that link.
     """
 
     def __init__(self, encoders: Sequence[EncoderParams], head_w, head_b):
         arrays = [a for e in encoders for a in (e.w1, e.b1, e.w2, e.b2)] + [head_w, head_b]
-        flat = np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])
-        self._bind(flat, [np.shape(a) for a in arrays])
+        self._bind(np.empty(sum(np.size(a) for a in arrays)), [np.shape(a) for a in arrays])
+        for view, a in zip(self.arrays(), arrays):
+            view[...] = a
 
     @classmethod
     def from_flat(cls, shapes: Sequence[tuple[int, ...]], flat: Array) -> "ClassifierParams":
-        """Views of `shapes` into `flat` itself (no copy)."""
+        """Views into `flat` itself (no copy), laid out as above; `shapes` in declaration order."""
         params = cls.__new__(cls)
         params._bind(flat, shapes)
         return params
@@ -140,14 +149,24 @@ class ClassifierParams:
     def _bind(self, flat: Array, shapes: Sequence[tuple[int, ...]]) -> None:
         if flat.dtype != np.float64 or flat.ndim != 1:
             raise DimensionError(f"flat parameters must be 1-D float64: {flat.dtype}{flat.shape}")
-        sizes = [math.prod(shape) for shape in shapes]
-        if sum(sizes) != flat.size or len(shapes) < 6 or len(shapes) % 4 != 2:
+        shapes = [tuple(shape) for shape in shapes]
+        if sum(map(math.prod, shapes)) != flat.size or len(shapes) < 6 or len(shapes) % 4 != 2:
             raise DimensionError(f"flat vector of size {flat.size} does not match shapes {shapes}")
-        starts = itertools.accumulate(sizes, initial=0)
-        views = [flat[i : i + size].reshape(shape) for i, size, shape in zip(starts, sizes, shapes)]
-        self.flat = flat
-        self.encoders = [EncoderParams(*views[i : i + 4]) for i in range(0, len(views) - 2, 4)]
-        self.head_w, self.head_b = views[-2:]
+        w1_shapes, num = shapes[0:-2:4], len(shapes) // 4
+        try:
+            hidden, latent = shapes[2]
+            shared = shapes[:-2] == _encoder_shapes([s[0] for s in w1_shapes], hidden, latent)
+        except (ValueError, IndexError):
+            shared = False
+        if not shared:
+            raise DimensionError(
+                f"encoder shapes {shapes[:-2]} do not share hidden and latent sizes"
+            )
+        stacked = [(num, hidden), (num, hidden, latent), (num, latent)]
+        views = _views(flat, w1_shapes + stacked + shapes[-2:])
+        self.flat, self.w1 = flat, views[:num]
+        self.b1, self.w2, self.b2, self.head_w, self.head_b = views[num:]
+        self.encoders = [EncoderParams(*e) for e in zip(self.w1, self.b1, self.w2, self.b2)]
 
     @property
     def num_modalities(self) -> int:
@@ -167,6 +186,16 @@ class ClassifierParams:
         return tuple(a.shape for a in self.arrays())
 
 
+def _views(flat: Array, shapes: Sequence[tuple[int, ...]]) -> list[Array]:
+    """Consecutive views of `shapes` into `flat`."""
+    starts = itertools.accumulate(map(math.prod, shapes), initial=0)
+    return [flat[i : i + math.prod(shape)].reshape(shape) for i, shape in zip(starts, shapes)]
+
+
+def _encoder_shapes(dims: Sequence[int], hidden: int, latent: int) -> list[tuple[int, ...]]:
+    return [s for d in dims for s in ((d, hidden), (hidden,), (hidden, latent), (latent,))]
+
+
 def derived_spec(params: ClassifierParams) -> ModelSpec:
     """Reconstruct the ModelSpec implied by parameter shapes."""
     return ModelSpec(
@@ -179,11 +208,8 @@ def derived_spec(params: ClassifierParams) -> ModelSpec:
 
 def param_shapes(spec: ModelSpec) -> list[tuple[int, ...]]:
     """Parameter array shapes in declaration order."""
-    shapes: list[tuple[int, ...]] = []
-    for d in spec.modality_dims:
-        shapes += [(d, spec.hidden_dim), (spec.hidden_dim,), (spec.hidden_dim, spec.latent_dim)]
-        shapes.append((spec.latent_dim,))
-    return shapes + [(spec.latent_dim, spec.num_classes), (spec.num_classes,)]
+    encoders = _encoder_shapes(spec.modality_dims, spec.hidden_dim, spec.latent_dim)
+    return encoders + [(spec.latent_dim, spec.num_classes), (spec.num_classes,)]
 
 
 def init_params(spec: ModelSpec, seed: int) -> ClassifierParams:
@@ -212,12 +238,14 @@ class MaskedForward:
     """Activations of a batch of rows under K masks; what backward_masks needs.
 
     `weights` (the presence divided by each mask's size) is (K, M) when every
-    row shares its masks and (B, K, M) when each row has its own. Encoders
-    that no mask uses are not run; their `features` and `hidden` entries are None.
+    row shares its masks and (B, K, M) when each row has its own. `hidden` is
+    the stacked (M, B, H) encoder activations. A modality that no mask uses
+    has a None `features` entry and runs as if its features were zero; its
+    latent is zeroed before the fuse, so its parameters never reach `probs`.
     """
 
     features: list[Array | None]
-    hidden: list[Array | None]
+    hidden: Array
     weights: Array
     fused: Array
     probs: Array
@@ -288,17 +316,19 @@ def forward_masks(
 
 def forward_core(params: ClassifierParams, blocks: list[Array | None], weights) -> MaskedForward:
     """forward_masks without its checks, on prepare_masks's output; softmax still checks."""
-    hidden: list[Array | None] = [None] * len(blocks)
-    latents = None
+    rows = next(len(x) for x in blocks if x is not None)
+    hidden = np.zeros((len(blocks), rows, params.b1.shape[1]))
+    for m, x in enumerate(blocks):  # one matmul per modality: the input dims differ
+        if x is not None:
+            np.matmul(x, params.w1[m], out=hidden[m])
+    hidden += params.b1[:, None]
+    np.maximum(hidden, 0.0, out=hidden)
+    latents = hidden @ params.w2
+    latents += params.b2[:, None]
     for m, x in enumerate(blocks):
         if x is None:
-            continue
-        enc = params.encoders[m]
-        if latents is None:
-            latents = np.zeros((x.shape[0], len(blocks), enc.w2.shape[1]))
-        hidden[m] = np.maximum(x @ enc.w1 + enc.b1, 0.0)
-        np.add(hidden[m] @ enc.w2, enc.b2, out=latents[:, m])
-    fused = weights @ latents
+            latents[m] = 0.0  # no mask uses m: keep its parameters out of the fuse
+    fused = weights @ latents.transpose(1, 0, 2)
     batch, num_masks, latent_dim = fused.shape
     logits = fused.reshape(-1, latent_dim) @ params.head_w + params.head_b
     probs = softmax(logits).reshape(batch, num_masks, -1)
@@ -311,7 +341,7 @@ def backward_masks(
     """Exact parameter gradients of sum(logit_grads * logits) over every row and mask.
 
     Each modality collects its latent gradient over every mask containing it
-    before one encoder backward pass; encoders that no mask used get zeros.
+    before one encoder backward pass; encoders that no mask used get +0.0.
     The gradients overwrite every array of `out` when it is given (so one
     buffer serves every batch) and go to a new ClassifierParams otherwise.
     """
@@ -328,23 +358,21 @@ def backward_core(
     batch, num_masks, num_classes = fwd.probs.shape
     if out is None:
         out = ClassifierParams.from_flat(params.spec_signature(), np.empty_like(params.flat))
-    out.flat.fill(0.0)  # encoders that no mask used keep these zeros
     g = logit_grads.reshape(-1, num_classes)
     np.matmul(fwd.fused.reshape(-1, fwd.fused.shape[-1]).T, g, out=out.head_w)
     g.sum(axis=0, out=out.head_b)
     d_fused = (g @ params.head_w.T).reshape(batch, num_masks, -1)
-    d_latents = fwd.weights.swapaxes(-1, -2) @ d_fused
-    for m, (enc, genc) in enumerate(zip(params.encoders, out.encoders)):
-        hidden = fwd.hidden[m]
-        if hidden is None:
-            continue
-        d_latent = d_latents[:, m]
-        np.matmul(hidden.T, d_latent, out=genc.w2)
-        d_latent.sum(axis=0, out=genc.b2)
-        # The ReLU subgradient at exactly zero is zero; no input gradient is needed.
-        d_pre = np.where(hidden > 0.0, d_latent @ enc.w2.T, 0.0)
-        np.matmul(fwd.features[m].T, d_pre, out=genc.w1)
-        d_pre.sum(axis=0, out=genc.b1)
+    d_latents = (fwd.weights.swapaxes(-1, -2) @ d_fused).transpose(1, 0, 2)
+    np.matmul(fwd.hidden.transpose(0, 2, 1), d_latents, out=out.w2)
+    d_latents.sum(axis=1, out=out.b2)
+    # The ReLU subgradient at exactly zero is zero; no input gradient is needed.
+    d_pre = np.where(fwd.hidden > 0.0, d_latents @ params.w2.transpose(0, 2, 1), 0.0)
+    d_pre.sum(axis=1, out=out.b1)
+    for m, x in enumerate(fwd.features):  # one matmul per modality: the input dims differ
+        if x is None:
+            out.w1[m][...] = out.b1[m] = out.w2[m] = out.b2[m] = 0.0
+        else:
+            np.matmul(x.T, d_pre[m], out=out.w1[m])
     return out
 
 
@@ -362,7 +390,7 @@ def save_checkpoint(path, spec: ModelSpec, params: ClassifierParams) -> None:
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC.encode("ascii") + b"\n")
         fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
-        fh.write(params.flat.astype("<f8").tobytes())
+        fh.writelines(a.astype("<f8").tobytes() for a in params.arrays())
 
 
 def load_checkpoint(path) -> tuple[ModelSpec, ClassifierParams]:
@@ -382,7 +410,9 @@ def load_checkpoint(path) -> tuple[ModelSpec, ClassifierParams]:
         raise StateError(f"{path}: array shapes {shapes} do not match the spec")
     if len(payload) != 8 * sum(math.prod(s) for s in shapes):
         raise StateError(f"{path}: payload of {len(payload)} bytes does not match the header")
-    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    if not np.isfinite(flat).all():
+    values = np.frombuffer(payload, dtype="<f8")
+    if not np.isfinite(values).all():
         raise StateError(f"{path}: non-finite parameter values")
-    return spec, ClassifierParams.from_flat(shapes, flat)
+    arrays = _views(values, shapes)
+    encoders = [EncoderParams(*arrays[i : i + 4]) for i in range(0, len(arrays) - 2, 4)]
+    return spec, ClassifierParams(encoders, *arrays[-2:])

@@ -8,7 +8,7 @@ function is pure: identical calls give bit-identical results.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -43,7 +43,7 @@ def softmax(logits) -> Array:
     if not np.isfinite(z).all():
         raise NumericError(f"non-finite logits: {describe_bad(~np.isfinite(z))}")
     # A running maximum over the class slices: np.max over a short last axis is slow per row.
-    exp = np.exp(z - functools.reduce(np.maximum, np.moveaxis(z, -1, 0))[..., None])
+    exp = np.exp(z - functools.reduce(np.maximum, z.T).T[..., None])
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
@@ -84,6 +84,11 @@ class AdamState:
     beta1: float = ADAM_BETA1
     beta2: float = ADAM_BETA2
     epsilon: float = ADAM_EPSILON
+    # Two work vectors of the moments' size, so a step allocates no temporaries.
+    scratch: tuple[Array, Array] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = (np.empty_like(self.first_moment), np.empty_like(self.first_moment))
 
 
 def init_adam_state(
@@ -114,13 +119,16 @@ def adam_update(params: Array, grads, state: AdamState) -> None:
     state.step_count += 1
     t = state.step_count
     m, v = state.first_moment, state.second_moment
+    step, denom = state.scratch
+    # The textbook expression's operations in its order, written into the scratch vectors.
     m *= state.beta1
-    m += (1.0 - state.beta1) * g
+    m += np.multiply(1.0 - state.beta1, g, out=step)
     v *= state.beta2
-    v += (1.0 - state.beta2) * g * g
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    params -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    v += np.multiply(np.multiply(1.0 - state.beta2, g, out=step), g, out=step)
+    np.multiply(state.learning_rate, np.divide(m, 1.0 - state.beta1**t, out=step), out=step)
+    np.sqrt(np.divide(v, 1.0 - state.beta2**t, out=denom), out=denom)
+    denom += state.epsilon
+    params -= np.divide(step, denom, out=step)
 
 
 @dataclass(frozen=True)

@@ -277,6 +277,8 @@ def lambda_sweep(
     """
     if not grid:
         raise ConfigError("empty lambda grid")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -363,11 +363,13 @@ class TestObjectiveMatchesComposition:
     @pytest.mark.parametrize("detach_superset", [False, True])
     @pytest.mark.parametrize("skip_on_wrong_full", [True, False])
     @pytest.mark.parametrize("variant", REGULARIZER_VARIANTS)
+    @pytest.mark.parametrize("hidden, latent", [(7, 5), (24, 12), (128, 64)])
     def test_bytes_equal(
-        self, variant, skip_on_wrong_full, detach_superset, lam, batch, num_modalities
+        self, hidden, latent, variant, skip_on_wrong_full, detach_superset, lam, batch,
+        num_modalities,
     ):
         dims = tuple(range(2, 2 + num_modalities))
-        spec = ModelSpec(modality_dims=dims, hidden_dim=7, latent_dim=5, num_classes=4)
+        spec = ModelSpec(modality_dims=dims, hidden_dim=hidden, latent_dim=latent, num_classes=4)
         params = init_params(spec, seed=num_modalities)
         rng = np.random.default_rng([batch, num_modalities])
         feats = [2 * rng.standard_normal((batch, d)) for d in dims]

@@ -115,25 +115,64 @@ class TestInitParams:
         assert derived_spec(init_params(SPEC, seed=0)) == SPEC
 
 
-class TestClassifierParams:
-    def test_named_arrays_are_views_of_flat(self):
-        params = init_params(SPEC, seed=2)
-        params.flat[:] = np.arange(params.flat.size)
-        assert params.encoders[0].w1[0, 1] == 1.0
-        assert params.head_b[-1] == params.flat.size - 1
-        params.encoders[1].b2[...] = -5.0
-        start = sum(int(np.prod(s)) for s in param_shapes(SPEC)[:7])
-        assert np.all(params.flat[start : start + SPEC.latent_dim] == -5.0)
+def stacked_offsets(spec: ModelSpec) -> dict[str, int]:
+    """Start of each stacked block in `flat`: every w1, then b1, w2, b2, head_w, head_b."""
+    num, hidden, latent = spec.num_modalities, spec.hidden_dim, spec.latent_dim
+    sizes = {"w1": hidden * sum(spec.modality_dims), "b1": num * hidden}
+    sizes |= {"w2": num * hidden * latent, "b2": num * latent}
+    sizes |= {"head_w": latent * spec.num_classes, "head_b": spec.num_classes}
+    starts = np.cumsum([0, *sizes.values()])
+    return dict(zip(sizes, starts.tolist()))
 
-    def test_constructor_packs_arrays_in_declaration_order(self):
-        params = identity_passthrough_params()
-        expected = np.concatenate([np.ravel(a) for a in params.arrays()])
-        assert np.array_equal(params.flat, expected)
+
+class TestClassifierParams:
+    def test_named_arrays_are_views_of_flat_at_the_stacked_offsets(self):
+        params = init_params(SPEC, seed=2)
+        start = stacked_offsets(SPEC)
+        hidden, latent = SPEC.hidden_dim, SPEC.latent_dim
+        params.flat[:] = np.arange(params.flat.size)
+        w1_start = start["w1"]
+        for m, d in enumerate(SPEC.modality_dims):
+            assert np.array_equal(params.w1[m].ravel(), np.arange(w1_start, w1_start + d * hidden))
+            assert params.encoders[m].w1 is params.w1[m]
+            w1_start += d * hidden
+        for name, shape in [("b1", (3, hidden)), ("w2", (3, hidden, latent)), ("b2", (3, latent))]:
+            stacked = getattr(params, name)
+            assert stacked.shape == shape and stacked.base is params.flat
+            offsets = np.arange(start[name], start[name] + stacked.size)
+            assert np.array_equal(stacked.ravel(), offsets)
+            for m, enc in enumerate(params.encoders):
+                assert np.shares_memory(getattr(enc, name), stacked[m])
+        assert params.head_w[0, 0] == start["head_w"] and params.head_b[-1] == params.flat.size - 1
+        params.encoders[1].b2[...] = -5.0
+        b2_start = start["b2"] + latent
+        assert np.all(params.flat[b2_start : b2_start + latent] == -5.0)
+        assert np.count_nonzero(params.flat == -5.0) == latent
+
+    def test_constructor_packs_arrays_into_the_stacked_layout(self):
+        rng = np.random.default_rng(3)
+        declared = [rng.standard_normal(shape) for shape in param_shapes(SPEC)]
+        encoders = [EncoderParams(*declared[i : i + 4]) for i in range(0, 12, 4)]
+        params = ClassifierParams(encoders, *declared[-2:])
+        for got, want in zip(params.arrays(), declared, strict=True):
+            assert got.tobytes() == want.tobytes()
+        stacked = [*declared[0:12:4], *(np.stack(declared[k:12:4]) for k in (1, 2, 3))]
+        expected = np.concatenate([a.ravel() for a in stacked + declared[-2:]])
+        assert params.flat.tobytes() == expected.tobytes()
         assert params.spec_signature() == tuple(param_shapes(derived_spec(params)))
 
     def test_flat_size_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             ClassifierParams.from_flat(param_shapes(SPEC), np.zeros(3))
+
+    @pytest.mark.parametrize("index, shape", [(4, (4, 5)), (5, (5,)), (6, (6, 3)), (7, (3,))])
+    def test_encoders_of_different_sizes_rejected(self, index, shape):
+        # modality 1 with hidden 5 or latent 3 while modality 0 has hidden 6 and latent 4
+        shapes = param_shapes(SPEC)
+        shapes[index] = shape
+        flat = np.zeros(sum(int(np.prod(s)) for s in shapes))
+        with pytest.raises(DimensionError, match="do not share hidden and latent sizes"):
+            ClassifierParams.from_flat(shapes, flat)
 
 
 class TestForward:
@@ -174,7 +213,21 @@ class TestForward:
         feats[1] = None
         fwd = run(params, feats, SubsetMask.of([0, 2]), SubsetMask.of([2]))
         assert np.isfinite(fwd.probs).all()
-        assert fwd.hidden[1] is None
+        assert fwd.features[1] is None
+        assert fwd.hidden.shape == (3, 5, SPEC.hidden_dim)
+
+    def test_absent_modality_parameters_never_reach_probs(self):
+        params = init_params(SPEC, seed=1)
+        feats = random_features(SPEC, 2, rows=5)
+        feats[1] = None
+        masks = (SubsetMask.of([0, 2]), SubsetMask.of([2]))
+        before = run(params, feats, *masks).probs
+        absent = params.encoders[1]
+        rng = np.random.default_rng(3)
+        for a in (absent.w1, absent.b1, absent.w2):
+            a += 1e3 * rng.standard_normal(a.shape)
+        absent.b2[...] = np.inf  # a zero fusion weight alone would turn this into NaN
+        assert run(params, feats, *masks).probs.tobytes() == before.tobytes()
 
     def test_masked_out_of_range(self):
         params = init_params(SPEC, seed=1)
@@ -252,8 +305,8 @@ class TestBackward:
         fwd = run(params, random_features(SPEC, 5, rows=3), SubsetMask.of([0, 2]))
         grads = backward_masks(params, fwd, nll_loss_grad(fwd.probs, 1))
         absent = grads.encoders[1]
-        assert not absent.w1.any() and not absent.b1.any()
-        assert not absent.w2.any() and not absent.b2.any()
+        for a in (absent.w1, absent.b1, absent.w2, absent.b2):
+            assert not a.any() and not np.signbit(a).any()  # +0.0, not -0.0
         assert grads.encoders[0].w1.any()
 
     def test_singleton_mask_full_upstream(self):
@@ -341,6 +394,25 @@ class TestCheckpoint:
         path.write_bytes(lines[0] + b"\n" + json.dumps(header).encode() + b"\n" + lines[2])
         with pytest.raises(StateError):
             load_checkpoint(path)
+
+    def test_payload_is_the_declaration_order_arrays(self, tmp_path):
+        params = init_params(SPEC, seed=11)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, SPEC, params)
+        payload = path.read_bytes().split(b"\n", 2)[2]
+        assert payload == np.concatenate([a.ravel() for a in params.arrays()]).tobytes()
+        assert payload != params.flat.tobytes()  # flat is stacked, not in declaration order
+
+    def test_hand_built_declaration_order_bytes_load(self, tmp_path):
+        rng = np.random.default_rng(12)
+        declared = [rng.standard_normal(shape) for shape in param_shapes(SPEC)]
+        header = {"spec": SPEC.to_json_dict(), "arrays": [list(a.shape) for a in declared]}
+        path = tmp_path / "model.ckpt"
+        payload = b"".join(a.astype("<f8").tobytes() for a in declared)
+        path.write_bytes(b"rankcal-checkpoint v1\n" + json.dumps(header).encode() + b"\n" + payload)
+        _, loaded = load_checkpoint(path)
+        for got, want in zip(loaded.arrays(), declared, strict=True):
+            assert got.tobytes() == want.tobytes()
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"

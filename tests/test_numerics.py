@@ -130,6 +130,23 @@ class TestAdam:
 
         assert run().tobytes() == run().tobytes()
 
+    def test_matches_textbook_expression_bit_for_bit(self):
+        # The scratch-buffer step must equal the allocating textbook expression exactly.
+        rng = np.random.default_rng(9)
+        params = rng.standard_normal(50)
+        state = init_adam_state(50, learning_rate=0.01)
+        p, m, v = params.copy(), np.zeros(50), np.zeros(50)
+        b1, b2, eps, lr = state.beta1, state.beta2, state.epsilon, state.learning_rate
+        for t in range(1, 201):
+            g = rng.standard_normal(50) * 10.0 ** rng.integers(-6, 3)
+            adam_update(params, g, state)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            p -= lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+            assert params.tobytes() == p.tobytes()
+            assert state.first_moment.tobytes() == m.tobytes()
+            assert state.second_moment.tobytes() == v.tobytes()
+
     def test_step_count_increments(self):
         state = init_adam_state(1, learning_rate=0.1)
         p = np.zeros(1)

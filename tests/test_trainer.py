@@ -376,6 +376,12 @@ class TestLambdaSweep:
         with pytest.raises(ConfigError):
             lambda_sweep(config(), [], train_set, test_set)
 
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_non_positive_jobs_rejected_naming_jobs(self, jobs):
+        train_set, test_set = make_sets(per_class=20)
+        with pytest.raises(ConfigError, match=f"jobs must be >= 1, got {jobs}"):
+            lambda_sweep(config(epochs=1), [1.0], train_set, test_set, jobs=jobs)
+
     def test_default_grid_matches_protocol(self):
         assert DEFAULT_LAMBDA_GRID == (1.0, 5.0, 10.0, 20.0, 30.0, 50.0, 100.0)
 
