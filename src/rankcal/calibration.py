@@ -246,12 +246,37 @@ def _lattice_pairs(num_modalities: int) -> tuple[Array, Array]:
     return t_col, s_col
 
 
+@functools.cache
+def _lattice_groups(num_modalities: int) -> tuple[tuple[int, Array], ...]:
+    """(size, read-only columns) per mask size, in the order the lattice pairs first name them."""
+    named = np.column_stack(_lattice_pairs(num_modalities)).ravel()  # t, s of each pair in turn
+    columns = named[np.sort(np.unique(named, return_index=True)[1])]
+    sizes = np.array([bin(c + 1).count("1") for c in columns.tolist()])
+    groups = tuple((size, columns[sizes == size]) for size in range(1, num_modalities + 1))
+    for _, group in groups:
+        group.flags.writeable = False
+    return groups
+
+
+def _distinct_masks(codes: Array, values: Array) -> Array:
+    """Per row, each distinct code once, at its first column with its last column's value.
+
+    `codes` and `values` are (N, R); the result is 1-D, row by row, as a dict keyed by
+    (row, code) would hold them.
+    """
+    same = codes[:, :, None] == codes[:, None, :]
+    first = ~(same & np.tri(codes.shape[1], k=-1, dtype=bool)).any(axis=2)
+    last = codes.shape[1] - 1 - same[:, :, ::-1].argmax(axis=2)
+    return np.take_along_axis(values, last, axis=1)[first]
+
+
 @dataclass
 class VrrEvaluation:
     vrr: float
     records: RankingRecords
     attribution: dict[int, int]
     full_probs: Array
+    mean_confidence_by_subset_size: dict[int, float]
 
 
 def evaluate_vrr(
@@ -271,6 +296,12 @@ def evaluate_vrr(
     the full set, how often each removed modality caused the confidence
     increase. `full_probs` comes from the same forward as the records: the
     lattice's full-set column, or the head of repeat 0's chains.
+
+    `mean_confidence_by_subset_size` averages, per mask size, the confidence
+    of each distinct (sample, mask) that the records name, sample by sample
+    and within a sample in the order the records first name the masks. A
+    mask that recurs for a sample (over sampled repeats) keeps its first
+    position and its last repeat's confidence.
     """
     if mode not in ("sampled", "exhaustive"):
         raise ConfigError(f"unknown VRR mode {mode!r}")
@@ -282,7 +313,8 @@ def evaluate_vrr(
     bits = 1 << np.arange(num_modalities)
 
     # Each mode yields, per sample, K masks (as modality bit codes) with their
-    # class probabilities, plus the (T, S) pairs as column indices shared by all samples.
+    # class probabilities, plus the (T, S) pairs as column indices shared by all
+    # samples and each mask size's columns in the order those pairs first name them.
     if mode == "exhaustive":
         if num_modalities > EXHAUSTIVE_MODALITY_LIMIT:
             raise CapabilityError(
@@ -294,6 +326,7 @@ def evaluate_vrr(
         full_probs = probs[:, -1]
         code = np.broadcast_to(lattice, probs.shape[:2])
         t_col, s_col = _lattice_pairs(num_modalities)
+        groups = _lattice_groups(num_modalities)
     else:
         draws, codes = [], []
         for r in range(repeats):
@@ -306,6 +339,11 @@ def evaluate_vrr(
         starts = num_modalities * np.arange(repeats)[:, None]
         t_col = (starts + np.arange(1, num_modalities)).ravel()
         s_col = t_col - 1
+        # Chain position k holds a mask of size M - k, in every repeat.
+        groups = [
+            (size, np.arange(num_modalities - size, probs.shape[1], num_modalities))
+            for size in range(1, num_modalities + 1)
+        ]
 
     # A running maximum over the class slices: np.max over a short last axis is slow per row.
     conf = functools.reduce(np.maximum, probs.T).T
@@ -320,9 +358,17 @@ def evaluate_vrr(
         conf_s=conf_s.ravel(),
         ci=ci.ravel(),
     )
-    removed = (t_code ^ s_code)[(ci < 0.0) & (s_code == bits.sum())]
-    attribution = dict(enumerate(np.count_nonzero(removed[:, None] == bits, axis=0).tolist()))
-    return VrrEvaluation(compute_vrr(records), records, attribution, full_probs)
+    vrr = compute_vrr(records)
+    by_size = {}
+    for size, columns in groups:
+        values = conf.take(columns, axis=1)  # C order: sample by sample, as the records run
+        if repeats > 1 and mode == "sampled":
+            values = _distinct_masks(code.take(columns, axis=1), values)
+        by_size[size] = float(np.mean(values))
+    at_full = code[0, s_col] == bits.sum()  # the pairs whose S is the full set
+    removed = (t_code ^ s_code)[:, at_full][ci[:, at_full] < 0.0]
+    counts = np.bincount(np.searchsorted(bits, removed), minlength=num_modalities)
+    return VrrEvaluation(vrr, records, dict(enumerate(counts.tolist())), full_probs, by_size)
 
 
 def write_records_csv(path, records: RankingRecords) -> None:

@@ -63,7 +63,11 @@ def aurc(confidence, correct) -> float:
 
 def e_aurc(confidence, correct) -> float:
     """AURC in excess of the best achievable ordering (all correct first)."""
-    value = aurc(confidence, correct)
+    return _excess_aurc(aurc(confidence, correct), correct)
+
+
+def _excess_aurc(value: float, correct) -> float:
+    """E-AURC from the AURC `value` of the same predictions."""
     num_correct = int(np.count_nonzero(correct))
     optimal = _risk_coverage_average(np.arange(len(correct)) >= num_correct)
     excess = value - optimal
@@ -88,32 +92,6 @@ def mean_abs_conf_shift(
     conf_a = forward_masks(params_a, dataset.modalities, presence).confidence
     conf_b = forward_masks(params_b, dataset.modalities, presence).confidence
     return float(np.abs(conf_a - conf_b).mean())
-
-
-def confidence_by_subset_size(records) -> dict[int, float]:
-    """Mean confidence per mask size over the distinct (sample, mask) pairs seen.
-
-    Masks are read in t, s order; as in a dict, a repeated (sample, mask) keeps its first
-    position and last confidence. Sample ids index a dense table: row numbers, as evaluate_vrr's.
-    """
-    codes = np.column_stack([records.t_code, records.s_code]).ravel()
-    conf = np.column_stack([records.conf_t, records.conf_s]).ravel()
-    top = int(codes.max(initial=0))
-    keys = np.repeat(records.sample_id, 2) * (top + 1) + codes
-    index = np.arange(len(keys))
-    first = np.full(int(keys.max(initial=0)) + 1, len(keys))
-    np.minimum.at(first, keys, index)
-    last = np.zeros_like(first)
-    np.maximum.at(last, keys, index)
-    seen = np.flatnonzero(first[keys] == index)
-    # Popcount one bit at a time over every code: a sum over a short last axis is slow per row.
-    seen_codes = codes[seen]
-    sizes = sum(((seen_codes >> m) & 1 for m in range(top.bit_length())), np.zeros_like(seen))
-    values = conf[last[keys[seen]]]
-    return {
-        int(size): float(np.mean(values[sizes == size]))
-        for size in np.flatnonzero(np.bincount(sizes))
-    }
 
 
 @dataclass(frozen=True)
@@ -179,7 +157,7 @@ def build_report(
     confidence, correct, nll = _columns(confidence, correct, nll)
     nll_value = mean_nll(nll)
     aurc_value = aurc(confidence, correct)
-    e_aurc_value = e_aurc(confidence, correct)
+    e_aurc_value = _excess_aurc(aurc_value, correct)
     return MetricsReport(
         accuracy_pct=accuracy(correct),
         nll_raw=nll_value,

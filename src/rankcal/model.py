@@ -240,8 +240,8 @@ class MaskedForward:
     `weights` (the presence divided by each mask's size) is (K, M) when every
     row shares its masks and (B, K, M) when each row has its own. `hidden` is
     the stacked (M, B, H) encoder activations. A modality that no mask uses
-    has a None `features` entry and runs as if its features were zero; its
-    latent is zeroed before the fuse, so its parameters never reach `probs`.
+    has a None `features` entry and a zero `hidden` slot; its latent is zero
+    too, so its parameters never reach `probs`.
     """
 
     features: list[Array | None]
@@ -315,24 +315,36 @@ def forward_masks(
 
 
 def forward_core(params: ClassifierParams, blocks: list[Array | None], weights) -> MaskedForward:
-    """forward_masks without its checks, on prepare_masks's output; softmax still checks."""
-    rows = next(len(x) for x in blocks if x is not None)
-    hidden = np.zeros((len(blocks), rows, params.b1.shape[1]))
-    for m, x in enumerate(blocks):  # one matmul per modality: the input dims differ
-        if x is not None:
-            np.matmul(x, params.w1[m], out=hidden[m])
-    hidden += params.b1[:, None]
-    np.maximum(hidden, 0.0, out=hidden)
-    latents = hidden @ params.w2
-    latents += params.b2[:, None]
-    for m, x in enumerate(blocks):
-        if x is None:
-            latents[m] = 0.0  # no mask uses m: keep its parameters out of the fuse
+    """forward_masks without its checks, on prepare_masks's output; softmax still checks.
+
+    The hidden and latent slots of a modality that no mask uses stay zero: no
+    operation reads its parameters.
+    """
+    used = [m for m, x in enumerate(blocks) if x is not None]
+    hidden = np.zeros((len(blocks), len(blocks[used[0]]), params.b1.shape[1]))
+    for m in used:  # one matmul per modality: the input dims differ
+        np.matmul(blocks[m], params.w1[m], out=hidden[m])
+    if len(used) == len(blocks):
+        latents = _encoder_layers(hidden, params.b1, params.w2, params.b2)
+    else:
+        live = hidden[used]
+        latents = np.zeros(hidden.shape[:2] + params.b2.shape[1:])
+        latents[used] = _encoder_layers(live, params.b1[used], params.w2[used], params.b2[used])
+        hidden[used] = live
     fused = weights @ latents.transpose(1, 0, 2)
     batch, num_masks, latent_dim = fused.shape
     logits = fused.reshape(-1, latent_dim) @ params.head_w + params.head_b
     probs = softmax(logits).reshape(batch, num_masks, -1)
     return MaskedForward(blocks, hidden, weights, fused, probs)
+
+
+def _encoder_layers(hidden: Array, b1: Array, w2: Array, b2: Array) -> Array:
+    """Bias and ReLU in place on the stacked (M, B, H) `hidden`; returns the (M, B, L) latents."""
+    hidden += b1[:, None]
+    np.maximum(hidden, 0.0, out=hidden)
+    latents = hidden @ w2
+    latents += b2[:, None]
+    return latents
 
 
 def backward_masks(

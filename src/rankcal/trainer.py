@@ -31,12 +31,7 @@ from .errors import (
     SweepError,
     check_section,
 )
-from .metrics import (
-    CSV_SUMMARY_FIELDS,
-    MetricsReport,
-    build_report,
-    confidence_by_subset_size,
-)
+from .metrics import CSV_SUMMARY_FIELDS, MetricsReport, build_report
 from .model import ClassifierParams, ModelSpec, SubsetMask, derived_spec, forward_masks, init_params
 from .model import prepare_masks
 from .numerics import adam_update, init_adam_state, nll_loss
@@ -212,7 +207,7 @@ def _evaluate(
     )
     probs, labels = vrr_eval.full_probs, test_set.labels
     confidence, correct = probs.max(axis=-1), probs.argmax(axis=-1) == labels
-    by_size = confidence_by_subset_size(vrr_eval.records)
+    by_size = vrr_eval.mean_confidence_by_subset_size
     report = build_report(confidence, correct, nll_loss(probs, labels), vrr_eval.vrr, by_size)
     return report, vrr_eval
 

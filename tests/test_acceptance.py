@@ -28,9 +28,9 @@ from rankcal.data import (
 from rankcal.errors import ParseError
 from rankcal.metrics import aurc, e_aurc
 from rankcal.model import ModelSpec, SubsetMask, init_params
-from rankcal.numerics import grad_check
 from rankcal.trainer import TrainConfig, lambda_sweep, noise_sweep, run_and_evaluate
 
+from gradcheck import grad_check
 from reference import reference_probs
 
 

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rankcal import calibration
 from rankcal.calibration import (
     _VRR_STREAM,
+    _distinct_masks,
     REGULARIZER_VARIANTS,
     RankingRecords,
     chain_objective,
@@ -37,9 +40,9 @@ from rankcal.model import (
     init_params,
     presence_matrix,
 )
-from rankcal.metrics import confidence_by_subset_size
-from rankcal.numerics import grad_check, nll_loss, nll_loss_grad
+from rankcal.numerics import nll_loss, nll_loss_grad
 
+from gradcheck import grad_check
 from reference import (
     reference_chain_objective,
     reference_confidence_by_subset_size,
@@ -586,8 +589,7 @@ class TestColumnarRecords:
         assert record_rows(result.records) == rows
         assert result.vrr == vrr
         assert result.attribution == attribution
-        by_size = confidence_by_subset_size(result.records)
-        assert by_size == reference_confidence_by_subset_size(rows)
+        assert result.mean_confidence_by_subset_size == reference_confidence_by_subset_size(rows)
 
         # the same pairs with confidences from the per-sample reference model
         lookup = reference_confidence_lookup(params, dataset)
@@ -597,21 +599,53 @@ class TestColumnarRecords:
             [row[3:5] for row in ref_rows], [row[3:5] for row in rows], rtol=1e-12, atol=0
         )
 
-    def test_dedupe_keeps_first_position_and_last_value(self):
-        # a dict keeps a key's first position and its last value; the means
-        # are then taken in that order
-        records = RankingRecords(
-            sample_id=np.array([0, 1, 0]),
-            t_code=np.array([1, 1, 1]),
-            s_code=np.array([3, 3, 3]),
-            conf_t=np.array([0.1, 0.2, 0.3]),
-            conf_s=np.array([0.4, 0.5, 0.6]),
-            ci=np.array([0.3, 0.3, 0.3]),
+
+class TestMeanConfidenceBySubsetSize:
+    """evaluate_vrr's by-size means, read from the lattice, against the dict walk over records."""
+
+    @pytest.mark.parametrize("num_modalities", [2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "mode, repeats", [("exhaustive", 1), ("sampled", 1), ("sampled", 2), ("sampled", 5)]
+    )
+    def test_matches_dict_walk(self, num_modalities, mode, repeats):
+        spec = ModelSpec(
+            modality_dims=tuple(range(2, 2 + num_modalities)),
+            hidden_dim=6,
+            latent_dim=4,
+            num_classes=3,
         )
-        rows = record_rows(records)
-        assert confidence_by_subset_size(records) == reference_confidence_by_subset_size(rows)
-        expected = {1: np.mean([0.3, 0.2]), 2: np.mean([0.6, 0.5])}
-        assert confidence_by_subset_size(records) == expected
+        params = init_params(spec, seed=num_modalities)
+        dataset = random_dataset(spec, 25, seed=7)
+        result = evaluate_vrr(params, dataset, seed=2, mode=mode, repeats=repeats)
+        by_size = result.mean_confidence_by_subset_size
+        assert by_size == reference_confidence_by_subset_size(record_rows(result.records))
+        assert list(by_size) == list(range(1, num_modalities + 1))
+
+    @pytest.mark.parametrize("num_modalities", [2, 3])
+    def test_recurring_mask_keeps_first_position_and_last_value(self, monkeypatch, num_modalities):
+        # Each repeat's forward is blended toward uniform by its own amount, so a
+        # (sample, mask) that recurs over the repeats (the full set always does)
+        # names a different confidence each time. As in a dict keyed by (sample,
+        # mask), the mean takes each one at its first position with its last value.
+        draws = itertools.count()
+
+        def blended(params, features, presence):
+            fwd = forward_masks(params, features, presence)
+            share = 0.1 * next(draws)
+            return replace(fwd, probs=(1 - share) * fwd.probs + share / fwd.probs.shape[-1])
+
+        monkeypatch.setattr(calibration, "forward_masks", blended)
+        spec = ModelSpec(tuple(range(2, 2 + num_modalities)), 6, 4, 3)
+        result = evaluate_vrr(init_params(spec, 1), random_dataset(spec, 9, 4), seed=3, repeats=4)
+        full = (1 << num_modalities) - 1
+        assert len(np.unique(result.records.conf_s[result.records.s_code == full])) > 9
+        expected = reference_confidence_by_subset_size(record_rows(result.records))
+        assert result.mean_confidence_by_subset_size == expected
+
+    def test_distinct_masks_keep_first_position_and_last_value(self):
+        codes = np.array([[1, 2, 1], [4, 4, 4], [2, 1, 1]])
+        values = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]])
+        assert _distinct_masks(codes, values).tolist() == [0.3, 0.2, 0.6, 0.7, 0.9]
 
 
 class TestRecordsCsv:

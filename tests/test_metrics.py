@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from rankcal.calibration import RankingRecords
 from rankcal.data import Dataset
 from rankcal.errors import DimensionError, EmptyInputError, SpecError, StateError
 from rankcal.metrics import (
@@ -13,7 +12,6 @@ from rankcal.metrics import (
     accuracy,
     aurc,
     build_report,
-    confidence_by_subset_size,
     e_aurc,
     format_mean_std,
     mean_abs_conf_shift,
@@ -182,22 +180,6 @@ class TestMeanAbsConfShift:
                 self.dataset(),
                 [SubsetMask.full(2)],
             )
-
-
-class TestConfidenceBySubsetSize:
-    def test_groups_and_dedupes(self):
-        # pair 2 repeats pair 1's sample and masks (e.g. another chain): no double count
-        records = RankingRecords(
-            sample_id=np.array([0, 0, 0]),
-            t_code=np.array([0b01, 0b01, 0b10]),
-            s_code=np.array([0b11, 0b11, 0b11]),
-            conf_t=np.array([0.6, 0.6, 0.4]),
-            conf_s=np.array([0.8, 0.8, 0.8]),
-            ci=np.array([0.2, 0.2, 0.4]),
-        )
-        by_size = confidence_by_subset_size(records)
-        assert by_size[1] == pytest.approx(0.5)
-        assert by_size[2] == pytest.approx(0.8)
 
 
 class TestBuildReport:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -20,8 +21,9 @@ from rankcal.model import (
     presence_matrix,
     save_checkpoint,
 )
-from rankcal.numerics import grad_check, nll_loss, nll_loss_grad
+from rankcal.numerics import nll_loss, nll_loss_grad
 
+from gradcheck import grad_check
 from reference import reference_probs
 
 SPEC = ModelSpec(modality_dims=(3, 4, 2), hidden_dim=6, latent_dim=4, num_classes=3)
@@ -228,6 +230,23 @@ class TestForward:
             a += 1e3 * rng.standard_normal(a.shape)
         absent.b2[...] = np.inf  # a zero fusion weight alone would turn this into NaN
         assert run(params, feats, *masks).probs.tobytes() == before.tobytes()
+
+    def test_absent_modality_parameters_raise_no_overflow(self):
+        # no operation reads an unused slot, so parameters that would overflow a
+        # matmul there leave probs bit-identical and raise no warning
+        params = init_params(SPEC, seed=1)
+        feats = random_features(SPEC, 2, rows=5)
+        feats[1] = None
+        masks = (SubsetMask.of([0, 2]), SubsetMask.of([2]))
+        before = run(params, feats, *masks).probs
+        absent = params.encoders[1]
+        for a in (absent.w1, absent.b1, absent.w2, absent.b2):
+            a[...] = 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            after = run(params, feats, *masks)
+        assert after.probs.tobytes() == before.tobytes()
+        assert not after.hidden[1].any()
 
     def test_masked_out_of_range(self):
         params = init_params(SPEC, seed=1)

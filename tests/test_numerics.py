@@ -8,12 +8,13 @@ import pytest
 from rankcal.errors import DimensionError, NumericError
 from rankcal.numerics import (
     adam_update,
-    grad_check,
     init_adam_state,
     nll_loss,
     nll_loss_grad,
     softmax,
 )
+
+from gradcheck import grad_check
 
 
 class TestSoftmax:
