@@ -249,13 +249,14 @@ def _lattice_pairs(num_modalities: int) -> tuple[Array, Array]:
 @functools.cache
 def _lattice_groups(num_modalities: int) -> tuple[tuple[int, Array], ...]:
     """(size, read-only columns) per mask size, in the order the lattice pairs first name them."""
-    named = np.column_stack(_lattice_pairs(num_modalities)).ravel()  # t, s of each pair in turn
-    columns = named[np.sort(np.unique(named, return_index=True)[1])]
-    sizes = np.array([bin(c + 1).count("1") for c in columns.tolist()])
-    groups = tuple((size, columns[sizes == size]) for size in range(1, num_modalities + 1))
-    for _, group in groups:
+    t_col, s_col = _lattice_pairs(num_modalities)
+    named = dict.fromkeys(itertools.chain(*zip(t_col.tolist(), s_col.tolist())))
+    groups = []
+    for size in range(1, num_modalities + 1):
+        group = np.array([c for c in named if bin(c + 1).count("1") == size])
         group.flags.writeable = False
-    return groups
+        groups.append((size, group))
+    return tuple(groups)
 
 
 def _distinct_masks(codes: Array, values: Array) -> Array:
@@ -367,7 +368,7 @@ def evaluate_vrr(
         by_size[size] = float(np.mean(values))
     at_full = code[0, s_col] == bits.sum()  # the pairs whose S is the full set
     removed = (t_code ^ s_code)[:, at_full][ci[:, at_full] < 0.0]
-    counts = np.bincount(np.searchsorted(bits, removed), minlength=num_modalities)
+    counts = np.count_nonzero(removed[:, None] == bits, axis=0)
     return VrrEvaluation(vrr, records, dict(enumerate(counts.tolist())), full_probs, by_size)
 
 
