@@ -365,10 +365,11 @@ def evaluate_vrr(
         values = conf.take(columns, axis=1)  # C order: sample by sample, as the records run
         if repeats > 1 and mode == "sampled":
             values = _distinct_masks(code.take(columns, axis=1), values)
-        by_size[size] = float(np.mean(values))
-    at_full = code[0, s_col] == bits.sum()  # the pairs whose S is the full set
-    removed = (t_code ^ s_code)[:, at_full][ci[:, at_full] < 0.0]
-    counts = np.count_nonzero(removed[:, None] == bits, axis=0)
+        by_size[size] = float(values.sum() / values.size)  # np.mean's sum, without its overhead
+    full = (1 << num_modalities) - 1
+    at_full = np.flatnonzero(code[0, s_col] == full)  # the pairs whose S is the full set
+    removed = t_code[:, at_full][ci[:, at_full] < 0.0] ^ full
+    counts = (removed[:, None] == bits).sum(axis=0)
     return VrrEvaluation(vrr, records, dict(enumerate(counts.tolist())), full_probs, by_size)
 
 

@@ -9,9 +9,9 @@ import pytest
 from rankcal import calibration
 from rankcal.calibration import (
     _VRR_STREAM,
-    _distinct_masks,
     REGULARIZER_VARIANTS,
     RankingRecords,
+    _distinct_masks,
     chain_objective,
     chain_presence,
     compute_vrr,
