@@ -182,7 +182,7 @@ def objective_core(
     `label_col` is (B, K): each row's label, already range-checked, once per mask.
     """
     fwd = forward_core(params, blocks, weights)
-    batch, num_masks, num_classes = fwd.probs.shape
+    batch, num_masks, num_classes = fwd.exp.shape
     probs = fwd.probs.reshape(-1, num_classes)
     rows = np.arange(len(probs))
     true_class = (rows, label_col.ravel())
@@ -277,6 +277,7 @@ class VrrEvaluation:
     records: RankingRecords
     attribution: dict[int, int]
     full_probs: Array
+    full_confidence: Array
     mean_confidence_by_subset_size: dict[int, float]
 
 
@@ -296,7 +297,9 @@ def evaluate_vrr(
     ordered by sample. The attribution counts, among violations where S is
     the full set, how often each removed modality caused the confidence
     increase. `full_probs` comes from the same forward as the records: the
-    lattice's full-set column, or the head of repeat 0's chains.
+    lattice's full-set column, or the head of repeat 0's chains; it is the
+    only mask whose class probabilities are divided out. `full_confidence` is
+    its max, read like every other confidence from the softmax sums.
 
     `mean_confidence_by_subset_size` averages, per mask size, the confidence
     of each distinct (sample, mask) that the records name, sample by sample
@@ -314,8 +317,8 @@ def evaluate_vrr(
     bits = 1 << np.arange(num_modalities)
 
     # Each mode yields, per sample, K masks (as modality bit codes) with their
-    # class probabilities, plus the (T, S) pairs as column indices shared by all
-    # samples and each mask size's columns in the order those pairs first name them.
+    # confidences, plus the (T, S) pairs as column indices shared by all samples
+    # and each mask size's columns in the order those pairs first name them.
     if mode == "exhaustive":
         if num_modalities > EXHAUSTIVE_MODALITY_LIMIT:
             raise CapabilityError(
@@ -323,9 +326,10 @@ def evaluate_vrr(
                 f"got {num_modalities}"
             )
         lattice = np.arange(1, 1 << num_modalities)
-        probs = forward_masks(params, dataset.modalities, (lattice[:, None] & bits) > 0).probs
-        full_probs = probs[:, -1]
-        code = np.broadcast_to(lattice, probs.shape[:2])
+        fwd = forward_masks(params, dataset.modalities, (lattice[:, None] & bits) > 0)
+        full_col = -1
+        conf, full_probs = fwd.confidence, fwd.mask_probs(full_col)
+        code = np.broadcast_to(lattice, conf.shape)
         t_col, s_col = _lattice_pairs(num_modalities)
         groups = _lattice_groups(num_modalities)
     else:
@@ -333,24 +337,27 @@ def evaluate_vrr(
         for r in range(repeats):
             rng = np.random.default_rng([seed, _VRR_STREAM, r])
             presence = chain_presence(removal_orders(rng, num_samples, num_modalities))
-            draws.append(forward_masks(params, dataset.modalities, presence).probs)
+            draws.append(forward_masks(params, dataset.modalities, presence))
             codes.append(presence @ bits)
-        probs, code = np.concatenate(draws, axis=1), np.concatenate(codes, axis=1)
-        full_probs = probs[:, 0]  # repeat 0's chains start at the full set
+        conf = np.concatenate([fwd.confidence for fwd in draws], axis=1)
+        code = np.concatenate(codes, axis=1)
+        full_col = 0  # repeat 0's chains start at the full set
+        full_probs = draws[0].mask_probs(full_col)
         starts = num_modalities * np.arange(repeats)[:, None]
         t_col = (starts + np.arange(1, num_modalities)).ravel()
         s_col = t_col - 1
         # Chain position k holds a mask of size M - k, in every repeat.
         groups = [
-            (size, np.arange(num_modalities - size, probs.shape[1], num_modalities))
+            (size, np.arange(num_modalities - size, conf.shape[1], num_modalities))
             for size in range(1, num_modalities + 1)
         ]
 
-    # A running maximum over the class slices: np.max over a short last axis is slow per row.
-    conf = functools.reduce(np.maximum, probs.T).T
-    t_code, s_code = code[:, t_col], code[:, s_col]
-    conf_t, conf_s = conf[:, t_col], conf[:, s_col]
-    ci = confidence_increment(conf_t, conf_s)
+    # Every pair confidence is an entry of `conf`, so one check covers them all.
+    # take gathers in C order, so each ravel below is a view.
+    conf = _check_confidence(conf, "confidence")
+    t_code, s_code = code.take(t_col, axis=1), code.take(s_col, axis=1)
+    conf_t, conf_s = conf.take(t_col, axis=1), conf.take(s_col, axis=1)
+    ci = conf_s - conf_t
     records = RankingRecords(
         sample_id=np.repeat(np.arange(num_samples), len(t_col)),
         t_code=t_code.ravel(),
@@ -370,7 +377,9 @@ def evaluate_vrr(
     at_full = np.flatnonzero(code[0, s_col] == full)  # the pairs whose S is the full set
     removed = t_code[:, at_full][ci[:, at_full] < 0.0] ^ full
     counts = (removed[:, None] == bits).sum(axis=0)
-    return VrrEvaluation(vrr, records, dict(enumerate(counts.tolist())), full_probs, by_size)
+    attribution = dict(enumerate(counts.tolist()))
+    full_conf = conf.take(full_col, axis=1)
+    return VrrEvaluation(vrr, records, attribution, full_probs, full_conf, by_size)
 
 
 def write_records_csv(path, records: RankingRecords) -> None:

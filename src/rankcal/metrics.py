@@ -39,13 +39,21 @@ def _columns(*columns) -> list[Array]:
 
 def accuracy(correct) -> float:
     """Percentage of correct predictions."""
-    (correct,) = _columns(correct)
+    return _accuracy(*_columns(correct))
+
+
+def _accuracy(correct: Array) -> float:
     return 100.0 * int(np.count_nonzero(correct)) / len(correct)
 
 
 def mean_nll(nll) -> float:
     (nll,) = _columns(nll)
     return float(np.mean(nll))
+
+
+def _mean(values: Array) -> float:
+    """np.mean's value for a float64 column (the same sum and divide), without its wrapper."""
+    return float(values.sum() / len(values))
 
 
 def _risk_coverage_average(errors_in_order: Array) -> float:
@@ -56,7 +64,10 @@ def _risk_coverage_average(errors_in_order: Array) -> float:
 
 def aurc(confidence, correct) -> float:
     """Area under the discrete risk-coverage curve (lower is better)."""
-    confidence, correct = _columns(confidence, correct)
+    return _aurc(*_columns(confidence, correct))
+
+
+def _aurc(confidence: Array, correct: Array) -> float:
     order = np.argsort(-confidence, kind="stable")  # ties keep their original order
     return _risk_coverage_average(~correct.astype(bool)[order])
 
@@ -151,15 +162,19 @@ def build_report(
     vrr: float | None,
     mean_conf_by_size: dict[int, float] | None,
 ) -> MetricsReport:
-    """Assemble a report from per-prediction columns, applying the reporting scales."""
+    """Assemble a report from per-prediction columns, applying the reporting scales.
+
+    The columns are checked once; `confidence` and `nll` are float64 columns,
+    as evaluation produces them.
+    """
     if any(value is None for value in (confidence, correct, nll, vrr, mean_conf_by_size)):
         raise StateError("missing report constituent")
     confidence, correct, nll = _columns(confidence, correct, nll)
-    nll_value = mean_nll(nll)
-    aurc_value = aurc(confidence, correct)
+    nll_value = _mean(nll)
+    aurc_value = _aurc(confidence, correct)
     e_aurc_value = _excess_aurc(aurc_value, correct)
     return MetricsReport(
-        accuracy_pct=accuracy(correct),
+        accuracy_pct=_accuracy(correct),
         nll_raw=nll_value,
         nll_scaled=nll_value * NLL_SCALE,
         aurc_raw=aurc_value,
@@ -168,7 +183,7 @@ def build_report(
         e_aurc_scaled=e_aurc_value * AURC_SCALE,
         vrr_raw=vrr,
         vrr_pct=vrr * VRR_SCALE,
-        mean_confidence_full=float(np.mean(confidence)),
+        mean_confidence_full=_mean(confidence),
         mean_confidence_by_subset_size=dict(mean_conf_by_size),
     )
 

@@ -28,7 +28,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionError, MaskError, SpecError, StateError, check_section
-from .numerics import Array, softmax
+from .numerics import Array, softmax_parts
 
 CHECKPOINT_MAGIC = "rankcal-checkpoint v1"
 
@@ -241,14 +241,28 @@ class MaskedForward:
     row shares its masks and (B, K, M) when each row has its own. `hidden` is
     the stacked (M, B, H) encoder activations. A modality that no mask uses
     has a None `features` entry and a zero `hidden` slot; its latent is zero
-    too, so its parameters never reach `probs`.
+    too, so its parameters never reach the logits.
+
+    The softmax is kept as its two parts: `exp`, the (B, K, C) max-shifted
+    exponentials of the logits, and `sums`, their (B, K) sums. The class
+    probabilities are divided out only when read.
     """
 
     features: list[Array | None]
     hidden: Array
     weights: Array
     fused: Array
-    probs: Array
+    exp: Array
+    sums: Array
+
+    @property
+    def probs(self) -> Array:
+        """(B, K, C) class probabilities, divided out on each read."""
+        return self.exp / self.sums[..., None]
+
+    def mask_probs(self, k: int) -> Array:
+        """(B, C) class probabilities under mask k alone."""
+        return self.exp[:, k] / self.sums[:, k, None]
 
     @property
     def predicted(self) -> Array:
@@ -257,8 +271,11 @@ class MaskedForward:
 
     @property
     def confidence(self) -> Array:
-        """(B, K) probability of the predicted class."""
-        return self.probs.max(axis=-1)
+        """(B, K) probability of the predicted class, bit for bit probs.max(-1).
+
+        The predicted class's exponential is exactly 1.0, so its probability is 1.0 / sums.
+        """
+        return 1.0 / self.sums
 
 
 def prepare_masks(
@@ -315,7 +332,7 @@ def forward_masks(
 
 
 def forward_core(params: ClassifierParams, blocks: list[Array | None], weights) -> MaskedForward:
-    """forward_masks without its checks, on prepare_masks's output; softmax still checks.
+    """forward_masks without its checks, on prepare_masks's output; softmax_parts still checks.
 
     The hidden and latent slots of a modality that no mask uses stay zero: no
     operation reads its parameters.
@@ -334,8 +351,10 @@ def forward_core(params: ClassifierParams, blocks: list[Array | None], weights) 
     fused = weights @ latents.transpose(1, 0, 2)
     batch, num_masks, latent_dim = fused.shape
     logits = fused.reshape(-1, latent_dim) @ params.head_w + params.head_b
-    probs = softmax(logits).reshape(batch, num_masks, -1)
-    return MaskedForward(blocks, hidden, weights, fused, probs)
+    exp, sums = softmax_parts(logits)
+    return MaskedForward(
+        blocks, hidden, weights, fused, exp.reshape(batch, num_masks, -1), sums.reshape(batch, -1)
+    )
 
 
 def _encoder_layers(hidden: Array, b1: Array, w2: Array, b2: Array) -> Array:
@@ -358,16 +377,20 @@ def backward_masks(
     buffer serves every batch) and go to a new ClassifierParams otherwise.
     """
     g = np.asarray(logit_grads, dtype=np.float64)
-    if g.shape != fwd.probs.shape:
-        raise StateError(f"logit gradients {g.shape} do not match the forward {fwd.probs.shape}")
+    if g.shape != fwd.exp.shape:
+        raise StateError(f"logit gradients {g.shape} do not match the forward {fwd.exp.shape}")
     return backward_core(params, fwd, g, out)
 
 
 def backward_core(
     params: ClassifierParams, fwd: MaskedForward, logit_grads: Array, out: ClassifierParams | None
 ) -> ClassifierParams:
-    """backward_masks without its checks: `logit_grads` is float64 with fwd.probs's size."""
-    batch, num_masks, num_classes = fwd.probs.shape
+    """backward_masks without its checks: `logit_grads` is float64 with fwd.exp's size.
+
+    The slot of a modality that no mask uses gets +0.0 without any operation
+    reading its parameters.
+    """
+    batch, num_masks, num_classes = fwd.exp.shape
     if out is None:
         out = ClassifierParams.from_flat(params.spec_signature(), np.empty_like(params.flat))
     g = logit_grads.reshape(-1, num_classes)
@@ -377,8 +400,12 @@ def backward_core(
     d_latents = (fwd.weights.swapaxes(-1, -2) @ d_fused).transpose(1, 0, 2)
     np.matmul(fwd.hidden.transpose(0, 2, 1), d_latents, out=out.w2)
     d_latents.sum(axis=1, out=out.b2)
-    # The ReLU subgradient at exactly zero is zero; no input gradient is needed.
-    d_pre = np.where(fwd.hidden > 0.0, d_latents @ params.w2.transpose(0, 2, 1), 0.0)
+    used = [m for m, x in enumerate(fwd.features) if x is not None]
+    if len(used) == len(fwd.features):
+        d_pre = _hidden_grads(fwd.hidden, d_latents, params.w2)
+    else:
+        d_pre = np.zeros_like(fwd.hidden)
+        d_pre[used] = _hidden_grads(fwd.hidden[used], d_latents[used], params.w2[used])
     d_pre.sum(axis=1, out=out.b1)
     for m, x in enumerate(fwd.features):  # one matmul per modality: the input dims differ
         if x is None:
@@ -386,6 +413,14 @@ def backward_core(
         else:
             np.matmul(x.T, d_pre[m], out=out.w1[m])
     return out
+
+
+def _hidden_grads(hidden: Array, d_latents: Array, w2: Array) -> Array:
+    """Gradient at the stacked (M, B, H) pre-activations from the (M, B, L) latent gradients.
+
+    The ReLU subgradient at exactly zero is zero; no input gradient is needed.
+    """
+    return np.where(hidden > 0.0, d_latents @ w2.transpose(0, 2, 1), 0.0)
 
 
 def save_checkpoint(path, spec: ModelSpec, params: ClassifierParams) -> None:

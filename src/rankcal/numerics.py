@@ -34,16 +34,29 @@ def describe_bad(bad: Array) -> str:
     return f"{int(bad.sum())} of {bad.size}, the first at index {first}"
 
 
-def softmax(logits) -> Array:
-    """Max-subtracted softmax over the last axis (one distribution per row)."""
+def softmax_parts(logits) -> tuple[Array, Array]:
+    """The max-shifted exponentials of the logits and their sums over the last axis.
+
+    softmax is the exponentials divided by their sums. The largest logit's
+    exponential is exp(0) = 1.0 exactly, so 1.0 / sums is bit for bit the
+    largest probability: correctly rounded division is monotone.
+    """
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim < 1 or z.shape[-1] < 2:
         raise DimensionError("softmax needs at least 2 logits")
     if not np.isfinite(z).all():
         raise NumericError(f"non-finite logits: {describe_bad(~np.isfinite(z))}")
     # A running maximum over the class slices: np.max over a short last axis is slow per row.
-    exp = np.exp(z - functools.reduce(np.maximum, z.T).T[..., None])
-    return exp / exp.sum(axis=-1, keepdims=True)
+    exp = z - functools.reduce(np.maximum, z.T).T[..., None]
+    np.exp(exp, out=exp)
+    return exp, exp.sum(axis=-1)
+
+
+def softmax(logits) -> Array:
+    """Max-subtracted softmax over the last axis (one distribution per row)."""
+    exp, sums = softmax_parts(logits)
+    exp /= sums[..., None]
+    return exp
 
 
 def _true_class_index(probs, labels) -> tuple[Array, tuple[Array, Array]]:

@@ -206,7 +206,7 @@ def _evaluate(
         params, test_set, seed=config.seed, mode=config.vrr_mode, repeats=config.vrr_repeats
     )
     probs, labels = vrr_eval.full_probs, test_set.labels
-    confidence, correct = probs.max(axis=-1), probs.argmax(axis=-1) == labels
+    confidence, correct = vrr_eval.full_confidence, probs.argmax(axis=-1) == labels
     by_size = vrr_eval.mean_confidence_by_subset_size
     report = build_report(confidence, correct, nll_loss(probs, labels), vrr_eval.vrr, by_size)
     return report, vrr_eval

@@ -632,7 +632,9 @@ class TestMeanConfidenceBySubsetSize:
         def blended(params, features, presence):
             fwd = forward_masks(params, features, presence)
             share = 0.1 * next(draws)
-            return replace(fwd, probs=(1 - share) * fwd.probs + share / fwd.probs.shape[-1])
+            probs = (1 - share) * fwd.probs + share / fwd.exp.shape[-1]
+            top = probs.max(axis=-1)  # kept as the forward keeps it: exp at the argmax is 1.0
+            return replace(fwd, exp=probs / top[..., None], sums=1.0 / top)
 
         monkeypatch.setattr(calibration, "forward_masks", blended)
         spec = ModelSpec(tuple(range(2, 2 + num_modalities)), 6, 4, 3)

@@ -204,6 +204,17 @@ class TestBuildReport:
         # 0.0114 raw -> 11.4 scaled is plain arithmetic
         assert 0.0114 * 1000 == pytest.approx(11.4)
 
+    @pytest.mark.parametrize("n", [1, 7, 8, 130, 1000])
+    def test_matches_the_public_functions_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        confidence, correct, nll = rng.random(n), rng.random(n) < 0.7, rng.exponential(size=n)
+        report = build_report(confidence, correct, nll, vrr=0.1, mean_conf_by_size={1: 0.5})
+        assert report.accuracy_pct == accuracy(correct)
+        assert report.nll_raw == mean_nll(nll)
+        assert report.aurc_raw == aurc(confidence, correct)
+        assert report.e_aurc_raw == e_aurc(confidence, correct)
+        assert report.mean_confidence_full == float(np.mean(confidence))
+
     def test_missing_constituent_rejected(self):
         preds = ([0.9], [True], [0.5])
         with pytest.raises(StateError):

@@ -311,6 +311,21 @@ class TestConfidence:
         fwd = run(zero_params(spec), [np.ones((1, 2)), np.ones((1, 2))], SubsetMask.full(2))
         assert fwd.predicted[0, 0] == 0 and fwd.confidence[0, 0] == 0.5
 
+    @pytest.mark.parametrize("per_row", [False, True])
+    @pytest.mark.parametrize("head_scale", [1.0, 60.0])
+    def test_confidence_is_the_largest_probability_bit_for_bit(self, per_row, head_scale):
+        # 1.0 / sums against the class-wise max of the divided-out probabilities
+        params = init_params(SPEC, seed=2)
+        params.head_w *= head_scale  # large logits saturate some confidences at 1.0
+        feats = random_features(SPEC, 3, rows=9)
+        presence = (np.arange(1, 8)[:, None] >> np.arange(3)) & 1 > 0  # every nonempty mask
+        if per_row:  # (B, K, M): each row its own masks
+            presence = np.random.default_rng(4).random((9, 5, 3)) < 0.6
+            presence[..., 0] |= ~presence.any(axis=-1)
+        fwd = forward_masks(params, feats, presence)
+        assert fwd.confidence.shape == fwd.probs.shape[:-1]
+        assert fwd.confidence.tobytes() == fwd.probs.max(axis=-1).tobytes()
+
     def test_confidence_bounds(self):
         for seed in range(10):
             params = init_params(SPEC, seed=seed)
@@ -327,6 +342,27 @@ class TestBackward:
         for a in (absent.w1, absent.b1, absent.w2, absent.b2):
             assert not a.any() and not np.signbit(a).any()  # +0.0, not -0.0
         assert grads.encoders[0].w1.any()
+
+    def test_absent_modality_parameters_raise_no_invalid_value(self):
+        # no operation reads an unused slot, so an infinite absent w2 neither
+        # warns nor moves a gradient; that slot's gradients are +0.0
+        params = init_params(SPEC, seed=4)
+        feats = random_features(SPEC, 5, rows=3)
+        feats[1] = None
+        masks = (SubsetMask.of([0, 2]), SubsetMask.of([2]))
+        fwd = run(params, feats, *masks)
+        g = nll_loss_grad(fwd.probs, 1)
+        before = backward_masks(params, fwd, g).flat
+        absent = params.encoders[1]
+        for a in (absent.w1, absent.b1, absent.w2, absent.b2):
+            a[...] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grads = backward_masks(params, run(params, feats, *masks), g)
+        assert grads.flat.tobytes() == before.tobytes()
+        absent_grads = grads.encoders[1]
+        for a in (absent_grads.w1, absent_grads.b1, absent_grads.w2, absent_grads.b2):
+            assert not a.any() and not np.signbit(a).any()
 
     def test_singleton_mask_full_upstream(self):
         # With |mask| = 1 the fused latent is the encoder latent itself, so

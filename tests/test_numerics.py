@@ -12,6 +12,7 @@ from rankcal.numerics import (
     nll_loss,
     nll_loss_grad,
     softmax,
+    softmax_parts,
 )
 
 from gradcheck import grad_check
@@ -51,6 +52,40 @@ class TestSoftmax:
         p = softmax(z)
         for row in np.ndindex(4, 3):
             assert np.allclose(p[row], softmax(z[row]), rtol=0, atol=1e-15)
+
+
+class TestSoftmaxParts:
+    @staticmethod
+    def logits(num_classes: int, scale: float) -> np.ndarray:
+        """400 rows of logits in +-scale; the first 100 tie two or more classes at the max."""
+        rng = np.random.default_rng(num_classes)
+        z = scale * rng.uniform(-1.0, 1.0, size=(400, num_classes))
+        for row in range(100):
+            tied = rng.choice(num_classes, size=rng.integers(2, num_classes + 1), replace=False)
+            z[row, tied] = z[row].max()
+        return z
+
+    @pytest.mark.parametrize("scale", [1e-3, 0.1, 1.0, 10.0, 100.0, 700.0])
+    @pytest.mark.parametrize("num_classes", range(2, 11))
+    def test_inverse_sums_are_the_largest_probability(self, num_classes, scale):
+        z = self.logits(num_classes, scale)
+        exp, sums = softmax_parts(z)
+        assert (exp.max(axis=-1) == 1.0).all()
+        assert (1.0 / sums).tobytes() == softmax(z).max(axis=-1).tobytes()
+
+    def test_softmax_divides_the_parts(self):
+        z = self.logits(6, 10.0).reshape(20, 20, 6)
+        before = z.copy()
+        exp, sums = softmax_parts(z)
+        assert exp.shape == z.shape and sums.shape == z.shape[:-1]
+        assert softmax(z).tobytes() == (exp / sums[..., None]).tobytes()
+        assert z.tobytes() == before.tobytes()  # the exponentials are not computed in the input
+
+    def test_checks_like_softmax(self):
+        with pytest.raises(NumericError):
+            softmax_parts([0.0, np.nan])
+        with pytest.raises(DimensionError):
+            softmax_parts([1.0])
 
 
 class TestNllLoss:

@@ -328,6 +328,13 @@ class TestEvaluate:
         assert np.array_equal(np.unique(ids), np.arange(test_set.num_samples))
         assert records.conf_s[full].tobytes() == conf[ids].tobytes()
 
+    @pytest.mark.parametrize("mode, repeats", [("exhaustive", 1), ("sampled", 1), ("sampled", 3)])
+    def test_full_confidence_is_the_full_probs_max(self, mode, repeats):
+        train_set, test_set = make_sets(per_class=10)
+        params = train(config(epochs=2), train_set).params
+        result = calibration.evaluate_vrr(params, test_set, seed=3, mode=mode, repeats=repeats)
+        assert result.full_confidence.tobytes() == result.full_probs.max(axis=-1).tobytes()
+
 
 class TestBenchmarkContract:
     """The lattice benchmark rebinds trainer.evaluate_vrr and counts records with len()."""
