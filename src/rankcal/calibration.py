@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .data import write_text
 from .errors import (
     CapabilityError,
     ConfigError,
@@ -214,7 +215,7 @@ def objective_core(
 
     cls = -np.log(probs[true_class]).reshape(batch, num_masks).sum(axis=1) / num_masks
     return ChainObjective(
-        loss=float(np.sum(cls + lam * reg)),
+        loss=float((cls + lam * reg).sum()),
         cls_loss=float(cls.sum()),
         reg_loss=float(reg.sum()),
         grads=backward_core(params, fwd, logit_grads, out),
@@ -389,6 +390,7 @@ def write_records_csv(path, records: RankingRecords) -> None:
     names = np.array(["+".join(str(m) for m in bits if c >> m & 1) for c in range(1 << len(bits))])
     columns = (records.sample_id, names[records.t_code], names[records.s_code])
     columns += (records.conf_t, records.conf_s, records.ci)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("sample_id,t_mask,s_mask,conf_t,conf_s,ci\n")
-        fh.writelines(map("{},{},{},{:.9g},{:.9g},{:.9g}\n".format, *(c.tolist() for c in columns)))
+    # One %-format over the row-major values and one write; '%.9g' % x is '{:.9g}'.format(x).
+    values = tuple(itertools.chain.from_iterable(zip(*(c.tolist() for c in columns))))
+    rows = "%s,%s,%s,%.9g,%.9g,%.9g\n" * len(records.sample_id) % values
+    write_text(path, "sample_id,t_mask,s_mask,conf_t,conf_s,ci\n" + rows)

@@ -47,6 +47,7 @@ _SWEEP_SCHEMA = {
     "baseline_run": str,
     "cml_run": str,
 }
+_SPLIT_SCHEMA = {"train_fraction": float, "seed": int, "val_fraction": float}
 # The keys that each sweep kind reads.
 _SWEEP_KEYS = {
     "lambda": ("kind", "lambda_grid"),
@@ -83,6 +84,8 @@ class PreparedData:
     train: data.Dataset
     test: data.Dataset
     model_spec: ModelSpec
+    # The split.val_fraction carve-out of the train split; None without that key.
+    val: data.Dataset | None = None
 
 
 def _load_source_dataset(cfg: dict, base: Path) -> data.Dataset:
@@ -93,14 +96,14 @@ def _load_source_dataset(cfg: dict, base: Path) -> data.Dataset:
 
 
 def _prepare(cfg: dict, base: Path) -> PreparedData:
-    """Load or generate, split, and (by default) standardize on the train split."""
+    """Load or generate, split, carve out validation, and (by default) standardize on train."""
     dataset = _load_source_dataset(cfg, base)
+    split_cfg = check_section("split", cfg.get("split", {}), _SPLIT_SCHEMA)
     test_manifest = cfg["data"].get("test_manifest")
     if test_manifest is not None:
         train_set = dataset
         test_set = data.load_csv_dataset(_resolve(base, test_manifest))
     elif "split" in cfg:
-        split_cfg = check_section("split", cfg["split"], {"train_fraction": float, "seed": int})
         train_set, test_set = data.split(
             dataset,
             train_fraction=split_cfg.get("train_fraction", 0.75),
@@ -108,10 +111,17 @@ def _prepare(cfg: dict, base: Path) -> PreparedData:
         )
     else:
         train_set = test_set = dataset
+    val_set = None
+    if "val_fraction" in split_cfg:
+        train_set, val_set = data.split_validation(
+            train_set, split_cfg["val_fraction"], seed=split_cfg.get("seed", 0)
+        )
     if cfg.get("standardize", True):
         stats = data.standardize_fit(train_set)
         train_set = data.standardize_apply(train_set, stats)
         test_set = data.standardize_apply(test_set, stats)
+        if val_set is not None:
+            val_set = data.standardize_apply(val_set, stats)
 
     defaults = {
         "modality_dims": train_set.modality_dims,
@@ -131,7 +141,7 @@ def _prepare(cfg: dict, base: Path) -> PreparedData:
             f"configured num_classes {model_spec.num_classes} does not match the data "
             f"{train_set.num_classes}"
         )
-    return PreparedData(train=train_set, test=test_set, model_spec=model_spec)
+    return PreparedData(train=train_set, test=test_set, model_spec=model_spec, val=val_set)
 
 
 def _build_train_config(cfg: dict, model_spec: ModelSpec, seed_override: int | None) -> trainer.TrainConfig:
@@ -293,6 +303,11 @@ def cmd_sweep(
     if kind == "noise" and len(runs) == 1:
         (missing,) = {"baseline_run", "cml_run"} - set(runs)
         raise ConfigError(f"sweep.{missing}: missing key (sweep.{runs[0]} given)")
+    if kind == "lambda" and "val_fraction" not in cfg.get("split", {}):
+        raise ConfigError(
+            'split.val_fraction: missing key (sweep kind "lambda" picks lambda on this '
+            "carve-out of the train split, never on the test split)"
+        )
     prepared = _prepare(cfg, config_path.parent)
     config = _build_train_config(cfg, prepared.model_spec, seed_override)
     out = _out_dir(cfg, config_path.parent, out_override, "sweep")
@@ -300,7 +315,7 @@ def cmd_sweep(
 
     if kind == "lambda":
         grid = sweep_cfg.get("lambda_grid", list(trainer.DEFAULT_LAMBDA_GRID))
-        result = trainer.lambda_sweep(config, grid, prepared.train, prepared.test, jobs=jobs)
+        result = trainer.lambda_sweep(config, grid, prepared.train, prepared.val, jobs=jobs)
         with open(out / "sweep_lambda.csv", "w", encoding="ascii", newline="\n") as fh:
             fh.write("lambda,val_acc,val_vrr\n")
             for row in result.rows:

@@ -19,10 +19,11 @@ import numpy as np
 
 from .errors import ConfigError, ParseError, SpecError, SplitError, check_section
 
-# Stream tags for mean placement, feature noise, and corruption draws.
+# Stream tags for mean placement, feature noise, corruption draws and validation carve-outs.
 _MEANS_STREAM = 11
 _FEATURES_STREAM = 12
 _CORRUPT_STREAM = 13
+_VALIDATION_STREAM = 14
 
 # JSON kind of every "data.synthetic" key; per-class and per-modality values may be one scalar.
 _SYNTHETIC_SCHEMA = {
@@ -126,10 +127,10 @@ class Dataset:
         return int(self.labels[index])
 
     def take(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.intp)
+        idx = np.asarray(indices, dtype=np.intp)  # fancy indexing copies
         return Dataset(
-            modalities=[m[idx].copy() for m in self.modalities],
-            labels=self.labels[idx].copy(),
+            modalities=[m[idx] for m in self.modalities],
+            labels=self.labels[idx],
             num_classes=self.num_classes,
         )
 
@@ -158,6 +159,10 @@ class CorruptionSpec:
 
     def noise_std(self) -> float:
         return float(np.sqrt(self.epsilon)) if self.epsilon_is == "variance" else float(self.epsilon)
+
+    def noisy_modalities(self) -> frozenset[int]:
+        """The modalities that get noise: the targets, unless epsilon is 0."""
+        return self.target_modalities if self.noise_std() > 0.0 else frozenset()
 
 
 def class_means(spec: SyntheticSpec, modality: int) -> np.ndarray:
@@ -209,20 +214,19 @@ def write_csv_dataset(dataset: Dataset, out_dir, prefix: str = "modality") -> Pa
 
     Floats are serialized with 9 significant digits; the manifest is written
     last so a failed write never leaves a manifest pointing at missing files.
-    Returns the manifest path.
+    Each file's text comes from one %-format over its flattened values and
+    goes out in one write. Returns the manifest path.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
     for m, block in enumerate(dataset.modalities):
         name = f"{prefix}_{m}.csv"
-        row_format = ",".join(["{:.9g}"] * block.shape[1]) + "\n"
-        with open(out / name, "w", encoding="ascii", newline="\n") as fh:
-            fh.writelines(map(row_format.format, *block.T.tolist()))
+        row_format = ",".join(["%.9g"] * block.shape[1]) + "\n"
+        write_text(out / name, row_format * len(block) % tuple(block.ravel().tolist()))
         entries.append({"path": name, "dim": int(block.shape[1])})
     labels_name = "labels.csv"
-    with open(out / labels_name, "w", encoding="ascii", newline="\n") as fh:
-        fh.writelines(map("{}\n".format, dataset.labels.tolist()))
+    write_text(out / labels_name, "%s\n" * dataset.num_samples % tuple(dataset.labels.tolist()))
     manifest = {
         "num_classes": dataset.num_classes,
         "modalities": entries,
@@ -233,6 +237,12 @@ def write_csv_dataset(dataset: Dataset, out_dir, prefix: str = "modality") -> Pa
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return manifest_path
+
+
+def write_text(path: Path, text: str) -> None:
+    """Write an ASCII text file in one call."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(text)
 
 
 # The only bytes the C-level parse may see. Anything else (letters as in nan/inf,
@@ -306,22 +316,7 @@ def load_csv_dataset(manifest_path) -> Dataset:
     num_classes = manifest["num_classes"]
     base = manifest_path.parent
     modalities = [_load_modality_csv(base / entry["path"], entry["dim"]) for entry in entries]
-    labels_path = base / manifest["labels"]
-    labels = []
-    with open(labels_path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                value = int(line)
-            except ValueError:
-                raise ParseError(str(labels_path), lineno, f"non-integer label {line!r}") from None
-            if not 0 <= value < num_classes:
-                raise ParseError(
-                    str(labels_path), lineno, f"label {value} out of range [0, {num_classes})"
-                )
-            labels.append(value)
+    labels = _load_labels(base / manifest["labels"], num_classes)
     counts = {len(labels)} | {m.shape[0] for m in modalities}
     if len(counts) != 1:
         sizes = ", ".join(
@@ -332,19 +327,57 @@ def load_csv_dataset(manifest_path) -> Dataset:
         )
     if len(modalities) < 2:
         raise ParseError(str(manifest_path), 1, "need at least 2 modalities")
-    return Dataset(
-        modalities=modalities,
-        labels=np.asarray(labels, dtype=np.int64),
-        num_classes=num_classes,
-    )
+    return Dataset(modalities=modalities, labels=labels, num_classes=num_classes)
+
+
+# The only bytes a labels file parsed in one call may hold: every line is then one integer.
+_LABEL_BYTES = b"0123456789\r\n"
+
+
+def _load_labels(path: Path, num_classes: int) -> np.ndarray:
+    """Parse a labels file in one np.array call, or else line by line.
+
+    The one-call result is kept only when the file holds nothing but
+    _LABEL_BYTES and every label is in range; every other file is decided by
+    _read_label_lines, the reader that names the offending line.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if not raw.translate(None, _LABEL_BYTES):
+        try:
+            labels = np.array(raw.split(), dtype=np.int64)
+        except OverflowError:
+            pass
+        else:
+            if ((labels >= 0) & (labels < num_classes)).all():
+                return labels
+    return _read_label_lines(path, num_classes)
+
+
+def _read_label_lines(path: Path, num_classes: int) -> np.ndarray:
+    labels = []
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                value = int(line)
+            except ValueError:
+                raise ParseError(str(path), lineno, f"non-integer label {line!r}") from None
+            if not 0 <= value < num_classes:
+                message = f"label {value} out of range [0, {num_classes})"
+                raise ParseError(str(path), lineno, message)
+            labels.append(value)
+    return np.asarray(labels, dtype=np.int64)
 
 
 def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Stratified train/test split; both sides keep every class."""
     if not 0.0 < train_fraction < 1.0:
         raise SplitError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    train_idx: list[int] = []
-    test_idx: list[int] = []
+    # 0 for train, 1 for test; a label outside [0, num_classes) stays on neither side.
+    side = np.full(dataset.num_samples, -1, dtype=np.int8)
     for k in range(dataset.num_classes):
         members = np.flatnonzero(dataset.labels == k)
         if members.shape[0] < 2:
@@ -353,11 +386,22 @@ def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, 
         members = members[perm]
         n_train = int(round(train_fraction * members.shape[0]))
         n_train = min(max(n_train, 1), members.shape[0] - 1)
-        train_idx.extend(members[:n_train].tolist())
-        test_idx.extend(members[n_train:].tolist())
-    train_idx.sort()
-    test_idx.sort()
-    return dataset.take(train_idx), dataset.take(test_idx)
+        side[members[:n_train]] = 0
+        side[members[n_train:]] = 1
+    return dataset.take(np.flatnonzero(side == 0)), dataset.take(np.flatnonzero(side == 1))
+
+
+def split_validation(train_set: Dataset, val_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
+    """Stratified (train, validation) carve-out of a train split.
+
+    Each class gives about val_fraction of its samples, at least one, to the
+    validation side; the draw is keyed by `seed` on its own stream, apart from
+    the train/test split's.
+    """
+    if not 0.0 < val_fraction < 1.0:
+        raise SplitError(f"val_fraction must be in (0, 1), got {val_fraction}")
+    stream = int(np.random.default_rng([seed, _VALIDATION_STREAM]).integers(2**31))
+    return split(train_set, 1.0 - val_fraction, stream)
 
 
 def corrupt_gaussian(dataset: Dataset, spec: CorruptionSpec) -> Dataset:
@@ -369,17 +413,20 @@ def corrupt_gaussian(dataset: Dataset, spec: CorruptionSpec) -> Dataset:
     for m in spec.target_modalities:
         if m >= dataset.num_modalities:
             raise SpecError(f"corruption target {m} out of range for {dataset.num_modalities}")
-    std = spec.noise_std()
-    modalities = []
-    for m, block in enumerate(dataset.modalities):
-        if m in spec.target_modalities and std > 0.0:
-            rng = np.random.default_rng([spec.seed, _CORRUPT_STREAM, m])
-            modalities.append(block + std * rng.standard_normal(block.shape))
-        else:
-            modalities.append(block.copy())
+    noisy = spec.noisy_modalities()
+    modalities = [
+        corrupt_block(block, spec, m) if m in noisy else block.copy()
+        for m, block in enumerate(dataset.modalities)
+    ]
     return Dataset(
         modalities=modalities, labels=dataset.labels.copy(), num_classes=dataset.num_classes
     )
+
+
+def corrupt_block(block: np.ndarray, spec: CorruptionSpec, modality: int) -> np.ndarray:
+    """`block` plus its Gaussian noise under `spec`, drawn from modality's stream."""
+    rng = np.random.default_rng([spec.seed, _CORRUPT_STREAM, modality])
+    return block + spec.noise_std() * rng.standard_normal(block.shape)
 
 
 @dataclass(frozen=True)

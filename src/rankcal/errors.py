@@ -93,10 +93,14 @@ class ParseError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss, or a floating-point overflow or invalid operation.
 
-    def __init__(self, epoch: int, batch: int, loss: float):
-        super().__init__(f"non-finite loss {loss!r} at epoch {epoch}, batch {batch}")
+    `reason` describes what went wrong when the loss alone does not.
+    """
+
+    def __init__(self, epoch: int, batch: int, loss: float, reason: str | None = None):
+        reason = reason or f"non-finite loss {loss!r}"
+        super().__init__(f"{reason} at epoch {epoch}, batch {batch}")
         self.epoch = epoch
         self.batch = batch
         self.loss = loss

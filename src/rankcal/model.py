@@ -11,6 +11,8 @@ tensor, and backward_masks returns the matching parameter gradients. Each is a
 boundary around a core: prepare_masks and the shape check of backward_masks
 check and convert the inputs, and forward_core/backward_core do only the
 arithmetic, so a caller that has checked its inputs once can call them per batch.
+forward_core is its encoder half (encode_core) followed by its classifier half
+(classify_core); the noise sweep calls the halves itself, on stacked copies.
 Every encoder has the same hidden and latent sizes, so each encoder layer's
 parameters are stacked over the modalities and the cores run a layer for all of
 them in one numpy call; only the first-layer matmul, whose input dims differ,
@@ -27,10 +29,14 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, MaskError, SpecError, StateError, check_section
+from .errors import CapabilityError, DimensionError, MaskError, SpecError, StateError
+from .errors import check_section
 from .numerics import Array, softmax_parts
 
 CHECKPOINT_MAGIC = "rankcal-checkpoint v1"
+
+# The largest parameter vector init_params allocates: 1 GiB, 2**27 float64 values.
+MAX_PARAM_BYTES = 1 << 30
 
 # JSON kind of every ModelSpec key, in a config "model" section and a checkpoint header.
 SPEC_SCHEMA = {"modality_dims": list[int], "hidden_dim": int, "latent_dim": int, "num_classes": int}
@@ -213,10 +219,19 @@ def param_shapes(spec: ModelSpec) -> list[tuple[int, ...]]:
 
 
 def init_params(spec: ModelSpec, seed: int) -> ClassifierParams:
-    """Uniform Xavier weights in +-sqrt(6 / (fan_in + fan_out)); zero biases."""
-    rng = np.random.default_rng(seed)
+    """Uniform Xavier weights in +-sqrt(6 / (fan_in + fan_out)); zero biases.
+
+    A spec whose parameters need more than MAX_PARAM_BYTES fails before any allocation.
+    """
     shapes = param_shapes(spec)
-    params = ClassifierParams.from_flat(shapes, np.zeros(sum(math.prod(s) for s in shapes)))
+    size = sum(math.prod(s) for s in shapes)
+    if 8 * size > MAX_PARAM_BYTES:
+        raise CapabilityError(
+            f"model spec {spec.to_json_dict()} needs {8 * size} bytes of parameters, "
+            f"over the limit of {MAX_PARAM_BYTES}"
+        )
+    rng = np.random.default_rng(seed)
+    params = ClassifierParams.from_flat(shapes, np.zeros(size))
     for weights in params.arrays():
         if weights.ndim == 2:
             limit = np.sqrt(6.0 / sum(weights.shape))
@@ -334,6 +349,16 @@ def forward_masks(
 def forward_core(params: ClassifierParams, blocks: list[Array | None], weights) -> MaskedForward:
     """forward_masks without its checks, on prepare_masks's output; softmax_parts still checks.
 
+    It is encode_core followed by classify_core.
+    """
+    hidden, latents = encode_core(params, blocks)
+    fused, exp, sums = classify_core(params, weights, latents)
+    return MaskedForward(blocks, hidden, weights, fused, exp, sums)
+
+
+def encode_core(params: ClassifierParams, blocks: list[Array | None]) -> tuple[Array, Array]:
+    """The encoder half of forward_core: stacked (M, B, H) hidden activations, (M, B, L) latents.
+
     The hidden and latent slots of a modality that no mask uses stay zero: no
     operation reads its parameters.
     """
@@ -342,19 +367,37 @@ def forward_core(params: ClassifierParams, blocks: list[Array | None], weights) 
     for m in used:  # one matmul per modality: the input dims differ
         np.matmul(blocks[m], params.w1[m], out=hidden[m])
     if len(used) == len(blocks):
-        latents = _encoder_layers(hidden, params.b1, params.w2, params.b2)
-    else:
-        live = hidden[used]
-        latents = np.zeros(hidden.shape[:2] + params.b2.shape[1:])
-        latents[used] = _encoder_layers(live, params.b1[used], params.w2[used], params.b2[used])
-        hidden[used] = live
-    fused = weights @ latents.transpose(1, 0, 2)
-    batch, num_masks, latent_dim = fused.shape
-    logits = fused.reshape(-1, latent_dim) @ params.head_w + params.head_b
+        return hidden, _encoder_layers(hidden, params.b1, params.w2, params.b2)
+    live = hidden[used]
+    latents = np.zeros(hidden.shape[:2] + params.b2.shape[1:])
+    latents[used] = _encoder_layers(live, params.b1[used], params.w2[used], params.b2[used])
+    hidden[used] = live
+    return hidden, latents
+
+
+def encode_copies(params: ClassifierParams, m: int, copies: Array) -> Array:
+    """The (k, B, L) latents of k stacked (k, B, d_m) copies of modality m's block.
+
+    One numpy call per layer runs every copy, and each copy goes through the
+    same BLAS calls as encode_core's slot m, so its latents are encode_core's bit for bit.
+    """
+    one = slice(m, m + 1)  # modality m's layers, broadcast over the copies
+    return _encoder_layers(copies @ params.w1[m], params.b1[one], params.w2[one], params.b2[one])
+
+
+def classify_core(params: ClassifierParams, weights, latents: Array) -> tuple[Array, Array, Array]:
+    """The classifier half of forward_core: mean fusion, the head and the softmax parts.
+
+    `latents` is (..., M, B, L) and `weights` (K, M) or (B, K, M). Returns the
+    (..., B, K, L) fused latents, the (..., B, K, C) max-shifted exponentials
+    and their (..., B, K) sums. Each leading index is a separate stack whose
+    head runs as its own (B*K, L) matmul, so stacking changes no bit.
+    """
+    fused = weights @ latents.swapaxes(-3, -2)
+    shape = fused.shape
+    logits = fused.reshape(shape[:-3] + (-1, shape[-1])) @ params.head_w + params.head_b
     exp, sums = softmax_parts(logits)
-    return MaskedForward(
-        blocks, hidden, weights, fused, exp.reshape(batch, num_masks, -1), sums.reshape(batch, -1)
-    )
+    return fused, exp.reshape(shape[:-1] + (-1,)), sums.reshape(shape[:-1])
 
 
 def _encoder_layers(hidden: Array, b1: Array, w2: Array, b2: Array) -> Array:

@@ -7,6 +7,7 @@ repeat), so reruns are bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
@@ -21,7 +22,7 @@ from .calibration import (
     objective_core,
     removal_orders,
 )
-from .data import CorruptionSpec, Dataset, corrupt_gaussian
+from .data import CorruptionSpec, Dataset, corrupt_block
 from .errors import (
     ConfigError,
     DivergenceError,
@@ -32,8 +33,8 @@ from .errors import (
     check_section,
 )
 from .metrics import CSV_SUMMARY_FIELDS, MetricsReport, build_report
-from .model import ClassifierParams, ModelSpec, SubsetMask, derived_spec, forward_masks, init_params
-from .model import prepare_masks
+from .model import ClassifierParams, ModelSpec, SubsetMask, classify_core, derived_spec
+from .model import encode_copies, encode_core, init_params, prepare_masks
 from .numerics import adam_update, init_adam_state, nll_loss
 
 # Stream tags keeping shuffling and removal-order draws independent.
@@ -42,6 +43,11 @@ _CHAIN_STREAM = 2
 
 # Config key of each TrainConfig field whose name differs from it.
 _CONFIG_KEYS = {"lam": "lambda"}
+
+# Test-set rows that one stacked noise-sweep call encodes and classifies at most,
+# counted in whole cells (a larger cell runs alone): the sweep's working set is
+# that of a full-mask forward of this many rows, or of one cell when it is larger.
+NOISE_SWEEP_ROWS = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -128,6 +134,8 @@ def train(config: TrainConfig, train_set: Dataset) -> RunResult:
     depend on the batch it lands in; one optimizer step is taken per
     mini-batch on the mean of the per-sample gradients. The inputs are checked
     once, before the first batch; each batch then runs only objective_core.
+    A non-finite loss, logit, overflow or invalid floating-point operation
+    stops the run with a DivergenceError naming the epoch and batch.
     """
     config.validate()
     if train_set.num_samples == 0:
@@ -146,51 +154,50 @@ def train(config: TrainConfig, train_set: Dataset) -> RunResult:
 
     n = train_set.num_samples
     history: list[EpochStats] = []
-    for epoch in range(config.epochs):
-        # The epoch's sample order is gathered once, so every batch is a contiguous slice.
-        order = np.random.default_rng([config.seed, _SHUFFLE_STREAM, epoch]).permutation(n)
-        chain_rng = np.random.default_rng([config.seed, _CHAIN_STREAM, epoch])
-        chains = chain_presence(removal_orders(chain_rng, n, num_modalities))[order]
-        weights = chains / chains.sum(axis=-1, keepdims=True)
-        features = [block[order] for block in blocks]
-        label_col = np.repeat(labels[order, None], num_modalities, axis=1)
-        cls_sum = 0.0
-        reg_sum = 0.0
-        correct = 0
-        for batch_idx, start in enumerate(range(0, n, config.batch_size)):
-            batch = slice(start, start + config.batch_size)
-            try:
-                result = objective_core(
-                    params,
-                    [block[batch] for block in features],
-                    weights[batch],
-                    label_col[batch],
-                    *options,
-                    grads,
+    # Set once per run: an overflow or invalid operation raises instead of warning.
+    with np.errstate(over="raise", invalid="raise"):
+        for epoch in range(config.epochs):
+            # The epoch's sample order is gathered once, so every batch is a contiguous slice.
+            order = np.random.default_rng([config.seed, _SHUFFLE_STREAM, epoch]).permutation(n)
+            chain_rng = np.random.default_rng([config.seed, _CHAIN_STREAM, epoch])
+            chains = chain_presence(removal_orders(chain_rng, n, num_modalities))[order]
+            weights = chains / chains.sum(axis=-1, keepdims=True)
+            features = [block[order] for block in blocks]
+            label_col = np.repeat(labels[order, None], num_modalities, axis=1)
+            cls_sum = 0.0
+            reg_sum = 0.0
+            correct = 0
+            for batch_idx, start in enumerate(range(0, n, config.batch_size)):
+                batch = slice(start, start + config.batch_size)
+                try:
+                    result = objective_core(
+                        params,
+                        [block[batch] for block in features],
+                        weights[batch],
+                        label_col[batch],
+                        *options,
+                        grads,
+                    )
+                    if not math.isfinite(result.loss):
+                        raise DivergenceError(epoch=epoch, batch=batch_idx, loss=result.loss)
+                    grads.flat /= len(result.full_correct)
+                    adam_update(params.flat, grads.flat, state)
+                except NumericError:
+                    raise DivergenceError(epoch=epoch, batch=batch_idx, loss=float("nan")) from None
+                except FloatingPointError as exc:
+                    reason = f"floating-point {exc}"
+                    raise DivergenceError(epoch, batch_idx, float("nan"), reason) from None
+                cls_sum += result.cls_loss
+                reg_sum += result.reg_loss
+                correct += np.count_nonzero(result.full_correct)
+            history.append(
+                EpochStats(
+                    cls_loss=cls_sum / n,
+                    reg_loss=reg_sum / n,
+                    train_accuracy=100.0 * correct / n,
                 )
-            except NumericError:
-                raise DivergenceError(epoch=epoch, batch=batch_idx, loss=float("nan")) from None
-            if not np.isfinite(result.loss):
-                raise DivergenceError(epoch=epoch, batch=batch_idx, loss=result.loss)
-            cls_sum += result.cls_loss
-            reg_sum += result.reg_loss
-            correct += int(result.full_correct.sum())
-            grads.flat /= len(result.full_correct)
-            adam_update(params.flat, grads.flat, state)
-        history.append(
-            EpochStats(
-                cls_loss=cls_sum / n,
-                reg_loss=reg_sum / n,
-                train_accuracy=100.0 * correct / n,
             )
-        )
     return RunResult(params=params, history=history)
-
-
-def full_mask_accuracy(params: ClassifierParams, dataset: Dataset) -> float:
-    full = np.ones((1, dataset.num_modalities), dtype=bool)
-    predicted = forward_masks(params, dataset.modalities, full).predicted[:, 0]
-    return 100.0 * int(np.sum(predicted == dataset.labels)) / dataset.num_samples
 
 
 def _evaluate(
@@ -323,33 +330,63 @@ def noise_sweep(
     target_sets: Sequence[SubsetMask],
     seed: int,
 ) -> list[NoiseSweepRow]:
-    """Accuracy of both models on the same corrupted copies of the test set."""
+    """Accuracy of both models on the same corrupted copies of the test set.
+
+    Cell (epsilon, target set) draws its copy from corrupt_gaussian's streams,
+    keyed by (seed, epsilon index, target index). The cells run in chunks of
+    at most NOISE_SWEEP_ROWS test rows (at least one cell): each model encodes
+    the clean blocks once per sweep and each modality's corrupted copies in
+    one stacked call per chunk, then classifies every cell of the chunk in one
+    call. Each cell's arithmetic is that of a full-mask forward_masks on its
+    copy, so every accuracy is bit for bit the per-cell one.
+    """
     if params_baseline.spec_signature() != params_cml.spec_signature():
         raise SpecError("models have different parameter shapes")
     if not epsilons or not target_sets:
         raise ConfigError("noise sweep needs at least one epsilon and one target set")
-    rows = []
+    cells = []
     for e_idx, eps in enumerate(epsilons):
         for t_idx, targets in enumerate(target_sets):
             targets.validate_for(test_set.num_modalities)
-            spec = CorruptionSpec(
-                target_modalities=targets.present,
-                epsilon=float(eps),
-                seed=int(np.random.default_rng([seed, e_idx, t_idx]).integers(2**31)),
-            )
-            corrupted = corrupt_gaussian(test_set, spec)
-            acc_a = full_mask_accuracy(params_baseline, corrupted)
-            acc_b = full_mask_accuracy(params_cml, corrupted)
-            rows.append(
-                NoiseSweepRow(
-                    epsilon=float(eps),
-                    targets=targets,
-                    acc_baseline=acc_a,
-                    acc_cml=acc_b,
-                    delta=acc_b - acc_a,
-                )
-            )
+            cell_seed = int(np.random.default_rng([seed, e_idx, t_idx]).integers(2**31))
+            cells.append((targets, CorruptionSpec(targets.present, float(eps), cell_seed)))
+    full = np.ones((1, test_set.num_modalities), dtype=bool)
+    blocks, weights = prepare_masks(params_baseline, test_set.modalities, full)
+    models = (params_baseline, params_cml)
+    clean = [encode_core(params, blocks)[1] for params in models]
+    step = max(1, NOISE_SWEEP_ROWS // test_set.num_samples)
+    correct: tuple[list[int], list[int]] = ([], [])
+    for start in range(0, len(cells), step):
+        specs = [spec for _, spec in cells[start : start + step]]
+        # Per corrupted modality: the chunk's cells that corrupt it, and their stacked copies.
+        copies = []
+        for m, block in enumerate(blocks):
+            idx = [c for c, spec in enumerate(specs) if m in spec.noisy_modalities()]
+            if idx:
+                copies.append((m, idx, np.stack([corrupt_block(block, specs[c], m) for c in idx])))
+        for params, latents, counts in zip(models, clean, correct):
+            counts += _chunk_correct(params, weights, latents, copies, len(specs), test_set.labels)
+    rows = []
+    for (targets, spec), count_a, count_b in zip(cells, *correct):
+        acc_a = 100.0 * count_a / test_set.num_samples
+        acc_b = 100.0 * count_b / test_set.num_samples
+        rows.append(NoiseSweepRow(spec.epsilon, targets, acc_a, acc_b, acc_b - acc_a))
     return rows
+
+
+def _chunk_correct(params, weights, clean_latents, copies, num_cells: int, labels) -> list[int]:
+    """The number of correct full-mask predictions in each of a chunk's cells.
+
+    A cell's latents are the clean (M, N, L) ones with the slots of its
+    corrupted modalities replaced; `copies` holds (modality, the chunk cells
+    that corrupt it, their stacked copies) per corrupted modality.
+    """
+    latents = np.repeat(clean_latents[None], num_cells, axis=0)
+    for m, idx, stack in copies:
+        latents[idx, m] = encode_copies(params, m, stack)
+    _, exp, sums = classify_core(params, weights, latents)
+    predicted = (exp / sums[..., None]).argmax(axis=-1)[..., 0]
+    return (predicted == labels).sum(axis=1).tolist()
 
 
 @dataclass

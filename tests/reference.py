@@ -10,6 +10,9 @@ written out in plain numpy with the same float operations in the same order.
 reference_train is the training loop as it was before the per-epoch gather and
 the reused gradient buffer, around chain_objective; since train and
 chain_objective share one core, only reference_chain_objective pins the arithmetic.
+reference_split is data.split's index sets as sorted Python lists, class by class.
+reference_noise_sweep is the noise sweep one cell at a time: one corrupt_gaussian
+copy and one full_mask_accuracy forward per model per cell.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ import numpy as np
 
 from rankcal import trainer
 from rankcal.calibration import chain_objective, chain_presence, removal_orders
+from rankcal.data import CorruptionSpec, corrupt_gaussian
 from rankcal.errors import DivergenceError, NumericError, ParseError
-from rankcal.model import ClassifierParams, EncoderParams, SubsetMask, init_params
+from rankcal.model import ClassifierParams, EncoderParams, SubsetMask, forward_masks, init_params
 from rankcal.numerics import adam_update, init_adam_state
 
 
@@ -358,3 +362,39 @@ def reference_train(config, train_set):
             adam_update(params.flat, result.grads.flat / len(batch), state)
         history.append(trainer.EpochStats(cls_sum / n, reg_sum / n, 100.0 * correct / n))
     return params, history
+
+
+def full_mask_accuracy(params, dataset) -> float:
+    """Percent of rows whose full-mask forward_masks prediction is their label."""
+    full = np.ones((1, dataset.num_modalities), dtype=bool)
+    predicted = forward_masks(params, dataset.modalities, full).predicted[:, 0]
+    return 100.0 * int(np.sum(predicted == dataset.labels)) / dataset.num_samples
+
+
+def reference_noise_sweep(params_a, params_b, test_set, epsilons, target_sets, seed):
+    """(epsilon, targets, acc_a, acc_b, delta) per cell: one corrupted copy, then two forwards."""
+    rows = []
+    for e_idx, eps in enumerate(epsilons):
+        for t_idx, targets in enumerate(target_sets):
+            spec = CorruptionSpec(
+                target_modalities=targets.present,
+                epsilon=float(eps),
+                seed=int(np.random.default_rng([seed, e_idx, t_idx]).integers(2**31)),
+            )
+            corrupted = corrupt_gaussian(test_set, spec)
+            acc_a = full_mask_accuracy(params_a, corrupted)
+            acc_b = full_mask_accuracy(params_b, corrupted)
+            rows.append((float(eps), targets, acc_a, acc_b, acc_b - acc_a))
+    return rows
+
+
+def reference_split(dataset, train_fraction: float, seed: int):
+    """(train, test) of data.split, its index sets gathered as sorted lists."""
+    train_idx, test_idx = [], []
+    for k in range(dataset.num_classes):
+        members = np.flatnonzero(dataset.labels == k)
+        members = members[np.random.default_rng([seed, k]).permutation(members.shape[0])]
+        n_train = min(max(int(round(train_fraction * members.shape[0])), 1), members.shape[0] - 1)
+        train_idx.extend(members[:n_train].tolist())
+        test_idx.extend(members[n_train:].tolist())
+    return dataset.take(sorted(train_idx)), dataset.take(sorted(test_idx))

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from rankcal.cli import main
-from rankcal.data import load_csv_dataset
+from rankcal.data import Dataset, SyntheticSpec, generate_synthetic, load_csv_dataset
+from rankcal.data import write_csv_dataset
 
 
 # A manifest whose modality entry lacks its dim; the check fails before any CSV is read.
@@ -340,6 +341,7 @@ class TestSweepCommand:
     def test_lambda_sweep_csv(self, tmp_path):
         cfg = write_config(
             tmp_path / "config.json",
+            split={"val_fraction": 0.25},
             sweep={"kind": "lambda", "lambda_grid": [0.0, 5.0]},
             train={"epochs": 2},
         )
@@ -351,9 +353,46 @@ class TestSweepCommand:
         best = json.loads((out_dir / "sweep_lambda.json").read_text())
         assert best["best_lambda"] in (0.0, 5.0)
 
+    def test_lambda_sweep_without_val_fraction_fails_naming_it(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "config.json", sweep={"kind": "lambda", "lambda_grid": [1.0]})
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: split.val_fraction: missing key")
+        assert not out.exists()
+
+    def test_lambda_sweep_never_reads_the_test_split(self, tmp_path):
+        """A poisoned test manifest leaves sweep_lambda.csv byte-identical."""
+        dataset = generate_synthetic(SyntheticSpec.from_json_dict(SYNTHETIC))
+        write_csv_dataset(dataset, tmp_path / "train")
+        rng = np.random.default_rng(0)
+        clean = dataset.take(np.arange(20))
+        poisoned = Dataset(
+            [1e6 * rng.standard_normal(block.shape) for block in clean.modalities],
+            1 - clean.labels,
+            clean.num_classes,
+        )
+        tables = []
+        for name, test_set in (("clean", clean), ("poisoned", poisoned)):
+            write_csv_dataset(test_set, tmp_path / name)
+            cfg = write_config(
+                tmp_path / f"{name}.json",
+                split={"val_fraction": 0.25, "seed": 4},
+                sweep={"kind": "lambda", "lambda_grid": [0.0, 5.0, 50.0]},
+                train={"epochs": 2},
+            )
+            sources = {"manifest": "train/manifest.json", "test_manifest": f"{name}/manifest.json"}
+            cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "data": sources}))
+            out = tmp_path / f"sweep_{name}"
+            assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+            tables.append((out / "sweep_lambda.csv").read_bytes())
+        assert tables[0] == tables[1]
+
     def test_empty_grid_fails(self, tmp_path, capsys):
         cfg = write_config(
-            tmp_path / "config.json", sweep={"kind": "lambda", "lambda_grid": []}
+            tmp_path / "config.json",
+            split={"val_fraction": 0.25},
+            sweep={"kind": "lambda", "lambda_grid": []},
         )
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) != 0
         assert "empty" in capsys.readouterr().err
@@ -374,6 +413,30 @@ class TestSweepCommand:
     def test_missing_kind_fails(self, tmp_path):
         cfg = write_config(tmp_path / "config.json", sweep={})
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) != 0
+
+
+class TestNumericBoundary:
+    """Overflow and oversized models exit 1 with one line: no warning, traceback or run dir."""
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            # Adam's second moment overflows; without raising, the run wrote a different model.
+            ({"train": {"lambda": 1e308}}, "error: floating-point overflow encountered in"),
+            # The matmuls overflow; without raising, numpy warnings came before the error line.
+            ({"train": {"learning_rate": 1e300}}, "error: floating-point overflow encountered in"),
+            ({"model": {"hidden_dim": 10**12}}, "bytes of parameters, over the limit of"),
+        ],
+    )
+    def test_train_fails_with_one_line(self, tmp_path, capsys, overrides, message):
+        cfg = write_config(tmp_path / "config.json", **overrides)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0]
+        if "epoch" in message or "floating" in message:
+            assert " at epoch " in err[0] and ", batch " in err[0]
+        assert not out.exists()
 
 
 class TestCommandSections:

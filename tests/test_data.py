@@ -22,7 +22,7 @@ from rankcal.data import (
 )
 from rankcal.errors import ParseError, SpecError, SplitError
 
-from reference import reference_dataset_csv, reference_load_modality_csv
+from reference import reference_dataset_csv, reference_load_modality_csv, reference_split
 
 
 def basic_spec(**overrides) -> SyntheticSpec:
@@ -286,6 +286,37 @@ class TestModalityCsvReader:
         assert outcome == read_outcome(reference_load_modality_csv, path, 6)
 
 
+class TestLabelsReader:
+    """The one-call labels reader against the line-wise one: the same labels or the same error."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0\n1\n1\n0\n",
+            "0\r\n1\r\n\r\n1",
+            "\n\n007\n1\n\n",
+            "",
+            "0\n2\n1\n",  # out of range for 2 classes
+            "0\n99999999999999999999\n",  # overflows int64
+            "0\n 1\n",  # whitespace in a line: the line reader decides
+            "0\n1 1\n",
+            "0\n+1\n",
+        ],
+    )
+    def test_same_outcome_as_the_line_reader(self, tmp_path, text):
+        path = tmp_path / "labels.csv"
+        path.write_bytes(text.encode("ascii"))
+        outcomes = []
+        for read in (data._load_labels, data._read_label_lines):
+            try:
+                labels = read(path, 2)
+            except ParseError as exc:
+                outcomes.append((exc.line, str(exc)))
+            else:
+                outcomes.append((labels.dtype.str, labels.tolist()))
+        assert outcomes[0] == outcomes[1]
+
+
 def write_manifest(tmp_path, modalities, labels, num_classes=2):
     entries = []
     for m, rows in enumerate(modalities):
@@ -401,6 +432,44 @@ class TestSplit:
             split(dataset, 0.0, seed=0)
         with pytest.raises(SplitError):
             split(dataset, 1.0, seed=0)
+
+
+    @pytest.mark.parametrize("fraction", [0.05, 0.5, 0.7, 0.95])
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    def test_same_samples_as_the_list_reference(self, fraction, seed):
+        dataset = generate_synthetic(basic_spec(num_classes=3, samples_per_class=(13, 2, 30)))
+        labels = dataset.labels.copy()
+        labels[[0, 20]] = 7  # out of range: on neither side, as in the reference
+        dataset = Dataset(dataset.modalities, labels, dataset.num_classes)
+        want_sides = reference_split(dataset, fraction, seed)
+        for got, want in zip(split(dataset, fraction, seed), want_sides):
+            assert got.labels.tobytes() == want.labels.tobytes()
+            for a, b in zip(got.modalities, want.modalities):
+                assert a.tobytes() == b.tobytes()
+
+
+class TestSplitValidation:
+    def test_carve_out_partitions_the_train_split_by_class(self):
+        train = generate_synthetic(basic_spec(samples_per_class=(40, 21)))
+        rest, val = data.split_validation(train, 0.25, seed=3)
+        assert val.class_counts() == [10, 5] and rest.class_counts() == [30, 16]
+        for m in range(train.num_modalities):
+            combined = np.concatenate([rest.modalities[m], val.modalities[m]])
+            assert sorted(map(tuple, combined)) == sorted(map(tuple, train.modalities[m]))
+
+    def test_keyed_apart_from_the_train_test_split(self):
+        train = generate_synthetic(basic_spec(samples_per_class=(40, 40)))
+        _, val = data.split_validation(train, 0.25, seed=3)
+        _, test = split(train, 0.75, seed=3)
+        again = data.split_validation(train, 0.25, seed=3)[1]
+        assert val.modalities[0].tobytes() == again.modalities[0].tobytes()
+        assert val.modalities[0].tobytes() != test.modalities[0].tobytes()
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5])
+    def test_fraction_bounds_name_val_fraction(self, fraction):
+        train = generate_synthetic(basic_spec())
+        with pytest.raises(SplitError, match="val_fraction"):
+            data.split_validation(train, fraction, seed=0)
 
 
 class TestCorruptGaussian:

@@ -1,0 +1,33 @@
+"""Every file of one CLI pass, and the noise-sweep rows, match the committed golden hashes.
+
+The manifest is tests/golden_hashes.json, written by tests/golden.py under the
+numpy and BLAS versions it records. Under other versions this test fails and
+names both: the hashes say nothing about another library's rounding.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+import golden
+
+
+@pytest.fixture(scope="module")
+def expected() -> dict:
+    manifest = json.loads(golden.MANIFEST.read_text(encoding="ascii"))
+    if manifest["versions"] != golden.versions():
+        pytest.fail(
+            f"golden hashes were written under {manifest['versions']}, this run has "
+            f"{golden.versions()}; rewrite them with `PYTHONPATH=src python tests/golden.py`"
+        )
+    return manifest
+
+
+def test_cli_pass_files_byte_identical(expected, tmp_path):
+    assert golden.cli_pass_hashes(tmp_path) == expected["cli_pass"]
+
+
+def test_noise_sweep_rows_identical(expected):
+    assert golden.noise_sweep_hashes() == expected["noise_sweep"]

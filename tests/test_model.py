@@ -6,14 +6,18 @@ import warnings
 import numpy as np
 import pytest
 
-from rankcal.errors import DimensionError, MaskError, SpecError, StateError
+from rankcal.errors import CapabilityError, DimensionError, MaskError, SpecError, StateError
 from rankcal.model import (
+    MAX_PARAM_BYTES,
     ClassifierParams,
     EncoderParams,
     ModelSpec,
     SubsetMask,
     backward_masks,
+    classify_core,
     derived_spec,
+    encode_copies,
+    encode_core,
     forward_masks,
     init_params,
     load_checkpoint,
@@ -115,6 +119,12 @@ class TestInitParams:
 
     def test_derived_spec_round_trip(self):
         assert derived_spec(init_params(SPEC, seed=0)) == SPEC
+
+
+def test_init_params_over_the_byte_limit_fails_before_allocating():
+    spec = ModelSpec(modality_dims=(4, 3), hidden_dim=10**12, latent_dim=4, num_classes=2)
+    with pytest.raises(CapabilityError, match=f"over the limit of {MAX_PARAM_BYTES}"):
+        init_params(spec, seed=0)
 
 
 def stacked_offsets(spec: ModelSpec) -> dict[str, int]:
@@ -291,6 +301,30 @@ class TestForward:
         with pytest.raises(error) as excinfo:
             forward_masks(params, random_features(SPEC, 0, rows), np.ones(presence_shape, bool))
         assert str(excinfo.value) == message
+
+
+class TestStackedHalves:
+    """encode_copies and a stacked classify_core run each copy's forward bit for bit."""
+
+    # One row makes every matmul a vector product, which one stacked 2-D matmul would not be.
+    @pytest.mark.parametrize("rows", [1, 5, 301])
+    def test_each_stacked_copy_is_its_own_forward(self, rows):
+        spec = ModelSpec(modality_dims=(3, 4, 2), hidden_dim=32, latent_dim=12, num_classes=4)
+        params = init_params(spec, seed=3)
+        clean = random_features(spec, 0, rows)
+        rng = np.random.default_rng(1)
+        copies = [[x + rng.standard_normal(x.shape) for x in clean] for _ in range(4)]
+        full = np.ones((1, spec.num_modalities), dtype=bool)
+        weights = full / spec.num_modalities
+        latents = np.repeat(encode_core(params, clean)[1][None], len(copies), axis=0)
+        for m in (0, 2):  # modality 1 stays clean in every copy
+            stack = np.stack([copy[m] for copy in copies])
+            latents[:, m] = encode_copies(params, m, stack)
+        _, exp, sums = classify_core(params, weights, latents)
+        for c, copy in enumerate(copies):
+            fwd = forward_masks(params, [copy[0], clean[1], copy[2]], full)
+            assert exp[c].tobytes() == fwd.exp.tobytes()
+            assert sums[c].tobytes() == fwd.sums.tobytes()
 
 
 class TestConfidence:

@@ -26,7 +26,6 @@ from rankcal.trainer import (
     aggregate_runs,
     default_target_sets,
     evaluate,
-    full_mask_accuracy,
     lambda_sweep,
     noise_sweep,
     replicate,
@@ -34,7 +33,7 @@ from rankcal.trainer import (
     train,
 )
 
-from reference import reference_probs, reference_train
+from reference import full_mask_accuracy, reference_noise_sweep, reference_probs, reference_train
 
 MODEL = ModelSpec(modality_dims=(4, 3), hidden_dim=8, latent_dim=4, num_classes=2)
 
@@ -301,15 +300,16 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("mode, repeats", [("exhaustive", 1), ("sampled", 1), ("sampled", 3)])
     def test_one_forward_per_vrr_draw(self, monkeypatch, mode, repeats):
+        # Every forward, batched or stacked, runs the classifier half once.
         calls = []
-        forward_masks = calibration.forward_masks
+        classify_core = model.classify_core
 
         def counting(*args, **kwargs):
             calls.append(1)
-            return forward_masks(*args, **kwargs)
+            return classify_core(*args, **kwargs)
 
-        for module in (calibration, trainer):
-            monkeypatch.setattr(module, "forward_masks", counting)
+        for module in (model, trainer):
+            monkeypatch.setattr(module, "classify_core", counting)
         _, test_set = make_sets(per_class=5)
         evaluate(init_params(MODEL, seed=0), test_set, config(vrr_mode=mode, vrr_repeats=repeats))
         assert len(calls) == repeats
@@ -434,6 +434,48 @@ class TestNoiseSweep:
         )
         assert rows[0].acc_baseline == full_mask_accuracy(params_a, test_set)
         assert rows[0].acc_cml == full_mask_accuracy(params_b, test_set)
+
+    @staticmethod
+    def sweep_case(num_modalities: int, num_rows: int):
+        """Two briefly trained models and a test set of `num_rows` rows over M modalities."""
+        dims = tuple(range(2, 2 + num_modalities))
+        spec = SyntheticSpec(
+            num_classes=3,
+            modality_dims=dims,
+            samples_per_class=(90, 80, 70),
+            class_separation=(3.0, 1.5, 1.0, 0.5)[:num_modalities],
+            noise_std=(1.0,) * num_modalities,
+            seed=num_modalities,
+        )
+        train_set, test_set = split(generate_synthetic(spec), 0.15, seed=1)
+        cfg = config(model=ModelSpec(dims, hidden_dim=6, latent_dim=3, num_classes=3), epochs=1)
+        params_a = train(cfg, train_set).params
+        params_b = train(dataclasses.replace(cfg, lam=5.0, seed=1), train_set).params
+        return params_a, params_b, test_set.take(np.arange(num_rows))
+
+    # N = 1 runs every matmul as a vector product; 201 puts several cells in one chunk.
+    @pytest.mark.parametrize("num_rows", [1, 7, 201])
+    @pytest.mark.parametrize("num_modalities", [2, 3, 4])
+    def test_rows_equal_the_per_cell_oracle(self, num_modalities, num_rows):
+        params_a, params_b, test_set = self.sweep_case(num_modalities, num_rows)
+        targets = default_target_sets(num_modalities) + [SubsetMask.of([0, num_modalities - 1])]
+        epsilons = [0.0, 0.05, 0.3, 1.5, 8.0]
+        rows = noise_sweep(params_a, params_b, test_set, epsilons, targets, seed=11)
+        want = reference_noise_sweep(params_a, params_b, test_set, epsilons, targets, seed=11)
+        got = [(r.epsilon, r.targets, r.acc_baseline, r.acc_cml, r.delta) for r in rows]
+        assert got == want
+
+    # One cell per chunk, three cells per chunk with a ragged last chunk, one chunk in all.
+    @pytest.mark.parametrize("chunk_rows", [30, 90, 1 << 20])
+    def test_chunking_changes_no_row(self, monkeypatch, chunk_rows):
+        params_a, params_b, test_set = self.sweep_case(3, 30)
+        targets = default_target_sets(3)
+        args = (params_a, params_b, test_set, [0.0, 0.2, 0.7], targets)
+        want = reference_noise_sweep(*args, seed=4)
+        monkeypatch.setattr(trainer, "NOISE_SWEEP_ROWS", chunk_rows)
+        rows = noise_sweep(*args, seed=4)
+        got = [(r.epsilon, r.targets, r.acc_baseline, r.acc_cml, r.delta) for r in rows]
+        assert got == want
 
     def test_table_shape(self):
         train_set, test_set = make_sets(per_class=20)
