@@ -1,10 +1,15 @@
-"""Golden byte manifest: sha256 of every file of one CLI pass, and of noise-sweep rows.
+"""Golden byte manifest: sha256 of one CLI pass, noise-sweep rows, a training grid and VRR.
 
 The pass is generate, train (lambda 0 and lambda 10), compare and a noise
 sweep at the benchmark's fixture size. `config.json`'s `written_at` value is
 blanked before hashing: it is the one non-reproducible byte range of a run
 directory. The noise-sweep rows come from `trainer.noise_sweep` for 2 to 4
 modalities, with epsilon 0 and the full target set among the cells.
+The training grid hashes `params.flat` and `history` of `trainer.train` over
+every regularizer variant x skip_on_wrong_full x detach_superset, with ragged
+mini-batches and with one batch per epoch. The VRR entries hash everything
+`calibration.evaluate_vrr` returns, sampled (1 and 3 repeats) and exhaustive,
+for 3 and 4 modalities on trained parameters.
 
 The hashes hold for the numpy and BLAS versions that wrote them; test_golden.py
 fails, naming both versions, when it runs under others. A change that alters a
@@ -27,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from rankcal import cli, data, model, trainer
+from rankcal import calibration, cli, data, model, trainer
 
 MANIFEST = Path(__file__).with_name("golden_hashes.json")
 
@@ -150,11 +155,110 @@ def noise_sweep_hashes() -> dict[str, str]:
     }
 
 
+def _fixture(num_modalities: int) -> tuple[data.Dataset, data.Dataset, model.ModelSpec]:
+    """Standardized (train, test) sets of a small 3-class problem, and a model spec for it."""
+    m = num_modalities
+    dims = tuple(range(3, 3 + m))
+    spec = data.SyntheticSpec(
+        num_classes=3,
+        modality_dims=dims,
+        samples_per_class=(25, 22, 28),
+        class_separation=(2.5, 1.5, 1.0, 0.5)[:m],
+        noise_std=(1.0,) * m,
+        seed=40 + m,
+    )
+    train_set, test_set = data.split(data.generate_synthetic(spec), 0.6, seed=m)
+    stats = data.standardize_fit(train_set)
+    train_set = data.standardize_apply(train_set, stats)
+    test_set = data.standardize_apply(test_set, stats)
+    return train_set, test_set, model.ModelSpec(dims, hidden_dim=9, latent_dim=5, num_classes=3)
+
+
+# Batch sizes over the 45-row training split: ragged (16, 16, 13) and one batch per epoch.
+GRID_BATCHES = {"ragged": 16, "single": 64}
+
+
+def _grid_config(spec: model.ModelSpec, variant: str, skip: bool, detach: bool, batch: int):
+    return trainer.TrainConfig(
+        model=spec,
+        epochs=12,
+        learning_rate=1e-2,
+        batch_size=batch,
+        lam=6.0,
+        variant=variant,
+        skip_on_wrong_full=skip,
+        detach_superset=detach,
+        seed=11,
+    )
+
+
+def _digest(*parts) -> str:
+    """sha256 over arrays' bytes and the repr of everything else, in order."""
+    sha = hashlib.sha256()
+    for part in parts:
+        sha.update(part.tobytes() if isinstance(part, np.ndarray) else repr(part).encode("ascii"))
+    return sha.hexdigest()
+
+
+def _history(history) -> list[tuple[str, str, str]]:
+    return [(h.cls_loss.hex(), h.reg_loss.hex(), h.train_accuracy.hex()) for h in history]
+
+
+def train_grid_hashes() -> dict[str, str]:
+    """"<variant>/skip=<0|1>/detach=<0|1>/<batches>" -> sha256 of params.flat and history."""
+    train_set, _, spec = _fixture(3)
+    hashes = {}
+    for variant in calibration.REGULARIZER_VARIANTS:
+        for skip in (False, True):
+            for detach in (False, True):
+                for name, batch in GRID_BATCHES.items():
+                    config = _grid_config(spec, variant, skip, detach, batch)
+                    run = trainer.train(config, train_set)
+                    key = f"{variant}/skip={int(skip)}/detach={int(detach)}/{name}"
+                    hashes[key] = _digest(run.params.flat, _history(run.history))
+    return hashes
+
+
+VRR_MODES = {
+    "sampled_r1": ("sampled", 1),
+    "sampled_r3": ("sampled", 3),
+    "exhaustive": ("exhaustive", 1),
+}
+
+
+def evaluate_vrr_hashes() -> dict[str, str]:
+    """"M=<modalities>/<mode>" -> sha256 of every field evaluate_vrr returns, on trained params."""
+    hashes = {}
+    for m in (3, 4):
+        train_set, test_set, spec = _fixture(m)
+        params = trainer.train(_grid_config(spec, "hinge", True, False, 16), train_set).params
+        for name, (mode, repeats) in VRR_MODES.items():
+            result = calibration.evaluate_vrr(params, test_set, seed=17, mode=mode, repeats=repeats)
+            records = result.records
+            by_size = result.mean_confidence_by_subset_size
+            hashes[f"M={m}/{name}"] = _digest(
+                records.sample_id,
+                records.t_code,
+                records.s_code,
+                records.conf_t,
+                records.conf_s,
+                records.ci,
+                result.vrr.hex(),
+                sorted(result.attribution.items()),
+                sorted((size, conf.hex()) for size, conf in by_size.items()),
+                result.full_probs,
+                result.full_confidence,
+            )
+    return hashes
+
+
 def manifest(work_dir: Path) -> dict:
     return {
         "versions": versions(),
         "cli_pass": cli_pass_hashes(work_dir),
         "noise_sweep": noise_sweep_hashes(),
+        "train_grid": train_grid_hashes(),
+        "evaluate_vrr": evaluate_vrr_hashes(),
     }
 
 

@@ -1,4 +1,4 @@
-"""Every file of one CLI pass, and the noise-sweep rows, match the committed golden hashes.
+"""One CLI pass, the noise-sweep rows, a training grid and VRR match the committed golden hashes.
 
 The manifest is tests/golden_hashes.json, written by tests/golden.py under the
 numpy and BLAS versions it records. Under other versions this test fails and
@@ -31,3 +31,11 @@ def test_cli_pass_files_byte_identical(expected, tmp_path):
 
 def test_noise_sweep_rows_identical(expected):
     assert golden.noise_sweep_hashes() == expected["noise_sweep"]
+
+
+def test_train_grid_identical(expected):
+    assert golden.train_grid_hashes() == expected["train_grid"]
+
+
+def test_evaluate_vrr_identical(expected):
+    assert golden.evaluate_vrr_hashes() == expected["evaluate_vrr"]
