@@ -7,9 +7,11 @@ with ci < 0 is the violating ranking rate (VRR). Training adds a hinge
 penalty max(0, conf(T) - conf(S)) over the pairs of a randomly sampled
 removal chain, weighted by lambda on top of the classification loss.
 
-chain_objective checks its inputs, then runs objective_core: the check-free
-arithmetic of one batch (forward_core, the NLL, the penalty and backward_core).
-trainer.train runs the same checks once per run and objective_core per batch.
+chain_objective turns a batch's chains into mask weights and runs
+objective_core, the arithmetic of one batch (forward_core, the NLL, the penalty
+and backward_masks). trainer.train converts a whole epoch's chains at once and
+calls objective_core per batch. Nothing here checks its inputs: they come from a
+data.Dataset, which checked them when it was built.
 """
 
 from __future__ import annotations
@@ -22,17 +24,9 @@ from typing import Sequence
 import numpy as np
 
 from .data import write_text
-from .errors import (
-    CapabilityError,
-    ConfigError,
-    DimensionError,
-    DomainError,
-    EmptyInputError,
-    SpecError,
-    StateError,
-)
-from .model import ClassifierParams, backward_core, forward_core, forward_masks, prepare_masks
-from .numerics import Array, describe_bad
+from .errors import CapabilityError, ConfigError, EmptyInputError, SpecError
+from .model import ClassifierParams, backward_masks, forward_core, forward_masks
+from .numerics import Array
 
 REGULARIZER_VARIANTS = ("hinge", "difference", "none")
 
@@ -64,19 +58,6 @@ def chain_presence(orders) -> Array:
         raise SpecError("each removal order must be a permutation of the modalities")
     position = orders.argsort(axis=1)  # the inverse permutation: each modality's removal step
     return position[:, None, :] >= np.arange(num_modalities)[None, :, None]
-
-
-def _check_confidence(values, name: str) -> Array:
-    values = np.asarray(values, dtype=np.float64)
-    bad = ~((values >= 0.0) & (values <= 1.0))
-    if bad.any():
-        raise DomainError(f"{name} must be in [0, 1]; outside: {describe_bad(bad)}")
-    return values
-
-
-def confidence_increment(conf_t, conf_s):
-    """conf(S) - conf(T); negative means removing a modality raised confidence."""
-    return _check_confidence(conf_s, "conf_s") - _check_confidence(conf_t, "conf_t")
 
 
 def pair_losses(variant: str, conf_t: Array, conf_s: Array) -> tuple[Array, Array]:
@@ -125,15 +106,6 @@ class ChainObjective:
     full_correct: Array
 
 
-def check_labels(labels, num_classes: int) -> Array:
-    """1-D `labels` as an array; DomainError names the first row outside [0, num_classes)."""
-    labels = np.asarray(labels)
-    bad = np.flatnonzero((labels < 0) | (labels >= num_classes))
-    if len(bad):
-        raise DomainError(f"label {labels[bad[0]]} at row {bad[0]} is outside [0, {num_classes})")
-    return labels
-
-
 def chain_objective(
     params: ClassifierParams,
     features: Sequence[Array],
@@ -147,40 +119,30 @@ def chain_objective(
 ) -> ChainObjective:
     """Composite objective summed over a batch, each sample on its own removal chain.
 
-    `presence[b]` is sample b's chain of K masks (see chain_presence); mask 0
-    is the full set. Per sample, the classification loss averages the NLL over
-    the K masks (1/M factor for a full chain); the ranking penalty sums the
-    variant's pair loss over the (mask k+1, mask k) pairs and is weighted by
-    `lam`. With `skip_on_wrong_full` the penalty is dropped (loss and
-    gradients) for samples whose full-mask prediction is wrong. Gradients
-    flow through both pair confidences unless `detach_superset` stops the
-    conf(S) side. The gradients overwrite `out` when it is given.
+    `features[m]` is the (B, d_m) float64 block of modality m, `labels` the
+    (B,) integer labels, and `presence[b]` sample b's chain of K masks (see
+    chain_presence); mask 0 is the full set. Per sample, the classification
+    loss averages the NLL over the K masks (1/M factor for a full chain); the
+    ranking penalty sums the variant's pair loss over the (mask k+1, mask k)
+    pairs and is weighted by `lam`. With `skip_on_wrong_full` the penalty is
+    dropped (loss and gradients) for samples whose full-mask prediction is
+    wrong. Gradients flow through both pair confidences unless
+    `detach_superset` stops the conf(S) side. The gradients overwrite `out`
+    when it is given.
     """
-    if variant not in REGULARIZER_VARIANTS:
-        raise ConfigError(f"unknown regularizer variant {variant!r}")
-    if lam < 0:
-        raise ConfigError(f"lambda must be >= 0, got {lam}")
     presence = np.asarray(presence, dtype=bool)
-    if presence.ndim != 3 or presence.shape[2] != len(features):
-        raise StateError(
-            f"chains {presence.shape} do not cover the {len(features)} modalities of the samples"
-        )
-    labels = np.asarray(labels)
-    if labels.shape != presence.shape[:1]:
-        raise DimensionError(f"labels {labels.shape} do not match the chains {presence.shape}")
-    check_labels(labels, params.head_w.shape[1])
-    blocks, weights = prepare_masks(params, features, presence)
-    label_col = np.repeat(labels[:, None], presence.shape[1], axis=1)
+    weights = presence / presence.sum(axis=-1, keepdims=True)
+    label_col = np.repeat(np.asarray(labels)[:, None], presence.shape[1], axis=1)
     options = (variant, lam, skip_on_wrong_full, detach_superset)
-    return objective_core(params, blocks, weights, label_col, *options, out)
+    return objective_core(params, list(features), weights, label_col, *options, out)
 
 
 def objective_core(
     params, blocks, weights, label_col, variant, lam, skip_on_wrong_full, detach_superset, out
 ) -> ChainObjective:
-    """chain_objective without its checks, on prepare_masks's `blocks` and (B, K, M) `weights`.
+    """chain_objective on the (B, K, M) mask `weights` (the presence divided by each mask's size).
 
-    `label_col` is (B, K): each row's label, already range-checked, once per mask.
+    `label_col` is (B, K): each row's label, once per mask.
     """
     fwd = forward_core(params, blocks, weights)
     batch, num_masks, num_classes = fwd.exp.shape
@@ -218,7 +180,7 @@ def objective_core(
         loss=float((cls + lam * reg).sum()),
         cls_loss=float(cls.sum()),
         reg_loss=float(reg.sum()),
-        grads=backward_core(params, fwd, logit_grads, out),
+        grads=backward_masks(params, fwd, logit_grads, out),
         confidence=confidence,
         full_correct=full_correct,
     )
@@ -353,9 +315,7 @@ def evaluate_vrr(
             for size in range(1, num_modalities + 1)
         ]
 
-    # Every pair confidence is an entry of `conf`, so one check covers them all.
     # take gathers in C order, so each ravel below is a view.
-    conf = _check_confidence(conf, "confidence")
     t_code, s_code = code.take(t_col, axis=1), code.take(s_col, axis=1)
     conf_t, conf_s = conf.take(t_col, axis=1), conf.take(s_col, axis=1)
     ci = conf_s - conf_t

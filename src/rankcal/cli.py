@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -103,6 +104,11 @@ def _prepare(cfg: dict, base: Path) -> PreparedData:
     if test_manifest is not None:
         train_set = dataset
         test_set = data.load_csv_dataset(_resolve(base, test_manifest))
+        if "train_fraction" in split_cfg:
+            raise ConfigError(
+                "split.train_fraction: not used with data.test_manifest, which trains on "
+                "every row of the source data"
+            )
     elif "split" in cfg:
         train_set, test_set = data.split(
             dataset,
@@ -245,8 +251,7 @@ def cmd_compare(config_path: Path, out_override: str | None) -> int:
         test_set = _prepare(cfg, base).test
     report_a = trainer.evaluate(params_a, test_set, config_a)
     report_b = trainer.evaluate(params_b, test_set, config_b)
-    full = SubsetMask.full(test_set.num_modalities)
-    shift = mean_abs_conf_shift(params_a, params_b, test_set, [full])
+    shift = mean_abs_conf_shift(params_a, params_b, test_set)
     comparison = {
         "baseline": report_a.to_json_dict(),
         "cml": report_b.to_json_dict(),
@@ -299,6 +304,9 @@ def cmd_sweep(
     unread = [key for key in sweep_cfg if key not in _SWEEP_KEYS[kind]]
     if unread:
         raise ConfigError(f'sweep.{unread[0]}: unknown key for kind "{kind}"')
+    for i, eps in enumerate(sweep_cfg.get("epsilons", [])):
+        if not 0 <= eps < math.inf:
+            raise ConfigError(f"sweep.epsilons[{i}]: expected a finite value >= 0, got {eps!r}")
     runs = [key for key in ("baseline_run", "cml_run") if key in sweep_cfg]
     if kind == "noise" and len(runs) == 1:
         (missing,) = {"baseline_run", "cml_run"} - set(runs)

@@ -1,5 +1,8 @@
 """Synthetic multimodal datasets, CSV ingestion, splits, and Gaussian corruption.
 
+A Dataset checks its blocks and labels when it is built, so every dataset that
+reaches the model is one it can run on; nothing downstream checks them again.
+
 The synthetic generator places per-class Gaussian clusters in every modality.
 Class means are drawn from per-(seed, class, modality) streams and rescaled so
 the smallest pairwise distance between class means equals
@@ -17,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, SpecError, SplitError, check_section
+from .errors import ConfigError, DimensionError, DomainError, ParseError, SpecError, SplitError
+from .errors import check_section
 
 # Stream tags for mean placement, feature noise, corruption draws and validation carve-outs.
 _MEANS_STREAM = 11
@@ -102,11 +106,34 @@ class SyntheticSpec:
 
 @dataclass
 class Dataset:
-    """Columnar storage: one (N, d_m) array per modality plus integer labels."""
+    """Columnar storage: one (N, d_m) array per modality plus integer labels.
+
+    Construction checks the data once: each block is stored as a 2-D float64
+    array with one row per label, and every label is an integer in
+    [0, num_classes).
+    """
 
     modalities: list[np.ndarray]
     labels: np.ndarray
     num_classes: int
+
+    def __post_init__(self):
+        self.modalities = [np.asarray(block, dtype=np.float64) for block in self.modalities]
+        self.labels = labels = np.asarray(self.labels)
+        if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
+            raise DomainError(
+                f"labels must be a 1-D integer array, got {labels.dtype}{labels.shape}"
+            )
+        for m, block in enumerate(self.modalities):
+            if block.ndim != 2 or len(block) != len(labels):
+                raise DimensionError(
+                    f"modality {m}: block {block.shape} is not ({len(labels)} rows, dim)"
+                )
+        bad = np.flatnonzero((labels < 0) | (labels >= self.num_classes))
+        if len(bad):
+            raise DomainError(
+                f"label {labels[bad[0]]} at row {bad[0]} is outside [0, {self.num_classes})"
+            )
 
     @property
     def num_samples(self) -> int:
@@ -123,9 +150,6 @@ class Dataset:
     def features(self, index: int) -> list[np.ndarray]:
         return [m[index] for m in self.modalities]
 
-    def label(self, index: int) -> int:
-        return int(self.labels[index])
-
     def take(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.intp)  # fancy indexing copies
         return Dataset(
@@ -140,25 +164,23 @@ class Dataset:
 
 @dataclass(frozen=True)
 class CorruptionSpec:
+    """Gaussian noise of variance `epsilon` on the target modalities."""
+
     target_modalities: frozenset[int]
     epsilon: float
     seed: int
-    # "variance": noise std = sqrt(epsilon); "std": noise std = epsilon.
-    epsilon_is: str = "variance"
 
     def __post_init__(self):
         object.__setattr__(
             self, "target_modalities", frozenset(int(i) for i in self.target_modalities)
         )
-        if self.epsilon < 0:
-            raise SpecError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not 0 <= self.epsilon < math.inf:
+            raise SpecError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if any(i < 0 for i in self.target_modalities):
             raise SpecError(f"negative modality index: {self.target_modalities}")
-        if self.epsilon_is not in ("variance", "std"):
-            raise SpecError(f"epsilon_is must be 'variance' or 'std', got {self.epsilon_is!r}")
 
     def noise_std(self) -> float:
-        return float(np.sqrt(self.epsilon)) if self.epsilon_is == "variance" else float(self.epsilon)
+        return float(np.sqrt(self.epsilon))
 
     def noisy_modalities(self) -> frozenset[int]:
         """The modalities that get noise: the targets, unless epsilon is 0."""
@@ -209,7 +231,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     return Dataset(modalities=modalities, labels=labels, num_classes=spec.num_classes)
 
 
-def write_csv_dataset(dataset: Dataset, out_dir, prefix: str = "modality") -> Path:
+def write_csv_dataset(dataset: Dataset, out_dir) -> Path:
     """Write headerless per-modality CSVs, a labels file, and the manifest.
 
     Floats are serialized with 9 significant digits; the manifest is written
@@ -221,7 +243,7 @@ def write_csv_dataset(dataset: Dataset, out_dir, prefix: str = "modality") -> Pa
     out.mkdir(parents=True, exist_ok=True)
     entries = []
     for m, block in enumerate(dataset.modalities):
-        name = f"{prefix}_{m}.csv"
+        name = f"modality_{m}.csv"
         row_format = ",".join(["%.9g"] * block.shape[1]) + "\n"
         write_text(out / name, row_format * len(block) % tuple(block.ravel().tolist()))
         entries.append({"path": name, "dim": int(block.shape[1])})
@@ -376,7 +398,7 @@ def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, 
     """Stratified train/test split; both sides keep every class."""
     if not 0.0 < train_fraction < 1.0:
         raise SplitError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    # 0 for train, 1 for test; a label outside [0, num_classes) stays on neither side.
+    # 0 for train, 1 for test.
     side = np.full(dataset.num_samples, -1, dtype=np.int8)
     for k in range(dataset.num_classes):
         members = np.flatnonzero(dataset.labels == k)
@@ -402,25 +424,6 @@ def split_validation(train_set: Dataset, val_fraction: float, seed: int) -> tupl
         raise SplitError(f"val_fraction must be in (0, 1), got {val_fraction}")
     stream = int(np.random.default_rng([seed, _VALIDATION_STREAM]).integers(2**31))
     return split(train_set, 1.0 - val_fraction, stream)
-
-
-def corrupt_gaussian(dataset: Dataset, spec: CorruptionSpec) -> Dataset:
-    """Add zero-mean Gaussian noise to the targeted modalities.
-
-    Untargeted modalities (and the epsilon = 0 case) are bit-identical copies;
-    labels are never touched.
-    """
-    for m in spec.target_modalities:
-        if m >= dataset.num_modalities:
-            raise SpecError(f"corruption target {m} out of range for {dataset.num_modalities}")
-    noisy = spec.noisy_modalities()
-    modalities = [
-        corrupt_block(block, spec, m) if m in noisy else block.copy()
-        for m, block in enumerate(dataset.modalities)
-    ]
-    return Dataset(
-        modalities=modalities, labels=dataset.labels.copy(), num_classes=dataset.num_classes
-    )
 
 
 def corrupt_block(block: np.ndarray, spec: CorruptionSpec, modality: int) -> np.ndarray:

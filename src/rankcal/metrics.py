@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, EmptyInputError, SpecError, StateError
-from .model import ClassifierParams, SubsetMask, forward_masks, presence_matrix
+from .errors import EmptyInputError, SpecError, StateError
+from .model import ClassifierParams, forward_masks
 from .numerics import Array
 
 NLL_SCALE = 10.0
@@ -27,28 +26,9 @@ AURC_SCALE = 1000.0
 VRR_SCALE = 100.0
 
 
-def _columns(*columns) -> list[Array]:
-    """The per-prediction columns as 1-D arrays of one nonzero length."""
-    arrays = [np.asarray(c) for c in columns]
-    if any(a.ndim != 1 or len(a) != len(arrays[0]) for a in arrays):
-        raise DimensionError(f"columns {[a.shape for a in arrays]} are not 1-D of one length")
-    if not len(arrays[0]):
-        raise EmptyInputError("no predictions")
-    return arrays
-
-
-def accuracy(correct) -> float:
+def accuracy(correct: Array) -> float:
     """Percentage of correct predictions."""
-    return _accuracy(*_columns(correct))
-
-
-def _accuracy(correct: Array) -> float:
     return 100.0 * int(np.count_nonzero(correct)) / len(correct)
-
-
-def mean_nll(nll) -> float:
-    (nll,) = _columns(nll)
-    return float(np.mean(nll))
 
 
 def _mean(values: Array) -> float:
@@ -64,42 +44,26 @@ def _risk_coverage_average(errors_in_order: Array) -> float:
 
 def aurc(confidence, correct) -> float:
     """Area under the discrete risk-coverage curve (lower is better)."""
-    return _aurc(*_columns(confidence, correct))
-
-
-def _aurc(confidence: Array, correct: Array) -> float:
-    order = np.argsort(-confidence, kind="stable")  # ties keep their original order
-    return _risk_coverage_average(~correct.astype(bool)[order])
+    order = np.argsort(-np.asarray(confidence), kind="stable")  # ties keep their original order
+    return _risk_coverage_average(~np.asarray(correct, dtype=bool)[order])
 
 
 def e_aurc(confidence, correct) -> float:
     """AURC in excess of the best achievable ordering (all correct first)."""
-    return _excess_aurc(aurc(confidence, correct), correct)
-
-
-def _excess_aurc(value: float, correct) -> float:
-    """E-AURC from the AURC `value` of the same predictions."""
     num_correct = int(np.count_nonzero(correct))
     optimal = _risk_coverage_average(np.arange(len(correct)) >= num_correct)
-    excess = value - optimal
+    excess = aurc(confidence, correct) - optimal
     assert excess >= -1e-12, f"E-AURC below zero beyond float noise: {excess}"
     return max(excess, 0.0)
 
 
-def mean_abs_conf_shift(
-    params_a: ClassifierParams,
-    params_b: ClassifierParams,
-    dataset,
-    masks: Sequence[SubsetMask],
-) -> float:
-    """Mean |conf_a - conf_b| over all samples and masks."""
+def mean_abs_conf_shift(params_a: ClassifierParams, params_b: ClassifierParams, dataset) -> float:
+    """Mean |conf_a - conf_b| of the full-mask confidences over all samples."""
     if params_a.spec_signature() != params_b.spec_signature():
         raise SpecError("models have different parameter shapes")
-    if not masks:
-        raise EmptyInputError("no masks")
     if dataset.num_samples == 0:
         raise EmptyInputError("empty dataset")
-    presence = presence_matrix(masks, dataset.num_modalities)
+    presence = np.ones((1, dataset.num_modalities), dtype=bool)
     conf_a = forward_masks(params_a, dataset.modalities, presence).confidence
     conf_b = forward_masks(params_b, dataset.modalities, presence).confidence
     return float(np.abs(conf_a - conf_b).mean())
@@ -164,17 +128,16 @@ def build_report(
 ) -> MetricsReport:
     """Assemble a report from per-prediction columns, applying the reporting scales.
 
-    The columns are checked once; `confidence` and `nll` are float64 columns,
-    as evaluation produces them.
+    `confidence`, `correct` and `nll` are nonempty 1-D columns of one length,
+    `confidence` and `nll` float64, as evaluation produces them.
     """
     if any(value is None for value in (confidence, correct, nll, vrr, mean_conf_by_size)):
         raise StateError("missing report constituent")
-    confidence, correct, nll = _columns(confidence, correct, nll)
     nll_value = _mean(nll)
-    aurc_value = _aurc(confidence, correct)
-    e_aurc_value = _excess_aurc(aurc_value, correct)
+    aurc_value = aurc(confidence, correct)
+    e_aurc_value = e_aurc(confidence, correct)
     return MetricsReport(
-        accuracy_pct=_accuracy(correct),
+        accuracy_pct=accuracy(correct),
         nll_raw=nll_value,
         nll_scaled=nll_value * NLL_SCALE,
         aurc_raw=aurc_value,

@@ -7,12 +7,14 @@ the mask, never zero-filling, so the same parameters serve every subset.
 
 One batched path serves training and evaluation: forward_masks encodes a batch
 of rows once and classifies it under K masks at a time, given as a presence
-tensor, and backward_masks returns the matching parameter gradients. Each is a
-boundary around a core: prepare_masks and the shape check of backward_masks
-check and convert the inputs, and forward_core/backward_core do only the
-arithmetic, so a caller that has checked its inputs once can call them per batch.
-forward_core is its encoder half (encode_core) followed by its classifier half
-(classify_core); the noise sweep calls the halves itself, on stacked copies.
+tensor, and backward_masks returns the matching parameter gradients. Neither
+checks its inputs: the feature blocks come from a data.Dataset, which checked
+them when it was built, and the callers check the model spec against the data
+once per run. forward_masks only turns the presence into mask weights for
+forward_core, which takes the weights directly so training converts them once
+per epoch. forward_core is its encoder half (encode_core) followed by its
+classifier half (classify_core); the noise sweep calls the halves itself, on
+stacked copies.
 Every encoder has the same hidden and latent sizes, so each encoder layer's
 parameters are stacked over the modalities and the cores run a layer for all of
 them in one numpy call; only the first-layer matmul, whose input dims differ,
@@ -110,21 +112,6 @@ class SubsetMask:
     def format(self) -> str:
         return "+".join(str(i) for i in self.sorted_indices())
 
-    @classmethod
-    def parse(cls, text: str) -> "SubsetMask":
-        try:
-            return cls.of(int(part) for part in text.split("+"))
-        except ValueError as exc:
-            raise MaskError(f"cannot parse mask {text!r}") from exc
-
-
-@dataclass
-class EncoderParams:
-    w1: Array
-    b1: Array
-    w2: Array
-    b2: Array
-
 
 class ClassifierParams:
     """Every parameter array as a view into one flat float64 buffer.
@@ -132,18 +119,11 @@ class ClassifierParams:
     `flat` holds each modality's first-layer weights `w1[m]` (d_m, H) in
     order, then the stacked `b1` (M, H), `w2` (M, H, L) and `b2` (M, L), then
     the head weights and bias, so one numpy call runs a layer for every
-    modality. `encoders[m]` holds views of modality m's slices. `arrays()`
-    and `spec_signature()` keep declaration order (per modality w1, b1, w2,
-    b2; then the head), which is also the checkpoint order. An in-place write
-    to `flat` shows through every named array and vice versa; rebinding a
-    named attribute would break that link.
+    modality. `arrays()` and `spec_signature()` keep declaration order (per
+    modality w1, b1, w2, b2; then the head), which is also the checkpoint
+    order. An in-place write to `flat` shows through every named array and
+    vice versa; rebinding a named attribute would break that link.
     """
-
-    def __init__(self, encoders: Sequence[EncoderParams], head_w, head_b):
-        arrays = [a for e in encoders for a in (e.w1, e.b1, e.w2, e.b2)] + [head_w, head_b]
-        self._bind(np.empty(sum(np.size(a) for a in arrays)), [np.shape(a) for a in arrays])
-        for view, a in zip(self.arrays(), arrays):
-            view[...] = a
 
     @classmethod
     def from_flat(cls, shapes: Sequence[tuple[int, ...]], flat: Array) -> "ClassifierParams":
@@ -172,19 +152,14 @@ class ClassifierParams:
         views = _views(flat, w1_shapes + stacked + shapes[-2:])
         self.flat, self.w1 = flat, views[:num]
         self.b1, self.w2, self.b2, self.head_w, self.head_b = views[num:]
-        self.encoders = [EncoderParams(*e) for e in zip(self.w1, self.b1, self.w2, self.b2)]
-
-    @property
-    def num_modalities(self) -> int:
-        return len(self.encoders)
 
     def arrays(self) -> Iterator[Array]:
         """All parameter arrays in declaration order (also the checkpoint order)."""
-        for enc in self.encoders:
-            yield enc.w1
-            yield enc.b1
-            yield enc.w2
-            yield enc.b2
+        for m, w1 in enumerate(self.w1):
+            yield w1
+            yield self.b1[m]
+            yield self.w2[m]
+            yield self.b2[m]
         yield self.head_w
         yield self.head_b
 
@@ -205,8 +180,8 @@ def _encoder_shapes(dims: Sequence[int], hidden: int, latent: int) -> list[tuple
 def derived_spec(params: ClassifierParams) -> ModelSpec:
     """Reconstruct the ModelSpec implied by parameter shapes."""
     return ModelSpec(
-        modality_dims=tuple(e.w1.shape[0] for e in params.encoders),
-        hidden_dim=params.encoders[0].w1.shape[1],
+        modality_dims=tuple(w1.shape[0] for w1 in params.w1),
+        hidden_dim=params.b1.shape[1],
         latent_dim=params.head_w.shape[0],
         num_classes=params.head_w.shape[1],
     )
@@ -237,15 +212,6 @@ def init_params(spec: ModelSpec, seed: int) -> ClassifierParams:
             limit = np.sqrt(6.0 / sum(weights.shape))
             weights[...] = rng.uniform(-limit, limit, size=weights.shape)
     return params
-
-
-def presence_matrix(masks: Sequence[SubsetMask], num_modalities: int) -> Array:
-    """(K, M) boolean matrix: row k marks the modalities of masks[k]."""
-    presence = np.zeros((len(masks), num_modalities), dtype=bool)
-    for k, mask in enumerate(masks):
-        mask.validate_for(num_modalities)
-        presence[k, list(mask.present)] = True
-    return presence
 
 
 @dataclass
@@ -280,11 +246,6 @@ class MaskedForward:
         return self.exp[:, k] / self.sums[:, k, None]
 
     @property
-    def predicted(self) -> Array:
-        """(B, K) argmax class; exact ties go to the lowest index."""
-        return self.probs.argmax(axis=-1)
-
-    @property
     def confidence(self) -> Array:
         """(B, K) probability of the predicted class, bit for bit probs.max(-1).
 
@@ -293,63 +254,27 @@ class MaskedForward:
         return 1.0 / self.sums
 
 
-def prepare_masks(
-    params: ClassifierParams, features: Sequence[Array | None], presence
-) -> tuple[list[Array | None], Array]:
-    """The checks of forward_masks: the float64 feature blocks and the mask weights.
-
-    A block is None for a modality that no mask uses; the weights are the
-    presence divided by each mask's size, (K, M) or (B, K, M) like it.
-    """
-    num_modalities = params.num_modalities
-    if len(features) != num_modalities:
-        raise DimensionError(f"expected {num_modalities} modality blocks, got {len(features)}")
-    presence = np.asarray(presence, dtype=bool)
-    if presence.ndim not in (2, 3) or presence.shape[-1] != num_modalities:
-        raise DimensionError(
-            f"presence {presence.shape} must be (K, {num_modalities}) or (B, K, {num_modalities})"
-        )
-    if presence.shape[-2] == 0:
-        raise MaskError(f"presence {presence.shape} holds no masks")
-    if presence.ndim == 3 and presence.shape[0] == 0:
-        raise DimensionError(f"presence {presence.shape} has no rows")
-    sizes = presence.sum(axis=-1, keepdims=True)
-    if not sizes.all():
-        raise MaskError("every mask must contain at least one modality")
-    used = presence.reshape(-1, num_modalities).any(axis=0)
-
-    blocks: list[Array | None] = [None] * num_modalities
-    rows = None
-    for m in used.nonzero()[0]:
-        if features[m] is None:
-            raise DimensionError(f"modality {m} is in a mask but has no features")
-        x = blocks[m] = np.asarray(features[m], dtype=np.float64)
-        x_dim = params.encoders[m].w1.shape[0]
-        if x.ndim != 2 or x.shape[1] != x_dim or x.shape[0] == 0:
-            raise DimensionError(f"modality {m}: features {x.shape} are not (B>=1, {x_dim})")
-        rows = x.shape[0] if rows is None else rows
-        if x.shape[0] != rows:
-            raise DimensionError(f"modality {m} has {x.shape[0]} rows, not {rows}")
-    if presence.ndim == 3 and presence.shape[0] != rows:
-        raise DimensionError(f"presence has {presence.shape[0]} rows, features {rows}")
-    return blocks, presence / sizes
-
-
 def forward_masks(
     params: ClassifierParams, features: Sequence[Array | None], presence
 ) -> MaskedForward:
     """Encode each modality once for all rows, then mean-fuse and classify per mask.
 
-    `features[m]` is the (B, d_m) block of modality m; it may be None when no
-    mask contains m, since absent modalities are skipped, never zero-filled.
+    `features[m]` is the (B, d_m) float64 block of modality m, and `presence`
+    the (K, M) or (B, K, M) boolean masks, each with at least one modality.
+    A modality that no mask contains is skipped, never zero-filled; its block
+    may be None.
     """
-    return forward_core(params, *prepare_masks(params, features, presence))
+    presence = np.asarray(presence, dtype=bool)
+    used = presence.reshape(-1, presence.shape[-1]).any(axis=0)
+    blocks = [x if u else None for x, u in zip(features, used)]
+    return forward_core(params, blocks, presence / presence.sum(axis=-1, keepdims=True))
 
 
 def forward_core(params: ClassifierParams, blocks: list[Array | None], weights) -> MaskedForward:
-    """forward_masks without its checks, on prepare_masks's output; softmax_parts still checks.
+    """forward_masks on mask weights: the presence divided by each mask's size.
 
-    It is encode_core followed by classify_core.
+    `blocks[m]` is None for a modality that no mask uses. It is encode_core
+    followed by classify_core.
     """
     hidden, latents = encode_core(params, blocks)
     fused, exp, sums = classify_core(params, weights, latents)
@@ -410,28 +335,19 @@ def _encoder_layers(hidden: Array, b1: Array, w2: Array, b2: Array) -> Array:
 
 
 def backward_masks(
-    params: ClassifierParams, fwd: MaskedForward, logit_grads, out: ClassifierParams | None = None
+    params: ClassifierParams,
+    fwd: MaskedForward,
+    logit_grads: Array,
+    out: ClassifierParams | None = None,
 ) -> ClassifierParams:
     """Exact parameter gradients of sum(logit_grads * logits) over every row and mask.
 
-    Each modality collects its latent gradient over every mask containing it
-    before one encoder backward pass; encoders that no mask used get +0.0.
-    The gradients overwrite every array of `out` when it is given (so one
-    buffer serves every batch) and go to a new ClassifierParams otherwise.
-    """
-    g = np.asarray(logit_grads, dtype=np.float64)
-    if g.shape != fwd.exp.shape:
-        raise StateError(f"logit gradients {g.shape} do not match the forward {fwd.exp.shape}")
-    return backward_core(params, fwd, g, out)
-
-
-def backward_core(
-    params: ClassifierParams, fwd: MaskedForward, logit_grads: Array, out: ClassifierParams | None
-) -> ClassifierParams:
-    """backward_masks without its checks: `logit_grads` is float64 with fwd.exp's size.
-
-    The slot of a modality that no mask uses gets +0.0 without any operation
-    reading its parameters.
+    `logit_grads` is float64 with fwd.exp's size. Each modality collects its
+    latent gradient over every mask containing it before one encoder backward
+    pass; the slot of a modality that no mask uses gets +0.0 without any
+    operation reading its parameters. The gradients overwrite every array of
+    `out` when it is given (so one buffer serves every batch) and go to a new
+    ClassifierParams otherwise.
     """
     batch, num_masks, num_classes = fwd.exp.shape
     if out is None:
@@ -503,6 +419,8 @@ def load_checkpoint(path) -> tuple[ModelSpec, ClassifierParams]:
     values = np.frombuffer(payload, dtype="<f8")
     if not np.isfinite(values).all():
         raise StateError(f"{path}: non-finite parameter values")
-    arrays = _views(values, shapes)
-    encoders = [EncoderParams(*arrays[i : i + 4]) for i in range(0, len(arrays) - 2, 4)]
-    return spec, ClassifierParams(encoders, *arrays[-2:])
+    # The file holds the arrays in declaration order; `flat` stacks the encoder layers.
+    params = ClassifierParams.from_flat(shapes, np.empty(values.size))
+    for view, array in zip(params.arrays(), _views(values, shapes)):
+        view[...] = array
+    return spec, params

@@ -1,4 +1,4 @@
-"""Softmax, the NLL loss and the Adam optimizer.
+"""The softmax parts, the NLL loss and the Adam optimizer.
 
 Everything operates on row-major float64 numpy arrays, batched over rows.
 Apart from adam_update, which steps its parameters and state in place, every
@@ -19,13 +19,6 @@ Array = np.ndarray
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
-
-
-def _as_vector(values, name: str) -> Array:
-    out = np.asarray(values, dtype=np.float64)
-    if out.ndim != 1:
-        raise DimensionError(f"{name} must be 1-D, got shape {out.shape}")
-    return out
 
 
 def describe_bad(bad: Array) -> str:
@@ -52,37 +45,9 @@ def softmax_parts(logits) -> tuple[Array, Array]:
     return exp, exp.sum(axis=-1)
 
 
-def softmax(logits) -> Array:
-    """Max-subtracted softmax over the last axis (one distribution per row)."""
-    exp, sums = softmax_parts(logits)
-    exp /= sums[..., None]
-    return exp
-
-
-def _true_class_index(probs, labels) -> tuple[Array, tuple[Array, Array]]:
-    """`probs` as one row per distribution, and the (row, label) index of each true class."""
-    p = np.asarray(probs, dtype=np.float64)
-    y = np.broadcast_to(np.asarray(labels), p.shape[:-1])
-    if ((y < 0) | (y >= p.shape[-1])).any():
-        raise IndexError(f"labels {y} out of range for {p.shape[-1]} classes")
-    return p.reshape(-1, p.shape[-1]), (np.arange(y.size), y.ravel())
-
-
-def nll_loss(probs, labels) -> Array:
-    """Negative log-likelihood of the true class, per row of `probs`.
-
-    `labels` broadcasts against the leading axes of `probs`.
-    """
-    rows, true_class = _true_class_index(probs, labels)
-    return -np.log(rows[true_class]).reshape(np.shape(probs)[:-1])
-
-
-def nll_loss_grad(probs, labels) -> Array:
-    """Gradient of nll_loss w.r.t. the logits that produced `probs`: probs - onehot."""
-    rows, true_class = _true_class_index(probs, labels)
-    grad = rows.copy()
-    grad[true_class] -= 1.0
-    return grad.reshape(np.shape(probs))
+def nll_loss(probs: Array, labels: Array) -> Array:
+    """Negative log-likelihood of the true class per row: `probs` is (N, C), `labels` (N,)."""
+    return -np.log(probs[np.arange(len(labels)), labels])
 
 
 @dataclass
@@ -93,9 +58,6 @@ class AdamState:
     second_moment: Array
     step_count: int
     learning_rate: float
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    epsilon: float = ADAM_EPSILON
     # Two work vectors of the moments' size, so a step allocates no temporaries.
     scratch: tuple[Array, Array] = field(init=False, repr=False, compare=False)
 
@@ -103,41 +65,26 @@ class AdamState:
         self.scratch = (np.empty_like(self.first_moment), np.empty_like(self.first_moment))
 
 
-def init_adam_state(
-    num_params: int,
-    learning_rate: float = 1e-3,
-    beta1: float = ADAM_BETA1,
-    beta2: float = ADAM_BETA2,
-    epsilon: float = ADAM_EPSILON,
-) -> AdamState:
-    return AdamState(
-        first_moment=np.zeros(num_params),
-        second_moment=np.zeros(num_params),
-        step_count=0,
-        learning_rate=learning_rate,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
-    )
+def init_adam_state(num_params: int, learning_rate: float) -> AdamState:
+    """Zero moments for `num_params` parameters; the betas and epsilon are the ADAM_* constants."""
+    return AdamState(np.zeros(num_params), np.zeros(num_params), 0, learning_rate)
 
 
-def adam_update(params: Array, grads, state: AdamState) -> None:
-    """One bias-corrected Adam step, applied in place to `params` and `state`."""
-    g = _as_vector(grads, "grads")
-    if params.ndim != 1 or params.shape != g.shape or params.shape != state.first_moment.shape:
-        raise DimensionError(
-            f"params {params.shape}, grads {g.shape}, state {state.first_moment.shape} disagree"
-        )
+def adam_update(params: Array, grads: Array, state: AdamState) -> None:
+    """One bias-corrected Adam step, applied in place to `params` and `state`.
+
+    `params`, `grads` and the state's moments are float64 vectors of one length.
+    """
     state.step_count += 1
     t = state.step_count
     m, v = state.first_moment, state.second_moment
     step, denom = state.scratch
     # The textbook expression's operations in its order, written into the scratch vectors.
-    m *= state.beta1
-    m += np.multiply(1.0 - state.beta1, g, out=step)
-    v *= state.beta2
-    v += np.multiply(np.multiply(1.0 - state.beta2, g, out=step), g, out=step)
-    np.multiply(state.learning_rate, np.divide(m, 1.0 - state.beta1**t, out=step), out=step)
-    np.sqrt(np.divide(v, 1.0 - state.beta2**t, out=denom), out=denom)
-    denom += state.epsilon
+    m *= ADAM_BETA1
+    m += np.multiply(1.0 - ADAM_BETA1, grads, out=step)
+    v *= ADAM_BETA2
+    v += np.multiply(np.multiply(1.0 - ADAM_BETA2, grads, out=step), grads, out=step)
+    np.multiply(state.learning_rate, np.divide(m, 1.0 - ADAM_BETA1**t, out=step), out=step)
+    np.sqrt(np.divide(v, 1.0 - ADAM_BETA2**t, out=denom), out=denom)
+    denom += ADAM_EPSILON
     params -= np.divide(step, denom, out=step)

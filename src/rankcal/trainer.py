@@ -17,7 +17,6 @@ from .calibration import (
     REGULARIZER_VARIANTS,
     VrrEvaluation,
     chain_presence,
-    check_labels,
     evaluate_vrr,
     objective_core,
     removal_orders,
@@ -34,7 +33,7 @@ from .errors import (
 )
 from .metrics import CSV_SUMMARY_FIELDS, MetricsReport, build_report
 from .model import ClassifierParams, ModelSpec, SubsetMask, classify_core, derived_spec
-from .model import encode_copies, encode_core, init_params, prepare_masks
+from .model import encode_copies, encode_core, init_params
 from .numerics import adam_update, init_adam_state, nll_loss
 
 # Stream tags keeping shuffling and removal-order draws independent.
@@ -115,15 +114,14 @@ class RunResult:
     vrr_evaluation: VrrEvaluation | None = None
 
 
-def _check_dataset(config: TrainConfig, dataset: Dataset) -> None:
-    if dataset.modality_dims != config.model.modality_dims:
-        raise SpecError(
-            f"dataset dims {dataset.modality_dims} != model dims {config.model.modality_dims}"
-        )
-    if dataset.num_classes != config.model.num_classes:
-        raise SpecError(
-            f"dataset has {dataset.num_classes} classes, model {config.model.num_classes}"
-        )
+def _check_dataset(model: ModelSpec, dataset: Dataset, name: str) -> None:
+    """The run's data boundary: a nonempty `dataset` whose dims and classes match `model`."""
+    if dataset.num_samples == 0:
+        raise EmptyInputError(f"empty {name} set")
+    if dataset.modality_dims != model.modality_dims:
+        raise SpecError(f"dataset dims {dataset.modality_dims} != model dims {model.modality_dims}")
+    if dataset.num_classes != model.num_classes:
+        raise SpecError(f"dataset has {dataset.num_classes} classes, model {model.num_classes}")
 
 
 def train(config: TrainConfig, train_set: Dataset) -> RunResult:
@@ -132,22 +130,16 @@ def train(config: TrainConfig, train_set: Dataset) -> RunResult:
     Each epoch draws one removal order per sample from an rng keyed by
     (seed, epoch) and indexes it by sample id, so a sample's chain does not
     depend on the batch it lands in; one optimizer step is taken per
-    mini-batch on the mean of the per-sample gradients. The inputs are checked
-    once, before the first batch; each batch then runs only objective_core.
+    mini-batch on the mean of the per-sample gradients. The chains become mask
+    weights once per epoch; each batch then runs only objective_core.
     A non-finite loss, logit, overflow or invalid floating-point operation
     stops the run with a DivergenceError naming the epoch and batch.
     """
     config.validate()
-    if train_set.num_samples == 0:
-        raise EmptyInputError("empty training set")
-    _check_dataset(config, train_set)
+    _check_dataset(config.model, train_set, "training")
 
     params = init_params(config.model, config.seed)
-    # The checks of chain_objective, once per run; every batch then runs only its core.
     num_modalities = train_set.num_modalities
-    full = np.ones((1, num_modalities), dtype=bool)
-    blocks, _ = prepare_masks(params, train_set.modalities, full)
-    labels = check_labels(train_set.labels, config.model.num_classes)
     grads = ClassifierParams.from_flat(params.spec_signature(), np.zeros_like(params.flat))
     state = init_adam_state(params.flat.size, learning_rate=config.learning_rate)
     options = (config.variant, config.lam, config.skip_on_wrong_full, config.detach_superset)
@@ -162,8 +154,8 @@ def train(config: TrainConfig, train_set: Dataset) -> RunResult:
             chain_rng = np.random.default_rng([config.seed, _CHAIN_STREAM, epoch])
             chains = chain_presence(removal_orders(chain_rng, n, num_modalities))[order]
             weights = chains / chains.sum(axis=-1, keepdims=True)
-            features = [block[order] for block in blocks]
-            label_col = np.repeat(labels[order, None], num_modalities, axis=1)
+            features = [block[order] for block in train_set.modalities]
+            label_col = np.repeat(train_set.labels[order, None], num_modalities, axis=1)
             cls_sum = 0.0
             reg_sum = 0.0
             correct = 0
@@ -203,9 +195,7 @@ def train(config: TrainConfig, train_set: Dataset) -> RunResult:
 def _evaluate(
     params: ClassifierParams, test_set: Dataset, config: TrainConfig
 ) -> tuple[MetricsReport, VrrEvaluation]:
-    if test_set.num_samples == 0:
-        raise EmptyInputError("empty test set")
-    _check_dataset(config, test_set)
+    _check_dataset(config.model, test_set, "test")
     if derived_spec(params) != config.model:
         raise SpecError("parameter shapes do not match the configured model spec")
     # The full-mask metrics read the probabilities of the VRR forward: one forward per evaluation.
@@ -332,7 +322,7 @@ def noise_sweep(
 ) -> list[NoiseSweepRow]:
     """Accuracy of both models on the same corrupted copies of the test set.
 
-    Cell (epsilon, target set) draws its copy from corrupt_gaussian's streams,
+    Cell (epsilon, target set) draws its copy from data.corrupt_block's streams,
     keyed by (seed, epsilon index, target index). The cells run in chunks of
     at most NOISE_SWEEP_ROWS test rows (at least one cell): each model encodes
     the clean blocks once per sweep and each modality's corrupted copies in
@@ -342,6 +332,7 @@ def noise_sweep(
     """
     if params_baseline.spec_signature() != params_cml.spec_signature():
         raise SpecError("models have different parameter shapes")
+    _check_dataset(derived_spec(params_baseline), test_set, "test")
     if not epsilons or not target_sets:
         raise ConfigError("noise sweep needs at least one epsilon and one target set")
     cells = []
@@ -350,8 +341,8 @@ def noise_sweep(
             targets.validate_for(test_set.num_modalities)
             cell_seed = int(np.random.default_rng([seed, e_idx, t_idx]).integers(2**31))
             cells.append((targets, CorruptionSpec(targets.present, float(eps), cell_seed)))
-    full = np.ones((1, test_set.num_modalities), dtype=bool)
-    blocks, weights = prepare_masks(params_baseline, test_set.modalities, full)
+    blocks = test_set.modalities
+    weights = np.ones((1, len(blocks))) / len(blocks)  # the full mask's weights
     models = (params_baseline, params_cml)
     clean = [encode_core(params, blocks)[1] for params in models]
     step = max(1, NOISE_SWEEP_ROWS // test_set.num_samples)

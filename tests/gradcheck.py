@@ -8,7 +8,13 @@ from typing import Callable
 import numpy as np
 
 from rankcal.errors import DimensionError, NumericError
-from rankcal.numerics import _as_vector
+
+
+def _as_vector(values, name: str) -> np.ndarray:
+    out = np.asarray(values, dtype=np.float64)
+    if out.ndim != 1:
+        raise DimensionError(f"{name} must be 1-D, got shape {out.shape}")
+    return out
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,10 @@
 Plain loops over one sample, one mask, one pair or one cell at a time, written
 independently of rankcal's batched forward_masks/backward_masks/chain_objective,
 its columnar VRR records and AURC, and its block CSV reader/writer, so tests
-can compare the two.
+can compare the two. Alongside them are the small oracles that only tests
+use: the divided-out softmax, the NLL gradient, the confidence increment, a
+sample's label, mask parsing, the argmax of a forward and corrupt_gaussian,
+the whole-dataset form of data.corrupt_block.
 reference_chain_objective is chain_objective as the composition of batched
 forward, NLL and backward that it was before its checks moved to the boundary,
 written out in plain numpy with the same float operations in the same order.
@@ -24,23 +27,102 @@ import numpy as np
 
 from rankcal import trainer
 from rankcal.calibration import chain_objective, chain_presence, removal_orders
-from rankcal.data import CorruptionSpec, corrupt_gaussian
-from rankcal.errors import DivergenceError, NumericError, ParseError
-from rankcal.model import ClassifierParams, EncoderParams, SubsetMask, forward_masks, init_params
-from rankcal.numerics import adam_update, init_adam_state
+from rankcal.data import CorruptionSpec, Dataset, corrupt_block
+from rankcal.errors import DivergenceError, DomainError, MaskError, NumericError, ParseError
+from rankcal.errors import SpecError
+from rankcal.model import ClassifierParams, SubsetMask, forward_masks, init_params
+from rankcal.numerics import adam_update, describe_bad, init_adam_state, softmax_parts
+
+
+def softmax(logits) -> np.ndarray:
+    """Max-subtracted softmax over the last axis: softmax_parts with the sums divided out."""
+    exp, sums = softmax_parts(logits)
+    exp /= sums[..., None]
+    return exp
+
+
+def nll_loss_grad(probs, labels) -> np.ndarray:
+    """Gradient of the NLL w.r.t. the logits that produced `probs`: probs - onehot.
+
+    `labels` broadcasts against the leading axes of `probs`.
+    """
+    p = np.asarray(probs, dtype=np.float64)
+    y = np.broadcast_to(np.asarray(labels), p.shape[:-1])
+    if ((y < 0) | (y >= p.shape[-1])).any():
+        raise IndexError(f"labels {y} out of range for {p.shape[-1]} classes")
+    grad = p.reshape(-1, p.shape[-1]).copy()
+    grad[np.arange(y.size), y.ravel()] -= 1.0
+    return grad.reshape(p.shape)
+
+
+def _check_confidence(values, name: str) -> np.ndarray:
+    values = np.asarray(values, dtype=np.float64)
+    bad = ~((values >= 0.0) & (values <= 1.0))
+    if bad.any():
+        raise DomainError(f"{name} must be in [0, 1]; outside: {describe_bad(bad)}")
+    return values
+
+
+def confidence_increment(conf_t, conf_s):
+    """conf(S) - conf(T); negative means removing a modality raised confidence."""
+    return _check_confidence(conf_s, "conf_s") - _check_confidence(conf_t, "conf_t")
+
+
+def label_of(dataset, index: int) -> int:
+    """Sample `index`'s label as a Python int."""
+    return int(dataset.labels[index])
+
+
+def parse_mask(text: str) -> SubsetMask:
+    """The SubsetMask that SubsetMask.format writes as `text`, e.g. "0+2"."""
+    try:
+        return SubsetMask.of(int(part) for part in text.split("+"))
+    except ValueError as exc:
+        raise MaskError(f"cannot parse mask {text!r}") from exc
+
+
+def predicted_classes(fwd) -> np.ndarray:
+    """(B, K) argmax class of a MaskedForward; exact ties go to the lowest index."""
+    return fwd.probs.argmax(axis=-1)
+
+
+def corrupt_gaussian(dataset, spec: CorruptionSpec):
+    """Add zero-mean Gaussian noise to the targeted modalities.
+
+    Untargeted modalities (and the epsilon = 0 case) are bit-identical copies;
+    labels are never touched.
+    """
+    for m in spec.target_modalities:
+        if m >= dataset.num_modalities:
+            raise SpecError(f"corruption target {m} out of range for {dataset.num_modalities}")
+    noisy = spec.noisy_modalities()
+    modalities = [
+        corrupt_block(block, spec, m) if m in noisy else block.copy()
+        for m, block in enumerate(dataset.modalities)
+    ]
+    return Dataset(modalities, dataset.labels.copy(), dataset.num_classes)
+
+
+def _encoders(params):
+    """Per modality: its (w1, b1, w2, b2) views."""
+    return list(zip(params.w1, params.b1, params.w2, params.b2))
+
+
+def _zero_grads(params) -> ClassifierParams:
+    return ClassifierParams.from_flat(params.spec_signature(), np.zeros_like(params.flat))
 
 
 def _encode(params, feats):
     """Per modality: (x, pre-activation, hidden, latent) of one sample."""
     out = []
-    for enc, x in zip(params.encoders, feats):
+    for (w1, b1, w2, b2), x in zip(_encoders(params), feats):
         if x is None:
             out.append(None)
             continue
         x = np.asarray(x, dtype=np.float64)
-        pre = x @ enc.w1 + enc.b1
+        pre = x @ w1 + b1
         hidden = np.maximum(pre, 0.0)
-        out.append((x, pre, hidden, hidden @ enc.w2 + enc.b2))
+        out.append((x, pre, hidden, hidden @ w2 + b2))
     return out
 
 
@@ -104,26 +186,19 @@ def reference_objective(
         d_conf = conf[k] * (np.eye(len(probs[k]))[c] - probs[k])
         logit_grads[k] = logit_grads[k] + lam * conf_grads[k] * d_conf
 
-    head_w = np.zeros_like(params.head_w)
-    head_b = np.zeros_like(params.head_b)
-    encoders = [
-        EncoderParams(*(np.zeros_like(a) for a in (e.w1, e.b1, e.w2, e.b2)))
-        for e in params.encoders
-    ]
+    grads = _zero_grads(params)
     for k, mask in enumerate(masks):
         g = logit_grads[k]
-        head_w += np.outer(fused[k], g)
-        head_b += g
+        grads.head_w += np.outer(fused[k], g)
+        grads.head_b += g
         d_latent = params.head_w @ g / len(mask)
         for m in mask:
             x, pre, hidden, _ = acts[m]
-            enc, genc = params.encoders[m], encoders[m]
-            genc.w2 += np.outer(hidden, d_latent)
-            genc.b2 += d_latent
-            d_pre = (enc.w2 @ d_latent) * (pre > 0.0)
-            genc.w1 += np.outer(x, d_pre)
-            genc.b1 += d_pre
-    grads = ClassifierParams(encoders=encoders, head_w=head_w, head_b=head_b)
+            grads.w2[m] += np.outer(hidden, d_latent)
+            grads.b2[m] += d_latent
+            d_pre = (params.w2[m] @ d_latent) * (pre > 0.0)
+            grads.w1[m] += np.outer(x, d_pre)
+            grads.b1[m] += d_pre
     return cls + lam * reg, cls, reg, grads.flat
 
 
@@ -147,10 +222,10 @@ def reference_chain_objective(
     weights = presence / presence.sum(axis=-1, keepdims=True)
     latents = np.zeros((batch, num_modalities, params.head_w.shape[0]))
     blocks, hidden = [], []
-    for m, enc in enumerate(params.encoders):
+    for m, (w1, b1, w2, b2) in enumerate(_encoders(params)):
         blocks.append(np.asarray(features[m], dtype=np.float64))
-        hidden.append(np.maximum(blocks[m] @ enc.w1 + enc.b1, 0.0))
-        latents[:, m] = hidden[m] @ enc.w2 + enc.b2
+        hidden.append(np.maximum(blocks[m] @ w1 + b1, 0.0))
+        latents[:, m] = hidden[m] @ w2 + b2
     fused = weights @ latents
     logits = fused.reshape(-1, fused.shape[-1]) @ params.head_w + params.head_b
     exp = np.exp(logits - logits.max(axis=-1, keepdims=True))
@@ -194,17 +269,16 @@ def reference_chain_objective(
     g = logit_grads.reshape(-1, probs.shape[-1])
     d_fused = (g @ params.head_w.T).reshape(batch, num_masks, -1)
     d_latents = weights.swapaxes(-1, -2) @ d_fused
-    encoders = []
-    for m, enc in enumerate(params.encoders):
+    grads = _zero_grads(params)
+    for m in range(num_modalities):
         d_latent = d_latents[:, m]
-        d_pre = np.where(hidden[m] > 0.0, d_latent @ enc.w2.T, 0.0)
-        encoders.append(
-            EncoderParams(
-                blocks[m].T @ d_pre, d_pre.sum(axis=0), hidden[m].T @ d_latent, d_latent.sum(axis=0)
-            )
-        )
-    head_w = fused.reshape(-1, fused.shape[-1]).T @ g
-    grads = ClassifierParams(encoders=encoders, head_w=head_w, head_b=g.sum(axis=0))
+        d_pre = np.where(hidden[m] > 0.0, d_latent @ params.w2[m].T, 0.0)
+        grads.w1[m][...] = blocks[m].T @ d_pre
+        grads.b1[m] = d_pre.sum(axis=0)
+        grads.w2[m] = hidden[m].T @ d_latent
+        grads.b2[m] = d_latent.sum(axis=0)
+    grads.head_w[...] = fused.reshape(-1, fused.shape[-1]).T @ g
+    grads.head_b[...] = g.sum(axis=0)
     loss = float(np.sum(cls + lam * reg))
     return loss, float(cls.sum()), float(reg.sum()), grads.flat, confidence, full_correct
 
@@ -367,8 +441,8 @@ def reference_train(config, train_set):
 def full_mask_accuracy(params, dataset) -> float:
     """Percent of rows whose full-mask forward_masks prediction is their label."""
     full = np.ones((1, dataset.num_modalities), dtype=bool)
-    predicted = forward_masks(params, dataset.modalities, full).predicted[:, 0]
-    return 100.0 * int(np.sum(predicted == dataset.labels)) / dataset.num_samples
+    classes = predicted_classes(forward_masks(params, dataset.modalities, full))[:, 0]
+    return 100.0 * int(np.sum(classes == dataset.labels)) / dataset.num_samples
 
 
 def reference_noise_sweep(params_a, params_b, test_set, epsilons, target_sets, seed):

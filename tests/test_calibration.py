@@ -15,35 +15,19 @@ from rankcal.calibration import (
     chain_objective,
     chain_presence,
     compute_vrr,
-    confidence_increment,
     evaluate_vrr,
     pair_losses,
     removal_orders,
     write_records_csv,
 )
 from rankcal.data import Dataset
-from rankcal.errors import (
-    CapabilityError,
-    ConfigError,
-    DimensionError,
-    DomainError,
-    EmptyInputError,
-    SpecError,
-    StateError,
-)
-from rankcal.model import (
-    ClassifierParams,
-    EncoderParams,
-    ModelSpec,
-    backward_masks,
-    forward_masks,
-    init_params,
-    presence_matrix,
-)
-from rankcal.numerics import nll_loss, nll_loss_grad
+from rankcal.errors import CapabilityError, ConfigError, DomainError, EmptyInputError, SpecError
+from rankcal.model import ClassifierParams, ModelSpec, backward_masks, forward_masks, init_params
 
 from gradcheck import grad_check
 from reference import (
+    confidence_increment,
+    nll_loss_grad,
     reference_chain_objective,
     reference_confidence_by_subset_size,
     reference_confidence_lookup,
@@ -202,7 +186,7 @@ class TestSampleObjective:
     def test_one_over_m_factor(self):
         res = self.objective("none")
         unfactored = sum(
-            nll_loss(reference_probs(self.params, [x[0] for x in self.feats], mask), 1)
+            -np.log(reference_probs(self.params, [x[0] for x in self.feats], mask)[1])
             for mask in chain_masks(self.chain[0])
         )
         assert res.cls_loss * 3 == pytest.approx(unfactored, rel=1e-12)
@@ -213,18 +197,9 @@ class TestSampleObjective:
         assert a.loss == b.loss
         assert a.grads.flat.tobytes() == b.grads.flat.tobytes()
 
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(ConfigError):
-            self.objective("hinge", lam=-1.0)
-
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError):
             self.objective("l2")
-
-    def test_chain_sample_mismatch(self):
-        self.chain = chain_presence(np.array([[0, 1]]))
-        with pytest.raises(StateError):
-            self.objective("hinge")
 
     def test_skip_on_wrong_full_zeroes_regularizer(self):
         # fixture where the full-mask prediction is wrong and the hinge fires
@@ -286,8 +261,8 @@ class TestSampleObjective:
         plain = chain_objective(self.params, self.feats, labels, chain, "none")
         assert detached.loss == live.loss
         for m in (0, 2):  # only in S, so only reachable through conf(S)
-            assert np.array_equal(detached.grads.encoders[m].w1, plain.grads.encoders[m].w1)
-            assert not np.array_equal(live.grads.encoders[m].w1, plain.grads.encoders[m].w1)
+            assert np.array_equal(detached.grads.w1[m], plain.grads.w1[m])
+            assert not np.array_equal(live.grads.w1[m], plain.grads.w1[m])
 
 
 class TestCompositeGradient:
@@ -358,7 +333,7 @@ class TestCompositeGradient:
 
 
 class TestObjectiveMatchesComposition:
-    """chain_objective runs the check-free core; its bytes must match the plain composition."""
+    """chain_objective's bytes must match the plain composition of forward, NLL and backward."""
 
     @pytest.mark.parametrize("num_modalities", [2, 3, 5])
     @pytest.mark.parametrize("batch", [1, 11, 32])
@@ -389,26 +364,6 @@ class TestObjectiveMatchesComposition:
         assert res.grads.flat.tobytes() == grads.tobytes()
         assert res.confidence.tobytes() == confidence.tobytes()
         assert np.array_equal(res.full_correct, full_correct)
-
-
-class TestObjectiveBoundary:
-    def setup_method(self):
-        self.params = init_params(SPEC3, seed=0)
-        rng = np.random.default_rng(2)
-        self.feats = [rng.standard_normal((11, d)) for d in SPEC3.modality_dims]
-        self.chains = chain_presence(removal_orders(rng, 11, 3))
-
-    def test_labels_of_the_wrong_length_name_both_shapes(self):
-        with pytest.raises(DimensionError) as excinfo:
-            chain_objective(self.params, self.feats, np.zeros(12, int), self.chains)
-        assert str(excinfo.value) == "labels (12,) do not match the chains (11, 3, 3)"
-
-    def test_label_out_of_range_names_the_first_bad_row(self):
-        labels = np.zeros(11, int)
-        labels[[4, 7]] = [3, -1]
-        with pytest.raises(DomainError) as excinfo:
-            chain_objective(self.params, self.feats, labels, self.chains)
-        assert str(excinfo.value) == "label 3 at row 4 is outside [0, 3)"
 
 
 class TestComputeVrr:
@@ -537,11 +492,10 @@ class TestEvaluateVrr:
     def test_attribution_counts_removed_modality(self):
         # encoder 0 is confidently class 0; encoder 1 is uninformative, so
         # dropping modality 1 raises confidence on every sample
-        enc0 = EncoderParams(w1=np.eye(2), b1=np.zeros(2), w2=np.eye(2), b2=np.zeros(2))
-        enc1 = EncoderParams(
-            w1=np.zeros((2, 2)), b1=np.zeros(2), w2=np.zeros((2, 2)), b2=np.zeros(2)
-        )
-        params = ClassifierParams(encoders=[enc0, enc1], head_w=np.eye(2), head_b=np.zeros(2))
+        shapes = [(2, 2), (2,), (2, 2), (2,)] * 2 + [(2, 2), (2,)]
+        params = ClassifierParams.from_flat(shapes, np.zeros(30))
+        for w in (params.w1[0], params.w2[0], params.head_w):
+            w[...] = np.eye(2)
         n = 12
         dataset = Dataset(
             modalities=[np.tile([3.0, 0.0], (n, 1)), np.ones((n, 2))],

@@ -382,7 +382,9 @@ class TestSweepCommand:
                 train={"epochs": 2},
             )
             sources = {"manifest": "train/manifest.json", "test_manifest": f"{name}/manifest.json"}
-            cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "data": sources}))
+            written = json.loads(cfg.read_text())
+            del written["split"]["train_fraction"]  # a test manifest leaves it unread
+            cfg.write_text(json.dumps({**written, "data": sources}))
             out = tmp_path / f"sweep_{name}"
             assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
             tables.append((out / "sweep_lambda.csv").read_bytes())
@@ -413,6 +415,53 @@ class TestSweepCommand:
     def test_missing_kind_fails(self, tmp_path):
         cfg = write_config(tmp_path / "config.json", sweep={})
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) != 0
+
+    @pytest.mark.parametrize(
+        "epsilons, message",
+        [
+            # JSON Infinity and NaN parse as floats and pass the section's float check.
+            ([float("inf")], "sweep.epsilons[0]: expected a finite value >= 0, got inf"),
+            ([0.1, float("nan")], "sweep.epsilons[1]: expected a finite value >= 0, got nan"),
+            ([0.1, 0.2, -0.5], "sweep.epsilons[2]: expected a finite value >= 0, got -0.5"),
+        ],
+    )
+    def test_bad_epsilon_fails_naming_it(self, tmp_path, capsys, epsilons, message):
+        cfg = write_config(tmp_path / "config.json", sweep={"kind": "noise", "epsilons": epsilons})
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (out / "sweep_noise.csv").exists()
+
+    def test_noise_sweep_on_an_empty_test_manifest_fails(self, tmp_path, capsys):
+        dataset = generate_synthetic(SyntheticSpec.from_json_dict(SYNTHETIC))
+        write_csv_dataset(dataset.take([]), tmp_path / "empty")
+        cfg = write_config(
+            tmp_path / "config.json",
+            data={"test_manifest": "empty/manifest.json"},
+            sweep={"kind": "noise", "epsilons": [0.1]},
+        )
+        written = json.loads(cfg.read_text())
+        del written["split"]["train_fraction"]  # a test manifest leaves it unread
+        cfg.write_text(json.dumps(written))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: empty test set"]
+        assert not (out / "sweep_noise.csv").exists()
+
+    def test_noise_sweep_with_runs_of_other_modality_dims_fails(self, tmp_path, capsys):
+        other = {"synthetic": {**SYNTHETIC, "modality_dims": [5, 3]}}
+        run_cfg = write_config(tmp_path / "run.json", data=other, train={"epochs": 1})
+        assert main(["train", "--config", str(run_cfg), "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        cfg = write_config(
+            tmp_path / "config.json",
+            sweep={"kind": "noise", "baseline_run": "run", "cml_run": "run"},
+        )
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: dataset dims (4, 3) != model dims (5, 3)"]
+        assert not (out / "sweep_noise.csv").exists()
 
 
 class TestNumericBoundary:
@@ -505,6 +554,20 @@ class TestCommandSections:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and message in err
         assert not (tmp_path / "out").exists()
+
+    def test_train_fraction_with_a_test_manifest_fails_naming_it(self, tmp_path, capsys):
+        dataset = generate_synthetic(SyntheticSpec.from_json_dict(SYNTHETIC))
+        write_csv_dataset(dataset, tmp_path / "test")
+        cfg = write_config(
+            tmp_path / "config.json",
+            data={"test_manifest": "test/manifest.json"},
+            split={"train_fraction": 0.1},
+        )
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: split.train_fraction: not used with")
+        assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["-4", "0"])
     def test_non_positive_jobs_fail_naming_the_flag(self, tmp_path, capsys, jobs):

@@ -12,7 +12,6 @@ from rankcal.data import (
     Dataset,
     SyntheticSpec,
     class_means,
-    corrupt_gaussian,
     generate_synthetic,
     load_csv_dataset,
     split,
@@ -20,9 +19,10 @@ from rankcal.data import (
     standardize_fit,
     write_csv_dataset,
 )
-from rankcal.errors import ParseError, SpecError, SplitError
+from rankcal.errors import DimensionError, DomainError, ParseError, SpecError, SplitError
 
-from reference import reference_dataset_csv, reference_load_modality_csv, reference_split
+from reference import corrupt_gaussian, label_of, reference_dataset_csv
+from reference import reference_load_modality_csv, reference_split
 
 
 def basic_spec(**overrides) -> SyntheticSpec:
@@ -50,8 +50,42 @@ def nearest_mean_accuracy(train: Dataset, test: Dataset, modality: int) -> float
     for i in range(test.num_samples):
         x = test.modalities[modality][i]
         predicted = int(np.argmin(np.linalg.norm(means - x, axis=1)))
-        correct += predicted == test.label(i)
+        correct += predicted == label_of(test, i)
     return correct / test.num_samples
+
+
+class TestDataset:
+    """A Dataset checks its blocks and labels once, when it is built."""
+
+    def test_row_count_mismatch_rejected(self):
+        with pytest.raises(DimensionError, match=r"modality 1: block \(4, 2\) is not \(3 rows"):
+            Dataset([np.zeros((3, 2)), np.zeros((4, 2))], np.array([0, 1, 0]), 2)
+
+    def test_block_must_be_two_dimensional(self):
+        with pytest.raises(DimensionError, match="modality 0"):
+            Dataset([np.zeros(3), np.zeros((3, 2))], np.array([0, 1, 0]), 2)
+
+    def test_out_of_range_label_names_the_first_bad_row(self):
+        labels = np.zeros(11, dtype=np.int64)
+        labels[[4, 7]] = [3, -1]
+        with pytest.raises(DomainError) as excinfo:
+            Dataset([np.zeros((11, 2)), np.zeros((11, 3))], labels, 3)
+        assert str(excinfo.value) == "label 3 at row 4 is outside [0, 3)"
+
+    @pytest.mark.parametrize("labels", [np.array([0.0, 1.0]), np.array([True, False]), [[0, 1]]])
+    def test_non_integer_labels_rejected(self, labels):
+        with pytest.raises(DomainError, match="labels must be a 1-D integer array"):
+            Dataset([np.zeros((2, 2)), np.zeros((2, 3))], labels, 2)
+
+    def test_integer_features_are_stored_as_float64(self):
+        dataset = Dataset([np.arange(6).reshape(3, 2), [[1], [2], [3]]], [0, 1, 1], 2)
+        assert [block.dtype for block in dataset.modalities] == [np.float64, np.float64]
+        assert dataset.modalities[0].tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+        assert dataset.labels.tolist() == [0, 1, 1]
+
+    def test_float64_blocks_are_kept_without_a_copy(self):
+        block = np.zeros((2, 3))
+        assert Dataset([block, block], np.array([0, 1]), 2).modalities[0] is block
 
 
 class TestSyntheticSpec:
@@ -438,9 +472,6 @@ class TestSplit:
     @pytest.mark.parametrize("seed", [0, 1, 17])
     def test_same_samples_as_the_list_reference(self, fraction, seed):
         dataset = generate_synthetic(basic_spec(num_classes=3, samples_per_class=(13, 2, 30)))
-        labels = dataset.labels.copy()
-        labels[[0, 20]] = 7  # out of range: on neither side, as in the reference
-        dataset = Dataset(dataset.modalities, labels, dataset.num_classes)
         want_sides = reference_split(dataset, fraction, seed)
         for got, want in zip(split(dataset, fraction, seed), want_sides):
             assert got.labels.tobytes() == want.labels.tobytes()
@@ -500,11 +531,13 @@ class TestCorruptGaussian:
         assert noise.size == 20_000
         assert abs(noise.var() - 0.25) / 0.25 < 0.05
 
-    def test_std_interpretation_flag(self):
-        spec = CorruptionSpec(frozenset([0]), epsilon=0.25, seed=0, epsilon_is="std")
-        assert spec.noise_std() == 0.25
-        spec_var = CorruptionSpec(frozenset([0]), epsilon=0.25, seed=0)
-        assert spec_var.noise_std() == 0.5
+    def test_epsilon_is_the_noise_variance(self):
+        assert CorruptionSpec(frozenset([0]), epsilon=0.25, seed=0).noise_std() == 0.5
+
+    @pytest.mark.parametrize("epsilon", [float("inf"), float("nan"), -0.1])
+    def test_non_finite_or_negative_epsilon_rejected(self, epsilon):
+        with pytest.raises(SpecError, match="epsilon must be finite and >= 0"):
+            CorruptionSpec(frozenset([0]), epsilon=epsilon, seed=0)
 
     def test_deterministic(self):
         dataset = generate_synthetic(basic_spec())

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rankcal.data import Dataset
-from rankcal.errors import DimensionError, EmptyInputError, SpecError, StateError
+from rankcal.errors import EmptyInputError, SpecError, StateError
 from rankcal.metrics import (
     MetricsReport,
     accuracy,
@@ -15,11 +15,17 @@ from rankcal.metrics import (
     e_aurc,
     format_mean_std,
     mean_abs_conf_shift,
-    mean_nll,
     report_csv_header,
     report_csv_row,
 )
-from rankcal.model import ModelSpec, SubsetMask, init_params
+from rankcal.model import ModelSpec, init_params
+
+
+def report(confidence, correct, nll, vrr=0.0, by_size=None) -> MetricsReport:
+    """build_report on float64 columns, as evaluation passes them."""
+    columns = np.asarray(confidence, dtype=np.float64), np.asarray(correct, dtype=bool)
+    nll = np.asarray(nll, dtype=np.float64)
+    return build_report(*columns, nll, vrr=vrr, mean_conf_by_size=by_size or {1: 0.5})
 
 
 class TestAccuracy:
@@ -32,27 +38,25 @@ class TestAccuracy:
     def test_none_correct(self):
         assert accuracy(np.zeros(3, dtype=bool)) == 0.0
 
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyInputError):
-            accuracy(np.zeros(0, dtype=bool))
-
 
 class TestMeanNll:
+    """The report's nll_raw: the mean of the per-prediction NLL column."""
+
+    @staticmethod
+    def mean_nll(nll) -> float:
+        return report(np.full(len(nll), 0.5), np.ones(len(nll), dtype=bool), nll).nll_raw
+
     def test_single_half(self):
-        assert mean_nll(np.array([math.log(2.0)])) == pytest.approx(math.log(2.0))
+        assert self.mean_nll([math.log(2.0)]) == pytest.approx(math.log(2.0))
 
     def test_confident_goes_to_zero(self):
-        assert mean_nll(np.full(2, 1e-15)) < 1e-14
+        assert self.mean_nll(np.full(2, 1e-15)) < 1e-14
 
     def test_matches_naive_sum(self):
         rng = np.random.default_rng(1)
         nll = rng.uniform(0, 3, 37)
         naive = sum(nll.tolist()) / len(nll)
-        assert abs(mean_nll(nll) - naive) < 1e-12
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyInputError):
-            mean_nll(np.zeros(0))
+        assert abs(self.mean_nll(nll) - naive) < 1e-12
 
 
 class TestAurc:
@@ -100,14 +104,6 @@ class TestAurc:
             assert aurc(confs, correct) == value
             assert e_aurc(confs, correct) == max(value - optimal, 0.0)
 
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyInputError):
-            aurc(np.zeros(0), np.zeros(0, dtype=bool))
-
-    def test_mismatched_columns_rejected(self):
-        with pytest.raises(DimensionError):
-            aurc(np.zeros(3), np.zeros(2, dtype=bool))
-
 
 class TestEAurc:
     def test_all_correct_zero(self):
@@ -139,8 +135,7 @@ class TestMeanAbsConfShift:
 
     def test_identical_models_zero(self):
         params = init_params(self.SPEC, seed=0)
-        masks = [SubsetMask.full(2), SubsetMask.of([0])]
-        assert mean_abs_conf_shift(params, params, self.dataset(), masks) == 0.0
+        assert mean_abs_conf_shift(params, params, self.dataset()) == 0.0
 
     def test_matches_naive_loop(self):
         from reference import reference_probs
@@ -148,17 +143,13 @@ class TestMeanAbsConfShift:
         params_a = init_params(self.SPEC, seed=1)
         params_b = init_params(self.SPEC, seed=2)
         dataset = self.dataset()
-        masks = [SubsetMask.full(2), SubsetMask.of([1])]
         total = 0.0
         for i in range(dataset.num_samples):
-            for mask in masks:
-                ca = reference_probs(params_a, dataset.features(i), mask.present).max()
-                cb = reference_probs(params_b, dataset.features(i), mask.present).max()
-                total += abs(ca - cb)
-        naive = total / (dataset.num_samples * len(masks))
-        assert mean_abs_conf_shift(params_a, params_b, dataset, masks) == pytest.approx(
-            naive, rel=1e-12
-        )
+            ca = reference_probs(params_a, dataset.features(i), (0, 1)).max()
+            cb = reference_probs(params_b, dataset.features(i), (0, 1)).max()
+            total += abs(ca - cb)
+        naive = total / dataset.num_samples
+        assert mean_abs_conf_shift(params_a, params_b, dataset) == pytest.approx(naive, rel=1e-12)
 
     def test_hand_example_point_one(self):
         params_a = init_params(self.SPEC, seed=0)
@@ -168,7 +159,7 @@ class TestMeanAbsConfShift:
         params_a.head_b[...] = np.log([0.8, 0.2])
         params_b.head_b[...] = np.log([0.7, 0.3])
         dataset = self.dataset(n=1)
-        shift = mean_abs_conf_shift(params_a, params_b, dataset, [SubsetMask.full(2)])
+        shift = mean_abs_conf_shift(params_a, params_b, dataset)
         assert shift == pytest.approx(0.1, abs=1e-12)
 
     def test_spec_mismatch_rejected(self):
@@ -178,15 +169,19 @@ class TestMeanAbsConfShift:
                 init_params(self.SPEC, seed=0),
                 init_params(other, seed=0),
                 self.dataset(),
-                [SubsetMask.full(2)],
             )
+
+    def test_empty_dataset_rejected(self):
+        params = init_params(self.SPEC, seed=0)
+        with pytest.raises(EmptyInputError):
+            mean_abs_conf_shift(params, params, self.dataset(n=0))
 
 
 class TestBuildReport:
     def make_report(self) -> MetricsReport:
         by_size = {1: 0.5, 2: 0.85}
         nll = [2.049, 2.049]
-        return build_report([0.9, 0.8], [True, False], nll, vrr=0.2338, mean_conf_by_size=by_size)
+        return report([0.9, 0.8], [True, False], nll, vrr=0.2338, by_size=by_size)
 
     def test_scales(self):
         report = self.make_report()
@@ -199,8 +194,8 @@ class TestBuildReport:
 
     def test_scale_arithmetic_example(self):
         confs, correct = [0.9] * 9 + [0.95], [True] * 9 + [False]
-        report = build_report(confs, correct, [0.1] * 10, vrr=0.0, mean_conf_by_size={2: 0.9})
-        assert report.aurc_scaled == pytest.approx(report.aurc_raw * 1000)
+        scaled = report(confs, correct, [0.1] * 10, by_size={2: 0.9})
+        assert scaled.aurc_scaled == pytest.approx(scaled.aurc_raw * 1000)
         # 0.0114 raw -> 11.4 scaled is plain arithmetic
         assert 0.0114 * 1000 == pytest.approx(11.4)
 
@@ -208,12 +203,12 @@ class TestBuildReport:
     def test_matches_the_public_functions_bit_for_bit(self, n):
         rng = np.random.default_rng(n)
         confidence, correct, nll = rng.random(n), rng.random(n) < 0.7, rng.exponential(size=n)
-        report = build_report(confidence, correct, nll, vrr=0.1, mean_conf_by_size={1: 0.5})
-        assert report.accuracy_pct == accuracy(correct)
-        assert report.nll_raw == mean_nll(nll)
-        assert report.aurc_raw == aurc(confidence, correct)
-        assert report.e_aurc_raw == e_aurc(confidence, correct)
-        assert report.mean_confidence_full == float(np.mean(confidence))
+        built = report(confidence, correct, nll, vrr=0.1)
+        assert built.accuracy_pct == accuracy(correct)
+        assert built.nll_raw == float(np.mean(nll))
+        assert built.aurc_raw == aurc(confidence, correct)
+        assert built.e_aurc_raw == e_aurc(confidence, correct)
+        assert built.mean_confidence_full == float(np.mean(confidence))
 
     def test_missing_constituent_rejected(self):
         preds = ([0.9], [True], [0.5])

@@ -5,13 +5,7 @@ import platform
 import numpy as np
 import pytest
 
-import rankcal
-
-
-def test_every_export_resolves_once():
-    names = rankcal.__all__
-    assert len(names) == len(set(names)), "duplicate names in rankcal.__all__"
-    assert [name for name in names if not hasattr(rankcal, name)] == []
+import rankcal  # noqa: F401  (importing the package sets the heap thresholds)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap settings need glibc")

@@ -16,9 +16,8 @@ from rankcal.errors import (
     SpecError,
     SweepError,
 )
-from rankcal.metrics import accuracy, aurc, e_aurc, mean_nll
+from rankcal.metrics import accuracy, aurc, e_aurc
 from rankcal.model import ModelSpec, SubsetMask, init_params
-from rankcal.numerics import nll_loss
 from rankcal.trainer import (
     DEFAULT_LAMBDA_GRID,
     DEFAULT_NOISE_GRID,
@@ -33,7 +32,8 @@ from rankcal.trainer import (
     train,
 )
 
-from reference import full_mask_accuracy, reference_noise_sweep, reference_probs, reference_train
+from reference import full_mask_accuracy, label_of, reference_noise_sweep, reference_probs
+from reference import reference_train
 
 MODEL = ModelSpec(modality_dims=(4, 3), hidden_dim=8, latent_dim=4, num_classes=2)
 
@@ -205,19 +205,15 @@ class TestTrainMatchesReferenceLoop:
 
 
 class TestTrainBoundary:
-    """train checks its inputs once per run; each batch runs only the check-free core."""
+    """The data is checked when its Dataset is built; train then runs no check per batch."""
 
-    def test_out_of_range_label_fails_before_the_first_batch(self, monkeypatch):
+    def test_out_of_range_label_fails_before_the_first_batch(self):
         train_set, _ = make_sets()
         labels = train_set.labels.copy()
         labels[[6, 9]] = [2, 5]
-        bad = dataclasses.replace(train_set, labels=labels)
-        batches = []
-        monkeypatch.setattr(trainer, "objective_core", lambda *args: batches.append(args))
         with pytest.raises(DomainError) as excinfo:
-            train(config(), bad)
+            dataclasses.replace(train_set, labels=labels)
         assert str(excinfo.value) == "label 2 at row 6 is outside [0, 2)"
-        assert batches == []
 
     def test_integer_features_train_like_their_float_copies(self):
         train_set, _ = make_sets()
@@ -228,25 +224,6 @@ class TestTrainBoundary:
         a, b = train(cfg, as_int), train(cfg, as_float)
         assert a.params.flat.tobytes() == b.params.flat.tobytes()
         assert a.history == b.history
-
-    def test_checks_run_once_per_call(self, monkeypatch):
-        calls = {"prepare_masks": 0, "check_labels": 0}
-
-        def counting(name, function):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return function(*args, **kwargs)
-
-            return wrapper
-
-        # every binding that a batch could reach
-        for name, module in [("prepare_masks", m) for m in (model, calibration, trainer)] + [
-            ("check_labels", m) for m in (calibration, trainer)
-        ]:
-            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-        train_set, _ = make_sets()  # 80 samples: 5 batches of 16 per epoch
-        train(config(epochs=3), train_set)
-        assert calls == {"prepare_masks": 1, "check_labels": 1}
 
 
 class TestEvaluate:
@@ -277,12 +254,12 @@ class TestEvaluate:
         report = evaluate(result.params, fixture, cfg)
 
         probs = [reference_probs(result.params, fixture.features(i), [0, 1]) for i in range(10)]
-        labels = [fixture.label(i) for i in range(10)]
+        labels = [label_of(fixture, i) for i in range(10)]
         confidence = np.array([p.max() for p in probs])
         correct = np.array([int(np.argmax(p)) == y for p, y in zip(probs, labels)])
-        nll = np.array([nll_loss(p, y) for p, y in zip(probs, labels)])
+        nll = np.array([-np.log(p[y]) for p, y in zip(probs, labels)])
         assert report.accuracy_pct == accuracy(correct)
-        assert report.nll_raw == pytest.approx(mean_nll(nll), rel=1e-12)
+        assert report.nll_raw == pytest.approx(np.mean(nll), rel=1e-12)
         assert report.aurc_raw == pytest.approx(aurc(confidence, correct), rel=1e-12)
         assert report.e_aurc_raw == pytest.approx(e_aurc(confidence, correct), abs=1e-15)
 
@@ -495,6 +472,18 @@ class TestNoiseSweep:
         assert DEFAULT_NOISE_GRID == (0.1, 0.2, 0.3, 0.5)
         targets = default_target_sets(2)
         assert targets == [SubsetMask.of([0]), SubsetMask.of([1]), SubsetMask.of([0, 1])]
+
+    def test_empty_test_set_rejected(self):
+        params = init_params(MODEL, 0)
+        empty = make_sets(per_class=20)[1].take([])
+        with pytest.raises(EmptyInputError, match="empty test set"):
+            noise_sweep(params, params, empty, [0.1], [SubsetMask.of([0])], seed=0)
+
+    def test_dataset_dims_mismatch_rejected(self):
+        other = ModelSpec(modality_dims=(4, 5), hidden_dim=8, latent_dim=4, num_classes=2)
+        params = init_params(other, 0)
+        with pytest.raises(SpecError, match=r"dataset dims \(4, 3\) != model dims \(4, 5\)"):
+            noise_sweep(params, params, make_sets()[1], [0.1], [SubsetMask.of([0])], seed=0)
 
     def test_spec_mismatch_rejected(self):
         train_set, test_set = make_sets(per_class=20)
