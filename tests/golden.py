@@ -7,7 +7,8 @@ directory. The noise-sweep rows come from `trainer.noise_sweep` for 2 to 4
 modalities, with epsilon 0 and the full target set among the cells.
 The training grid hashes `params.flat` and `history` of `trainer.train` over
 every regularizer variant x skip_on_wrong_full x detach_superset, with ragged
-mini-batches and with one batch per epoch. The VRR entries hash everything
+mini-batches and with one batch per epoch, plus one run whose tiny-scale
+modality keeps Adam's epsilon in play. The VRR entries hash everything
 `calibration.evaluate_vrr` returns, sampled (1 and 3 repeats) and exhaustive,
 for 3 and 4 modalities on trained parameters.
 
@@ -216,6 +217,14 @@ def train_grid_hashes() -> dict[str, str]:
                     run = trainer.train(config, train_set)
                     key = f"{variant}/skip={int(skip)}/detach={int(detach)}/{name}"
                     hashes[key] = _digest(run.params.flat, _history(run.history))
+    # Modality 2 at 1e-6 of its scale: its first-layer gradients stay near Adam's
+    # epsilon, so this run also pins ADAM_EPSILON to the last bit.
+    scales = (1.0, 1.0, 1e-6)
+    tiny = data.Dataset([b * s for b, s in zip(train_set.modalities, scales)], train_set.labels, 3)
+    run = trainer.train(_grid_config(spec, "hinge", True, False, GRID_BATCHES["ragged"]), tiny)
+    hashes["hinge/skip=1/detach=0/ragged/modality_2_at_1e-6"] = _digest(
+        run.params.flat, _history(run.history)
+    )
     return hashes
 
 
