@@ -114,10 +114,8 @@ class RunResult:
     vrr_evaluation: VrrEvaluation | None = None
 
 
-def _check_dataset(model: ModelSpec, dataset: Dataset, name: str) -> None:
-    """The run's data boundary: a nonempty `dataset` whose dims and classes match `model`."""
-    if dataset.num_samples == 0:
-        raise EmptyInputError(f"empty {name} set")
+def _check_dataset(model: ModelSpec, dataset: Dataset) -> None:
+    """Fail unless `dataset` has `model`'s modality dims and class count."""
     if dataset.modality_dims != model.modality_dims:
         raise SpecError(f"dataset dims {dataset.modality_dims} != model dims {model.modality_dims}")
     if dataset.num_classes != model.num_classes:
@@ -136,7 +134,9 @@ def train(config: TrainConfig, train_set: Dataset) -> RunResult:
     stops the run with a DivergenceError naming the epoch and batch.
     """
     config.validate()
-    _check_dataset(config.model, train_set, "training")
+    if train_set.num_samples == 0:
+        raise EmptyInputError("empty training set")
+    _check_dataset(config.model, train_set)
 
     params = init_params(config.model, config.seed)
     num_modalities = train_set.num_modalities
@@ -195,7 +195,9 @@ def train(config: TrainConfig, train_set: Dataset) -> RunResult:
 def _evaluate(
     params: ClassifierParams, test_set: Dataset, config: TrainConfig
 ) -> tuple[MetricsReport, VrrEvaluation]:
-    _check_dataset(config.model, test_set, "test")
+    if test_set.num_samples == 0:
+        raise EmptyInputError("empty test set")
+    _check_dataset(config.model, test_set)
     if derived_spec(params) != config.model:
         raise SpecError("parameter shapes do not match the configured model spec")
     # The full-mask metrics read the probabilities of the VRR forward: one forward per evaluation.
@@ -332,7 +334,9 @@ def noise_sweep(
     """
     if params_baseline.spec_signature() != params_cml.spec_signature():
         raise SpecError("models have different parameter shapes")
-    _check_dataset(derived_spec(params_baseline), test_set, "test")
+    if test_set.num_samples == 0:
+        raise EmptyInputError("empty test set")
+    _check_dataset(derived_spec(params_baseline), test_set)
     if not epsilons or not target_sets:
         raise ConfigError("noise sweep needs at least one epsilon and one target set")
     cells = []
