@@ -1,10 +1,11 @@
 """Config-driven command line: generate | train | compare | sweep.
 
 All experiment parameters live in one JSON config; the flags only pick the
-config file, output directory, seed override, and (for sweep) lambda-sweep
-parallelism, so a run is reproducible from the config alone. `CML_SEED` in
-the environment (or --seed, which wins) overrides the configured training
-seed.
+config file, output directory, (for train and sweep) seed override, and (for
+sweep) lambda-sweep parallelism, so a run is reproducible from the config
+alone. For the two commands that train, `CML_SEED` in the environment (or
+--seed, which wins) overrides the configured training seed; generate and
+compare read neither.
 """
 
 from __future__ import annotations
@@ -109,6 +110,11 @@ def _prepare(cfg: dict, base: Path) -> PreparedData:
                 "split.train_fraction: not used with data.test_manifest, which trains on "
                 "every row of the source data"
             )
+        if "seed" in split_cfg and "val_fraction" not in split_cfg:
+            raise ConfigError(
+                "split.seed: not used with data.test_manifest without split.val_fraction, "
+                "since nothing is split"
+            )
     elif "split" in cfg:
         train_set, test_set = data.split(
             dataset,
@@ -205,7 +211,7 @@ def _write_run_dir(
             )
     with open(run_dir / METRICS_NAME, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(result.report.to_json())
-    save_checkpoint(run_dir / CHECKPOINT_NAME, config.model, result.params)
+    save_checkpoint(run_dir / CHECKPOINT_NAME, result.params)
     calibration.write_records_csv(run_dir / RECORDS_NAME, result.vrr_evaluation.records)
 
 
@@ -225,14 +231,14 @@ def cmd_train(config_path: Path, out_override: str | None, seed_override: int | 
     return 0
 
 
-def _load_run(run_dir: Path) -> tuple[ModelSpec, ClassifierParams, trainer.TrainConfig]:
+def _load_run(run_dir: Path) -> tuple[ClassifierParams, trainer.TrainConfig]:
     spec, params = load_checkpoint(run_dir / CHECKPOINT_NAME)
     snapshot_path = run_dir / CONFIG_SNAPSHOT_NAME
     with open(snapshot_path, "r", encoding="utf-8") as fh:
         snapshot = json.load(fh)
     if not isinstance(snapshot, dict) or "resolved_train" not in snapshot:
         raise StateError(f"{snapshot_path}: missing key 'resolved_train'")
-    return spec, params, trainer.TrainConfig.from_json_dict(snapshot["resolved_train"], spec)
+    return params, trainer.TrainConfig.from_json_dict(snapshot["resolved_train"], spec)
 
 
 def cmd_compare(config_path: Path, out_override: str | None) -> int:
@@ -241,9 +247,9 @@ def cmd_compare(config_path: Path, out_override: str | None) -> int:
         "compare", cfg.get("compare", {}), _COMPARE_SCHEMA, required=("baseline_run", "cml_run")
     )
     base = config_path.parent
-    spec_a, params_a, config_a = _load_run(_resolve(base, compare_cfg["baseline_run"]))
-    spec_b, params_b, config_b = _load_run(_resolve(base, compare_cfg["cml_run"]))
-    if spec_a != spec_b:
+    params_a, config_a = _load_run(_resolve(base, compare_cfg["baseline_run"]))
+    params_b, config_b = _load_run(_resolve(base, compare_cfg["cml_run"]))
+    if params_a.spec != params_b.spec:
         raise ConfigError("runs have different model specs")
     if "test_manifest" in compare_cfg:
         test_set = data.load_csv_dataset(_resolve(base, compare_cfg["test_manifest"]))
@@ -341,8 +347,8 @@ def cmd_sweep(
     target_sets = _parse_target_sets(sweep_cfg.get("target_sets"), prepared.test.num_modalities)
     base = config_path.parent
     if runs:
-        _, params_a, _ = _load_run(_resolve(base, sweep_cfg["baseline_run"]))
-        _, params_b, _ = _load_run(_resolve(base, sweep_cfg["cml_run"]))
+        params_a, _ = _load_run(_resolve(base, sweep_cfg["baseline_run"]))
+        params_b, _ = _load_run(_resolve(base, sweep_cfg["cml_run"]))
     else:
         if config.lam <= 0:
             raise ConfigError(
@@ -383,13 +389,18 @@ def main(argv: list[str] | None = None) -> int:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the experiment config JSON")
         cmd.add_argument("--out", default=None, help="output directory override")
-        cmd.add_argument("--seed", type=int, default=None, help="seed override")
+        if name in ("train", "sweep"):  # the commands that train
+            cmd.add_argument("--seed", type=int, default=None, help="training seed override")
         if name == "sweep":
             cmd.add_argument("--jobs", type=int, default=1, help="parallel lambda-sweep cells")
     args = parser.parse_args(argv)
 
     config_path = Path(args.config)
     try:
+        if args.command == "generate":
+            return cmd_generate(config_path, args.out)
+        if args.command == "compare":
+            return cmd_compare(config_path, args.out)
         seed_override = args.seed
         env_seed = os.environ.get("CML_SEED")
         if seed_override is None and env_seed:
@@ -397,12 +408,8 @@ def main(argv: list[str] | None = None) -> int:
                 seed_override = int(env_seed)
             except ValueError:
                 raise ConfigError(f"CML_SEED must be an integer, got {env_seed!r}") from None
-        if args.command == "generate":
-            return cmd_generate(config_path, args.out)
         if args.command == "train":
             return cmd_train(config_path, args.out, seed_override)
-        if args.command == "compare":
-            return cmd_compare(config_path, args.out)
         return cmd_sweep(config_path, args.out, seed_override, args.jobs)
     # Every rankcal.errors type derives from one of these.
     except (NumericError, OSError, ValueError, RuntimeError) as exc:

@@ -109,8 +109,8 @@ class Dataset:
     """Columnar storage: one (N, d_m) array per modality plus integer labels.
 
     Construction checks the data once: each block is stored as a 2-D float64
-    array with one row per label, and every label is an integer in
-    [0, num_classes).
+    array of finite values with one row per label, and every label is an
+    integer in [0, num_classes).
     """
 
     modalities: list[np.ndarray]
@@ -129,6 +129,9 @@ class Dataset:
                 raise DimensionError(
                     f"modality {m}: block {block.shape} is not ({len(labels)} rows, dim)"
                 )
+            bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
+            if len(bad):
+                raise DomainError(f"modality {m}: non-finite feature at row {bad[0]}")
         bad = np.flatnonzero((labels < 0) | (labels >= self.num_classes))
         if len(bad):
             raise DomainError(

@@ -93,9 +93,10 @@ class ParseError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss, or a floating-point overflow or invalid operation.
+    """Training produced a non-finite loss or a floating-point error.
 
-    `reason` describes what went wrong when the loss alone does not.
+    A floating-point error is an overflow, a division by zero or an invalid
+    operation. `reason` describes what went wrong when the loss alone does not.
     """
 
     def __init__(self, epoch: int, batch: int, loss: float, reason: str | None = None):

@@ -50,16 +50,21 @@ def aurc(confidence, correct) -> float:
 
 def e_aurc(confidence, correct) -> float:
     """AURC in excess of the best achievable ordering (all correct first)."""
+    return _excess_aurc(aurc(confidence, correct), correct)
+
+
+def _excess_aurc(aurc_value: float, correct) -> float:
+    """e_aurc from the AURC already computed for `correct`."""
     num_correct = int(np.count_nonzero(correct))
     optimal = _risk_coverage_average(np.arange(len(correct)) >= num_correct)
-    excess = aurc(confidence, correct) - optimal
+    excess = aurc_value - optimal
     assert excess >= -1e-12, f"E-AURC below zero beyond float noise: {excess}"
     return max(excess, 0.0)
 
 
 def mean_abs_conf_shift(params_a: ClassifierParams, params_b: ClassifierParams, dataset) -> float:
     """Mean |conf_a - conf_b| of the full-mask confidences over all samples."""
-    if params_a.spec_signature() != params_b.spec_signature():
+    if params_a.spec != params_b.spec:
         raise SpecError("models have different parameter shapes")
     if dataset.num_samples == 0:
         raise EmptyInputError("empty dataset")
@@ -135,7 +140,7 @@ def build_report(
         raise StateError("missing report constituent")
     nll_value = _mean(nll)
     aurc_value = aurc(confidence, correct)
-    e_aurc_value = e_aurc(confidence, correct)
+    e_aurc_value = _excess_aurc(aurc_value, correct)
     return MetricsReport(
         accuracy_pct=accuracy(correct),
         nll_raw=nll_value,

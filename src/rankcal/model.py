@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -68,12 +68,7 @@ class ModelSpec:
         return len(self.modality_dims)
 
     def to_json_dict(self) -> dict:
-        return {
-            "modality_dims": list(self.modality_dims),
-            "hidden_dim": self.hidden_dim,
-            "latent_dim": self.latent_dim,
-            "num_classes": self.num_classes,
-        }
+        return {**asdict(self), "modality_dims": list(self.modality_dims)}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ModelSpec":
@@ -114,43 +109,32 @@ class SubsetMask:
 
 
 class ClassifierParams:
-    """Every parameter array as a view into one flat float64 buffer.
+    """A model's spec and every parameter array as a view into one flat float64 buffer.
 
     `flat` holds each modality's first-layer weights `w1[m]` (d_m, H) in
     order, then the stacked `b1` (M, H), `w2` (M, H, L) and `b2` (M, L), then
     the head weights and bias, so one numpy call runs a layer for every
-    modality. `arrays()` and `spec_signature()` keep declaration order (per
-    modality w1, b1, w2, b2; then the head), which is also the checkpoint
-    order. An in-place write to `flat` shows through every named array and
-    vice versa; rebinding a named attribute would break that link.
+    modality. `arrays()` keeps declaration order (per modality w1, b1, w2, b2;
+    then the head), which is also the checkpoint order. An in-place write to
+    `flat` shows through every named array and vice versa; rebinding a named
+    attribute would break that link.
     """
 
-    @classmethod
-    def from_flat(cls, shapes: Sequence[tuple[int, ...]], flat: Array) -> "ClassifierParams":
-        """Views into `flat` itself (no copy), laid out as above; `shapes` in declaration order."""
-        params = cls.__new__(cls)
-        params._bind(flat, shapes)
-        return params
-
-    def _bind(self, flat: Array, shapes: Sequence[tuple[int, ...]]) -> None:
-        if flat.dtype != np.float64 or flat.ndim != 1:
-            raise DimensionError(f"flat parameters must be 1-D float64: {flat.dtype}{flat.shape}")
-        shapes = [tuple(shape) for shape in shapes]
-        if sum(map(math.prod, shapes)) != flat.size or len(shapes) < 6 or len(shapes) % 4 != 2:
-            raise DimensionError(f"flat vector of size {flat.size} does not match shapes {shapes}")
-        w1_shapes, num = shapes[0:-2:4], len(shapes) // 4
-        try:
-            hidden, latent = shapes[2]
-            shared = shapes[:-2] == _encoder_shapes([s[0] for s in w1_shapes], hidden, latent)
-        except (ValueError, IndexError):
-            shared = False
-        if not shared:
-            raise DimensionError(
-                f"encoder shapes {shapes[:-2]} do not share hidden and latent sizes"
-            )
-        stacked = [(num, hidden), (num, hidden, latent), (num, latent)]
-        views = _views(flat, w1_shapes + stacked + shapes[-2:])
-        self.flat, self.w1 = flat, views[:num]
+    def __init__(self, spec: ModelSpec, flat: Array | None = None):
+        """Views into `flat` itself (no copy), laid out as above; all zeros without `flat`."""
+        num, hidden, latent = spec.num_modalities, spec.hidden_dim, spec.latent_dim
+        shapes = [(d, hidden) for d in spec.modality_dims]
+        shapes += [(num, hidden), (num, hidden, latent), (num, latent)]
+        shapes += [(latent, spec.num_classes), (spec.num_classes,)]
+        sizes = [math.prod(shape) for shape in shapes]
+        if flat is None:
+            flat = np.zeros(sum(sizes))
+        elif flat.dtype != np.float64 or flat.shape != (sum(sizes),):
+            expected = f"float64({sum(sizes)},)"
+            raise DimensionError(f"flat parameters must be {expected}: {flat.dtype}{flat.shape}")
+        starts = itertools.accumulate(sizes, initial=0)
+        views = [flat[i : i + n].reshape(shape) for i, n, shape in zip(starts, sizes, shapes)]
+        self.spec, self.flat, self.w1 = spec, flat, views[:num]
         self.b1, self.w2, self.b2, self.head_w, self.head_b = views[num:]
 
     def arrays(self) -> Iterator[Array]:
@@ -163,34 +147,13 @@ class ClassifierParams:
         yield self.head_w
         yield self.head_b
 
-    def spec_signature(self) -> tuple:
-        return tuple(a.shape for a in self.arrays())
-
-
-def _views(flat: Array, shapes: Sequence[tuple[int, ...]]) -> list[Array]:
-    """Consecutive views of `shapes` into `flat`."""
-    starts = itertools.accumulate(map(math.prod, shapes), initial=0)
-    return [flat[i : i + math.prod(shape)].reshape(shape) for i, shape in zip(starts, shapes)]
-
-
-def _encoder_shapes(dims: Sequence[int], hidden: int, latent: int) -> list[tuple[int, ...]]:
-    return [s for d in dims for s in ((d, hidden), (hidden,), (hidden, latent), (latent,))]
-
-
-def derived_spec(params: ClassifierParams) -> ModelSpec:
-    """Reconstruct the ModelSpec implied by parameter shapes."""
-    return ModelSpec(
-        modality_dims=tuple(w1.shape[0] for w1 in params.w1),
-        hidden_dim=params.b1.shape[1],
-        latent_dim=params.head_w.shape[0],
-        num_classes=params.head_w.shape[1],
-    )
-
 
 def param_shapes(spec: ModelSpec) -> list[tuple[int, ...]]:
-    """Parameter array shapes in declaration order."""
-    encoders = _encoder_shapes(spec.modality_dims, spec.hidden_dim, spec.latent_dim)
-    return encoders + [(spec.latent_dim, spec.num_classes), (spec.num_classes,)]
+    """The shapes of ClassifierParams(spec).arrays(), in declaration order, without allocating."""
+    hidden, latent = spec.hidden_dim, spec.latent_dim
+    rest = ((hidden,), (hidden, latent), (latent,))  # b1, w2 and b2 of every encoder
+    encoders = [s for d in spec.modality_dims for s in ((d, hidden), *rest)]
+    return encoders + [(latent, spec.num_classes), (spec.num_classes,)]
 
 
 def init_params(spec: ModelSpec, seed: int) -> ClassifierParams:
@@ -198,15 +161,14 @@ def init_params(spec: ModelSpec, seed: int) -> ClassifierParams:
 
     A spec whose parameters need more than MAX_PARAM_BYTES fails before any allocation.
     """
-    shapes = param_shapes(spec)
-    size = sum(math.prod(s) for s in shapes)
+    size = sum(math.prod(s) for s in param_shapes(spec))
     if 8 * size > MAX_PARAM_BYTES:
         raise CapabilityError(
             f"model spec {spec.to_json_dict()} needs {8 * size} bytes of parameters, "
             f"over the limit of {MAX_PARAM_BYTES}"
         )
     rng = np.random.default_rng(seed)
-    params = ClassifierParams.from_flat(shapes, np.zeros(size))
+    params = ClassifierParams(spec)
     for weights in params.arrays():
         if weights.ndim == 2:
             limit = np.sqrt(6.0 / sum(weights.shape))
@@ -351,7 +313,7 @@ def backward_masks(
     """
     batch, num_masks, num_classes = fwd.exp.shape
     if out is None:
-        out = ClassifierParams.from_flat(params.spec_signature(), np.empty_like(params.flat))
+        out = ClassifierParams(params.spec, np.empty_like(params.flat))
     g = logit_grads.reshape(-1, num_classes)
     np.matmul(fwd.fused.reshape(-1, fwd.fused.shape[-1]).T, g, out=out.head_w)
     g.sum(axis=0, out=out.head_b)
@@ -382,14 +344,14 @@ def _hidden_grads(hidden: Array, d_latents: Array, w2: Array) -> Array:
     return np.where(hidden > 0.0, d_latents @ w2.transpose(0, 2, 1), 0.0)
 
 
-def save_checkpoint(path, spec: ModelSpec, params: ClassifierParams) -> None:
-    """Write magic line, JSON header, then raw little-endian float64 arrays.
+def save_checkpoint(path, params: ClassifierParams) -> None:
+    """Write magic line, JSON header (with `params.spec`), then raw little-endian float64 arrays.
 
     Arrays follow in declaration order (per modality: w1, b1, w2, b2; then the
     head weights and bias), each C-contiguous. Round-trips are bit-exact.
     """
     header = {
-        "spec": spec.to_json_dict(),
+        "spec": params.spec.to_json_dict(),
         "arrays": [list(a.shape) for a in params.arrays()],
         "dtype": "<f8",
     }
@@ -420,7 +382,9 @@ def load_checkpoint(path) -> tuple[ModelSpec, ClassifierParams]:
     if not np.isfinite(values).all():
         raise StateError(f"{path}: non-finite parameter values")
     # The file holds the arrays in declaration order; `flat` stacks the encoder layers.
-    params = ClassifierParams.from_flat(shapes, np.empty(values.size))
-    for view, array in zip(params.arrays(), _views(values, shapes)):
-        view[...] = array
+    params = ClassifierParams(spec, np.empty(values.size))
+    start = 0
+    for view in params.arrays():
+        view[...] = values[start : start + view.size].reshape(view.shape)
+        start += view.size
     return spec, params

@@ -32,7 +32,7 @@ from .errors import (
     check_section,
 )
 from .metrics import CSV_SUMMARY_FIELDS, MetricsReport, build_report
-from .model import ClassifierParams, ModelSpec, SubsetMask, classify_core, derived_spec
+from .model import ClassifierParams, ModelSpec, SubsetMask, classify_core
 from .model import encode_copies, encode_core, init_params
 from .numerics import adam_update, init_adam_state, nll_loss
 
@@ -130,8 +130,9 @@ def train(config: TrainConfig, train_set: Dataset) -> RunResult:
     depend on the batch it lands in; one optimizer step is taken per
     mini-batch on the mean of the per-sample gradients. The chains become mask
     weights once per epoch; each batch then runs only objective_core.
-    A non-finite loss, logit, overflow or invalid floating-point operation
-    stops the run with a DivergenceError naming the epoch and batch.
+    A non-finite loss or logit, or a floating-point overflow, division by zero
+    or invalid operation stops the run with a DivergenceError naming the epoch
+    and batch.
     """
     config.validate()
     if train_set.num_samples == 0:
@@ -140,14 +141,14 @@ def train(config: TrainConfig, train_set: Dataset) -> RunResult:
 
     params = init_params(config.model, config.seed)
     num_modalities = train_set.num_modalities
-    grads = ClassifierParams.from_flat(params.spec_signature(), np.zeros_like(params.flat))
+    grads = ClassifierParams(params.spec)
     state = init_adam_state(params.flat.size, learning_rate=config.learning_rate)
     options = (config.variant, config.lam, config.skip_on_wrong_full, config.detach_superset)
 
     n = train_set.num_samples
     history: list[EpochStats] = []
-    # Set once per run: an overflow or invalid operation raises instead of warning.
-    with np.errstate(over="raise", invalid="raise"):
+    # Set once per run: an overflow, division by zero or invalid operation raises, not warns.
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
         for epoch in range(config.epochs):
             # The epoch's sample order is gathered once, so every batch is a contiguous slice.
             order = np.random.default_rng([config.seed, _SHUFFLE_STREAM, epoch]).permutation(n)
@@ -198,7 +199,7 @@ def _evaluate(
     if test_set.num_samples == 0:
         raise EmptyInputError("empty test set")
     _check_dataset(config.model, test_set)
-    if derived_spec(params) != config.model:
+    if params.spec != config.model:
         raise SpecError("parameter shapes do not match the configured model spec")
     # The full-mask metrics read the probabilities of the VRR forward: one forward per evaluation.
     vrr_eval = evaluate_vrr(
@@ -332,11 +333,11 @@ def noise_sweep(
     call. Each cell's arithmetic is that of a full-mask forward_masks on its
     copy, so every accuracy is bit for bit the per-cell one.
     """
-    if params_baseline.spec_signature() != params_cml.spec_signature():
+    if params_baseline.spec != params_cml.spec:
         raise SpecError("models have different parameter shapes")
     if test_set.num_samples == 0:
         raise EmptyInputError("empty test set")
-    _check_dataset(derived_spec(params_baseline), test_set)
+    _check_dataset(params_baseline.spec, test_set)
     if not epsilons or not target_sets:
         raise ConfigError("noise sweep needs at least one epsilon and one target set")
     cells = []

@@ -109,7 +109,7 @@ def _encoders(params):
 
 
 def _zero_grads(params) -> ClassifierParams:
-    return ClassifierParams.from_flat(params.spec_signature(), np.zeros_like(params.flat))
+    return ClassifierParams(params.spec)
 
 
 def _encode(params, feats):

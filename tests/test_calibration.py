@@ -355,7 +355,7 @@ class TestObjectiveMatchesComposition:
         chains = chain_presence(removal_orders(rng, batch, num_modalities))
         options = (variant, lam, skip_on_wrong_full, detach_superset)
         # a stale buffer: every gradient array must be overwritten
-        out = ClassifierParams.from_flat(params.spec_signature(), np.full_like(params.flat, np.nan))
+        out = ClassifierParams(params.spec, np.full_like(params.flat, np.nan))
         res = chain_objective(params, feats, labels, chains, *options, out=out)
         loss, cls, reg, grads, confidence, full_correct = reference_chain_objective(
             params, feats, labels, chains, *options
@@ -492,8 +492,7 @@ class TestEvaluateVrr:
     def test_attribution_counts_removed_modality(self):
         # encoder 0 is confidently class 0; encoder 1 is uninformative, so
         # dropping modality 1 raises confidence on every sample
-        shapes = [(2, 2), (2,), (2, 2), (2,)] * 2 + [(2, 2), (2,)]
-        params = ClassifierParams.from_flat(shapes, np.zeros(30))
+        params = ClassifierParams(ModelSpec((2, 2), hidden_dim=2, latent_dim=2, num_classes=2))
         for w in (params.w1[0], params.w2[0], params.head_w):
             w[...] = np.eye(2)
         n = 12

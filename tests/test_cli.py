@@ -222,6 +222,18 @@ class TestTrainCommand:
         with pytest.raises(SystemExit):
             main(["train", "--config", str(cfg), "--jobs", "2"])
 
+    @pytest.mark.parametrize("command", ["generate", "compare"])
+    def test_seed_only_on_the_commands_that_train(self, tmp_path, command):
+        cfg = write_config(tmp_path / "config.json")
+        with pytest.raises(SystemExit):
+            main([command, "--config", str(cfg), "--seed", "99"])
+
+    def test_generate_reads_no_env_seed(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path / "config.json")
+        monkeypatch.setenv("CML_SEED", "abc")
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "ds")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_exactly_one_data_source_required(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({"data": {}}))
@@ -441,7 +453,7 @@ class TestSweepCommand:
             sweep={"kind": "noise", "epsilons": [0.1]},
         )
         written = json.loads(cfg.read_text())
-        del written["split"]["train_fraction"]  # a test manifest leaves it unread
+        del written["split"]  # a test manifest without split.val_fraction leaves it unread
         cfg.write_text(json.dumps(written))
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
@@ -465,7 +477,10 @@ class TestSweepCommand:
 
 
 class TestNumericBoundary:
-    """Overflow and oversized models exit 1 with one line: no warning, traceback or run dir."""
+    """Overflow, a log of zero and oversized models exit 1 with one line.
+
+    No warning, traceback or run directory comes before or after it.
+    """
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -474,6 +489,8 @@ class TestNumericBoundary:
             ({"train": {"lambda": 1e308}}, "error: floating-point overflow encountered in"),
             # The matmuls overflow; without raising, numpy warnings came before the error line.
             ({"train": {"learning_rate": 1e300}}, "error: floating-point overflow encountered in"),
+            # A probability underflows to zero; without raising, numpy warned before the error line.
+            ({"train": {"learning_rate": 1e3}}, "error: floating-point divide by zero encountered"),
             ({"model": {"hidden_dim": 10**12}}, "bytes of parameters, over the limit of"),
         ],
     )
@@ -567,6 +584,22 @@ class TestCommandSections:
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: split.train_fraction: not used with")
+        assert not out.exists()
+
+    def test_split_seed_with_a_test_manifest_and_no_val_fraction_fails_naming_it(
+        self, tmp_path, capsys
+    ):
+        # Nothing is split, so the seed would train the same model as any other seed.
+        dataset = generate_synthetic(SyntheticSpec.from_json_dict(SYNTHETIC))
+        write_csv_dataset(dataset, tmp_path / "test")
+        cfg = write_config(tmp_path / "config.json", data={"test_manifest": "test/manifest.json"})
+        written = json.loads(cfg.read_text())
+        written["split"] = {"seed": 1}
+        cfg.write_text(json.dumps(written))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: split.seed: not used with")
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["-4", "0"])

@@ -77,6 +77,22 @@ class TestDataset:
         with pytest.raises(DomainError, match="labels must be a 1-D integer array"):
             Dataset([np.zeros((2, 2)), np.zeros((2, 3))], labels, 2)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("modality, row", [(0, 0), (1, 6), (1, 10)])
+    def test_non_finite_feature_names_its_modality_and_row(self, value, modality, row):
+        blocks = [np.zeros((11, 2)), np.zeros((11, 3))]
+        blocks[modality][row, -1] = value
+        blocks[modality][row + 1 :, 0] = value  # a later row names no earlier one
+        with pytest.raises(DomainError) as excinfo:
+            Dataset(blocks, np.zeros(11, dtype=np.int64), 2)
+        assert str(excinfo.value) == f"modality {modality}: non-finite feature at row {row}"
+
+    def test_first_non_finite_modality_is_named(self):
+        blocks = [np.zeros((4, 2)), np.zeros((4, 3))]
+        blocks[0][3, 1] = blocks[1][0, 0] = np.nan
+        with pytest.raises(DomainError, match="modality 0: non-finite feature at row 3"):
+            Dataset(blocks, np.zeros(4, dtype=np.int64), 2)
+
     def test_integer_features_are_stored_as_float64(self):
         dataset = Dataset([np.arange(6).reshape(3, 2), [[1], [2], [3]]], [0, 1, 1], 2)
         assert [block.dtype for block in dataset.modalities] == [np.float64, np.float64]

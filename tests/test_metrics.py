@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rankcal import metrics
 from rankcal.data import Dataset
 from rankcal.errors import EmptyInputError, SpecError, StateError
 from rankcal.metrics import (
@@ -209,6 +210,14 @@ class TestBuildReport:
         assert built.aurc_raw == aurc(confidence, correct)
         assert built.e_aurc_raw == e_aurc(confidence, correct)
         assert built.mean_confidence_full == float(np.mean(confidence))
+
+    def test_one_aurc_per_report(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(metrics, "aurc", lambda *args: calls.append(args) or aurc(*args))
+        rng = np.random.default_rng(3)
+        built = report(rng.random(48), rng.random(48) < 0.7, rng.exponential(size=48), vrr=0.1)
+        assert len(calls) == 1
+        assert built.e_aurc_raw > 0.0  # the excess is read from that one AURC
 
     def test_missing_constituent_rejected(self):
         preds = ([0.9], [True], [0.5])

@@ -15,7 +15,6 @@ from rankcal.model import (
     SubsetMask,
     backward_masks,
     classify_core,
-    derived_spec,
     encode_copies,
     encode_core,
     forward_masks,
@@ -59,8 +58,7 @@ def encoder(params, m: int) -> tuple[np.ndarray, ...]:
 
 def identity_passthrough_params() -> ClassifierParams:
     """Two modalities of dim 2; encoders and head are identity maps."""
-    shapes = [(2, 2), (2,), (2, 2), (2,)] * 2 + [(2, 2), (2,)]
-    params = ClassifierParams.from_flat(shapes, np.zeros(sum(map(math.prod, shapes))))
+    params = ClassifierParams(ModelSpec((2, 2), hidden_dim=2, latent_dim=2, num_classes=2))
     for w in (*params.w1, *params.w2, params.head_w):
         w[...] = np.eye(2)
     return params
@@ -125,8 +123,8 @@ class TestInitParams:
         limit = np.sqrt(6.0 / (SPEC.latent_dim + SPEC.num_classes))
         assert np.all(np.abs(params.head_w) <= limit)
 
-    def test_derived_spec_round_trip(self):
-        assert derived_spec(init_params(SPEC, seed=0)) == SPEC
+    def test_params_carry_their_spec(self):
+        assert init_params(SPEC, seed=0).spec is SPEC
 
 
 def test_init_params_over_the_byte_limit_fails_before_allocating():
@@ -171,18 +169,31 @@ class TestClassifierParams:
         assert np.all(params.flat[b2_start : b2_start + latent] == -5.0)
         assert np.count_nonzero(params.flat == -5.0) == latent
 
-    def test_flat_size_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            ClassifierParams.from_flat(param_shapes(SPEC), np.zeros(3))
+    @pytest.mark.parametrize(
+        "spec",
+        [SPEC, ModelSpec((1, 7, 2, 5), hidden_dim=1, latent_dim=9, num_classes=2)],
+    )
+    def test_without_flat_every_parameter_is_zero(self, spec):
+        params = ClassifierParams(spec)
+        assert params.spec is spec and params.flat.dtype == np.float64
+        assert [a.shape for a in params.arrays()] == param_shapes(spec)
+        assert params.flat.size == sum(map(math.prod, param_shapes(spec)))
+        assert not params.flat.any()
 
-    @pytest.mark.parametrize("index, shape", [(4, (4, 5)), (5, (5,)), (6, (6, 3)), (7, (3,))])
-    def test_encoders_of_different_sizes_rejected(self, index, shape):
-        # modality 1 with hidden 5 or latent 3 while modality 0 has hidden 6 and latent 4
-        shapes = param_shapes(SPEC)
-        shapes[index] = shape
-        flat = np.zeros(sum(int(np.prod(s)) for s in shapes))
-        with pytest.raises(DimensionError, match="do not share hidden and latent sizes"):
-            ClassifierParams.from_flat(shapes, flat)
+    def test_given_flat_is_viewed_not_copied(self):
+        flat = np.arange(init_params(SPEC, seed=0).flat.size, dtype=np.float64)
+        params = ClassifierParams(SPEC, flat)
+        assert params.flat is flat
+        assert all(np.shares_memory(a, flat) for a in params.arrays())
+
+    @pytest.mark.parametrize(
+        "flat",
+        [np.zeros(3), np.zeros(172), np.zeros((1, 171)), np.zeros(171, dtype=np.float32)],
+    )
+    def test_flat_of_another_size_or_dtype_rejected(self, flat):
+        # SPEC has 171 parameters
+        with pytest.raises(DimensionError, match=r"must be float64\(171,\)"):
+            ClassifierParams(SPEC, flat)
 
 
 class TestForward:
@@ -377,7 +388,7 @@ class TestBackward:
         # modality 1, whose stale gradients must be zeroed, not kept.
         params = init_params(SPEC, seed=4)
         feats = random_features(SPEC, 5, rows=3)
-        out = ClassifierParams.from_flat(params.spec_signature(), np.zeros_like(params.flat))
+        out = ClassifierParams(params.spec)
         full = run(params, feats, SubsetMask.full(3), SubsetMask.of([1]))
         backward_masks(params, full, nll_loss_grad(full.probs, 1), out)
         assert out.w1[1].any() and out.b2[1].any()
@@ -409,16 +420,24 @@ class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         params = init_params(SPEC, seed=11)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, SPEC, params)
+        save_checkpoint(path, params)
         spec_loaded, loaded = load_checkpoint(path)
         assert spec_loaded == SPEC
         assert loaded.flat.tobytes() == params.flat.tobytes()
 
+    def test_header_spec_is_the_params_spec(self, tmp_path):
+        spec = ModelSpec(modality_dims=(2, 5), hidden_dim=3, latent_dim=7, num_classes=4)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(spec, seed=1))
+        header = json.loads(path.read_bytes().split(b"\n", 2)[1])
+        assert header["spec"] == spec.to_json_dict()
+        assert load_checkpoint(path)[1].spec == spec
+
     def test_rewrite_byte_identical(self, tmp_path):
         params = init_params(SPEC, seed=11)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_checkpoint(p1, SPEC, params)
-        save_checkpoint(p2, SPEC, params)
+        save_checkpoint(p1, params)
+        save_checkpoint(p2, params)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -429,7 +448,7 @@ class TestCheckpoint:
 
     def test_header_spec_mismatch_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, SPEC, init_params(SPEC, seed=11))
+        save_checkpoint(path, init_params(SPEC, seed=11))
         other = ModelSpec(modality_dims=(3, 4, 2), hidden_dim=5, latent_dim=4, num_classes=3)
         lines = path.read_bytes().split(b"\n", 2)
         header = json.loads(lines[1])
@@ -441,7 +460,7 @@ class TestCheckpoint:
     def test_payload_is_the_declaration_order_arrays(self, tmp_path):
         params = init_params(SPEC, seed=11)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, SPEC, params)
+        save_checkpoint(path, params)
         payload = path.read_bytes().split(b"\n", 2)[2]
         assert payload == np.concatenate([a.ravel() for a in params.arrays()]).tobytes()
         assert payload != params.flat.tobytes()  # flat is stacked, not in declaration order
@@ -460,11 +479,11 @@ class TestCheckpoint:
         stacked = [*declared[0:12:4], *(np.stack(declared[k:12:4]) for k in (1, 2, 3))]
         expected = np.concatenate([a.ravel() for a in stacked + declared[-2:]])
         assert loaded.flat.tobytes() == expected.tobytes()
-        assert loaded.spec_signature() == tuple(param_shapes(derived_spec(loaded)))
+        assert loaded.spec == SPEC
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, SPEC, init_params(SPEC, seed=11))
+        save_checkpoint(path, init_params(SPEC, seed=11))
         with open(path, "ab") as fh:
             fh.write(b"\0" * 8)
         with pytest.raises(StateError):
