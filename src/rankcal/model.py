@@ -15,10 +15,12 @@ forward_core, which takes the weights directly so training converts them once
 per epoch. forward_core is its encoder half (encode_core) followed by its
 classifier half (classify_core); the noise sweep calls the halves itself, on
 stacked copies.
-Every encoder has the same hidden and latent sizes, so each encoder layer's
-parameters are stacked over the modalities and the cores run a layer for all of
-them in one numpy call; only the first-layer matmul, whose input dims differ,
-runs once per modality.
+A ClassifierParams carries the ModelSpec it was built for, the one statement of
+its shapes, and holds every parameter as a view into one flat vector. Every
+encoder has the spec's hidden and latent sizes, so each encoder layer's
+parameters are stacked over the modalities and the cores run a layer for all
+of them in one numpy call; only the first-layer matmul, whose input dims
+differ, runs once per modality.
 """
 
 from __future__ import annotations
@@ -362,6 +364,7 @@ def save_checkpoint(path, params: ClassifierParams) -> None:
 
 
 def load_checkpoint(path) -> tuple[ModelSpec, ClassifierParams]:
+    """The spec and parameters that save_checkpoint wrote; `params.spec` is that spec."""
     with open(path, "rb") as fh:
         magic = fh.readline().rstrip(b"\n").decode("ascii", errors="replace")
         if magic != CHECKPOINT_MAGIC:
