@@ -36,6 +36,15 @@ EXHAUSTIVE_MODALITY_LIMIT = 5
 _VRR_STREAM = 3
 
 
+def check_exhaustive(num_modalities: int) -> None:
+    """Fail unless exhaustive VRR can enumerate the lattice of this many modalities."""
+    if num_modalities > EXHAUSTIVE_MODALITY_LIMIT:
+        raise CapabilityError(
+            f"exhaustive enumeration capped at {EXHAUSTIVE_MODALITY_LIMIT} modalities, "
+            f"got {num_modalities}"
+        )
+
+
 def removal_orders(rng: np.random.Generator, num_samples: int, num_modalities: int) -> Array:
     """(N, M) removal orders, one uniform random permutation per sample, from one draw."""
     if num_modalities < 1:
@@ -283,11 +292,7 @@ def evaluate_vrr(
     # confidences, plus the (T, S) pairs as column indices shared by all samples
     # and each mask size's columns in the order those pairs first name them.
     if mode == "exhaustive":
-        if num_modalities > EXHAUSTIVE_MODALITY_LIMIT:
-            raise CapabilityError(
-                f"exhaustive enumeration capped at {EXHAUSTIVE_MODALITY_LIMIT} modalities, "
-                f"got {num_modalities}"
-            )
+        check_exhaustive(num_modalities)
         lattice = np.arange(1, 1 << num_modalities)
         fwd = forward_masks(params, dataset.modalities, (lattice[:, None] & bits) > 0)
         full_col = -1

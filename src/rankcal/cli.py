@@ -11,6 +11,7 @@ compare read neither.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -122,7 +123,10 @@ def _prepare(cfg: dict, base: Path) -> PreparedData:
             seed=split_cfg.get("seed", 0),
         )
     else:
-        train_set = test_set = dataset
+        raise ConfigError(
+            "split: missing key (without data.test_manifest the test rows come from this "
+            "split; name a manifest as data.test_manifest to score its rows instead)"
+        )
     val_set = None
     if "val_fraction" in split_cfg:
         train_set, val_set = data.split_validation(
@@ -374,7 +378,14 @@ def cmd_sweep(
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later `main` call.
+
+    Building it costs about a millisecond (gettext and terminal-size lookups in
+    each add_argument), which in-process callers would otherwise pay per call.
+    parse_args keeps no state on it; nothing may modify it after it is built.
+    """
     parser = argparse.ArgumentParser(
         prog="rankcal",
         description="Train and evaluate confidence-ranking-calibrated multimodal classifiers.",
@@ -393,7 +404,11 @@ def main(argv: list[str] | None = None) -> int:
             cmd.add_argument("--seed", type=int, default=None, help="training seed override")
         if name == "sweep":
             cmd.add_argument("--jobs", type=int, default=1, help="parallel lambda-sweep cells")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     config_path = Path(args.config)
     try:

@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DomainError, ParseError, SpecError, SplitError
+from .errors import ConfigError, DimensionError, DomainError, EmptyInputError, ParseError
+from .errors import SpecError, SplitError
 from .errors import check_section
 
 # Stream tags for mean placement, feature noise, corruption draws and validation carve-outs.
@@ -442,12 +443,28 @@ class StandardizationStats:
 
 
 def standardize_fit(dataset: Dataset) -> StandardizationStats:
-    """Per-feature mean and std per modality; constant features get std 1."""
+    """Per-feature mean and std per modality; constant features get std 1.
+
+    A feature whose mean or std overflows (finite values near the float64
+    limit) fails with a DomainError naming its modality and feature, since
+    standardize_apply would turn it into zeros. An empty dataset has no
+    mean to fit and fails with an EmptyInputError.
+    """
+    if dataset.num_samples == 0:
+        raise EmptyInputError("cannot standardize on an empty dataset")
     means = []
     stds = []
-    for block in dataset.modalities:
-        mu = block.mean(axis=0)
-        sigma = block.std(axis=0)
+    for m, block in enumerate(dataset.modalities):
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu = block.mean(axis=0)
+            sigma = block.std(axis=0)
+        bad = np.flatnonzero(~(np.isfinite(mu) & np.isfinite(sigma)))
+        if bad.size:
+            j = bad[0]
+            raise DomainError(
+                f"modality {m}: feature {j} cannot be standardized "
+                f"(mean {float(mu[j])!r}, std {float(sigma[j])!r})"
+            )
         sigma = np.where(sigma < 1e-12, 1.0, sigma)
         means.append(mu)
         stds.append(sigma)

@@ -17,6 +17,7 @@ from .calibration import (
     REGULARIZER_VARIANTS,
     VrrEvaluation,
     chain_presence,
+    check_exhaustive,
     evaluate_vrr,
     objective_core,
     removal_orders,
@@ -74,6 +75,8 @@ class TrainConfig:
             raise ConfigError(f"unknown regularizer variant {self.variant!r}")
         if self.vrr_mode not in ("sampled", "exhaustive"):
             raise ConfigError(f"unknown vrr_mode {self.vrr_mode!r}")
+        if self.vrr_mode == "exhaustive":
+            check_exhaustive(self.model.num_modalities)
         if self.vrr_repeats < 1:
             raise ConfigError(f"vrr_repeats must be >= 1, got {self.vrr_repeats}")
         if self.learning_rate <= 0:

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import argparse
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rankcal import cli, trainer
 from rankcal.cli import main
 from rankcal.data import Dataset, SyntheticSpec, generate_synthetic, load_csv_dataset
 from rankcal.data import write_csv_dataset
@@ -610,3 +612,141 @@ class TestCommandSections:
         err = capsys.readouterr().err
         assert err.splitlines() == [f"error: --jobs must be >= 1, got {jobs}"]
         assert not out.exists()
+
+    def test_neither_split_nor_test_manifest_fails_naming_split(self, tmp_path, capsys):
+        # Without the check, the model was scored on the rows it trained on.
+        cfg = write_config(tmp_path / "config.json")
+        written = json.loads(cfg.read_text())
+        del written["split"]
+        cfg.write_text(json.dumps(written))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: split: missing key")
+        assert not out.exists()
+
+    def test_compare_without_split_or_a_test_manifest_fails_naming_split(self, tmp_path, capsys):
+        run_cfg = write_config(tmp_path / "run.json", train={"epochs": 1})
+        assert main(["train", "--config", str(run_cfg), "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        cfg = write_config(tmp_path / "config.json", compare={"baseline_run": "run", "cml_run": "run"})
+        written = json.loads(cfg.read_text())
+        del written["split"]
+        cfg.write_text(json.dumps(written))
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: split: missing key")
+        assert not out.exists()
+
+    def test_overflowing_feature_fails_naming_it(self, tmp_path, capsys):
+        dataset = generate_synthetic(SyntheticSpec.from_json_dict(SYNTHETIC))
+        block = dataset.modalities[1].copy()
+        block[:3, 0] = [1e308, -1e308, 0.0]
+        modalities = [dataset.modalities[0], block]
+        write_csv_dataset(
+            Dataset(modalities=modalities, labels=dataset.labels, num_classes=2), tmp_path / "ds"
+        )
+        cfg = write_config(tmp_path / "config.json", data={"manifest": "ds/manifest.json"})
+        written = json.loads(cfg.read_text())
+        del written["data"]["synthetic"]
+        cfg.write_text(json.dumps(written))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: modality 1: feature 0 cannot be standardized")
+        assert not out.exists()
+
+    def test_empty_training_manifest_fails_with_one_line(self, tmp_path, capsys):
+        # Without the check, numpy warned five times and the error blamed a test-set row.
+        dataset = generate_synthetic(SyntheticSpec.from_json_dict(SYNTHETIC))
+        write_csv_dataset(dataset.take([]), tmp_path / "empty")
+        write_csv_dataset(dataset, tmp_path / "test")
+        cfg = write_config(
+            tmp_path / "config.json",
+            data={"manifest": "empty/manifest.json", "test_manifest": "test/manifest.json"},
+        )
+        written = json.loads(cfg.read_text())
+        del written["data"]["synthetic"], written["split"]
+        cfg.write_text(json.dumps(written))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: cannot standardize on an empty dataset"
+        ]
+        assert not out.exists()
+
+    def test_exhaustive_vrr_over_the_modality_limit_fails_before_training(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_batch(*args, **kwargs):
+            raise AssertionError("a batch ran before the limit was checked")
+
+        monkeypatch.setattr(trainer, "objective_core", no_batch)
+        synthetic = {**SYNTHETIC, "modality_dims": [2] * 6, "class_separation": 2.0}
+        cfg = write_config(
+            tmp_path / "config.json",
+            data={"synthetic": synthetic},
+            train={"vrr_mode": "exhaustive"},
+        )
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: exhaustive enumeration capped at 5 modalities, got 6"]
+        assert not out.exists()
+
+
+class TestParser:
+    """main builds its argparse parser once per process and reuses it."""
+
+    def test_three_calls_build_one_parser(self, tmp_path, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cfg = write_config(tmp_path / "config.json")
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "ds")]) == 0
+        assert main(["train", "--config", str(tmp_path / "missing.json")]) == 1
+        with pytest.raises(SystemExit):
+            main(["bogus"])
+        cli._parser.cache_clear()
+        assert len(built) == 5  # the parser and its 4 subparsers; 15 when built per call
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["generate", "--config", "c.json", "--seed", "1"], "unrecognized arguments: --seed 1"),
+            (["bogus"], "invalid choice: 'bogus'"),
+            (["train"], "the following arguments are required: --config"),
+        ],
+    )
+    def test_usage_errors_after_a_successful_call(self, tmp_path, capsys, argv, message):
+        cli._parser.cache_clear()
+        with pytest.raises(SystemExit) as fresh:
+            main(argv)
+        fresh_err = capsys.readouterr().err
+        cfg = write_config(tmp_path / "config.json")
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "ds")]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as reused:
+            main(argv)
+        err = capsys.readouterr().err
+        assert fresh.value.code == reused.value.code == 2
+        assert err == fresh_err
+        assert err.startswith("usage: rankcal") and message in err
+
+    def test_help_after_a_successful_call(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "config.json")
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "ds")]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: rankcal") and "{generate,train,compare,sweep}" in out

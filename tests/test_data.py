@@ -19,7 +19,8 @@ from rankcal.data import (
     standardize_fit,
     write_csv_dataset,
 )
-from rankcal.errors import DimensionError, DomainError, ParseError, SpecError, SplitError
+from rankcal.errors import DimensionError, DomainError, EmptyInputError, ParseError, SpecError
+from rankcal.errors import SplitError
 
 from reference import corrupt_gaussian, label_of, reference_dataset_csv
 from reference import reference_load_modality_csv, reference_split
@@ -587,3 +588,28 @@ class TestStandardize:
         out = standardize_apply(dataset, standardize_fit(dataset))
         assert np.isfinite(out.modalities[0]).all()
         assert not out.modalities[0].any()
+
+    @pytest.mark.parametrize(
+        "column, message",
+        [
+            # Finite values whose squared deviations overflow: the std is inf.
+            ([1e308, -1e308, 0.0, 1.0, 2.0], "modality 1: feature 2 cannot be standardized"),
+            # The sum overflows: the mean is inf.
+            ([1e308, 1e308, 1e308, 1.0, 2.0], "modality 1: feature 2 cannot be standardized"),
+        ],
+    )
+    def test_overflowing_feature_named_without_a_warning(self, column, message):
+        # Without the check the feature's std was inf and standardize_apply zeroed it.
+        block = np.zeros((5, 3))
+        block[:, 2] = column
+        dataset = Dataset(
+            modalities=[np.ones((5, 2)), block], labels=np.array([0, 0, 1, 1, 0]), num_classes=2
+        )
+        with pytest.raises(DomainError, match=message):
+            standardize_fit(dataset)  # filterwarnings=error turns any numpy warning into a failure
+
+    def test_empty_dataset_rejected_without_a_warning(self):
+        # Without the check numpy warned about an empty mean and the stats came out NaN.
+        dataset = generate_synthetic(basic_spec()).take([])
+        with pytest.raises(EmptyInputError, match="cannot standardize on an empty dataset"):
+            standardize_fit(dataset)
