@@ -12,6 +12,11 @@ objective_core, the arithmetic of one batch (forward_core, the NLL, the penalty
 and backward_masks). trainer.train converts a whole epoch's chains at once and
 calls objective_core per batch. Nothing here checks its inputs: they come from a
 data.Dataset, which checked them when it was built.
+
+Exhaustive VRR reads everything that depends only on the modality count M
+from one cached lattice table per M: the mask weights, the pairs' columns and
+bit codes, the mask-size groups and the full-set pair block. A call then runs
+forward_core on the table's weights and gathers the pairs' confidences.
 """
 
 from __future__ import annotations
@@ -202,33 +207,45 @@ def compute_vrr(records: RankingRecords) -> float:
     return int(np.count_nonzero(records.ci < 0.0)) / len(records)
 
 
-@functools.cache
-def _lattice_pairs(num_modalities: int) -> tuple[Array, Array]:
-    """Read-only (t_col, s_col) of every (S minus one modality, S) with |S| >= 2.
+@dataclass(frozen=True, eq=False)
+class _Lattice:
+    """What exhaustive VRR needs from the modality count M alone; every array is read-only.
 
-    Column c of the lattice is the mask with bit code c + 1 (bit m set when m is present).
+    Column c of the lattice is the mask with bit code c + 1 (bit m set when m
+    is present). The pairs are every (S minus one modality, S) with |S| >= 2,
+    largest S first, so the first M pairs are the full-set block: S is the
+    full set and pair m removes modality m.
     """
+
+    weights: Array  # (2^M - 1, M): each mask's presence divided by its size
+    t_col: Array
+    s_col: Array
+    t_code: Array  # the pairs' bit codes: their columns plus one
+    s_code: Array
+    groups: tuple[tuple[int, Array], ...]  # (size, columns) in the order the pairs first name them
+
+
+@functools.cache
+def _lattice(num_modalities: int) -> _Lattice:
+    """The lattice table of `num_modalities` modalities, built once per process."""
+    codes = np.arange(1, 1 << num_modalities)
+    presence = (codes[:, None] & (1 << np.arange(num_modalities))) > 0
+    weights = presence / presence.sum(axis=-1, keepdims=True)
     pairs = []
     for size in range(num_modalities, 1, -1):
         for s_indices in itertools.combinations(range(num_modalities), size):
             s_code = sum(1 << m for m in s_indices)
             pairs.extend((s_code ^ (1 << m), s_code) for m in s_indices)
-    t_col, s_col = np.array(pairs).T - 1
-    t_col.flags.writeable = s_col.flags.writeable = False
-    return t_col, s_col
-
-
-@functools.cache
-def _lattice_groups(num_modalities: int) -> tuple[tuple[int, Array], ...]:
-    """(size, read-only columns) per mask size, in the order the lattice pairs first name them."""
-    t_col, s_col = _lattice_pairs(num_modalities)
-    named = dict.fromkeys(itertools.chain(*zip(t_col.tolist(), s_col.tolist())))
-    groups = []
-    for size in range(1, num_modalities + 1):
-        group = np.array([c for c in named if bin(c + 1).count("1") == size])
-        group.flags.writeable = False
-        groups.append((size, group))
-    return tuple(groups)
+    t_code, s_code = np.array(pairs).T.copy()  # one contiguous row each
+    named = dict.fromkeys(itertools.chain(*zip(t_code.tolist(), s_code.tolist())))
+    groups = tuple(
+        (size, np.array([c - 1 for c in named if c.bit_count() == size]))
+        for size in range(1, num_modalities + 1)
+    )
+    table = _Lattice(weights, t_code - 1, s_code - 1, t_code, s_code, groups)
+    for array in (weights, table.t_col, table.s_col, t_code, s_code, *(g for _, g in groups)):
+        array.flags.writeable = False
+    return table
 
 
 def _distinct_masks(codes: Array, values: Array) -> Array:
@@ -265,7 +282,8 @@ def evaluate_vrr(
     Sampled mode gives every sample `repeats` removal chains; repeat r takes
     row i of one removal-order draw keyed by (seed, repeat). Exhaustive mode
     classifies every sample on all 2^M - 1 subsets at once and enumerates
-    every single-removal pair (allowed up to 5 modalities). Records are
+    every single-removal pair (allowed up to 5 modalities), reading the masks
+    and pairs from the cached lattice table of M modalities. Records are
     ordered by sample. The attribution counts, among violations where S is
     the full set, how often each removed modality caused the confidence
     increase. `full_probs` comes from the same forward as the records: the
@@ -288,18 +306,20 @@ def evaluate_vrr(
     num_samples, num_modalities = dataset.num_samples, dataset.num_modalities
     bits = 1 << np.arange(num_modalities)
 
-    # Each mode yields, per sample, K masks (as modality bit codes) with their
-    # confidences, plus the (T, S) pairs as column indices shared by all samples
-    # and each mask size's columns in the order those pairs first name them.
+    # Each mode yields, per sample, K masks with their confidences; the (T, S)
+    # pairs as column indices shared by all samples, with their bit codes in
+    # record order; and each mask size's columns in the order those pairs first
+    # name them.
     if mode == "exhaustive":
         check_exhaustive(num_modalities)
-        lattice = np.arange(1, 1 << num_modalities)
-        fwd = forward_masks(params, dataset.modalities, (lattice[:, None] & bits) > 0)
+        table = _lattice(num_modalities)
+        fwd = forward_core(params, dataset.modalities, table.weights)
         full_col = -1
         conf, full_probs = fwd.confidence, fwd.mask_probs(full_col)
-        code = np.broadcast_to(lattice, conf.shape)
-        t_col, s_col = _lattice_pairs(num_modalities)
-        groups = _lattice_groups(num_modalities)
+        t_col, s_col, groups = table.t_col, table.s_col, table.groups
+        # The table's codes tiled once per sample; a row repeat does np.tile's work in one call.
+        t_code = table.t_code[None].repeat(num_samples, axis=0).ravel()
+        s_code = table.s_code[None].repeat(num_samples, axis=0).ravel()
     else:
         draws, codes = [], []
         for r in range(repeats):
@@ -314,20 +334,20 @@ def evaluate_vrr(
         starts = num_modalities * np.arange(repeats)[:, None]
         t_col = (starts + np.arange(1, num_modalities)).ravel()
         s_col = t_col - 1
+        # take gathers in C order, so each ravel is a view.
+        t_code, s_code = code.take(t_col, axis=1).ravel(), code.take(s_col, axis=1).ravel()
         # Chain position k holds a mask of size M - k, in every repeat.
         groups = [
             (size, np.arange(num_modalities - size, conf.shape[1], num_modalities))
             for size in range(1, num_modalities + 1)
         ]
 
-    # take gathers in C order, so each ravel below is a view.
-    t_code, s_code = code.take(t_col, axis=1), code.take(s_col, axis=1)
     conf_t, conf_s = conf.take(t_col, axis=1), conf.take(s_col, axis=1)
     ci = conf_s - conf_t
     records = RankingRecords(
-        sample_id=np.repeat(np.arange(num_samples), len(t_col)),
-        t_code=t_code.ravel(),
-        s_code=s_code.ravel(),
+        sample_id=np.arange(num_samples).repeat(len(t_col)),
+        t_code=t_code,
+        s_code=s_code,
         conf_t=conf_t.ravel(),
         conf_s=conf_s.ravel(),
         ci=ci.ravel(),
@@ -339,10 +359,14 @@ def evaluate_vrr(
         if repeats > 1 and mode == "sampled":
             values = _distinct_masks(code.take(columns, axis=1), values)
         by_size[size] = float(values.sum() / values.size)  # np.mean's sum, without its overhead
-    full = (1 << num_modalities) - 1
-    at_full = np.flatnonzero(code[0, s_col] == full)  # the pairs whose S is the full set
-    removed = t_code[:, at_full][ci[:, at_full] < 0.0] ^ full
-    counts = (removed[:, None] == bits).sum(axis=0)
+    if mode == "exhaustive":
+        # Pair m of the lattice's full-set block removes modality m.
+        counts = np.count_nonzero(ci[:, :num_modalities] < 0.0, axis=0)
+    else:
+        full = (1 << num_modalities) - 1
+        at_full = np.flatnonzero(code[0, s_col] == full)  # the pairs whose S is the full set
+        removed = t_code.reshape(ci.shape)[:, at_full][ci[:, at_full] < 0.0] ^ full
+        counts = (removed[:, None] == bits).sum(axis=0)
     attribution = dict(enumerate(counts.tolist()))
     full_conf = conf.take(full_col, axis=1)
     return VrrEvaluation(vrr, records, attribution, full_probs, full_conf, by_size)

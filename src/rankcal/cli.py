@@ -169,9 +169,10 @@ def _build_train_config(cfg: dict, model_spec: ModelSpec, seed_override: int | N
 
 
 def _write_json(path: Path, obj: dict) -> None:
+    """Write `obj` as strict JSON; a NaN or infinity fails before the file is opened."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _out_dir(cfg: dict, base: Path, override: str | None, default: str) -> Path:

@@ -259,9 +259,8 @@ def write_csv_dataset(dataset: Dataset, out_dir) -> Path:
         "labels": labels_name,
     }
     manifest_path = out / "manifest.json"
-    with open(manifest_path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
+    write_text(manifest_path, text + "\n")
     return manifest_path
 
 
@@ -472,12 +471,29 @@ def standardize_fit(dataset: Dataset) -> StandardizationStats:
 
 
 def standardize_apply(dataset: Dataset, stats: StandardizationStats) -> Dataset:
+    """Each feature minus its training mean, over its training std.
+
+    A finite value that overflows there (far outside the training scale)
+    fails with a DomainError naming its modality, feature, row and raw value.
+    """
     if len(stats.means) != dataset.num_modalities:
         raise SpecError("standardization stats do not match the dataset")
-    modalities = [
-        (block - mu) / sigma
-        for block, mu, sigma in zip(dataset.modalities, stats.means, stats.stds)
-    ]
-    return Dataset(
-        modalities=modalities, labels=dataset.labels.copy(), num_classes=dataset.num_classes
-    )
+    with np.errstate(over="ignore"):
+        modalities = [
+            (block - mu) / sigma
+            for block, mu, sigma in zip(dataset.modalities, stats.means, stats.stds)
+        ]
+    try:
+        return Dataset(
+            modalities=modalities, labels=dataset.labels.copy(), num_classes=dataset.num_classes
+        )
+    except DomainError:
+        # The Dataset check found a non-finite value. The raw values and the stats are
+        # finite, so a value overflowed: name it by its raw value.
+        m = next(m for m, block in enumerate(modalities) if not np.isfinite(block).all())
+        row, j = np.argwhere(~np.isfinite(modalities[m]))[0]
+        raw, mu, sigma = dataset.modalities[m][row, j], stats.means[m][j], stats.stds[m][j]
+        raise DomainError(
+            f"modality {m}: feature {j} at row {row} cannot be standardized (value "
+            f"{float(raw)!r}, training mean {float(mu)!r}, std {float(sigma)!r})"
+        ) from None

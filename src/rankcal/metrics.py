@@ -96,7 +96,8 @@ class MetricsReport:
         return obj
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        """Strict JSON: a NaN or infinite field raises ValueError."""
+        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "MetricsReport":

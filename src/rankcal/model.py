@@ -359,7 +359,7 @@ def save_checkpoint(path, params: ClassifierParams) -> None:
     }
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC.encode("ascii") + b"\n")
-        fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
+        fh.write(json.dumps(header, sort_keys=True, allow_nan=False).encode("ascii") + b"\n")
         fh.writelines(a.astype("<f8").tobytes() for a in params.arrays())
 
 

@@ -3,6 +3,11 @@
 Everything operates on row-major float64 numpy arrays, batched over rows.
 Apart from adam_update, which steps its parameters and state in place, every
 function is pure: identical calls give bit-identical results.
+
+softmax_parts sums the classes with a running add over the class columns
+under 8 classes, and with numpy's own sum from 8 on. numpy adds fewer than 8
+values left to right and more in pairwise blocks, so the sums are
+exp.sum(axis=-1) bit for bit either way.
 """
 
 from __future__ import annotations
@@ -20,6 +25,9 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
+# numpy sums fewer values than this left to right and more in pairwise blocks.
+_PAIRWISE_BLOCK = 8
+
 
 def describe_bad(bad: Array) -> str:
     """One line for a boolean mask of bad entries: how many, and the first one's index."""
@@ -33,6 +41,7 @@ def softmax_parts(logits) -> tuple[Array, Array]:
     softmax is the exponentials divided by their sums. The largest logit's
     exponential is exp(0) = 1.0 exactly, so 1.0 / sums is bit for bit the
     largest probability: correctly rounded division is monotone.
+    The sums are bit for bit exp.sum(axis=-1) (see the module docstring).
     """
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim < 1 or z.shape[-1] < 2:
@@ -42,6 +51,9 @@ def softmax_parts(logits) -> tuple[Array, Array]:
     # A running maximum over the class slices: np.max over a short last axis is slow per row.
     exp = z - functools.reduce(np.maximum, z.T).T[..., None]
     np.exp(exp, out=exp)
+    if z.shape[-1] < _PAIRWISE_BLOCK:
+        # The same additions in the same order, but numpy's sum runs them row by row.
+        return exp, functools.reduce(np.add, exp.T).T
     return exp, exp.sum(axis=-1)
 
 

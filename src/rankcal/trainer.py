@@ -7,6 +7,7 @@ repeat), so reruns are bit-identical.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
@@ -48,6 +49,22 @@ _CONFIG_KEYS = {"lam": "lambda"}
 # counted in whole cells (a larger cell runs alone): the sweep's working set is
 # that of a full-mask forward of this many rows, or of one cell when it is larger.
 NOISE_SWEEP_ROWS = 1 << 10
+
+# Floating-point errors that raise, not warn, in training, evaluation and the noise sweep.
+_RAISE_FP = {"over": "raise", "divide": "raise", "invalid": "raise"}
+
+
+@contextlib.contextmanager
+def _fp_errors(what: str):
+    """Run the block (or, as a decorator, each call) under _RAISE_FP.
+
+    A floating-point error becomes a NumericError saying that `what` failed, and why.
+    """
+    with np.errstate(**_RAISE_FP):
+        try:
+            yield
+        except FloatingPointError as exc:
+            raise NumericError(f"{what} failed: floating-point {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -151,7 +168,7 @@ def train(config: TrainConfig, train_set: Dataset) -> RunResult:
     n = train_set.num_samples
     history: list[EpochStats] = []
     # Set once per run: an overflow, division by zero or invalid operation raises, not warns.
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
+    with np.errstate(**_RAISE_FP):
         for epoch in range(config.epochs):
             # The epoch's sample order is gathered once, so every batch is a contiguous slice.
             order = np.random.default_rng([config.seed, _SHUFFLE_STREAM, epoch]).permutation(n)
@@ -196,6 +213,7 @@ def train(config: TrainConfig, train_set: Dataset) -> RunResult:
     return RunResult(params=params, history=history)
 
 
+@_fp_errors("evaluation")
 def _evaluate(
     params: ClassifierParams, test_set: Dataset, config: TrainConfig
 ) -> tuple[MetricsReport, VrrEvaluation]:
@@ -216,7 +234,12 @@ def _evaluate(
 
 
 def evaluate(params: ClassifierParams, test_set: Dataset, config: TrainConfig) -> MetricsReport:
-    """Full evaluation protocol: full-mask metrics plus VRR and subset confidences."""
+    """Full evaluation protocol: full-mask metrics plus VRR and subset confidences.
+
+    A floating-point overflow, division by zero or invalid operation (a true
+    class whose probability underflows to zero, say) raises a NumericError
+    saying that evaluation failed, and why.
+    """
     return _evaluate(params, test_set, config)[0]
 
 
@@ -318,6 +341,7 @@ def default_target_sets(num_modalities: int) -> list[SubsetMask]:
     return targets
 
 
+@_fp_errors("noise sweep")
 def noise_sweep(
     params_baseline: ClassifierParams,
     params_cml: ClassifierParams,
@@ -334,7 +358,8 @@ def noise_sweep(
     the clean blocks once per sweep and each modality's corrupted copies in
     one stacked call per chunk, then classifies every cell of the chunk in one
     call. Each cell's arithmetic is that of a full-mask forward_masks on its
-    copy, so every accuracy is bit for bit the per-cell one.
+    copy, so every accuracy is bit for bit the per-cell one. A floating-point
+    overflow, division by zero or invalid operation raises a NumericError.
     """
     if params_baseline.spec != params_cml.spec:
         raise SpecError("models have different parameter shapes")

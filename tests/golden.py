@@ -10,7 +10,9 @@ every regularizer variant x skip_on_wrong_full x detach_superset, with ragged
 mini-batches and with one batch per epoch, plus one run whose tiny-scale
 modality keeps Adam's epsilon in play. The VRR entries hash everything
 `calibration.evaluate_vrr` returns, sampled (1 and 3 repeats) and exhaustive,
-for 3 and 4 modalities on trained parameters.
+for 3 and 4 modalities with 3 classes on trained parameters, plus one
+exhaustive entry at 5 modalities and 6 classes, the shape of the benchmark's
+lattice evaluation.
 
 The hashes hold for the numpy and BLAS versions that wrote them; test_golden.py
 fails, naming both versions, when it runs under others. A change that alters a
@@ -156,15 +158,17 @@ def noise_sweep_hashes() -> dict[str, str]:
     }
 
 
-def _fixture(num_modalities: int) -> tuple[data.Dataset, data.Dataset, model.ModelSpec]:
-    """Standardized (train, test) sets of a small 3-class problem, and a model spec for it."""
-    m = num_modalities
+def _fixture(
+    num_modalities: int, num_classes: int = 3
+) -> tuple[data.Dataset, data.Dataset, model.ModelSpec]:
+    """Standardized (train, test) sets of a small problem, and a model spec for it."""
+    m, k = num_modalities, num_classes
     dims = tuple(range(3, 3 + m))
     spec = data.SyntheticSpec(
-        num_classes=3,
+        num_classes=k,
         modality_dims=dims,
-        samples_per_class=(25, 22, 28),
-        class_separation=(2.5, 1.5, 1.0, 0.5)[:m],
+        samples_per_class=(25, 22, 28, 20, 24, 26)[:k],
+        class_separation=(2.5, 1.5, 1.0, 0.5, 0.5)[:m],
         noise_std=(1.0,) * m,
         seed=40 + m,
     )
@@ -172,7 +176,7 @@ def _fixture(num_modalities: int) -> tuple[data.Dataset, data.Dataset, model.Mod
     stats = data.standardize_fit(train_set)
     train_set = data.standardize_apply(train_set, stats)
     test_set = data.standardize_apply(test_set, stats)
-    return train_set, test_set, model.ModelSpec(dims, hidden_dim=9, latent_dim=5, num_classes=3)
+    return train_set, test_set, model.ModelSpec(dims, hidden_dim=9, latent_dim=5, num_classes=k)
 
 
 # Batch sizes over the 45-row training split: ragged (16, 16, 13) and one batch per epoch.
@@ -233,19 +237,26 @@ VRR_MODES = {
     "sampled_r3": ("sampled", 3),
     "exhaustive": ("exhaustive", 1),
 }
+# Key, modality count, class count and the VRR_MODES entries of each evaluate_vrr fixture.
+VRR_FIXTURES = (
+    ("M=3", 3, 3, tuple(VRR_MODES)),
+    ("M=4", 4, 3, tuple(VRR_MODES)),
+    ("M=5/C=6", 5, 6, ("exhaustive",)),
+)
 
 
 def evaluate_vrr_hashes() -> dict[str, str]:
-    """"M=<modalities>/<mode>" -> sha256 of every field evaluate_vrr returns, on trained params."""
+    """"<fixture>/<mode>" -> sha256 of every field evaluate_vrr returns, on trained params."""
     hashes = {}
-    for m in (3, 4):
-        train_set, test_set, spec = _fixture(m)
+    for key, m, k, modes in VRR_FIXTURES:
+        train_set, test_set, spec = _fixture(m, k)
         params = trainer.train(_grid_config(spec, "hinge", True, False, 16), train_set).params
-        for name, (mode, repeats) in VRR_MODES.items():
+        for name in modes:
+            mode, repeats = VRR_MODES[name]
             result = calibration.evaluate_vrr(params, test_set, seed=17, mode=mode, repeats=repeats)
             records = result.records
             by_size = result.mean_confidence_by_subset_size
-            hashes[f"M={m}/{name}"] = _digest(
+            hashes[f"{key}/{name}"] = _digest(
                 records.sample_id,
                 records.t_code,
                 records.s_code,

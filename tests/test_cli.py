@@ -26,6 +26,20 @@ SYNTHETIC = {
 }
 
 
+def config_with_test_row(tmp_path: Path, modality: int, row, **overrides) -> Path:
+    """A config without split, scored on SYNTHETIC as a test manifest whose row 0 of
+    `modality` is replaced by `row`."""
+    dataset = generate_synthetic(SyntheticSpec.from_json_dict(SYNTHETIC))
+    dataset.modalities[modality][0] = row
+    write_csv_dataset(dataset, tmp_path / "test")
+    overrides["data"] = {"test_manifest": "test/manifest.json", **overrides.get("data", {})}
+    cfg = write_config(tmp_path / "config.json", **overrides)
+    written = json.loads(cfg.read_text())
+    del written["split"]
+    cfg.write_text(json.dumps(written))
+    return cfg
+
+
 def write_config(path: Path, **overrides) -> Path:
     cfg = {
         "data": {"synthetic": dict(SYNTHETIC)},
@@ -507,6 +521,35 @@ class TestNumericBoundary:
         assert not out.exists()
 
 
+    def test_evaluation_failure_is_one_line(self, tmp_path, capsys):
+        # A finite test value drives a true-class probability to zero. Before, numpy
+        # warned, the run exited 0 and metrics.json held "nll_raw": Infinity.
+        cfg = config_with_test_row(tmp_path, 0, [1.7e308, 0.0, 0.0, 0.0])
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: evaluation failed: floating-point divide by zero encountered in log"
+        ]
+        assert not out.exists()
+
+    def test_noise_sweep_failure_is_one_line(self, tmp_path, capsys):
+        # Before, four numpy overflow and invalid-value warnings came before the error line.
+        cfg = config_with_test_row(
+            tmp_path, 0, 1.7e308, standardize=False, sweep={"kind": "noise", "epsilons": [0.1]}
+        )
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: noise sweep failed: floating-point overflow encountered in matmul"]
+        assert not (out / "sweep_noise.csv").exists()
+
+    def test_json_files_are_strict(self, tmp_path):
+        path = tmp_path / "out.json"
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            cli._write_json(path, {"nll_raw": float("inf")})
+        assert not path.exists()
+
+
 class TestCommandSections:
     @pytest.mark.parametrize(
         "command, overrides, message",
@@ -656,6 +699,21 @@ class TestCommandSections:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: modality 1: feature 0 cannot be standardized")
+        assert not out.exists()
+
+    def test_overflowing_test_value_fails_naming_it(self, tmp_path, capsys):
+        # Before, numpy warned about the overflow and the error then blamed a
+        # non-finite feature, although the raw value is finite.
+        # Modality 1's training std is about 1e-11, so 1e300 over it overflows.
+        synthetic = {**SYNTHETIC, "noise_std": [1.0, 1e-11]}
+        cfg = config_with_test_row(tmp_path, 1, [1e300, 0.0, 0.0], data={"synthetic": synthetic})
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            "error: modality 1: feature 0 at row 0 cannot be standardized (value 1e+300, "
+        )
         assert not out.exists()
 
     def test_empty_training_manifest_fails_with_one_line(self, tmp_path, capsys):

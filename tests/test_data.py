@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -607,6 +608,22 @@ class TestStandardize:
         )
         with pytest.raises(DomainError, match=message):
             standardize_fit(dataset)  # filterwarnings=error turns any numpy warning into a failure
+
+    def test_overflowing_test_value_named_with_its_raw_value(self):
+        # Before, numpy warned about the overflow and the Dataset check then blamed
+        # a non-finite feature, although the raw value is finite.
+        column = np.array([[0.0], [2e-11], [0.0], [2e-11]])  # std 1e-11
+        labels = np.array([0, 1, 0, 1])
+        train = Dataset(modalities=[np.ones((4, 2)), column], labels=labels, num_classes=2)
+        test = Dataset(
+            modalities=[np.ones((4, 2)), np.array([[0.0], [1e-11], [1e300], [0.0]])],
+            labels=labels,
+            num_classes=2,
+        )
+        stats = standardize_fit(train)
+        message = "modality 1: feature 0 at row 2 cannot be standardized (value 1e+300, training"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            standardize_apply(test, stats)  # filterwarnings=error makes a numpy warning fail
 
     def test_empty_dataset_rejected_without_a_warning(self):
         # Without the check numpy warned about an empty mean and the stats came out NaN.

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -231,6 +232,12 @@ class TestBuildReport:
     def test_json_round_trip(self):
         report = self.make_report()
         assert MetricsReport.from_json_dict(report.to_json_dict()) == report
+
+    def test_json_is_strict(self):
+        # Before, an infinite NLL was written as the invalid JSON token Infinity.
+        infinite = dataclasses.replace(self.make_report(), nll_raw=np.inf)
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            infinite.to_json()
 
     def test_csv_row(self):
         report = self.make_report()

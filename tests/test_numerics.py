@@ -83,6 +83,15 @@ class TestSoftmaxParts:
         assert softmax(z).tobytes() == (exp / sums[..., None]).tobytes()
         assert z.tobytes() == before.tobytes()  # the exponentials are not computed in the input
 
+    @pytest.mark.parametrize("num_classes", range(2, 21))
+    def test_sums_are_numpys_class_axis_sum(self, num_classes):
+        z = self.logits(num_classes, 1.0)
+        # Row 0 ties its maximum, row 100 does not; then all rows as 2-D and as 3-D logits.
+        for logits in (z[0], z[100], z, z.reshape(20, 20, num_classes)):
+            exp, sums = softmax_parts(logits)
+            assert np.shape(sums) == logits.shape[:-1]
+            assert np.asarray(sums).tobytes() == exp.sum(axis=-1).tobytes()
+
     def test_checks_like_softmax(self):
         with pytest.raises(NumericError):
             softmax_parts([0.0, np.nan])
