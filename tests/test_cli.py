@@ -520,7 +520,6 @@ class TestNumericBoundary:
             assert " at epoch " in err[0] and ", batch " in err[0]
         assert not out.exists()
 
-
     def test_evaluation_failure_is_one_line(self, tmp_path, capsys):
         # A finite test value drives a true-class probability to zero. Before, numpy
         # warned, the run exited 0 and metrics.json held "nll_raw": Infinity.
