@@ -303,9 +303,9 @@ def _parse_target_sets(raw, num_modalities: int) -> list[SubsetMask]:
 
 
 def cmd_sweep(
-    config_path: Path, out_override: str | None, seed_override: int | None, jobs: int
+    config_path: Path, out_override: str | None, seed_override: int | None, jobs: int | None
 ) -> int:
-    if jobs < 1:
+    if jobs is not None and jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {jobs}")
     cfg = _load_config(config_path)
     sweep_cfg = check_section("sweep", cfg.get("sweep", {}), _SWEEP_SCHEMA)
@@ -315,9 +315,12 @@ def cmd_sweep(
     unread = [key for key in sweep_cfg if key not in _SWEEP_KEYS[kind]]
     if unread:
         raise ConfigError(f'sweep.{unread[0]}: unknown key for kind "{kind}"')
-    for i, eps in enumerate(sweep_cfg.get("epsilons", [])):
-        if not 0 <= eps < math.inf:
-            raise ConfigError(f"sweep.epsilons[{i}]: expected a finite value >= 0, got {eps!r}")
+    if kind == "noise" and jobs is not None:
+        raise ConfigError('--jobs: not used by sweep kind "noise"')
+    for key in ("lambda_grid", "epsilons"):
+        for i, value in enumerate(sweep_cfg.get(key, [])):
+            if not 0 <= value < math.inf:
+                raise ConfigError(f"sweep.{key}[{i}]: expected a finite value >= 0, got {value!r}")
     runs = [key for key in ("baseline_run", "cml_run") if key in sweep_cfg]
     if kind == "noise" and len(runs) == 1:
         (missing,) = {"baseline_run", "cml_run"} - set(runs)
@@ -334,7 +337,7 @@ def cmd_sweep(
 
     if kind == "lambda":
         grid = sweep_cfg.get("lambda_grid", list(trainer.DEFAULT_LAMBDA_GRID))
-        result = trainer.lambda_sweep(config, grid, prepared.train, prepared.val, jobs=jobs)
+        result = trainer.lambda_sweep(config, grid, prepared.train, prepared.val, jobs=jobs or 1)
         with open(out / "sweep_lambda.csv", "w", encoding="ascii", newline="\n") as fh:
             fh.write("lambda,val_acc,val_vrr\n")
             for row in result.rows:
@@ -404,7 +407,9 @@ def _parser() -> argparse.ArgumentParser:
         if name in ("train", "sweep"):  # the commands that train
             cmd.add_argument("--seed", type=int, default=None, help="training seed override")
         if name == "sweep":
-            cmd.add_argument("--jobs", type=int, default=1, help="parallel lambda-sweep cells")
+            cmd.add_argument(
+                "--jobs", type=int, default=None, help="parallel lambda-sweep cells (default 1)"
+            )
     return parser
 
 

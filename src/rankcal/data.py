@@ -70,12 +70,13 @@ class SyntheticSpec:
             raise SpecError(f"per-class counts must be >= 1: {self.samples_per_class}")
         if len(self.class_separation) != len(self.modality_dims):
             raise SpecError("class_separation must list one value per modality")
-        if any(s < 0 for s in self.class_separation):
-            raise SpecError(f"separations must be >= 0: {self.class_separation}")
+        if not all(0 <= s < math.inf for s in self.class_separation):
+            separation = self.class_separation
+            raise SpecError(f"class_separation must be finite and >= 0, got {separation}")
         if len(self.noise_std) != len(self.modality_dims):
             raise SpecError("noise_std must list one value per modality")
-        if any(s < 0 for s in self.noise_std):
-            raise SpecError(f"noise stds must be >= 0: {self.noise_std}")
+        if not all(0 <= s < math.inf for s in self.noise_std):
+            raise SpecError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.seed < 0:
             raise SpecError("seed must be >= 0")
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import EmptyInputError, SpecError, StateError
+from .errors import EmptyInputError, SpecError
 from .model import ClassifierParams, forward_masks
 from .numerics import Array
 
@@ -99,46 +99,19 @@ class MetricsReport:
         """Strict JSON: a NaN or infinite field raises ValueError."""
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "MetricsReport":
-        values = {f.name: obj[f.name] for f in fields(cls)}
-        by_size = values["mean_confidence_by_subset_size"]
-        values["mean_confidence_by_subset_size"] = {int(k): v for k, v in by_size.items()}
-        return cls(**values)
-
-
-CSV_SUMMARY_FIELDS = (
-    "accuracy_pct",
-    "nll_scaled",
-    "aurc_scaled",
-    "e_aurc_scaled",
-    "vrr_pct",
-    "mean_confidence_full",
-)
-
-
-def report_csv_header() -> str:
-    return ",".join(CSV_SUMMARY_FIELDS)
-
-
-def report_csv_row(report: MetricsReport) -> str:
-    return ",".join(f"{getattr(report, name):.9g}" for name in CSV_SUMMARY_FIELDS)
-
 
 def build_report(
     confidence,
     correct,
     nll,
-    vrr: float | None,
-    mean_conf_by_size: dict[int, float] | None,
+    vrr: float,
+    mean_conf_by_size: dict[int, float],
 ) -> MetricsReport:
     """Assemble a report from per-prediction columns, applying the reporting scales.
 
     `confidence`, `correct` and `nll` are nonempty 1-D columns of one length,
     `confidence` and `nll` float64, as evaluation produces them.
     """
-    if any(value is None for value in (confidence, correct, nll, vrr, mean_conf_by_size)):
-        raise StateError("missing report constituent")
     nll_value = _mean(nll)
     aurc_value = aurc(confidence, correct)
     e_aurc_value = _excess_aurc(aurc_value, correct)
@@ -156,7 +129,3 @@ def build_report(
         mean_confidence_by_subset_size=dict(mean_conf_by_size),
     )
 
-
-def format_mean_std(mean: float, std: float) -> str:
-    """Table cell format, e.g. 23.38+-1.39 rendered with the +- sign."""
-    return f"{mean:.2f}±{std:.2f}"

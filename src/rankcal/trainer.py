@@ -1,4 +1,4 @@
-"""Training loop, evaluation protocol, and the sweep/replication harnesses.
+"""Training loop, evaluation protocol, and the lambda and noise sweeps.
 
 One training run is fully deterministic: data order, removal chains, and VRR
 evaluation all draw from rng streams derived from (seed, stream tag, epoch or
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +33,7 @@ from .errors import (
     SweepError,
     check_section,
 )
-from .metrics import CSV_SUMMARY_FIELDS, MetricsReport, build_report
+from .metrics import MetricsReport, build_report
 from .model import ClassifierParams, ModelSpec, SubsetMask, classify_core
 from .model import encode_copies, encode_core, init_params
 from .numerics import adam_update, init_adam_state, nll_loss
@@ -86,8 +86,8 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lam < 0:
-            raise ConfigError(f"lambda must be >= 0, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.variant not in REGULARIZER_VARIANTS:
             raise ConfigError(f"unknown regularizer variant {self.variant!r}")
         if self.vrr_mode not in ("sampled", "exhaustive"):
@@ -96,8 +96,8 @@ class TrainConfig:
             check_exhaustive(self.model.num_modalities)
         if self.vrr_repeats < 1:
             raise ConfigError(f"vrr_repeats must be >= 1, got {self.vrr_repeats}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -412,52 +412,3 @@ def _chunk_correct(params, weights, clean_latents, copies, num_cells: int, label
     predicted = (exp / sums[..., None]).argmax(axis=-1)[..., 0]
     return (predicted == labels).sum(axis=1).tolist()
 
-
-@dataclass
-class ReplicateResult:
-    means: dict[str, float]
-    stds: dict[str, float]
-    num_runs: int
-    num_failed: int
-    per_run: list[dict[str, float]] = field(default_factory=list)
-
-
-def aggregate_runs(per_run: Sequence[dict[str, float]]) -> tuple[dict[str, float], dict[str, float]]:
-    """Per-metric mean and sample standard deviation (n-1 denominator)."""
-    if not per_run:
-        raise EmptyInputError("no runs to aggregate")
-    names = per_run[0].keys()
-    means = {name: float(np.mean([r[name] for r in per_run])) for name in names}
-    stds = {
-        name: float(np.std([r[name] for r in per_run], ddof=1)) if len(per_run) > 1 else 0.0
-        for name in names
-    }
-    return means, stds
-
-
-def replicate(
-    config: TrainConfig,
-    train_set: Dataset,
-    test_set: Dataset,
-    num_seeds: int,
-) -> ReplicateResult:
-    """Repeat train+evaluate with seeds seed..seed+n-1; mean and sample std."""
-    if num_seeds < 2:
-        raise ConfigError(f"need at least 2 seeds, got {num_seeds}")
-    per_run = []
-    failed = 0
-    for offset in range(num_seeds):
-        cfg = replace(config, seed=config.seed + offset)
-        try:
-            run = train(cfg, train_set)
-            report = evaluate(run.params, test_set, cfg)
-        except DivergenceError:
-            failed += 1
-            continue
-        per_run.append({name: getattr(report, name) for name in CSV_SUMMARY_FIELDS})
-    if not per_run:
-        raise SweepError("every replicate run diverged")
-    means, stds = aggregate_runs(per_run)
-    return ReplicateResult(
-        means=means, stds=stds, num_runs=len(per_run), num_failed=failed, per_run=per_run
-    )

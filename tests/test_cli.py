@@ -655,6 +655,77 @@ class TestCommandSections:
         assert err.splitlines() == [f"error: --jobs must be >= 1, got {jobs}"]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, overrides, flags, message",
+        [
+            # Before, training started and the error blamed a divergence at epoch 0.
+            (
+                "train",
+                {"train": {"learning_rate": float("nan")}},
+                [],
+                "learning_rate must be finite and > 0, got nan",
+            ),
+            (
+                "train",
+                {"train": {"lambda": float("inf")}},
+                [],
+                "lambda must be finite and >= 0, got inf",
+            ),
+            # Before, a non-finite cell was written as a failed row and the sweep exited 0.
+            (
+                "sweep",
+                {"sweep": {"kind": "lambda", "lambda_grid": [1, float("nan"), 5]}},
+                [],
+                "sweep.lambda_grid[1]: expected a finite value >= 0, got nan",
+            ),
+            (
+                "sweep",
+                {"sweep": {"kind": "lambda", "lambda_grid": [1, float("inf")]}},
+                [],
+                "sweep.lambda_grid[1]: expected a finite value >= 0, got inf",
+            ),
+            # Before, the first cell trained and the error did not name the key.
+            (
+                "sweep",
+                {"sweep": {"kind": "lambda", "lambda_grid": [1, -2]}},
+                [],
+                "sweep.lambda_grid[1]: expected a finite value >= 0, got -2.0",
+            ),
+            # Before, the flag was never read.
+            (
+                "sweep",
+                {"sweep": {"kind": "noise"}},
+                ["--jobs", "3"],
+                '--jobs: not used by sweep kind "noise"',
+            ),
+            # Before, these blamed a non-finite feature at row 0 of modality 0.
+            (
+                "train",
+                {"data": {"synthetic": {**SYNTHETIC, "class_separation": float("nan")}}},
+                [],
+                "class_separation must be finite and >= 0, got (nan, nan)",
+            ),
+            (
+                "generate",
+                {"data": {"synthetic": {**SYNTHETIC, "noise_std": [1.0, float("inf")]}}},
+                [],
+                "noise_std must be finite and >= 0, got (1.0, inf)",
+            ),
+        ],
+    )
+    def test_non_finite_setting_fails_naming_it_before_training(
+        self, tmp_path, capsys, monkeypatch, command, overrides, flags, message
+    ):
+        def no_batch(*args, **kwargs):
+            raise AssertionError("a batch ran before the setting was checked")
+
+        monkeypatch.setattr(trainer, "objective_core", no_batch)
+        cfg = write_config(tmp_path / "config.json", split={"val_fraction": 0.25}, **overrides)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
     def test_neither_split_nor_test_manifest_fails_naming_split(self, tmp_path, capsys):
         # Without the check, the model was scored on the rows it trained on.
         cfg = write_config(tmp_path / "config.json")

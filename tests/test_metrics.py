@@ -8,17 +8,14 @@ import pytest
 
 from rankcal import metrics
 from rankcal.data import Dataset
-from rankcal.errors import EmptyInputError, SpecError, StateError
+from rankcal.errors import EmptyInputError, SpecError
 from rankcal.metrics import (
     MetricsReport,
     accuracy,
     aurc,
     build_report,
     e_aurc,
-    format_mean_std,
     mean_abs_conf_shift,
-    report_csv_header,
-    report_csv_row,
 )
 from rankcal.model import ModelSpec, init_params
 
@@ -220,37 +217,8 @@ class TestBuildReport:
         assert len(calls) == 1
         assert built.e_aurc_raw > 0.0  # the excess is read from that one AURC
 
-    def test_missing_constituent_rejected(self):
-        preds = ([0.9], [True], [0.5])
-        with pytest.raises(StateError):
-            build_report(None, None, None, vrr=0.1, mean_conf_by_size={})
-        with pytest.raises(StateError):
-            build_report(*preds, vrr=None, mean_conf_by_size={})
-        with pytest.raises(StateError):
-            build_report(*preds, vrr=0.1, mean_conf_by_size=None)
-
-    def test_json_round_trip(self):
-        report = self.make_report()
-        assert MetricsReport.from_json_dict(report.to_json_dict()) == report
-
     def test_json_is_strict(self):
         # Before, an infinite NLL was written as the invalid JSON token Infinity.
         infinite = dataclasses.replace(self.make_report(), nll_raw=np.inf)
         with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
             infinite.to_json()
-
-    def test_csv_row(self):
-        report = self.make_report()
-        header = report_csv_header()
-        row = report_csv_row(report)
-        assert header.split(",")[0] == "accuracy_pct"
-        assert len(row.split(",")) == len(header.split(","))
-        assert float(row.split(",")[0]) == 50.0
-
-
-class TestFormatMeanStd:
-    def test_paper_style_cell(self):
-        assert format_mean_std(23.38, 1.39) == "23.38±1.39"
-
-    def test_rounding(self):
-        assert format_mean_std(15.0, 7.0710678) == "15.00±7.07"

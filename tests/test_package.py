@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,3 +24,90 @@ def test_freed_heap_is_reused_without_page_faults():
         churn()
     # glibc's adaptive default hands the freed 9 MB back: ~1,600 faults a round.
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+
+
+ROOT = Path(__file__).resolve().parent.parent
+# A package attribute for packaging tools and users; no code needs to read it.
+UNCALLED_EXEMPT = {"__version__"}
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, node) of each public top-level name and public method.
+
+    Top-level names are public unless they start with a single underscore
+    (`__version__` is public); methods are public unless they start with any
+    underscore, since Python itself calls the dunder ones.
+    """
+    for node in tree.body:
+        targets = []
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        for name in targets:
+            if not name.startswith("_") or name.startswith("__") and name.endswith("__"):
+                yield name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _loads(tree: ast.AST) -> list[tuple[ast.AST, str]]:
+    """(node, name) of every read of a name as a variable or an attribute in `tree`."""
+    loads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loads.append((node, node.id))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            loads.append((node, node.attr))
+    return loads
+
+
+def uncalled_names(root: Path) -> list[str]:
+    """Public names in `root`'s src/rankcal that nothing outside their own definition loads.
+
+    A caller is a load (a read, a call, an annotation) of the name in
+    src/rankcal outside the definition itself, in tests/test_acceptance.py or
+    in perfbench/*.py; the other tests do not count, so library surface that
+    only they reach is reported. The check matches by name alone: it misses a
+    name that only other dead code loads, and a method whose name some other
+    function or method shares.
+    """
+    src = sorted((root / "src" / "rankcal").glob("*.py"))
+    readers = src + [root / "tests" / "test_acceptance.py"] + sorted(root.glob("perfbench/*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in readers}
+    loads = {path: _loads(tree) for path, tree in trees.items()}
+    uncalled = []
+    for path in src:
+        elsewhere = {name for p, file_loads in loads.items() if p != path for _, name in file_loads}
+        for qualified, node in _definitions(trees[path]):
+            name = qualified.rsplit(".", 1)[-1]
+            if qualified in UNCALLED_EXEMPT or name in elsewhere:
+                continue
+            inside = set(map(id, ast.walk(node)))
+            if not any(n == name and id(load) not in inside for load, n in loads[path]):
+                uncalled.append(f"{path.stem}.{qualified}")
+    return uncalled
+
+
+def test_every_public_name_has_a_caller():
+    assert uncalled_names(ROOT) == []
+
+
+def test_uncalled_names_reports_names_only_their_own_definition_reads(tmp_path):
+    (tmp_path / "src" / "rankcal").mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "src" / "rankcal" / "lib.py").write_text(
+        "LIMIT = 3\n"
+        "UNUSED = 4\n"
+        "def recurse(n):\n    return recurse(n - 1) if n else LIMIT\n"
+        "class Box:\n"
+        "    def __init__(self):\n        self.size = 1\n"
+        "    def grow(self):\n        return self.size\n"
+        "    def unused(self):\n        return self.grow()\n"
+    )
+    (tmp_path / "tests" / "test_acceptance.py").write_text("from rankcal.lib import Box\nBox()\n")
+    assert uncalled_names(tmp_path) == ["lib.UNUSED", "lib.recurse", "lib.Box.unused"]

@@ -22,12 +22,10 @@ from rankcal.trainer import (
     DEFAULT_LAMBDA_GRID,
     DEFAULT_NOISE_GRID,
     TrainConfig,
-    aggregate_runs,
     default_target_sets,
     evaluate,
     lambda_sweep,
     noise_sweep,
-    replicate,
     run_and_evaluate,
     train,
 )
@@ -499,24 +497,3 @@ class TestNoiseSweep:
                 [SubsetMask.of([0])],
                 seed=0,
             )
-
-
-class TestReplicate:
-    def test_aggregation_closed_form(self):
-        means, stds = aggregate_runs([{"metric": 10.0}, {"metric": 20.0}])
-        assert means["metric"] == 15.0
-        assert stds["metric"] == pytest.approx(math.sqrt(50.0))
-        assert f"{means['metric']:.2f}±{stds['metric']:.2f}" == "15.00±7.07"
-
-    def test_deterministic_aggregates(self):
-        train_set, test_set = make_sets(per_class=15)
-        cfg = config(epochs=2)
-        a = replicate(cfg, train_set, test_set, num_seeds=2)
-        b = replicate(cfg, train_set, test_set, num_seeds=2)
-        assert a.means == b.means and a.stds == b.stds
-        assert a.num_runs == 2 and a.num_failed == 0
-
-    def test_single_seed_rejected(self):
-        train_set, test_set = make_sets(per_class=15)
-        with pytest.raises(ConfigError):
-            replicate(config(), train_set, test_set, num_seeds=1)
