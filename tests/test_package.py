@@ -39,14 +39,12 @@ def _definitions(tree: ast.Module):
     underscore, since Python itself calls the dunder ones.
     """
     for node in tree.body:
-        targets = []
+        names = []
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            targets = [node.name]
+            names = [node.name]
         elif isinstance(node, ast.Assign):
-            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            targets = [node.target.id]
-        for name in targets:
+            names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        for name in names:
             if not name.startswith("_") or name.startswith("__") and name.endswith("__"):
                 yield name, node
         if isinstance(node, ast.ClassDef):
