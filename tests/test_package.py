@@ -27,16 +27,13 @@ def test_freed_heap_is_reused_without_page_faults():
 
 
 ROOT = Path(__file__).resolve().parent.parent
-# A package attribute for packaging tools and users; no code needs to read it.
-UNCALLED_EXEMPT = {"__version__"}
 
 
 def _definitions(tree: ast.Module):
-    """(qualified name, node) of each public top-level name and public method.
+    """(qualified name, node) of each top-level name and method not starting with "_".
 
-    Top-level names are public unless they start with a single underscore
-    (`__version__` is public); methods are public unless they start with any
-    underscore, since Python itself calls the dunder ones.
+    That leaves out dunder names: Python calls the dunder methods itself, and
+    packaging tools and users, not code, read `__version__`.
     """
     for node in tree.body:
         names = []
@@ -44,9 +41,7 @@ def _definitions(tree: ast.Module):
             names = [node.name]
         elif isinstance(node, ast.Assign):
             names = [target.id for target in node.targets if isinstance(target, ast.Name)]
-        for name in names:
-            if not name.startswith("_") or name.startswith("__") and name.endswith("__"):
-                yield name, node
+        yield from ((name, node) for name in names if not name.startswith("_"))
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
@@ -83,7 +78,7 @@ def uncalled_names(root: Path) -> list[str]:
         elsewhere = {name for p, file_loads in loads.items() if p != path for _, name in file_loads}
         for qualified, node in _definitions(trees[path]):
             name = qualified.rsplit(".", 1)[-1]
-            if qualified in UNCALLED_EXEMPT or name in elsewhere:
+            if name in elsewhere:
                 continue
             inside = set(map(id, ast.walk(node)))
             if not any(n == name and id(load) not in inside for load, n in loads[path]):
