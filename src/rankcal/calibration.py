@@ -30,7 +30,7 @@ import numpy as np
 
 from .data import write_text
 from .errors import CapabilityError, ConfigError, EmptyInputError, SpecError
-from .model import ClassifierParams, backward_masks, forward_core, forward_masks
+from .model import ClassifierParams, backward_masks, forward_core, forward_masks, mask_weights
 from .numerics import Array
 
 REGULARIZER_VARIANTS = ("hinge", "difference", "none")
@@ -145,7 +145,7 @@ def chain_objective(
     when it is given.
     """
     presence = np.asarray(presence, dtype=bool)
-    weights = presence / presence.sum(axis=-1, keepdims=True)
+    weights = mask_weights(presence)
     label_col = np.repeat(np.asarray(labels)[:, None], presence.shape[1], axis=1)
     options = (variant, lam, skip_on_wrong_full, detach_superset)
     return objective_core(params, list(features), weights, label_col, *options, out)
@@ -230,7 +230,7 @@ def _lattice(num_modalities: int) -> _Lattice:
     """The lattice table of `num_modalities` modalities, built once per process."""
     codes = np.arange(1, 1 << num_modalities)
     presence = (codes[:, None] & (1 << np.arange(num_modalities))) > 0
-    weights = presence / presence.sum(axis=-1, keepdims=True)
+    weights = mask_weights(presence)
     pairs = []
     for size in range(num_modalities, 1, -1):
         for s_indices in itertools.combinations(range(num_modalities), size):
@@ -280,7 +280,8 @@ def evaluate_vrr(
     """Dataset-level VRR.
 
     Sampled mode gives every sample `repeats` removal chains; repeat r takes
-    row i of one removal-order draw keyed by (seed, repeat). Exhaustive mode
+    row i of one removal-order draw keyed by (seed, repeat), and one forward
+    classifies every repeat's chains side by side. Exhaustive mode
     classifies every sample on all 2^M - 1 subsets at once and enumerates
     every single-removal pair (allowed up to 5 modalities), reading the masks
     and pairs from the cached lattice table of M modalities. Records are
@@ -321,16 +322,16 @@ def evaluate_vrr(
         t_code = table.t_code[None].repeat(num_samples, axis=0).ravel()
         s_code = table.s_code[None].repeat(num_samples, axis=0).ravel()
     else:
-        draws, codes = [], []
+        chains = []
         for r in range(repeats):
             rng = np.random.default_rng([seed, _VRR_STREAM, r])
-            presence = chain_presence(removal_orders(rng, num_samples, num_modalities))
-            draws.append(forward_masks(params, dataset.modalities, presence))
-            codes.append(presence @ bits)
-        conf = np.concatenate([fwd.confidence for fwd in draws], axis=1)
-        code = np.concatenate(codes, axis=1)
+            chains.append(chain_presence(removal_orders(rng, num_samples, num_modalities)))
+        # The repeats' chains side by side on the mask axis, classified in one forward.
+        presence = np.concatenate(chains, axis=1)
+        fwd = forward_masks(params, dataset.modalities, presence)
+        conf, code = fwd.confidence, presence @ bits
         full_col = 0  # repeat 0's chains start at the full set
-        full_probs = draws[0].mask_probs(full_col)
+        full_probs = fwd.mask_probs(full_col)
         starts = num_modalities * np.arange(repeats)[:, None]
         t_col = (starts + np.arange(1, num_modalities)).ravel()
         s_col = t_col - 1

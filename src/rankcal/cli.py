@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import calibration, data, trainer
-from .errors import ConfigError, NumericError, StateError, check_section
+from .errors import ConfigError, MaskError, NumericError, StateError, check_section
 from .metrics import mean_abs_conf_shift
 from .model import SPEC_SCHEMA, ClassifierParams, ModelSpec, SubsetMask
 from .model import load_checkpoint, save_checkpoint
@@ -240,7 +240,11 @@ def _load_run(run_dir: Path) -> tuple[ClassifierParams, trainer.TrainConfig]:
     spec, params = load_checkpoint(run_dir / CHECKPOINT_NAME)
     snapshot_path = run_dir / CONFIG_SNAPSHOT_NAME
     with open(snapshot_path, "r", encoding="utf-8") as fh:
-        snapshot = json.load(fh)
+        try:
+            snapshot = json.load(fh)
+        except json.JSONDecodeError as exc:
+            message = f"invalid JSON ({exc.msg} at line {exc.lineno})"
+            raise StateError(f"{snapshot_path}: {message}") from None
     if not isinstance(snapshot, dict) or "resolved_train" not in snapshot:
         raise StateError(f"{snapshot_path}: missing key 'resolved_train'")
     return params, trainer.TrainConfig.from_json_dict(snapshot["resolved_train"], spec)
@@ -260,9 +264,10 @@ def cmd_compare(config_path: Path, out_override: str | None) -> int:
         test_set = data.load_csv_dataset(_resolve(base, compare_cfg["test_manifest"]))
     else:
         test_set = _prepare(cfg, base).test
-    report_a = trainer.evaluate(params_a, test_set, config_a)
-    report_b = trainer.evaluate(params_b, test_set, config_b)
-    shift = mean_abs_conf_shift(params_a, params_b, test_set)
+    report_a, vrr_a = trainer.evaluate_with_vrr(params_a, test_set, config_a)
+    report_b, vrr_b = trainer.evaluate_with_vrr(params_b, test_set, config_b)
+    # The full-mask confidences of each model's evaluation forward: no forward of its own.
+    shift = mean_abs_conf_shift(vrr_a.full_confidence, vrr_b.full_confidence)
     comparison = {
         "baseline": report_a.to_json_dict(),
         "cml": report_b.to_json_dict(),
@@ -291,14 +296,19 @@ def cmd_compare(config_path: Path, out_override: str | None) -> int:
     return 0
 
 
-def _parse_target_sets(raw, num_modalities: int) -> list[SubsetMask]:
-    if raw is None:
-        return trainer.default_target_sets(num_modalities)
+def _target_sets(raw: list[list[int]], num_modalities: int | None = None) -> list[SubsetMask]:
+    """sweep.target_sets as masks, in range for `num_modalities` when it is given.
+
+    An error names the entry's key, e.g. sweep.target_sets[0].
+    """
     masks = []
-    for entry in raw:
-        mask = SubsetMask.of(entry)
-        mask.validate_for(num_modalities)
-        masks.append(mask)
+    for i, entry in enumerate(raw):
+        try:
+            masks.append(SubsetMask.of(entry))
+            if num_modalities is not None:
+                masks[-1].validate_for(num_modalities)
+        except MaskError as exc:
+            raise ConfigError(f"sweep.target_sets[{i}]: {exc}") from None
     return masks
 
 
@@ -317,6 +327,10 @@ def cmd_sweep(
         raise ConfigError(f'sweep.{unread[0]}: unknown key for kind "{kind}"')
     if kind == "noise" and jobs is not None:
         raise ConfigError('--jobs: not used by sweep kind "noise"')
+    for key in ("lambda_grid", "epsilons", "target_sets"):
+        if sweep_cfg.get(key) == []:
+            raise ConfigError(f"sweep.{key}: empty, expected at least one entry")
+    _target_sets(sweep_cfg.get("target_sets", []))
     for key in ("lambda_grid", "epsilons"):
         for i, value in enumerate(sweep_cfg.get(key, [])):
             if not 0 <= value < math.inf:
@@ -332,12 +346,13 @@ def cmd_sweep(
         )
     prepared = _prepare(cfg, config_path.parent)
     config = _build_train_config(cfg, prepared.model_spec, seed_override)
+    # Made only once the results are in, so a run that fails leaves no directory.
     out = _out_dir(cfg, config_path.parent, out_override, "sweep")
-    out.mkdir(parents=True, exist_ok=True)
 
     if kind == "lambda":
         grid = sweep_cfg.get("lambda_grid", list(trainer.DEFAULT_LAMBDA_GRID))
         result = trainer.lambda_sweep(config, grid, prepared.train, prepared.val, jobs=jobs or 1)
+        out.mkdir(parents=True, exist_ok=True)
         with open(out / "sweep_lambda.csv", "w", encoding="ascii", newline="\n") as fh:
             fh.write("lambda,val_acc,val_vrr\n")
             for row in result.rows:
@@ -349,10 +364,11 @@ def cmd_sweep(
         print(f"best_lambda={result.best_lambda:g}")
         return 0
 
-    epsilons = sweep_cfg.get("epsilons", list(trainer.DEFAULT_NOISE_GRID))
-    if not epsilons:
-        raise ConfigError("empty epsilon grid")
-    target_sets = _parse_target_sets(sweep_cfg.get("target_sets"), prepared.test.num_modalities)
+    num_modalities = prepared.test.num_modalities
+    if "target_sets" in sweep_cfg:
+        target_sets = _target_sets(sweep_cfg["target_sets"], num_modalities)
+    else:
+        target_sets = trainer.default_target_sets(num_modalities)
     base = config_path.parent
     if runs:
         params_a, _ = _load_run(_resolve(base, sweep_cfg["baseline_run"]))
@@ -369,10 +385,11 @@ def cmd_sweep(
         params_a,
         params_b,
         prepared.test,
-        epsilons=epsilons,
+        epsilons=sweep_cfg.get("epsilons", list(trainer.DEFAULT_NOISE_GRID)),
         target_sets=target_sets,
         seed=config.seed,
     )
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "sweep_noise.csv", "w", encoding="ascii", newline="\n") as fh:
         fh.write("param,acc_baseline,acc_cml,delta\n")
         for row in rows:

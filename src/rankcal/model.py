@@ -2,19 +2,20 @@
 
 Each modality gets its own two-layer encoder (affine -> ReLU -> affine); the
 latents of the modalities that are actually present are fused by an arithmetic
-mean and fed to a shared linear head. Removing a modality is true absence via
-the mask, never zero-filling, so the same parameters serve every subset.
+mean and fed to a shared linear head. Removing a modality is a zero fusion
+weight in the mask, never zero-filled features, so the same parameters serve
+every subset.
 
-One batched path serves training and evaluation: forward_masks encodes a batch
-of rows once and classifies it under K masks at a time, given as a presence
-tensor, and backward_masks returns the matching parameter gradients. Neither
-checks its inputs: the feature blocks come from a data.Dataset, which checked
-them when it was built, and the callers check the model spec against the data
-once per run. forward_masks only turns the presence into mask weights for
-forward_core, which takes the weights directly so training converts them once
-per epoch. forward_core is its encoder half (encode_core) followed by its
-classifier half (classify_core); the noise sweep calls the halves itself, on
-stacked copies.
+One batched path serves training and evaluation: forward_masks encodes every
+modality of a batch of rows once and classifies it under K masks at a time,
+given as a presence tensor, and backward_masks returns the matching parameter
+gradients. Neither checks its inputs: the feature blocks come from a
+data.Dataset, which checked them when it was built, and the callers check the
+model spec against the data once per run. forward_masks only turns the
+presence into mask weights (mask_weights) for forward_core, which takes the
+weights directly so training converts them once per epoch. forward_core is
+its encoder half (encode_core) followed by its classifier half
+(classify_core); the noise sweep calls the halves itself, on stacked copies.
 A ClassifierParams carries the ModelSpec it was built for, the one statement of
 its shapes, and holds every parameter as a view into one flat vector. Every
 encoder has the spec's hidden and latent sizes, so each encoder layer's
@@ -182,18 +183,16 @@ def init_params(spec: ModelSpec, seed: int) -> ClassifierParams:
 class MaskedForward:
     """Activations of a batch of rows under K masks; what backward_masks needs.
 
-    `weights` (the presence divided by each mask's size) is (K, M) when every
-    row shares its masks and (B, K, M) when each row has its own. `hidden` is
-    the stacked (M, B, H) encoder activations. A modality that no mask uses
-    has a None `features` entry and a zero `hidden` slot; its latent is zero
-    too, so its parameters never reach the logits.
+    `weights` (mask_weights of the presence) is (K, M) when every row shares
+    its masks and (B, K, M) when each row has its own. `hidden` is the stacked
+    (M, B, H) encoder activations of every modality, used by a mask or not.
 
     The softmax is kept as its two parts: `exp`, the (B, K, C) max-shifted
     exponentials of the logits, and `sums`, their (B, K) sums. The class
     probabilities are divided out only when read.
     """
 
-    features: list[Array | None]
+    features: list[Array]
     hidden: Array
     weights: Array
     fused: Array
@@ -218,50 +217,35 @@ class MaskedForward:
         return 1.0 / self.sums
 
 
-def forward_masks(
-    params: ClassifierParams, features: Sequence[Array | None], presence
-) -> MaskedForward:
+def mask_weights(presence) -> Array:
+    """Mean-fusion weights of boolean masks: each mask's presence divided by its size."""
+    return presence / presence.sum(axis=-1, keepdims=True)
+
+
+def forward_masks(params: ClassifierParams, features: Sequence[Array], presence) -> MaskedForward:
     """Encode each modality once for all rows, then mean-fuse and classify per mask.
 
     `features[m]` is the (B, d_m) float64 block of modality m, and `presence`
     the (K, M) or (B, K, M) boolean masks, each with at least one modality.
-    A modality that no mask contains is skipped, never zero-filled; its block
-    may be None.
+    A modality outside a mask gets a zero fusion weight there, so for finite
+    parameters its latent adds exactly zero to that mask's fused latent.
     """
-    presence = np.asarray(presence, dtype=bool)
-    used = presence.reshape(-1, presence.shape[-1]).any(axis=0)
-    blocks = [x if u else None for x, u in zip(features, used)]
-    return forward_core(params, blocks, presence / presence.sum(axis=-1, keepdims=True))
+    return forward_core(params, list(features), mask_weights(np.asarray(presence, dtype=bool)))
 
 
-def forward_core(params: ClassifierParams, blocks: list[Array | None], weights) -> MaskedForward:
-    """forward_masks on mask weights: the presence divided by each mask's size.
-
-    `blocks[m]` is None for a modality that no mask uses. It is encode_core
-    followed by classify_core.
-    """
+def forward_core(params: ClassifierParams, blocks: list[Array], weights) -> MaskedForward:
+    """forward_masks on mask weights: encode_core followed by classify_core."""
     hidden, latents = encode_core(params, blocks)
     fused, exp, sums = classify_core(params, weights, latents)
     return MaskedForward(blocks, hidden, weights, fused, exp, sums)
 
 
-def encode_core(params: ClassifierParams, blocks: list[Array | None]) -> tuple[Array, Array]:
-    """The encoder half of forward_core: stacked (M, B, H) hidden activations, (M, B, L) latents.
-
-    The hidden and latent slots of a modality that no mask uses stay zero: no
-    operation reads its parameters.
-    """
-    used = [m for m, x in enumerate(blocks) if x is not None]
-    hidden = np.zeros((len(blocks), len(blocks[used[0]]), params.b1.shape[1]))
-    for m in used:  # one matmul per modality: the input dims differ
-        np.matmul(blocks[m], params.w1[m], out=hidden[m])
-    if len(used) == len(blocks):
-        return hidden, _encoder_layers(hidden, params.b1, params.w2, params.b2)
-    live = hidden[used]
-    latents = np.zeros(hidden.shape[:2] + params.b2.shape[1:])
-    latents[used] = _encoder_layers(live, params.b1[used], params.w2[used], params.b2[used])
-    hidden[used] = live
-    return hidden, latents
+def encode_core(params: ClassifierParams, blocks: list[Array]) -> tuple[Array, Array]:
+    """The encoder half of forward_core: stacked (M, B, H) hidden activations, (M, B, L) latents."""
+    hidden = np.empty((len(blocks), len(blocks[0]), params.b1.shape[1]))
+    for m, x in enumerate(blocks):  # one matmul per modality: the input dims differ
+        np.matmul(x, params.w1[m], out=hidden[m])
+    return hidden, _encoder_layers(hidden, params.b1, params.w2, params.b2)
 
 
 def encode_copies(params: ClassifierParams, m: int, copies: Array) -> Array:
@@ -308,10 +292,9 @@ def backward_masks(
 
     `logit_grads` is float64 with fwd.exp's size. Each modality collects its
     latent gradient over every mask containing it before one encoder backward
-    pass; the slot of a modality that no mask uses gets +0.0 without any
-    operation reading its parameters. The gradients overwrite every array of
-    `out` when it is given (so one buffer serves every batch) and go to a new
-    ClassifierParams otherwise.
+    pass; a modality that no mask uses gets zero gradients. The gradients
+    overwrite every array of `out` when it is given (so one buffer serves
+    every batch) and go to a new ClassifierParams otherwise.
     """
     batch, num_masks, num_classes = fwd.exp.shape
     if out is None:
@@ -323,18 +306,10 @@ def backward_masks(
     d_latents = (fwd.weights.swapaxes(-1, -2) @ d_fused).transpose(1, 0, 2)
     np.matmul(fwd.hidden.transpose(0, 2, 1), d_latents, out=out.w2)
     d_latents.sum(axis=1, out=out.b2)
-    used = [m for m, x in enumerate(fwd.features) if x is not None]
-    if len(used) == len(fwd.features):
-        d_pre = _hidden_grads(fwd.hidden, d_latents, params.w2)
-    else:
-        d_pre = np.zeros_like(fwd.hidden)
-        d_pre[used] = _hidden_grads(fwd.hidden[used], d_latents[used], params.w2[used])
+    d_pre = _hidden_grads(fwd.hidden, d_latents, params.w2)
     d_pre.sum(axis=1, out=out.b1)
     for m, x in enumerate(fwd.features):  # one matmul per modality: the input dims differ
-        if x is None:
-            out.w1[m][...] = out.b1[m] = out.w2[m] = out.b2[m] = 0.0
-        else:
-            np.matmul(x.T, d_pre[m], out=out.w1[m])
+        np.matmul(x.T, d_pre[m], out=out.w1[m])
     return out
 
 

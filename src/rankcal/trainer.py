@@ -35,7 +35,7 @@ from .errors import (
 )
 from .metrics import MetricsReport, build_report
 from .model import ClassifierParams, ModelSpec, SubsetMask, classify_core
-from .model import encode_copies, encode_core, init_params
+from .model import encode_copies, encode_core, init_params, mask_weights
 from .numerics import adam_update, init_adam_state, nll_loss
 
 # Stream tags keeping shuffling and removal-order draws independent.
@@ -174,7 +174,7 @@ def train(config: TrainConfig, train_set: Dataset) -> RunResult:
             order = np.random.default_rng([config.seed, _SHUFFLE_STREAM, epoch]).permutation(n)
             chain_rng = np.random.default_rng([config.seed, _CHAIN_STREAM, epoch])
             chains = chain_presence(removal_orders(chain_rng, n, num_modalities))[order]
-            weights = chains / chains.sum(axis=-1, keepdims=True)
+            weights = mask_weights(chains)
             features = [block[order] for block in train_set.modalities]
             label_col = np.repeat(train_set.labels[order, None], num_modalities, axis=1)
             cls_sum = 0.0
@@ -214,9 +214,10 @@ def train(config: TrainConfig, train_set: Dataset) -> RunResult:
 
 
 @_fp_errors("evaluation")
-def _evaluate(
+def evaluate_with_vrr(
     params: ClassifierParams, test_set: Dataset, config: TrainConfig
 ) -> tuple[MetricsReport, VrrEvaluation]:
+    """evaluate's report with the VrrEvaluation whose forward it read."""
     if test_set.num_samples == 0:
         raise EmptyInputError("empty test set")
     _check_dataset(config.model, test_set)
@@ -240,14 +241,14 @@ def evaluate(params: ClassifierParams, test_set: Dataset, config: TrainConfig) -
     class whose probability underflows to zero, say) raises a NumericError
     saying that evaluation failed, and why.
     """
-    return _evaluate(params, test_set, config)[0]
+    return evaluate_with_vrr(params, test_set, config)[0]
 
 
 def run_and_evaluate(
     config: TrainConfig, train_set: Dataset, test_set: Dataset
 ) -> RunResult:
     result = train(config, train_set)
-    result.report, result.vrr_evaluation = _evaluate(result.params, test_set, config)
+    result.report, result.vrr_evaluation = evaluate_with_vrr(result.params, test_set, config)
     return result
 
 
@@ -375,7 +376,7 @@ def noise_sweep(
             cell_seed = int(np.random.default_rng([seed, e_idx, t_idx]).integers(2**31))
             cells.append((targets, CorruptionSpec(targets.present, float(eps), cell_seed)))
     blocks = test_set.modalities
-    weights = np.ones((1, len(blocks))) / len(blocks)  # the full mask's weights
+    weights = mask_weights(np.ones((1, len(blocks)), dtype=bool))  # the full mask's weights
     models = (params_baseline, params_cml)
     clean = [encode_core(params, blocks)[1] for params in models]
     step = max(1, NOISE_SWEEP_ROWS // test_set.num_samples)

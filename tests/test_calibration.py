@@ -576,15 +576,15 @@ class TestMeanConfidenceBySubsetSize:
 
     @pytest.mark.parametrize("num_modalities", [2, 3])
     def test_recurring_mask_keeps_first_position_and_last_value(self, monkeypatch, num_modalities):
-        # Each repeat's forward is blended toward uniform by its own amount, so a
-        # (sample, mask) that recurs over the repeats (the full set always does)
-        # names a different confidence each time. As in a dict keyed by (sample,
-        # mask), the mean takes each one at its first position with its last value.
-        draws = itertools.count()
-
+        # Each repeat's block of M mask columns is blended toward uniform by its
+        # own amount, so a (sample, mask) that recurs over the repeats (the full
+        # set always does) names a different confidence each time. As in a dict
+        # keyed by (sample, mask), the mean takes each one at its first position
+        # with its last value.
         def blended(params, features, presence):
             fwd = forward_masks(params, features, presence)
-            share = 0.1 * next(draws)
+            repeat = np.arange(fwd.exp.shape[1]) // num_modalities
+            share = 0.1 * repeat[:, None]
             probs = (1 - share) * fwd.probs + share / fwd.exp.shape[-1]
             top = probs.max(axis=-1)  # kept as the forward keeps it: exp at the argmax is 1.0
             return replace(fwd, exp=probs / top[..., None], sums=1.0 / top)

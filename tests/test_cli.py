@@ -7,10 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankcal import cli, trainer
+from rankcal import cli, model, trainer
 from rankcal.cli import main
 from rankcal.data import Dataset, SyntheticSpec, generate_synthetic, load_csv_dataset
 from rankcal.data import write_csv_dataset
+from rankcal.model import load_checkpoint
+
+from reference import reference_probs
 
 
 # A manifest whose modality entry lacks its dim; the check fails before any CSV is read.
@@ -258,6 +261,16 @@ class TestTrainCommand:
 
 
 class TestCompareCommand:
+    @staticmethod
+    def train_pair(tmp_path, **compare) -> Path:
+        """Train run_a (lambda 0) and run_b (lambda 10); the config comparing them."""
+        cfg_a = write_config(tmp_path / "a.json", train={"lambda": 0.0}, output_dir="run_a")
+        cfg_b = write_config(tmp_path / "b.json", train={"lambda": 10.0}, output_dir="run_b")
+        assert main(["train", "--config", str(cfg_a)]) == 0
+        assert main(["train", "--config", str(cfg_b)]) == 0
+        compare = {"baseline_run": "run_a", "cml_run": "run_b", **compare}
+        return write_config(tmp_path / "compare.json", compare=compare)
+
     def test_compare_run_with_itself_zero_deltas(self, tmp_path):
         cfg = write_config(tmp_path / "config.json")
         run_dir = tmp_path / "run"
@@ -274,14 +287,7 @@ class TestCompareCommand:
         assert comparison["mean_abs_conf_shift_full"] == 0.0
 
     def test_deltas_match_run_metrics_and_curve_rows(self, tmp_path):
-        cfg_a = write_config(tmp_path / "a.json", train={"lambda": 0.0}, output_dir="run_a")
-        cfg_b = write_config(tmp_path / "b.json", train={"lambda": 10.0}, output_dir="run_b")
-        assert main(["train", "--config", str(cfg_a)]) == 0
-        assert main(["train", "--config", str(cfg_b)]) == 0
-        compare_cfg = write_config(
-            tmp_path / "compare.json",
-            compare={"baseline_run": "run_a", "cml_run": "run_b"},
-        )
+        compare_cfg = self.train_pair(tmp_path)
         out_dir = tmp_path / "cmp"
         assert main(["compare", "--config", str(compare_cfg), "--out", str(out_dir)]) == 0
         comparison = json.loads((out_dir / "comparison.json").read_text())
@@ -351,7 +357,18 @@ class TestCompareCommand:
         err = self.compare_error(tmp_path, capsys, run_dir)
         assert f"{snapshot}: missing key 'resolved_train'" in err
 
-    def test_spec_mismatch_fails(self, tmp_path):
+    def test_snapshot_of_invalid_json_fails_naming_it(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "config.json")
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(run_dir)]) == 0
+        snapshot = run_dir / "config.json"
+        snapshot.write_text("{bad")
+        err = self.compare_error(tmp_path, capsys, run_dir)
+        message = "invalid JSON (Expecting property name enclosed in double quotes at line 1)"
+        assert err == f"error: {snapshot}: {message}\n"
+        assert not (tmp_path / "c").exists()
+
+    def test_spec_mismatch_fails(self, tmp_path, capsys):
         cfg_a = write_config(tmp_path / "a.json", output_dir="run_a")
         cfg_b = write_config(
             tmp_path / "b.json", model={"hidden_dim": 6, "latent_dim": 4}, output_dir="run_b"
@@ -362,7 +379,55 @@ class TestCompareCommand:
             tmp_path / "compare.json",
             compare={"baseline_run": "run_a", "cml_run": "run_b"},
         )
-        assert main(["compare", "--config", str(compare_cfg), "--out", str(tmp_path / "c")]) != 0
+        capsys.readouterr()
+        out = tmp_path / "c"
+        assert main(["compare", "--config", str(compare_cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: runs have different model specs"]
+        assert not out.exists()
+
+    def test_empty_test_manifest_fails(self, tmp_path, capsys):
+        dataset = generate_synthetic(SyntheticSpec.from_json_dict(SYNTHETIC))
+        write_csv_dataset(dataset.take([]), tmp_path / "empty")
+        compare_cfg = self.train_pair(tmp_path, test_manifest="empty/manifest.json")
+        capsys.readouterr()
+        out = tmp_path / "c"
+        assert main(["compare", "--config", str(compare_cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: empty test set"]
+        assert not out.exists()
+
+    def test_one_forward_per_model(self, tmp_path, monkeypatch):
+        compare_cfg = self.train_pair(tmp_path)
+        calls = []
+        classify_core = model.classify_core
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return classify_core(*args, **kwargs)
+
+        for module in (model, trainer):
+            monkeypatch.setattr(module, "classify_core", counting)
+        assert main(["compare", "--config", str(compare_cfg), "--out", str(tmp_path / "c")]) == 0
+        assert len(calls) == 2
+
+    def test_conf_shift_matches_the_per_sample_oracle(self, tmp_path):
+        dataset = generate_synthetic(SyntheticSpec.from_json_dict({**SYNTHETIC, "seed": 9}))
+        write_csv_dataset(dataset, tmp_path / "test")
+        compare_cfg = self.train_pair(tmp_path, test_manifest="test/manifest.json")
+        out = tmp_path / "c"
+        assert main(["compare", "--config", str(compare_cfg), "--out", str(out)]) == 0
+        shift = json.loads((out / "comparison.json").read_text())["mean_abs_conf_shift_full"]
+        test_set = load_csv_dataset(tmp_path / "test" / "manifest.json")
+        (_, params_a), (_, params_b) = (
+            load_checkpoint(tmp_path / run / "checkpoint.bin") for run in ("run_a", "run_b")
+        )
+        total = 0.0
+        for i in range(test_set.num_samples):
+            row = test_set.features(i)
+            conf_a = reference_probs(params_a, row, (0, 1)).max()
+            conf_b = reference_probs(params_b, row, (0, 1)).max()
+            total += abs(conf_a - conf_b)
+        assert shift > 0.0
+        assert shift == pytest.approx(total / test_set.num_samples, rel=1e-12)
 
 
 class TestSweepCommand:
@@ -426,6 +491,53 @@ class TestSweepCommand:
         )
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) != 0
         assert "empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sweep, message",
+        [
+            # Before, the pair was trained first and the error named no key.
+            ({"kind": "noise", "target_sets": []}, "sweep.target_sets: empty, expected"),
+            (
+                {"kind": "noise", "target_sets": [[0], []]},
+                "sweep.target_sets[1]: mask must contain at least one modality",
+            ),
+            (
+                {"kind": "noise", "target_sets": [[1], [7]]},
+                "sweep.target_sets[1]: mask 7 out of range for 2 modalities",
+            ),
+            ({"kind": "noise", "epsilons": []}, "sweep.epsilons: empty, expected"),
+            ({"kind": "lambda", "lambda_grid": []}, "sweep.lambda_grid: empty, expected"),
+        ],
+    )
+    def test_bad_grid_or_target_fails_naming_it_before_training(
+        self, tmp_path, capsys, monkeypatch, sweep, message
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a model was trained before the sweep section was checked")
+
+        monkeypatch.setattr(trainer, "train", no_training)
+        cfg = write_config(tmp_path / "config.json", split={"val_fraction": 0.25}, sweep=sweep)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}")
+        assert not out.exists()
+
+    def test_run_snapshot_of_invalid_json_fails_naming_it(self, tmp_path, capsys):
+        run_cfg = write_config(tmp_path / "run.json", train={"epochs": 1})
+        assert main(["train", "--config", str(run_cfg), "--out", str(tmp_path / "run")]) == 0
+        snapshot = tmp_path / "run" / "config.json"
+        snapshot.write_text("{bad")
+        capsys.readouterr()
+        cfg = write_config(
+            tmp_path / "config.json",
+            sweep={"kind": "noise", "baseline_run": "run", "cml_run": "run"},
+        )
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {snapshot}: invalid JSON (")
+        assert not out.exists()
 
     def test_noise_sweep_csv(self, tmp_path):
         cfg = write_config(

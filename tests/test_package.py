@@ -104,3 +104,62 @@ def test_uncalled_names_reports_names_only_their_own_definition_reads(tmp_path):
     )
     (tmp_path / "tests" / "test_acceptance.py").write_text("from rankcal.lib import Box\nBox()\n")
     assert uncalled_names(tmp_path) == ["lib.UNUSED", "lib.recurse", "lib.Box.unused"]
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_loads(root: Path) -> list[str]:
+    """Loads in `root`'s src/rankcal of another module's underscore name, as "module: x._y".
+
+    Both `from .x import _y` and `x._y`, for a module `x` bound by `from . import x`,
+    count; dunder names do not. The caller check leaves out underscore names on
+    the premise that they are module-private, which this check makes hold.
+    """
+    src = sorted((root / "src" / "rankcal").glob("*.py"))
+    modules = {path.stem for path in src}
+    found = []
+    for path in src:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {}  # local name -> rankcal module
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module or ""  # "" for the package itself
+            if not node.level:
+                if module.partition(".")[0] != "rankcal":
+                    continue
+                module = module.removeprefix("rankcal").lstrip(".")
+            for alias in node.names:
+                if not module and alias.name in modules:
+                    bound[alias.asname or alias.name] = alias.name
+                elif module and _private(alias.name):
+                    found.append(f"{path.stem}: {module}.{alias.name}")
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in bound
+                and _private(node.attr)
+            ):
+                found.append(f"{path.stem}: {bound[node.value.id]}.{node.attr}")
+    return found
+
+
+def test_no_module_loads_another_modules_private_name():
+    assert private_loads(ROOT) == []
+
+
+def test_private_loads_reports_both_forms(tmp_path):
+    pkg = tmp_path / "src" / "rankcal"
+    pkg.mkdir(parents=True)
+    (pkg / "lib.py").write_text("_LIMIT = 3\ndef _helper():\n    return _LIMIT\n")
+    (pkg / "cli.py").write_text(
+        "from . import lib\n"
+        "from .lib import _LIMIT\n"
+        "from rankcal import lib as other\n"
+        "def main():\n"
+        "    return lib._helper() + other.__name__.count('.') + _LIMIT + lib.__doc__\n"
+    )
+    assert private_loads(tmp_path) == ["cli: lib._LIMIT", "cli: lib._helper"]

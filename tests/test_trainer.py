@@ -276,8 +276,9 @@ class TestEvaluate:
         assert sorted(result.report.mean_confidence_by_subset_size) == [1, 2]
 
     @pytest.mark.parametrize("mode, repeats", [("exhaustive", 1), ("sampled", 1), ("sampled", 3)])
-    def test_one_forward_per_vrr_draw(self, monkeypatch, mode, repeats):
-        # Every forward, batched or stacked, runs the classifier half once.
+    def test_one_forward_per_evaluate(self, monkeypatch, mode, repeats):
+        # Every forward, batched or stacked, runs the classifier half once; sampled
+        # repeats share one forward.
         calls = []
         classify_core = model.classify_core
 
@@ -289,7 +290,7 @@ class TestEvaluate:
             monkeypatch.setattr(module, "classify_core", counting)
         _, test_set = make_sets(per_class=5)
         evaluate(init_params(MODEL, seed=0), test_set, config(vrr_mode=mode, vrr_repeats=repeats))
-        assert len(calls) == repeats
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("mode, repeats", [("exhaustive", 1), ("sampled", 2)])
     def test_full_probs_match_the_full_mask_records(self, mode, repeats):
@@ -359,6 +360,14 @@ class TestLambdaSweep:
         train_set, test_set = make_sets(per_class=20)
         with pytest.raises(ConfigError):
             lambda_sweep(config(), [], train_set, test_set)
+
+    def test_process_pool_matches_the_serial_run(self):
+        train_set, test_set = make_sets(per_class=20)
+        grid = [0.0, 5.0, 50.0]
+        serial = lambda_sweep(config(epochs=1), grid, train_set, test_set)
+        pooled = lambda_sweep(config(epochs=1), grid, train_set, test_set, jobs=2)
+        assert pooled.rows == serial.rows
+        assert pooled.best_lambda == serial.best_lambda
 
     @pytest.mark.parametrize("jobs", [0, -4])
     def test_non_positive_jobs_rejected_naming_jobs(self, jobs):
