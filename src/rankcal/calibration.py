@@ -30,7 +30,7 @@ import numpy as np
 
 from .data import write_text
 from .errors import CapabilityError, ConfigError, EmptyInputError, SpecError
-from .model import ClassifierParams, backward_masks, forward_core, forward_masks, mask_weights
+from .model import ClassifierParams, backward_masks, forward_core, mask_weights
 from .numerics import Array
 
 REGULARIZER_VARIANTS = ("hinge", "difference", "none")
@@ -328,7 +328,7 @@ def evaluate_vrr(
             chains.append(chain_presence(removal_orders(rng, num_samples, num_modalities)))
         # The repeats' chains side by side on the mask axis, classified in one forward.
         presence = np.concatenate(chains, axis=1)
-        fwd = forward_masks(params, dataset.modalities, presence)
+        fwd = forward_core(params, dataset.modalities, mask_weights(presence))
         conf, code = fwd.confidence, presence @ bits
         full_col = 0  # repeat 0's chains start at the full set
         full_probs = fwd.mask_probs(full_col)

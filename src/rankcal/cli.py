@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -41,7 +40,7 @@ _CONFIG_SCHEMA = {
     "standardize": bool,
     "output_dir": str,
 }
-_COMPARE_SCHEMA = {"baseline_run": str, "cml_run": str, "test_manifest": str}
+_COMPARE_SCHEMA = {"baseline_run": str, "cml_run": str}
 _SWEEP_SCHEMA = {
     "kind": str,
     "lambda_grid": list[float],
@@ -61,11 +60,7 @@ _SWEEP_KEYS = {
 def _load_config(path: Path) -> dict:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc.msg} at line {exc.lineno})") from None
+    cfg = data.read_json(path)
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     cfg = check_section("", cfg, _CONFIG_SCHEMA)
@@ -168,13 +163,6 @@ def _build_train_config(cfg: dict, model_spec: ModelSpec, seed_override: int | N
     return config
 
 
-def _write_json(path: Path, obj: dict) -> None:
-    """Write `obj` as strict JSON; a NaN or infinity fails before the file is opened."""
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
-
-
 def _out_dir(cfg: dict, base: Path, override: str | None, default: str) -> Path:
     if override is not None:
         return Path(override)
@@ -207,15 +195,13 @@ def _write_run_dir(
     snapshot["resolved_train"] = config.to_json_dict()
     # The timestamp is the single non-reproducible key in the run directory.
     snapshot["meta"] = {"written_at": datetime.now(timezone.utc).isoformat()}
-    _write_json(run_dir / CONFIG_SNAPSHOT_NAME, snapshot)
-    with open(run_dir / HISTORY_NAME, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("epoch,cls_loss,cml_loss,train_acc\n")
-        for epoch, stats in enumerate(result.history):
-            fh.write(
-                f"{epoch},{stats.cls_loss:.9g},{stats.reg_loss:.9g},{stats.train_accuracy:.9g}\n"
-            )
-    with open(run_dir / METRICS_NAME, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(result.report.to_json())
+    data.write_json(run_dir / CONFIG_SNAPSHOT_NAME, snapshot)
+    history = "".join(
+        f"{epoch},{stats.cls_loss:.9g},{stats.reg_loss:.9g},{stats.train_accuracy:.9g}\n"
+        for epoch, stats in enumerate(result.history)
+    )
+    data.write_text(run_dir / HISTORY_NAME, "epoch,cls_loss,cml_loss,train_acc\n" + history)
+    data.write_json(run_dir / METRICS_NAME, result.report.to_json_dict())
     save_checkpoint(run_dir / CHECKPOINT_NAME, result.params)
     calibration.write_records_csv(run_dir / RECORDS_NAME, result.vrr_evaluation.records)
 
@@ -239,12 +225,7 @@ def cmd_train(config_path: Path, out_override: str | None, seed_override: int | 
 def _load_run(run_dir: Path) -> tuple[ClassifierParams, trainer.TrainConfig]:
     spec, params = load_checkpoint(run_dir / CHECKPOINT_NAME)
     snapshot_path = run_dir / CONFIG_SNAPSHOT_NAME
-    with open(snapshot_path, "r", encoding="utf-8") as fh:
-        try:
-            snapshot = json.load(fh)
-        except json.JSONDecodeError as exc:
-            message = f"invalid JSON ({exc.msg} at line {exc.lineno})"
-            raise StateError(f"{snapshot_path}: {message}") from None
+    snapshot = data.read_json(snapshot_path)
     if not isinstance(snapshot, dict) or "resolved_train" not in snapshot:
         raise StateError(f"{snapshot_path}: missing key 'resolved_train'")
     return params, trainer.TrainConfig.from_json_dict(snapshot["resolved_train"], spec)
@@ -260,10 +241,7 @@ def cmd_compare(config_path: Path, out_override: str | None) -> int:
     params_b, config_b = _load_run(_resolve(base, compare_cfg["cml_run"]))
     if params_a.spec != params_b.spec:
         raise ConfigError("runs have different model specs")
-    if "test_manifest" in compare_cfg:
-        test_set = data.load_csv_dataset(_resolve(base, compare_cfg["test_manifest"]))
-    else:
-        test_set = _prepare(cfg, base).test
+    test_set = _prepare(cfg, base).test
     report_a, vrr_a = trainer.evaluate_with_vrr(params_a, test_set, config_a)
     report_b, vrr_b = trainer.evaluate_with_vrr(params_b, test_set, config_b)
     # The full-mask confidences of each model's evaluation forward: no forward of its own.
@@ -277,16 +255,14 @@ def cmd_compare(config_path: Path, out_override: str | None) -> int:
     }
     out = _out_dir(cfg, base, out_override, "compare")
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "comparison.json", comparison)
-    sizes = sorted(
-        set(report_a.mean_confidence_by_subset_size) | set(report_b.mean_confidence_by_subset_size)
+    data.write_json(out / "comparison.json", comparison)
+    conf_a = report_a.mean_confidence_by_subset_size
+    conf_b = report_b.mean_confidence_by_subset_size
+    curve = "subset_size,conf_baseline,conf_cml\n" + "".join(
+        f"{size},{conf_a.get(size, math.nan):.9g},{conf_b.get(size, math.nan):.9g}\n"
+        for size in sorted(set(conf_a) | set(conf_b))
     )
-    with open(out / "confidence_by_subset_size.csv", "w", encoding="ascii", newline="\n") as fh:
-        fh.write("subset_size,conf_baseline,conf_cml\n")
-        for size in sizes:
-            conf_a = report_a.mean_confidence_by_subset_size.get(size, float("nan"))
-            conf_b = report_b.mean_confidence_by_subset_size.get(size, float("nan"))
-            fh.write(f"{size},{conf_a:.9g},{conf_b:.9g}\n")
+    data.write_text(out / "confidence_by_subset_size.csv", curve)
     print(
         f"vrr_delta={comparison['vrr_delta_pct']:.2f} "
         f"acc_delta={comparison['accuracy_delta_pct']:.2f} "
@@ -353,14 +329,14 @@ def cmd_sweep(
         grid = sweep_cfg.get("lambda_grid", list(trainer.DEFAULT_LAMBDA_GRID))
         result = trainer.lambda_sweep(config, grid, prepared.train, prepared.val, jobs=jobs or 1)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "sweep_lambda.csv", "w", encoding="ascii", newline="\n") as fh:
-            fh.write("lambda,val_acc,val_vrr\n")
-            for row in result.rows:
-                if row.failed:
-                    fh.write(f"{row.lam:.9g},failed,failed\n")
-                else:
-                    fh.write(f"{row.lam:.9g},{row.val_accuracy:.9g},{row.val_vrr_pct:.9g}\n")
-        _write_json(out / "sweep_lambda.json", {"best_lambda": result.best_lambda})
+        table = "".join(
+            f"{row.lam:.9g},failed,failed\n"
+            if row.failed
+            else f"{row.lam:.9g},{row.val_accuracy:.9g},{row.val_vrr_pct:.9g}\n"
+            for row in result.rows
+        )
+        data.write_text(out / "sweep_lambda.csv", "lambda,val_acc,val_vrr\n" + table)
+        data.write_json(out / "sweep_lambda.json", {"best_lambda": result.best_lambda})
         print(f"best_lambda={result.best_lambda:g}")
         return 0
 
@@ -390,11 +366,12 @@ def cmd_sweep(
         seed=config.seed,
     )
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sweep_noise.csv", "w", encoding="ascii", newline="\n") as fh:
-        fh.write("param,acc_baseline,acc_cml,delta\n")
-        for row in rows:
-            param = f"eps={row.epsilon:g};on={row.targets.format()}"
-            fh.write(f"{param},{row.acc_baseline:.9g},{row.acc_cml:.9g},{row.delta:.9g}\n")
+    table = "".join(
+        f"eps={row.epsilon:g};on={row.targets.format()},"
+        f"{row.acc_baseline:.9g},{row.acc_cml:.9g},{row.delta:.9g}\n"
+        for row in rows
+    )
+    data.write_text(out / "sweep_noise.csv", "param,acc_baseline,acc_cml,delta\n" + table)
     print(f"wrote {out / 'sweep_noise.csv'} ({len(rows)} rows)")
     return 0
 

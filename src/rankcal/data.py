@@ -1,4 +1,7 @@
-"""Synthetic multimodal datasets, CSV ingestion, splits, and Gaussian corruption.
+"""Synthetic multimodal datasets, text-file I/O, splits, and Gaussian corruption.
+
+Every JSON and CSV file goes through this module (model.py keeps the binary
+checkpoint), and a bad byte or line fails as a ParseError naming its file and line.
 
 A Dataset checks its blocks and labels when it is built, so every dataset that
 reaches the model is one it can run on; nothing downstream checks them again.
@@ -260,8 +263,7 @@ def write_csv_dataset(dataset: Dataset, out_dir) -> Path:
         "labels": labels_name,
     }
     manifest_path = out / "manifest.json"
-    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
-    write_text(manifest_path, text + "\n")
+    write_json(manifest_path, manifest)
     return manifest_path
 
 
@@ -269,6 +271,45 @@ def write_text(path: Path, text: str) -> None:
     """Write an ASCII text file in one call."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(text)
+
+
+def json_text(obj) -> str:
+    """Indented, key-sorted ASCII JSON with a final newline; a NaN or infinity raises ValueError."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def write_json(path: Path, obj) -> None:
+    """Write `obj` as json_text; a NaN or infinity fails before the file is opened."""
+    write_text(path, json_text(obj))
+
+
+def read_json(path: Path):
+    """The value of a UTF-8 JSON file; a bad byte or bad syntax fails naming its line."""
+    raw = path.read_bytes()
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(str(path), line, f"not UTF-8 (byte 0x{raw[exc.start]:02x})") from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(str(path), exc.lineno, f"invalid JSON ({exc.msg})") from None
+
+
+def _text_lines(path: Path, raw: bytes):
+    """(line number, stripped text) of each nonempty line of an ASCII file's bytes.
+
+    Lines end at \\n, \\r\\n or \\r, as in a file read in text mode. A byte
+    outside ASCII fails as a ParseError naming its line.
+    """
+    lines = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            text = line.decode("ascii").strip()
+        except UnicodeDecodeError as exc:
+            message = f"not ASCII (byte 0x{line[exc.start]:02x})"
+            raise ParseError(str(path), lineno, message) from None
+        if text:
+            yield lineno, text
 
 
 # The only bytes the C-level parse may see. Anything else (letters as in nan/inf,
@@ -286,8 +327,7 @@ def _load_modality_csv(path: Path, dim: int) -> np.ndarray:
     non-finite value) is decided by _read_modality_lines, the one reader that
     names the offending line, so both paths give the same array or error.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    raw = path.read_bytes()
     if not raw.translate(None, _NUMERIC_CSV_BYTES):
         try:
             with warnings.catch_warnings():
@@ -300,37 +340,29 @@ def _load_modality_csv(path: Path, dim: int) -> np.ndarray:
         else:
             if block.shape[1] == dim and np.isfinite(block).all():
                 return block
-    return _read_modality_lines(path, dim)
+    return _read_modality_lines(path, raw, dim)
 
 
-def _read_modality_lines(path: Path, dim: int) -> np.ndarray:
+def _read_modality_lines(path: Path, raw: bytes, dim: int) -> np.ndarray:
     rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != dim:
-                raise ParseError(str(path), lineno, f"expected {dim} columns, got {len(cells)}")
-            try:
-                row = [float(c) for c in cells]
-            except ValueError:
-                raise ParseError(str(path), lineno, f"non-numeric cell in {line!r}") from None
-            if not all(math.isfinite(v) for v in row):
-                raise ParseError(str(path), lineno, f"non-finite cell in {line!r}")
-            rows.append(row)
+    for lineno, line in _text_lines(path, raw):
+        cells = line.split(",")
+        if len(cells) != dim:
+            raise ParseError(str(path), lineno, f"expected {dim} columns, got {len(cells)}")
+        try:
+            row = [float(c) for c in cells]
+        except ValueError:
+            raise ParseError(str(path), lineno, f"non-numeric cell in {line!r}") from None
+        if not all(math.isfinite(v) for v in row):
+            raise ParseError(str(path), lineno, f"non-finite cell in {line!r}")
+        rows.append(row)
     return np.asarray(rows, dtype=np.float64).reshape(len(rows), dim)
 
 
 def load_csv_dataset(manifest_path) -> Dataset:
     """Load a dataset from a manifest JSON and its referenced CSV files."""
     manifest_path = Path(manifest_path)
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(str(manifest_path), exc.lineno, exc.msg) from None
+    manifest = read_json(manifest_path)
     try:
         manifest = check_section("manifest", manifest, _MANIFEST_SCHEMA, _MANIFEST_SCHEMA)
         entries = [
@@ -367,8 +399,7 @@ def _load_labels(path: Path, num_classes: int) -> np.ndarray:
     _LABEL_BYTES and every label is in range; every other file is decided by
     _read_label_lines, the reader that names the offending line.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    raw = path.read_bytes()
     if not raw.translate(None, _LABEL_BYTES):
         try:
             labels = np.array(raw.split(), dtype=np.int64)
@@ -377,24 +408,19 @@ def _load_labels(path: Path, num_classes: int) -> np.ndarray:
         else:
             if ((labels >= 0) & (labels < num_classes)).all():
                 return labels
-    return _read_label_lines(path, num_classes)
+    return _read_label_lines(path, raw, num_classes)
 
 
-def _read_label_lines(path: Path, num_classes: int) -> np.ndarray:
+def _read_label_lines(path: Path, raw: bytes, num_classes: int) -> np.ndarray:
     labels = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                value = int(line)
-            except ValueError:
-                raise ParseError(str(path), lineno, f"non-integer label {line!r}") from None
-            if not 0 <= value < num_classes:
-                message = f"label {value} out of range [0, {num_classes})"
-                raise ParseError(str(path), lineno, message)
-            labels.append(value)
+    for lineno, line in _text_lines(path, raw):
+        try:
+            value = int(line)
+        except ValueError:
+            raise ParseError(str(path), lineno, f"non-integer label {line!r}") from None
+        if not 0 <= value < num_classes:
+            raise ParseError(str(path), lineno, f"label {value} out of range [0, {num_classes})")
+        labels.append(value)
     return np.asarray(labels, dtype=np.int64)
 
 

@@ -12,11 +12,11 @@ NLL x10, AURC and E-AURC x1000, VRR as a percentage.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .data import json_text
 from .numerics import Array
 
 NLL_SCALE = 10.0
@@ -87,8 +87,8 @@ class MetricsReport:
         return obj
 
     def to_json(self) -> str:
-        """Strict JSON: a NaN or infinite field raises ValueError."""
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
+        """The report as json_text: a NaN or infinite field raises ValueError."""
+        return json_text(self.to_json_dict())
 
 
 def build_report(

@@ -6,16 +6,16 @@ mean and fed to a shared linear head. Removing a modality is a zero fusion
 weight in the mask, never zero-filled features, so the same parameters serve
 every subset.
 
-One batched path serves training and evaluation: forward_masks encodes every
+One batched path serves training and evaluation: forward_core encodes every
 modality of a batch of rows once and classifies it under K masks at a time,
-given as a presence tensor, and backward_masks returns the matching parameter
-gradients. Neither checks its inputs: the feature blocks come from a
-data.Dataset, which checked them when it was built, and the callers check the
-model spec against the data once per run. forward_masks only turns the
-presence into mask weights (mask_weights) for forward_core, which takes the
-weights directly so training converts them once per epoch. forward_core is
-its encoder half (encode_core) followed by its classifier half
-(classify_core); the noise sweep calls the halves itself, on stacked copies.
+given as the mask weights of a presence tensor (mask_weights), and
+backward_masks returns the matching parameter gradients. Neither checks its
+inputs: the feature blocks come from a data.Dataset, which checked them when it
+was built, and the callers check the model spec against the data once per run.
+Every caller converts presence to weights itself, so training does it once per
+epoch. forward_core is its encoder half (encode_core) followed by its
+classifier half (classify_core); the noise sweep calls the halves itself, on
+stacked copies.
 A ClassifierParams carries the ModelSpec it was built for, the one statement of
 its shapes, and holds every parameter as a view into one flat vector. Every
 encoder has the spec's hidden and latent sizes, so each encoder layer's
@@ -30,7 +30,7 @@ import itertools
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -222,19 +222,15 @@ def mask_weights(presence) -> Array:
     return presence / presence.sum(axis=-1, keepdims=True)
 
 
-def forward_masks(params: ClassifierParams, features: Sequence[Array], presence) -> MaskedForward:
+def forward_core(params: ClassifierParams, blocks: list[Array], weights) -> MaskedForward:
     """Encode each modality once for all rows, then mean-fuse and classify per mask.
 
-    `features[m]` is the (B, d_m) float64 block of modality m, and `presence`
-    the (K, M) or (B, K, M) boolean masks, each with at least one modality.
-    A modality outside a mask gets a zero fusion weight there, so for finite
-    parameters its latent adds exactly zero to that mask's fused latent.
+    `blocks[m]` is the (B, d_m) float64 block of modality m, and `weights` the
+    mask_weights of (K, M) or (B, K, M) boolean masks, each with at least one
+    modality. A modality outside a mask gets a zero fusion weight there, so for
+    finite parameters its latent adds exactly zero to that mask's fused latent.
+    This is encode_core followed by classify_core.
     """
-    return forward_core(params, list(features), mask_weights(np.asarray(presence, dtype=bool)))
-
-
-def forward_core(params: ClassifierParams, blocks: list[Array], weights) -> MaskedForward:
-    """forward_masks on mask weights: encode_core followed by classify_core."""
     hidden, latents = encode_core(params, blocks)
     fused, exp, sums = classify_core(params, weights, latents)
     return MaskedForward(blocks, hidden, weights, fused, exp, sums)

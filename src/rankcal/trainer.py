@@ -358,7 +358,7 @@ def noise_sweep(
     at most NOISE_SWEEP_ROWS test rows (at least one cell): each model encodes
     the clean blocks once per sweep and each modality's corrupted copies in
     one stacked call per chunk, then classifies every cell of the chunk in one
-    call. Each cell's arithmetic is that of a full-mask forward_masks on its
+    call. Each cell's arithmetic is that of a full-mask forward_core on its
     copy, so every accuracy is bit for bit the per-cell one. A floating-point
     overflow, division by zero or invalid operation raises a NumericError.
     """

@@ -1,7 +1,7 @@
 """Per-sample reference model, chain objective, VRR records and CSV I/O: oracles for the batched path.
 
 Plain loops over one sample, one mask, one pair or one cell at a time, written
-independently of rankcal's batched forward_masks/backward_masks/chain_objective,
+independently of rankcal's batched forward_core/backward_masks/chain_objective,
 its columnar VRR records and AURC, and its block CSV reader/writer, so tests
 can compare the two. Alongside them are the small oracles that only tests
 use: the divided-out softmax, the NLL gradient, the confidence increment, a
@@ -30,7 +30,7 @@ from rankcal.calibration import chain_objective, chain_presence, removal_orders
 from rankcal.data import CorruptionSpec, Dataset, corrupt_block
 from rankcal.errors import DivergenceError, DomainError, MaskError, NumericError, ParseError
 from rankcal.errors import SpecError
-from rankcal.model import ClassifierParams, SubsetMask, forward_masks, init_params
+from rankcal.model import ClassifierParams, SubsetMask, forward_core, init_params, mask_weights
 from rankcal.numerics import adam_update, describe_bad, init_adam_state, softmax_parts
 
 
@@ -439,9 +439,10 @@ def reference_train(config, train_set):
 
 
 def full_mask_accuracy(params, dataset) -> float:
-    """Percent of rows whose full-mask forward_masks prediction is their label."""
+    """Percent of rows whose full-mask forward_core prediction is their label."""
     full = np.ones((1, dataset.num_modalities), dtype=bool)
-    classes = predicted_classes(forward_masks(params, dataset.modalities, full))[:, 0]
+    fwd = forward_core(params, dataset.modalities, mask_weights(full))
+    classes = predicted_classes(fwd)[:, 0]
     return 100.0 * int(np.sum(classes == dataset.labels)) / dataset.num_samples
 
 

@@ -22,7 +22,8 @@ from rankcal.calibration import (
 )
 from rankcal.data import Dataset
 from rankcal.errors import CapabilityError, ConfigError, DomainError, EmptyInputError, SpecError
-from rankcal.model import ClassifierParams, ModelSpec, backward_masks, forward_masks, init_params
+from rankcal.model import ClassifierParams, ModelSpec, backward_masks, forward_core, init_params
+from rankcal.model import mask_weights
 
 from gradcheck import grad_check
 from reference import (
@@ -280,7 +281,7 @@ class TestCompositeGradient:
         for b in range(4):
             row = [x[b : b + 1] for x in feats]
             for mask in chains[b]:
-                fwd = forward_masks(params, row, mask[None, :])
+                fwd = forward_core(params, row, mask_weights(mask[None, :]))
                 g = nll_loss_grad(fwd.probs, labels[b]) / 3
                 reference += backward_masks(params, fwd, g).flat
         assert np.allclose(res.grads.flat, reference, rtol=1e-12, atol=1e-15)
@@ -515,7 +516,7 @@ class TestColumnarRecords:
         m = dataset.num_modalities
         lattice = np.arange(1, 1 << m)
         presence = (lattice[:, None] & (1 << np.arange(m))) > 0
-        table = forward_masks(params, dataset.modalities, presence).confidence
+        table = forward_core(params, dataset.modalities, mask_weights(presence)).confidence
         return lambda i, mask: float(table[i, sum(1 << j for j in mask) - 1])
 
     @pytest.mark.parametrize("num_modalities", [3, 5])
@@ -581,15 +582,15 @@ class TestMeanConfidenceBySubsetSize:
         # set always does) names a different confidence each time. As in a dict
         # keyed by (sample, mask), the mean takes each one at its first position
         # with its last value.
-        def blended(params, features, presence):
-            fwd = forward_masks(params, features, presence)
+        def blended(params, blocks, weights):
+            fwd = forward_core(params, blocks, weights)
             repeat = np.arange(fwd.exp.shape[1]) // num_modalities
             share = 0.1 * repeat[:, None]
             probs = (1 - share) * fwd.probs + share / fwd.exp.shape[-1]
             top = probs.max(axis=-1)  # kept as the forward keeps it: exp at the argmax is 1.0
             return replace(fwd, exp=probs / top[..., None], sums=1.0 / top)
 
-        monkeypatch.setattr(calibration, "forward_masks", blended)
+        monkeypatch.setattr(calibration, "forward_core", blended)
         spec = ModelSpec(tuple(range(2, 2 + num_modalities)), 6, 4, 3)
         result = evaluate_vrr(init_params(spec, 1), random_dataset(spec, 9, 4), seed=3, repeats=4)
         full = (1 << num_modalities) - 1

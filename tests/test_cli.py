@@ -7,10 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankcal import cli, model, trainer
+from rankcal import cli, data, model, trainer
 from rankcal.cli import main
 from rankcal.data import Dataset, SyntheticSpec, generate_synthetic, load_csv_dataset
-from rankcal.data import write_csv_dataset
+from rankcal.data import standardize_apply, standardize_fit, write_csv_dataset
 from rankcal.model import load_checkpoint
 
 from reference import reference_probs
@@ -36,14 +36,11 @@ def config_with_test_row(tmp_path: Path, modality: int, row, **overrides) -> Pat
     dataset.modalities[modality][0] = row
     write_csv_dataset(dataset, tmp_path / "test")
     overrides["data"] = {"test_manifest": "test/manifest.json", **overrides.get("data", {})}
-    cfg = write_config(tmp_path / "config.json", **overrides)
-    written = json.loads(cfg.read_text())
-    del written["split"]
-    cfg.write_text(json.dumps(written))
-    return cfg
+    return write_config(tmp_path / "config.json", split=None, **overrides)
 
 
 def write_config(path: Path, **overrides) -> Path:
+    """A small training config with `overrides` merged in; an override of None drops its key."""
     cfg = {
         "data": {"synthetic": dict(SYNTHETIC)},
         "split": {"train_fraction": 0.8, "seed": 0},
@@ -59,7 +56,9 @@ def write_config(path: Path, **overrides) -> Path:
         "output_dir": "out",
     }
     for key, value in overrides.items():
-        if isinstance(value, dict) and isinstance(cfg.get(key), dict):
+        if value is None:
+            del cfg[key]
+        elif isinstance(value, dict) and isinstance(cfg.get(key), dict):
             cfg[key].update(value)
         else:
             cfg[key] = value
@@ -262,14 +261,18 @@ class TestTrainCommand:
 
 class TestCompareCommand:
     @staticmethod
-    def train_pair(tmp_path, **compare) -> Path:
-        """Train run_a (lambda 0) and run_b (lambda 10); the config comparing them."""
-        cfg_a = write_config(tmp_path / "a.json", train={"lambda": 0.0}, output_dir="run_a")
-        cfg_b = write_config(tmp_path / "b.json", train={"lambda": 10.0}, output_dir="run_b")
-        assert main(["train", "--config", str(cfg_a)]) == 0
-        assert main(["train", "--config", str(cfg_b)]) == 0
-        compare = {"baseline_run": "run_a", "cml_run": "run_b", **compare}
-        return write_config(tmp_path / "compare.json", compare=compare)
+    def train_pair(tmp_path, **overrides) -> Path:
+        """Train run_a (lambda 0) and run_b (lambda 10); the config comparing them.
+
+        `overrides` go into all three configs.
+        """
+        for run, lam in (("run_a", 0.0), ("run_b", 10.0)):
+            cfg = write_config(
+                tmp_path / f"{run}.json", train={"lambda": lam}, output_dir=run, **overrides
+            )
+            assert main(["train", "--config", str(cfg)]) == 0
+        compare = {"baseline_run": "run_a", "cml_run": "run_b"}
+        return write_config(tmp_path / "compare.json", compare=compare, **overrides)
 
     def test_compare_run_with_itself_zero_deltas(self, tmp_path):
         cfg = write_config(tmp_path / "config.json")
@@ -364,8 +367,8 @@ class TestCompareCommand:
         snapshot = run_dir / "config.json"
         snapshot.write_text("{bad")
         err = self.compare_error(tmp_path, capsys, run_dir)
-        message = "invalid JSON (Expecting property name enclosed in double quotes at line 1)"
-        assert err == f"error: {snapshot}: {message}\n"
+        message = "invalid JSON (Expecting property name enclosed in double quotes)"
+        assert err == f"error: {snapshot}:1: {message}\n"
         assert not (tmp_path / "c").exists()
 
     def test_spec_mismatch_fails(self, tmp_path, capsys):
@@ -388,7 +391,13 @@ class TestCompareCommand:
     def test_empty_test_manifest_fails(self, tmp_path, capsys):
         dataset = generate_synthetic(SyntheticSpec.from_json_dict(SYNTHETIC))
         write_csv_dataset(dataset.take([]), tmp_path / "empty")
-        compare_cfg = self.train_pair(tmp_path, test_manifest="empty/manifest.json")
+        self.train_pair(tmp_path)
+        compare_cfg = write_config(
+            tmp_path / "compare.json",
+            data={"test_manifest": "empty/manifest.json"},
+            split=None,
+            compare={"baseline_run": "run_a", "cml_run": "run_b"},
+        )
         capsys.readouterr()
         out = tmp_path / "c"
         assert main(["compare", "--config", str(compare_cfg), "--out", str(out)]) == 1
@@ -412,11 +421,14 @@ class TestCompareCommand:
     def test_conf_shift_matches_the_per_sample_oracle(self, tmp_path):
         dataset = generate_synthetic(SyntheticSpec.from_json_dict({**SYNTHETIC, "seed": 9}))
         write_csv_dataset(dataset, tmp_path / "test")
-        compare_cfg = self.train_pair(tmp_path, test_manifest="test/manifest.json")
+        sources = {"data": {"test_manifest": "test/manifest.json"}, "split": None}
+        compare_cfg = self.train_pair(tmp_path, **sources)
         out = tmp_path / "c"
         assert main(["compare", "--config", str(compare_cfg), "--out", str(out)]) == 0
         shift = json.loads((out / "comparison.json").read_text())["mean_abs_conf_shift_full"]
-        test_set = load_csv_dataset(tmp_path / "test" / "manifest.json")
+        # The runs saw the test rows standardized on their train rows, all of SYNTHETIC.
+        stats = standardize_fit(generate_synthetic(SyntheticSpec.from_json_dict(SYNTHETIC)))
+        test_set = standardize_apply(load_csv_dataset(tmp_path / "test" / "manifest.json"), stats)
         (_, params_a), (_, params_b) = (
             load_checkpoint(tmp_path / run / "checkpoint.bin") for run in ("run_a", "run_b")
         )
@@ -428,6 +440,18 @@ class TestCompareCommand:
             total += abs(conf_a - conf_b)
         assert shift > 0.0
         assert shift == pytest.approx(total / test_set.num_samples, rel=1e-12)
+
+    def test_reports_match_the_runs_own_metrics_on_a_test_manifest(self, tmp_path):
+        # compare builds the test set as train did, standardized on the same train rows.
+        dataset = generate_synthetic(SyntheticSpec.from_json_dict({**SYNTHETIC, "seed": 9}))
+        write_csv_dataset(dataset, tmp_path / "test")
+        sources = {"data": {"test_manifest": "test/manifest.json"}, "split": None}
+        compare_cfg = self.train_pair(tmp_path, **sources)
+        out = tmp_path / "c"
+        assert main(["compare", "--config", str(compare_cfg), "--out", str(out)]) == 0
+        comparison = json.loads((out / "comparison.json").read_text())
+        for side, run in (("baseline", "run_a"), ("cml", "run_b")):
+            assert comparison[side] == json.loads((tmp_path / run / "metrics.json").read_text())
 
 
 class TestSweepCommand:
@@ -536,7 +560,7 @@ class TestSweepCommand:
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"error: {snapshot}: invalid JSON (")
+        assert len(err) == 1 and err[0].startswith(f"error: {snapshot}:1: invalid JSON (")
         assert not out.exists()
 
     def test_noise_sweep_csv(self, tmp_path):
@@ -578,11 +602,9 @@ class TestSweepCommand:
         cfg = write_config(
             tmp_path / "config.json",
             data={"test_manifest": "empty/manifest.json"},
+            split=None,  # a test manifest without split.val_fraction leaves it unread
             sweep={"kind": "noise", "epsilons": [0.1]},
         )
-        written = json.loads(cfg.read_text())
-        del written["split"]  # a test manifest without split.val_fraction leaves it unread
-        cfg.write_text(json.dumps(written))
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == ["error: empty test set"]
@@ -657,7 +679,7 @@ class TestNumericBoundary:
     def test_json_files_are_strict(self, tmp_path):
         path = tmp_path / "out.json"
         with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
-            cli._write_json(path, {"nll_raw": float("inf")})
+            data.write_json(path, {"nll_raw": float("inf")})
         assert not path.exists()
 
 
@@ -675,6 +697,12 @@ class TestCommandSections:
                 "compare",
                 {"compare": {"baseline_run": "run", "cml_run": "run", "test_manfest": "x"}},
                 "compare.test_manfest: unknown key",
+            ),
+            (
+                # Removed: it scored unstandardized rows. data.test_manifest names a test set.
+                "compare",
+                {"compare": {"baseline_run": "run", "cml_run": "run", "test_manifest": "x"}},
+                "compare.test_manifest: unknown key",
             ),
             (
                 "sweep",
@@ -934,6 +962,45 @@ class TestCommandSections:
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: exhaustive enumeration capped at 5 modalities, got 6"]
+        assert not out.exists()
+
+
+class TestUndecodableBytes:
+    """Every text file the CLI reads fails on a bad byte with one line naming the file and line."""
+
+    @pytest.mark.parametrize(
+        "path, byte",
+        [
+            pytest.param("config.json", b"\xc3", id="config"),
+            pytest.param("run/config.json", b"\xff", id="run-snapshot"),
+            pytest.param("ds/manifest.json", b"\xff", id="manifest"),
+            pytest.param("ds/modality_1.csv", b"\xc3", id="modality-csv"),
+            pytest.param("ds/labels.csv", b"\xff", id="labels-csv"),
+        ],
+    )
+    def test_fails_naming_file_and_line(self, tmp_path, capsys, path, byte):
+        dataset = generate_synthetic(SyntheticSpec.from_json_dict(SYNTHETIC))
+        write_csv_dataset(dataset, tmp_path / "ds")
+        cfg = write_config(tmp_path / "config.json", train={"epochs": 1})
+        command = "train"
+        if path.startswith("run/"):
+            assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+            compare = {"baseline_run": "run", "cml_run": "run"}
+            cfg = write_config(tmp_path / "config.json", compare=compare)
+            command = "compare"
+        elif path.startswith("ds/"):
+            sources = {"data": {"test_manifest": "ds/manifest.json"}, "split": None}
+            cfg = write_config(tmp_path / "config.json", train={"epochs": 1}, **sources)
+        path = tmp_path / path
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = lines[2][:3] + byte + lines[2][3:]
+        path.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        encoding = "UTF-8" if path.suffix == ".json" else "ASCII"
+        message = f"error: {path}:3: not {encoding} (byte 0x{byte.hex()})"
+        assert capsys.readouterr().err.splitlines() == [message]
         assert not out.exists()
 
 

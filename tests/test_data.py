@@ -290,7 +290,7 @@ class TestModalityCsvReader:
         dataset = fixture_dataset()
         write_csv_dataset(dataset, tmp_path)
 
-        def unexpected(path, dim):
+        def unexpected(path, raw, dim):
             raise AssertionError(f"{path} went to the line-wise reader")
 
         monkeypatch.setattr(data, "_read_modality_lines", unexpected)
@@ -357,11 +357,13 @@ class TestLabelsReader:
     )
     def test_same_outcome_as_the_line_reader(self, tmp_path, text):
         path = tmp_path / "labels.csv"
-        path.write_bytes(text.encode("ascii"))
+        raw = text.encode("ascii")
+        path.write_bytes(raw)
         outcomes = []
-        for read in (data._load_labels, data._read_label_lines):
+        readers = (lambda: data._load_labels(path, 2), lambda: data._read_label_lines(path, raw, 2))
+        for read in readers:
             try:
-                labels = read(path, 2)
+                labels = read()
             except ParseError as exc:
                 outcomes.append((exc.line, str(exc)))
             else:

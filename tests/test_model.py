@@ -16,9 +16,10 @@ from rankcal.model import (
     classify_core,
     encode_copies,
     encode_core,
-    forward_masks,
+    forward_core,
     init_params,
     load_checkpoint,
+    mask_weights,
     param_shapes,
     save_checkpoint,
 )
@@ -43,11 +44,11 @@ def zero_params(spec: ModelSpec) -> ClassifierParams:
 
 
 def run(params, feats, *masks):
-    """forward_masks on the given masks, shared by every row."""
+    """forward_core on the given masks, shared by every row."""
     presence = np.zeros((len(masks), len(params.w1)), dtype=bool)
     for k, mask in enumerate(masks):
         presence[k, list(mask.present)] = True
-    return forward_masks(params, feats, presence)
+    return forward_core(params, feats, mask_weights(presence))
 
 
 def encoder(params, m: int) -> tuple[np.ndarray, ...]:
@@ -248,7 +249,7 @@ class TestForward:
         rng = np.random.default_rng(5)
         presence = rng.random((6, 4, 3)) < 0.6
         presence[..., 0] |= ~presence.any(axis=-1)
-        probs = forward_masks(params, feats, presence).probs
+        probs = forward_core(params, feats, mask_weights(presence)).probs
         for b, k in np.ndindex(6, 4):
             row = [x[b] for x in feats]
             expected = reference_probs(params, row, np.flatnonzero(presence[b, k]))
@@ -274,7 +275,7 @@ class TestStackedHalves:
             latents[:, m] = encode_copies(params, m, stack)
         _, exp, sums = classify_core(params, weights, latents)
         for c, copy in enumerate(copies):
-            fwd = forward_masks(params, [copy[0], clean[1], copy[2]], full)
+            fwd = forward_core(params, [copy[0], clean[1], copy[2]], mask_weights(full))
             assert exp[c].tobytes() == fwd.exp.tobytes()
             assert sums[c].tobytes() == fwd.sums.tobytes()
 
@@ -308,7 +309,7 @@ class TestConfidence:
         if per_row:  # (B, K, M): each row its own masks
             presence = np.random.default_rng(4).random((9, 5, 3)) < 0.6
             presence[..., 0] |= ~presence.any(axis=-1)
-        fwd = forward_masks(params, feats, presence)
+        fwd = forward_core(params, feats, mask_weights(presence))
         assert fwd.confidence.shape == fwd.probs.shape[:-1]
         assert fwd.confidence.tobytes() == fwd.probs.max(axis=-1).tobytes()
 

@@ -163,3 +163,47 @@ def test_private_loads_reports_both_forms(tmp_path):
         "    return lib._helper() + other.__name__.count('.') + _LIMIT + lib.__doc__\n"
     )
     assert private_loads(tmp_path) == ["cli: lib._LIMIT", "cli: lib._helper"]
+
+
+# The modules that may touch files: data.py reads and writes every text file, model.py the
+# binary checkpoint.
+FILE_MODULES = ("data", "model")
+
+
+def file_access(root: Path) -> list[str]:
+    """Each call of `open` and import of `json` in `root`'s src/rankcal outside FILE_MODULES.
+
+    Reported as "module: open" or "module: json". A call counts by name
+    (`open(p)`) or as an attribute (`p.open()`, `gzip.open(p)`); an import counts
+    as `import json` or `from json import ...`.
+    """
+    found = []
+    for path in sorted((root / "src" / "rankcal").glob("*.py")):
+        if path.stem in FILE_MODULES:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "id", None) == "open" or getattr(func, "attr", None) == "open":
+                    found.append(f"{path.stem}: open")
+            elif isinstance(node, ast.Import):
+                found += [f"{path.stem}: json" for alias in node.names if alias.name == "json"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "json" and not node.level:
+                found.append(f"{path.stem}: json")
+    return found
+
+
+def test_only_data_and_model_touch_files():
+    assert file_access(ROOT) == []
+
+
+def test_file_access_reports_open_and_json(tmp_path):
+    pkg = tmp_path / "src" / "rankcal"
+    pkg.mkdir(parents=True)
+    (pkg / "data.py").write_text("import json\nopen('x')\n")
+    (pkg / "model.py").write_text("import json\n")
+    (pkg / "cli.py").write_text(
+        "import os, json\nfrom json import dumps\ndef save(p):\n    return p.open()\n"
+    )
+    (pkg / "metrics.py").write_text("def load():\n    with open('y') as fh:\n        return fh\n")
+    assert file_access(tmp_path) == ["cli: json", "cli: json", "cli: open", "metrics: open"]
