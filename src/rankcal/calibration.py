@@ -9,9 +9,10 @@ removal chain, weighted by lambda on top of the classification loss.
 
 chain_objective turns a batch's chains into mask weights and runs
 objective_core, the arithmetic of one batch (forward_core, the NLL, the penalty
-and backward_masks). trainer.train converts a whole epoch's chains at once and
-calls objective_core per batch. Nothing here checks its inputs: they come from a
-data.Dataset, which checked them when it was built.
+and backward_masks) on model.MaskedForward's class-major softmax. trainer.train
+takes a whole epoch's mask weights from its removal orders at once
+(chain_weights) and calls objective_core per batch. Nothing here checks its
+inputs: they come from a data.Dataset, which checked them when it was built.
 
 Exhaustive VRR reads everything that depends only on the modality count M
 from one cached lattice table per M: the mask weights, the pairs' columns and
@@ -67,11 +68,22 @@ def chain_presence(orders) -> Array:
     orders = np.asarray(orders)
     if orders.ndim != 2 or orders.shape[1] < 1:
         raise SpecError(f"removal orders {orders.shape} must be (B, M) with M >= 1")
-    num_modalities = orders.shape[1]
-    if np.any(np.sort(orders, axis=1) != np.arange(num_modalities)):
+    if np.any(np.sort(orders, axis=1) != np.arange(orders.shape[1])):
         raise SpecError("each removal order must be a permutation of the modalities")
+    return _presence(orders)
+
+
+def _presence(orders: Array) -> Array:
+    """chain_presence of (B, M) orders known to be permutations, unchecked."""
+    steps = np.arange(orders.shape[1])
     position = orders.argsort(axis=1)  # the inverse permutation: each modality's removal step
-    return position[:, None, :] >= np.arange(num_modalities)[None, :, None]
+    return position[:, None, :] >= steps[:, None]
+
+
+def chain_weights(orders: Array) -> Array:
+    """mask_weights(chain_presence(orders)) bit for bit, unchecked: mask k holds M - k modalities."""
+    num_modalities = orders.shape[1]
+    return _presence(orders) / (num_modalities - np.arange(num_modalities))[:, None]
 
 
 def pair_losses(variant: str, conf_t: Array, conf_s: Array) -> tuple[Array, Array]:
@@ -81,8 +93,8 @@ def pair_losses(variant: str, conf_t: Array, conf_s: Array) -> tuple[Array, Arra
     equality; difference is conf_t - conf_s regardless of sign; none is zero.
     """
     if variant == "hinge":
-        active = conf_t > conf_s
-        return np.where(active, conf_t - conf_s, 0.0), active.astype(np.float64)
+        diff = conf_t - conf_s
+        return np.maximum(diff, 0.0), diff > 0.0  # the derivative as bools: 1 where active
     if variant == "difference":
         return conf_t - conf_s, np.ones_like(conf_t)
     if variant == "none":
@@ -146,36 +158,39 @@ def chain_objective(
     """
     presence = np.asarray(presence, dtype=bool)
     weights = mask_weights(presence)
-    label_col = np.repeat(np.asarray(labels)[:, None], presence.shape[1], axis=1)
+    onehot = label_onehot(np.asarray(labels), params.spec.num_classes, presence.shape[1])
     options = (variant, lam, skip_on_wrong_full, detach_superset)
-    return objective_core(params, list(features), weights, label_col, *options, out)
+    return objective_core(params, list(features), weights, onehot, *options, out)
+
+
+def label_onehot(labels: Array, num_classes: int, num_masks: int) -> Array:
+    """(C, B*K) float64 one-hot of (B,) labels for K masks each, in MaskedForward.exp's layout."""
+    return (labels.repeat(num_masks) == np.arange(num_classes)[:, None]).astype(np.float64)
 
 
 def objective_core(
-    params, blocks, weights, label_col, variant, lam, skip_on_wrong_full, detach_superset, out
+    params, blocks, weights, onehot, variant, lam, skip_on_wrong_full, detach_superset, out
 ) -> ChainObjective:
     """chain_objective on the (B, K, M) mask `weights` (the presence divided by each mask's size).
 
-    `label_col` is (B, K): each row's label, once per mask.
+    `onehot` is the label_onehot of the batch's labels for K masks, or a column slice of one.
     """
     fwd = forward_core(params, blocks, weights)
-    batch, num_masks, num_classes = fwd.exp.shape
-    probs = fwd.probs.reshape(-1, num_classes)
-    rows = np.arange(len(probs))
-    true_class = (rows, label_col.ravel())
-    logit_grads = probs.copy()
-    logit_grads[true_class] -= 1.0
+    batch, num_masks = fwd.sums.shape
+    probs = fwd.probs  # (C, B*K), class-major like the one-hot
+    logit_grads = probs - onehot
     logit_grads /= num_masks
 
-    predicted = probs.argmax(axis=-1)  # the value read at the argmax is exactly the max
-    confidence = probs[rows, predicted].reshape(batch, num_masks)
-    full_correct = predicted[::num_masks] == label_col[:, 0]
+    columns = np.arange(probs.shape[1])
+    predicted = probs.argmax(axis=0)
+    confidence = fwd.confidence  # bit for bit the probability at `predicted`
+    full_correct = onehot[predicted[::num_masks], columns[::num_masks]] == 1.0
     if variant == "none":
         gate = np.zeros(batch)
     else:
         gate = full_correct.astype(np.float64) if skip_on_wrong_full else np.ones(batch)
     pair_loss, d_conf_t = pair_losses(variant, confidence[:, 1:], confidence[:, :-1])
-    reg = pair_loss.sum(axis=1) * gate
+    reg = np.add.reduce(pair_loss, axis=1) * gate  # ndarray.sum without its Python wrapper
 
     if lam > 0.0 and variant != "none":
         d_conf_t = lam * gate[:, None] * d_conf_t
@@ -186,14 +201,17 @@ def objective_core(
         # d max_k p_k / d z = p_c * (onehot_c - p), differentiating through the
         # argmax class fixed by this forward pass.
         d_logits = -probs
-        d_logits[rows, predicted] = 1.0 - confidence.ravel()
-        logit_grads += (d_conf * confidence).reshape(-1, 1) * d_logits
+        d_logits[predicted, columns] = 1.0 - confidence.ravel()
+        d_logits *= (d_conf * confidence).ravel()
+        logit_grads += d_logits
 
-    cls = -np.log(probs[true_class]).reshape(batch, num_masks).sum(axis=1) / num_masks
+    # The one-hot's zeros add nothing, so each column sums to its true-class probability.
+    true_prob = np.add.reduce(probs * onehot)
+    cls = np.add.reduce(-np.log(true_prob).reshape(batch, num_masks), axis=1) / num_masks
     return ChainObjective(
-        loss=float((cls + lam * reg).sum()),
-        cls_loss=float(cls.sum()),
-        reg_loss=float(reg.sum()),
+        loss=float(np.add.reduce(cls + lam * reg)),
+        cls_loss=float(np.add.reduce(cls)),
+        reg_loss=float(np.add.reduce(reg)),
         grads=backward_masks(params, fwd, logit_grads, out),
         confidence=confidence,
         full_correct=full_correct,
@@ -325,7 +343,7 @@ def evaluate_vrr(
         chains = []
         for r in range(repeats):
             rng = np.random.default_rng([seed, _VRR_STREAM, r])
-            chains.append(chain_presence(removal_orders(rng, num_samples, num_modalities)))
+            chains.append(_presence(removal_orders(rng, num_samples, num_modalities)))
         # The repeats' chains side by side on the mask axis, classified in one forward.
         presence = np.concatenate(chains, axis=1)
         fwd = forward_core(params, dataset.modalities, mask_weights(presence))

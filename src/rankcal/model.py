@@ -22,6 +22,14 @@ encoder has the spec's hidden and latent sizes, so each encoder layer's
 parameters are stacked over the modalities and the cores run a layer for all
 of them in one numpy call; only the first-layer matmul, whose input dims
 differ, runs once per modality.
+
+The classifier half is class-major: the logits, exponentials, probabilities
+and logit gradients are C-contiguous (C, B*K), one row per class. Two traps:
+the head matmul must stay row-major, (B*K, L) @ (L, C), since that BLAS call
+fixes the bits (its transpose picks another OpenBLAS kernel at latent 64); and
+the transposing bias add must ask for C order, or it returns F order with the
+same bits and every later reduce strides across memory. backward_masks copies
+the logit gradients back to row-major for the head's backward.
 """
 
 from __future__ import annotations
@@ -187,9 +195,10 @@ class MaskedForward:
     its masks and (B, K, M) when each row has its own. `hidden` is the stacked
     (M, B, H) encoder activations of every modality, used by a mask or not.
 
-    The softmax is kept as its two parts: `exp`, the (B, K, C) max-shifted
-    exponentials of the logits, and `sums`, their (B, K) sums. The class
-    probabilities are divided out only when read.
+    The softmax is kept as its two parts: `exp`, the max-shifted exponentials
+    of the logits, and `sums`, their (B, K) sums. `exp` is class-major and
+    C-contiguous (C, B*K), column b*K + k holding row b under mask k (see the
+    module docstring). The class probabilities are divided out only when read.
     """
 
     features: list[Array]
@@ -201,12 +210,12 @@ class MaskedForward:
 
     @property
     def probs(self) -> Array:
-        """(B, K, C) class probabilities, divided out on each read."""
-        return self.exp / self.sums[..., None]
+        """(C, B*K) class probabilities in `exp`'s layout, divided out on each read."""
+        return self.exp / self.sums.reshape(-1)
 
     def mask_probs(self, k: int) -> Array:
         """(B, C) class probabilities under mask k alone."""
-        return self.exp[:, k] / self.sums[:, k, None]
+        return (self.exp.reshape(-1, *self.sums.shape)[..., k] / self.sums[:, k]).T
 
     @property
     def confidence(self) -> Array:
@@ -258,15 +267,17 @@ def classify_core(params: ClassifierParams, weights, latents: Array) -> tuple[Ar
     """The classifier half of forward_core: mean fusion, the head and the softmax parts.
 
     `latents` is (..., M, B, L) and `weights` (K, M) or (B, K, M). Returns the
-    (..., B, K, L) fused latents, the (..., B, K, C) max-shifted exponentials
-    and their (..., B, K) sums. Each leading index is a separate stack whose
-    head runs as its own (B*K, L) matmul, so stacking changes no bit.
+    (..., B, K, L) fused latents, the C-contiguous class-major (..., C, B*K)
+    max-shifted exponentials and their (..., B, K) sums. Each leading index is
+    a separate stack whose head runs as its own row-major (B*K, L) matmul, so
+    stacking changes no bit (see the module docstring for the layout's traps).
     """
     fused = weights @ latents.swapaxes(-3, -2)
     shape = fused.shape
-    logits = fused.reshape(shape[:-3] + (-1, shape[-1])) @ params.head_w + params.head_b
+    rows = fused.reshape(shape[:-3] + (-1, shape[-1])) @ params.head_w
+    logits = np.add(rows.swapaxes(-1, -2), params.head_b[:, None], order="C")
     exp, sums = softmax_parts(logits)
-    return fused, exp.reshape(shape[:-1] + (-1,)), sums.reshape(shape[:-1])
+    return fused, exp, sums.reshape(shape[:-1])
 
 
 def _encoder_layers(hidden: Array, b1: Array, w2: Array, b2: Array) -> Array:
@@ -286,24 +297,25 @@ def backward_masks(
 ) -> ClassifierParams:
     """Exact parameter gradients of sum(logit_grads * logits) over every row and mask.
 
-    `logit_grads` is float64 with fwd.exp's size. Each modality collects its
-    latent gradient over every mask containing it before one encoder backward
-    pass; a modality that no mask uses gets zero gradients. The gradients
-    overwrite every array of `out` when it is given (so one buffer serves
-    every batch) and go to a new ClassifierParams otherwise.
+    `logit_grads` is float64 in fwd.exp's class-major (C, B*K) layout; one
+    row-major copy keeps the head's matmuls and bias sum in their bit order.
+    Each modality collects its latent gradient over every mask containing it
+    before one encoder backward pass; a modality that no mask uses gets zero
+    gradients. The gradients overwrite every array of `out` when it is given
+    (so one buffer serves every batch) and go to a new ClassifierParams otherwise.
     """
-    batch, num_masks, num_classes = fwd.exp.shape
+    batch, num_masks = fwd.sums.shape
     if out is None:
         out = ClassifierParams(params.spec, np.empty_like(params.flat))
-    g = logit_grads.reshape(-1, num_classes)
+    g = np.ascontiguousarray(logit_grads.T)
     np.matmul(fwd.fused.reshape(-1, fwd.fused.shape[-1]).T, g, out=out.head_w)
-    g.sum(axis=0, out=out.head_b)
+    np.add.reduce(g, axis=0, out=out.head_b)  # ndarray.sum without its Python wrapper
     d_fused = (g @ params.head_w.T).reshape(batch, num_masks, -1)
     d_latents = (fwd.weights.swapaxes(-1, -2) @ d_fused).transpose(1, 0, 2)
     np.matmul(fwd.hidden.transpose(0, 2, 1), d_latents, out=out.w2)
-    d_latents.sum(axis=1, out=out.b2)
+    np.add.reduce(d_latents, axis=1, out=out.b2)
     d_pre = _hidden_grads(fwd.hidden, d_latents, params.w2)
-    d_pre.sum(axis=1, out=out.b1)
+    np.add.reduce(d_pre, axis=1, out=out.b1)
     for m, x in enumerate(fwd.features):  # one matmul per modality: the input dims differ
         np.matmul(x.T, d_pre[m], out=out.w1[m])
     return out

@@ -1,18 +1,18 @@
 """The softmax parts, the NLL loss and the Adam optimizer.
 
-Everything operates on row-major float64 numpy arrays, batched over rows.
-Apart from adam_update, which steps its parameters and state in place, every
-function is pure: identical calls give bit-identical results.
+Everything operates on float64 numpy arrays, batched over rows. Apart from
+adam_update, which steps its parameters and state in place, every function is
+pure: identical calls give bit-identical results.
 
-softmax_parts sums the classes with a running add over the class columns
-under 8 classes, and with numpy's own sum from 8 on. numpy adds fewer than 8
-values left to right and more in pairwise blocks, so the sums are
-exp.sum(axis=-1) bit for bit either way.
+softmax_parts is class-major: its (..., C, N) logits hold one row of N values
+per class, so the class maximum and sum are one reduce each. numpy sums fewer
+than 8 values left to right, as that reduce adds the class rows, and more in
+pairwise blocks, so from 8 classes on the sums come from a row-major copy. The
+sums are the row-major exp.sum(axis=-1) bit for bit either way.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,25 +36,24 @@ def describe_bad(bad: Array) -> str:
 
 
 def softmax_parts(logits) -> tuple[Array, Array]:
-    """The max-shifted exponentials of the logits and their sums over the last axis.
+    """The max-shifted exponentials of class-major (..., C, N) logits and their (..., N) sums.
 
     softmax is the exponentials divided by their sums. The largest logit's
     exponential is exp(0) = 1.0 exactly, so 1.0 / sums is bit for bit the
-    largest probability: correctly rounded division is monotone.
-    The sums are bit for bit exp.sum(axis=-1) (see the module docstring).
+    largest probability: correctly rounded division is monotone. The sums are
+    bit for bit the row-major exp.sum(axis=-1) (see the module docstring).
+    `exp` keeps the memory order of `logits`: give it C-contiguous rows.
     """
     z = np.asarray(logits, dtype=np.float64)
-    if z.ndim < 1 or z.shape[-1] < 2:
+    if z.ndim < 2 or z.shape[-2] < 2:
         raise DimensionError("softmax needs at least 2 logits")
     if not np.isfinite(z).all():
         raise NumericError(f"non-finite logits: {describe_bad(~np.isfinite(z))}")
-    # A running maximum over the class slices: np.max over a short last axis is slow per row.
-    exp = z - functools.reduce(np.maximum, z.T).T[..., None]
+    exp = z - np.maximum.reduce(z, axis=-2)[..., None, :]
     np.exp(exp, out=exp)
-    if z.shape[-1] < _PAIRWISE_BLOCK:
-        # The same additions in the same order, but numpy's sum runs them row by row.
-        return exp, functools.reduce(np.add, exp.T).T
-    return exp, exp.sum(axis=-1)
+    if z.shape[-2] < _PAIRWISE_BLOCK:
+        return exp, np.add.reduce(exp, axis=-2)
+    return exp, np.ascontiguousarray(exp.swapaxes(-1, -2)).sum(axis=-1)
 
 
 def nll_loss(probs: Array, labels: Array) -> Array:

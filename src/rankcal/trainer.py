@@ -17,9 +17,10 @@ import numpy as np
 from .calibration import (
     REGULARIZER_VARIANTS,
     VrrEvaluation,
-    chain_presence,
+    chain_weights,
     check_exhaustive,
     evaluate_vrr,
+    label_onehot,
     objective_core,
     removal_orders,
 )
@@ -96,6 +97,10 @@ class TrainConfig:
             check_exhaustive(self.model.num_modalities)
         if self.vrr_repeats < 1:
             raise ConfigError(f"vrr_repeats must be >= 1, got {self.vrr_repeats}")
+        if self.vrr_mode == "exhaustive" and self.vrr_repeats != 1:
+            raise ConfigError(
+                f"vrr_repeats must be 1 with vrr_mode 'exhaustive', got {self.vrr_repeats}"
+            )
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.seed < 0:
@@ -148,8 +153,9 @@ def train(config: TrainConfig, train_set: Dataset) -> RunResult:
     Each epoch draws one removal order per sample from an rng keyed by
     (seed, epoch) and indexes it by sample id, so a sample's chain does not
     depend on the batch it lands in; one optimizer step is taken per
-    mini-batch on the mean of the per-sample gradients. The chains become mask
-    weights once per epoch; each batch then runs only objective_core.
+    mini-batch on the mean of the per-sample gradients. The mask weights
+    (chain_weights) and the label one-hot are built once per epoch; each batch
+    then runs only objective_core on their slices.
     A non-finite loss or logit, or a floating-point overflow, division by zero
     or invalid operation stops the run with a DivergenceError naming the epoch
     and batch.
@@ -173,10 +179,9 @@ def train(config: TrainConfig, train_set: Dataset) -> RunResult:
             # The epoch's sample order is gathered once, so every batch is a contiguous slice.
             order = np.random.default_rng([config.seed, _SHUFFLE_STREAM, epoch]).permutation(n)
             chain_rng = np.random.default_rng([config.seed, _CHAIN_STREAM, epoch])
-            chains = chain_presence(removal_orders(chain_rng, n, num_modalities))[order]
-            weights = mask_weights(chains)
+            weights = chain_weights(removal_orders(chain_rng, n, num_modalities)[order])
             features = [block[order] for block in train_set.modalities]
-            label_col = np.repeat(train_set.labels[order, None], num_modalities, axis=1)
+            onehot = label_onehot(train_set.labels[order], config.model.num_classes, num_modalities)
             cls_sum = 0.0
             reg_sum = 0.0
             correct = 0
@@ -187,7 +192,7 @@ def train(config: TrainConfig, train_set: Dataset) -> RunResult:
                         params,
                         [block[batch] for block in features],
                         weights[batch],
-                        label_col[batch],
+                        onehot[:, start * num_modalities : batch.stop * num_modalities],
                         *options,
                         grads,
                     )
@@ -410,6 +415,7 @@ def _chunk_correct(params, weights, clean_latents, copies, num_cells: int, label
     for m, idx, stack in copies:
         latents[idx, m] = encode_copies(params, m, stack)
     _, exp, sums = classify_core(params, weights, latents)
-    predicted = (exp / sums[..., None]).argmax(axis=-1)[..., 0]
+    # One mask: the class-major (cells, C, N) probabilities have one column per row.
+    predicted = (exp / sums.reshape(num_cells, 1, -1)).argmax(axis=1)
     return (predicted == labels).sum(axis=1).tolist()
 

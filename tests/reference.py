@@ -16,6 +16,9 @@ chain_objective share one core, only reference_chain_objective pins the arithmet
 reference_split is data.split's index sets as sorted Python lists, class by class.
 reference_noise_sweep is the noise sweep one cell at a time: one corrupt_gaussian
 copy and one full_mask_accuracy forward per model per cell.
+row_major_classify is model.classify_core's classifier half on row-major (rows, C)
+logits, as it ran before the softmax went class-major; full_mask_accuracy and
+row_major_lattice (exhaustive VRR's confidences) read it.
 """
 
 from __future__ import annotations
@@ -30,15 +33,32 @@ from rankcal.calibration import chain_objective, chain_presence, removal_orders
 from rankcal.data import CorruptionSpec, Dataset, corrupt_block
 from rankcal.errors import DivergenceError, DomainError, MaskError, NumericError, ParseError
 from rankcal.errors import SpecError
-from rankcal.model import ClassifierParams, SubsetMask, forward_core, init_params, mask_weights
+from rankcal.model import ClassifierParams, SubsetMask, encode_core, init_params, mask_weights
 from rankcal.numerics import adam_update, describe_bad, init_adam_state, softmax_parts
 
 
 def softmax(logits) -> np.ndarray:
-    """Max-subtracted softmax over the last axis: softmax_parts with the sums divided out."""
-    exp, sums = softmax_parts(logits)
-    exp /= sums[..., None]
-    return exp
+    """Max-subtracted softmax over the last axis: softmax_parts with the sums divided out.
+
+    The rows go to softmax_parts as class-major (C, rows) logits and come back row-major.
+    """
+    z = np.asarray(logits, dtype=np.float64)
+    exp, sums = softmax_parts(z.reshape(-1, z.shape[-1]).T)
+    exp /= sums
+    return exp.T.reshape(z.shape)
+
+
+def row_major_probs(fwd) -> np.ndarray:
+    """(B, K, C) class probabilities of a MaskedForward, whose own are class-major (C, B*K)."""
+    return fwd.probs.T.reshape(*fwd.sums.shape, -1)
+
+
+def nll_logit_grads(fwd, labels) -> np.ndarray:
+    """nll_loss_grad of a MaskedForward in its class-major (C, B*K) layout, for backward_masks.
+
+    `labels` broadcasts against the forward's (B, K) masks.
+    """
+    return nll_loss_grad(row_major_probs(fwd), labels).reshape(-1, len(fwd.exp)).T
 
 
 def nll_loss_grad(probs, labels) -> np.ndarray:
@@ -83,7 +103,7 @@ def parse_mask(text: str) -> SubsetMask:
 
 def predicted_classes(fwd) -> np.ndarray:
     """(B, K) argmax class of a MaskedForward; exact ties go to the lowest index."""
-    return fwd.probs.argmax(axis=-1)
+    return row_major_probs(fwd).argmax(axis=-1)
 
 
 def corrupt_gaussian(dataset, spec: CorruptionSpec):
@@ -438,11 +458,40 @@ def reference_train(config, train_set):
     return params, history
 
 
+def row_major_classify(params, weights, latents):
+    """classify_core's (..., B, K, C) probabilities and (..., B, K) confidences, row-major.
+
+    The fusion and the (rows, L) @ (L, C) head matmul are classify_core's calls;
+    the bias add, the max-shift, the exponentials and numpy's row sum (left to
+    right under 8 classes, pairwise from 8 on) run on row-major logits.
+    """
+    fused = weights @ latents.swapaxes(-3, -2)
+    shape = fused.shape
+    logits = fused.reshape(shape[:-3] + (-1, shape[-1])) @ params.head_w + params.head_b
+    exp = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    sums = exp.sum(axis=-1, keepdims=True)
+    return (exp / sums).reshape(shape[:-1] + (-1,)), (1.0 / sums).reshape(shape[:-1])
+
+
+def row_major_lattice(params, dataset):
+    """Every mask's confidences and the full set's probabilities from row_major_classify.
+
+    The confidences are (N, 2^M - 1), column code - 1 holding the mask with that
+    bit code; the full set's probabilities are (N, C).
+    """
+    num_modalities = dataset.num_modalities
+    codes = np.arange(1, 1 << num_modalities)
+    presence = (codes[:, None] >> np.arange(num_modalities)) & 1 > 0
+    latents = encode_core(params, dataset.modalities)[1]
+    probs, confidence = row_major_classify(params, mask_weights(presence), latents)
+    return confidence, probs[:, -1]
+
+
 def full_mask_accuracy(params, dataset) -> float:
-    """Percent of rows whose full-mask forward_core prediction is their label."""
+    """Percent of rows whose full-mask row_major_classify prediction is their label."""
     full = np.ones((1, dataset.num_modalities), dtype=bool)
-    fwd = forward_core(params, dataset.modalities, mask_weights(full))
-    classes = predicted_classes(fwd)[:, 0]
+    latents = encode_core(params, dataset.modalities)[1]
+    classes = row_major_classify(params, mask_weights(full), latents)[0].argmax(axis=-1)[:, 0]
     return 100.0 * int(np.sum(classes == dataset.labels)) / dataset.num_samples
 
 

@@ -14,6 +14,7 @@ from rankcal.calibration import (
     _distinct_masks,
     chain_objective,
     chain_presence,
+    chain_weights,
     compute_vrr,
     evaluate_vrr,
     pair_losses,
@@ -28,7 +29,7 @@ from rankcal.model import mask_weights
 from gradcheck import grad_check
 from reference import (
     confidence_increment,
-    nll_loss_grad,
+    nll_logit_grads,
     reference_chain_objective,
     reference_confidence_by_subset_size,
     reference_confidence_lookup,
@@ -36,6 +37,7 @@ from reference import (
     reference_probs,
     reference_records_csv,
     reference_vrr,
+    row_major_lattice,
 )
 
 SPEC3 = ModelSpec(modality_dims=(3, 4, 2), hidden_dim=6, latent_dim=4, num_classes=3)
@@ -121,6 +123,16 @@ class TestSampleChain:
     def test_invalid_chain_rejected(self):
         with pytest.raises(SpecError):
             chain_presence(np.array([[0, 0, 2]]))
+
+    @pytest.mark.parametrize("num_modalities", range(2, 7))
+    def test_chain_weights_are_the_presence_weights_bit_for_bit(self, num_modalities):
+        orders = removal_orders(np.random.default_rng(num_modalities), 50, num_modalities)
+        weights = chain_weights(orders)
+        assert weights.dtype == np.float64
+        assert weights.tobytes() == mask_weights(chain_presence(orders)).tobytes()
+        # chain_weights skips the check that chain_presence, for outside callers, keeps
+        with pytest.raises(SpecError):
+            chain_presence(np.concatenate([orders[:1, :1], orders[:1, :-1]], axis=1))
 
 
 class TestEnumerateChainPairs:
@@ -282,7 +294,7 @@ class TestCompositeGradient:
             row = [x[b : b + 1] for x in feats]
             for mask in chains[b]:
                 fwd = forward_core(params, row, mask_weights(mask[None, :]))
-                g = nll_loss_grad(fwd.probs, labels[b]) / 3
+                g = nll_logit_grads(fwd, labels[b]) / 3
                 reference += backward_masks(params, fwd, g).flat
         assert np.allclose(res.grads.flat, reference, rtol=1e-12, atol=1e-15)
 
@@ -334,8 +346,12 @@ class TestCompositeGradient:
 
 
 class TestObjectiveMatchesComposition:
-    """chain_objective's bytes must match the plain composition of forward, NLL and backward."""
+    """chain_objective's bytes must match the plain composition of forward, NLL and backward.
 
+    The row-major oracle sums the classes left to right below 8 and pairwise from 8 on.
+    """
+
+    @pytest.mark.parametrize("num_classes", [2, 4, 8, 11])
     @pytest.mark.parametrize("num_modalities", [2, 3, 5])
     @pytest.mark.parametrize("batch", [1, 11, 32])
     @pytest.mark.parametrize("lam", [0.0, 2.5])
@@ -345,14 +361,14 @@ class TestObjectiveMatchesComposition:
     @pytest.mark.parametrize("hidden, latent", [(7, 5), (24, 12), (128, 64)])
     def test_bytes_equal(
         self, hidden, latent, variant, skip_on_wrong_full, detach_superset, lam, batch,
-        num_modalities,
+        num_modalities, num_classes,
     ):
         dims = tuple(range(2, 2 + num_modalities))
-        spec = ModelSpec(modality_dims=dims, hidden_dim=hidden, latent_dim=latent, num_classes=4)
+        spec = ModelSpec(dims, hidden_dim=hidden, latent_dim=latent, num_classes=num_classes)
         params = init_params(spec, seed=num_modalities)
         rng = np.random.default_rng([batch, num_modalities])
         feats = [2 * rng.standard_normal((batch, d)) for d in dims]
-        labels = rng.integers(0, 4, size=batch)
+        labels = rng.integers(0, num_classes, size=batch)
         chains = chain_presence(removal_orders(rng, batch, num_modalities))
         options = (variant, lam, skip_on_wrong_full, detach_superset)
         # a stale buffer: every gradient array must be overwritten
@@ -507,6 +523,28 @@ class TestEvaluateVrr:
         assert result.vrr == 0.5
 
 
+class TestWideHeadMatchesRowMajor:
+    """Exhaustive VRR at 8 and 11 classes and latent 64, against the row-major classifier."""
+
+    @pytest.mark.parametrize("num_classes", [8, 11])
+    def test_exhaustive_bytes_equal(self, num_classes):
+        spec = ModelSpec((3, 4, 2, 5), hidden_dim=32, latent_dim=64, num_classes=num_classes)
+        params = init_params(spec, seed=num_classes)
+        params.head_w *= 8.0  # logits of a few units: confidences well inside (1/C, 1)
+        dataset = random_dataset(spec, 40, seed=5)
+        result = evaluate_vrr(params, dataset, seed=0, mode="exhaustive")
+        confidence, full_probs = row_major_lattice(params, dataset)
+        rec = result.records
+        conf_t = confidence[rec.sample_id, rec.t_code - 1]
+        conf_s = confidence[rec.sample_id, rec.s_code - 1]
+        assert rec.conf_t.tobytes() == conf_t.tobytes()
+        assert rec.conf_s.tobytes() == conf_s.tobytes()
+        assert rec.ci.tobytes() == (conf_s - conf_t).tobytes()
+        assert result.full_probs.tobytes() == full_probs.tobytes()
+        assert result.full_confidence.tobytes() == confidence[:, -1].tobytes()
+        assert 0.0 < result.vrr < 1.0
+
+
 class TestColumnarRecords:
     """The columnar records against the per-pair loop they replace."""
 
@@ -584,11 +622,11 @@ class TestMeanConfidenceBySubsetSize:
         # with its last value.
         def blended(params, blocks, weights):
             fwd = forward_core(params, blocks, weights)
-            repeat = np.arange(fwd.exp.shape[1]) // num_modalities
-            share = 0.1 * repeat[:, None]
-            probs = (1 - share) * fwd.probs + share / fwd.exp.shape[-1]
-            top = probs.max(axis=-1)  # kept as the forward keeps it: exp at the argmax is 1.0
-            return replace(fwd, exp=probs / top[..., None], sums=1.0 / top)
+            batch, num_masks = fwd.sums.shape
+            share = np.tile(0.1 * (np.arange(num_masks) // num_modalities), batch)  # per column
+            probs = (1 - share) * fwd.probs + share / len(fwd.exp)
+            top = probs.max(axis=0)  # kept as the forward keeps it: exp at the argmax is 1.0
+            return replace(fwd, exp=probs / top, sums=(1.0 / top).reshape(batch, num_masks))
 
         monkeypatch.setattr(calibration, "forward_core", blended)
         spec = ModelSpec(tuple(range(2, 2 + num_modalities)), 6, 4, 3)

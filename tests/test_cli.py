@@ -964,6 +964,21 @@ class TestCommandSections:
         assert err == ["error: exhaustive enumeration capped at 5 modalities, got 6"]
         assert not out.exists()
 
+    def test_exhaustive_vrr_with_repeats_fails_naming_the_key(self, tmp_path, capsys, monkeypatch):
+        # Exhaustive VRR would ignore the repeats while config.json recorded them.
+        def no_batch(*args, **kwargs):
+            raise AssertionError("a batch ran before the repeats were checked")
+
+        monkeypatch.setattr(trainer, "objective_core", no_batch)
+        cfg = write_config(
+            tmp_path / "config.json", train={"vrr_mode": "exhaustive", "vrr_repeats": 7}
+        )
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: vrr_repeats must be 1 with vrr_mode 'exhaustive', got 7"]
+        assert not out.exists()
+
 
 class TestUndecodableBytes:
     """Every text file the CLI reads fails on a bad byte with one line naming the file and line."""

@@ -26,7 +26,8 @@ from rankcal.model import (
 from rankcal.numerics import nll_loss
 
 from gradcheck import grad_check
-from reference import nll_loss_grad, parse_mask, predicted_classes, reference_probs
+from reference import nll_logit_grads, parse_mask, predicted_classes, reference_probs
+from reference import row_major_probs
 
 SPEC = ModelSpec(modality_dims=(3, 4, 2), hidden_dim=6, latent_dim=4, num_classes=3)
 
@@ -249,7 +250,7 @@ class TestForward:
         rng = np.random.default_rng(5)
         presence = rng.random((6, 4, 3)) < 0.6
         presence[..., 0] |= ~presence.any(axis=-1)
-        probs = forward_core(params, feats, mask_weights(presence)).probs
+        probs = row_major_probs(forward_core(params, feats, mask_weights(presence)))
         for b, k in np.ndindex(6, 4):
             row = [x[b] for x in feats]
             expected = reference_probs(params, row, np.flatnonzero(presence[b, k]))
@@ -278,6 +279,28 @@ class TestStackedHalves:
             fwd = forward_core(params, [copy[0], clean[1], copy[2]], mask_weights(full))
             assert exp[c].tobytes() == fwd.exp.tobytes()
             assert sums[c].tobytes() == fwd.sums.tobytes()
+
+
+class TestClassMajorLayout:
+    """classify_core's exponentials are C-contiguous (..., C, B*K); its sums are (..., B, K).
+
+    An F-ordered result holds the same bits, so only the layout shows the difference.
+    """
+
+    @pytest.mark.parametrize("per_row", [False, True])
+    @pytest.mark.parametrize("stack", [(), (3,)])  # 2-D latents per modality, or the noise sweep's
+    def test_exp_is_c_contiguous_class_major(self, stack, per_row):
+        params = init_params(SPEC, seed=2)
+        _, latents = encode_core(params, random_features(SPEC, 1, rows=5))
+        latents = np.broadcast_to(latents, stack + latents.shape).copy()
+        presence = np.random.default_rng(3).random((5, 4, 3) if per_row else (4, 3)) < 0.6
+        presence[..., 0] |= ~presence.any(axis=-1)
+        fused, exp, sums = classify_core(params, mask_weights(presence), latents)
+        assert fused.shape == stack + (5, 4, SPEC.latent_dim)
+        assert exp.shape == stack + (SPEC.num_classes, 5 * 4) and exp.flags.c_contiguous
+        assert sums.shape == stack + (5, 4)
+        fwd = forward_core(params, random_features(SPEC, 1, rows=5), mask_weights(presence))
+        assert fwd.exp.flags.c_contiguous and fwd.probs.flags.c_contiguous
 
 
 class TestConfidence:
@@ -310,8 +333,9 @@ class TestConfidence:
             presence = np.random.default_rng(4).random((9, 5, 3)) < 0.6
             presence[..., 0] |= ~presence.any(axis=-1)
         fwd = forward_core(params, feats, mask_weights(presence))
-        assert fwd.confidence.shape == fwd.probs.shape[:-1]
-        assert fwd.confidence.tobytes() == fwd.probs.max(axis=-1).tobytes()
+        probs = row_major_probs(fwd)
+        assert fwd.confidence.shape == probs.shape[:-1]
+        assert fwd.confidence.tobytes() == probs.max(axis=-1).tobytes()
 
     def test_confidence_bounds(self):
         for seed in range(10):
@@ -324,7 +348,7 @@ class TestBackward:
     def test_absent_modality_zero_grads(self):
         params = init_params(SPEC, seed=4)
         fwd = run(params, random_features(SPEC, 5, rows=3), SubsetMask.of([0, 2]))
-        grads = backward_masks(params, fwd, nll_loss_grad(fwd.probs, 1))
+        grads = backward_masks(params, fwd, nll_logit_grads(fwd, 1))
         for a in encoder(grads, 1):
             assert not a.any() and not np.signbit(a).any()  # +0.0, not -0.0
         assert grads.w1[0].any()
@@ -334,9 +358,9 @@ class TestBackward:
         # the encoder must see the undivided upstream gradient.
         params = init_params(SPEC, seed=4)
         fwd = run(params, random_features(SPEC, 5), SubsetMask.of([1]))
-        g = nll_loss_grad(fwd.probs, 0)
+        g = nll_logit_grads(fwd, 0)
         grads = backward_masks(params, fwd, g)
-        d_fused = g[0] @ params.head_w.T
+        d_fused = g.T @ params.head_w.T
         d_w2_expected = fwd.hidden[1].T @ d_fused
         assert np.allclose(grads.w2[1], d_w2_expected, atol=1e-15)
 
@@ -347,10 +371,10 @@ class TestBackward:
         feats = random_features(SPEC, 5, rows=3)
         out = ClassifierParams(params.spec)
         full = run(params, feats, SubsetMask.full(3), SubsetMask.of([1]))
-        backward_masks(params, full, nll_loss_grad(full.probs, 1), out)
+        backward_masks(params, full, nll_logit_grads(full, 1), out)
         assert out.w1[1].any() and out.b2[1].any()
         partial = run(params, feats, SubsetMask.of([0, 2]), SubsetMask.of([2]))
-        g = nll_loss_grad(partial.probs, 1)
+        g = nll_logit_grads(partial, 1)
         assert backward_masks(params, partial, g, out) is out
         assert out.flat.tobytes() == backward_masks(params, partial, g).flat.tobytes()
         assert not any(a.any() for a in encoder(out, 1))
@@ -366,8 +390,8 @@ class TestBackward:
         def objective(flat):
             params.flat[:] = flat
             fwd = run(params, feats, mask)
-            grads = backward_masks(params, fwd, nll_loss_grad(fwd.probs, labels))
-            return float(nll_loss(fwd.probs[:, 0], labels[:, 0]).sum()), grads.flat
+            grads = backward_masks(params, fwd, nll_logit_grads(fwd, labels))
+            return float(nll_loss(row_major_probs(fwd)[:, 0], labels[:, 0]).sum()), grads.flat
 
         result = grad_check(objective, flat0, tolerance=1e-4)
         assert result.passed, f"mask {mask_indices}: {result.max_rel_error}"

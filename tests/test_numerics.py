@@ -56,10 +56,16 @@ class TestSoftmax:
             assert np.allclose(p[row], softmax(z[row]), rtol=0, atol=1e-15)
 
 
+def class_major(z) -> np.ndarray:
+    """C-contiguous (..., C, N) logits of row-major (..., N, C) ones; 1-D ones become (C, 1)."""
+    z = np.asarray(z)
+    return np.ascontiguousarray(z[:, None] if z.ndim == 1 else z.swapaxes(-1, -2))
+
+
 class TestSoftmaxParts:
     @staticmethod
     def logits(num_classes: int, scale: float) -> np.ndarray:
-        """400 rows of logits in +-scale; the first 100 tie two or more classes at the max."""
+        """400 row-major rows of logits in +-scale; the first 100 tie two or more classes at the max."""
         rng = np.random.default_rng(num_classes)
         z = scale * rng.uniform(-1.0, 1.0, size=(400, num_classes))
         for row in range(100):
@@ -71,32 +77,37 @@ class TestSoftmaxParts:
     @pytest.mark.parametrize("num_classes", range(2, 11))
     def test_inverse_sums_are_the_largest_probability(self, num_classes, scale):
         z = self.logits(num_classes, scale)
-        exp, sums = softmax_parts(z)
-        assert (exp.max(axis=-1) == 1.0).all()
+        exp, sums = softmax_parts(class_major(z))
+        assert (exp.max(axis=0) == 1.0).all()
         assert (1.0 / sums).tobytes() == softmax(z).max(axis=-1).tobytes()
 
     def test_softmax_divides_the_parts(self):
-        z = self.logits(6, 10.0).reshape(20, 20, 6)
+        z = class_major(self.logits(6, 10.0).reshape(20, 20, 6))
         before = z.copy()
         exp, sums = softmax_parts(z)
-        assert exp.shape == z.shape and sums.shape == z.shape[:-1]
-        assert softmax(z).tobytes() == (exp / sums[..., None]).tobytes()
+        assert exp.shape == z.shape and sums.shape == (20, 20)
+        assert exp.flags.c_contiguous  # the input's memory order
+        expected = softmax(z.swapaxes(-1, -2)).swapaxes(-1, -2)
+        assert expected.tobytes() == (exp / sums[..., None, :]).tobytes()
         assert z.tobytes() == before.tobytes()  # the exponentials are not computed in the input
 
     @pytest.mark.parametrize("num_classes", range(2, 21))
     def test_sums_are_numpys_class_axis_sum(self, num_classes):
         z = self.logits(num_classes, 1.0)
         # Row 0 ties its maximum, row 100 does not; then all rows as 2-D and as 3-D logits.
-        for logits in (z[0], z[100], z, z.reshape(20, 20, num_classes)):
-            exp, sums = softmax_parts(logits)
-            assert np.shape(sums) == logits.shape[:-1]
-            assert np.asarray(sums).tobytes() == exp.sum(axis=-1).tobytes()
+        for rows in (z[0], z[100], z, z.reshape(20, 20, num_classes)):
+            exp, sums = softmax_parts(class_major(rows))
+            row_major = np.ascontiguousarray(exp.swapaxes(-1, -2))
+            assert sums.shape == row_major.shape[:-1]
+            assert sums.tobytes() == row_major.sum(axis=-1).tobytes()
 
     def test_checks_like_softmax(self):
         with pytest.raises(NumericError):
-            softmax_parts([0.0, np.nan])
+            softmax_parts([[0.0], [np.nan]])
         with pytest.raises(DimensionError):
-            softmax_parts([1.0])
+            softmax_parts([[1.0]])
+        with pytest.raises(DimensionError):  # one row of classes is not class-major
+            softmax_parts([1.0, 2.0])
 
 
 def nll(probs, label: int) -> float:

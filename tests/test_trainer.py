@@ -463,6 +463,19 @@ class TestNoiseSweep:
         got = [(r.epsilon, r.targets, r.acc_baseline, r.acc_cml, r.delta) for r in rows]
         assert got == want
 
+    # The oracle classifies row-major; from 8 classes on its sums are pairwise.
+    @pytest.mark.parametrize("num_classes", [8, 11])
+    def test_wide_head_rows_equal_the_row_major_oracle(self, num_classes):
+        spec = ModelSpec((3, 4, 2), hidden_dim=32, latent_dim=64, num_classes=num_classes)
+        params_a, params_b = init_params(spec, seed=1), init_params(spec, seed=2)
+        rng = np.random.default_rng(num_classes)
+        blocks = [rng.standard_normal((150, d)) for d in spec.modality_dims]
+        test_set = Dataset(blocks, rng.integers(0, num_classes, size=150), num_classes)
+        args = (params_a, params_b, test_set, [0.0, 0.3, 2.0], default_target_sets(3))
+        rows = noise_sweep(*args, seed=5)
+        got = [(r.epsilon, r.targets, r.acc_baseline, r.acc_cml, r.delta) for r in rows]
+        assert got == reference_noise_sweep(*args, seed=5)
+
     def test_table_shape(self):
         train_set, test_set = make_sets(per_class=20)
         params = train(config(epochs=1), train_set).params
