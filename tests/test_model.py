@@ -291,7 +291,8 @@ class TestClassMajorLayout:
     @pytest.mark.parametrize("stack", [(), (3,)])  # 2-D latents per modality, or the noise sweep's
     def test_exp_is_c_contiguous_class_major(self, stack, per_row):
         params = init_params(SPEC, seed=2)
-        _, latents = encode_core(params, random_features(SPEC, 1, rows=5))
+        feats = random_features(SPEC, 1, rows=5)
+        _, latents = encode_core(params, feats)
         latents = np.broadcast_to(latents, stack + latents.shape).copy()
         presence = np.random.default_rng(3).random((5, 4, 3) if per_row else (4, 3)) < 0.6
         presence[..., 0] |= ~presence.any(axis=-1)
@@ -299,7 +300,7 @@ class TestClassMajorLayout:
         assert fused.shape == stack + (5, 4, SPEC.latent_dim)
         assert exp.shape == stack + (SPEC.num_classes, 5 * 4) and exp.flags.c_contiguous
         assert sums.shape == stack + (5, 4)
-        fwd = forward_core(params, random_features(SPEC, 1, rows=5), mask_weights(presence))
+        fwd = forward_core(params, feats, mask_weights(presence))
         assert fwd.exp.flags.c_contiguous and fwd.probs.flags.c_contiguous
 
 
