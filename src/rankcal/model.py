@@ -298,7 +298,8 @@ def backward_masks(
     """Exact parameter gradients of sum(logit_grads * logits) over every row and mask.
 
     `logit_grads` is float64 in fwd.exp's class-major (C, B*K) layout; one
-    row-major copy keeps the head's matmuls and bias sum in their bit order.
+    row-major copy keeps the head's matmuls and bias sum in their bit order
+    (see the module docstring for the layout and its traps).
     Each modality collects its latent gradient over every mask containing it
     before one encoder backward pass; a modality that no mask uses gets zero
     gradients. The gradients overwrite every array of `out` when it is given

@@ -8,7 +8,9 @@ softmax_parts is class-major: its (..., C, N) logits hold one row of N values
 per class, so the class maximum and sum are one reduce each. numpy sums fewer
 than 8 values left to right, as that reduce adds the class rows, and more in
 pairwise blocks, so from 8 classes on the sums come from a row-major copy. The
-sums are the row-major exp.sum(axis=-1) bit for bit either way.
+sums are the row-major exp.sum(axis=-1) bit for bit either way. model.py's
+docstring gives the two traps in building such logits: the head matmul's form
+and the bias add's memory order.
 """
 
 from __future__ import annotations
