@@ -52,10 +52,13 @@ def check_exhaustive(num_modalities: int) -> None:
 
 
 def removal_orders(rng: np.random.Generator, num_samples: int, num_modalities: int) -> Array:
-    """(N, M) removal orders, one uniform random permutation per sample, from one draw."""
+    """(N, M) removal orders, one uniform random permutation per sample, from one draw.
+
+    The sort is stable, so tied draws keep index order.
+    """
     if num_modalities < 1:
         raise SpecError("need at least one modality")
-    return rng.random((num_samples, num_modalities)).argsort(axis=1)
+    return rng.random((num_samples, num_modalities)).argsort(axis=1, kind="stable")
 
 
 def chain_presence(orders) -> Array:
@@ -76,7 +79,7 @@ def chain_presence(orders) -> Array:
 def _presence(orders: Array) -> Array:
     """chain_presence of (B, M) orders known to be permutations, unchecked."""
     steps = np.arange(orders.shape[1])
-    position = orders.argsort(axis=1)  # the inverse permutation: each modality's removal step
+    position = orders.argsort(axis=1, kind="stable")  # each modality's removal step (the inverse)
     return position[:, None, :] >= steps[:, None]
 
 
@@ -193,11 +196,11 @@ def objective_core(
     reg = np.add.reduce(pair_loss, axis=1) * gate  # ndarray.sum without its Python wrapper
 
     if lam > 0.0 and variant != "none":
-        d_conf_t = lam * gate[:, None] * d_conf_t
-        d_conf = np.zeros_like(confidence)
-        d_conf[:, 1:] += d_conf_t
-        if not detach_superset:
-            d_conf[:, :-1] -= d_conf_t
+        # Column k + 1 of the zero-padded buffer holds pair k's weighted derivative,
+        # which mask k + 1 (T) gains and mask k (S) loses.
+        padded = np.zeros((batch, num_masks + 1))
+        np.multiply(lam * gate[:, None], d_conf_t, out=padded[:, 1:-1])
+        d_conf = padded[:, :-1] if detach_superset else padded[:, :-1] - padded[:, 1:]
         # d max_k p_k / d z = p_c * (onehot_c - p), differentiating through the
         # argmax class fixed by this forward pass.
         d_logits = -probs

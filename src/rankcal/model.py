@@ -304,6 +304,8 @@ def backward_masks(
     before one encoder backward pass; a modality that no mask uses gets zero
     gradients. The gradients overwrite every array of `out` when it is given
     (so one buffer serves every batch) and go to a new ClassifierParams otherwise.
+    The ReLU mask is a multiply, a third of np.where's in-loop cost, whose -0.0
+    gradients sum to +0.0 in b1 and w1 as np.where's +0.0 do (see _hidden_grads).
     """
     batch, num_masks = fwd.sums.shape
     if out is None:
@@ -326,8 +328,13 @@ def _hidden_grads(hidden: Array, d_latents: Array, w2: Array) -> Array:
     """Gradient at the stacked (M, B, H) pre-activations from the (M, B, L) latent gradients.
 
     The ReLU subgradient at exactly zero is zero; no input gradient is needed.
+    The mask is a multiply in place, about a third of np.where's cost inside
+    the training loop. It leaves -0.0 where np.where wrote +0.0 (an inactive
+    unit with a negative upstream gradient), a sign that no gradient shows:
+    numpy's add.reduce for b1 and the BLAS accumulators for w1 start at +0.0.
     """
-    return np.where(hidden > 0.0, d_latents @ w2.transpose(0, 2, 1), 0.0)
+    d_pre = d_latents @ w2.transpose(0, 2, 1)
+    return np.multiply(d_pre, hidden > 0.0, out=d_pre)
 
 
 def save_checkpoint(path, params: ClassifierParams) -> None:

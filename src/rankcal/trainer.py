@@ -299,8 +299,9 @@ def lambda_sweep(
 
     Selection maximizes validation accuracy; ties prefer lower validation VRR,
     then the smaller lambda. Diverged runs are marked failed and excluded.
-    Cells are independent; `jobs` > 1 runs them in a process pool with rows
-    collected in grid order, so results match the serial run.
+    Cells are independent; `jobs` > 1 runs them in a pool of at most one
+    process per cell, with rows collected in grid order, so results match the
+    serial run.
     """
     if not grid:
         raise ConfigError("empty lambda grid")
@@ -309,7 +310,8 @@ def lambda_sweep(
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # The pool forks all max_workers processes at its first submit: no more than the cells.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(grid))) as pool:
             rows = list(
                 pool.map(
                     _lambda_sweep_cell,

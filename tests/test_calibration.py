@@ -120,6 +120,28 @@ class TestSampleChain:
         for c in np.bincount(first, minlength=3):
             assert 0.2 < c / 600 < 0.47
 
+    @pytest.mark.parametrize(
+        "draws, expected",
+        [
+            (
+                [[0.5, 0.5, 0.1], [0.2, 0.7, 0.2], [0.3, 0.3, 0.3], [0.9, 0.1, 0.9]],
+                [[2, 0, 1], [0, 2, 1], [0, 1, 2], [1, 0, 2]],
+            ),
+            # numpy's default argsort reorders these ties from 8 values on
+            ([[0.5, 0.1] * 4, [0.2] * 8], [[1, 3, 5, 7, 0, 2, 4, 6], list(range(8))]),
+        ],
+    )
+    def test_tied_draws_keep_index_order(self, draws, expected):
+        class TiedDraws:
+            def random(self, shape):
+                assert shape == np.shape(draws)
+                return np.array(draws)
+
+        orders = removal_orders(TiedDraws(), *np.shape(draws))
+        assert orders.tolist() == expected
+        weights = mask_weights(chain_presence(orders))
+        assert chain_weights(orders).tobytes() == weights.tobytes()
+
     def test_invalid_chain_rejected(self):
         with pytest.raises(SpecError):
             chain_presence(np.array([[0, 0, 2]]))
@@ -381,6 +403,39 @@ class TestObjectiveMatchesComposition:
         assert res.grads.flat.tobytes() == grads.tobytes()
         assert res.confidence.tobytes() == confidence.tobytes()
         assert np.array_equal(res.full_correct, full_correct)
+
+
+class TestDeadUnitGradientBytes:
+    """A ReLU unit dead on every row whose upstream gradient is negative on every row.
+
+    The masked multiply leaves -0.0 in its pre-activation gradients where the
+    oracle's np.where writes +0.0; the b1 and w1 gradients must not show it.
+    """
+
+    @pytest.mark.parametrize("modality", range(3))
+    def test_b1_and_w1_bytes_equal(self, modality):
+        spec = ModelSpec((2, 3, 4), hidden_dim=6, latent_dim=4, num_classes=2)
+        params = init_params(spec, seed=5)
+        rng = np.random.default_rng([5, modality])
+        # Positive features: every w1 product with the dead unit's gradient is -0.0.
+        feats = [np.abs(rng.standard_normal((9, d))) + 0.1 for d in spec.modality_dims]
+        labels = np.zeros(9, dtype=np.int64)
+        chains = chain_presence(removal_orders(rng, 9, 3))
+        params.b1[modality, 0] = -1e3  # the unit is dead on every row
+        # Two classes, all labelled 0, no penalty: each row's latent gradient is a positive
+        # multiple of head_w[:, 1] - head_w[:, 0], so this w2 row makes the upstream one negative.
+        params.w2[modality, 0] = params.head_w[:, 0] - params.head_w[:, 1]
+        options = ("hinge", 0.0, False, False)
+        for b in range(9):  # one row's b2 gradient is its latent gradient
+            row = [f[b : b + 1] for f in feats]
+            one = chain_objective(params, row, labels[:1], chains[b : b + 1], *options)
+            assert one.grads.b2[modality] @ params.w2[modality, 0] < 0.0
+        res = chain_objective(params, feats, labels, chains, *options)
+        flat = reference_chain_objective(params, feats, labels, chains, *options)[3]
+        grads = ClassifierParams(spec, flat)
+        assert res.grads.b1.tobytes() == grads.b1.tobytes()
+        for got, want in zip(res.grads.w1, grads.w1):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestComputeVrr:

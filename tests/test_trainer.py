@@ -369,6 +369,33 @@ class TestLambdaSweep:
         assert pooled.rows == serial.rows
         assert pooled.best_lambda == serial.best_lambda
 
+    def test_pool_has_no_more_workers_than_cells(self, monkeypatch):
+        import concurrent.futures
+
+        class SerialPool:
+            """Records max_workers and maps in this process: no process starts."""
+
+            workers = []
+
+            def __init__(self, max_workers):
+                self.workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        train_set, test_set = make_sets(per_class=20)
+        grid = [0.0, 5.0, 50.0]
+        pooled = lambda_sweep(config(epochs=1), grid, train_set, test_set, jobs=64)
+        assert SerialPool.workers == [3]
+        assert pooled.rows == lambda_sweep(config(epochs=1), grid, train_set, test_set).rows
+
     @pytest.mark.parametrize("jobs", [0, -4])
     def test_non_positive_jobs_rejected_naming_jobs(self, jobs):
         train_set, test_set = make_sets(per_class=20)
