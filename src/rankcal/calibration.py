@@ -30,11 +30,12 @@ from typing import Sequence
 import numpy as np
 
 from .data import write_text
-from .errors import CapabilityError, ConfigError, EmptyInputError, SpecError
+from .errors import AT_LEAST_1, CapabilityError, ConfigError, EmptyInputError, SpecError, one_of
 from .model import ClassifierParams, backward_masks, forward_core, mask_weights
 from .numerics import Array
 
 REGULARIZER_VARIANTS = ("hinge", "difference", "none")
+VRR_MODES = one_of("sampled", "exhaustive")
 
 EXHAUSTIVE_MODALITY_LIMIT = 5
 
@@ -319,12 +320,10 @@ def evaluate_vrr(
     mask that recurs for a sample (over sampled repeats) keeps its first
     position and its last repeat's confidence.
     """
-    if mode not in ("sampled", "exhaustive"):
-        raise ConfigError(f"unknown VRR mode {mode!r}")
+    VRR_MODES.check("", "mode", mode)
+    AT_LEAST_1.check("", "repeats", repeats)
     if dataset.num_samples == 0:
         raise EmptyInputError("empty dataset")
-    if repeats < 1:
-        raise ConfigError(f"repeats must be >= 1, got {repeats}")
     num_samples, num_modalities = dataset.num_samples, dataset.num_modalities
     bits = 1 << np.arange(num_modalities)
 

@@ -20,7 +20,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import calibration, data, trainer
-from .errors import ConfigError, MaskError, NumericError, StateError, check_section
+from .errors import AT_LEAST_1, FINITE_NON_NEGATIVE, NON_EMPTY, NON_NEGATIVE, OPEN_FRACTION, PATH
+from .errors import ConfigError, Key, MaskError, RankcalError, SpecError, StateError, check_section
+from .errors import one_of
 from .metrics import mean_abs_conf_shift
 from .model import SPEC_SCHEMA, ClassifierParams, ModelSpec, SubsetMask
 from .model import load_checkpoint, save_checkpoint
@@ -34,41 +36,61 @@ HISTORY_NAME = "history.csv"
 METRICS_NAME = "metrics.json"
 RECORDS_NAME = "records.csv"
 
-# JSON kind of every top-level config key; each section is then checked by its reader.
+# The tables of the top-level keys and of the sections that no library class reads.
 _CONFIG_SCHEMA = {
-    **dict.fromkeys(("data", "split", "model", "train", "compare", "sweep"), dict),
-    "standardize": bool,
-    "output_dir": str,
+    **dict.fromkeys(("data", "split", "model", "train", "compare", "sweep"), Key(dict)),
+    "standardize": Key(bool),
+    "output_dir": Key(str, PATH),
 }
-_COMPARE_SCHEMA = {"baseline_run": str, "cml_run": str}
-_SWEEP_SCHEMA = {
-    "kind": str,
-    "lambda_grid": list[float],
-    "epsilons": list[float],
-    "target_sets": list[list[int]],
-    "baseline_run": str,
-    "cml_run": str,
+_DATA_SCHEMA = {"synthetic": Key(dict), "manifest": Key(str, PATH), "test_manifest": Key(str, PATH)}
+_SPLIT_SCHEMA = {
+    "train_fraction": Key(float, OPEN_FRACTION),
+    "seed": Key(int, NON_NEGATIVE),
+    "val_fraction": Key(float, OPEN_FRACTION),
 }
-_SPLIT_SCHEMA = {"train_fraction": float, "seed": int, "val_fraction": float}
+_SPLIT_DEFAULTS = {"train_fraction": 0.75, "seed": 0}
+_COMPARE_SCHEMA = {"baseline_run": Key(str, PATH), "cml_run": Key(str, PATH)}
 # The keys that each sweep kind reads.
 _SWEEP_KEYS = {
     "lambda": ("kind", "lambda_grid"),
     "noise": ("kind", "epsilons", "target_sets", "baseline_run", "cml_run"),
 }
+_SWEEP_SCHEMA = {
+    "kind": Key(str, one_of(*_SWEEP_KEYS)),
+    "lambda_grid": Key(list[float], FINITE_NON_NEGATIVE, NON_EMPTY),
+    "epsilons": Key(list[float], FINITE_NON_NEGATIVE, NON_EMPTY),
+    "target_sets": Key(list[list[int]], size=NON_EMPTY),
+    "baseline_run": Key(str, PATH),
+    "cml_run": Key(str, PATH),
+}
+# The table of every section below the top level; data.synthetic's is SyntheticSpec's.
+SECTIONS = {
+    "data": _DATA_SCHEMA,
+    "data.synthetic": data.SYNTHETIC_SCHEMA,
+    "split": _SPLIT_SCHEMA,
+    "model": SPEC_SCHEMA,
+    "train": trainer.TRAIN_SCHEMA,
+    "compare": _COMPARE_SCHEMA,
+    "sweep": _SWEEP_SCHEMA,
+}
 
 
 def _load_config(path: Path) -> dict:
+    """The config's top-level object, its sections (kept as JSON for the run
+    snapshot) checked against their tables before any data is read."""
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     cfg = data.read_json(path)
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     cfg = check_section("", cfg, _CONFIG_SCHEMA)
-    data_section = check_section(
-        "data", cfg.get("data", {}), {"synthetic": dict, "manifest": str, "test_manifest": str}
-    )
+    data_section = check_section("data", cfg.get("data", {}), _DATA_SCHEMA)
     if ("synthetic" in data_section) == ("manifest" in data_section):
         raise ConfigError("config data section needs exactly one of 'synthetic' or 'manifest'")
+    if "synthetic" in data_section:
+        data.SyntheticSpec.from_json_dict(data_section["synthetic"])
+    for name in ("split", "model", "train", "compare", "sweep"):
+        check_section(name, cfg.get(name, {}), SECTIONS[name])
     return cfg
 
 
@@ -112,10 +134,9 @@ def _prepare(cfg: dict, base: Path) -> PreparedData:
                 "since nothing is split"
             )
     elif "split" in cfg:
+        split_cfg = _SPLIT_DEFAULTS | split_cfg
         train_set, test_set = data.split(
-            dataset,
-            train_fraction=split_cfg.get("train_fraction", 0.75),
-            seed=split_cfg.get("seed", 0),
+            dataset, train_fraction=split_cfg["train_fraction"], seed=split_cfg["seed"]
         )
     else:
         raise ConfigError(
@@ -142,16 +163,10 @@ def _prepare(cfg: dict, base: Path) -> PreparedData:
     }
     model_cfg = check_section("model", cfg.get("model", {}), SPEC_SCHEMA)
     model_spec = ModelSpec(**(defaults | model_cfg))
-    if model_spec.modality_dims != train_set.modality_dims:
-        raise ConfigError(
-            f"configured modality_dims {model_spec.modality_dims} do not match the data "
-            f"{train_set.modality_dims}"
-        )
-    if model_spec.num_classes != train_set.num_classes:
-        raise ConfigError(
-            f"configured num_classes {model_spec.num_classes} does not match the data "
-            f"{train_set.num_classes}"
-        )
+    for key in ("modality_dims", "num_classes"):
+        if getattr(model_spec, key) != defaults[key]:
+            got = getattr(model_spec, key)
+            raise ConfigError(f"model.{key}: expected {defaults[key]} as in the data, got {got}")
     return PreparedData(train=train_set, test=test_set, model_spec=model_spec, val=val_set)
 
 
@@ -222,12 +237,46 @@ def cmd_train(config_path: Path, out_override: str | None, seed_override: int | 
     return 0
 
 
-def _load_run(run_dir: Path) -> tuple[ClassifierParams, trainer.TrainConfig]:
+def _test_protocol(cfg: dict) -> dict:
+    """The settings that fix a config's test rows, by dotted key, defaults applied.
+
+    They are whether a test manifest is named, the split, standardize and,
+    for generated data, the SyntheticSpec.
+    """
+    data_section = check_section("data", cfg.get("data", {}), _DATA_SCHEMA)
+    protocol = {"data.test_manifest": "test_manifest" in data_section}
+    split = _SPLIT_DEFAULTS | check_section("split", cfg.get("split", {}), _SPLIT_SCHEMA)
+    protocol |= {f"split.{key}": value for key, value in split.items()}
+    protocol["standardize"] = cfg.get("standardize", True)
+    if "synthetic" in data_section:
+        spec = data.SyntheticSpec.from_json_dict(data_section["synthetic"])
+        protocol |= {f"data.synthetic.{key}": value for key, value in vars(spec).items()}
+    return protocol
+
+
+def _load_run(run_dir: Path, cfg: dict) -> tuple[ClassifierParams, trainer.TrainConfig]:
+    """A run's parameters and settings, once its snapshot shows the test protocol of `cfg`.
+
+    A setting of _test_protocol that differs (data.synthetic only when both
+    generate their data) fails naming the first such key, so `cfg` never
+    scores the run on other rows than its own test rows.
+    """
     spec, params = load_checkpoint(run_dir / CHECKPOINT_NAME)
     snapshot_path = run_dir / CONFIG_SNAPSHOT_NAME
     snapshot = data.read_json(snapshot_path)
     if not isinstance(snapshot, dict) or "resolved_train" not in snapshot:
         raise StateError(f"{snapshot_path}: missing key 'resolved_train'")
+    try:
+        theirs = _test_protocol(snapshot)
+    except (ConfigError, SpecError) as exc:
+        raise StateError(f"{snapshot_path}: {exc}") from None
+    ours = _test_protocol(cfg)
+    for key in {**ours, **theirs}:
+        if key.startswith("data.") and not (key in ours and key in theirs):
+            continue
+        if ours.get(key) != theirs.get(key):
+            shown = [repr(p[key]) if key in p else "unset" for p in (theirs, ours)]
+            raise StateError(f"{key}: {shown[0]} in {snapshot_path}, {shown[1]} here")
     return params, trainer.TrainConfig.from_json_dict(snapshot["resolved_train"], spec)
 
 
@@ -237,11 +286,11 @@ def cmd_compare(config_path: Path, out_override: str | None) -> int:
         "compare", cfg.get("compare", {}), _COMPARE_SCHEMA, required=("baseline_run", "cml_run")
     )
     base = config_path.parent
-    params_a, config_a = _load_run(_resolve(base, compare_cfg["baseline_run"]))
-    params_b, config_b = _load_run(_resolve(base, compare_cfg["cml_run"]))
+    test_set = _prepare(cfg, base).test
+    params_a, config_a = _load_run(_resolve(base, compare_cfg["baseline_run"]), cfg)
+    params_b, config_b = _load_run(_resolve(base, compare_cfg["cml_run"]), cfg)
     if params_a.spec != params_b.spec:
         raise ConfigError("runs have different model specs")
-    test_set = _prepare(cfg, base).test
     report_a, vrr_a = trainer.evaluate_with_vrr(params_a, test_set, config_a)
     report_b, vrr_b = trainer.evaluate_with_vrr(params_b, test_set, config_b)
     # The full-mask confidences of each model's evaluation forward: no forward of its own.
@@ -291,26 +340,17 @@ def _target_sets(raw: list[list[int]], num_modalities: int | None = None) -> lis
 def cmd_sweep(
     config_path: Path, out_override: str | None, seed_override: int | None, jobs: int | None
 ) -> int:
-    if jobs is not None and jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
+    if jobs is not None:
+        AT_LEAST_1.check("", "--jobs", jobs)
     cfg = _load_config(config_path)
-    sweep_cfg = check_section("sweep", cfg.get("sweep", {}), _SWEEP_SCHEMA)
-    kind = sweep_cfg.get("kind")
-    if kind not in _SWEEP_KEYS:
-        raise ConfigError("sweep section needs kind: 'lambda' or 'noise'")
+    sweep_cfg = check_section("sweep", cfg.get("sweep", {}), _SWEEP_SCHEMA, required=("kind",))
+    kind = sweep_cfg["kind"]
     unread = [key for key in sweep_cfg if key not in _SWEEP_KEYS[kind]]
     if unread:
         raise ConfigError(f'sweep.{unread[0]}: unknown key for kind "{kind}"')
     if kind == "noise" and jobs is not None:
         raise ConfigError('--jobs: not used by sweep kind "noise"')
-    for key in ("lambda_grid", "epsilons", "target_sets"):
-        if sweep_cfg.get(key) == []:
-            raise ConfigError(f"sweep.{key}: empty, expected at least one entry")
     _target_sets(sweep_cfg.get("target_sets", []))
-    for key in ("lambda_grid", "epsilons"):
-        for i, value in enumerate(sweep_cfg.get(key, [])):
-            if not 0 <= value < math.inf:
-                raise ConfigError(f"sweep.{key}[{i}]: expected a finite value >= 0, got {value!r}")
     runs = [key for key in ("baseline_run", "cml_run") if key in sweep_cfg]
     if kind == "noise" and len(runs) == 1:
         (missing,) = {"baseline_run", "cml_run"} - set(runs)
@@ -347,8 +387,8 @@ def cmd_sweep(
         target_sets = trainer.default_target_sets(num_modalities)
     base = config_path.parent
     if runs:
-        params_a, _ = _load_run(_resolve(base, sweep_cfg["baseline_run"]))
-        params_b, _ = _load_run(_resolve(base, sweep_cfg["cml_run"]))
+        params_a, _ = _load_run(_resolve(base, sweep_cfg["baseline_run"]), cfg)
+        params_b, _ = _load_run(_resolve(base, sweep_cfg["cml_run"]), cfg)
     else:
         if config.lam <= 0:
             raise ConfigError(
@@ -426,8 +466,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "train":
             return cmd_train(config_path, args.out, seed_override)
         return cmd_sweep(config_path, args.out, seed_override, args.jobs)
-    # Every rankcal.errors type derives from one of these.
-    except (NumericError, OSError, ValueError, RuntimeError) as exc:
+    # Bad input, a failed run or a file system error; any other error is a bug: it propagates.
+    except (RankcalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

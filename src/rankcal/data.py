@@ -23,9 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DomainError, EmptyInputError, ParseError
-from .errors import SpecError, SplitError
-from .errors import check_section
+from .errors import AT_LEAST_1, AT_LEAST_2, FINITE_NON_NEGATIVE, NON_NEGATIVE, OPEN_FRACTION, PATH
+from .errors import TWO_OR_MORE
+from .errors import ConfigError, DimensionError, DomainError, EmptyInputError, Key, ParseError
+from .errors import SpecError, SplitError, check_bounds, check_section
 
 # Stream tags for mean placement, feature noise, corruption draws and validation carve-outs.
 _MEANS_STREAM = 11
@@ -33,18 +34,22 @@ _FEATURES_STREAM = 12
 _CORRUPT_STREAM = 13
 _VALIDATION_STREAM = 14
 
-# JSON kind of every "data.synthetic" key; per-class and per-modality values may be one scalar.
-_SYNTHETIC_SCHEMA = {
-    "num_classes": int,
-    "modality_dims": list[int],
-    "samples_per_class": int | list[int],
-    "class_separation": float | list[float],
-    "noise_std": float | list[float],
-    "seed": int,
+# Every "data.synthetic" key; per-class and per-modality values may be one scalar.
+SYNTHETIC_SCHEMA = {
+    "num_classes": Key(int, AT_LEAST_2),
+    "modality_dims": Key(list[int], AT_LEAST_1, TWO_OR_MORE),
+    "samples_per_class": Key(int | list[int], AT_LEAST_1),
+    "class_separation": Key(float | list[float], FINITE_NON_NEGATIVE),
+    "noise_std": Key(float | list[float], FINITE_NON_NEGATIVE),
+    "seed": Key(int, NON_NEGATIVE),
 }
-# JSON kind of every manifest key and of every key of a manifest's modality entry; all required.
-_MANIFEST_SCHEMA = {"num_classes": int, "modalities": list[dict], "labels": str}
-_ENTRY_SCHEMA = {"path": str, "dim": int}
+# Every manifest key and every key of a manifest's modality entry; all required.
+_MANIFEST_SCHEMA = {
+    "num_classes": Key(int, AT_LEAST_2),
+    "modalities": Key(list[dict]),
+    "labels": Key(str, PATH),
+}
+_ENTRY_SCHEMA = {"path": Key(str, PATH), "dim": Key(int, AT_LEAST_1)}
 
 
 @dataclass(frozen=True)
@@ -61,52 +66,33 @@ class SyntheticSpec:
         object.__setattr__(self, "samples_per_class", tuple(int(n) for n in self.samples_per_class))
         object.__setattr__(self, "class_separation", tuple(float(s) for s in self.class_separation))
         object.__setattr__(self, "noise_std", tuple(float(s) for s in self.noise_std))
-        if self.num_classes < 2:
-            raise SpecError("need at least 2 classes")
-        if len(self.modality_dims) < 2:
-            raise SpecError("need at least 2 modalities")
-        if any(d < 1 for d in self.modality_dims):
-            raise SpecError(f"modality dims must be >= 1: {self.modality_dims}")
-        if len(self.samples_per_class) != self.num_classes:
-            raise SpecError("samples_per_class must list one count per class")
-        if any(n < 1 for n in self.samples_per_class):
-            raise SpecError(f"per-class counts must be >= 1: {self.samples_per_class}")
-        if len(self.class_separation) != len(self.modality_dims):
-            raise SpecError("class_separation must list one value per modality")
-        if not all(0 <= s < math.inf for s in self.class_separation):
-            separation = self.class_separation
-            raise SpecError(f"class_separation must be finite and >= 0, got {separation}")
-        if len(self.noise_std) != len(self.modality_dims):
-            raise SpecError("noise_std must list one value per modality")
-        if not all(0 <= s < math.inf for s in self.noise_std):
-            raise SpecError(f"noise_std must be finite and >= 0, got {self.noise_std}")
-        if self.seed < 0:
-            raise SpecError("seed must be >= 0")
+        check_bounds("data.synthetic", vars(self), SYNTHETIC_SCHEMA)
+        for key, count in _entry_counts(vars(self)).items():
+            if len(getattr(self, key)) != count:
+                got = getattr(self, key)
+                raise SpecError(f"data.synthetic.{key}: expected {count} entries, got {got}")
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SyntheticSpec":
-        """Parse a "data.synthetic" section; noise_std and seed are optional."""
+        """Parse a "data.synthetic" section; noise_std and seed are optional.
+
+        A scalar samples_per_class, class_separation or noise_std stands for
+        every class or modality.
+        """
         required = ("num_classes", "modality_dims", "samples_per_class", "class_separation")
-        obj = check_section("data.synthetic", obj, _SYNTHETIC_SCHEMA, required)
-        num_classes = obj["num_classes"]
-        dims = tuple(obj["modality_dims"])
-        per_class = obj["samples_per_class"]
-        if isinstance(per_class, int):
-            per_class = [per_class] * num_classes
-        separation = obj["class_separation"]
-        if isinstance(separation, float):
-            separation = [separation] * len(dims)
-        noise = obj.get("noise_std", 1.0)
-        if isinstance(noise, float):
-            noise = [noise] * len(dims)
-        return cls(
-            num_classes=num_classes,
-            modality_dims=dims,
-            samples_per_class=tuple(per_class),
-            class_separation=tuple(separation),
-            noise_std=tuple(noise),
-            seed=obj.get("seed", 0),
+        obj = {"noise_std": 1.0, "seed": 0} | check_section(
+            "data.synthetic", obj, SYNTHETIC_SCHEMA, required
         )
+        for key, count in _entry_counts(obj).items():
+            if not isinstance(obj[key], list):
+                obj[key] = [obj[key]] * count
+        return cls(**obj)
+
+
+def _entry_counts(spec: dict) -> dict:
+    """How many entries each per-class or per-modality key of a "data.synthetic" object lists."""
+    per_class, per_modality = spec["num_classes"], len(spec["modality_dims"])
+    return dict(samples_per_class=per_class, class_separation=per_modality, noise_std=per_modality)
 
 
 @dataclass
@@ -182,8 +168,7 @@ class CorruptionSpec:
         object.__setattr__(
             self, "target_modalities", frozenset(int(i) for i in self.target_modalities)
         )
-        if not 0 <= self.epsilon < math.inf:
-            raise SpecError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        FINITE_NON_NEGATIVE.check("", "epsilon", self.epsilon)
         if any(i < 0 for i in self.target_modalities):
             raise SpecError(f"negative modality index: {self.target_modalities}")
 
@@ -222,21 +207,28 @@ def class_means(spec: SyntheticSpec, modality: int) -> np.ndarray:
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
-    """Gaussian clusters per (class, modality); deterministic given the seed."""
+    """Gaussian clusters per (class, modality); deterministic given the seed.
+
+    Settings so large that a feature overflows float64 fail with a SpecError.
+    """
     total = sum(spec.samples_per_class)
     labels = np.concatenate(
         [np.full(n, k, dtype=np.int64) for k, n in enumerate(spec.samples_per_class)]
     )
     modalities = []
     for m, dim in enumerate(spec.modality_dims):
-        means = class_means(spec, m)
-        blocks = []
-        for k, n in enumerate(spec.samples_per_class):
-            rng = np.random.default_rng([spec.seed, _FEATURES_STREAM, k, m])
-            blocks.append(means[k] + spec.noise_std[m] * rng.standard_normal((n, dim)))
+        with np.errstate(over="ignore", invalid="ignore"):  # Dataset rejects what overflowed
+            means = class_means(spec, m)
+            blocks = []
+            for k, n in enumerate(spec.samples_per_class):
+                rng = np.random.default_rng([spec.seed, _FEATURES_STREAM, k, m])
+                blocks.append(means[k] + spec.noise_std[m] * rng.standard_normal((n, dim)))
         modalities.append(np.concatenate(blocks, axis=0))
     assert modalities[0].shape[0] == total
-    return Dataset(modalities=modalities, labels=labels, num_classes=spec.num_classes)
+    try:
+        return Dataset(modalities=modalities, labels=labels, num_classes=spec.num_classes)
+    except DomainError as exc:
+        raise SpecError(f"data.synthetic overflows float64: {exc}") from None
 
 
 def write_csv_dataset(dataset: Dataset, out_dir) -> Path:
@@ -274,8 +266,11 @@ def write_text(path: Path, text: str) -> None:
 
 
 def json_text(obj) -> str:
-    """Indented, key-sorted ASCII JSON with a final newline; a NaN or infinity raises ValueError."""
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Indented, key-sorted ASCII JSON with a final newline; NaN or infinity raises DomainError."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise DomainError(f"cannot write JSON: {exc}") from None
 
 
 def write_json(path: Path, obj) -> None:
@@ -293,6 +288,8 @@ def read_json(path: Path):
         raise ParseError(str(path), line, f"not UTF-8 (byte 0x{raw[exc.start]:02x})") from None
     except json.JSONDecodeError as exc:
         raise ParseError(str(path), exc.lineno, f"invalid JSON ({exc.msg})") from None
+    except (ValueError, RecursionError) as exc:  # an int over Python's digit limit; deep nesting
+        raise DomainError(f"{path}: cannot read JSON ({exc})") from None
 
 
 def _text_lines(path: Path, raw: bytes):
@@ -426,8 +423,7 @@ def _read_label_lines(path: Path, raw: bytes, num_classes: int) -> np.ndarray:
 
 def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Stratified train/test split; both sides keep every class."""
-    if not 0.0 < train_fraction < 1.0:
-        raise SplitError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    OPEN_FRACTION.check("", "train_fraction", train_fraction)
     # 0 for train, 1 for test.
     side = np.full(dataset.num_samples, -1, dtype=np.int8)
     for k in range(dataset.num_classes):
@@ -450,8 +446,7 @@ def split_validation(train_set: Dataset, val_fraction: float, seed: int) -> tupl
     validation side; the draw is keyed by `seed` on its own stream, apart from
     the train/test split's.
     """
-    if not 0.0 < val_fraction < 1.0:
-        raise SplitError(f"val_fraction must be in (0, 1), got {val_fraction}")
+    OPEN_FRACTION.check("", "val_fraction", val_fraction)
     stream = int(np.random.default_rng([seed, _VALIDATION_STREAM]).integers(2**31))
     return split(train_set, 1.0 - val_fraction, stream)
 

@@ -1,42 +1,93 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, all under RankcalError, and the config checks.
+
+A config table maps each key of a section to a Key: its JSON kind and bounds.
+A value outside them fails as "<section>.<key>: expected <bound>, got <value>".
+"""
 
 from __future__ import annotations
 
+import math
 import types
 import typing
+from typing import Callable, NamedTuple
 
 
-class DimensionError(ValueError):
+class RankcalError(Exception):
+    """Base of every rankcal error: bad input, or a run that failed on it."""
+
+
+class DimensionError(RankcalError, ValueError):
     """Operand shapes do not conform."""
 
 
-class NumericError(ArithmeticError):
+class NumericError(RankcalError, ArithmeticError):
     """A value that must be finite is NaN or infinite."""
 
 
-class MaskError(ValueError):
+class MaskError(RankcalError, ValueError):
     """Invalid modality subset mask."""
 
 
-class SpecError(ValueError):
+class SpecError(RankcalError, ValueError):
     """Invalid model or dataset specification."""
 
 
-class StateError(RuntimeError):
+class StateError(RankcalError, RuntimeError):
     """Inputs were produced by mismatched prior calls."""
 
 
-class ConfigError(ValueError):
+class ConfigError(RankcalError, ValueError):
     """Invalid configuration value."""
 
 
-def check_section(name: str, section, schema: dict, required=()) -> dict:
-    """Check a config section (a JSON object) against `schema`, a key -> kind map.
+class Bound(NamedTuple):
+    """A condition on a value beyond its kind; `text` completes "expected ..."."""
 
-    Returns the section's values, each converted by _check_value. Unknown,
-    missing and mistyped keys fail naming the key by its dotted path, e.g.
-    "model.hiden_dim: unknown key" or "model.hidden_dim: expected int, got 'x'";
-    an empty `name` checks a top-level object, whose paths are the bare keys.
+    text: str
+    test: Callable[[object], bool]
+
+    def check(self, section: str, key: str, value) -> None:
+        """Fail unless `value` passes, naming it <section>.<key>, or <key> with no section."""
+        if not self.test(value):
+            path = f"{section}.{key}" if section else key
+            raise ConfigError(f"{path}: expected {self.text}, got {value!r}")
+
+
+AT_LEAST_1 = Bound("an int >= 1", lambda v: v >= 1)
+AT_LEAST_2 = Bound("an int >= 2", lambda v: v >= 2)
+NON_NEGATIVE = Bound("an int >= 0", lambda v: v >= 0)
+# The float bounds are finite: NaN and infinity fail every comparison below.
+FINITE_NON_NEGATIVE = Bound("a finite value >= 0", lambda v: 0 <= v < math.inf)
+FINITE_POSITIVE = Bound("a finite value > 0", lambda v: 0 < v < math.inf)
+OPEN_FRACTION = Bound("a value in (0, 1)", lambda v: 0 < v < 1)
+# A NUL byte makes every file call raise a bare ValueError.
+PATH = Bound("a path without NUL bytes", lambda v: "\0" not in v)
+NON_EMPTY = Bound("a non-empty list", lambda v: len(v) >= 1)
+TWO_OR_MORE = Bound("at least 2 entries", lambda v: len(v) >= 2)
+
+
+def one_of(*choices: str) -> Bound:
+    """The bound of a string that must be one of `choices`."""
+    return Bound("one of " + ", ".join(map(repr, choices)), choices.__contains__)
+
+
+class Key(NamedTuple):
+    """One config key: its JSON kind, the bound on its value (on each entry of a
+    list), and the bound on a list's length."""
+
+    kind: object
+    bound: Bound | None = None
+    size: Bound | None = None
+
+
+def check_section(name: str, section, schema: dict, required=()) -> dict:
+    """Check a config section (a JSON object) against `schema`, a key -> Key map.
+
+    Returns the section's values, each converted by _check_value and within
+    its bounds. Unknown, missing, mistyped and out-of-bound keys fail naming
+    the key by its dotted path, e.g. "model.hiden_dim: unknown key" or
+    "model.hidden_dim: expected an int >= 1, got 0"; an empty `name` checks a
+    top-level object, whose paths are the bare keys.
     """
     if not isinstance(section, dict):
         raise ConfigError(f"{name}: expected a JSON object, got {section!r}")
@@ -47,7 +98,24 @@ def check_section(name: str, section, schema: dict, required=()) -> dict:
     for key in required:
         if key not in section:
             raise ConfigError(f"{prefix}{key}: missing key")
-    return {key: _check_value(prefix + key, raw, schema[key]) for key, raw in section.items()}
+    values = {key: _check_value(prefix + key, v, schema[key].kind) for key, v in section.items()}
+    check_bounds(name, values, schema)
+    return values
+
+
+def check_bounds(name: str, values: dict, schema: dict) -> None:
+    """Fail naming the first of `values` (key -> value) outside its bounds; kinds go unchecked."""
+    for key, value in values.items():
+        _, bound, size = schema[key]
+        if size is not None:
+            size.check(name, key, value)
+        if bound is None:
+            continue
+        if isinstance(value, (list, tuple)):
+            for i, item in enumerate(value):
+                bound.check(name, f"{key}[{i}]", item)
+        else:
+            bound.check(name, key, value)
 
 
 def _check_value(path: str, raw, kind):
@@ -71,19 +139,19 @@ def _check_value(path: str, raw, kind):
     raise ConfigError(f"{path}: expected {expected}, got {raw!r}")
 
 
-class DomainError(ValueError):
+class DomainError(RankcalError, ValueError):
     """Argument outside its mathematical domain."""
 
 
-class EmptyInputError(ValueError):
+class EmptyInputError(RankcalError, ValueError):
     """An operation that needs at least one element got none."""
 
 
-class CapabilityError(ValueError):
+class CapabilityError(RankcalError, ValueError):
     """Request exceeds a documented operational limit."""
 
 
-class ParseError(ValueError):
+class ParseError(RankcalError, ValueError):
     """Malformed input file; carries the offending location."""
 
     def __init__(self, path: str, line: int, message: str):
@@ -92,7 +160,7 @@ class ParseError(ValueError):
         self.line = line
 
 
-class DivergenceError(RuntimeError):
+class DivergenceError(RankcalError, RuntimeError):
     """Training produced a non-finite loss or a floating-point error.
 
     A floating-point error is an overflow, a division by zero or an invalid
@@ -107,9 +175,9 @@ class DivergenceError(RuntimeError):
         self.loss = loss
 
 
-class SweepError(RuntimeError):
+class SweepError(RankcalError, RuntimeError):
     """Every run in a sweep failed."""
 
 
-class SplitError(ValueError):
+class SplitError(RankcalError, ValueError):
     """Dataset cannot be split as requested."""

@@ -87,7 +87,7 @@ class MetricsReport:
         return obj
 
     def to_json(self) -> str:
-        """The report as json_text: a NaN or infinite field raises ValueError."""
+        """The report as json_text: a NaN or infinite field raises DomainError."""
         return json_text(self.to_json_dict())
 
 

@@ -42,8 +42,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import CapabilityError, DimensionError, MaskError, SpecError, StateError
-from .errors import check_section
+from .errors import AT_LEAST_1, AT_LEAST_2, TWO_OR_MORE, CapabilityError, DimensionError, Key
+from .errors import MaskError, StateError, check_bounds, check_section
 from .numerics import Array, softmax_parts
 
 CHECKPOINT_MAGIC = "rankcal-checkpoint v1"
@@ -51,9 +51,14 @@ CHECKPOINT_MAGIC = "rankcal-checkpoint v1"
 # The largest parameter vector init_params allocates: 1 GiB, 2**27 float64 values.
 MAX_PARAM_BYTES = 1 << 30
 
-# JSON kind of every ModelSpec key, in a config "model" section and a checkpoint header.
-SPEC_SCHEMA = {"modality_dims": list[int], "hidden_dim": int, "latent_dim": int, "num_classes": int}
-_HEADER_SCHEMA = {"spec": dict, "arrays": list[list[int]], "dtype": str}
+# Every ModelSpec key, in a config "model" section and a checkpoint header.
+SPEC_SCHEMA = {
+    "modality_dims": Key(list[int], AT_LEAST_1, TWO_OR_MORE),
+    "hidden_dim": Key(int, AT_LEAST_1),
+    "latent_dim": Key(int, AT_LEAST_1),
+    "num_classes": Key(int, AT_LEAST_2),
+}
+_HEADER_SCHEMA = {"spec": Key(dict), "arrays": Key(list[list[int]]), "dtype": Key(str)}
 
 
 @dataclass(frozen=True)
@@ -65,14 +70,7 @@ class ModelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "modality_dims", tuple(int(d) for d in self.modality_dims))
-        if len(self.modality_dims) < 2:
-            raise SpecError("need at least 2 modalities")
-        if any(d < 1 for d in self.modality_dims):
-            raise SpecError(f"modality dims must be >= 1, got {self.modality_dims}")
-        if self.hidden_dim < 1 or self.latent_dim < 1:
-            raise SpecError("hidden_dim and latent_dim must be >= 1")
-        if self.num_classes < 2:
-            raise SpecError("need at least 2 classes")
+        check_bounds("model", vars(self), SPEC_SCHEMA)
 
     @property
     def num_modalities(self) -> int:
@@ -364,7 +362,7 @@ def load_checkpoint(path) -> tuple[ModelSpec, ClassifierParams]:
             header = json.loads(fh.readline().decode("ascii"))
             header = check_section("header", header, _HEADER_SCHEMA, required=("spec", "arrays"))
             spec = ModelSpec.from_json_dict(header["spec"])
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: a header nested too deeply
             raise StateError(f"{path}: {exc}") from None
         shapes = [tuple(s) for s in header["arrays"]]
         payload = fh.read()

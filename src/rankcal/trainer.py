@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .calibration import (
     REGULARIZER_VARIANTS,
+    VRR_MODES,
     VrrEvaluation,
     chain_weights,
     check_exhaustive,
@@ -25,15 +26,9 @@ from .calibration import (
     removal_orders,
 )
 from .data import CorruptionSpec, Dataset, corrupt_block
-from .errors import (
-    ConfigError,
-    DivergenceError,
-    EmptyInputError,
-    NumericError,
-    SpecError,
-    SweepError,
-    check_section,
-)
+from .errors import AT_LEAST_1, FINITE_NON_NEGATIVE, FINITE_POSITIVE, NON_EMPTY, NON_NEGATIVE
+from .errors import ConfigError, DivergenceError, EmptyInputError, Key, NumericError, SpecError
+from .errors import SweepError, check_bounds, check_section, one_of
 from .metrics import MetricsReport, build_report
 from .model import ClassifierParams, ModelSpec, SubsetMask, classify_core
 from .model import encode_copies, encode_core, init_params, mask_weights
@@ -43,8 +38,21 @@ from .numerics import adam_update, init_adam_state, nll_loss
 _SHUFFLE_STREAM = 1
 _CHAIN_STREAM = 2
 
-# Config key of each TrainConfig field whose name differs from it.
-_CONFIG_KEYS = {"lam": "lambda"}
+# Every "train" key: each TrainConfig field but the model spec, under its config key.
+TRAIN_SCHEMA = {
+    "epochs": Key(int, AT_LEAST_1),
+    "learning_rate": Key(float, FINITE_POSITIVE),
+    "batch_size": Key(int, AT_LEAST_1),
+    "lambda": Key(float, FINITE_NON_NEGATIVE),
+    "variant": Key(str, one_of(*REGULARIZER_VARIANTS)),
+    "skip_on_wrong_full": Key(bool),
+    "detach_superset": Key(bool),
+    "seed": Key(int, NON_NEGATIVE),
+    "vrr_mode": Key(str, VRR_MODES),
+    "vrr_repeats": Key(int, AT_LEAST_1),
+}
+# TrainConfig field of each config key whose name differs from it.
+_FIELDS = {"lambda": "lam"}
 
 # Test-set rows that one stacked noise-sweep call encodes and classifies at most,
 # counted in whole cells (a larger cell runs alone): the sweep's working set is
@@ -83,45 +91,24 @@ class TrainConfig:
     vrr_repeats: int = 1
 
     def validate(self) -> None:
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
-        if self.variant not in REGULARIZER_VARIANTS:
-            raise ConfigError(f"unknown regularizer variant {self.variant!r}")
-        if self.vrr_mode not in ("sampled", "exhaustive"):
-            raise ConfigError(f"unknown vrr_mode {self.vrr_mode!r}")
+        """Fail on a setting outside TRAIN_SCHEMA's bounds, or settings that do not go together."""
+        check_bounds("train", self.to_json_dict(), TRAIN_SCHEMA)
         if self.vrr_mode == "exhaustive":
             check_exhaustive(self.model.num_modalities)
-        if self.vrr_repeats < 1:
-            raise ConfigError(f"vrr_repeats must be >= 1, got {self.vrr_repeats}")
-        if self.vrr_mode == "exhaustive" and self.vrr_repeats != 1:
-            raise ConfigError(
-                f"vrr_repeats must be 1 with vrr_mode 'exhaustive', got {self.vrr_repeats}"
-            )
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-
-    @classmethod
-    def _json_fields(cls) -> dict:
-        """Config key -> field, for every field but the model spec."""
-        return {_CONFIG_KEYS.get(f.name, f.name): f for f in fields(cls) if f.name != "model"}
+            if self.vrr_repeats != 1:
+                raise ConfigError(
+                    f"vrr_repeats must be 1 with vrr_mode 'exhaustive', got {self.vrr_repeats}"
+                )
 
     def to_json_dict(self) -> dict:
         """Every training setting under its config key (the model spec excluded)."""
-        return {key: getattr(self, f.name) for key, f in self._json_fields().items()}
+        return {key: getattr(self, _FIELDS.get(key, key)) for key in TRAIN_SCHEMA}
 
     @classmethod
     def from_json_dict(cls, obj: dict, model: ModelSpec) -> "TrainConfig":
         """Parse a "train" section; missing keys take their defaults, unknown keys fail."""
-        known = cls._json_fields()
-        schema = {key: type(f.default) for key, f in known.items()}
-        values = check_section("train", obj, schema)
-        return cls(model=model, **{known[key].name: value for key, value in values.items()})
+        values = check_section("train", obj, TRAIN_SCHEMA)
+        return cls(model=model, **{_FIELDS.get(key, key): value for key, value in values.items()})
 
 
 @dataclass(frozen=True)
@@ -303,10 +290,8 @@ def lambda_sweep(
     process per cell, with rows collected in grid order, so results match the
     serial run.
     """
-    if not grid:
-        raise ConfigError("empty lambda grid")
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    NON_EMPTY.check("", "grid", grid)
+    AT_LEAST_1.check("", "jobs", jobs)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankcal import cli, data, model, trainer
+from rankcal import cli, data, errors, model, trainer
 from rankcal.cli import main
 from rankcal.data import Dataset, SyntheticSpec, generate_synthetic, load_csv_dataset
 from rankcal.data import standardize_apply, standardize_fit, write_csv_dataset
@@ -207,6 +207,11 @@ class TestTrainCommand:
             ),
             ({"model": [8]}, "model: expected a JSON object"),
             ({"model": {"hidden_dim": "x"}}, "model.hidden_dim: expected int, got 'x'"),
+            ({"model": {"num_classes": 3}}, "model.num_classes: expected 2 as in the data, got 3"),
+            (
+                {"model": {"modality_dims": [4, 3, 2]}},
+                "model.modality_dims: expected (4, 3) as in the data, got (4, 3, 2)",
+            ),
             ({"model": {"modality_dims": [4, "3"]}}, "model.modality_dims[1]: expected int"),
             ({"split": {"train_fraction": "0.8"}}, "split.train_fraction: expected float"),
             ({"split": {"seed": 1.5}}, "split.seed: expected int, got 1.5"),
@@ -391,7 +396,9 @@ class TestCompareCommand:
     def test_empty_test_manifest_fails(self, tmp_path, capsys):
         dataset = generate_synthetic(SyntheticSpec.from_json_dict(SYNTHETIC))
         write_csv_dataset(dataset.take([]), tmp_path / "empty")
-        self.train_pair(tmp_path)
+        # The runs share the compare config's protocol: no split, all of SYNTHETIC to train on.
+        write_csv_dataset(dataset, tmp_path / "test")
+        self.train_pair(tmp_path, data={"test_manifest": "test/manifest.json"}, split=None)
         compare_cfg = write_config(
             tmp_path / "compare.json",
             data={"test_manifest": "empty/manifest.json"},
@@ -452,6 +459,54 @@ class TestCompareCommand:
         comparison = json.loads((out / "comparison.json").read_text())
         for side, run in (("baseline", "run_a"), ("cml", "run_b")):
             assert comparison[side] == json.loads((tmp_path / run / "metrics.json").read_text())
+
+    def test_run_snapshot_outside_a_table_fails_naming_it(self, tmp_path, capsys):
+        compare_cfg = self.train_pair(tmp_path)
+        snapshot = tmp_path / "run_a" / "config.json"
+        written = json.loads(snapshot.read_text())
+        written["split"]["seed"] = -1
+        snapshot.write_text(json.dumps(written))
+        capsys.readouterr()
+        out = tmp_path / "c"
+        assert main(["compare", "--config", str(compare_cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {snapshot}: split.seed: expected an int >= 0, got -1"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["compare", "sweep"])
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"split": {"seed": 1}}, "split.seed: 0 in {run}, 1 here"),
+            ({"split": {"val_fraction": 0.25}}, "split.val_fraction: unset in {run}, 0.25 here"),
+            ({"standardize": False}, "standardize: True in {run}, False here"),
+            (
+                {"data": {"test_manifest": "test/manifest.json"}, "split": None},
+                "data.test_manifest: False in {run}, True here",
+            ),
+            (
+                {"data": {"synthetic": {**SYNTHETIC, "seed": 4}}},
+                "data.synthetic.seed: 3 in {run}, 4 here",
+            ),
+        ],
+    )
+    def test_runs_of_another_test_protocol_fail_naming_the_key(
+        self, tmp_path, capsys, command, overrides, message
+    ):
+        # Before, both scored the runs on the rows their own config picked and exited 0.
+        dataset = generate_synthetic(SyntheticSpec.from_json_dict(SYNTHETIC))
+        write_csv_dataset(dataset, tmp_path / "test")
+        self.train_pair(tmp_path)
+        runs = {"baseline_run": "run_a", "cml_run": "run_b"}
+        sweep = {"kind": "noise", **runs}
+        section = {"compare": runs} if command == "compare" else {"sweep": sweep}
+        cfg = write_config(tmp_path / "other.json", **section, **overrides)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        run = tmp_path / "run_a" / "config.json"
+        assert capsys.readouterr().err.splitlines() == [f"error: {message.format(run=run)}"]
+        assert not out.exists()
 
 
 class TestSweepCommand:
@@ -520,7 +575,7 @@ class TestSweepCommand:
         "sweep, message",
         [
             # Before, the pair was trained first and the error named no key.
-            ({"kind": "noise", "target_sets": []}, "sweep.target_sets: empty, expected"),
+            ({"kind": "noise", "target_sets": []}, "sweep.target_sets: expected a non-empty list"),
             (
                 {"kind": "noise", "target_sets": [[0], []]},
                 "sweep.target_sets[1]: mask must contain at least one modality",
@@ -529,8 +584,8 @@ class TestSweepCommand:
                 {"kind": "noise", "target_sets": [[1], [7]]},
                 "sweep.target_sets[1]: mask 7 out of range for 2 modalities",
             ),
-            ({"kind": "noise", "epsilons": []}, "sweep.epsilons: empty, expected"),
-            ({"kind": "lambda", "lambda_grid": []}, "sweep.lambda_grid: empty, expected"),
+            ({"kind": "noise", "epsilons": []}, "sweep.epsilons: expected a non-empty list"),
+            ({"kind": "lambda", "lambda_grid": []}, "sweep.lambda_grid: expected a non-empty list"),
         ],
     )
     def test_bad_grid_or_target_fails_naming_it_before_training(
@@ -611,14 +666,24 @@ class TestSweepCommand:
         assert not (out / "sweep_noise.csv").exists()
 
     def test_noise_sweep_with_runs_of_other_modality_dims_fails(self, tmp_path, capsys):
-        other = {"synthetic": {**SYNTHETIC, "modality_dims": [5, 3]}}
-        run_cfg = write_config(tmp_path / "run.json", data=other, train={"epochs": 1})
-        assert main(["train", "--config", str(run_cfg), "--out", str(tmp_path / "run")]) == 0
-        capsys.readouterr()
+        # From manifests, which the protocol check does not compare, the dims check decides.
+        for name, dims in (("other", [5, 3]), ("ds", [4, 3])):
+            spec = SyntheticSpec.from_json_dict({**SYNTHETIC, "modality_dims": dims})
+            write_csv_dataset(generate_synthetic(spec), tmp_path / name)
+        run_cfg = write_config(
+            tmp_path / "run.json", data={"manifest": "other/manifest.json"}, train={"epochs": 1}
+        )
         cfg = write_config(
             tmp_path / "config.json",
+            data={"manifest": "ds/manifest.json"},
             sweep={"kind": "noise", "baseline_run": "run", "cml_run": "run"},
         )
+        for path in (run_cfg, cfg):
+            written = json.loads(path.read_text())
+            del written["data"]["synthetic"]
+            path.write_text(json.dumps(written))
+        assert main(["train", "--config", str(run_cfg), "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
@@ -642,6 +707,11 @@ class TestNumericBoundary:
             # A probability underflows to zero; without raising, numpy warned before the error line.
             ({"train": {"learning_rate": 1e3}}, "error: floating-point divide by zero encountered"),
             ({"model": {"hidden_dim": 10**12}}, "bytes of parameters, over the limit of"),
+            # Before, numpy warned about the overflow before the error line.
+            (
+                {"data": {"synthetic": {**SYNTHETIC, "noise_std": 1e308}}},
+                "error: data.synthetic overflows float64: modality 0: non-finite feature at row 0",
+            ),
         ],
     )
     def test_train_fails_with_one_line(self, tmp_path, capsys, overrides, message):
@@ -792,7 +862,7 @@ class TestCommandSections:
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 1
         err = capsys.readouterr().err
-        assert err.splitlines() == [f"error: --jobs must be >= 1, got {jobs}"]
+        assert err.splitlines() == [f"error: --jobs: expected an int >= 1, got {jobs}"]
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -803,13 +873,13 @@ class TestCommandSections:
                 "train",
                 {"train": {"learning_rate": float("nan")}},
                 [],
-                "learning_rate must be finite and > 0, got nan",
+                "train.learning_rate: expected a finite value > 0, got nan",
             ),
             (
                 "train",
                 {"train": {"lambda": float("inf")}},
                 [],
-                "lambda must be finite and >= 0, got inf",
+                "train.lambda: expected a finite value >= 0, got inf",
             ),
             # Before, a non-finite cell was written as a failed row and the sweep exited 0.
             (
@@ -843,13 +913,58 @@ class TestCommandSections:
                 "train",
                 {"data": {"synthetic": {**SYNTHETIC, "class_separation": float("nan")}}},
                 [],
-                "class_separation must be finite and >= 0, got (nan, nan)",
+                "data.synthetic.class_separation: expected a finite value >= 0, got nan",
             ),
             (
                 "generate",
                 {"data": {"synthetic": {**SYNTHETIC, "noise_std": [1.0, float("inf")]}}},
                 [],
-                "noise_std must be finite and >= 0, got (1.0, inf)",
+                "data.synthetic.noise_std[1]: expected a finite value >= 0, got inf",
+            ),
+            # Before, these range errors came from library classes and named no section.
+            ("train", {"train": {"epochs": 0}}, [], "train.epochs: expected an int >= 1, got 0"),
+            ("train", {"train": {"seed": -3}}, [], "train.seed: expected an int >= 0, got -3"),
+            (
+                "train",
+                {"model": {"hidden_dim": 0}},
+                [],
+                "model.hidden_dim: expected an int >= 1, got 0",
+            ),
+            (
+                "train",
+                {"data": {"synthetic": {**SYNTHETIC, "num_classes": 1}}},
+                [],
+                "data.synthetic.num_classes: expected an int >= 2, got 1",
+            ),
+            (
+                "train",
+                {"data": {"synthetic": {**SYNTHETIC, "modality_dims": [4]}}},
+                [],
+                "data.synthetic.modality_dims: expected at least 2 entries, got [4]",
+            ),
+            (
+                "train",
+                {"data": {"synthetic": {**SYNTHETIC, "noise_std": float("inf")}}},
+                [],
+                "data.synthetic.noise_std: expected a finite value >= 0, got inf",
+            ),
+            (
+                "train",
+                {"data": {"synthetic": {**SYNTHETIC, "samples_per_class": 0}}},
+                [],
+                "data.synthetic.samples_per_class: expected an int >= 1, got 0",
+            ),
+            (
+                "train",
+                {"split": {"train_fraction": 1.5}},
+                [],
+                "split.train_fraction: expected a value in (0, 1), got 1.5",
+            ),
+            (
+                "train",
+                {"split": {"val_fraction": 0}},
+                [],
+                "split.val_fraction: expected a value in (0, 1), got 0.0",
             ),
         ],
     )
@@ -859,8 +974,13 @@ class TestCommandSections:
         def no_batch(*args, **kwargs):
             raise AssertionError("a batch ran before the setting was checked")
 
+        def no_data(*args, **kwargs):
+            raise AssertionError("data was read before the setting was checked")
+
         monkeypatch.setattr(trainer, "objective_core", no_batch)
-        cfg = write_config(tmp_path / "config.json", split={"val_fraction": 0.25}, **overrides)
+        monkeypatch.setattr(data, "generate_synthetic", no_data)
+        split = {"val_fraction": 0.25, **overrides.get("split", {})}
+        cfg = write_config(tmp_path / "config.json", **{**overrides, "split": split})
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
@@ -978,6 +1098,39 @@ class TestCommandSections:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: vrr_repeats must be 1 with vrr_mode 'exhaustive', got 7"]
         assert not out.exists()
+
+
+class TestErrorBase:
+    def test_a_bug_keeps_its_traceback(self, tmp_path, monkeypatch):
+        # Before, main caught every ValueError, so an error from a bug exited 1 like bad input.
+        def broken(*args):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(cli, "cmd_train", broken)
+        cfg = write_config(tmp_path / "config.json")
+        with pytest.raises(ValueError, match="^operands could not be broadcast together$"):
+            main(["train", "--config", str(cfg)])
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("[" * 100_000 + "]" * 100_000, id="nested"),
+            pytest.param('{"split": {"seed": ' + "1" * 5000 + "}}", id="long-int"),
+        ],
+    )
+    def test_json_past_the_parser_limits_fails_with_one_line(self, tmp_path, capsys, text):
+        # Before, these left json as a RecursionError or a plain ValueError.
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {cfg}: cannot read JSON (")
+
+    def test_every_error_type_derives_from_the_base(self):
+        types = [v for v in vars(errors).values() if isinstance(v, type)]
+        types = [t for t in types if issubclass(t, Exception)]
+        assert errors.ConfigError in types and errors.ParseError in types
+        assert all(issubclass(t, errors.RankcalError) for t in types)
 
 
 class TestUndecodableBytes:

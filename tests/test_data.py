@@ -21,7 +21,7 @@ from rankcal.data import (
     write_csv_dataset,
 )
 from rankcal.errors import DimensionError, DomainError, EmptyInputError, ParseError, SpecError
-from rankcal.errors import SplitError
+from rankcal.errors import ConfigError, SplitError
 
 from reference import corrupt_gaussian, label_of, reference_dataset_csv
 from reference import reference_load_modality_csv, reference_split
@@ -112,11 +112,12 @@ class TestSyntheticSpec:
             basic_spec(samples_per_class=(50,))
 
     def test_negative_separation_rejected(self):
-        with pytest.raises(SpecError):
+        message = r"^data.synthetic.class_separation\[0\]: expected a finite value >= 0, got -1.0$"
+        with pytest.raises(ConfigError, match=message):
             basic_spec(class_separation=(-1.0, 3.0))
 
     def test_single_class_rejected(self):
-        with pytest.raises(SpecError):
+        with pytest.raises(ConfigError, match=r"^data.synthetic.num_classes: expected an int >= 2"):
             basic_spec(num_classes=1, samples_per_class=(10,))
 
     def test_from_json_scalar_broadcast(self):
@@ -482,9 +483,9 @@ class TestSplit:
 
     def test_fraction_bounds(self):
         dataset = generate_synthetic(basic_spec())
-        with pytest.raises(SplitError):
+        with pytest.raises(ConfigError, match=r"^train_fraction: expected a value in \(0, 1\)"):
             split(dataset, 0.0, seed=0)
-        with pytest.raises(SplitError):
+        with pytest.raises(ConfigError, match=r"^train_fraction: expected a value in \(0, 1\)"):
             split(dataset, 1.0, seed=0)
 
 
@@ -519,7 +520,7 @@ class TestSplitValidation:
     @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5])
     def test_fraction_bounds_name_val_fraction(self, fraction):
         train = generate_synthetic(basic_spec())
-        with pytest.raises(SplitError, match="val_fraction"):
+        with pytest.raises(ConfigError, match=r"^val_fraction: expected a value in \(0, 1\)"):
             data.split_validation(train, fraction, seed=0)
 
 
@@ -556,7 +557,7 @@ class TestCorruptGaussian:
 
     @pytest.mark.parametrize("epsilon", [float("inf"), float("nan"), -0.1])
     def test_non_finite_or_negative_epsilon_rejected(self, epsilon):
-        with pytest.raises(SpecError, match="epsilon must be finite and >= 0"):
+        with pytest.raises(ConfigError, match="^epsilon: expected a finite value >= 0, got "):
             CorruptionSpec(frozenset([0]), epsilon=epsilon, seed=0)
 
     def test_deterministic(self):

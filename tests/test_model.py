@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from rankcal.errors import CapabilityError, DimensionError, MaskError, SpecError, StateError
+from rankcal.errors import CapabilityError, ConfigError, DimensionError, MaskError, StateError
 from rankcal.model import (
     MAX_PARAM_BYTES,
     ClassifierParams,
@@ -67,15 +67,15 @@ def identity_passthrough_params() -> ClassifierParams:
 
 class TestModelSpec:
     def test_rejects_single_modality(self):
-        with pytest.raises(SpecError):
+        with pytest.raises(ConfigError, match=r"^model.modality_dims: expected at least 2 entries"):
             ModelSpec(modality_dims=(3,), hidden_dim=4, latent_dim=2, num_classes=2)
 
     def test_rejects_single_class(self):
-        with pytest.raises(SpecError):
+        with pytest.raises(ConfigError, match=r"^model.num_classes: expected an int >= 2, got 1$"):
             ModelSpec(modality_dims=(3, 3), hidden_dim=4, latent_dim=2, num_classes=1)
 
     def test_rejects_zero_dim(self):
-        with pytest.raises(SpecError):
+        with pytest.raises(ConfigError, match=r"^model.modality_dims\[1\]: expected an int >= 1"):
             ModelSpec(modality_dims=(3, 0), hidden_dim=4, latent_dim=2, num_classes=2)
 
     def test_json_round_trip(self):

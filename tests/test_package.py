@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import ast
 import platform
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rankcal  # noqa: F401  (importing the package sets the heap thresholds)
+from rankcal import cli, data, model, trainer
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap settings need glibc")
@@ -207,3 +209,32 @@ def test_file_access_reports_open_and_json(tmp_path):
     )
     (pkg / "metrics.py").write_text("def load():\n    with open('y') as fh:\n        return fh\n")
     assert file_access(tmp_path) == ["cli: json", "cli: json", "cli: open", "metrics: open"]
+
+
+def test_every_config_field_has_a_table_entry():
+    # A field without an entry would skip its bound, and its section would reject its key.
+    renamed = {name: key for key, name in trainer._FIELDS.items()}
+    for cls, section, exempt in (
+        (trainer.TrainConfig, "train", {"model"}),
+        (model.ModelSpec, "model", set()),
+        (data.SyntheticSpec, "data.synthetic", set()),
+    ):
+        keys = [renamed.get(f.name, f.name) for f in fields(cls) if f.name not in exempt]
+        assert keys == list(cli.SECTIONS[section]), cls.__name__
+
+
+def test_readme_config_table_states_each_key_as_its_table_does():
+    rows = {}
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("| `"):
+            cells = line.replace("\\|", "\0").strip("| ").split(" | ")
+            rows[cells[0].strip("`")] = [cell.replace("\0", "|") for cell in cells[1:]]
+    for section, table in {"": cli._CONFIG_SCHEMA, **cli.SECTIONS}.items():
+        for key, (kind, bound, size) in table.items():
+            path = f"{section}.{key}" if section else key
+            kind_text, _, bound_text = rows[path]
+            name = kind.__name__ if isinstance(kind, type) else str(kind)
+            assert kind_text == ("object" if kind is dict else f"`{name}`"), path
+            bounds = [b.text for b in (bound, size) if b is not None]
+            if bounds:
+                assert bound_text == "; ".join(bounds), path

@@ -399,7 +399,7 @@ class TestLambdaSweep:
     @pytest.mark.parametrize("jobs", [0, -4])
     def test_non_positive_jobs_rejected_naming_jobs(self, jobs):
         train_set, test_set = make_sets(per_class=20)
-        with pytest.raises(ConfigError, match=f"jobs must be >= 1, got {jobs}"):
+        with pytest.raises(ConfigError, match=f"^jobs: expected an int >= 1, got {jobs}$"):
             lambda_sweep(config(epochs=1), [1.0], train_set, test_set, jobs=jobs)
 
     def test_default_grid_matches_protocol(self):
