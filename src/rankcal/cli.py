@@ -6,6 +6,11 @@ sweep) lambda-sweep parallelism, so a run is reproducible from the config
 alone. For the two commands that train, `CML_SEED` in the environment (or
 --seed, which wins) overrides the configured training seed; generate and
 compare read neither.
+
+A config is parsed once, by _parse_sections, and so are a run snapshot's
+data, split and standardize keys when compare or the noise sweep loads the
+run. Checks run in this order: tables, rules across keys, data, model against
+data, runs.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ from pathlib import Path
 
 from . import calibration, data, trainer
 from .errors import AT_LEAST_1, FINITE_NON_NEGATIVE, NON_EMPTY, NON_NEGATIVE, OPEN_FRACTION, PATH
-from .errors import ConfigError, Key, MaskError, RankcalError, SpecError, StateError, check_section
-from .errors import one_of
+from .errors import Bound, ConfigError, Key, MaskError, RankcalError, SpecError, StateError
+from .errors import check_section, one_of
 from .metrics import mean_abs_conf_shift
 from .model import SPEC_SCHEMA, ClassifierParams, ModelSpec, SubsetMask
 from .model import load_checkpoint, save_checkpoint
@@ -36,62 +41,77 @@ HISTORY_NAME = "history.csv"
 METRICS_NAME = "metrics.json"
 RECORDS_NAME = "records.csv"
 
-# The tables of the top-level keys and of the sections that no library class reads.
-_CONFIG_SCHEMA = {
-    **dict.fromkeys(("data", "split", "model", "train", "compare", "sweep"), Key(dict)),
-    "standardize": Key(bool),
-    "output_dir": Key(str, PATH),
-}
-_DATA_SCHEMA = {"synthetic": Key(dict), "manifest": Key(str, PATH), "test_manifest": Key(str, PATH)}
-_SPLIT_SCHEMA = {
-    "train_fraction": Key(float, OPEN_FRACTION),
-    "seed": Key(int, NON_NEGATIVE),
-    "val_fraction": Key(float, OPEN_FRACTION),
-}
-_SPLIT_DEFAULTS = {"train_fraction": 0.75, "seed": 0}
-_COMPARE_SCHEMA = {"baseline_run": Key(str, PATH), "cml_run": Key(str, PATH)}
 # The keys that each sweep kind reads.
 _SWEEP_KEYS = {
     "lambda": ("kind", "lambda_grid"),
     "noise": ("kind", "epsilons", "target_sets", "baseline_run", "cml_run"),
 }
-_SWEEP_SCHEMA = {
-    "kind": Key(str, one_of(*_SWEEP_KEYS)),
-    "lambda_grid": Key(list[float], FINITE_NON_NEGATIVE, NON_EMPTY),
-    "epsilons": Key(list[float], FINITE_NON_NEGATIVE, NON_EMPTY),
-    "target_sets": Key(list[list[int]], size=NON_EMPTY),
-    "baseline_run": Key(str, PATH),
-    "cml_run": Key(str, PATH),
+# The table of the top-level keys.
+_CONFIG_SCHEMA = {
+    **dict.fromkeys(("data", "split", "model", "train", "compare", "sweep"), Key(dict)),
+    "standardize": Key(bool),
+    "output_dir": Key(str, PATH),
 }
-# The table of every section below the top level; data.synthetic's is SyntheticSpec's.
+# The table of every section below the top level; the library classes' are their own.
 SECTIONS = {
-    "data": _DATA_SCHEMA,
+    "data": {"synthetic": Key(dict), "manifest": Key(str, PATH), "test_manifest": Key(str, PATH)},
     "data.synthetic": data.SYNTHETIC_SCHEMA,
-    "split": _SPLIT_SCHEMA,
+    "split": {
+        "train_fraction": Key(float, OPEN_FRACTION),
+        "seed": Key(int, NON_NEGATIVE),
+        "val_fraction": Key(float, OPEN_FRACTION),
+    },
     "model": SPEC_SCHEMA,
     "train": trainer.TRAIN_SCHEMA,
-    "compare": _COMPARE_SCHEMA,
-    "sweep": _SWEEP_SCHEMA,
+    "compare": {"baseline_run": Key(str, PATH), "cml_run": Key(str, PATH)},
+    "sweep": {
+        "kind": Key(str, one_of(*_SWEEP_KEYS)),
+        "lambda_grid": Key(list[float], FINITE_NON_NEGATIVE, NON_EMPTY),
+        "epsilons": Key(list[float], FINITE_NON_NEGATIVE, NON_EMPTY),
+        "target_sets": Key(list[list[int]], size=NON_EMPTY),
+        "baseline_run": Key(str, PATH),
+        "cml_run": Key(str, PATH),
+    },
 }
+_SPLIT_DEFAULTS = {"train_fraction": 0.75, "seed": 0}
+# The keys that the compare and sweep commands require of their own section.
+_REQUIRED = {"compare": ("baseline_run", "cml_run"), "sweep": ("kind",)}
+# The keys of a run snapshot that fix its test rows: all that _load_run parses of it.
+_PROTOCOL_KEYS = ("data", "split", "standardize")
+_ONE_SOURCE = Bound("exactly one of 'manifest', 'synthetic'", lambda keys: len(keys) == 1)
+# A noise sweep without runs trains its own pair: the baseline at lambda 0, the CML model at this.
+_PAIR_LAMBDA = Bound("a value > 0 for a noise sweep without runs", lambda lam: lam > 0)
 
 
-def _load_config(path: Path) -> dict:
-    """The config's top-level object, its sections (kept as JSON for the run
-    snapshot) checked against their tables before any data is read."""
+def _parse_sections(raw: dict, command: str = "") -> dict:
+    """`raw` (a config, or a run snapshot's _PROTOCOL_KEYS) checked against the tables.
+
+    The one place that checks a section: later steps read the values it returns.
+    An absent section stays absent, but `command`'s own needs its _REQUIRED keys.
+    data.synthetic becomes a SyntheticSpec, and train a TrainConfig whose model
+    spec is set once the data is read.
+    """
+    cfg = check_section("", raw, _CONFIG_SCHEMA)
+    for name in ("data", "split", "model", "compare", "sweep"):
+        if name in cfg or name == command:
+            required = _REQUIRED[name] if name == command else ()
+            cfg[name] = check_section(name, cfg.get(name, {}), SECTIONS[name], required)
+    if "synthetic" in cfg.get("data", {}):
+        cfg["data"]["synthetic"] = data.SyntheticSpec.from_json_dict(cfg["data"]["synthetic"])
+    cfg["train"] = trainer.TrainConfig.from_json_dict(cfg.get("train", {}), model=None)
+    return cfg
+
+
+def _load_config(path: Path, command: str = "") -> tuple[dict, dict]:
+    """The config as read (for the run snapshot) and its sections, checked before any data."""
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    cfg = data.read_json(path)
-    if not isinstance(cfg, dict):
+    raw = data.read_json(path)
+    if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    cfg = check_section("", cfg, _CONFIG_SCHEMA)
-    data_section = check_section("data", cfg.get("data", {}), _DATA_SCHEMA)
-    if ("synthetic" in data_section) == ("manifest" in data_section):
-        raise ConfigError("config data section needs exactly one of 'synthetic' or 'manifest'")
-    if "synthetic" in data_section:
-        data.SyntheticSpec.from_json_dict(data_section["synthetic"])
-    for name in ("split", "model", "train", "compare", "sweep"):
-        check_section(name, cfg.get(name, {}), SECTIONS[name])
-    return cfg
+    cfg = _parse_sections(raw, command)
+    _ONE_SOURCE.check("", "data", sorted(cfg.get("data", {}).keys() & {"manifest", "synthetic"}))
+    return raw, cfg
 
 
 def _resolve(base: Path, relative: str) -> Path:
@@ -108,18 +128,15 @@ class PreparedData:
     val: data.Dataset | None = None
 
 
-def _load_source_dataset(cfg: dict, base: Path) -> data.Dataset:
-    section = cfg["data"]
-    if "synthetic" in section:
-        return data.generate_synthetic(data.SyntheticSpec.from_json_dict(section["synthetic"]))
-    return data.load_csv_dataset(_resolve(base, section["manifest"]))
-
-
 def _prepare(cfg: dict, base: Path) -> PreparedData:
     """Load or generate, split, carve out validation, and (by default) standardize on train."""
-    dataset = _load_source_dataset(cfg, base)
-    split_cfg = check_section("split", cfg.get("split", {}), _SPLIT_SCHEMA)
-    test_manifest = cfg["data"].get("test_manifest")
+    source = cfg["data"]
+    if "synthetic" in source:
+        dataset = data.generate_synthetic(source["synthetic"])
+    else:
+        dataset = data.load_csv_dataset(_resolve(base, source["manifest"]))
+    split_cfg = cfg.get("split", {})
+    test_manifest = source.get("test_manifest")
     if test_manifest is not None:
         train_set = dataset
         test_set = data.load_csv_dataset(_resolve(base, test_manifest))
@@ -161,8 +178,7 @@ def _prepare(cfg: dict, base: Path) -> PreparedData:
         "latent_dim": DEFAULT_LATENT_DIM,
         "num_classes": train_set.num_classes,
     }
-    model_cfg = check_section("model", cfg.get("model", {}), SPEC_SCHEMA)
-    model_spec = ModelSpec(**(defaults | model_cfg))
+    model_spec = ModelSpec(**(defaults | cfg.get("model", {})))
     for key in ("modality_dims", "num_classes"):
         if getattr(model_spec, key) != defaults[key]:
             got = getattr(model_spec, key)
@@ -171,9 +187,8 @@ def _prepare(cfg: dict, base: Path) -> PreparedData:
 
 
 def _build_train_config(cfg: dict, model_spec: ModelSpec, seed_override: int | None) -> trainer.TrainConfig:
-    config = trainer.TrainConfig.from_json_dict(cfg.get("train", {}), model_spec)
-    if seed_override is not None:
-        config = replace(config, seed=seed_override)
+    seed = cfg["train"].seed if seed_override is None else seed_override
+    config = replace(cfg["train"], model=model_spec, seed=seed)
     config.validate()
     return config
 
@@ -185,11 +200,10 @@ def _out_dir(cfg: dict, base: Path, override: str | None, default: str) -> Path:
 
 
 def cmd_generate(config_path: Path, out_override: str | None) -> int:
-    cfg = _load_config(config_path)
+    cfg = _load_config(config_path)[1]
     if "synthetic" not in cfg["data"]:
-        raise ConfigError("generate needs a data.synthetic section")
-    spec = data.SyntheticSpec.from_json_dict(cfg["data"]["synthetic"])
-    dataset = data.generate_synthetic(spec)
+        raise ConfigError("data.synthetic: expected a JSON object to generate, got none")
+    dataset = data.generate_synthetic(cfg["data"]["synthetic"])
     out = _out_dir(cfg, config_path.parent, out_override, "dataset")
     manifest = data.write_csv_dataset(dataset, out)
     counts = dataset.class_counts()
@@ -200,13 +214,10 @@ def cmd_generate(config_path: Path, out_override: str | None) -> int:
 
 
 def _write_run_dir(
-    run_dir: Path,
-    cfg: dict,
-    config: trainer.TrainConfig,
-    result: trainer.RunResult,
+    run_dir: Path, raw: dict, config: trainer.TrainConfig, result: trainer.RunResult
 ) -> None:
     run_dir.mkdir(parents=True, exist_ok=True)
-    snapshot = dict(cfg)
+    snapshot = dict(raw)
     snapshot["resolved_train"] = config.to_json_dict()
     # The timestamp is the single non-reproducible key in the run directory.
     snapshot["meta"] = {"written_at": datetime.now(timezone.utc).isoformat()}
@@ -222,12 +233,12 @@ def _write_run_dir(
 
 
 def cmd_train(config_path: Path, out_override: str | None, seed_override: int | None) -> int:
-    cfg = _load_config(config_path)
+    raw, cfg = _load_config(config_path)
     prepared = _prepare(cfg, config_path.parent)
     config = _build_train_config(cfg, prepared.model_spec, seed_override)
     result = trainer.run_and_evaluate(config, prepared.train, prepared.test)
     run_dir = _out_dir(cfg, config_path.parent, out_override, "run")
-    _write_run_dir(run_dir, cfg, config, result)
+    _write_run_dir(run_dir, raw, config, result)
     report = result.report
     print(
         f"acc={report.accuracy_pct:.2f} vrr={report.vrr_pct:.2f} "
@@ -238,28 +249,27 @@ def cmd_train(config_path: Path, out_override: str | None, seed_override: int | 
 
 
 def _test_protocol(cfg: dict) -> dict:
-    """The settings that fix a config's test rows, by dotted key, defaults applied.
+    """The settings that fix the test rows of `cfg` (parsed), by dotted key, defaults applied.
 
     They are whether a test manifest is named, the split, standardize and,
     for generated data, the SyntheticSpec.
     """
-    data_section = check_section("data", cfg.get("data", {}), _DATA_SCHEMA)
+    data_section = cfg.get("data", {})
     protocol = {"data.test_manifest": "test_manifest" in data_section}
-    split = _SPLIT_DEFAULTS | check_section("split", cfg.get("split", {}), _SPLIT_SCHEMA)
-    protocol |= {f"split.{key}": value for key, value in split.items()}
+    protocol |= {f"split.{key}": v for key, v in (_SPLIT_DEFAULTS | cfg.get("split", {})).items()}
     protocol["standardize"] = cfg.get("standardize", True)
     if "synthetic" in data_section:
-        spec = data.SyntheticSpec.from_json_dict(data_section["synthetic"])
-        protocol |= {f"data.synthetic.{key}": value for key, value in vars(spec).items()}
+        protocol |= {f"data.synthetic.{k}": v for k, v in vars(data_section["synthetic"]).items()}
     return protocol
 
 
-def _load_run(run_dir: Path, cfg: dict) -> tuple[ClassifierParams, trainer.TrainConfig]:
-    """A run's parameters and settings, once its snapshot shows the test protocol of `cfg`.
+def _load_run(run_dir: Path, ours: dict) -> tuple[ClassifierParams, trainer.TrainConfig]:
+    """A run's parameters and settings, once its snapshot shows the test protocol `ours`.
 
-    A setting of _test_protocol that differs (data.synthetic only when both
-    generate their data) fails naming the first such key, so `cfg` never
-    scores the run on other rows than its own test rows.
+    The snapshot's _PROTOCOL_KEYS go through _parse_sections, as a config's
+    do. A setting of _test_protocol that differs (data.synthetic only when
+    both generate their data) fails naming the first such key, so a command
+    never scores the run on other rows than its own test rows.
     """
     spec, params = load_checkpoint(run_dir / CHECKPOINT_NAME)
     snapshot_path = run_dir / CONFIG_SNAPSHOT_NAME
@@ -267,10 +277,10 @@ def _load_run(run_dir: Path, cfg: dict) -> tuple[ClassifierParams, trainer.Train
     if not isinstance(snapshot, dict) or "resolved_train" not in snapshot:
         raise StateError(f"{snapshot_path}: missing key 'resolved_train'")
     try:
-        theirs = _test_protocol(snapshot)
+        protocol_keys = {key: snapshot[key] for key in _PROTOCOL_KEYS if key in snapshot}
+        theirs = _test_protocol(_parse_sections(protocol_keys))
     except (ConfigError, SpecError) as exc:
         raise StateError(f"{snapshot_path}: {exc}") from None
-    ours = _test_protocol(cfg)
     for key in {**ours, **theirs}:
         if key.startswith("data.") and not (key in ours and key in theirs):
             continue
@@ -281,14 +291,11 @@ def _load_run(run_dir: Path, cfg: dict) -> tuple[ClassifierParams, trainer.Train
 
 
 def cmd_compare(config_path: Path, out_override: str | None) -> int:
-    cfg = _load_config(config_path)
-    compare_cfg = check_section(
-        "compare", cfg.get("compare", {}), _COMPARE_SCHEMA, required=("baseline_run", "cml_run")
-    )
-    base = config_path.parent
+    cfg = _load_config(config_path, "compare")[1]
+    base, runs, protocol = config_path.parent, cfg["compare"], _test_protocol(cfg)
     test_set = _prepare(cfg, base).test
-    params_a, config_a = _load_run(_resolve(base, compare_cfg["baseline_run"]), cfg)
-    params_b, config_b = _load_run(_resolve(base, compare_cfg["cml_run"]), cfg)
+    params_a, config_a = _load_run(_resolve(base, runs["baseline_run"]), protocol)
+    params_b, config_b = _load_run(_resolve(base, runs["cml_run"]), protocol)
     if params_a.spec != params_b.spec:
         raise ConfigError("runs have different model specs")
     report_a, vrr_a = trainer.evaluate_with_vrr(params_a, test_set, config_a)
@@ -321,40 +328,31 @@ def cmd_compare(config_path: Path, out_override: str | None) -> int:
     return 0
 
 
-def _target_sets(raw: list[list[int]], num_modalities: int | None = None) -> list[SubsetMask]:
-    """sweep.target_sets as masks, in range for `num_modalities` when it is given.
-
-    An error names the entry's key, e.g. sweep.target_sets[0].
-    """
-    masks = []
-    for i, entry in enumerate(raw):
-        try:
-            masks.append(SubsetMask.of(entry))
-            if num_modalities is not None:
-                masks[-1].validate_for(num_modalities)
-        except MaskError as exc:
-            raise ConfigError(f"sweep.target_sets[{i}]: {exc}") from None
-    return masks
-
-
 def cmd_sweep(
     config_path: Path, out_override: str | None, seed_override: int | None, jobs: int | None
 ) -> int:
     if jobs is not None:
         AT_LEAST_1.check("", "--jobs", jobs)
-    cfg = _load_config(config_path)
-    sweep_cfg = check_section("sweep", cfg.get("sweep", {}), _SWEEP_SCHEMA, required=("kind",))
+    cfg = _load_config(config_path, "sweep")[1]
+    sweep_cfg = cfg["sweep"]
     kind = sweep_cfg["kind"]
     unread = [key for key in sweep_cfg if key not in _SWEEP_KEYS[kind]]
     if unread:
         raise ConfigError(f'sweep.{unread[0]}: unknown key for kind "{kind}"')
     if kind == "noise" and jobs is not None:
         raise ConfigError('--jobs: not used by sweep kind "noise"')
-    _target_sets(sweep_cfg.get("target_sets", []))
+    masks = []  # sweep.target_sets as masks; their range is checked once the data is read
+    for i, entry in enumerate(sweep_cfg.get("target_sets", [])):
+        try:
+            masks.append(SubsetMask.of(entry))
+        except MaskError as exc:
+            raise ConfigError(f"sweep.target_sets[{i}]: {exc}") from None
     runs = [key for key in ("baseline_run", "cml_run") if key in sweep_cfg]
     if kind == "noise" and len(runs) == 1:
         (missing,) = {"baseline_run", "cml_run"} - set(runs)
         raise ConfigError(f"sweep.{missing}: missing key (sweep.{runs[0]} given)")
+    if kind == "noise" and not runs:
+        _PAIR_LAMBDA.check("train", "lambda", cfg["train"].lam)
     if kind == "lambda" and "val_fraction" not in cfg.get("split", {}):
         raise ConfigError(
             'split.val_fraction: missing key (sweep kind "lambda" picks lambda on this '
@@ -381,20 +379,17 @@ def cmd_sweep(
         return 0
 
     num_modalities = prepared.test.num_modalities
-    if "target_sets" in sweep_cfg:
-        target_sets = _target_sets(sweep_cfg["target_sets"], num_modalities)
-    else:
-        target_sets = trainer.default_target_sets(num_modalities)
+    for i, mask in enumerate(masks):
+        try:
+            mask.validate_for(num_modalities)
+        except MaskError as exc:
+            raise ConfigError(f"sweep.target_sets[{i}]: {exc}") from None
     base = config_path.parent
     if runs:
-        params_a, _ = _load_run(_resolve(base, sweep_cfg["baseline_run"]), cfg)
-        params_b, _ = _load_run(_resolve(base, sweep_cfg["cml_run"]), cfg)
+        protocol = _test_protocol(cfg)
+        params_a, _ = _load_run(_resolve(base, sweep_cfg["baseline_run"]), protocol)
+        params_b, _ = _load_run(_resolve(base, sweep_cfg["cml_run"]), protocol)
     else:
-        if config.lam <= 0:
-            raise ConfigError(
-                "noise sweep without baseline_run/cml_run needs train.lambda > 0 to train the "
-                "regularized model"
-            )
         params_a = trainer.train(replace(config, lam=0.0), prepared.train).params
         params_b = trainer.train(config, prepared.train).params
     rows = trainer.noise_sweep(
@@ -402,7 +397,7 @@ def cmd_sweep(
         params_b,
         prepared.test,
         epsilons=sweep_cfg.get("epsilons", list(trainer.DEFAULT_NOISE_GRID)),
-        target_sets=target_sets,
+        target_sets=masks or trainer.default_target_sets(num_modalities),
         seed=config.seed,
     )
     out.mkdir(parents=True, exist_ok=True)

@@ -27,7 +27,7 @@ from .calibration import (
 )
 from .data import CorruptionSpec, Dataset, corrupt_block
 from .errors import AT_LEAST_1, FINITE_NON_NEGATIVE, FINITE_POSITIVE, NON_EMPTY, NON_NEGATIVE
-from .errors import ConfigError, DivergenceError, EmptyInputError, Key, NumericError, SpecError
+from .errors import Bound, DivergenceError, EmptyInputError, Key, NumericError, SpecError
 from .errors import SweepError, check_bounds, check_section, one_of
 from .metrics import MetricsReport, build_report
 from .model import ClassifierParams, ModelSpec, SubsetMask, classify_core
@@ -53,6 +53,8 @@ TRAIN_SCHEMA = {
 }
 # TrainConfig field of each config key whose name differs from it.
 _FIELDS = {"lambda": "lam"}
+# Exhaustive VRR visits every pair once: more repeats would be recorded but not run.
+_ONE_REPEAT = Bound("1 with vrr_mode 'exhaustive'", lambda repeats: repeats == 1)
 
 # Test-set rows that one stacked noise-sweep call encodes and classifies at most,
 # counted in whole cells (a larger cell runs alone): the sweep's working set is
@@ -95,17 +97,14 @@ class TrainConfig:
         check_bounds("train", self.to_json_dict(), TRAIN_SCHEMA)
         if self.vrr_mode == "exhaustive":
             check_exhaustive(self.model.num_modalities)
-            if self.vrr_repeats != 1:
-                raise ConfigError(
-                    f"vrr_repeats must be 1 with vrr_mode 'exhaustive', got {self.vrr_repeats}"
-                )
+            _ONE_REPEAT.check("train", "vrr_repeats", self.vrr_repeats)
 
     def to_json_dict(self) -> dict:
         """Every training setting under its config key (the model spec excluded)."""
         return {key: getattr(self, _FIELDS.get(key, key)) for key in TRAIN_SCHEMA}
 
     @classmethod
-    def from_json_dict(cls, obj: dict, model: ModelSpec) -> "TrainConfig":
+    def from_json_dict(cls, obj: dict, model: ModelSpec | None) -> "TrainConfig":
         """Parse a "train" section; missing keys take their defaults, unknown keys fail."""
         values = check_section("train", obj, TRAIN_SCHEMA)
         return cls(model=model, **{_FIELDS.get(key, key): value for key, value in values.items()})
@@ -268,7 +267,7 @@ def _lambda_sweep_cell(
     try:
         run = train(cfg, train_set)
         report = evaluate(run.params, validation_set, cfg)
-    except DivergenceError:
+    except (DivergenceError, NumericError):
         return LambdaSweepRow(lam=float(lam), val_accuracy=None, val_vrr_pct=None, failed=True)
     return LambdaSweepRow(
         lam=float(lam), val_accuracy=report.accuracy_pct, val_vrr_pct=report.vrr_pct
@@ -285,10 +284,10 @@ def lambda_sweep(
     """Train once per lambda (shared seed) and pick the best on validation.
 
     Selection maximizes validation accuracy; ties prefer lower validation VRR,
-    then the smaller lambda. Diverged runs are marked failed and excluded.
-    Cells are independent; `jobs` > 1 runs them in a pool of at most one
-    process per cell, with rows collected in grid order, so results match the
-    serial run.
+    then the smaller lambda. A run that diverges, or whose validation fails
+    with a NumericError, is marked failed and excluded. Cells are independent;
+    `jobs` > 1 runs them in a pool of at most one process per cell, with rows
+    collected in grid order, so results match the serial run.
     """
     NON_EMPTY.check("", "grid", grid)
     AT_LEAST_1.check("", "jobs", jobs)
@@ -359,8 +358,8 @@ def noise_sweep(
     if test_set.num_samples == 0:
         raise EmptyInputError("empty test set")
     _check_dataset(params_baseline.spec, test_set)
-    if not epsilons or not target_sets:
-        raise ConfigError("noise sweep needs at least one epsilon and one target set")
+    NON_EMPTY.check("", "epsilons", epsilons)
+    NON_EMPTY.check("", "target_sets", target_sets)
     cells = []
     for e_idx, eps in enumerate(epsilons):
         for t_idx, targets in enumerate(target_sets):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -95,7 +96,10 @@ class TestGenerate:
     def test_manifest_config_cannot_generate(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({"data": {"manifest": "missing.json"}}))
-        assert main(["generate", "--config", str(cfg_path)]) != 0
+        assert main(["generate", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: data.synthetic: expected a JSON object to generate, got none"
+        ]
 
 
 class TestTrainCommand:
@@ -262,6 +266,14 @@ class TestTrainCommand:
         cfg_path.write_text(json.dumps({"data": {}}))
         assert main(["train", "--config", str(cfg_path)]) != 0
         assert "exactly one" in capsys.readouterr().err
+
+    def test_both_data_sources_fail_naming_them(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "config.json", data={"manifest": "ds/manifest.json"})
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: data: expected exactly one of 'manifest', 'synthetic', "
+            "got ['manifest', 'synthetic']"
+        ]
 
 
 class TestCompareCommand:
@@ -531,6 +543,46 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: split.val_fraction: missing key")
+        assert not out.exists()
+
+    @staticmethod
+    def failing_evaluation(monkeypatch, lams):
+        """Make trainer.evaluate raise as an overflowing forward does, for each lambda in `lams`."""
+        evaluate = trainer.evaluate
+
+        def flaky(params, test_set, config):
+            if config.lam in lams:
+                raise errors.NumericError("evaluation failed: floating-point overflow")
+            return evaluate(params, test_set, config)
+
+        monkeypatch.setattr(trainer, "evaluate", flaky)
+
+    def test_cell_failing_in_evaluation_is_a_failed_row(self, tmp_path, monkeypatch):
+        # Before, the NumericError aborted the whole sweep with exit 1.
+        self.failing_evaluation(monkeypatch, {1.0})
+        cfg = write_config(
+            tmp_path / "config.json",
+            split={"val_fraction": 0.25},
+            sweep={"kind": "lambda", "lambda_grid": [1.0, 5.0]},
+            train={"epochs": 1},
+        )
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = (out / "sweep_lambda.csv").read_text().splitlines()
+        assert lines[1] == "1,failed,failed" and not lines[2].endswith("failed")
+        assert json.loads((out / "sweep_lambda.json").read_text()) == {"best_lambda": 5.0}
+
+    def test_every_cell_failing_in_evaluation_fails_the_sweep(self, tmp_path, capsys, monkeypatch):
+        self.failing_evaluation(monkeypatch, {1.0, 5.0})
+        cfg = write_config(
+            tmp_path / "config.json",
+            split={"val_fraction": 0.25},
+            sweep={"kind": "lambda", "lambda_grid": [1.0, 5.0]},
+            train={"epochs": 1},
+        )
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: every lambda in the sweep diverged"]
         assert not out.exists()
 
     def test_lambda_sweep_never_reads_the_test_split(self, tmp_path):
@@ -810,6 +862,11 @@ class TestCommandSections:
                 "sweep",
                 {"sweep": {"kind": "noise", "lambda_grid": [1.0]}},
                 'sweep.lambda_grid: unknown key for kind "noise"',
+            ),
+            (
+                "sweep",
+                {"sweep": {"kind": "noise"}, "train": {"lambda": 0}},
+                "train.lambda: expected a value > 0 for a noise sweep without runs, got 0.0",
             ),
             (
                 "train",
@@ -1096,8 +1153,41 @@ class TestCommandSections:
         out = tmp_path / "run"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error: vrr_repeats must be 1 with vrr_mode 'exhaustive', got 7"]
+        assert err == ["error: train.vrr_repeats: expected 1 with vrr_mode 'exhaustive', got 7"]
         assert not out.exists()
+
+
+class TestParseOnce:
+    """Each command parses its config once, and each run snapshot's protocol keys once."""
+
+    @staticmethod
+    def count_parses(monkeypatch) -> Counter:
+        """Counts of cli's check_section calls by section name, and of "SyntheticSpec" parses."""
+        counts = Counter()
+        check_section, parse_spec = cli.check_section, SyntheticSpec.from_json_dict.__func__
+
+        def counting_check(name, *args, **kwargs):
+            counts[name] += 1
+            return check_section(name, *args, **kwargs)
+
+        def counting_parse(cls, obj):
+            counts["SyntheticSpec"] += 1
+            return parse_spec(cls, obj)
+
+        monkeypatch.setattr(cli, "check_section", counting_check)
+        monkeypatch.setattr(SyntheticSpec, "from_json_dict", classmethod(counting_parse))
+        return counts
+
+    # Before: 2 parses for train, and 6 for compare and for a noise sweep over two runs.
+    @pytest.mark.parametrize("command, parses", [("train", 1), ("compare", 3), ("sweep", 3)])
+    def test_config_and_each_snapshot_are_parsed_once(self, tmp_path, monkeypatch, command, parses):
+        TestCompareCommand.train_pair(tmp_path)
+        runs = {"baseline_run": "run_a", "cml_run": "run_b"}
+        sections = {"compare": {"compare": runs}, "sweep": {"sweep": {"kind": "noise", **runs}}}
+        cfg = write_config(tmp_path / "config.json", **sections.get(command, {}))
+        counts = self.count_parses(monkeypatch)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert (counts["SyntheticSpec"], counts["split"]) == (parses, parses)
 
 
 class TestErrorBase:

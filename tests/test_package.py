@@ -238,3 +238,61 @@ def test_readme_config_table_states_each_key_as_its_table_does():
             bounds = [b.text for b in (bound, size) if b is not None]
             if bounds:
                 assert bound_text == "; ".join(bounds), path
+
+
+# The one function of cli.py that checks a config's sections; every later step reads its values.
+PARSE_FUNCTION = "_parse_sections"
+
+
+def section_checks(root: Path) -> list[str]:
+    """Each load of `check_section` or `SyntheticSpec.from_json_dict` in `root`'s
+    src/rankcal/cli.py outside PARSE_FUNCTION.
+
+    Reported as "owner: name", where the owner is the top-level function or
+    class holding the load, or "<module>". A load counts as a call does, and
+    also catches an alias (`check = check_section`); it counts by name
+    (`check_section`, `errors.check_section`) and, for from_json_dict, on a
+    `SyntheticSpec` attribute or name, so `TrainConfig.from_json_dict` does not.
+    """
+    tree = ast.parse((root / "src" / "rankcal" / "cli.py").read_text(encoding="utf-8"))
+    found = []
+    for node in tree.body:
+        owner = getattr(node, "name", "<module>")
+        if owner == PARSE_FUNCTION:
+            continue
+        for load, name in _loads(node):
+            if name == "check_section":
+                found.append(f"{owner}: check_section")
+            elif name == "from_json_dict":
+                spec = getattr(load.value, "id", None) or getattr(load.value, "attr", None)
+                if spec == "SyntheticSpec":
+                    found.append(f"{owner}: SyntheticSpec.from_json_dict")
+    return found
+
+
+def test_only_the_parse_function_checks_config_sections():
+    assert section_checks(ROOT) == []
+
+
+def test_section_checks_reports_loads_outside_the_parse_function(tmp_path):
+    pkg = tmp_path / "src" / "rankcal"
+    pkg.mkdir(parents=True)
+    (pkg / "cli.py").write_text(
+        "from . import data, errors\n"
+        "from .errors import check_section\n"
+        "def _parse_sections(raw):\n"
+        "    check_section('', raw, {})\n"
+        "    return data.SyntheticSpec.from_json_dict(raw)\n"
+        "def _prepare(cfg):\n"
+        "    check = check_section\n"
+        "    return check('split', cfg, {}), TrainConfig.from_json_dict(cfg, None)\n"
+        "class Loader:\n"
+        "    def load(self, raw):\n"
+        "        return SyntheticSpec.from_json_dict(raw)\n"
+        "SCHEMA = errors.check_section('x', {}, {})\n"
+    )
+    assert section_checks(tmp_path) == [
+        "_prepare: check_section",
+        "Loader: SyntheticSpec.from_json_dict",
+        "<module>: check_section",
+    ]

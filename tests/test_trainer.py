@@ -528,6 +528,13 @@ class TestNoiseSweep:
         with pytest.raises(EmptyInputError, match="empty test set"):
             noise_sweep(params, params, empty, [0.1], [SubsetMask.of([0])], seed=0)
 
+    @pytest.mark.parametrize("key", ["epsilons", "target_sets"])
+    def test_empty_grid_rejected_naming_it(self, key):
+        params = init_params(MODEL, 0)
+        grids = {"epsilons": [0.1], "target_sets": [SubsetMask.of([0])], key: []}
+        with pytest.raises(ConfigError, match=rf"^{key}: expected a non-empty list, got \[\]$"):
+            noise_sweep(params, params, make_sets(per_class=20)[1], seed=0, **grids)
+
     def test_dataset_dims_mismatch_rejected(self):
         other = ModelSpec(modality_dims=(4, 5), hidden_dim=8, latent_dim=4, num_classes=2)
         params = init_params(other, 0)
