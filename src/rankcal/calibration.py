@@ -32,7 +32,7 @@ import numpy as np
 from .data import write_text
 from .errors import AT_LEAST_1, CapabilityError, ConfigError, EmptyInputError, SpecError, one_of
 from .model import ClassifierParams, backward_masks, forward_core, mask_weights
-from .numerics import Array
+from .numerics import ALLOCATE, Array, Workspace
 
 REGULARIZER_VARIANTS = ("hinge", "difference", "none")
 VRR_MODES = one_of("sampled", "exhaustive")
@@ -126,7 +126,11 @@ class RankingRecords:
 
 @dataclass
 class ChainObjective:
-    """Batch sums of the composite objective, with the gradient of `loss`."""
+    """Batch sums of the composite objective, with the gradient of `loss`.
+
+    An objective_core run with a Workspace returns that workspace's arrays as
+    `confidence`, so the next batch of its shape overwrites them.
+    """
 
     loss: float
     cls_loss: float
@@ -162,9 +166,10 @@ def chain_objective(
     """
     presence = np.asarray(presence, dtype=bool)
     weights = mask_weights(presence)
-    onehot = label_onehot(np.asarray(labels), params.spec.num_classes, presence.shape[1])
+    labels = np.asarray(labels)
+    onehot = label_onehot(labels, params.spec.num_classes, presence.shape[1])
     options = (variant, lam, skip_on_wrong_full, detach_superset)
-    return objective_core(params, list(features), weights, onehot, *options, out)
+    return objective_core(params, list(features), weights, labels, onehot, *options, out)
 
 
 def label_onehot(labels: Array, num_classes: int, num_masks: int) -> Array:
@@ -173,22 +178,38 @@ def label_onehot(labels: Array, num_classes: int, num_masks: int) -> Array:
 
 
 def objective_core(
-    params, blocks, weights, onehot, variant, lam, skip_on_wrong_full, detach_superset, out
+    params,
+    blocks,
+    weights,
+    labels,
+    onehot,
+    variant,
+    lam,
+    skip_on_wrong_full,
+    detach_superset,
+    out,
+    workspace: Workspace = ALLOCATE,
 ) -> ChainObjective:
     """chain_objective on the (B, K, M) mask `weights` (the presence divided by each mask's size).
 
-    `onehot` is the label_onehot of the batch's labels for K masks, or a column slice of one.
+    `labels` is the batch's (B,) labels and `onehot` their label_onehot for K
+    masks, or a column slice of one. A `workspace` built for B rows and K masks
+    takes every batch-sized temporary, the returned confidences among them:
+    the next call with it overwrites this result's arrays.
     """
-    fwd = forward_core(params, blocks, weights)
+    fwd = forward_core(params, blocks, weights, workspace)
     batch, num_masks = fwd.sums.shape
-    probs = fwd.probs  # (C, B*K), class-major like the one-hot
-    logit_grads = probs - onehot
+    # (C, B*K), class-major like the one-hot: MaskedForward.probs, into the workspace.
+    probs = np.divide(fwd.exp, fwd.sums.reshape(-1), out=workspace.probs)
+    logit_grads = np.subtract(probs, onehot, out=workspace.logit_grads)
     logit_grads /= num_masks
 
-    columns = np.arange(probs.shape[1])
-    predicted = probs.argmax(axis=0)
-    confidence = fwd.confidence  # bit for bit the probability at `predicted`
-    full_correct = onehot[predicted[::num_masks], columns[::num_masks]] == 1.0
+    predicted = probs.argmax(axis=0, out=workspace.predicted)
+    # Bit for bit the probability at `predicted` (MaskedForward.confidence).
+    confidence = np.divide(1.0, fwd.sums, out=workspace.confidence)
+    full_correct = predicted[::num_masks] == labels
+    # The true class's probability: probs * onehot summed over the classes, whose zeros add +0.0.
+    true_prob = probs.reshape(-1, batch, num_masks)[labels, np.arange(batch)]
     if variant == "none":
         gate = np.zeros(batch)
     else:
@@ -199,24 +220,25 @@ def objective_core(
     if lam > 0.0 and variant != "none":
         # Column k + 1 of the zero-padded buffer holds pair k's weighted derivative,
         # which mask k + 1 (T) gains and mask k (S) loses.
-        padded = np.zeros((batch, num_masks + 1))
+        padded = workspace.padded
+        if padded is None:
+            padded = np.zeros((batch, num_masks + 1))
         np.multiply(lam * gate[:, None], d_conf_t, out=padded[:, 1:-1])
         d_conf = padded[:, :-1] if detach_superset else padded[:, :-1] - padded[:, 1:]
         # d max_k p_k / d z = p_c * (onehot_c - p), differentiating through the
-        # argmax class fixed by this forward pass.
-        d_logits = -probs
-        d_logits[predicted, columns] = 1.0 - confidence.ravel()
+        # argmax class fixed by this forward pass; the probabilities are read no more.
+        d_logits = np.negative(probs, out=probs)
+        d_logits[predicted, np.arange(len(predicted))] = 1.0 - confidence.ravel()
         d_logits *= (d_conf * confidence).ravel()
         logit_grads += d_logits
 
-    # The one-hot's zeros add nothing, so each column sums to its true-class probability.
-    true_prob = np.add.reduce(probs * onehot)
-    cls = np.add.reduce(-np.log(true_prob).reshape(batch, num_masks), axis=1) / num_masks
+    # The NLL's negation folds into the mean's divide, bit for bit.
+    cls = np.add.reduce(np.log(true_prob), axis=1) / -num_masks
     return ChainObjective(
         loss=float(np.add.reduce(cls + lam * reg)),
         cls_loss=float(np.add.reduce(cls)),
         reg_loss=float(np.add.reduce(reg)),
-        grads=backward_masks(params, fwd, logit_grads, out),
+        grads=backward_masks(params, fwd, logit_grads, out, workspace),
         confidence=confidence,
         full_correct=full_correct,
     )

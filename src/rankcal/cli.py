@@ -279,6 +279,7 @@ def _load_run(run_dir: Path, ours: dict) -> tuple[ClassifierParams, trainer.Trai
     try:
         protocol_keys = {key: snapshot[key] for key in _PROTOCOL_KEYS if key in snapshot}
         theirs = _test_protocol(_parse_sections(protocol_keys))
+        config = trainer.TrainConfig.from_json_dict(snapshot["resolved_train"], spec)
     except (ConfigError, SpecError) as exc:
         raise StateError(f"{snapshot_path}: {exc}") from None
     for key in {**ours, **theirs}:
@@ -287,7 +288,7 @@ def _load_run(run_dir: Path, ours: dict) -> tuple[ClassifierParams, trainer.Trai
         if ours.get(key) != theirs.get(key):
             shown = [repr(p[key]) if key in p else "unset" for p in (theirs, ours)]
             raise StateError(f"{key}: {shown[0]} in {snapshot_path}, {shown[1]} here")
-    return params, trainer.TrainConfig.from_json_dict(snapshot["resolved_train"], spec)
+    return params, config
 
 
 def cmd_compare(config_path: Path, out_override: str | None) -> int:

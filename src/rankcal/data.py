@@ -382,6 +382,8 @@ def load_csv_dataset(manifest_path) -> Dataset:
         )
     if len(modalities) < 2:
         raise ParseError(str(manifest_path), 1, "need at least 2 modalities")
+    if not len(labels):
+        raise ParseError(str(manifest_path), 1, "0 rows; need at least 1")
     return Dataset(modalities=modalities, labels=labels, num_classes=num_classes)
 
 

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import AT_LEAST_1, AT_LEAST_2, TWO_OR_MORE, CapabilityError, DimensionError, Key
 from .errors import MaskError, StateError, check_bounds, check_section
-from .numerics import Array, softmax_parts
+from .numerics import ALLOCATE, Array, Workspace, softmax_parts
 
 CHECKPOINT_MAGIC = "rankcal-checkpoint v1"
 
@@ -197,6 +197,8 @@ class MaskedForward:
     of the logits, and `sums`, their (B, K) sums. `exp` is class-major and
     C-contiguous (C, B*K), column b*K + k holding row b under mask k (see the
     module docstring). The class probabilities are divided out only when read.
+    A forward run with a numerics.Workspace views its arrays, so the next
+    forward with that workspace overwrites it.
     """
 
     features: list[Array]
@@ -229,26 +231,33 @@ def mask_weights(presence) -> Array:
     return presence / presence.sum(axis=-1, keepdims=True)
 
 
-def forward_core(params: ClassifierParams, blocks: list[Array], weights) -> MaskedForward:
+def forward_core(
+    params: ClassifierParams, blocks: list[Array], weights, workspace: Workspace = ALLOCATE
+) -> MaskedForward:
     """Encode each modality once for all rows, then mean-fuse and classify per mask.
 
     `blocks[m]` is the (B, d_m) float64 block of modality m, and `weights` the
     mask_weights of (K, M) or (B, K, M) boolean masks, each with at least one
     modality. A modality outside a mask gets a zero fusion weight there, so for
     finite parameters its latent adds exactly zero to that mask's fused latent.
-    This is encode_core followed by classify_core.
+    This is encode_core followed by classify_core. A `workspace` built for B
+    rows and K masks takes every array of the result (see MaskedForward).
     """
-    hidden, latents = encode_core(params, blocks)
-    fused, exp, sums = classify_core(params, weights, latents)
+    hidden, latents = encode_core(params, blocks, workspace)
+    fused, exp, sums = classify_core(params, weights, latents, workspace)
     return MaskedForward(blocks, hidden, weights, fused, exp, sums)
 
 
-def encode_core(params: ClassifierParams, blocks: list[Array]) -> tuple[Array, Array]:
+def encode_core(
+    params: ClassifierParams, blocks: list[Array], workspace: Workspace = ALLOCATE
+) -> tuple[Array, Array]:
     """The encoder half of forward_core: stacked (M, B, H) hidden activations, (M, B, L) latents."""
-    hidden = np.empty((len(blocks), len(blocks[0]), params.b1.shape[1]))
+    hidden = workspace.hidden
+    if hidden is None:
+        hidden = np.empty((len(blocks), len(blocks[0]), params.b1.shape[1]))
     for m, x in enumerate(blocks):  # one matmul per modality: the input dims differ
         np.matmul(x, params.w1[m], out=hidden[m])
-    return hidden, _encoder_layers(hidden, params.b1, params.w2, params.b2)
+    return hidden, _encoder_layers(hidden, params.b1, params.w2, params.b2, workspace.latents)
 
 
 def encode_copies(params: ClassifierParams, m: int, copies: Array) -> Array:
@@ -261,7 +270,9 @@ def encode_copies(params: ClassifierParams, m: int, copies: Array) -> Array:
     return _encoder_layers(copies @ params.w1[m], params.b1[one], params.w2[one], params.b2[one])
 
 
-def classify_core(params: ClassifierParams, weights, latents: Array) -> tuple[Array, Array, Array]:
+def classify_core(
+    params: ClassifierParams, weights, latents: Array, workspace: Workspace = ALLOCATE
+) -> tuple[Array, Array, Array]:
     """The classifier half of forward_core: mean fusion, the head and the softmax parts.
 
     `latents` is (..., M, B, L) and `weights` (K, M) or (B, K, M). Returns the
@@ -269,20 +280,27 @@ def classify_core(params: ClassifierParams, weights, latents: Array) -> tuple[Ar
     max-shifted exponentials and their (..., B, K) sums. Each leading index is
     a separate stack whose head runs as its own row-major (B*K, L) matmul, so
     stacking changes no bit (see the module docstring for the layout's traps).
+    A `workspace` takes only an unstacked (M, B, L) batch.
     """
-    fused = weights @ latents.swapaxes(-3, -2)
+    fused = np.matmul(weights, latents.swapaxes(-3, -2), out=workspace.fused)
     shape = fused.shape
-    rows = fused.reshape(shape[:-3] + (-1, shape[-1])) @ params.head_w
-    logits = np.add(rows.swapaxes(-1, -2), params.head_b[:, None], order="C")
-    exp, sums = softmax_parts(logits)
+    rows = fused.reshape(shape[:-3] + (-1, shape[-1]))
+    rows = np.matmul(rows, params.head_w, out=workspace.head_rows)
+    logits = np.add(rows.swapaxes(-1, -2), params.head_b[:, None], out=workspace.logits, order="C")
+    exp, sums = softmax_parts(logits, workspace)
     return fused, exp, sums.reshape(shape[:-1])
 
 
-def _encoder_layers(hidden: Array, b1: Array, w2: Array, b2: Array) -> Array:
-    """Bias and ReLU in place on the stacked (M, B, H) `hidden`; returns the (M, B, L) latents."""
+def _encoder_layers(
+    hidden: Array, b1: Array, w2: Array, b2: Array, out: Array | None = None
+) -> Array:
+    """Bias and ReLU in place on the stacked (M, B, H) `hidden`; returns the (M, B, L) latents.
+
+    The latents go to `out` when it is given.
+    """
     hidden += b1[:, None]
     np.maximum(hidden, 0.0, out=hidden)
-    latents = hidden @ w2
+    latents = np.matmul(hidden, w2, out=out)
     latents += b2[:, None]
     return latents
 
@@ -292,6 +310,7 @@ def backward_masks(
     fwd: MaskedForward,
     logit_grads: Array,
     out: ClassifierParams | None = None,
+    workspace: Workspace = ALLOCATE,
 ) -> ClassifierParams:
     """Exact parameter gradients of sum(logit_grads * logits) over every row and mask.
 
@@ -304,25 +323,27 @@ def backward_masks(
     (so one buffer serves every batch) and go to a new ClassifierParams otherwise.
     The ReLU mask is a multiply, a third of np.where's in-loop cost, whose -0.0
     gradients sum to +0.0 in b1 and w1 as np.where's +0.0 do (see _hidden_grads).
+    The batch's temporaries go to `workspace`'s arrays when it is given.
     """
     batch, num_masks = fwd.sums.shape
     if out is None:
         out = ClassifierParams(params.spec, np.empty_like(params.flat))
-    g = np.ascontiguousarray(logit_grads.T)
+    g = np.positive(logit_grads.T, out=workspace.row_grads, order="C")  # a row-major copy
     np.matmul(fwd.fused.reshape(-1, fwd.fused.shape[-1]).T, g, out=out.head_w)
     np.add.reduce(g, axis=0, out=out.head_b)  # ndarray.sum without its Python wrapper
-    d_fused = (g @ params.head_w.T).reshape(batch, num_masks, -1)
-    d_latents = (fwd.weights.swapaxes(-1, -2) @ d_fused).transpose(1, 0, 2)
+    d_fused = np.matmul(g, params.head_w.T, out=workspace.d_fused).reshape(batch, num_masks, -1)
+    d_latents = np.matmul(fwd.weights.swapaxes(-1, -2), d_fused, out=workspace.d_latents)
+    d_latents = d_latents.transpose(1, 0, 2)
     np.matmul(fwd.hidden.transpose(0, 2, 1), d_latents, out=out.w2)
     np.add.reduce(d_latents, axis=1, out=out.b2)
-    d_pre = _hidden_grads(fwd.hidden, d_latents, params.w2)
+    d_pre = _hidden_grads(fwd.hidden, d_latents, params.w2, workspace)
     np.add.reduce(d_pre, axis=1, out=out.b1)
     for m, x in enumerate(fwd.features):  # one matmul per modality: the input dims differ
         np.matmul(x.T, d_pre[m], out=out.w1[m])
     return out
 
 
-def _hidden_grads(hidden: Array, d_latents: Array, w2: Array) -> Array:
+def _hidden_grads(hidden: Array, d_latents: Array, w2: Array, workspace: Workspace) -> Array:
     """Gradient at the stacked (M, B, H) pre-activations from the (M, B, L) latent gradients.
 
     The ReLU subgradient at exactly zero is zero; no input gradient is needed.
@@ -331,8 +352,8 @@ def _hidden_grads(hidden: Array, d_latents: Array, w2: Array) -> Array:
     unit with a negative upstream gradient), a sign that no gradient shows:
     numpy's add.reduce for b1 and the BLAS accumulators for w1 start at +0.0.
     """
-    d_pre = d_latents @ w2.transpose(0, 2, 1)
-    return np.multiply(d_pre, hidden > 0.0, out=d_pre)
+    d_pre = np.matmul(d_latents, w2.transpose(0, 2, 1), out=workspace.d_pre)
+    return np.multiply(d_pre, np.greater(hidden, 0.0, out=workspace.active), out=d_pre)
 
 
 def save_checkpoint(path, params: ClassifierParams) -> None:

@@ -11,6 +11,11 @@ pairwise blocks, so from 8 classes on the sums come from a row-major copy. The
 sums are the row-major exp.sum(axis=-1) bit for bit either way. model.py's
 docstring gives the two traps in building such logits: the head matmul's form
 and the bias add's memory order.
+
+A Workspace holds every batch-sized array of one training step for one batch
+shape. The step's functions take it as their last argument and write each
+temporary into its array with out=; the default, ALLOCATE, has no arrays, so
+numpy allocates each temporary as the call needs it. Both give the same bits.
 """
 
 from __future__ import annotations
@@ -37,25 +42,90 @@ def describe_bad(bad: Array) -> str:
     return f"{int(bad.sum())} of {bad.size}, the first at index {first}"
 
 
-def softmax_parts(logits) -> tuple[Array, Array]:
+@dataclass(frozen=True)
+class Workspace:
+    """The batch-sized arrays of one training step, for B rows under K masks each.
+
+    for_batch allocates them once; every step of that shape then rewrites the
+    same arrays, so whatever a step returns that views them (a MaskedForward,
+    a ChainObjective's confidence) is overwritten by the next step. A field
+    left None is allocated afresh by the call that needs it: ALLOCATE, the
+    default of every function that takes a workspace, leaves all of them None.
+    Shapes use M modalities, hidden size H, latent size L and C classes.
+    """
+
+    hidden: Array | None = None  # (M, B, H) encoder activations
+    latents: Array | None = None  # (M, B, L)
+    fused: Array | None = None  # (B, K, L) fused latents
+    head_rows: Array | None = None  # (B*K, C) head output, before the bias
+    logits: Array | None = None  # (C, B*K) class-major logits; softmax_parts exponentiates in place
+    shift: Array | None = None  # (B*K,) each column's largest logit
+    finite: Array | None = None  # (C, B*K) bool: which logits are finite
+    sums: Array | None = None  # (B*K,) the exponentials' sums
+    probs: Array | None = None  # (C, B*K) probabilities, then the confidences' logit gradients
+    logit_grads: Array | None = None  # (C, B*K)
+    predicted: Array | None = None  # (B*K,) argmax class
+    confidence: Array | None = None  # (B, K)
+    padded: Array | None = None  # (B, K + 1) chain gradient; columns 0 and K stay zero
+    row_grads: Array | None = None  # (B*K, C) row-major copy of the logit gradients
+    d_fused: Array | None = None  # (B*K, L)
+    d_latents: Array | None = None  # (B, M, L)
+    d_pre: Array | None = None  # (M, B, H) pre-activation gradients
+    active: Array | None = None  # (M, B, H) bool ReLU mask
+
+    @classmethod
+    def for_batch(cls, spec, batch: int, num_masks: int) -> "Workspace":
+        """Every array of a step of `batch` rows under `num_masks` masks of a model.ModelSpec."""
+        num, hidden, latent = spec.num_modalities, spec.hidden_dim, spec.latent_dim
+        classes, rows = spec.num_classes, batch * num_masks
+        return cls(
+            hidden=np.empty((num, batch, hidden)),
+            latents=np.empty((num, batch, latent)),
+            fused=np.empty((batch, num_masks, latent)),
+            head_rows=np.empty((rows, classes)),
+            logits=np.empty((classes, rows)),
+            shift=np.empty(rows),
+            finite=np.empty((classes, rows), dtype=bool),
+            sums=np.empty(rows),
+            probs=np.empty((classes, rows)),
+            logit_grads=np.empty((classes, rows)),
+            predicted=np.empty(rows, dtype=np.intp),
+            confidence=np.empty((batch, num_masks)),
+            padded=np.zeros((batch, num_masks + 1)),
+            row_grads=np.empty((rows, classes)),
+            d_fused=np.empty((rows, latent)),
+            d_latents=np.empty((batch, num, latent)),
+            d_pre=np.empty((num, batch, hidden)),
+            active=np.empty((num, batch, hidden), dtype=bool),
+        )
+
+
+ALLOCATE = Workspace()
+
+
+def softmax_parts(logits, workspace: Workspace = ALLOCATE) -> tuple[Array, Array]:
     """The max-shifted exponentials of class-major (..., C, N) logits and their (..., N) sums.
 
     softmax is the exponentials divided by their sums. The largest logit's
     exponential is exp(0) = 1.0 exactly, so 1.0 / sums is bit for bit the
     largest probability: correctly rounded division is monotone. The sums are
     bit for bit the row-major exp.sum(axis=-1) (see the module docstring).
-    `exp` keeps the memory order of `logits`: give it C-contiguous rows.
+    `exp` keeps the memory order of `logits`: give it C-contiguous rows. With
+    a workspace, `exp` is its `logits` array, so logits that live there are
+    exponentiated in place.
     """
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim < 2 or z.shape[-2] < 2:
         raise DimensionError("softmax needs at least 2 logits")
-    if not np.isfinite(z).all():
+    if not np.isfinite(z, out=workspace.finite).all():
         raise NumericError(f"non-finite logits: {describe_bad(~np.isfinite(z))}")
-    exp = z - np.maximum.reduce(z, axis=-2)[..., None, :]
+    shift = np.maximum.reduce(z, axis=-2, out=workspace.shift)
+    exp = np.subtract(z, shift[..., None, :], out=workspace.logits)
     np.exp(exp, out=exp)
     if z.shape[-2] < _PAIRWISE_BLOCK:
-        return exp, np.add.reduce(exp, axis=-2)
-    return exp, np.ascontiguousarray(exp.swapaxes(-1, -2)).sum(axis=-1)
+        return exp, np.add.reduce(exp, axis=-2, out=workspace.sums)
+    rows = np.ascontiguousarray(exp.swapaxes(-1, -2))
+    return exp, np.add.reduce(rows, axis=-1, out=workspace.sums)
 
 
 def nll_loss(probs: Array, labels: Array) -> Array:

@@ -32,7 +32,7 @@ from .errors import SweepError, check_bounds, check_section, one_of
 from .metrics import MetricsReport, build_report
 from .model import ClassifierParams, ModelSpec, SubsetMask, classify_core
 from .model import encode_copies, encode_core, init_params, mask_weights
-from .numerics import adam_update, init_adam_state, nll_loss
+from .numerics import Workspace, adam_update, init_adam_state, nll_loss
 
 # Stream tags keeping shuffling and removal-order draws independent.
 _SHUFFLE_STREAM = 1
@@ -141,7 +141,9 @@ def train(config: TrainConfig, train_set: Dataset) -> RunResult:
     depend on the batch it lands in; one optimizer step is taken per
     mini-batch on the mean of the per-sample gradients. The mask weights
     (chain_weights) and the label one-hot are built once per epoch; each batch
-    then runs only objective_core on their slices.
+    then runs only objective_core on their slices. Every batch-sized
+    temporary lives in one Workspace per batch shape, built once per run:
+    one for the full batches and one for a ragged last batch.
     A non-finite loss or logit, or a floating-point overflow, division by zero
     or invalid operation stops the run with a DivergenceError naming the epoch
     and batch.
@@ -158,6 +160,8 @@ def train(config: TrainConfig, train_set: Dataset) -> RunResult:
     options = (config.variant, config.lam, config.skip_on_wrong_full, config.detach_superset)
 
     n = train_set.num_samples
+    sizes = {min(config.batch_size, n), n % config.batch_size} - {0}  # full and ragged batches
+    workspaces = {size: Workspace.for_batch(config.model, size, num_modalities) for size in sizes}
     history: list[EpochStats] = []
     # Set once per run: an overflow, division by zero or invalid operation raises, not warns.
     with np.errstate(**_RAISE_FP):
@@ -167,7 +171,8 @@ def train(config: TrainConfig, train_set: Dataset) -> RunResult:
             chain_rng = np.random.default_rng([config.seed, _CHAIN_STREAM, epoch])
             weights = chain_weights(removal_orders(chain_rng, n, num_modalities)[order])
             features = [block[order] for block in train_set.modalities]
-            onehot = label_onehot(train_set.labels[order], config.model.num_classes, num_modalities)
+            labels = train_set.labels[order]
+            onehot = label_onehot(labels, config.model.num_classes, num_modalities)
             cls_sum = 0.0
             reg_sum = 0.0
             correct = 0
@@ -178,9 +183,11 @@ def train(config: TrainConfig, train_set: Dataset) -> RunResult:
                         params,
                         [block[batch] for block in features],
                         weights[batch],
+                        labels[batch],
                         onehot[:, start * num_modalities : batch.stop * num_modalities],
                         *options,
                         grads,
+                        workspaces[min(config.batch_size, n - start)],
                     )
                     if not math.isfinite(result.loss):
                         raise DivergenceError(epoch=epoch, batch=batch_idx, loss=result.loss)

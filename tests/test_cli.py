@@ -17,6 +17,9 @@ from rankcal.model import load_checkpoint
 from reference import reference_probs
 
 
+# The error of a manifest whose files hold no rows.
+ZERO_ROWS = "0 rows; need at least 1"
+
 # A manifest whose modality entry lacks its dim; the check fails before any CSV is read.
 BAD_MANIFEST = {"num_classes": 2, "modalities": [{"path": "m0.csv"}], "labels": "labels.csv"}
 
@@ -366,6 +369,18 @@ class TestCompareCommand:
         err = self.compare_error(tmp_path, capsys, run_dir)
         assert f"{checkpoint}: spec.hidden_dim: missing key" in err
 
+    def test_checkpoint_header_nested_too_deeply_fails_naming_it(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "config.json")
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(run_dir)]) == 0
+        checkpoint = run_dir / "checkpoint.bin"
+        magic, _, payload = checkpoint.read_bytes().split(b"\n", 2)
+        header = b'{"spec": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+        checkpoint.write_bytes(b"\n".join([magic, header, payload]))
+        err = self.compare_error(tmp_path, capsys, run_dir)
+        assert err.startswith(f"error: {checkpoint}: maximum recursion depth exceeded")
+        assert not (tmp_path / "c").exists()
+
     def test_snapshot_without_resolved_train_fails_naming_it(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "config.json")
         run_dir = tmp_path / "run"
@@ -376,6 +391,19 @@ class TestCompareCommand:
         snapshot.write_text(json.dumps(obj))
         err = self.compare_error(tmp_path, capsys, run_dir)
         assert f"{snapshot}: missing key 'resolved_train'" in err
+
+    def test_bad_resolved_train_value_fails_naming_the_snapshot(self, tmp_path, capsys):
+        # Before, this read "error: train.epochs: ..." and named no file.
+        cfg = write_config(tmp_path / "config.json")
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(run_dir)]) == 0
+        snapshot = run_dir / "config.json"
+        obj = json.loads(snapshot.read_text())
+        obj["resolved_train"]["epochs"] = 0
+        snapshot.write_text(json.dumps(obj))
+        err = self.compare_error(tmp_path, capsys, run_dir)
+        assert err == f"error: {snapshot}: train.epochs: expected an int >= 1, got 0\n"
+        assert not (tmp_path / "c").exists()
 
     def test_snapshot_of_invalid_json_fails_naming_it(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "config.json")
@@ -420,7 +448,8 @@ class TestCompareCommand:
         capsys.readouterr()
         out = tmp_path / "c"
         assert main(["compare", "--config", str(compare_cfg), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.splitlines() == ["error: empty test set"]
+        manifest = tmp_path / "empty" / "manifest.json"
+        assert capsys.readouterr().err.splitlines() == [f"error: {manifest}:1: {ZERO_ROWS}"]
         assert not out.exists()
 
     def test_one_forward_per_model(self, tmp_path, monkeypatch):
@@ -714,7 +743,8 @@ class TestSweepCommand:
         )
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.splitlines() == ["error: empty test set"]
+        manifest = tmp_path / "empty" / "manifest.json"
+        assert capsys.readouterr().err.splitlines() == [f"error: {manifest}:1: {ZERO_ROWS}"]
         assert not (out / "sweep_noise.csv").exists()
 
     def test_noise_sweep_with_runs_of_other_modality_dims_fails(self, tmp_path, capsys):
@@ -1104,7 +1134,8 @@ class TestCommandSections:
         assert not out.exists()
 
     def test_empty_training_manifest_fails_with_one_line(self, tmp_path, capsys):
-        # Without the check, numpy warned five times and the error blamed a test-set row.
+        # Without a check, numpy warned five times and the error blamed a test-set row;
+        # then the standardization named no file.
         dataset = generate_synthetic(SyntheticSpec.from_json_dict(SYNTHETIC))
         write_csv_dataset(dataset.take([]), tmp_path / "empty")
         write_csv_dataset(dataset, tmp_path / "test")
@@ -1117,9 +1148,39 @@ class TestCommandSections:
         cfg.write_text(json.dumps(written))
         out = tmp_path / "run"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.splitlines() == [
-            "error: cannot standardize on an empty dataset"
-        ]
+        manifest = tmp_path / "empty" / "manifest.json"
+        assert capsys.readouterr().err.splitlines() == [f"error: {manifest}:1: {ZERO_ROWS}"]
+        assert not out.exists()
+
+    def test_zero_row_source_to_split_fails_naming_its_manifest(self, tmp_path, capsys):
+        # Before, this read "error: class 0 has 0 samples; need at least 2 to split".
+        dataset = generate_synthetic(SyntheticSpec.from_json_dict(SYNTHETIC))
+        write_csv_dataset(dataset.take([]), tmp_path / "empty")
+        cfg = write_config(tmp_path / "config.json", data={"manifest": "empty/manifest.json"})
+        written = json.loads(cfg.read_text())
+        del written["data"]["synthetic"]
+        cfg.write_text(json.dumps(written))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        manifest = tmp_path / "empty" / "manifest.json"
+        assert capsys.readouterr().err.splitlines() == [f"error: {manifest}:1: {ZERO_ROWS}"]
+        assert not out.exists()
+
+    def test_zero_row_test_manifest_fails_before_training(self, tmp_path, capsys, monkeypatch):
+        # Before, the whole model trained and then the line read "error: empty test set".
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the test set was checked")
+
+        monkeypatch.setattr(trainer, "train", no_training)
+        dataset = generate_synthetic(SyntheticSpec.from_json_dict(SYNTHETIC))
+        write_csv_dataset(dataset.take([]), tmp_path / "empty")
+        cfg = write_config(
+            tmp_path / "config.json", data={"test_manifest": "empty/manifest.json"}, split=None
+        )
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        manifest = tmp_path / "empty" / "manifest.json"
+        assert capsys.readouterr().err.splitlines() == [f"error: {manifest}:1: {ZERO_ROWS}"]
         assert not out.exists()
 
     def test_exhaustive_vrr_over_the_modality_limit_fails_before_training(

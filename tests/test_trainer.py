@@ -145,16 +145,17 @@ class TestTrain:
 
 
 class TestTrainMatchesReferenceLoop:
-    """train gathers once per epoch and reuses one gradient buffer; the bytes must not change."""
+    """train gathers once per epoch and writes every batch temporary into a per-run
+    workspace; the bytes must not change."""
 
     MODEL3 = ModelSpec(modality_dims=(4, 3, 2), hidden_dim=8, latent_dim=4, num_classes=3)
 
     @staticmethod
-    def train_set() -> Dataset:
+    def train_set(num_classes: int = 3) -> Dataset:
         spec = SyntheticSpec(
-            num_classes=3,
+            num_classes=num_classes,
             modality_dims=(4, 3, 2),
-            samples_per_class=(25, 25, 25),
+            samples_per_class=(25,) * num_classes,
             class_separation=(4.0, 2.0, 1.0),
             noise_std=(1.0, 1.0, 1.0),
             seed=5,
@@ -165,25 +166,29 @@ class TestTrainMatchesReferenceLoop:
     def history_bytes(history) -> bytes:
         return np.array([dataclasses.astuple(stats) for stats in history]).tobytes()
 
-    # 75 samples: batches of 16 leave a ragged last batch of 11; 100 is one batch of all.
-    @pytest.mark.parametrize("batch_size", [16, 100])
+    # 25 samples a class: batches of 16 leave a ragged last batch (11 rows at 3 classes);
+    # "all" is one batch of every row, and "all-but-one" leaves a 1-row last batch.
+    # From 8 classes on, softmax_parts sums each column from a row-major copy.
+    @pytest.mark.parametrize("num_classes", [3, 8, 11])
+    @pytest.mark.parametrize("batch_size", [16, "all", "all-but-one"])
     @pytest.mark.parametrize("detach_superset", [False, True])
     @pytest.mark.parametrize("skip_on_wrong_full", [True, False])
     @pytest.mark.parametrize("variant", calibration.REGULARIZER_VARIANTS)
     def test_params_and_history_byte_identical(
-        self, variant, skip_on_wrong_full, detach_superset, batch_size
+        self, variant, skip_on_wrong_full, detach_superset, batch_size, num_classes
     ):
+        train_set = self.train_set(num_classes)
+        n = train_set.num_samples
         cfg = config(
-            model=self.MODEL3,
+            model=dataclasses.replace(self.MODEL3, num_classes=num_classes),
             epochs=3,
-            batch_size=batch_size,
+            batch_size={"all": n, "all-but-one": n - 1}.get(batch_size, batch_size),
             lam=5.0,
             variant=variant,
             skip_on_wrong_full=skip_on_wrong_full,
             detach_superset=detach_superset,
             seed=4,
         )
-        train_set = self.train_set()
         result = train(cfg, train_set)
         params, history = reference_train(cfg, train_set)
         assert result.params.flat.tobytes() == params.flat.tobytes()
@@ -202,6 +207,36 @@ class TestTrainMatchesReferenceLoop:
         assert (new.epoch, new.batch) != (0, 0)  # one Adam step ran on the reused buffer first
         # The reference logs a zero probability into an infinite loss; train stops at that log.
         assert old.loss == np.inf and str(new).startswith("floating-point divide by zero")
+
+
+class TestWorkspace:
+    """train builds one Workspace per batch shape per run; every batch of that shape reuses it."""
+
+    def test_consecutive_batches_write_the_same_buffers(self, monkeypatch):
+        results = []
+
+        def recording(*args):
+            results.append(calibration.objective_core(*args))
+            return results[-1]
+
+        monkeypatch.setattr(trainer, "objective_core", recording)
+        train(config(epochs=1, batch_size=16), make_sets()[0])  # 80 rows: 5 batches of 16
+        assert len(results) == 5
+        assert np.shares_memory(results[0].confidence, results[1].confidence)
+
+    # 80 rows: batches of 16 divide them, 30 leaves a ragged 20, and 100 is one batch of 80.
+    @pytest.mark.parametrize("batch_size, sizes", [(16, [16]), (30, [20, 30]), (100, [80])])
+    def test_at_most_one_workspace_per_batch_shape(self, monkeypatch, batch_size, sizes):
+        built = []
+        for_batch = trainer.Workspace.for_batch
+
+        def counting(spec, batch, num_masks):
+            built.append((batch, num_masks))
+            return for_batch(spec, batch, num_masks)
+
+        monkeypatch.setattr(trainer.Workspace, "for_batch", counting)
+        train(config(epochs=3, batch_size=batch_size), make_sets()[0])
+        assert sorted(built) == [(size, MODEL.num_modalities) for size in sizes]
 
 
 class TestTrainBoundary:
