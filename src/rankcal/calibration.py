@@ -208,8 +208,11 @@ def objective_core(
     # Bit for bit the probability at `predicted` (MaskedForward.confidence).
     confidence = np.divide(1.0, fwd.sums, out=workspace.confidence)
     full_correct = predicted[::num_masks] == labels
+    rows, columns = workspace.rows, workspace.columns
+    if rows is None:
+        rows, columns = np.arange(batch), np.arange(batch * num_masks)
     # The true class's probability: probs * onehot summed over the classes, whose zeros add +0.0.
-    true_prob = probs.reshape(-1, batch, num_masks)[labels, np.arange(batch)]
+    true_prob = probs.reshape(-1, batch, num_masks)[labels, rows]
     if variant == "none":
         gate = np.zeros(batch)
     else:
@@ -228,12 +231,12 @@ def objective_core(
         # d max_k p_k / d z = p_c * (onehot_c - p), differentiating through the
         # argmax class fixed by this forward pass; the probabilities are read no more.
         d_logits = np.negative(probs, out=probs)
-        d_logits[predicted, np.arange(len(predicted))] = 1.0 - confidence.ravel()
+        d_logits[predicted, columns] = 1.0 - confidence.ravel()
         d_logits *= (d_conf * confidence).ravel()
         logit_grads += d_logits
 
     # The NLL's negation folds into the mean's divide, bit for bit.
-    cls = np.add.reduce(np.log(true_prob), axis=1) / -num_masks
+    cls = np.add.reduce(np.log(true_prob, out=true_prob), axis=1) / -num_masks
     return ChainObjective(
         loss=float(np.add.reduce(cls + lam * reg)),
         cls_loss=float(np.add.reduce(cls)),

@@ -24,12 +24,14 @@ of them in one numpy call; only the first-layer matmul, whose input dims
 differ, runs once per modality.
 
 The classifier half is class-major: the logits, exponentials, probabilities
-and logit gradients are C-contiguous (C, B*K), one row per class. Two traps:
+and logit gradients are (C, B*K), one row per class, and all but a
+workspace's logit gradients are C-contiguous. Two traps:
 the head matmul must stay row-major, (B*K, L) @ (L, C), since that BLAS call
 fixes the bits (its transpose picks another OpenBLAS kernel at latent 64); and
 the transposing bias add must ask for C order, or it returns F order with the
 same bits and every later reduce strides across memory. backward_masks copies
-the logit gradients back to row-major for the head's backward.
+the logit gradients back to row-major for the head's backward; a workspace
+keeps them in a row-major array's transpose, so training copies nothing.
 """
 
 from __future__ import annotations
@@ -316,7 +318,9 @@ def backward_masks(
 
     `logit_grads` is float64 in fwd.exp's class-major (C, B*K) layout; one
     row-major copy keeps the head's matmuls and bias sum in their bit order
-    (see the module docstring for the layout and its traps).
+    (see the module docstring for the layout and its traps). A workspace's
+    logit gradients are already the transpose of a row-major array, so they
+    are read in place, with no copy.
     Each modality collects its latent gradient over every mask containing it
     before one encoder backward pass; a modality that no mask uses gets zero
     gradients. The gradients overwrite every array of `out` when it is given
@@ -328,7 +332,7 @@ def backward_masks(
     batch, num_masks = fwd.sums.shape
     if out is None:
         out = ClassifierParams(params.spec, np.empty_like(params.flat))
-    g = np.positive(logit_grads.T, out=workspace.row_grads, order="C")  # a row-major copy
+    g = np.ascontiguousarray(logit_grads.T)
     np.matmul(fwd.fused.reshape(-1, fwd.fused.shape[-1]).T, g, out=out.head_w)
     np.add.reduce(g, axis=0, out=out.head_b)  # ndarray.sum without its Python wrapper
     d_fused = np.matmul(g, params.head_w.T, out=workspace.d_fused).reshape(batch, num_masks, -1)

@@ -63,40 +63,42 @@ class Workspace:
     finite: Array | None = None  # (C, B*K) bool: which logits are finite
     sums: Array | None = None  # (B*K,) the exponentials' sums
     probs: Array | None = None  # (C, B*K) probabilities, then the confidences' logit gradients
-    logit_grads: Array | None = None  # (C, B*K)
+    logit_grads: Array | None = None  # (C, B*K), the transpose of a row-major (B*K, C) array
     predicted: Array | None = None  # (B*K,) argmax class
     confidence: Array | None = None  # (B, K)
     padded: Array | None = None  # (B, K + 1) chain gradient; columns 0 and K stay zero
-    row_grads: Array | None = None  # (B*K, C) row-major copy of the logit gradients
     d_fused: Array | None = None  # (B*K, L)
     d_latents: Array | None = None  # (B, M, L)
     d_pre: Array | None = None  # (M, B, H) pre-activation gradients
     active: Array | None = None  # (M, B, H) bool ReLU mask
+    rows: Array | None = None  # arange(B), to index the rows
+    columns: Array | None = None  # arange(B*K), to index the class-major columns
 
     @classmethod
     def for_batch(cls, spec, batch: int, num_masks: int) -> "Workspace":
         """Every array of a step of `batch` rows under `num_masks` masks of a model.ModelSpec."""
         num, hidden, latent = spec.num_modalities, spec.hidden_dim, spec.latent_dim
-        classes, rows = spec.num_classes, batch * num_masks
+        classes, width = spec.num_classes, batch * num_masks  # width: the B*K columns
         return cls(
             hidden=np.empty((num, batch, hidden)),
             latents=np.empty((num, batch, latent)),
             fused=np.empty((batch, num_masks, latent)),
-            head_rows=np.empty((rows, classes)),
-            logits=np.empty((classes, rows)),
-            shift=np.empty(rows),
-            finite=np.empty((classes, rows), dtype=bool),
-            sums=np.empty(rows),
-            probs=np.empty((classes, rows)),
-            logit_grads=np.empty((classes, rows)),
-            predicted=np.empty(rows, dtype=np.intp),
+            head_rows=np.empty((width, classes)),
+            logits=np.empty((classes, width)),
+            shift=np.empty(width),
+            finite=np.empty((classes, width), dtype=bool),
+            sums=np.empty(width),
+            probs=np.empty((classes, width)),
+            logit_grads=np.empty((width, classes)).T,
+            predicted=np.empty(width, dtype=np.intp),
             confidence=np.empty((batch, num_masks)),
             padded=np.zeros((batch, num_masks + 1)),
-            row_grads=np.empty((rows, classes)),
-            d_fused=np.empty((rows, latent)),
+            d_fused=np.empty((width, latent)),
             d_latents=np.empty((batch, num, latent)),
             d_pre=np.empty((num, batch, hidden)),
             active=np.empty((num, batch, hidden), dtype=bool),
+            rows=np.arange(batch),
+            columns=np.arange(width),
         )
 
 
@@ -117,7 +119,8 @@ def softmax_parts(logits, workspace: Workspace = ALLOCATE) -> tuple[Array, Array
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim < 2 or z.shape[-2] < 2:
         raise DimensionError("softmax needs at least 2 logits")
-    if not np.isfinite(z, out=workspace.finite).all():
+    # ndarray.all without its Python wrapper
+    if not np.logical_and.reduce(np.isfinite(z, out=workspace.finite), axis=None):
         raise NumericError(f"non-finite logits: {describe_bad(~np.isfinite(z))}")
     shift = np.maximum.reduce(z, axis=-2, out=workspace.shift)
     exp = np.subtract(z, shift[..., None, :], out=workspace.logits)
