@@ -42,7 +42,7 @@ def describe_bad(bad: Array) -> str:
     return f"{int(bad.sum())} of {bad.size}, the first at index {first}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Workspace:
     """The batch-sized arrays of one training step, for B rows under K masks each.
 
