@@ -199,7 +199,7 @@ def objective_core(
     """
     fwd = forward_core(params, blocks, weights, workspace)
     batch, num_masks = fwd.sums.shape
-    # (C, B*K), class-major like the one-hot: MaskedForward.probs, into the workspace.
+    # (C, B*K) class probabilities, class-major like the one-hot.
     probs = np.divide(fwd.exp, fwd.sums.reshape(-1), out=workspace.probs)
     logit_grads = np.subtract(probs, onehot, out=workspace.logit_grads)
     logit_grads /= num_masks

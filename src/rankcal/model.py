@@ -198,7 +198,8 @@ class MaskedForward:
     The softmax is kept as its two parts: `exp`, the max-shifted exponentials
     of the logits, and `sums`, their (B, K) sums. `exp` is class-major and
     C-contiguous (C, B*K), column b*K + k holding row b under mask k (see the
-    module docstring). The class probabilities are divided out only when read.
+    module docstring). objective_core divides out every class probability;
+    mask_probs divides out one mask's.
     A forward run with a numerics.Workspace views its arrays, so the next
     forward with that workspace overwrites it.
     """
@@ -209,11 +210,6 @@ class MaskedForward:
     fused: Array
     exp: Array
     sums: Array
-
-    @property
-    def probs(self) -> Array:
-        """(C, B*K) class probabilities in `exp`'s layout, divided out on each read."""
-        return self.exp / self.sums.reshape(-1)
 
     def mask_probs(self, k: int) -> Array:
         """(B, C) class probabilities under mask k alone."""

@@ -49,8 +49,8 @@ def softmax(logits) -> np.ndarray:
 
 
 def row_major_probs(fwd) -> np.ndarray:
-    """(B, K, C) class probabilities of a MaskedForward, whose own are class-major (C, B*K)."""
-    return fwd.probs.T.reshape(*fwd.sums.shape, -1)
+    """(B, K, C) class probabilities of a MaskedForward, whose softmax parts are class-major."""
+    return (fwd.exp / fwd.sums.reshape(-1)).T.reshape(*fwd.sums.shape, -1)
 
 
 def nll_logit_grads(fwd, labels) -> np.ndarray:

@@ -679,7 +679,7 @@ class TestMeanConfidenceBySubsetSize:
             fwd = forward_core(params, blocks, weights)
             batch, num_masks = fwd.sums.shape
             share = np.tile(0.1 * (np.arange(num_masks) // num_modalities), batch)  # per column
-            probs = (1 - share) * fwd.probs + share / len(fwd.exp)
+            probs = (1 - share) * (fwd.exp / fwd.sums.reshape(-1)) + share / len(fwd.exp)
             top = probs.max(axis=0)  # kept as the forward keeps it: exp at the argmax is 1.0
             return replace(fwd, exp=probs / top, sums=(1.0 / top).reshape(batch, num_masks))
 
