@@ -7,10 +7,11 @@ alone. For the two commands that train, `CML_SEED` in the environment (or
 --seed, which wins) overrides the configured training seed; generate and
 compare read neither.
 
-A config is parsed once, by _parse_sections, and so are a run snapshot's
-data, split and standardize keys when compare or the noise sweep loads the
-run. Checks run in this order: tables, rules across keys, data, model against
-data, runs.
+A config is checked in two layers: its tables, once per section in
+_parse_sections before any data is read (as are a run snapshot's data, split
+and standardize keys when compare or the noise sweep loads the run), then
+each config class, once when it is built. Checks run in this order: tables,
+rules across keys, data, model against data, train settings, runs.
 """
 
 from __future__ import annotations
@@ -88,17 +89,15 @@ def _parse_sections(raw: dict, command: str = "") -> dict:
 
     The one place that checks a section: later steps read the values it returns.
     An absent section stays absent, but `command`'s own needs its _REQUIRED keys.
-    data.synthetic becomes a SyntheticSpec, and train a TrainConfig whose model
-    spec is set once the data is read.
+    data.synthetic becomes a SyntheticSpec; model and train are built once the data is read.
     """
     cfg = check_section("", raw, _CONFIG_SCHEMA)
-    for name in ("data", "split", "model", "compare", "sweep"):
+    for name in ("data", "split", "model", "train", "compare", "sweep"):
         if name in cfg or name == command:
             required = _REQUIRED[name] if name == command else ()
             cfg[name] = check_section(name, cfg.get(name, {}), SECTIONS[name], required)
     if "synthetic" in cfg.get("data", {}):
         cfg["data"]["synthetic"] = data.SyntheticSpec.from_json_dict(cfg["data"]["synthetic"])
-    cfg["train"] = trainer.TrainConfig.from_json_dict(cfg.get("train", {}), model=None)
     return cfg
 
 
@@ -139,7 +138,12 @@ def _prepare(cfg: dict, base: Path) -> PreparedData:
     test_manifest = source.get("test_manifest")
     if test_manifest is not None:
         train_set = dataset
-        test_set = data.load_csv_dataset(_resolve(base, test_manifest))
+        test_path = _resolve(base, test_manifest)
+        test_set = data.load_csv_dataset(test_path)
+        for key in ("modality_dims", "num_classes"):
+            ours, source = getattr(test_set, key), getattr(dataset, key)
+            if ours != source:
+                raise SpecError(f"{test_path}: {key} {ours}, but {source} in the source data")
         if "train_fraction" in split_cfg:
             raise ConfigError(
                 "split.train_fraction: not used with data.test_manifest, which trains on "
@@ -187,10 +191,8 @@ def _prepare(cfg: dict, base: Path) -> PreparedData:
 
 
 def _build_train_config(cfg: dict, model_spec: ModelSpec, seed_override: int | None) -> trainer.TrainConfig:
-    seed = cfg["train"].seed if seed_override is None else seed_override
-    config = replace(cfg["train"], model=model_spec, seed=seed)
-    config.validate()
-    return config
+    seed = {} if seed_override is None else {"seed": seed_override}
+    return trainer.TrainConfig.from_json_dict(cfg.get("train", {}) | seed, model_spec)
 
 
 def _out_dir(cfg: dict, base: Path, override: str | None, default: str) -> Path:
@@ -280,7 +282,7 @@ def _load_run(run_dir: Path, ours: dict) -> tuple[ClassifierParams, trainer.Trai
         protocol_keys = {key: snapshot[key] for key in _PROTOCOL_KEYS if key in snapshot}
         theirs = _test_protocol(_parse_sections(protocol_keys))
         config = trainer.TrainConfig.from_json_dict(snapshot["resolved_train"], spec)
-    except (ConfigError, SpecError) as exc:
+    except RankcalError as exc:
         raise StateError(f"{snapshot_path}: {exc}") from None
     for key in {**ours, **theirs}:
         if key.startswith("data.") and not (key in ours and key in theirs):
@@ -353,7 +355,8 @@ def cmd_sweep(
         (missing,) = {"baseline_run", "cml_run"} - set(runs)
         raise ConfigError(f"sweep.{missing}: missing key (sweep.{runs[0]} given)")
     if kind == "noise" and not runs:
-        _PAIR_LAMBDA.check("train", "lambda", cfg["train"].lam)
+        lam = cfg.get("train", {}).get("lambda", trainer.TrainConfig.lam)
+        _PAIR_LAMBDA.check("train", "lambda", lam)
     if kind == "lambda" and "val_fraction" not in cfg.get("split", {}):
         raise ConfigError(
             'split.val_fraction: missing key (sweep kind "lambda" picks lambda on this '

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import AT_LEAST_1, AT_LEAST_2, FINITE_NON_NEGATIVE, NON_NEGATIVE, OPEN_FRACTION, PATH
 from .errors import TWO_OR_MORE
 from .errors import ConfigError, DimensionError, DomainError, EmptyInputError, Key, ParseError
-from .errors import SpecError, SplitError, check_bounds, check_section
+from .errors import SpecError, SplitError, check_bounds, check_section, read_section
 
 # Stream tags for mean placement, feature noise, corruption draws and validation carve-outs.
 _MEANS_STREAM = 11
@@ -62,15 +62,15 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "modality_dims", tuple(int(d) for d in self.modality_dims))
-        object.__setattr__(self, "samples_per_class", tuple(int(n) for n in self.samples_per_class))
-        object.__setattr__(self, "class_separation", tuple(float(s) for s in self.class_separation))
-        object.__setattr__(self, "noise_std", tuple(float(s) for s in self.noise_std))
+        # The bounds apply to the values as given, so an error shows the value as written.
         check_bounds("data.synthetic", vars(self), SYNTHETIC_SCHEMA)
-        for key, count in _entry_counts(vars(self)).items():
-            if len(getattr(self, key)) != count:
-                got = getattr(self, key)
-                raise SpecError(f"data.synthetic.{key}: expected {count} entries, got {got}")
+        object.__setattr__(self, "modality_dims", tuple(map(int, self.modality_dims)))
+        for (key, count), kind in zip(_entry_counts(vars(self)).items(), (int, float, float)):
+            value = getattr(self, key)  # one scalar stands for every class or modality
+            value = tuple(map(kind, value if isinstance(value, (list, tuple)) else [value] * count))
+            if len(value) != count:
+                raise SpecError(f"data.synthetic.{key}: expected {count} entries, got {value}")
+            object.__setattr__(self, key, value)
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SyntheticSpec":
@@ -80,13 +80,8 @@ class SyntheticSpec:
         every class or modality.
         """
         required = ("num_classes", "modality_dims", "samples_per_class", "class_separation")
-        obj = {"noise_std": 1.0, "seed": 0} | check_section(
-            "data.synthetic", obj, SYNTHETIC_SCHEMA, required
-        )
-        for key, count in _entry_counts(obj).items():
-            if not isinstance(obj[key], list):
-                obj[key] = [obj[key]] * count
-        return cls(**obj)
+        defaults = {"noise_std": 1.0, "seed": 0}
+        return cls(**defaults | read_section("data.synthetic", obj, SYNTHETIC_SCHEMA, required))
 
 
 def _entry_counts(spec: dict) -> dict:

@@ -81,13 +81,17 @@ class Key(NamedTuple):
 
 
 def check_section(name: str, section, schema: dict, required=()) -> dict:
-    """Check a config section (a JSON object) against `schema`, a key -> Key map.
+    """read_section, then check_bounds: the section's values, each of its kind and in bounds."""
+    values = read_section(name, section, schema, required)
+    check_bounds(name, values, schema)
+    return values
 
-    Returns the section's values, each converted by _check_value and within
-    its bounds. Unknown, missing, mistyped and out-of-bound keys fail naming
-    the key by its dotted path, e.g. "model.hiden_dim: unknown key" or
-    "model.hidden_dim: expected an int >= 1, got 0"; an empty `name` checks a
-    top-level object, whose paths are the bare keys.
+
+def read_section(name: str, section, schema: dict, required=()) -> dict:
+    """A config section's values (a JSON object's), each as its kind in `schema` (key -> Key).
+
+    Unknown, missing and mistyped keys fail naming their dotted path, e.g. "model.hiden_dim:
+    unknown key" (the bare key if `name` is empty, at the top level); bounds go unchecked.
     """
     if not isinstance(section, dict):
         raise ConfigError(f"{name}: expected a JSON object, got {section!r}")
@@ -98,9 +102,7 @@ def check_section(name: str, section, schema: dict, required=()) -> dict:
     for key in required:
         if key not in section:
             raise ConfigError(f"{prefix}{key}: missing key")
-    values = {key: _check_value(prefix + key, v, schema[key].kind) for key, v in section.items()}
-    check_bounds(name, values, schema)
-    return values
+    return {key: _check_value(prefix + key, v, schema[key].kind) for key, v in section.items()}
 
 
 def check_bounds(name: str, values: dict, schema: dict) -> None:

@@ -45,7 +45,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import AT_LEAST_1, AT_LEAST_2, TWO_OR_MORE, CapabilityError, DimensionError, Key
-from .errors import MaskError, StateError, check_bounds, check_section
+from .errors import MaskError, StateError, check_bounds, check_section, read_section
 from .numerics import ALLOCATE, Array, Workspace, softmax_parts
 
 CHECKPOINT_MAGIC = "rankcal-checkpoint v1"
@@ -71,8 +71,8 @@ class ModelSpec:
     num_classes: int
 
     def __post_init__(self):
+        check_bounds("model", vars(self), SPEC_SCHEMA)  # on the values as given, as in the error
         object.__setattr__(self, "modality_dims", tuple(int(d) for d in self.modality_dims))
-        check_bounds("model", vars(self), SPEC_SCHEMA)
 
     @property
     def num_modalities(self) -> int:
@@ -83,8 +83,8 @@ class ModelSpec:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ModelSpec":
-        """Parse a spec object; every key is required and errors name it as spec.<key>."""
-        return cls(**check_section("spec", obj, SPEC_SCHEMA, required=SPEC_SCHEMA))
+        """Parse a spec object; a key that is absent or of the wrong kind fails as spec.<key>."""
+        return cls(**read_section("spec", obj, SPEC_SCHEMA, required=SPEC_SCHEMA))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .calibration import (
 from .data import CorruptionSpec, Dataset, corrupt_block
 from .errors import AT_LEAST_1, FINITE_NON_NEGATIVE, FINITE_POSITIVE, NON_EMPTY, NON_NEGATIVE
 from .errors import Bound, DivergenceError, EmptyInputError, Key, NumericError, SpecError
-from .errors import SweepError, check_bounds, check_section, one_of
+from .errors import SweepError, check_bounds, one_of, read_section
 from .metrics import MetricsReport, build_report
 from .model import ClassifierParams, ModelSpec, SubsetMask, classify_core
 from .model import encode_copies, encode_core, init_params, mask_weights
@@ -92,7 +92,7 @@ class TrainConfig:
     vrr_mode: str = "sampled"
     vrr_repeats: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self):
         """Fail on a setting outside TRAIN_SCHEMA's bounds, or settings that do not go together."""
         check_bounds("train", self.to_json_dict(), TRAIN_SCHEMA)
         if self.vrr_mode == "exhaustive":
@@ -104,9 +104,9 @@ class TrainConfig:
         return {key: getattr(self, _FIELDS.get(key, key)) for key in TRAIN_SCHEMA}
 
     @classmethod
-    def from_json_dict(cls, obj: dict, model: ModelSpec | None) -> "TrainConfig":
+    def from_json_dict(cls, obj: dict, model: ModelSpec) -> "TrainConfig":
         """Parse a "train" section; missing keys take their defaults, unknown keys fail."""
-        values = check_section("train", obj, TRAIN_SCHEMA)
+        values = read_section("train", obj, TRAIN_SCHEMA)
         return cls(model=model, **{_FIELDS.get(key, key): value for key, value in values.items()})
 
 
@@ -148,7 +148,6 @@ def train(config: TrainConfig, train_set: Dataset) -> RunResult:
     or invalid operation stops the run with a DivergenceError naming the epoch
     and batch.
     """
-    config.validate()
     if train_set.num_samples == 0:
         raise EmptyInputError("empty training set")
     _check_dataset(config.model, train_set)

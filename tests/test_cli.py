@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -404,6 +405,44 @@ class TestCompareCommand:
         err = self.compare_error(tmp_path, capsys, run_dir)
         assert err == f"error: {snapshot}: train.epochs: expected an int >= 1, got 0\n"
         assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("command", ["compare", "sweep"])
+    @pytest.mark.parametrize(
+        "dims, resolved, message",
+        [
+            pytest.param(
+                [4, 3],
+                {"vrr_repeats": 7},
+                "train.vrr_repeats: expected 1 with vrr_mode 'exhaustive', got 7",
+                id="repeats",
+            ),
+            pytest.param(
+                [2] * 6, {}, "exhaustive enumeration capped at 5 modalities, got 6", id="modalities"
+            ),
+        ],
+    )
+    def test_snapshot_breaking_an_exhaustive_rule_fails_naming_it(
+        self, tmp_path, capsys, command, dims, resolved, message
+    ):
+        # Before, a snapshot's train settings skipped the rules across keys: compare exited 0
+        # (or failed in evaluation naming no file), and the noise sweep exited 0.
+        synthetic = {**SYNTHETIC, "modality_dims": dims, "class_separation": 2.0}
+        cfg = write_config(tmp_path / "config.json", data={"synthetic": synthetic})
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(run_dir)]) == 0
+        snapshot = run_dir / "config.json"
+        obj = json.loads(snapshot.read_text())
+        obj["resolved_train"] |= {"vrr_mode": "exhaustive", **resolved}
+        snapshot.write_text(json.dumps(obj))
+        runs = {"baseline_run": "run", "cml_run": "run"}
+        sections = {"compare": {"compare": runs}, "sweep": {"sweep": {"kind": "noise", **runs}}}
+        data_section = {"synthetic": synthetic}
+        cfg = write_config(tmp_path / "config.json", data=data_section, **sections[command])
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {snapshot}: {message}"]
+        assert not out.exists()
 
     def test_snapshot_of_invalid_json_fails_naming_it(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "config.json")
@@ -1183,6 +1222,55 @@ class TestCommandSections:
         assert capsys.readouterr().err.splitlines() == [f"error: {manifest}:1: {ZERO_ROWS}"]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "test_data, standardize, message",
+        [
+            pytest.param(
+                {"modality_dims": [4, 2]},
+                True,
+                "modality_dims (4, 2), but (4, 3) in the source data",
+                id="dims",
+            ),
+            pytest.param(
+                {"modality_dims": [4, 2]},
+                False,
+                "modality_dims (4, 2), but (4, 3) in the source data",
+                id="dims-unstandardized",
+            ),
+            pytest.param(
+                {"num_classes": 3}, True, "num_classes 3, but 2 in the source data", id="classes"
+            ),
+            pytest.param(
+                {"modality_dims": [4, 3, 2], "class_separation": 2.0},
+                True,
+                "modality_dims (4, 3, 2), but (4, 3) in the source data",
+                id="modalities",
+            ),
+        ],
+    )
+    def test_test_manifest_unlike_the_source_fails_naming_it(
+        self, tmp_path, capsys, monkeypatch, test_data, standardize, message
+    ):
+        # Before: a numpy traceback, a "standardization stats" error, or a model trained in
+        # full and then an error naming no file.
+        def no_batch(*args, **kwargs):
+            raise AssertionError("a batch ran before the test set was checked")
+
+        monkeypatch.setattr(trainer, "objective_core", no_batch)
+        test_set = generate_synthetic(SyntheticSpec.from_json_dict({**SYNTHETIC, **test_data}))
+        write_csv_dataset(test_set, tmp_path / "test")
+        cfg = write_config(
+            tmp_path / "config.json",
+            data={"test_manifest": "test/manifest.json"},
+            split=None,
+            standardize=standardize,
+        )
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        manifest = tmp_path / "test" / "manifest.json"
+        assert capsys.readouterr().err.splitlines() == [f"error: {manifest}: {message}"]
+        assert not out.exists()
+
     def test_exhaustive_vrr_over_the_modality_limit_fails_before_training(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -1249,6 +1337,52 @@ class TestParseOnce:
         counts = self.count_parses(monkeypatch)
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert (counts["SyntheticSpec"], counts["split"]) == (parses, parses)
+
+    @staticmethod
+    def count_bounds_checks(monkeypatch) -> Counter:
+        """Counts of errors.check_bounds calls by section name, in every module that imports it."""
+        counts = Counter()
+        check_bounds = errors.check_bounds
+
+        def counting_check(name, *args, **kwargs):
+            counts[name] += 1
+            return check_bounds(name, *args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("rankcal") and getattr(module, "check_bounds", None) is check_bounds:
+                monkeypatch.setattr(module, "check_bounds", counting_check)
+        return counts
+
+    # Two layers: the tables before any data is read, then each config class once when it is
+    # built. compare reads its config and each run snapshot's protocol keys through the tables,
+    # builds a model spec from its data ("model": the table, the class, one per checkpoint) and
+    # checks each snapshot's resolved_train once. Before: train checked "train" 3 times and
+    # "data.synthetic" 2; compare checked "train" 5 times, "data.synthetic" 6, and each
+    # checkpoint's spec twice (once as "spec").
+    @pytest.mark.parametrize(
+        "command, checks",
+        [
+            (
+                "train",
+                {"": 1, "data": 1, "data.synthetic": 1, "split": 1, "model": 2, "train": 2},
+            ),
+            (
+                "compare",
+                {
+                    **{"": 3, "data": 3, "data.synthetic": 3, "split": 3},
+                    **{"model": 1 + 1 + 2, "train": 3, "compare": 1, "header": 2},
+                },
+            ),
+        ],
+    )
+    def test_each_layer_checks_the_bounds_once(self, tmp_path, monkeypatch, command, checks):
+        TestCompareCommand.train_pair(tmp_path)
+        runs = {"baseline_run": "run_a", "cml_run": "run_b"}
+        sections = {"compare": runs} if command == "compare" else {}
+        cfg = write_config(tmp_path / "config.json", **sections)
+        counts = self.count_bounds_checks(monkeypatch)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert dict(counts) == checks
 
 
 class TestErrorBase:

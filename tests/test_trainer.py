@@ -9,6 +9,7 @@ import pytest
 from rankcal import calibration, model, trainer
 from rankcal.data import Dataset, SyntheticSpec, generate_synthetic, split
 from rankcal.errors import (
+    CapabilityError,
     ConfigError,
     DivergenceError,
     DomainError,
@@ -55,21 +56,37 @@ def config(**overrides) -> TrainConfig:
 
 
 class TestTrainConfig:
+    """A TrainConfig checks itself when it is built, so one that exists is valid."""
+
     def test_zero_epochs_rejected(self):
-        with pytest.raises(ConfigError):
-            config(epochs=0).validate()
+        with pytest.raises(ConfigError, match=r"^train\.epochs: expected an int >= 1, got 0$"):
+            config(epochs=0)
 
     def test_negative_lambda_rejected(self):
-        with pytest.raises(ConfigError):
-            config(lam=-0.5).validate()
+        with pytest.raises(ConfigError, match=r"^train\.lambda: "):
+            config(lam=-0.5)
 
     def test_zero_batch_rejected(self):
-        with pytest.raises(ConfigError):
-            config(batch_size=0).validate()
+        with pytest.raises(ConfigError, match=r"^train\.batch_size: "):
+            config(batch_size=0)
 
     def test_bad_variant_rejected(self):
-        with pytest.raises(ConfigError):
-            config(variant="quadratic").validate()
+        with pytest.raises(ConfigError, match=r"^train\.variant: "):
+            config(variant="quadratic")
+
+    def test_replace_checks_the_new_config(self):
+        with pytest.raises(ConfigError, match=r"^train\.epochs: "):
+            dataclasses.replace(config(), epochs=0)
+
+    def test_exhaustive_mode_with_repeats_rejected_from_json(self):
+        message = r"^train\.vrr_repeats: expected 1 with vrr_mode 'exhaustive', got 7$"
+        with pytest.raises(ConfigError, match=message):
+            TrainConfig.from_json_dict({"vrr_mode": "exhaustive", "vrr_repeats": 7}, MODEL)
+
+    def test_exhaustive_mode_over_the_modality_limit_rejected(self):
+        spec = ModelSpec(modality_dims=(2,) * 6, hidden_dim=4, latent_dim=2, num_classes=2)
+        with pytest.raises(CapabilityError, match="capped at 5 modalities, got 6"):
+            config(model=spec, vrr_mode="exhaustive")
 
     def test_json_round_trip_keeps_config_keys(self):
         cfg = config(lam=2.5, variant="difference", detach_superset=True, vrr_repeats=3)
