@@ -191,8 +191,8 @@ def _prepare(cfg: dict, base: Path) -> PreparedData:
 
 
 def _build_train_config(cfg: dict, model_spec: ModelSpec, seed_override: int | None) -> trainer.TrainConfig:
-    seed = {} if seed_override is None else {"seed": seed_override}
-    return trainer.TrainConfig.from_json_dict(cfg.get("train", {}) | seed, model_spec)
+    override = {} if seed_override is None else {"seed": seed_override}
+    return trainer.TrainConfig.from_json_dict(cfg.get("train", {}) | override, model_spec)
 
 
 def _out_dir(cfg: dict, base: Path, override: str | None, default: str) -> Path:

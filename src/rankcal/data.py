@@ -66,7 +66,7 @@ class SyntheticSpec:
         check_bounds("data.synthetic", vars(self), SYNTHETIC_SCHEMA)
         object.__setattr__(self, "modality_dims", tuple(map(int, self.modality_dims)))
         for (key, count), kind in zip(_entry_counts(vars(self)).items(), (int, float, float)):
-            value = getattr(self, key)  # one scalar stands for every class or modality
+            value = getattr(self, key)  # a scalar stands for every class or modality
             value = tuple(map(kind, value if isinstance(value, (list, tuple)) else [value] * count))
             if len(value) != count:
                 raise SpecError(f"data.synthetic.{key}: expected {count} entries, got {value}")

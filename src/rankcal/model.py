@@ -71,7 +71,7 @@ class ModelSpec:
     num_classes: int
 
     def __post_init__(self):
-        check_bounds("model", vars(self), SPEC_SCHEMA)  # on the values as given, as in the error
+        check_bounds("model", vars(self), SPEC_SCHEMA)  # before converting: errors show the input
         object.__setattr__(self, "modality_dims", tuple(int(d) for d in self.modality_dims))
 
     @property
