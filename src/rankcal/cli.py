@@ -8,10 +8,11 @@ alone. For the two commands that train, `CML_SEED` in the environment (or
 compare read neither.
 
 A config is checked in two layers: its tables, once per section in
-_parse_sections before any data is read (as are a run snapshot's data, split
-and standardize keys when compare or the noise sweep loads the run), then
-each config class, once when it is built. Checks run in this order: tables,
-rules across keys, data, model against data, train settings, runs.
+_parse_sections before any data is read, then each config class, once when it
+is built. Checks run in this order: tables, rules across keys, data, model
+against data, train settings, runs. A run records a fingerprint of its test
+rows as resolved_test, and compare and the noise sweep score it only on a
+test set with that fingerprint.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from pathlib import Path
 from . import calibration, data, trainer
 from .errors import AT_LEAST_1, FINITE_NON_NEGATIVE, NON_EMPTY, NON_NEGATIVE, OPEN_FRACTION, PATH
 from .errors import Bound, ConfigError, Key, MaskError, RankcalError, SpecError, StateError
-from .errors import check_section, one_of
+from .errors import check_section, one_of, read_section
 from .metrics import mean_abs_conf_shift
 from .model import SPEC_SCHEMA, ClassifierParams, ModelSpec, SubsetMask
 from .model import load_checkpoint, save_checkpoint
@@ -77,15 +78,13 @@ SECTIONS = {
 _SPLIT_DEFAULTS = {"train_fraction": 0.75, "seed": 0}
 # The keys that the compare and sweep commands require of their own section.
 _REQUIRED = {"compare": ("baseline_run", "cml_run"), "sweep": ("kind",)}
-# The keys of a run snapshot that fix its test rows: all that _load_run parses of it.
-_PROTOCOL_KEYS = ("data", "split", "standardize")
 _ONE_SOURCE = Bound("exactly one of 'manifest', 'synthetic'", lambda keys: len(keys) == 1)
 # A noise sweep without runs trains its own pair: the baseline at lambda 0, the CML model at this.
 _PAIR_LAMBDA = Bound("a value > 0 for a noise sweep without runs", lambda lam: lam > 0)
 
 
 def _parse_sections(raw: dict, command: str = "") -> dict:
-    """`raw` (a config, or a run snapshot's _PROTOCOL_KEYS) checked against the tables.
+    """`raw` (a config) checked against the tables.
 
     The one place that checks a section: later steps read the values it returns.
     An absent section stays absent, but `command`'s own needs its _REQUIRED keys.
@@ -215,12 +214,8 @@ def cmd_generate(config_path: Path, out_override: str | None) -> int:
     return 0
 
 
-def _write_run_dir(
-    run_dir: Path, raw: dict, config: trainer.TrainConfig, result: trainer.RunResult
-) -> None:
+def _write_run_dir(run_dir: Path, snapshot: dict, result: trainer.RunResult) -> None:
     run_dir.mkdir(parents=True, exist_ok=True)
-    snapshot = dict(raw)
-    snapshot["resolved_train"] = config.to_json_dict()
     # The timestamp is the single non-reproducible key in the run directory.
     snapshot["meta"] = {"written_at": datetime.now(timezone.utc).isoformat()}
     data.write_json(run_dir / CONFIG_SNAPSHOT_NAME, snapshot)
@@ -240,7 +235,9 @@ def cmd_train(config_path: Path, out_override: str | None, seed_override: int | 
     config = _build_train_config(cfg, prepared.model_spec, seed_override)
     result = trainer.run_and_evaluate(config, prepared.train, prepared.test)
     run_dir = _out_dir(cfg, config_path.parent, out_override, "run")
-    _write_run_dir(run_dir, raw, config, result)
+    snapshot = raw | {"resolved_train": config.to_json_dict()}
+    snapshot["resolved_test"] = data.fingerprint(prepared.test)
+    _write_run_dir(run_dir, snapshot, result)
     report = result.report
     print(
         f"acc={report.accuracy_pct:.2f} vrr={report.vrr_pct:.2f} "
@@ -250,55 +247,39 @@ def cmd_train(config_path: Path, out_override: str | None, seed_override: int | 
     return 0
 
 
-def _test_protocol(cfg: dict) -> dict:
-    """The settings that fix the test rows of `cfg` (parsed), by dotted key, defaults applied.
-
-    They are whether a test manifest is named, the split, standardize and,
-    for generated data, the SyntheticSpec.
-    """
-    data_section = cfg.get("data", {})
-    protocol = {"data.test_manifest": "test_manifest" in data_section}
-    protocol |= {f"split.{key}": v for key, v in (_SPLIT_DEFAULTS | cfg.get("split", {})).items()}
-    protocol["standardize"] = cfg.get("standardize", True)
-    if "synthetic" in data_section:
-        protocol |= {f"data.synthetic.{k}": v for k, v in vars(data_section["synthetic"]).items()}
-    return protocol
-
-
 def _load_run(run_dir: Path, ours: dict) -> tuple[ClassifierParams, trainer.TrainConfig]:
-    """A run's parameters and settings, once its snapshot shows the test protocol `ours`.
+    """A run's parameters and settings, once its snapshot's resolved_test is `ours`.
 
-    The snapshot's _PROTOCOL_KEYS go through _parse_sections, as a config's
-    do. A setting of _test_protocol that differs (data.synthetic only when
-    both generate their data) fails naming the first such key, so a command
-    never scores the run on other rows than its own test rows.
+    `ours` is the data.fingerprint of the command's own test set, so a command
+    never scores the run on other rows than the ones it was scored on in training.
     """
     spec, params = load_checkpoint(run_dir / CHECKPOINT_NAME)
     snapshot_path = run_dir / CONFIG_SNAPSHOT_NAME
     snapshot = data.read_json(snapshot_path)
-    if not isinstance(snapshot, dict) or "resolved_train" not in snapshot:
-        raise StateError(f"{snapshot_path}: missing key 'resolved_train'")
+    for key in ("resolved_train", "resolved_test"):
+        if not isinstance(snapshot, dict) or key not in snapshot:
+            raise StateError(f"{snapshot_path}: missing key '{key}'")
     try:
-        protocol_keys = {key: snapshot[key] for key in _PROTOCOL_KEYS if key in snapshot}
-        theirs = _test_protocol(_parse_sections(protocol_keys))
         config = trainer.TrainConfig.from_json_dict(snapshot["resolved_train"], spec)
+        schema = data.FINGERPRINT_SCHEMA
+        theirs = read_section("resolved_test", snapshot["resolved_test"], schema, schema)
     except RankcalError as exc:
         raise StateError(f"{snapshot_path}: {exc}") from None
-    for key in {**ours, **theirs}:
-        if key.startswith("data.") and not (key in ours and key in theirs):
-            continue
-        if ours.get(key) != theirs.get(key):
-            shown = [repr(p[key]) if key in p else "unset" for p in (theirs, ours)]
-            raise StateError(f"{key}: {shown[0]} in {snapshot_path}, {shown[1]} here")
+    if theirs != ours:
+        shown = [f"{fp['rows']} rows (sha256 {fp['sha256'][:12]})" for fp in (theirs, ours)]
+        raise StateError(
+            f"{snapshot_path}: resolved_test: {shown[0]}, but this config's test set is {shown[1]}"
+        )
     return params, config
 
 
 def cmd_compare(config_path: Path, out_override: str | None) -> int:
     cfg = _load_config(config_path, "compare")[1]
-    base, runs, protocol = config_path.parent, cfg["compare"], _test_protocol(cfg)
+    base, runs = config_path.parent, cfg["compare"]
     test_set = _prepare(cfg, base).test
-    params_a, config_a = _load_run(_resolve(base, runs["baseline_run"]), protocol)
-    params_b, config_b = _load_run(_resolve(base, runs["cml_run"]), protocol)
+    ours = data.fingerprint(test_set)
+    params_a, config_a = _load_run(_resolve(base, runs["baseline_run"]), ours)
+    params_b, config_b = _load_run(_resolve(base, runs["cml_run"]), ours)
     if params_a.spec != params_b.spec:
         raise ConfigError("runs have different model specs")
     report_a, vrr_a = trainer.evaluate_with_vrr(params_a, test_set, config_a)
@@ -390,9 +371,9 @@ def cmd_sweep(
             raise ConfigError(f"sweep.target_sets[{i}]: {exc}") from None
     base = config_path.parent
     if runs:
-        protocol = _test_protocol(cfg)
-        params_a, _ = _load_run(_resolve(base, sweep_cfg["baseline_run"]), protocol)
-        params_b, _ = _load_run(_resolve(base, sweep_cfg["cml_run"]), protocol)
+        ours = data.fingerprint(prepared.test)
+        params_a, _ = _load_run(_resolve(base, sweep_cfg["baseline_run"]), ours)
+        params_b, _ = _load_run(_resolve(base, sweep_cfg["cml_run"]), ours)
     else:
         params_a = trainer.train(replace(config, lam=0.0), prepared.train).params
         params_b = trainer.train(config, prepared.train).params

@@ -15,6 +15,7 @@ means to the origin, making the modality uninformative.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import warnings
@@ -50,6 +51,8 @@ _MANIFEST_SCHEMA = {
     "labels": Key(str, PATH),
 }
 _ENTRY_SCHEMA = {"path": Key(str, PATH), "dim": Key(int, AT_LEAST_1)}
+# The keys of a fingerprint (a run snapshot's "resolved_test"); both required.
+FINGERPRINT_SCHEMA = {"rows": Key(int), "sha256": Key(str)}
 
 
 @dataclass(frozen=True)
@@ -416,6 +419,18 @@ def _read_label_lines(path: Path, raw: bytes, num_classes: int) -> np.ndarray:
             raise ParseError(str(path), lineno, f"label {value} out of range [0, {num_classes})")
         labels.append(value)
     return np.asarray(labels, dtype=np.int64)
+
+
+def fingerprint(dataset: Dataset) -> dict:
+    """{"rows": N, "sha256": hex} of `dataset`, as a run records the rows it was scored on.
+
+    The hash covers each block as <f8, then the labels as <i8, each after its
+    shape: two datasets share it only when they hold the same rows in order.
+    """
+    digest = hashlib.sha256()
+    for array in [*(b.astype("<f8") for b in dataset.modalities), dataset.labels.astype("<i8")]:
+        digest.update(f"{array.shape}".encode("ascii") + array.tobytes())
+    return {"rows": dataset.num_samples, "sha256": digest.hexdigest()}
 
 
 def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -34,9 +34,10 @@ from .model import ClassifierParams, ModelSpec, SubsetMask, classify_core
 from .model import encode_copies, encode_core, init_params, mask_weights
 from .numerics import Workspace, adam_update, init_adam_state, nll_loss
 
-# Stream tags keeping shuffling and removal-order draws independent.
+# Stream tags keeping shuffling, removal-order and noise-sweep draws independent.
 _SHUFFLE_STREAM = 1
 _CHAIN_STREAM = 2
+_NOISE_STREAM = 4
 
 # Every "train" key: each TrainConfig field but the model spec, under its config key.
 TRAIN_SCHEMA = {
@@ -370,7 +371,10 @@ def noise_sweep(
     for e_idx, eps in enumerate(epsilons):
         for t_idx, targets in enumerate(target_sets):
             targets.validate_for(test_set.num_modalities)
-            cell_seed = int(np.random.default_rng([seed, e_idx, t_idx]).integers(2**31))
+            # A spawn key, not [seed, 4, e, t]: SeedSequence drops trailing zeros up to
+            # its 4-word pool, so cell (0, 0) would be data.split's class-4 stream [seed, 4].
+            stream = np.random.SeedSequence(seed, spawn_key=(_NOISE_STREAM, e_idx, t_idx))
+            cell_seed = int(np.random.default_rng(stream).integers(2**31))
             cells.append((targets, CorruptionSpec(targets.present, float(eps), cell_seed)))
     blocks = test_set.modalities
     weights = mask_weights(np.ones((1, len(blocks)), dtype=bool))  # the full mask's weights

@@ -19,6 +19,9 @@ fails, naming both versions, when it runs under others. A change that alters a
 stream on purpose rewrites the manifest and says why in CHANGES.md:
 
     PYTHONPATH=src python tests/golden.py
+
+Before it writes, the script prints each entry that it adds, removes or changes
+against the committed manifest, as "<changed|added|removed> <group> <entry>".
 """
 
 from __future__ import annotations
@@ -282,9 +285,27 @@ def manifest(work_dir: Path) -> dict:
     }
 
 
+def manifest_changes(old: dict, new: dict) -> list[str]:
+    """"<changed|added|removed> <group> <entry>" for each entry that differs between manifests."""
+    lines = []
+    for group in sorted(old.keys() | new.keys()):
+        before, after = old.get(group, {}), new.get(group, {})
+        for entry in sorted(before.keys() | after.keys()):
+            if entry not in after:
+                lines.append(f"removed {group} {entry}")
+            elif entry not in before:
+                lines.append(f"added {group} {entry}")
+            elif before[entry] != after[entry]:
+                lines.append(f"changed {group} {entry}")
+    return lines
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         written = manifest(Path(tmp))
+    committed = json.loads(MANIFEST.read_text(encoding="ascii")) if MANIFEST.exists() else {}
+    for line in manifest_changes(committed, written):
+        print(line)
     MANIFEST.write_text(json.dumps(written, indent=2, sort_keys=True) + "\n", encoding="ascii")
     print(f"wrote {MANIFEST}: {len(written['cli_pass'])} files under {written['versions']}")
     return 0

@@ -500,10 +500,13 @@ def reference_noise_sweep(params_a, params_b, test_set, epsilons, target_sets, s
     rows = []
     for e_idx, eps in enumerate(epsilons):
         for t_idx, targets in enumerate(target_sets):
+            cell_stream = np.random.SeedSequence(
+                seed, spawn_key=(trainer._NOISE_STREAM, e_idx, t_idx)
+            )
             spec = CorruptionSpec(
                 target_modalities=targets.present,
                 epsilon=float(eps),
-                seed=int(np.random.default_rng([seed, e_idx, t_idx]).integers(2**31)),
+                seed=int(np.random.default_rng(cell_stream).integers(2**31)),
             )
             corrupted = corrupt_gaussian(test_set, spec)
             acc_a = full_mask_accuracy(params_a, corrupted)

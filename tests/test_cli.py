@@ -44,6 +44,25 @@ def config_with_test_row(tmp_path: Path, modality: int, row, **overrides) -> Pat
     return write_config(tmp_path / "config.json", split=None, **overrides)
 
 
+def run_pair_section(command: str) -> dict:
+    """The compare or noise-sweep section over TestCompareCommand.train_pair's runs."""
+    runs = {"baseline_run": "run_a", "cml_run": "run_b"}
+    return {"compare": runs} if command == "compare" else {"sweep": {"kind": "noise", **runs}}
+
+
+def prepared_fingerprint(config_path: Path) -> dict:
+    """data.fingerprint of the test set that `config_path` prepares."""
+    return data.fingerprint(cli._prepare(cli._load_config(config_path)[1], config_path.parent).test)
+
+
+def fingerprint_error(run_dir: Path, ours: dict) -> str:
+    """The error line of a run whose resolved_test is not `ours`."""
+    snapshot = run_dir / "config.json"
+    theirs = json.loads(snapshot.read_text())["resolved_test"]
+    shown = [f"{fp['rows']} rows (sha256 {fp['sha256'][:12]})" for fp in (theirs, ours)]
+    return f"error: {snapshot}: resolved_test: {shown[0]}, but this config's test set is {shown[1]}"
+
+
 def write_config(path: Path, **overrides) -> Path:
     """A small training config with `overrides` merged in; an override of None drops its key."""
     cfg = {
@@ -382,28 +401,39 @@ class TestCompareCommand:
         assert err.startswith(f"error: {checkpoint}: maximum recursion depth exceeded")
         assert not (tmp_path / "c").exists()
 
-    def test_snapshot_without_resolved_train_fails_naming_it(self, tmp_path, capsys):
+    # A run written before resolved_test was recorded fails too: no other check stands in.
+    @pytest.mark.parametrize("key", ["resolved_train", "resolved_test"])
+    def test_snapshot_without_resolved_train_fails_naming_it(self, tmp_path, capsys, key):
         cfg = write_config(tmp_path / "config.json")
         run_dir = tmp_path / "run"
         assert main(["train", "--config", str(cfg), "--out", str(run_dir)]) == 0
         snapshot = run_dir / "config.json"
         obj = json.loads(snapshot.read_text())
-        del obj["resolved_train"]
+        del obj[key]
         snapshot.write_text(json.dumps(obj))
         err = self.compare_error(tmp_path, capsys, run_dir)
-        assert f"{snapshot}: missing key 'resolved_train'" in err
+        assert f"{snapshot}: missing key '{key}'" in err
 
-    def test_bad_resolved_train_value_fails_naming_the_snapshot(self, tmp_path, capsys):
-        # Before, this read "error: train.epochs: ..." and named no file.
+    # Before, the resolved_train case read "error: train.epochs: ..." and named no file.
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("resolved_train", "epochs", 0, "train.epochs: expected an int >= 1, got 0"),
+            ("resolved_test", "rows", "12", "resolved_test.rows: expected int, got '12'"),
+        ],
+    )
+    def test_bad_resolved_train_value_fails_naming_the_snapshot(
+        self, tmp_path, capsys, section, key, value, message
+    ):
         cfg = write_config(tmp_path / "config.json")
         run_dir = tmp_path / "run"
         assert main(["train", "--config", str(cfg), "--out", str(run_dir)]) == 0
         snapshot = run_dir / "config.json"
         obj = json.loads(snapshot.read_text())
-        obj["resolved_train"]["epochs"] = 0
+        obj[section][key] = value
         snapshot.write_text(json.dumps(obj))
         err = self.compare_error(tmp_path, capsys, run_dir)
-        assert err == f"error: {snapshot}: train.epochs: expected an int >= 1, got 0\n"
+        assert err == f"error: {snapshot}: {message}\n"
         assert not (tmp_path / "c").exists()
 
     @pytest.mark.parametrize("command", ["compare", "sweep"])
@@ -540,53 +570,67 @@ class TestCompareCommand:
         for side, run in (("baseline", "run_a"), ("cml", "run_b")):
             assert comparison[side] == json.loads((tmp_path / run / "metrics.json").read_text())
 
-    def test_run_snapshot_outside_a_table_fails_naming_it(self, tmp_path, capsys):
-        compare_cfg = self.train_pair(tmp_path)
-        snapshot = tmp_path / "run_a" / "config.json"
-        written = json.loads(snapshot.read_text())
-        written["split"]["seed"] = -1
-        snapshot.write_text(json.dumps(written))
-        capsys.readouterr()
-        out = tmp_path / "c"
-        assert main(["compare", "--config", str(compare_cfg), "--out", str(out)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert err == [f"error: {snapshot}: split.seed: expected an int >= 0, got -1"]
-        assert not out.exists()
-
     @pytest.mark.parametrize("command", ["compare", "sweep"])
     @pytest.mark.parametrize(
-        "overrides, message",
+        "overrides, rows",
         [
-            ({"split": {"seed": 1}}, "split.seed: 0 in {run}, 1 here"),
-            ({"split": {"val_fraction": 0.25}}, "split.val_fraction: unset in {run}, 0.25 here"),
-            ({"standardize": False}, "standardize: True in {run}, False here"),
-            (
-                {"data": {"test_manifest": "test/manifest.json"}, "split": None},
-                "data.test_manifest: False in {run}, True here",
-            ),
-            (
-                {"data": {"synthetic": {**SYNTHETIC, "seed": 4}}},
-                "data.synthetic.seed: 3 in {run}, 4 here",
-            ),
+            ({"split": {"seed": 1}}, 12),
+            ({"split": {"val_fraction": 0.25}}, 12),  # standardized on fewer train rows
+            ({"standardize": False}, 12),
+            ({"data": {"test_manifest": "test/manifest.json"}, "split": None}, 60),
+            ({"data": {"synthetic": {**SYNTHETIC, "seed": 4}}}, 12),
         ],
     )
-    def test_runs_of_another_test_protocol_fail_naming_the_key(
-        self, tmp_path, capsys, command, overrides, message
+    def test_runs_of_another_test_protocol_fail_at_the_fingerprint(
+        self, tmp_path, capsys, command, overrides, rows
     ):
-        # Before, both scored the runs on the rows their own config picked and exited 0.
+        # Before this check, both scored the runs on the rows their own config picked and exited 0.
         dataset = generate_synthetic(SyntheticSpec.from_json_dict(SYNTHETIC))
         write_csv_dataset(dataset, tmp_path / "test")
         self.train_pair(tmp_path)
-        runs = {"baseline_run": "run_a", "cml_run": "run_b"}
-        sweep = {"kind": "noise", **runs}
-        section = {"compare": runs} if command == "compare" else {"sweep": sweep}
-        cfg = write_config(tmp_path / "other.json", **section, **overrides)
+        cfg = write_config(tmp_path / "other.json", **run_pair_section(command), **overrides)
         capsys.readouterr()
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
-        run = tmp_path / "run_a" / "config.json"
-        assert capsys.readouterr().err.splitlines() == [f"error: {message.format(run=run)}"]
+        ours = prepared_fingerprint(cfg)
+        assert ours["rows"] == rows
+        assert capsys.readouterr().err.splitlines() == [fingerprint_error(tmp_path / "run_a", ours)]
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["compare", "sweep"])
+    def test_test_manifest_edited_after_training_fails_at_the_fingerprint(
+        self, tmp_path, capsys, command
+    ):
+        # Before, the config keys matched the runs', so both scored the edited rows and exited 0.
+        dataset = generate_synthetic(SyntheticSpec.from_json_dict({**SYNTHETIC, "seed": 9}))
+        write_csv_dataset(dataset, tmp_path / "test")
+        sources = {"data": {"test_manifest": "test/manifest.json"}, "split": None}
+        self.train_pair(tmp_path, **sources)
+        block = tmp_path / "test" / "modality_0.csv"
+        cell, rest = block.read_text().split(",", 1)
+        block.write_text(f"{float(cell) + 1.0},{rest}")
+        cfg = write_config(tmp_path / "other.json", **run_pair_section(command), **sources)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        ours = prepared_fingerprint(cfg)
+        assert ours["rows"] == 60
+        assert capsys.readouterr().err.splitlines() == [fingerprint_error(tmp_path / "run_a", ours)]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["compare", "sweep"])
+    def test_other_settings_that_keep_the_test_rows_are_accepted(self, tmp_path, command):
+        # Unstandardized, a validation carve-out changes the train rows but not the test rows.
+        # Before, both commands refused this config naming split.val_fraction.
+        self.train_pair(tmp_path, standardize=False)
+        overrides = {"standardize": False, "split": {"val_fraction": 0.25}}
+        cfg = write_config(tmp_path / "other.json", **run_pair_section(command), **overrides)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        if command == "compare":
+            comparison = json.loads((out / "comparison.json").read_text())
+            for side, run in (("baseline", "run_a"), ("cml", "run_b")):
+                assert comparison[side] == json.loads((tmp_path / run / "metrics.json").read_text())
 
 
 class TestSweepCommand:
@@ -787,7 +831,8 @@ class TestSweepCommand:
         assert not (out / "sweep_noise.csv").exists()
 
     def test_noise_sweep_with_runs_of_other_modality_dims_fails(self, tmp_path, capsys):
-        # From manifests, which the protocol check does not compare, the dims check decides.
+        # Other dims make other test rows: the fingerprint check stops the sweep before the
+        # dims check in noise_sweep is reached.
         for name, dims in (("other", [5, 3]), ("ds", [4, 3])):
             spec = SyntheticSpec.from_json_dict({**SYNTHETIC, "modality_dims": dims})
             write_csv_dataset(generate_synthetic(spec), tmp_path / name)
@@ -807,9 +852,9 @@ class TestSweepCommand:
         capsys.readouterr()
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["error: dataset dims (4, 3) != model dims (5, 3)"]
-        assert not (out / "sweep_noise.csv").exists()
+        ours = prepared_fingerprint(cfg)
+        assert capsys.readouterr().err.splitlines() == [fingerprint_error(tmp_path / "run", ours)]
+        assert not out.exists()
 
 
 class TestNumericBoundary:
@@ -1307,7 +1352,7 @@ class TestCommandSections:
 
 
 class TestParseOnce:
-    """Each command parses its config once, and each run snapshot's protocol keys once."""
+    """Each command parses its config once; a run snapshot's sections are not parsed."""
 
     @staticmethod
     def count_parses(monkeypatch) -> Counter:
@@ -1327,8 +1372,9 @@ class TestParseOnce:
         monkeypatch.setattr(SyntheticSpec, "from_json_dict", classmethod(counting_parse))
         return counts
 
-    # Before: 2 parses for train, and 6 for compare and for a noise sweep over two runs.
-    @pytest.mark.parametrize("command, parses", [("train", 1), ("compare", 3), ("sweep", 3)])
+    # Before: 2 parses for train, and 6 for compare and for a noise sweep over two runs, then 3
+    # while each run snapshot's data, split and standardize keys went through the tables.
+    @pytest.mark.parametrize("command, parses", [("train", 1), ("compare", 1), ("sweep", 1)])
     def test_config_and_each_snapshot_are_parsed_once(self, tmp_path, monkeypatch, command, parses):
         TestCompareCommand.train_pair(tmp_path)
         runs = {"baseline_run": "run_a", "cml_run": "run_b"}
@@ -1354,11 +1400,12 @@ class TestParseOnce:
         return counts
 
     # Two layers: the tables before any data is read, then each config class once when it is
-    # built. compare reads its config and each run snapshot's protocol keys through the tables,
-    # builds a model spec from its data ("model": the table, the class, one per checkpoint) and
-    # checks each snapshot's resolved_train once. Before: train checked "train" 3 times and
-    # "data.synthetic" 2; compare checked "train" 5 times, "data.synthetic" 6, and each
-    # checkpoint's spec twice (once as "spec").
+    # built. compare reads its config through the tables, builds a model spec from its data
+    # ("model": the table, the class, one per checkpoint) and checks each snapshot's
+    # resolved_train once. Before: train checked "train" 3 times and "data.synthetic" 2; compare
+    # checked "train" 5 times, "data.synthetic" 6, and each checkpoint's spec twice (once as
+    # "spec"); then "", "data", "data.synthetic" and "split" 3 times each while each snapshot's
+    # protocol keys went through the tables.
     @pytest.mark.parametrize(
         "command, checks",
         [
@@ -1369,7 +1416,7 @@ class TestParseOnce:
             (
                 "compare",
                 {
-                    **{"": 3, "data": 3, "data.synthetic": 3, "split": 3},
+                    **{"": 1, "data": 1, "data.synthetic": 1, "split": 1},
                     **{"model": 1 + 1 + 2, "train": 3, "compare": 1, "header": 2},
                 },
             ),

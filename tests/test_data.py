@@ -445,6 +445,22 @@ class TestLoadCsvErrors:
             load_csv_dataset(path)
 
 
+def test_fingerprint_tells_apart_values_labels_row_order_and_shapes():
+    flat, labels = np.random.default_rng(0).standard_normal(30), np.array([0, 1, 1, 0, 1, 0])
+    dataset = Dataset([flat[:12].reshape(6, 2), flat[12:].reshape(6, 3)], labels, 2)
+    fp = data.fingerprint(dataset)
+    assert fp["rows"] == 6 and re.fullmatch("[0-9a-f]{64}", fp["sha256"])
+    assert data.fingerprint(dataset.take(range(6))) == fp
+    nudged, relabeled = dataset.take(range(6)), dataset.take(range(6))
+    nudged.modalities[1][5, 2] = np.nextafter(flat[-1], np.inf)
+    relabeled.labels[0] = 1
+    reordered = dataset.take([1, 0, 2, 3, 4, 5])
+    # The same bytes in the same order, cut into blocks of other widths.
+    recut = Dataset([flat[:18].reshape(6, 3), flat[18:].reshape(6, 2)], labels, 2)
+    for other in (nudged, relabeled, reordered, recut):
+        assert data.fingerprint(other)["sha256"] != fp["sha256"]
+
+
 class TestSplit:
     def test_80_20_balanced(self):
         dataset = generate_synthetic(basic_spec(samples_per_class=(50, 50)))

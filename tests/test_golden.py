@@ -39,3 +39,14 @@ def test_train_grid_identical(expected):
 
 def test_evaluate_vrr_identical(expected):
     assert golden.evaluate_vrr_hashes() == expected["evaluate_vrr"]
+
+
+def test_manifest_changes_names_each_entry_that_differs():
+    old = {"cli_pass": {"a": "1", "b": "2"}, "noise_sweep": {"M=2": "3"}}
+    new = {"cli_pass": {"a": "1", "b": "9", "c": "4"}, "train_grid": {"x": "5"}}
+    assert golden.manifest_changes(old, new) == [
+        "changed cli_pass b",
+        "added cli_pass c",
+        "removed noise_sweep M=2",
+        "added train_grid x",
+    ]

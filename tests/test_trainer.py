@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from rankcal import calibration, model, trainer
+from rankcal import calibration, data, model, trainer
 from rankcal.data import Dataset, SyntheticSpec, generate_synthetic, split
 from rankcal.errors import (
     CapabilityError,
@@ -529,6 +529,36 @@ class TestNoiseSweep:
         want = reference_noise_sweep(params_a, params_b, test_set, epsilons, targets, seed=11)
         got = [(r.epsilon, r.targets, r.acc_baseline, r.acc_cml, r.delta) for r in rows]
         assert got == want
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_no_cell_shares_a_stream_with_training_evaluation_or_data(self, monkeypatch, seed):
+        # Before, cell (e, t) drew from [seed, e, t]: cell (1, 0) was epoch 0's shuffle stream.
+        epochs, vrr_repeats, epsilons, targets = 120, 5, [0.0] * 8, default_target_sets(4)
+        cells = []
+
+        class Recorded(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                cells.append(self)
+
+        monkeypatch.setattr(np.random, "SeedSequence", Recorded)
+        spec = ModelSpec((2, 2, 2, 2), hidden_dim=3, latent_dim=2, num_classes=2)
+        test_set = Dataset([np.zeros((2, 2))] * 4, np.array([0, 1]), 2)
+        params = init_params(spec, seed=1)
+        noise_sweep(params, params, test_set, epsilons, targets, seed=seed)
+        monkeypatch.undo()
+        assert len(cells) == len(epsilons) * len(targets)
+        state = lambda entropy: tuple(np.random.SeedSequence(entropy).generate_state(4))
+        others = {state(seed), state([seed, data._VALIDATION_STREAM])}  # init_params, validation
+        others |= {state([seed, k]) for k in range(16)}  # data.split's class streams
+        for tag, count in (
+            (trainer._SHUFFLE_STREAM, epochs),
+            (trainer._CHAIN_STREAM, epochs),
+            (calibration._VRR_STREAM, vrr_repeats),
+        ):
+            others |= {state([seed, tag, i]) for i in range(count)}
+        drawn = {tuple(cell.generate_state(4)) for cell in cells}
+        assert len(drawn) == len(cells) and not drawn & others
 
     # One cell per chunk, three cells per chunk with a ragged last chunk, one chunk in all.
     @pytest.mark.parametrize("chunk_rows", [30, 90, 1 << 20])
