@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import write_text
-from .errors import AT_LEAST_1, CapabilityError, ConfigError, EmptyInputError, SpecError, one_of
+from .errors import CapabilityError, ConfigError, EmptyInputError, SpecError, one_of
 from .model import ClassifierParams, backward_masks, forward_core, mask_weights
 from .numerics import ALLOCATE, Array, Workspace
 
@@ -295,18 +295,6 @@ def _lattice(num_modalities: int) -> _Lattice:
     return table
 
 
-def _distinct_masks(codes: Array, values: Array) -> Array:
-    """Per row, each distinct code once, at its first column with its last column's value.
-
-    `codes` and `values` are (N, R); the result is 1-D, row by row, as a dict keyed by
-    (row, code) would hold them.
-    """
-    same = codes[:, :, None] == codes[:, None, :]
-    first = ~(same & np.tri(codes.shape[1], k=-1, dtype=bool)).any(axis=2)
-    last = codes.shape[1] - 1 - same[:, :, ::-1].argmax(axis=2)
-    return np.take_along_axis(values, last, axis=1)[first]
-
-
 @dataclass
 class VrrEvaluation:
     vrr: float
@@ -318,39 +306,30 @@ class VrrEvaluation:
 
 
 def evaluate_vrr(
-    params: ClassifierParams,
-    dataset,
-    seed: int,
-    mode: str = "sampled",
-    repeats: int = 1,
+    params: ClassifierParams, dataset, seed: int, mode: str = "sampled"
 ) -> VrrEvaluation:
     """Dataset-level VRR.
 
-    Sampled mode gives every sample `repeats` removal chains; repeat r takes
-    row i of one removal-order draw keyed by (seed, repeat), and one forward
-    classifies every repeat's chains side by side. Exhaustive mode
-    classifies every sample on all 2^M - 1 subsets at once and enumerates
-    every single-removal pair (allowed up to 5 modalities), reading the masks
-    and pairs from the cached lattice table of M modalities. Records are
-    ordered by sample. The attribution counts, among violations where S is
-    the full set, how often each removed modality caused the confidence
-    increase. `full_probs` comes from the same forward as the records: the
-    lattice's full-set column, or the head of repeat 0's chains; it is the
-    only mask whose class probabilities are divided out. `full_confidence` is
-    its max, read like every other confidence from the softmax sums.
+    Sampled mode classifies each sample on one removal chain, row i of one
+    removal-order draw from `seed`'s VRR stream. Exhaustive mode classifies
+    every sample on all 2^M - 1 subsets and enumerates every single-removal
+    pair (up to 5 modalities), reading masks and pairs from the cached lattice
+    table of M modalities. Either mode runs one forward. Records are ordered by
+    sample. The attribution counts, among violations where S is the full set,
+    each removed modality; in sampled mode those are the chains' first pairs.
+    `full_probs` comes from the same forward as the records (the lattice's
+    full-set column, or the chains' head); it is the only mask whose class
+    probabilities are divided out. `full_confidence` is its max, read like
+    every other confidence from the softmax sums.
 
     `mean_confidence_by_subset_size` averages, per mask size, the confidence
     of each distinct (sample, mask) that the records name, sample by sample
-    and within a sample in the order the records first name the masks. A
-    mask that recurs for a sample (over sampled repeats) keeps its first
-    position and its last repeat's confidence.
+    and within a sample in the order the records first name the masks.
     """
     VRR_MODES.check("", "mode", mode)
-    AT_LEAST_1.check("", "repeats", repeats)
     if dataset.num_samples == 0:
         raise EmptyInputError("empty dataset")
     num_samples, num_modalities = dataset.num_samples, dataset.num_modalities
-    bits = 1 << np.arange(num_modalities)
 
     # Each mode yields, per sample, K masks with their confidences; the (T, S)
     # pairs as column indices shared by all samples, with their bit codes in
@@ -367,26 +346,17 @@ def evaluate_vrr(
         t_code = table.t_code[None].repeat(num_samples, axis=0).ravel()
         s_code = table.s_code[None].repeat(num_samples, axis=0).ravel()
     else:
-        chains = []
-        for r in range(repeats):
-            rng = np.random.default_rng([seed, _VRR_STREAM, r])
-            chains.append(_presence(removal_orders(rng, num_samples, num_modalities)))
-        # The repeats' chains side by side on the mask axis, classified in one forward.
-        presence = np.concatenate(chains, axis=1)
+        rng = np.random.default_rng([seed, _VRR_STREAM, 0])
+        orders = removal_orders(rng, num_samples, num_modalities)
+        presence = _presence(orders)
         fwd = forward_core(params, dataset.modalities, mask_weights(presence))
-        conf, code = fwd.confidence, presence @ bits
-        full_col = 0  # repeat 0's chains start at the full set
+        conf, code = fwd.confidence, presence @ (1 << np.arange(num_modalities))
+        full_col = 0  # every chain starts at the full set
         full_probs = fwd.mask_probs(full_col)
-        starts = num_modalities * np.arange(repeats)[:, None]
-        t_col = (starts + np.arange(1, num_modalities)).ravel()
-        s_col = t_col - 1
-        # take gathers in C order, so each ravel is a view.
-        t_code, s_code = code.take(t_col, axis=1).ravel(), code.take(s_col, axis=1).ravel()
-        # Chain position k holds a mask of size M - k, in every repeat.
-        groups = [
-            (size, np.arange(num_modalities - size, conf.shape[1], num_modalities))
-            for size in range(1, num_modalities + 1)
-        ]
+        t_col, s_col = np.arange(1, num_modalities), np.arange(num_modalities - 1)
+        t_code, s_code = code[:, 1:].ravel(), code[:, :-1].ravel()
+        # Chain position k holds a mask of size M - k.
+        groups = [(size, [num_modalities - size]) for size in range(1, num_modalities + 1)]
 
     conf_t, conf_s = conf.take(t_col, axis=1), conf.take(s_col, axis=1)
     ci = conf_s - conf_t
@@ -402,17 +372,13 @@ def evaluate_vrr(
     by_size = {}
     for size, columns in groups:
         values = conf.take(columns, axis=1)  # C order: sample by sample, as the records run
-        if repeats > 1 and mode == "sampled":
-            values = _distinct_masks(code.take(columns, axis=1), values)
         by_size[size] = float(values.sum() / values.size)  # np.mean's sum, without its overhead
     if mode == "exhaustive":
         # Pair m of the lattice's full-set block removes modality m.
         counts = np.count_nonzero(ci[:, :num_modalities] < 0.0, axis=0)
     else:
-        full = (1 << num_modalities) - 1
-        at_full = np.flatnonzero(code[0, s_col] == full)  # the pairs whose S is the full set
-        removed = t_code.reshape(ci.shape)[:, at_full][ci[:, at_full] < 0.0] ^ full
-        counts = (removed[:, None] == bits).sum(axis=0)
+        # A chain's first pair removes its first modality from the full set.
+        counts = np.bincount(orders[ci[:, 0] < 0.0, 0], minlength=num_modalities)
     attribution = dict(enumerate(counts.tolist()))
     full_conf = conf.take(full_col, axis=1)
     return VrrEvaluation(vrr, records, attribution, full_probs, full_conf, by_size)

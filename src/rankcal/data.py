@@ -65,7 +65,10 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self):
-        # The bounds apply to the values as given, so an error shows the value as written.
+        # An array is taken as its list. The bounds apply to the values as given, so an
+        # error shows the value as written.
+        for key in [key for key, value in vars(self).items() if isinstance(value, np.ndarray)]:
+            object.__setattr__(self, key, getattr(self, key).tolist())
         check_bounds("data.synthetic", vars(self), SYNTHETIC_SCHEMA)
         object.__setattr__(self, "modality_dims", tuple(map(int, self.modality_dims)))
         for (key, count), kind in zip(_entry_counts(vars(self)).items(), (int, float, float)):

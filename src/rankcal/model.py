@@ -71,6 +71,8 @@ class ModelSpec:
     num_classes: int
 
     def __post_init__(self):
+        if isinstance(self.modality_dims, np.ndarray):  # an array is taken as its list
+            object.__setattr__(self, "modality_dims", self.modality_dims.tolist())
         check_bounds("model", vars(self), SPEC_SCHEMA)  # before converting: errors show the input
         object.__setattr__(self, "modality_dims", tuple(int(d) for d in self.modality_dims))
 

@@ -1,8 +1,8 @@
 """Training loop, evaluation protocol, and the lambda and noise sweeps.
 
 One training run is fully deterministic: data order, removal chains, and VRR
-evaluation all draw from rng streams derived from (seed, stream tag, epoch or
-repeat), so reruns are bit-identical.
+evaluation all draw from rng streams derived from (seed, stream tag, epoch),
+so reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .calibration import (
 )
 from .data import CorruptionSpec, Dataset, corrupt_block
 from .errors import AT_LEAST_1, FINITE_NON_NEGATIVE, FINITE_POSITIVE, NON_EMPTY, NON_NEGATIVE
-from .errors import Bound, DivergenceError, EmptyInputError, Key, NumericError, SpecError
+from .errors import DivergenceError, EmptyInputError, Key, NumericError, SpecError
 from .errors import SweepError, check_bounds, one_of, read_section
 from .metrics import MetricsReport, build_report
 from .model import ClassifierParams, ModelSpec, SubsetMask, classify_core
@@ -50,12 +50,9 @@ TRAIN_SCHEMA = {
     "detach_superset": Key(bool),
     "seed": Key(int, NON_NEGATIVE),
     "vrr_mode": Key(str, VRR_MODES),
-    "vrr_repeats": Key(int, AT_LEAST_1),
 }
 # TrainConfig field of each config key whose name differs from it.
 _FIELDS = {"lambda": "lam"}
-# Exhaustive VRR visits every pair once: more repeats would be recorded but not run.
-_ONE_REPEAT = Bound("1 with vrr_mode 'exhaustive'", lambda repeats: repeats == 1)
 
 # Test-set rows that one stacked noise-sweep call encodes and classifies at most,
 # counted in whole cells (a larger cell runs alone): the sweep's working set is
@@ -91,14 +88,12 @@ class TrainConfig:
     detach_superset: bool = False
     seed: int = 0
     vrr_mode: str = "sampled"
-    vrr_repeats: int = 1
 
     def __post_init__(self):
         """Fail on a setting outside TRAIN_SCHEMA's bounds, or settings that do not go together."""
         check_bounds("train", self.to_json_dict(), TRAIN_SCHEMA)
         if self.vrr_mode == "exhaustive":
             check_exhaustive(self.model.num_modalities)
-            _ONE_REPEAT.check("train", "vrr_repeats", self.vrr_repeats)
 
     def to_json_dict(self) -> dict:
         """Every training setting under its config key (the model spec excluded)."""
@@ -222,9 +217,7 @@ def evaluate_with_vrr(
     if params.spec != config.model:
         raise SpecError("parameter shapes do not match the configured model spec")
     # The full-mask metrics read the probabilities of the VRR forward: one forward per evaluation.
-    vrr_eval = evaluate_vrr(
-        params, test_set, seed=config.seed, mode=config.vrr_mode, repeats=config.vrr_repeats
-    )
+    vrr_eval = evaluate_vrr(params, test_set, seed=config.seed, mode=config.vrr_mode)
     probs, labels = vrr_eval.full_probs, test_set.labels
     confidence, correct = vrr_eval.full_confidence, probs.argmax(axis=-1) == labels
     by_size = vrr_eval.mean_confidence_by_subset_size

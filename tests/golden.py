@@ -9,10 +9,10 @@ The training grid hashes `params.flat` and `history` of `trainer.train` over
 every regularizer variant x skip_on_wrong_full x detach_superset, with ragged
 mini-batches and with one batch per epoch, plus one run whose tiny-scale
 modality keeps Adam's epsilon in play. The VRR entries hash everything
-`calibration.evaluate_vrr` returns, sampled (1 and 3 repeats) and exhaustive,
-for 3 and 4 modalities with 3 classes on trained parameters, plus one
-exhaustive entry at 5 modalities and 6 classes, the shape of the benchmark's
-lattice evaluation.
+`calibration.evaluate_vrr` returns, sampled (one chain per sample) and
+exhaustive, for 3 and 4 modalities with 3 classes on trained parameters, plus
+one exhaustive entry at 5 modalities and 6 classes, the shape of the
+benchmark's lattice evaluation.
 
 The hashes hold for the numpy and BLAS versions that wrote them; test_golden.py
 fails, naming both versions, when it runs under others. A change that alters a
@@ -235,11 +235,8 @@ def train_grid_hashes() -> dict[str, str]:
     return hashes
 
 
-VRR_MODES = {
-    "sampled_r1": ("sampled", 1),
-    "sampled_r3": ("sampled", 3),
-    "exhaustive": ("exhaustive", 1),
-}
+# Manifest entry name -> evaluate_vrr mode; "sampled_r1" (one chain per sample) keeps its name.
+VRR_MODES = {"sampled_r1": "sampled", "exhaustive": "exhaustive"}
 # Key, modality count, class count and the VRR_MODES entries of each evaluate_vrr fixture.
 VRR_FIXTURES = (
     ("M=3", 3, 3, tuple(VRR_MODES)),
@@ -255,8 +252,7 @@ def evaluate_vrr_hashes() -> dict[str, str]:
         train_set, test_set, spec = _fixture(m, k)
         params = trainer.train(_grid_config(spec, "hinge", True, False, 16), train_set).params
         for name in modes:
-            mode, repeats = VRR_MODES[name]
-            result = calibration.evaluate_vrr(params, test_set, seed=17, mode=mode, repeats=repeats)
+            result = calibration.evaluate_vrr(params, test_set, seed=17, mode=VRR_MODES[name])
             records = result.records
             by_size = result.mean_confidence_by_subset_size
             hashes[f"{key}/{name}"] = _digest(

@@ -313,11 +313,10 @@ def reference_vrr(confidence, num_samples: int, num_modalities: int, orders=None
     `confidence(i, mask)` is sample i's confidence under `mask`, a tuple of
     modality indices. With `orders` None every single-removal pair is visited:
     supersets S largest first in combinations order, then the removed modality
-    ascending. Otherwise `orders[r][i]` is sample i's removal order in repeat r
-    and the pairs are its chain's (mask k+1, mask k). Rows are
-    (sample_id, t_code, s_code, conf_t, conf_s, ci), ordered by sample, then
-    repeat, then pair. The attribution counts, among violations whose S is the
-    full set, the removed modality.
+    ascending. Otherwise `orders[i]` is sample i's removal order and the pairs
+    are its chain's (mask k+1, mask k). Rows are (sample_id, t_code, s_code,
+    conf_t, conf_s, ci), ordered by sample, then pair. The attribution counts,
+    among violations whose S is the full set, the removed modality.
     """
     modalities = range(num_modalities)
     rows = []
@@ -330,10 +329,8 @@ def reference_vrr(confidence, num_samples: int, num_modalities: int, orders=None
                 for removed in s
             ]
         else:
-            pairs = []
-            for order in orders:
-                chain = [tuple(sorted(order[i][k:])) for k in modalities]
-                pairs += [(chain[k + 1], chain[k]) for k in range(num_modalities - 1)]
+            chain = [tuple(sorted(orders[i][k:])) for k in modalities]
+            pairs = [(chain[k + 1], chain[k]) for k in range(num_modalities - 1)]
         for t, s in pairs:
             conf_t, conf_s = confidence(i, t), confidence(i, s)
             rows.append((i, _code(t), _code(s), conf_t, conf_s, conf_s - conf_t))

@@ -1,17 +1,14 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rankcal import calibration
 from rankcal.calibration import (
     _VRR_STREAM,
     REGULARIZER_VARIANTS,
     RankingRecords,
-    _distinct_masks,
     chain_objective,
     chain_presence,
     chain_weights,
@@ -531,12 +528,6 @@ class TestEvaluateVrr:
         b = evaluate_vrr(params, dataset, seed=9, mode="sampled")
         assert record_rows(a.records) == record_rows(b.records)
 
-    def test_repeats_add_chains(self):
-        params = init_params(SPEC3, seed=5)
-        dataset = random_dataset(SPEC3, 10, seed=6)
-        result = evaluate_vrr(params, dataset, seed=9, mode="sampled", repeats=3)
-        assert len(result.records) == 3 * 2 * dataset.num_samples
-
     def test_exhaustive_capped_at_five_modalities(self):
         spec = ModelSpec(
             modality_dims=(2, 2, 2, 2, 2, 2), hidden_dim=3, latent_dim=2, num_classes=2
@@ -561,7 +552,8 @@ class TestEvaluateVrr:
         with pytest.raises(EmptyInputError):
             evaluate_vrr(params, dataset, seed=0)
 
-    def test_attribution_counts_removed_modality(self):
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_attribution_counts_removed_modality(self, mode):
         # encoder 0 is confidently class 0; encoder 1 is uninformative, so
         # dropping modality 1 raises confidence on every sample
         params = ClassifierParams(ModelSpec((2, 2), hidden_dim=2, latent_dim=2, num_classes=2))
@@ -573,9 +565,16 @@ class TestEvaluateVrr:
             labels=np.zeros(n, dtype=np.int64),
             num_classes=2,
         )
-        result = evaluate_vrr(params, dataset, seed=0, mode="exhaustive")
-        assert result.attribution == {0: 0, 1: n}
-        assert result.vrr == 0.5
+        result = evaluate_vrr(params, dataset, seed=0, mode=mode)
+        if mode == "exhaustive":  # both pairs of the full set, one violating
+            assert result.attribution == {0: 0, 1: n}
+            assert result.vrr == 0.5
+        else:  # each sample's one pair violates when its chain removes modality 1 first
+            orders = removal_orders(np.random.default_rng([0, _VRR_STREAM, 0]), n, 2)
+            k = int(np.count_nonzero(orders[:, 0] == 1))
+            assert 0 < k < n
+            assert result.attribution == {0: 0, 1: k}
+            assert result.vrr == k / n
 
 
 class TestWideHeadMatchesRowMajor:
@@ -613,8 +612,8 @@ class TestColumnarRecords:
         return lambda i, mask: float(table[i, sum(1 << j for j in mask) - 1])
 
     @pytest.mark.parametrize("num_modalities", [3, 5])
-    @pytest.mark.parametrize("mode, repeats", [("exhaustive", 1), ("sampled", 1), ("sampled", 3)])
-    def test_matches_per_pair_oracle(self, num_modalities, mode, repeats):
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_matches_per_pair_oracle(self, num_modalities, mode):
         spec = ModelSpec(
             modality_dims=tuple(range(2, 2 + num_modalities)),
             hidden_dim=6,
@@ -623,13 +622,10 @@ class TestColumnarRecords:
         )
         params = init_params(spec, seed=5)
         dataset = random_dataset(spec, 30, seed=6)
-        result = evaluate_vrr(params, dataset, seed=4, mode=mode, repeats=repeats)
+        result = evaluate_vrr(params, dataset, seed=4, mode=mode)
         orders = None
         if mode == "sampled":
-            orders = [
-                removal_orders(np.random.default_rng([4, _VRR_STREAM, r]), 30, num_modalities)
-                for r in range(repeats)
-            ]
+            orders = removal_orders(np.random.default_rng([4, _VRR_STREAM, 0]), 30, num_modalities)
 
         confidence = self.lattice_confidence(params, dataset)
         rows, vrr, attribution = reference_vrr(confidence, 30, num_modalities, orders)
@@ -651,10 +647,8 @@ class TestMeanConfidenceBySubsetSize:
     """evaluate_vrr's by-size means, read from the lattice, against the dict walk over records."""
 
     @pytest.mark.parametrize("num_modalities", [2, 3, 4, 5])
-    @pytest.mark.parametrize(
-        "mode, repeats", [("exhaustive", 1), ("sampled", 1), ("sampled", 2), ("sampled", 5)]
-    )
-    def test_matches_dict_walk(self, num_modalities, mode, repeats):
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_matches_dict_walk(self, num_modalities, mode):
         spec = ModelSpec(
             modality_dims=tuple(range(2, 2 + num_modalities)),
             hidden_dim=6,
@@ -663,38 +657,10 @@ class TestMeanConfidenceBySubsetSize:
         )
         params = init_params(spec, seed=num_modalities)
         dataset = random_dataset(spec, 25, seed=7)
-        result = evaluate_vrr(params, dataset, seed=2, mode=mode, repeats=repeats)
+        result = evaluate_vrr(params, dataset, seed=2, mode=mode)
         by_size = result.mean_confidence_by_subset_size
         assert by_size == reference_confidence_by_subset_size(record_rows(result.records))
         assert list(by_size) == list(range(1, num_modalities + 1))
-
-    @pytest.mark.parametrize("num_modalities", [2, 3])
-    def test_recurring_mask_keeps_first_position_and_last_value(self, monkeypatch, num_modalities):
-        # Each repeat's block of M mask columns is blended toward uniform by its
-        # own amount, so a (sample, mask) that recurs over the repeats (the full
-        # set always does) names a different confidence each time. As in a dict
-        # keyed by (sample, mask), the mean takes each one at its first position
-        # with its last value.
-        def blended(params, blocks, weights):
-            fwd = forward_core(params, blocks, weights)
-            batch, num_masks = fwd.sums.shape
-            share = np.tile(0.1 * (np.arange(num_masks) // num_modalities), batch)  # per column
-            probs = (1 - share) * (fwd.exp / fwd.sums.reshape(-1)) + share / len(fwd.exp)
-            top = probs.max(axis=0)  # kept as the forward keeps it: exp at the argmax is 1.0
-            return replace(fwd, exp=probs / top, sums=(1.0 / top).reshape(batch, num_masks))
-
-        monkeypatch.setattr(calibration, "forward_core", blended)
-        spec = ModelSpec(tuple(range(2, 2 + num_modalities)), 6, 4, 3)
-        result = evaluate_vrr(init_params(spec, 1), random_dataset(spec, 9, 4), seed=3, repeats=4)
-        full = (1 << num_modalities) - 1
-        assert len(np.unique(result.records.conf_s[result.records.s_code == full])) > 9
-        expected = reference_confidence_by_subset_size(record_rows(result.records))
-        assert result.mean_confidence_by_subset_size == expected
-
-    def test_distinct_masks_keep_first_position_and_last_value(self):
-        codes = np.array([[1, 2, 1], [4, 4, 4], [2, 1, 1]])
-        values = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]])
-        assert _distinct_masks(codes, values).tolist() == [0.3, 0.2, 0.6, 0.7, 0.9]
 
 
 class TestRecordsCsv:

@@ -441,12 +441,6 @@ class TestCompareCommand:
         "dims, resolved, message",
         [
             pytest.param(
-                [4, 3],
-                {"vrr_repeats": 7},
-                "train.vrr_repeats: expected 1 with vrr_mode 'exhaustive', got 7",
-                id="repeats",
-            ),
-            pytest.param(
                 [2] * 6, {}, "exhaustive enumeration capped at 5 modalities, got 6", id="modalities"
             ),
         ],
@@ -472,6 +466,26 @@ class TestCompareCommand:
         capsys.readouterr()
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {snapshot}: {message}"]
+        assert not out.exists()
+
+    # A run written while train.vrr_repeats existed records it (as 1) in resolved_train.
+    @pytest.mark.parametrize("command", ["compare", "sweep"])
+    def test_snapshot_with_vrr_repeats_fails_naming_it(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path / "config.json")
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(run_dir)]) == 0
+        snapshot = run_dir / "config.json"
+        obj = json.loads(snapshot.read_text())
+        obj["resolved_train"]["vrr_repeats"] = 1
+        snapshot.write_text(json.dumps(obj))
+        runs = {"baseline_run": "run", "cml_run": "run"}
+        sections = {"compare": {"compare": runs}, "sweep": {"sweep": {"kind": "noise", **runs}}}
+        cfg = write_config(tmp_path / "config.json", **sections[command])
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {snapshot}: train.vrr_repeats: unknown key"]
         assert not out.exists()
 
     def test_snapshot_of_invalid_json_fails_naming_it(self, tmp_path, capsys):
@@ -1335,19 +1349,21 @@ class TestCommandSections:
         assert err == ["error: exhaustive enumeration capped at 5 modalities, got 6"]
         assert not out.exists()
 
-    def test_exhaustive_vrr_with_repeats_fails_naming_the_key(self, tmp_path, capsys, monkeypatch):
-        # Exhaustive VRR would ignore the repeats while config.json recorded them.
-        def no_batch(*args, **kwargs):
-            raise AssertionError("a batch ran before the repeats were checked")
+    @pytest.mark.parametrize("command", ["train", "compare", "sweep"])
+    def test_vrr_repeats_is_an_unknown_key(self, tmp_path, capsys, monkeypatch, command):
+        # Sampled VRR draws one chain per sample; the key is refused before any data is read.
+        def no_data(*args, **kwargs):
+            raise AssertionError("data was read before the key was checked")
 
-        monkeypatch.setattr(trainer, "objective_core", no_batch)
+        monkeypatch.setattr(data, "generate_synthetic", no_data)
+        runs = {"baseline_run": "a", "cml_run": "b"}
+        sections = {"compare": {"compare": runs}, "sweep": {"sweep": {"kind": "noise", **runs}}}
         cfg = write_config(
-            tmp_path / "config.json", train={"vrr_mode": "exhaustive", "vrr_repeats": 7}
+            tmp_path / "config.json", train={"vrr_repeats": 1}, **sections.get(command, {})
         )
-        out = tmp_path / "run"
-        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["error: train.vrr_repeats: expected 1 with vrr_mode 'exhaustive', got 7"]
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: train.vrr_repeats: unknown key"]
         assert not out.exists()
 
 

@@ -135,6 +135,28 @@ class TestSyntheticSpec:
         assert spec.class_separation == (2.5, 2.5)
         assert spec.noise_std == (1.5, 1.5)
 
+    # Before, an array reached the bound check whole and raised numpy's ambiguous-truth error.
+    def test_array_fields_taken_as_their_lists(self):
+        spec = basic_spec(
+            num_classes=3,
+            modality_dims=np.array([4, 3]),
+            samples_per_class=np.array([5, 5, 5]),
+            class_separation=np.array([3.0, 2.0]),
+            noise_std=np.array([1.0, 0.5]),
+        )
+        assert spec == basic_spec(
+            num_classes=3,
+            samples_per_class=(5, 5, 5),
+            class_separation=(3.0, 2.0),
+            noise_std=(1.0, 0.5),
+        )
+        assert type(spec.samples_per_class[0]) is int and type(spec.noise_std[1]) is float
+
+    def test_array_field_out_of_bounds_names_the_entry(self):
+        message = r"^data.synthetic.samples_per_class\[1\]: expected an int >= 1, got 0$"
+        with pytest.raises(ConfigError, match=message):
+            basic_spec(samples_per_class=np.array([5, 0]))
+
 
 class TestGenerateSynthetic:
     def test_deterministic(self):

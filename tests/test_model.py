@@ -81,6 +81,18 @@ class TestModelSpec:
     def test_json_round_trip(self):
         assert ModelSpec.from_json_dict(SPEC.to_json_dict()) == SPEC
 
+    # Before, an array reached the bound check whole and raised numpy's ambiguous-truth error.
+    def test_array_dims_taken_as_their_list(self):
+        spec = ModelSpec(np.array([3, 2]), 4, 2, 2)
+        assert spec.modality_dims == (3, 2)
+        assert [type(d) for d in spec.modality_dims] == [int, int]
+        assert spec.to_json_dict()["modality_dims"] == [3, 2]
+
+    def test_array_dims_out_of_bounds_name_the_entry(self):
+        message = r"^model.modality_dims\[0\]: expected an int >= 1, got 0$"
+        with pytest.raises(ConfigError, match=message):
+            ModelSpec(np.array([0, 2]), 4, 2, 2)
+
 
 class TestSubsetMask:
     def test_empty_rejected(self):

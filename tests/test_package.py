@@ -240,6 +240,19 @@ def test_readme_config_table_states_each_key_as_its_table_does():
                 assert bound_text == "; ".join(bounds), path
 
 
+def test_readme_config_reference_names_only_live_keys(tmp_path):
+    # A key deleted from a table must leave the docs too: the example would fail as an
+    # unknown key, and the key table would keep a row that no table has.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    reference = readme.split("### Config reference\n", 1)[1].split("\n### ", 1)[0]
+    (tmp_path / "config.json").write_text(reference.split("```json\n")[1].split("```")[0])
+    raw, sections = cli._load_config(tmp_path / "config.json")
+    assert sections.keys() == raw.keys()
+    rows = [line.split("`")[1] for line in reference.splitlines() if line.startswith("| `")]
+    tables = {"": cli._CONFIG_SCHEMA, **cli.SECTIONS}
+    assert sorted(rows) == sorted(f"{n}.{key}" if n else key for n in tables for key in tables[n])
+
+
 # The one function of cli.py that checks a config's sections; every later step reads its values.
 PARSE_FUNCTION = "_parse_sections"
 

@@ -78,10 +78,10 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match=r"^train\.epochs: "):
             dataclasses.replace(config(), epochs=0)
 
-    def test_exhaustive_mode_with_repeats_rejected_from_json(self):
-        message = r"^train\.vrr_repeats: expected 1 with vrr_mode 'exhaustive', got 7$"
-        with pytest.raises(ConfigError, match=message):
-            TrainConfig.from_json_dict({"vrr_mode": "exhaustive", "vrr_repeats": 7}, MODEL)
+    def test_vrr_repeats_is_an_unknown_key(self):
+        # Sampled VRR draws one chain per sample; the key, once 1 by default, is gone.
+        with pytest.raises(ConfigError, match=r"^train\.vrr_repeats: unknown key$"):
+            TrainConfig.from_json_dict({"vrr_repeats": 1}, MODEL)
 
     def test_exhaustive_mode_over_the_modality_limit_rejected(self):
         spec = ModelSpec(modality_dims=(2,) * 6, hidden_dim=4, latent_dim=2, num_classes=2)
@@ -89,11 +89,11 @@ class TestTrainConfig:
             config(model=spec, vrr_mode="exhaustive")
 
     def test_json_round_trip_keeps_config_keys(self):
-        cfg = config(lam=2.5, variant="difference", detach_superset=True, vrr_repeats=3)
+        cfg = config(lam=2.5, variant="difference", detach_superset=True, vrr_mode="exhaustive")
         obj = cfg.to_json_dict()
         assert sorted(obj) == sorted(
             ["epochs", "learning_rate", "batch_size", "lambda", "variant", "skip_on_wrong_full",
-             "detach_superset", "seed", "vrr_mode", "vrr_repeats"]
+             "detach_superset", "seed", "vrr_mode"]
         )
         assert obj["lambda"] == 2.5
         assert TrainConfig.from_json_dict(obj, MODEL) == cfg
@@ -327,10 +327,9 @@ class TestEvaluate:
         result = run_and_evaluate(config(epochs=2), train_set, test_set)
         assert sorted(result.report.mean_confidence_by_subset_size) == [1, 2]
 
-    @pytest.mark.parametrize("mode, repeats", [("exhaustive", 1), ("sampled", 1), ("sampled", 3)])
-    def test_one_forward_per_evaluate(self, monkeypatch, mode, repeats):
-        # Every forward, batched or stacked, runs the classifier half once; sampled
-        # repeats share one forward.
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_one_forward_per_evaluate(self, monkeypatch, mode):
+        # Every forward, batched or stacked, runs the classifier half once.
         calls = []
         classify_core = model.classify_core
 
@@ -341,28 +340,26 @@ class TestEvaluate:
         for module in (model, trainer):
             monkeypatch.setattr(module, "classify_core", counting)
         _, test_set = make_sets(per_class=5)
-        evaluate(init_params(MODEL, seed=0), test_set, config(vrr_mode=mode, vrr_repeats=repeats))
+        evaluate(init_params(MODEL, seed=0), test_set, config(vrr_mode=mode))
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("mode, repeats", [("exhaustive", 1), ("sampled", 2)])
-    def test_full_probs_match_the_full_mask_records(self, mode, repeats):
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_full_probs_match_the_full_mask_records(self, mode):
         train_set, test_set = make_sets(per_class=10)
         params = train(config(epochs=2), train_set).params
-        result = calibration.evaluate_vrr(params, test_set, seed=3, mode=mode, repeats=repeats)
+        result = calibration.evaluate_vrr(params, test_set, seed=3, mode=mode)
         records, conf = result.records, result.full_probs.max(axis=-1)
         assert result.full_probs.shape == (test_set.num_samples, MODEL.num_classes)
         full = records.s_code == (1 << MODEL.num_modalities) - 1
-        if mode == "sampled":  # repeat 0's chains: the first pair of every sample
-            full &= np.arange(len(records)) % (repeats * (MODEL.num_modalities - 1)) == 0
         ids = records.sample_id[full]
         assert np.array_equal(np.unique(ids), np.arange(test_set.num_samples))
         assert records.conf_s[full].tobytes() == conf[ids].tobytes()
 
-    @pytest.mark.parametrize("mode, repeats", [("exhaustive", 1), ("sampled", 1), ("sampled", 3)])
-    def test_full_confidence_is_the_full_probs_max(self, mode, repeats):
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_full_confidence_is_the_full_probs_max(self, mode):
         train_set, test_set = make_sets(per_class=10)
         params = train(config(epochs=2), train_set).params
-        result = calibration.evaluate_vrr(params, test_set, seed=3, mode=mode, repeats=repeats)
+        result = calibration.evaluate_vrr(params, test_set, seed=3, mode=mode)
         assert result.full_confidence.tobytes() == result.full_probs.max(axis=-1).tobytes()
 
 
