@@ -509,6 +509,22 @@ class TestEvaluateVrr:
         # one chain per sample: M - 1 pairs each
         assert len(result.records) == 2 * dataset.num_samples
 
+    @pytest.mark.parametrize("num_modalities", [3, 5])
+    def test_sampled_pairs_form_one_chain_per_sample(self, num_modalities):
+        # Each sample's M - 1 pairs walk its drawn removal order from the full set
+        # down to one modality, so no mask recurs within a sample.
+        spec = ModelSpec(tuple(range(2, 2 + num_modalities)), 6, 4, 3)
+        n = 10
+        result = evaluate_vrr(init_params(spec, 5), random_dataset(spec, n, 6), seed=9)
+        orders = removal_orders(np.random.default_rng([9, _VRR_STREAM, 0]), n, num_modalities)
+        rec = result.records
+        t_code = rec.t_code.reshape(n, num_modalities - 1)
+        s_code = rec.s_code.reshape(n, num_modalities - 1)
+        assert rec.sample_id.tolist() == np.arange(n).repeat(num_modalities - 1).tolist()
+        assert (s_code[:, 0] == (1 << num_modalities) - 1).all()
+        assert (s_code ^ t_code).tolist() == (1 << orders[:, :-1]).tolist()
+        assert (s_code[:, 1:] == t_code[:, :-1]).all()
+
     def test_sampled_equals_exhaustive_on_constant_model_two_modalities(self):
         spec = ModelSpec(modality_dims=(2, 3), hidden_dim=4, latent_dim=3, num_classes=2)
         params = zero_params(spec)
@@ -552,8 +568,8 @@ class TestEvaluateVrr:
         with pytest.raises(EmptyInputError):
             evaluate_vrr(params, dataset, seed=0)
 
-    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
-    def test_attribution_counts_removed_modality(self, mode):
+    @pytest.mark.parametrize("mode, seed", [("exhaustive", 0), ("sampled", 0), ("sampled", 1)])
+    def test_attribution_counts_removed_modality(self, mode, seed):
         # encoder 0 is confidently class 0; encoder 1 is uninformative, so
         # dropping modality 1 raises confidence on every sample
         params = ClassifierParams(ModelSpec((2, 2), hidden_dim=2, latent_dim=2, num_classes=2))
@@ -565,12 +581,12 @@ class TestEvaluateVrr:
             labels=np.zeros(n, dtype=np.int64),
             num_classes=2,
         )
-        result = evaluate_vrr(params, dataset, seed=0, mode=mode)
+        result = evaluate_vrr(params, dataset, seed=seed, mode=mode)
         if mode == "exhaustive":  # both pairs of the full set, one violating
             assert result.attribution == {0: 0, 1: n}
             assert result.vrr == 0.5
         else:  # each sample's one pair violates when its chain removes modality 1 first
-            orders = removal_orders(np.random.default_rng([0, _VRR_STREAM, 0]), n, 2)
+            orders = removal_orders(np.random.default_rng([seed, _VRR_STREAM, 0]), n, 2)
             k = int(np.count_nonzero(orders[:, 0] == 1))
             assert 0 < k < n
             assert result.attribution == {0: 0, 1: k}
@@ -612,8 +628,8 @@ class TestColumnarRecords:
         return lambda i, mask: float(table[i, sum(1 << j for j in mask) - 1])
 
     @pytest.mark.parametrize("num_modalities", [3, 5])
-    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
-    def test_matches_per_pair_oracle(self, num_modalities, mode):
+    @pytest.mark.parametrize("mode, seed", [("exhaustive", 4), ("sampled", 4), ("sampled", 11)])
+    def test_matches_per_pair_oracle(self, num_modalities, mode, seed):
         spec = ModelSpec(
             modality_dims=tuple(range(2, 2 + num_modalities)),
             hidden_dim=6,
@@ -622,10 +638,11 @@ class TestColumnarRecords:
         )
         params = init_params(spec, seed=5)
         dataset = random_dataset(spec, 30, seed=6)
-        result = evaluate_vrr(params, dataset, seed=4, mode=mode)
+        result = evaluate_vrr(params, dataset, seed=seed, mode=mode)
         orders = None
         if mode == "sampled":
-            orders = removal_orders(np.random.default_rng([4, _VRR_STREAM, 0]), 30, num_modalities)
+            rng = np.random.default_rng([seed, _VRR_STREAM, 0])
+            orders = removal_orders(rng, 30, num_modalities)
 
         confidence = self.lattice_confidence(params, dataset)
         rows, vrr, attribution = reference_vrr(confidence, 30, num_modalities, orders)
@@ -647,8 +664,10 @@ class TestMeanConfidenceBySubsetSize:
     """evaluate_vrr's by-size means, read from the lattice, against the dict walk over records."""
 
     @pytest.mark.parametrize("num_modalities", [2, 3, 4, 5])
-    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
-    def test_matches_dict_walk(self, num_modalities, mode):
+    @pytest.mark.parametrize(
+        "mode, seed", [("exhaustive", 2), ("sampled", 2), ("sampled", 3), ("sampled", 8)]
+    )
+    def test_matches_dict_walk(self, num_modalities, mode, seed):
         spec = ModelSpec(
             modality_dims=tuple(range(2, 2 + num_modalities)),
             hidden_dim=6,
@@ -657,7 +676,7 @@ class TestMeanConfidenceBySubsetSize:
         )
         params = init_params(spec, seed=num_modalities)
         dataset = random_dataset(spec, 25, seed=7)
-        result = evaluate_vrr(params, dataset, seed=2, mode=mode)
+        result = evaluate_vrr(params, dataset, seed=seed, mode=mode)
         by_size = result.mean_confidence_by_subset_size
         assert by_size == reference_confidence_by_subset_size(record_rows(result.records))
         assert list(by_size) == list(range(1, num_modalities + 1))

@@ -327,8 +327,8 @@ class TestEvaluate:
         result = run_and_evaluate(config(epochs=2), train_set, test_set)
         assert sorted(result.report.mean_confidence_by_subset_size) == [1, 2]
 
-    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
-    def test_one_forward_per_evaluate(self, monkeypatch, mode):
+    @pytest.mark.parametrize("mode, seed", [("exhaustive", 0), ("sampled", 0), ("sampled", 1)])
+    def test_one_forward_per_evaluate(self, monkeypatch, mode, seed):
         # Every forward, batched or stacked, runs the classifier half once.
         calls = []
         classify_core = model.classify_core
@@ -340,14 +340,14 @@ class TestEvaluate:
         for module in (model, trainer):
             monkeypatch.setattr(module, "classify_core", counting)
         _, test_set = make_sets(per_class=5)
-        evaluate(init_params(MODEL, seed=0), test_set, config(vrr_mode=mode))
+        evaluate(init_params(MODEL, seed=0), test_set, config(vrr_mode=mode, seed=seed))
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
-    def test_full_probs_match_the_full_mask_records(self, mode):
+    @pytest.mark.parametrize("mode, seed", [("exhaustive", 3), ("sampled", 3), ("sampled", 6)])
+    def test_full_probs_match_the_full_mask_records(self, mode, seed):
         train_set, test_set = make_sets(per_class=10)
         params = train(config(epochs=2), train_set).params
-        result = calibration.evaluate_vrr(params, test_set, seed=3, mode=mode)
+        result = calibration.evaluate_vrr(params, test_set, seed=seed, mode=mode)
         records, conf = result.records, result.full_probs.max(axis=-1)
         assert result.full_probs.shape == (test_set.num_samples, MODEL.num_classes)
         full = records.s_code == (1 << MODEL.num_modalities) - 1
@@ -355,11 +355,11 @@ class TestEvaluate:
         assert np.array_equal(np.unique(ids), np.arange(test_set.num_samples))
         assert records.conf_s[full].tobytes() == conf[ids].tobytes()
 
-    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
-    def test_full_confidence_is_the_full_probs_max(self, mode):
+    @pytest.mark.parametrize("mode, seed", [("exhaustive", 3), ("sampled", 3), ("sampled", 6)])
+    def test_full_confidence_is_the_full_probs_max(self, mode, seed):
         train_set, test_set = make_sets(per_class=10)
         params = train(config(epochs=2), train_set).params
-        result = calibration.evaluate_vrr(params, test_set, seed=3, mode=mode)
+        result = calibration.evaluate_vrr(params, test_set, seed=seed, mode=mode)
         assert result.full_confidence.tobytes() == result.full_probs.max(axis=-1).tobytes()
 
 
