@@ -9,10 +9,12 @@ removal chain, weighted by lambda on top of the classification loss.
 
 chain_objective turns a batch's chains into mask weights and runs
 objective_core, the arithmetic of one batch (forward_core, the NLL, the penalty
-and backward_masks) on model.MaskedForward's class-major softmax. trainer.train
-takes a whole epoch's mask weights from its removal orders at once
-(chain_weights) and calls objective_core per batch. Nothing here checks its
-inputs: they come from a data.Dataset, which checked them when it was built.
+and backward_masks) on model.MaskedForward's class-major softmax, in a
+numerics.Workspace of its own. trainer.train takes a whole epoch's mask
+weights from its removal orders at once (chain_weights) and calls
+objective_core per batch, in one Workspace per batch shape, so both run one
+path. Nothing here checks its inputs: they come from a data.Dataset, which
+checked them when it was built.
 
 Exhaustive VRR reads everything that depends only on the modality count M
 from one cached lattice table per M: the mask weights, the pairs' columns and
@@ -32,7 +34,7 @@ import numpy as np
 from .data import write_text
 from .errors import CapabilityError, ConfigError, EmptyInputError, SpecError, one_of
 from .model import ClassifierParams, backward_masks, forward_core, mask_weights
-from .numerics import ALLOCATE, Array, Workspace
+from .numerics import Array, Workspace
 
 REGULARIZER_VARIANTS = ("hinge", "difference", "none")
 VRR_MODES = one_of("sampled", "exhaustive")
@@ -128,8 +130,8 @@ class RankingRecords:
 class ChainObjective:
     """Batch sums of the composite objective, with the gradient of `loss`.
 
-    An objective_core run with a Workspace returns that workspace's arrays as
-    `confidence`, so the next batch of its shape overwrites them.
+    objective_core returns its Workspace's array as `confidence`, so the next
+    batch of that shape overwrites it.
     """
 
     loss: float
@@ -148,8 +150,6 @@ def chain_objective(
     variant: str = "hinge",
     lam: float = 0.0,
     skip_on_wrong_full: bool = True,
-    detach_superset: bool = False,
-    out: ClassifierParams | None = None,
 ) -> ChainObjective:
     """Composite objective summed over a batch, each sample on its own removal chain.
 
@@ -160,16 +160,16 @@ def chain_objective(
     ranking penalty sums the variant's pair loss over the (mask k+1, mask k)
     pairs and is weighted by `lam`. With `skip_on_wrong_full` the penalty is
     dropped (loss and gradients) for samples whose full-mask prediction is
-    wrong. Gradients flow through both pair confidences unless
-    `detach_superset` stops the conf(S) side. The gradients overwrite `out`
-    when it is given.
+    wrong. Gradients flow through both pair confidences. The call runs
+    objective_core on a Workspace of its own, as train does on one per batch shape.
     """
     presence = np.asarray(presence, dtype=bool)
-    weights = mask_weights(presence)
+    batch, num_masks, _ = presence.shape
     labels = np.asarray(labels)
-    onehot = label_onehot(labels, params.spec.num_classes, presence.shape[1])
-    options = (variant, lam, skip_on_wrong_full, detach_superset)
-    return objective_core(params, list(features), weights, labels, onehot, *options, out)
+    onehot = label_onehot(labels, params.spec.num_classes, num_masks)
+    workspace = Workspace.for_batch(params.spec, batch, num_masks)
+    options = (variant, lam, skip_on_wrong_full, None, workspace)  # None: new gradients
+    return objective_core(params, list(features), mask_weights(presence), labels, onehot, *options)
 
 
 def label_onehot(labels: Array, num_classes: int, num_masks: int) -> Array:
@@ -186,16 +186,16 @@ def objective_core(
     variant,
     lam,
     skip_on_wrong_full,
-    detach_superset,
     out,
-    workspace: Workspace = ALLOCATE,
+    workspace: Workspace,
 ) -> ChainObjective:
     """chain_objective on the (B, K, M) mask `weights` (the presence divided by each mask's size).
 
     `labels` is the batch's (B,) labels and `onehot` their label_onehot for K
-    masks, or a column slice of one. A `workspace` built for B rows and K masks
-    takes every batch-sized temporary, the returned confidences among them:
-    the next call with it overwrites this result's arrays.
+    masks, or a column slice of one. The gradients overwrite `out`, or go to a
+    new ClassifierParams when it is None. `workspace`, built for B rows and K
+    masks, takes every batch-sized temporary, the returned confidences among
+    them: the next call with it overwrites this result's arrays.
     """
     fwd = forward_core(params, blocks, weights, workspace)
     batch, num_masks = fwd.sums.shape
@@ -208,11 +208,8 @@ def objective_core(
     # Bit for bit the probability at `predicted` (MaskedForward.confidence).
     confidence = np.divide(1.0, fwd.sums, out=workspace.confidence)
     full_correct = predicted[::num_masks] == labels
-    rows, columns = workspace.rows, workspace.columns
-    if rows is None:
-        rows, columns = np.arange(batch), np.arange(batch * num_masks)
     # The true class's probability: probs * onehot summed over the classes, whose zeros add +0.0.
-    true_prob = probs.reshape(-1, batch, num_masks)[labels, rows]
+    true_prob = probs.reshape(-1, batch, num_masks)[labels, workspace.rows]
     if variant == "none":
         gate = np.zeros(batch)
     else:
@@ -224,14 +221,12 @@ def objective_core(
         # Column k + 1 of the zero-padded buffer holds pair k's weighted derivative,
         # which mask k + 1 (T) gains and mask k (S) loses.
         padded = workspace.padded
-        if padded is None:
-            padded = np.zeros((batch, num_masks + 1))
         np.multiply(lam * gate[:, None], d_conf_t, out=padded[:, 1:-1])
-        d_conf = padded[:, :-1] if detach_superset else padded[:, :-1] - padded[:, 1:]
+        d_conf = padded[:, :-1] - padded[:, 1:]
         # d max_k p_k / d z = p_c * (onehot_c - p), differentiating through the
         # argmax class fixed by this forward pass; the probabilities are read no more.
         d_logits = np.negative(probs, out=probs)
-        d_logits[predicted, columns] = 1.0 - confidence.ravel()
+        d_logits[predicted, workspace.columns] = 1.0 - confidence.ravel()
         d_logits *= (d_conf * confidence).ravel()
         logit_grads += d_logits
 

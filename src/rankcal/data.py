@@ -27,7 +27,7 @@ import numpy as np
 from .errors import AT_LEAST_1, AT_LEAST_2, FINITE_NON_NEGATIVE, NON_NEGATIVE, OPEN_FRACTION, PATH
 from .errors import TWO_OR_MORE
 from .errors import ConfigError, DimensionError, DomainError, EmptyInputError, Key, ParseError
-from .errors import SpecError, SplitError, check_bounds, check_section, read_section
+from .errors import SpecError, SplitError, check_section, read_section
 
 # Stream tags for mean placement, feature noise, corruption draws and validation carve-outs.
 _MEANS_STREAM = 11
@@ -65,18 +65,15 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self):
-        # An array is taken as its list. The bounds apply to the values as given, so an
-        # error shows the value as written.
-        for key in [key for key, value in vars(self).items() if isinstance(value, np.ndarray)]:
-            object.__setattr__(self, key, getattr(self, key).tolist())
-        check_bounds("data.synthetic", vars(self), SYNTHETIC_SCHEMA)
-        object.__setattr__(self, "modality_dims", tuple(map(int, self.modality_dims)))
-        for (key, count), kind in zip(_entry_counts(vars(self)).items(), (int, float, float)):
-            value = getattr(self, key)  # a scalar stands for every class or modality
-            value = tuple(map(kind, value if isinstance(value, (list, tuple)) else [value] * count))
+        # Kinds and bounds as the JSON section's; a numpy value is taken as its Python value.
+        values = check_section("data.synthetic", vars(self), SYNTHETIC_SCHEMA)
+        values["modality_dims"] = tuple(values["modality_dims"])
+        for key, count in _entry_counts(values).items():
+            value = values[key]  # a scalar stands for every class or modality
+            values[key] = value = tuple(value if isinstance(value, list) else [value] * count)
             if len(value) != count:
                 raise SpecError(f"data.synthetic.{key}: expected {count} entries, got {value}")
-            object.__setattr__(self, key, value)
+        vars(self).update(values)  # past the frozen dataclass's __setattr__
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SyntheticSpec":
@@ -155,30 +152,6 @@ class Dataset:
 
     def class_counts(self) -> list[int]:
         return [int(np.sum(self.labels == k)) for k in range(self.num_classes)]
-
-
-@dataclass(frozen=True)
-class CorruptionSpec:
-    """Gaussian noise of variance `epsilon` on the target modalities."""
-
-    target_modalities: frozenset[int]
-    epsilon: float
-    seed: int
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "target_modalities", frozenset(int(i) for i in self.target_modalities)
-        )
-        FINITE_NON_NEGATIVE.check("", "epsilon", self.epsilon)
-        if any(i < 0 for i in self.target_modalities):
-            raise SpecError(f"negative modality index: {self.target_modalities}")
-
-    def noise_std(self) -> float:
-        return float(np.sqrt(self.epsilon))
-
-    def noisy_modalities(self) -> frozenset[int]:
-        """The modalities that get noise: the targets, unless epsilon is 0."""
-        return self.target_modalities if self.noise_std() > 0.0 else frozenset()
 
 
 def class_means(spec: SyntheticSpec, modality: int) -> np.ndarray:
@@ -466,10 +439,13 @@ def split_validation(train_set: Dataset, val_fraction: float, seed: int) -> tupl
     return split(train_set, 1.0 - val_fraction, stream)
 
 
-def corrupt_block(block: np.ndarray, spec: CorruptionSpec, modality: int) -> np.ndarray:
-    """`block` plus its Gaussian noise under `spec`, drawn from modality's stream."""
-    rng = np.random.default_rng([spec.seed, _CORRUPT_STREAM, modality])
-    return block + spec.noise_std() * rng.standard_normal(block.shape)
+def corrupt_block(block: np.ndarray, epsilon: float, seed: int, modality: int) -> np.ndarray:
+    """`block` plus Gaussian noise of variance `epsilon`, drawn from `seed`'s stream for `modality`.
+
+    `epsilon` is a finite value >= 0; the caller checks it.
+    """
+    rng = np.random.default_rng([seed, _CORRUPT_STREAM, modality])
+    return block + math.sqrt(epsilon) * rng.standard_normal(block.shape)
 
 
 @dataclass(frozen=True)

@@ -125,11 +125,13 @@ def _check_value(path: str, raw, kind):
 
     `kind` is bool, int, float (which also takes an int), str or dict, `list[T]`
     of any kind, or a union such as `int | list[int]`. A bool is never taken
-    for a number.
+    for a number. A numpy array or scalar is taken as its Python value and a
+    tuple as a list, as a config class built in Python may hold them.
     """
+    raw = raw.tolist() if hasattr(raw, "tolist") else raw
     for option in typing.get_args(kind) if isinstance(kind, types.UnionType) else (kind,):
         if typing.get_origin(option) is list:
-            if isinstance(raw, list):
+            if isinstance(raw, (list, tuple)):
                 (item,) = typing.get_args(option)
                 return [_check_value(f"{path}[{i}]", v, item) for i, v in enumerate(raw)]
         elif isinstance(raw, bool) == (option is bool) and isinstance(

@@ -45,7 +45,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import AT_LEAST_1, AT_LEAST_2, TWO_OR_MORE, CapabilityError, DimensionError, Key
-from .errors import MaskError, StateError, check_bounds, check_section, read_section
+from .errors import MaskError, StateError, check_section, read_section
 from .numerics import ALLOCATE, Array, Workspace, softmax_parts
 
 CHECKPOINT_MAGIC = "rankcal-checkpoint v1"
@@ -71,10 +71,9 @@ class ModelSpec:
     num_classes: int
 
     def __post_init__(self):
-        if isinstance(self.modality_dims, np.ndarray):  # an array is taken as its list
-            object.__setattr__(self, "modality_dims", self.modality_dims.tolist())
-        check_bounds("model", vars(self), SPEC_SCHEMA)  # before converting: errors show the input
-        object.__setattr__(self, "modality_dims", tuple(int(d) for d in self.modality_dims))
+        """Fail on a value of the wrong kind or out of bounds; numpy values become Python ones."""
+        values = check_section("model", vars(self), SPEC_SCHEMA)
+        vars(self).update(values, modality_dims=tuple(values["modality_dims"]))  # past frozen
 
     @property
     def num_modalities(self) -> int:

@@ -25,10 +25,10 @@ from .calibration import (
     objective_core,
     removal_orders,
 )
-from .data import CorruptionSpec, Dataset, corrupt_block
+from .data import Dataset, corrupt_block
 from .errors import AT_LEAST_1, FINITE_NON_NEGATIVE, FINITE_POSITIVE, NON_EMPTY, NON_NEGATIVE
 from .errors import DivergenceError, EmptyInputError, Key, NumericError, SpecError
-from .errors import SweepError, check_bounds, one_of, read_section
+from .errors import SweepError, check_section, one_of, read_section
 from .metrics import MetricsReport, build_report
 from .model import ClassifierParams, ModelSpec, SubsetMask, classify_core
 from .model import encode_copies, encode_core, init_params, mask_weights
@@ -47,7 +47,6 @@ TRAIN_SCHEMA = {
     "lambda": Key(float, FINITE_NON_NEGATIVE),
     "variant": Key(str, one_of(*REGULARIZER_VARIANTS)),
     "skip_on_wrong_full": Key(bool),
-    "detach_superset": Key(bool),
     "seed": Key(int, NON_NEGATIVE),
     "vrr_mode": Key(str, VRR_MODES),
 }
@@ -85,13 +84,16 @@ class TrainConfig:
     lam: float = 0.0
     variant: str = "hinge"
     skip_on_wrong_full: bool = True
-    detach_superset: bool = False
     seed: int = 0
     vrr_mode: str = "sampled"
 
     def __post_init__(self):
-        """Fail on a setting outside TRAIN_SCHEMA's bounds, or settings that do not go together."""
-        check_bounds("train", self.to_json_dict(), TRAIN_SCHEMA)
+        """Fail on a setting of the wrong kind or out of bounds, or on settings that clash.
+
+        Each setting is checked as its TRAIN_SCHEMA key; numpy values become Python ones.
+        """
+        values = check_section("train", self.to_json_dict(), TRAIN_SCHEMA)
+        vars(self).update({_FIELDS.get(key, key): value for key, value in values.items()})
         if self.vrr_mode == "exhaustive":
             check_exhaustive(self.model.num_modalities)
 
@@ -152,7 +154,7 @@ def train(config: TrainConfig, train_set: Dataset) -> RunResult:
     num_modalities = train_set.num_modalities
     grads = ClassifierParams(params.spec)
     state = init_adam_state(params.flat.size, learning_rate=config.learning_rate)
-    options = (config.variant, config.lam, config.skip_on_wrong_full, config.detach_superset)
+    options = (config.variant, config.lam, config.skip_on_wrong_full)
 
     n = train_set.num_samples
     sizes = {min(config.batch_size, n), n % config.batch_size} - {0}  # full and ragged batches
@@ -344,6 +346,7 @@ def noise_sweep(
 ) -> list[NoiseSweepRow]:
     """Accuracy of both models on the same corrupted copies of the test set.
 
+    Each epsilon must be a finite value >= 0, checked before any noise is drawn.
     Cell (epsilon, target set) draws its copy from data.corrupt_block's streams,
     keyed by (seed, epsilon index, target index). The cells run in chunks of
     at most NOISE_SWEEP_ROWS test rows (at least one cell): each model encodes
@@ -360,15 +363,16 @@ def noise_sweep(
     _check_dataset(params_baseline.spec, test_set)
     NON_EMPTY.check("", "epsilons", epsilons)
     NON_EMPTY.check("", "target_sets", target_sets)
-    cells = []
-    for e_idx, eps in enumerate(epsilons):
+    cells = []  # (targets, epsilon, seed, the modalities that get noise) per cell
+    for e_idx, eps in enumerate(map(float, epsilons)):
+        FINITE_NON_NEGATIVE.check("", f"epsilons[{e_idx}]", eps)
         for t_idx, targets in enumerate(target_sets):
             targets.validate_for(test_set.num_modalities)
             # A spawn key, not [seed, 4, e, t]: SeedSequence drops trailing zeros up to
             # its 4-word pool, so cell (0, 0) would be data.split's class-4 stream [seed, 4].
             stream = np.random.SeedSequence(seed, spawn_key=(_NOISE_STREAM, e_idx, t_idx))
             cell_seed = int(np.random.default_rng(stream).integers(2**31))
-            cells.append((targets, CorruptionSpec(targets.present, float(eps), cell_seed)))
+            cells.append((targets, eps, cell_seed, targets.present if eps > 0.0 else ()))
     blocks = test_set.modalities
     weights = mask_weights(np.ones((1, len(blocks)), dtype=bool))  # the full mask's weights
     models = (params_baseline, params_cml)
@@ -376,20 +380,21 @@ def noise_sweep(
     step = max(1, NOISE_SWEEP_ROWS // test_set.num_samples)
     correct: tuple[list[int], list[int]] = ([], [])
     for start in range(0, len(cells), step):
-        specs = [spec for _, spec in cells[start : start + step]]
+        chunk = cells[start : start + step]
         # Per corrupted modality: the chunk's cells that corrupt it, and their stacked copies.
         copies = []
         for m, block in enumerate(blocks):
-            idx = [c for c, spec in enumerate(specs) if m in spec.noisy_modalities()]
+            idx = [c for c, (*_, noisy) in enumerate(chunk) if m in noisy]
             if idx:
-                copies.append((m, idx, np.stack([corrupt_block(block, specs[c], m) for c in idx])))
+                stack = [corrupt_block(block, chunk[c][1], chunk[c][2], m) for c in idx]
+                copies.append((m, idx, np.stack(stack)))
         for params, latents, counts in zip(models, clean, correct):
-            counts += _chunk_correct(params, weights, latents, copies, len(specs), test_set.labels)
+            counts += _chunk_correct(params, weights, latents, copies, len(chunk), test_set.labels)
     rows = []
-    for (targets, spec), count_a, count_b in zip(cells, *correct):
+    for (targets, eps, _, _), count_a, count_b in zip(cells, *correct):
         acc_a = 100.0 * count_a / test_set.num_samples
         acc_b = 100.0 * count_b / test_set.num_samples
-        rows.append(NoiseSweepRow(spec.epsilon, targets, acc_a, acc_b, acc_b - acc_a))
+        rows.append(NoiseSweepRow(eps, targets, acc_a, acc_b, acc_b - acc_a))
     return rows
 
 

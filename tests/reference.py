@@ -30,7 +30,7 @@ import numpy as np
 
 from rankcal import trainer
 from rankcal.calibration import chain_objective, chain_presence, removal_orders
-from rankcal.data import CorruptionSpec, Dataset, corrupt_block
+from rankcal.data import Dataset, corrupt_block
 from rankcal.errors import DivergenceError, DomainError, MaskError, NumericError, ParseError
 from rankcal.errors import SpecError
 from rankcal.model import ClassifierParams, SubsetMask, encode_core, init_params, mask_weights
@@ -106,18 +106,17 @@ def predicted_classes(fwd) -> np.ndarray:
     return row_major_probs(fwd).argmax(axis=-1)
 
 
-def corrupt_gaussian(dataset, spec: CorruptionSpec):
-    """Add zero-mean Gaussian noise to the targeted modalities.
+def corrupt_gaussian(dataset, targets, epsilon: float, seed: int):
+    """Add zero-mean Gaussian noise of variance `epsilon` to the `targets` modalities.
 
-    Untargeted modalities (and the epsilon = 0 case) are bit-identical copies;
-    labels are never touched.
+    `targets` is a collection of modality indices. Untargeted modalities (and
+    the epsilon = 0 case) are bit-identical copies; labels are never touched.
     """
-    for m in spec.target_modalities:
-        if m >= dataset.num_modalities:
+    for m in targets:
+        if not 0 <= m < dataset.num_modalities:
             raise SpecError(f"corruption target {m} out of range for {dataset.num_modalities}")
-    noisy = spec.noisy_modalities()
     modalities = [
-        corrupt_block(block, spec, m) if m in noisy else block.copy()
+        corrupt_block(block, epsilon, seed, m) if m in targets and epsilon > 0.0 else block.copy()
         for m, block in enumerate(dataset.modalities)
     ]
     return Dataset(modalities, dataset.labels.copy(), dataset.num_classes)
@@ -170,7 +169,6 @@ def reference_objective(
     variant: str = "hinge",
     lam: float = 0.0,
     skip_on_wrong_full: bool = True,
-    detach_superset: bool = False,
 ):
     """(total, cls, reg, flat gradient) of one sample on one chain of masks."""
     acts = _encode(params, feats)
@@ -199,8 +197,7 @@ def reference_objective(
                 reg += conf_t - conf_s
                 g_t = 1.0
             conf_grads[k + 1] += g_t
-            if not detach_superset:
-                conf_grads[k] -= g_t
+            conf_grads[k] -= g_t
     for k in range(num_masks):
         c = predicted[k]
         d_conf = conf[k] * (np.eye(len(probs[k]))[c] - probs[k])
@@ -230,7 +227,6 @@ def reference_chain_objective(
     variant: str = "hinge",
     lam: float = 0.0,
     skip_on_wrong_full: bool = True,
-    detach_superset: bool = False,
 ):
     """(loss, cls, reg, flat gradient, confidence, full_correct) of a batch of removal chains.
 
@@ -279,8 +275,7 @@ def reference_chain_objective(
         d_conf_t = lam * gate[:, None] * d_conf_t
         d_conf = np.zeros_like(confidence)
         d_conf[:, 1:] += d_conf_t
-        if not detach_superset:
-            d_conf[:, :-1] -= d_conf_t
+        d_conf[:, :-1] -= d_conf_t
         d_logits = -rows
         d_logits[np.arange(len(d_logits)), predicted.ravel()] = 1.0 - confidence.ravel()
         logit_grads += (d_conf * confidence)[..., None] * d_logits.reshape(probs.shape)
@@ -441,7 +436,6 @@ def reference_train(config, train_set):
                     variant=config.variant,
                     lam=config.lam,
                     skip_on_wrong_full=config.skip_on_wrong_full,
-                    detach_superset=config.detach_superset,
                 )
             except NumericError:
                 raise DivergenceError(epoch=epoch, batch=batch_idx, loss=float("nan")) from None
@@ -500,12 +494,8 @@ def reference_noise_sweep(params_a, params_b, test_set, epsilons, target_sets, s
             cell_stream = np.random.SeedSequence(
                 seed, spawn_key=(trainer._NOISE_STREAM, e_idx, t_idx)
             )
-            spec = CorruptionSpec(
-                target_modalities=targets.present,
-                epsilon=float(eps),
-                seed=int(np.random.default_rng(cell_stream).integers(2**31)),
-            )
-            corrupted = corrupt_gaussian(test_set, spec)
+            cell_seed = int(np.random.default_rng(cell_stream).integers(2**31))
+            corrupted = corrupt_gaussian(test_set, targets.present, float(eps), cell_seed)
             acc_a = full_mask_accuracy(params_a, corrupted)
             acc_b = full_mask_accuracy(params_b, corrupted)
             rows.append((float(eps), targets, acc_a, acc_b, acc_b - acc_a))

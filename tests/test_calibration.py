@@ -14,6 +14,8 @@ from rankcal.calibration import (
     chain_weights,
     compute_vrr,
     evaluate_vrr,
+    label_onehot,
+    objective_core,
     pair_losses,
     removal_orders,
     write_records_csv,
@@ -22,6 +24,7 @@ from rankcal.data import Dataset
 from rankcal.errors import CapabilityError, ConfigError, DomainError, EmptyInputError, SpecError
 from rankcal.model import ClassifierParams, ModelSpec, backward_masks, forward_core, init_params
 from rankcal.model import mask_weights
+from rankcal.numerics import Workspace
 
 from gradcheck import grad_check
 from reference import (
@@ -257,8 +260,7 @@ class TestSampleObjective:
 
     @pytest.mark.parametrize("variant", ["hinge", "difference", "none"])
     @pytest.mark.parametrize("skip_on_wrong_full", [True, False])
-    @pytest.mark.parametrize("detach_superset", [True, False])
-    def test_matches_per_sample_reference(self, variant, skip_on_wrong_full, detach_superset):
+    def test_matches_per_sample_reference(self, variant, skip_on_wrong_full):
         spec = ModelSpec(modality_dims=(3, 4, 2, 5), hidden_dim=6, latent_dim=4, num_classes=3)
         for trial in range(5):
             params = init_params(spec, seed=trial)
@@ -266,12 +268,11 @@ class TestSampleObjective:
             feats = [3 * rng.standard_normal((7, d)) for d in spec.modality_dims]
             labels = rng.integers(0, 3, size=7)
             chains = chain_presence(removal_orders(rng, 7, 4))
-            flags = dict(skip_on_wrong_full=skip_on_wrong_full, detach_superset=detach_superset)
-            res = chain_objective(params, feats, labels, chains, variant, 2.5, **flags)
+            res = chain_objective(params, feats, labels, chains, variant, 2.5, skip_on_wrong_full)
             parts = [
                 reference_objective(
                     params, [x[b] for x in feats], int(labels[b]), chain_masks(chains[b]),
-                    variant, 2.5, **flags,
+                    variant, 2.5, skip_on_wrong_full,
                 )
                 for b in range(7)
             ]
@@ -279,22 +280,6 @@ class TestSampleObjective:
             assert res.cls_loss == pytest.approx(sum(p[1] for p in parts), rel=0, abs=1e-12)
             assert res.reg_loss == pytest.approx(sum(p[2] for p in parts), rel=0, abs=1e-12)
             assert np.max(np.abs(res.grads.flat - sum(p[3] for p in parts))) <= 1e-12
-
-    def test_detach_superset_stops_superset_gradient(self):
-        # one full-to-singleton pair: with detach only conf(T) gets a penalty
-        # gradient, so encoders present only in S keep their classification-only
-        # gradient while the loss itself is unchanged
-        labels = self.labels
-        chain = chain_presence(np.array([[0, 2, 1]]))[:, [0, 2]]
-        live = chain_objective(self.params, self.feats, labels, chain, "difference", 5.0,
-                               skip_on_wrong_full=False)
-        detached = chain_objective(self.params, self.feats, labels, chain, "difference", 5.0,
-                                   skip_on_wrong_full=False, detach_superset=True)
-        plain = chain_objective(self.params, self.feats, labels, chain, "none")
-        assert detached.loss == live.loss
-        for m in (0, 2):  # only in S, so only reachable through conf(S)
-            assert np.array_equal(detached.grads.w1[m], plain.grads.w1[m])
-            assert not np.array_equal(live.grads.w1[m], plain.grads.w1[m])
 
 
 class TestCompositeGradient:
@@ -368,19 +353,21 @@ class TestObjectiveMatchesComposition:
     """chain_objective's bytes must match the plain composition of forward, NLL and backward.
 
     The row-major oracle sums the classes left to right below 8 and pairwise from 8 on.
+    A chain may stop short of its single-modality end: `dropped` masks come off
+    each chain, which leaves one mask and no pair at two modalities.
     """
 
     @pytest.mark.parametrize("num_classes", [2, 4, 8, 11])
     @pytest.mark.parametrize("num_modalities", [2, 3, 5])
     @pytest.mark.parametrize("batch", [1, 11, 32])
     @pytest.mark.parametrize("lam", [0.0, 2.5])
-    @pytest.mark.parametrize("detach_superset", [False, True])
+    @pytest.mark.parametrize("dropped", [0, 1])
     @pytest.mark.parametrize("skip_on_wrong_full", [True, False])
     @pytest.mark.parametrize("variant", REGULARIZER_VARIANTS)
     @pytest.mark.parametrize("hidden, latent", [(7, 5), (24, 12), (128, 64)])
     def test_bytes_equal(
-        self, hidden, latent, variant, skip_on_wrong_full, detach_superset, lam, batch,
-        num_modalities, num_classes,
+        self, hidden, latent, variant, skip_on_wrong_full, dropped, lam, batch, num_modalities,
+        num_classes,
     ):
         dims = tuple(range(2, 2 + num_modalities))
         spec = ModelSpec(dims, hidden_dim=hidden, latent_dim=latent, num_classes=num_classes)
@@ -389,10 +376,9 @@ class TestObjectiveMatchesComposition:
         feats = [2 * rng.standard_normal((batch, d)) for d in dims]
         labels = rng.integers(0, num_classes, size=batch)
         chains = chain_presence(removal_orders(rng, batch, num_modalities))
-        options = (variant, lam, skip_on_wrong_full, detach_superset)
-        # a stale buffer: every gradient array must be overwritten
-        out = ClassifierParams(params.spec, np.full_like(params.flat, np.nan))
-        res = chain_objective(params, feats, labels, chains, *options, out=out)
+        chains = chains[:, : num_modalities - dropped]
+        options = (variant, lam, skip_on_wrong_full)
+        res = chain_objective(params, feats, labels, chains, *options)
         loss, cls, reg, grads, confidence, full_correct = reference_chain_objective(
             params, feats, labels, chains, *options
         )
@@ -400,6 +386,31 @@ class TestObjectiveMatchesComposition:
         assert res.grads.flat.tobytes() == grads.tobytes()
         assert res.confidence.tobytes() == confidence.tobytes()
         assert np.array_equal(res.full_correct, full_correct)
+
+    @pytest.mark.parametrize("variant", REGULARIZER_VARIANTS)
+    def test_reused_gradient_buffer_and_workspace_change_no_byte(self, variant):
+        # train runs objective_core on one gradient buffer and one workspace per batch shape:
+        # a call must overwrite every array that an earlier batch of that shape left behind.
+        spec = ModelSpec((2, 3, 4), hidden_dim=7, latent_dim=5, num_classes=4)
+        params = init_params(spec, seed=6)
+        out = ClassifierParams(spec, np.full_like(params.flat, np.nan))
+        workspace = Workspace.for_batch(spec, 9, 3)
+        for draw in range(3):
+            rng = np.random.default_rng([6, draw])
+            feats = [2 * rng.standard_normal((9, d)) for d in spec.modality_dims]
+            labels = rng.integers(0, 4, size=9)
+            chains = chain_presence(removal_orders(rng, 9, 3))
+            options = (variant, 2.5, draw != 1)
+            want = chain_objective(params, feats, labels, chains, *options)
+            onehot = label_onehot(labels, 4, 3)
+            weights = mask_weights(chains)
+            got = objective_core(params, feats, weights, labels, onehot, *options, out, workspace)
+            assert got.grads is out
+            sums = [(r.loss, r.cls_loss, r.reg_loss) for r in (got, want)]
+            assert sums[0] == sums[1]
+            assert out.flat.tobytes() == want.grads.flat.tobytes()
+            assert got.confidence.tobytes() == want.confidence.tobytes()
+            assert np.array_equal(got.full_correct, want.full_correct)
 
 
 class TestDeadUnitGradientBytes:
@@ -422,7 +433,7 @@ class TestDeadUnitGradientBytes:
         # Two classes, all labelled 0, no penalty: each row's latent gradient is a positive
         # multiple of head_w[:, 1] - head_w[:, 0], so this w2 row makes the upstream one negative.
         params.w2[modality, 0] = params.head_w[:, 0] - params.head_w[:, 1]
-        options = ("hinge", 0.0, False, False)
+        options = ("hinge", 0.0, False)
         for b in range(9):  # one row's b2 gradient is its latent gradient
             row = [f[b : b + 1] for f in feats]
             one = chain_objective(params, row, labels[:1], chains[b : b + 1], *options)

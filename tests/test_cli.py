@@ -33,6 +33,10 @@ SYNTHETIC = {
     "seed": 3,
 }
 
+# Training keys that are gone, each with the value a run written before then records: sampled
+# VRR draws one chain per sample, and the chain gradient always reaches both pair confidences.
+REMOVED_TRAIN_KEYS = [("vrr_repeats", 1), ("detach_superset", False)]
+
 
 def config_with_test_row(tmp_path: Path, modality: int, row, **overrides) -> Path:
     """A config without split, scored on SYNTHETIC as a test manifest whose row 0 of
@@ -468,15 +472,18 @@ class TestCompareCommand:
         assert capsys.readouterr().err.splitlines() == [f"error: {snapshot}: {message}"]
         assert not out.exists()
 
-    # A run written while train.vrr_repeats existed records it (as 1) in resolved_train.
+    # A run written while a training key existed records it in resolved_train.
     @pytest.mark.parametrize("command", ["compare", "sweep"])
-    def test_snapshot_with_vrr_repeats_fails_naming_it(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("key, value", REMOVED_TRAIN_KEYS)
+    def test_snapshot_with_a_removed_key_fails_naming_it(
+        self, tmp_path, capsys, key, value, command
+    ):
         cfg = write_config(tmp_path / "config.json")
         run_dir = tmp_path / "run"
         assert main(["train", "--config", str(cfg), "--out", str(run_dir)]) == 0
         snapshot = run_dir / "config.json"
         obj = json.loads(snapshot.read_text())
-        obj["resolved_train"]["vrr_repeats"] = 1
+        obj["resolved_train"][key] = value
         snapshot.write_text(json.dumps(obj))
         runs = {"baseline_run": "run", "cml_run": "run"}
         sections = {"compare": {"compare": runs}, "sweep": {"sweep": {"kind": "noise", **runs}}}
@@ -485,7 +492,7 @@ class TestCompareCommand:
         capsys.readouterr()
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == [f"error: {snapshot}: train.vrr_repeats: unknown key"]
+        assert err == [f"error: {snapshot}: train.{key}: unknown key"]
         assert not out.exists()
 
     def test_snapshot_of_invalid_json_fails_naming_it(self, tmp_path, capsys):
@@ -1350,8 +1357,11 @@ class TestCommandSections:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "compare", "sweep"])
-    def test_vrr_repeats_is_an_unknown_key(self, tmp_path, capsys, monkeypatch, command):
-        # Sampled VRR draws one chain per sample; the key is refused before any data is read.
+    @pytest.mark.parametrize("key, value", REMOVED_TRAIN_KEYS)
+    def test_removed_train_key_is_an_unknown_key(
+        self, tmp_path, capsys, monkeypatch, key, value, command
+    ):
+        # A removed key is refused before any data is read.
         def no_data(*args, **kwargs):
             raise AssertionError("data was read before the key was checked")
 
@@ -1359,11 +1369,11 @@ class TestCommandSections:
         runs = {"baseline_run": "a", "cml_run": "b"}
         sections = {"compare": {"compare": runs}, "sweep": {"sweep": {"kind": "noise", **runs}}}
         cfg = write_config(
-            tmp_path / "config.json", train={"vrr_repeats": 1}, **sections.get(command, {})
+            tmp_path / "config.json", train={key: value}, **sections.get(command, {})
         )
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.splitlines() == ["error: train.vrr_repeats: unknown key"]
+        assert capsys.readouterr().err.splitlines() == [f"error: train.{key}: unknown key"]
         assert not out.exists()
 
 

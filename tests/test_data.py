@@ -9,8 +9,8 @@ import pytest
 
 from rankcal import data
 from rankcal.data import (
-    CorruptionSpec,
     Dataset,
+    corrupt_block,
     SyntheticSpec,
     class_means,
     generate_synthetic,
@@ -156,6 +156,30 @@ class TestSyntheticSpec:
         message = r"^data.synthetic.samples_per_class\[1\]: expected an int >= 1, got 0$"
         with pytest.raises(ConfigError, match=message):
             basic_spec(samples_per_class=np.array([5, 0]))
+
+    def test_numpy_scalars_taken_as_python_values(self):
+        spec = basic_spec(
+            num_classes=np.int64(2),
+            samples_per_class=np.int32(5),
+            class_separation=(np.float32(0.5), 3),
+            seed=np.uint16(3),
+        )
+        assert spec == basic_spec(samples_per_class=(5, 5), class_separation=(0.5, 3.0), seed=3)
+        assert [type(v) for v in (spec.num_classes, spec.seed, *spec.class_separation)] == [
+            int, int, float, float
+        ]
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"seed": 1.0}, r"data.synthetic.seed: expected int, got 1\.0$"),
+            ({"samples_per_class": (5, 5.0)}, r"data.synthetic.samples_per_class\[1\]: expected "),
+            ({"noise_std": "1"}, r"data.synthetic.noise_std: expected float \| list\[float\]"),
+        ],
+    )
+    def test_wrong_kind_rejected(self, overrides, message):
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            basic_spec(**overrides)
 
 
 class TestGenerateSynthetic:
@@ -565,51 +589,48 @@ class TestSplitValidation:
 class TestCorruptGaussian:
     def test_zero_epsilon_bit_identical(self):
         dataset = generate_synthetic(basic_spec())
-        out = corrupt_gaussian(dataset, CorruptionSpec(frozenset([0]), epsilon=0.0, seed=1))
+        out = corrupt_gaussian(dataset, {0}, epsilon=0.0, seed=1)
         for a, b in zip(out.modalities, dataset.modalities):
             assert a.tobytes() == b.tobytes()
 
     def test_empty_targets_bit_identical(self):
         dataset = generate_synthetic(basic_spec())
-        out = corrupt_gaussian(dataset, CorruptionSpec(frozenset(), epsilon=0.5, seed=1))
+        out = corrupt_gaussian(dataset, set(), epsilon=0.5, seed=1)
         for a, b in zip(out.modalities, dataset.modalities):
             assert a.tobytes() == b.tobytes()
 
     def test_untargeted_modality_untouched_and_labels_kept(self):
         dataset = generate_synthetic(basic_spec())
-        out = corrupt_gaussian(dataset, CorruptionSpec(frozenset([1]), epsilon=0.5, seed=1))
+        out = corrupt_gaussian(dataset, {1}, epsilon=0.5, seed=1)
         assert out.modalities[0].tobytes() == dataset.modalities[0].tobytes()
+        noisy = corrupt_block(dataset.modalities[1], 0.5, seed=1, modality=1)
+        assert out.modalities[1].tobytes() == noisy.tobytes()
         assert not np.array_equal(out.modalities[1], dataset.modalities[1])
         assert np.array_equal(out.labels, dataset.labels)
 
     def test_noise_variance_matches_epsilon(self):
-        spec = basic_spec(modality_dims=(100, 3), samples_per_class=(100, 100))
-        dataset = generate_synthetic(spec)
-        out = corrupt_gaussian(dataset, CorruptionSpec(frozenset([0]), epsilon=0.25, seed=2))
-        noise = out.modalities[0] - dataset.modalities[0]
+        block = np.zeros((200, 100))
+        noise = corrupt_block(block, 0.25, seed=2, modality=0)
         assert noise.size == 20_000
         assert abs(noise.var() - 0.25) / 0.25 < 0.05
 
     def test_epsilon_is_the_noise_variance(self):
-        assert CorruptionSpec(frozenset([0]), epsilon=0.25, seed=0).noise_std() == 0.5
+        # The noise is the square root of epsilon times the (seed, modality) stream's normals.
+        normals = np.random.default_rng([0, data._CORRUPT_STREAM, 1]).standard_normal((3, 4))
+        noise = corrupt_block(np.zeros((3, 4)), 0.25, seed=0, modality=1)
+        assert noise.tobytes() == (0.5 * normals).tobytes()
 
-    @pytest.mark.parametrize("epsilon", [float("inf"), float("nan"), -0.1])
-    def test_non_finite_or_negative_epsilon_rejected(self, epsilon):
-        with pytest.raises(ConfigError, match="^epsilon: expected a finite value >= 0, got "):
-            CorruptionSpec(frozenset([0]), epsilon=epsilon, seed=0)
-
-    def test_deterministic(self):
-        dataset = generate_synthetic(basic_spec())
-        spec = CorruptionSpec(frozenset([0, 1]), epsilon=0.3, seed=9)
-        a = corrupt_gaussian(dataset, spec)
-        b = corrupt_gaussian(dataset, spec)
-        for ma, mb in zip(a.modalities, b.modalities):
-            assert ma.tobytes() == mb.tobytes()
+    def test_deterministic_per_seed_and_modality(self):
+        block = generate_synthetic(basic_spec()).modalities[0]
+        a = corrupt_block(block, 0.3, seed=9, modality=0)
+        assert a.tobytes() == corrupt_block(block, 0.3, seed=9, modality=0).tobytes()
+        assert not np.array_equal(a, corrupt_block(block, 0.3, seed=9, modality=1))
+        assert not np.array_equal(a, corrupt_block(block, 0.3, seed=8, modality=0))
 
     def test_invalid_target_rejected(self):
         dataset = generate_synthetic(basic_spec())
         with pytest.raises(SpecError):
-            corrupt_gaussian(dataset, CorruptionSpec(frozenset([7]), epsilon=0.1, seed=0))
+            corrupt_gaussian(dataset, {7}, epsilon=0.1, seed=0)
 
 
 class TestStandardize:

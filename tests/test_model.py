@@ -93,6 +93,27 @@ class TestModelSpec:
         with pytest.raises(ConfigError, match=message):
             ModelSpec(np.array([0, 2]), 4, 2, 2)
 
+    # Before, the spec kept the np.int64 and save_checkpoint raised a bare TypeError.
+    def test_numpy_scalars_taken_as_python_ints(self, tmp_path):
+        spec = ModelSpec((np.int32(3), 2), np.int64(4), np.uint8(2), 2)
+        assert spec == ModelSpec((3, 2), 4, 2, 2)
+        assert {type(value) for value in spec.to_json_dict().values()} == {list, int}
+        save_checkpoint(tmp_path / "model.ckpt", init_params(spec, 0))
+        assert load_checkpoint(tmp_path / "model.ckpt")[0] == spec
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (((3, 2), 4.0, 2, 2), "model.hidden_dim: expected int, got 4.0"),
+            (((3, 2.5), 4, 2, 2), r"model.modality_dims\[1\]: expected int, got 2.5"),
+            (((3, 2), 4, "2", 2), "model.latent_dim: expected int, got '2'"),
+            (((3, 2), 4, 2, True), "model.num_classes: expected int, got True"),
+        ],
+    )
+    def test_wrong_kind_rejected(self, fields, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            ModelSpec(*fields)
+
 
 class TestSubsetMask:
     def test_empty_rejected(self):

@@ -108,6 +108,125 @@ def test_uncalled_names_reports_names_only_their_own_definition_reads(tmp_path):
     assert uncalled_names(tmp_path) == ["lib.UNUSED", "lib.recurse", "lib.Box.unused"]
 
 
+# What uncalled_parameters records for a call that passes every parameter.
+EVERY = "*"
+
+
+def _passed(trees) -> dict[str, set]:
+    """Name -> the positions and keywords that some call of that name passes, in `trees`.
+
+    `f(...)` and `x.f(...)` both call `f`. A call with *args or **kwargs, or a
+    load of the name that is not a call, not in an annotation and not the `x`
+    of an `x.attribute` (a function passed as a value), passes EVERY parameter.
+    """
+    passed: dict[str, set] = {}
+    for tree in trees:
+        nodes = list(ast.walk(tree))
+        hints = [n.annotation for n in nodes if isinstance(n, (ast.arg, ast.AnnAssign))]
+        hints += [n.returns for n in nodes if isinstance(n, ast.FunctionDef)]
+        skip = {id(n) for hint in hints if hint for n in ast.walk(hint)}
+        skip |= {id(n.func) for n in nodes if isinstance(n, ast.Call)}
+        skip |= {id(n.value) for n in nodes if isinstance(n, ast.Attribute)}  # Box in Box.make
+        for node in nodes:
+            if isinstance(node, ast.Call):
+                args = passed.setdefault(_name(node.func), set())
+                args.update(range(len(node.args)), (k.arg or EVERY for k in node.keywords))
+                if any(isinstance(a, ast.Starred) for a in node.args):
+                    args.add(EVERY)
+            elif isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in skip:
+                passed.setdefault(_name(node), set()).add(EVERY)
+    return passed
+
+
+def _name(node: ast.AST) -> str | None:
+    """The name that a Name or an Attribute node reads; None for other nodes (`f[0]` say)."""
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def uncalled_parameters(root: Path) -> list[str]:
+    """Each parameter with a default, of a public function or method in `root`'s src/rankcal,
+    that no call passes, as "module.function(parameter=)".
+
+    The calls are those in uncalled_names' readers (see _passed). A call passes
+    a parameter by keyword or by position, a method's self or cls not counted.
+    A class's `__init__` is called by the class's name. Like uncalled_names,
+    the check matches by name alone.
+    """
+    src = sorted((root / "src" / "rankcal").glob("*.py"))
+    readers = src + [root / "tests" / "test_acceptance.py"] + sorted(root.glob("perfbench/*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in readers}
+    passed = _passed(trees.values())
+    uncalled = []
+    for path in src:
+        for qualified, node, is_method in _functions(trees[path]):
+            args = passed.get(qualified.rsplit(".", 1)[-1], set())
+            positional = (node.args.posonlyargs + node.args.args)[is_method:]
+            first_optional = len(positional) - len(node.args.defaults)
+            optional = list(enumerate(positional))[first_optional:]
+            kw_defaults = zip(node.args.kwonlyargs, node.args.kw_defaults)
+            optional += [(None, arg) for arg, default in kw_defaults if default is not None]
+            uncalled += [
+                f"{path.stem}.{qualified}({arg.arg}=)"
+                for i, arg in optional
+                if not args & {EVERY, i, arg.arg}
+            ]
+    return uncalled
+
+
+def _functions(tree: ast.Module):
+    """(qualified name, node, whether it takes self or cls) of each public function and
+    method; a class's __init__ goes by the class's name."""
+    for name, node in _definitions(tree):
+        if isinstance(node, ast.FunctionDef):
+            static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+            yield name, node, "." in name and not static
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    yield name, item, True
+
+
+def test_every_optional_parameter_has_a_caller():
+    assert uncalled_parameters(ROOT) == []
+
+
+def test_uncalled_parameters_counts_every_way_to_pass_one(tmp_path):
+    (tmp_path / "src" / "rankcal").mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "src" / "rankcal" / "lib.py").write_text(
+        "def by_key(a, b=1, c=2):\n    return a\n"
+        "def by_position(a, b=1, c=2, *, d=3):\n    return a\n"
+        "def spread(a=1):\n    return a\n"
+        "def spread_keywords(a=1):\n    return a\n"
+        "def as_value(a=1):\n    return a\n"
+        "def hinted(a=1):\n    return a\n"
+        "def _private(a=1):\n    return a\n"
+        "class Box:\n"
+        "    def __init__(self, size=1, tag=None):\n        self.size = size\n"
+        "    def grow(self, by=1):\n        return self.size + by\n"
+        "    @staticmethod\n"
+        "    def make(size=1, tag=None):\n        return Box(size)\n"
+    )
+    (tmp_path / "tests" / "test_acceptance.py").write_text(
+        "from rankcal.lib import *\n"
+        "by_key(0, c=5)\n"
+        "by_position(0, 1, d=4)\n"
+        "spread(*[2])\n"
+        "spread_keywords(**{'a': 2})\n"
+        "list(map(as_value, [1]))\n"
+        "def use(box: hinted) -> hinted:\n    return box\n"
+        "Box(2).grow(3)\n"
+        "Box.make(2)\n"
+    )
+    assert uncalled_parameters(tmp_path) == [
+        "lib.by_key(b=)",
+        "lib.by_position(c=)",
+        "lib.hinted(a=)",
+        "lib.Box(tag=)",
+        "lib.Box.make(tag=)",
+    ]
+
+
 def _private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 

@@ -83,17 +83,53 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match=r"^train\.vrr_repeats: unknown key$"):
             TrainConfig.from_json_dict({"vrr_repeats": 1}, MODEL)
 
+    def test_detach_superset_is_an_unknown_key(self):
+        # The chain gradient always flows through both pair confidences; the key is gone.
+        with pytest.raises(ConfigError, match=r"^train\.detach_superset: unknown key$"):
+            TrainConfig.from_json_dict({"detach_superset": False}, MODEL)
+
+    def test_numpy_scalars_build_as_python_values(self, tmp_path):
+        cfg = config(
+            epochs=np.int64(3),
+            learning_rate=np.float32(1e-3),
+            lam=np.float64(2.5),
+            skip_on_wrong_full=np.bool_(False),
+            seed=np.uint8(4),
+        )
+        obj = cfg.to_json_dict()
+        kinds = {key: type(value) for key, value in obj.items()}
+        assert (kinds["epochs"], kinds["learning_rate"], kinds["lambda"]) == (int, float, float)
+        assert obj["skip_on_wrong_full"] is False and kinds["seed"] is int
+        data.write_json(tmp_path / "train.json", obj)
+        assert TrainConfig.from_json_dict(data.read_json(tmp_path / "train.json"), MODEL) == cfg
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("skip_on_wrong_full", "no", r"train\.skip_on_wrong_full: expected bool, got 'no'"),
+            ("skip_on_wrong_full", 1, r"train\.skip_on_wrong_full: expected bool, got 1"),
+            ("epochs", 2.0, r"train\.epochs: expected int, got 2\.0"),
+            ("epochs", "5", r"train\.epochs: expected int, got '5'"),
+            ("epochs", True, r"train\.epochs: expected int, got True"),
+            ("lam", "1", r"train\.lambda: expected float, got '1'"),
+            ("variant", 3, r"train\.variant: expected str, got 3"),
+        ],
+    )
+    def test_wrong_kind_rejected_when_built(self, field, value, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            config(**{field: value})
+
     def test_exhaustive_mode_over_the_modality_limit_rejected(self):
         spec = ModelSpec(modality_dims=(2,) * 6, hidden_dim=4, latent_dim=2, num_classes=2)
         with pytest.raises(CapabilityError, match="capped at 5 modalities, got 6"):
             config(model=spec, vrr_mode="exhaustive")
 
     def test_json_round_trip_keeps_config_keys(self):
-        cfg = config(lam=2.5, variant="difference", detach_superset=True, vrr_mode="exhaustive")
+        cfg = config(lam=2.5, variant="difference", skip_on_wrong_full=False, vrr_mode="exhaustive")
         obj = cfg.to_json_dict()
         assert sorted(obj) == sorted(
             ["epochs", "learning_rate", "batch_size", "lambda", "variant", "skip_on_wrong_full",
-             "detach_superset", "seed", "vrr_mode"]
+             "seed", "vrr_mode"]
         )
         assert obj["lambda"] == 2.5
         assert TrainConfig.from_json_dict(obj, MODEL) == cfg
@@ -188,11 +224,10 @@ class TestTrainMatchesReferenceLoop:
     # From 8 classes on, softmax_parts sums each column from a row-major copy.
     @pytest.mark.parametrize("num_classes", [3, 8, 11])
     @pytest.mark.parametrize("batch_size", [16, "all", "all-but-one"])
-    @pytest.mark.parametrize("detach_superset", [False, True])
     @pytest.mark.parametrize("skip_on_wrong_full", [True, False])
     @pytest.mark.parametrize("variant", calibration.REGULARIZER_VARIANTS)
     def test_params_and_history_byte_identical(
-        self, variant, skip_on_wrong_full, detach_superset, batch_size, num_classes
+        self, variant, skip_on_wrong_full, batch_size, num_classes
     ):
         train_set = self.train_set(num_classes)
         n = train_set.num_samples
@@ -203,7 +238,6 @@ class TestTrainMatchesReferenceLoop:
             lam=5.0,
             variant=variant,
             skip_on_wrong_full=skip_on_wrong_full,
-            detach_superset=detach_superset,
             seed=4,
         )
         result = train(cfg, train_set)
@@ -606,6 +640,18 @@ class TestNoiseSweep:
         empty = make_sets(per_class=20)[1].take([])
         with pytest.raises(EmptyInputError, match="empty test set"):
             noise_sweep(params, params, empty, [0.1], [SubsetMask.of([0])], seed=0)
+
+    @pytest.mark.parametrize(
+        "epsilons, bad", [([0.1, -1.0], 1), ([float("nan")], 0), ([0.2, 0.3, float("inf")], 2)]
+    )
+    def test_bad_epsilon_rejected_naming_it_before_any_noise(self, monkeypatch, epsilons, bad):
+        drawn = []
+        monkeypatch.setattr(trainer, "corrupt_block", lambda *args: drawn.append(args))
+        params, test_set = init_params(MODEL, 0), make_sets(per_class=20)[1]
+        want = rf"^epsilons\[{bad}\]: expected a finite value >= 0, got {epsilons[bad]!r}$"
+        with pytest.raises(ConfigError, match=want):
+            noise_sweep(params, params, test_set, epsilons, [SubsetMask.of([0])], seed=0)
+        assert drawn == []
 
     @pytest.mark.parametrize("key", ["epsilons", "target_sets"])
     def test_empty_grid_rejected_naming_it(self, key):
