@@ -222,12 +222,15 @@ class TestTrainMatchesReferenceLoop:
     # 25 samples a class: batches of 16 leave a ragged last batch (11 rows at 3 classes);
     # "all" is one batch of every row, and "all-but-one" leaves a 1-row last batch.
     # From 8 classes on, softmax_parts sums each column from a row-major copy.
+    # At lambda 0 the objective skips the penalty, so the reused workspace's padded
+    # buffer is never written and the gradient holds the class term alone.
     @pytest.mark.parametrize("num_classes", [3, 8, 11])
     @pytest.mark.parametrize("batch_size", [16, "all", "all-but-one"])
+    @pytest.mark.parametrize("lam", [0.0, 5.0])
     @pytest.mark.parametrize("skip_on_wrong_full", [True, False])
     @pytest.mark.parametrize("variant", calibration.REGULARIZER_VARIANTS)
     def test_params_and_history_byte_identical(
-        self, variant, skip_on_wrong_full, batch_size, num_classes
+        self, variant, skip_on_wrong_full, lam, batch_size, num_classes
     ):
         train_set = self.train_set(num_classes)
         n = train_set.num_samples
@@ -235,7 +238,7 @@ class TestTrainMatchesReferenceLoop:
             model=dataclasses.replace(self.MODEL3, num_classes=num_classes),
             epochs=3,
             batch_size={"all": n, "all-but-one": n - 1}.get(batch_size, batch_size),
-            lam=5.0,
+            lam=lam,
             variant=variant,
             skip_on_wrong_full=skip_on_wrong_full,
             seed=4,
