@@ -387,7 +387,7 @@ def cmd_sweep(
     )
     out.mkdir(parents=True, exist_ok=True)
     table = "".join(
-        f"eps={row.epsilon:g};on={row.targets.format()},"
+        f"eps={row.epsilon:.9g};on={row.targets.format()},"
         f"{row.acc_baseline:.9g},{row.acc_cml:.9g},{row.delta:.9g}\n"
         for row in rows
     )

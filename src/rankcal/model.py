@@ -6,16 +6,14 @@ mean and fed to a shared linear head. Removing a modality is a zero fusion
 weight in the mask, never zero-filled features, so the same parameters serve
 every subset.
 
-One batched path serves training and evaluation: forward_core encodes every
-modality of a batch of rows once and classifies it under K masks at a time,
-given as the mask weights of a presence tensor (mask_weights), and
+One batched path serves training, evaluation and the noise sweep: forward_core
+encodes every modality of a batch of rows once and classifies it under K masks
+at a time, given as the mask weights of a presence tensor (mask_weights), and
 backward_masks returns the matching parameter gradients. Neither checks its
 inputs: the feature blocks come from a data.Dataset, which checked them when it
 was built, and the callers check the model spec against the data once per run.
 Every caller converts presence to weights itself, so training does it once per
-epoch. forward_core is its encoder half (encode_core) followed by its
-classifier half (classify_core); the noise sweep calls the halves itself, on
-stacked copies.
+epoch.
 A ClassifierParams carries the ModelSpec it was built for, the one statement of
 its shapes, and holds every parameter as a view into one flat vector. Every
 encoder has the spec's hidden and latent sizes, so each encoder layer's
@@ -23,9 +21,9 @@ parameters are stacked over the modalities and the cores run a layer for all
 of them in one numpy call; only the first-layer matmul, whose input dims
 differ, runs once per modality.
 
-The classifier half is class-major: the logits, exponentials, probabilities
-and logit gradients are (C, B*K), one row per class, and all but a
-workspace's logit gradients are C-contiguous. Two traps:
+The forward's classifier half (fusion, head, softmax) is class-major: the
+logits, exponentials, probabilities and logit gradients are (C, B*K), one row
+per class, and all but a workspace's logit gradients are C-contiguous. Two traps:
 the head matmul must stay row-major, (B*K, L) @ (L, C), since that BLAS call
 fixes the bits (its transpose picks another OpenBLAS kernel at latent 64); and
 the transposing bias add must ask for C order, or it returns F order with the
@@ -239,69 +237,24 @@ def forward_core(
     mask_weights of (K, M) or (B, K, M) boolean masks, each with at least one
     modality. A modality outside a mask gets a zero fusion weight there, so for
     finite parameters its latent adds exactly zero to that mask's fused latent.
-    This is encode_core followed by classify_core. A `workspace` built for B
-    rows and K masks takes every array of the result (see MaskedForward).
+    The head runs as one row-major (B*K, L) matmul (see the module docstring
+    for the layout's traps). A `workspace` built for B rows and K masks takes
+    every array of the result (see MaskedForward).
     """
-    hidden, latents = encode_core(params, blocks, workspace)
-    fused, exp, sums = classify_core(params, weights, latents, workspace)
-    return MaskedForward(blocks, hidden, weights, fused, exp, sums)
-
-
-def encode_core(
-    params: ClassifierParams, blocks: list[Array], workspace: Workspace = ALLOCATE
-) -> tuple[Array, Array]:
-    """The encoder half of forward_core: stacked (M, B, H) hidden activations, (M, B, L) latents."""
     hidden = workspace.hidden
     if hidden is None:
         hidden = np.empty((len(blocks), len(blocks[0]), params.b1.shape[1]))
     for m, x in enumerate(blocks):  # one matmul per modality: the input dims differ
         np.matmul(x, params.w1[m], out=hidden[m])
-    return hidden, _encoder_layers(hidden, params.b1, params.w2, params.b2, workspace.latents)
-
-
-def encode_copies(params: ClassifierParams, m: int, copies: Array) -> Array:
-    """The (k, B, L) latents of k stacked (k, B, d_m) copies of modality m's block.
-
-    One numpy call per layer runs every copy, and each copy goes through the
-    same BLAS calls as encode_core's slot m, so its latents are encode_core's bit for bit.
-    """
-    one = slice(m, m + 1)  # modality m's layers, broadcast over the copies
-    return _encoder_layers(copies @ params.w1[m], params.b1[one], params.w2[one], params.b2[one])
-
-
-def classify_core(
-    params: ClassifierParams, weights, latents: Array, workspace: Workspace = ALLOCATE
-) -> tuple[Array, Array, Array]:
-    """The classifier half of forward_core: mean fusion, the head and the softmax parts.
-
-    `latents` is (..., M, B, L) and `weights` (K, M) or (B, K, M). Returns the
-    (..., B, K, L) fused latents, the C-contiguous class-major (..., C, B*K)
-    max-shifted exponentials and their (..., B, K) sums. Each leading index is
-    a separate stack whose head runs as its own row-major (B*K, L) matmul, so
-    stacking changes no bit (see the module docstring for the layout's traps).
-    A `workspace` takes only an unstacked (M, B, L) batch.
-    """
-    fused = np.matmul(weights, latents.swapaxes(-3, -2), out=workspace.fused)
-    shape = fused.shape
-    rows = fused.reshape(shape[:-3] + (-1, shape[-1]))
-    rows = np.matmul(rows, params.head_w, out=workspace.head_rows)
-    logits = np.add(rows.swapaxes(-1, -2), params.head_b[:, None], out=workspace.logits, order="C")
-    exp, sums = softmax_parts(logits, workspace)
-    return fused, exp, sums.reshape(shape[:-1])
-
-
-def _encoder_layers(
-    hidden: Array, b1: Array, w2: Array, b2: Array, out: Array | None = None
-) -> Array:
-    """Bias and ReLU in place on the stacked (M, B, H) `hidden`; returns the (M, B, L) latents.
-
-    The latents go to `out` when it is given.
-    """
-    hidden += b1[:, None]
+    hidden += params.b1[:, None]
     np.maximum(hidden, 0.0, out=hidden)
-    latents = np.matmul(hidden, w2, out=out)
-    latents += b2[:, None]
-    return latents
+    latents = np.matmul(hidden, params.w2, out=workspace.latents)
+    latents += params.b2[:, None]
+    fused = np.matmul(weights, latents.swapaxes(-3, -2), out=workspace.fused)
+    rows = np.matmul(fused.reshape(-1, fused.shape[-1]), params.head_w, out=workspace.head_rows)
+    logits = np.add(rows.T, params.head_b[:, None], out=workspace.logits, order="C")
+    exp, sums = softmax_parts(logits, workspace)
+    return MaskedForward(blocks, hidden, weights, fused, exp, sums.reshape(fused.shape[:-1]))
 
 
 def backward_masks(

@@ -30,8 +30,8 @@ from .errors import AT_LEAST_1, FINITE_NON_NEGATIVE, FINITE_POSITIVE, NON_EMPTY,
 from .errors import DivergenceError, EmptyInputError, Key, NumericError, SpecError
 from .errors import SweepError, check_section, one_of, read_section
 from .metrics import MetricsReport, build_report
-from .model import ClassifierParams, ModelSpec, SubsetMask, classify_core
-from .model import encode_copies, encode_core, init_params, mask_weights
+from .model import ClassifierParams, ModelSpec, SubsetMask, forward_core, init_params
+from .model import mask_weights
 from .numerics import Workspace, adam_update, init_adam_state, nll_loss
 
 # Stream tags keeping shuffling, removal-order and noise-sweep draws independent.
@@ -52,11 +52,6 @@ TRAIN_SCHEMA = {
 }
 # TrainConfig field of each config key whose name differs from it.
 _FIELDS = {"lambda": "lam"}
-
-# Test-set rows that one stacked noise-sweep call encodes and classifies at most,
-# counted in whole cells (a larger cell runs alone): the sweep's working set is
-# that of a full-mask forward of this many rows, or of one cell when it is larger.
-NOISE_SWEEP_ROWS = 1 << 10
 
 # Floating-point errors that raise, not warn, in training, evaluation and the noise sweep.
 _RAISE_FP = {"over": "raise", "divide": "raise", "invalid": "raise"}
@@ -348,13 +343,10 @@ def noise_sweep(
 
     Each epsilon must be a finite value >= 0, checked before any noise is drawn.
     Cell (epsilon, target set) draws its copy from data.corrupt_block's streams,
-    keyed by (seed, epsilon index, target index). The cells run in chunks of
-    at most NOISE_SWEEP_ROWS test rows (at least one cell): each model encodes
-    the clean blocks once per sweep and each modality's corrupted copies in
-    one stacked call per chunk, then classifies every cell of the chunk in one
-    call. Each cell's arithmetic is that of a full-mask forward_core on its
-    copy, so every accuracy is bit for bit the per-cell one. A floating-point
-    overflow, division by zero or invalid operation raises a NumericError.
+    keyed by (seed, epsilon index, target index). Each cell runs one full-mask
+    forward_core per model on its copy and counts the rows whose most probable
+    class is their label. A floating-point overflow, division by zero or
+    invalid operation raises a NumericError.
     """
     if params_baseline.spec != params_cml.spec:
         raise SpecError("models have different parameter shapes")
@@ -375,41 +367,16 @@ def noise_sweep(
             cells.append((targets, eps, cell_seed, targets.present if eps > 0.0 else ()))
     blocks = test_set.modalities
     weights = mask_weights(np.ones((1, len(blocks)), dtype=bool))  # the full mask's weights
-    models = (params_baseline, params_cml)
-    clean = [encode_core(params, blocks)[1] for params in models]
-    step = max(1, NOISE_SWEEP_ROWS // test_set.num_samples)
-    correct: tuple[list[int], list[int]] = ([], [])
-    for start in range(0, len(cells), step):
-        chunk = cells[start : start + step]
-        # Per corrupted modality: the chunk's cells that corrupt it, and their stacked copies.
-        copies = []
-        for m, block in enumerate(blocks):
-            idx = [c for c, (*_, noisy) in enumerate(chunk) if m in noisy]
-            if idx:
-                stack = [corrupt_block(block, chunk[c][1], chunk[c][2], m) for c in idx]
-                copies.append((m, idx, np.stack(stack)))
-        for params, latents, counts in zip(models, clean, correct):
-            counts += _chunk_correct(params, weights, latents, copies, len(chunk), test_set.labels)
     rows = []
-    for (targets, eps, _, _), count_a, count_b in zip(cells, *correct):
-        acc_a = 100.0 * count_a / test_set.num_samples
-        acc_b = 100.0 * count_b / test_set.num_samples
+    for targets, eps, cell_seed, noisy in cells:
+        copy = list(blocks)
+        for m in noisy:
+            copy[m] = corrupt_block(blocks[m], eps, cell_seed, m)
+        correct = []
+        for params in (params_baseline, params_cml):
+            # The divided-out probabilities, not exp: division can round two classes to one value.
+            predicted = forward_core(params, copy, weights).mask_probs(0).argmax(axis=-1)
+            correct.append(np.count_nonzero(predicted == test_set.labels))
+        acc_a, acc_b = (100.0 * count / test_set.num_samples for count in correct)
         rows.append(NoiseSweepRow(eps, targets, acc_a, acc_b, acc_b - acc_a))
     return rows
-
-
-def _chunk_correct(params, weights, clean_latents, copies, num_cells: int, labels) -> list[int]:
-    """The number of correct full-mask predictions in each of a chunk's cells.
-
-    A cell's latents are the clean (M, N, L) ones with the slots of its
-    corrupted modalities replaced; `copies` holds (modality, the chunk cells
-    that corrupt it, their stacked copies) per corrupted modality.
-    """
-    latents = np.repeat(clean_latents[None], num_cells, axis=0)
-    for m, idx, stack in copies:
-        latents[idx, m] = encode_copies(params, m, stack)
-    _, exp, sums = classify_core(params, weights, latents)
-    # One mask: the class-major (cells, C, N) probabilities have one column per row.
-    predicted = (exp / sums.reshape(num_cells, 1, -1)).argmax(axis=1)
-    return (predicted == labels).sum(axis=1).tolist()
-

@@ -16,9 +16,10 @@ chain_objective share one core, only reference_chain_objective pins the arithmet
 reference_split is data.split's index sets as sorted Python lists, class by class.
 reference_noise_sweep is the noise sweep one cell at a time: one corrupt_gaussian
 copy and one full_mask_accuracy forward per model per cell.
-row_major_classify is model.classify_core's classifier half on row-major (rows, C)
-logits, as it ran before the softmax went class-major; full_mask_accuracy and
-row_major_lattice (exhaustive VRR's confidences) read it.
+row_major_classify is model.forward_core's head and softmax on row-major (rows, C)
+logits, as they ran before the softmax went class-major; it takes forward_core's
+fused latents. full_mask_accuracy and row_major_lattice (exhaustive VRR's
+confidences) read it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from rankcal.calibration import chain_objective, chain_presence, removal_orders
 from rankcal.data import Dataset, corrupt_block
 from rankcal.errors import DivergenceError, DomainError, MaskError, NumericError, ParseError
 from rankcal.errors import SpecError
-from rankcal.model import ClassifierParams, SubsetMask, encode_core, init_params, mask_weights
+from rankcal.model import ClassifierParams, SubsetMask, forward_core, init_params, mask_weights
 from rankcal.numerics import adam_update, describe_bad, init_adam_state, softmax_parts
 
 
@@ -449,19 +450,17 @@ def reference_train(config, train_set):
     return params, history
 
 
-def row_major_classify(params, weights, latents):
-    """classify_core's (..., B, K, C) probabilities and (..., B, K) confidences, row-major.
+def row_major_classify(params, fused):
+    """The (B, K, C) probabilities and (B, K) confidences of (B, K, L) fused latents, row-major.
 
-    The fusion and the (rows, L) @ (L, C) head matmul are classify_core's calls;
-    the bias add, the max-shift, the exponentials and numpy's row sum (left to
-    right under 8 classes, pairwise from 8 on) run on row-major logits.
+    The (B*K, L) @ (L, C) head matmul is forward_core's call; the bias add, the
+    max-shift, the exponentials and numpy's row sum (left to right under 8
+    classes, pairwise from 8 on) run on row-major logits.
     """
-    fused = weights @ latents.swapaxes(-3, -2)
-    shape = fused.shape
-    logits = fused.reshape(shape[:-3] + (-1, shape[-1])) @ params.head_w + params.head_b
+    logits = fused.reshape(-1, fused.shape[-1]) @ params.head_w + params.head_b
     exp = np.exp(logits - logits.max(axis=-1, keepdims=True))
     sums = exp.sum(axis=-1, keepdims=True)
-    return (exp / sums).reshape(shape[:-1] + (-1,)), (1.0 / sums).reshape(shape[:-1])
+    return (exp / sums).reshape(fused.shape[:-1] + (-1,)), (1.0 / sums).reshape(fused.shape[:-1])
 
 
 def row_major_lattice(params, dataset):
@@ -473,16 +472,16 @@ def row_major_lattice(params, dataset):
     num_modalities = dataset.num_modalities
     codes = np.arange(1, 1 << num_modalities)
     presence = (codes[:, None] >> np.arange(num_modalities)) & 1 > 0
-    latents = encode_core(params, dataset.modalities)[1]
-    probs, confidence = row_major_classify(params, mask_weights(presence), latents)
+    fused = forward_core(params, dataset.modalities, mask_weights(presence)).fused
+    probs, confidence = row_major_classify(params, fused)
     return confidence, probs[:, -1]
 
 
 def full_mask_accuracy(params, dataset) -> float:
     """Percent of rows whose full-mask row_major_classify prediction is their label."""
     full = np.ones((1, dataset.num_modalities), dtype=bool)
-    latents = encode_core(params, dataset.modalities)[1]
-    classes = row_major_classify(params, mask_weights(full), latents)[0].argmax(axis=-1)[:, 0]
+    fused = forward_core(params, dataset.modalities, mask_weights(full)).fused
+    classes = row_major_classify(params, fused)[0].argmax(axis=-1)[:, 0]
     return 100.0 * int(np.sum(classes == dataset.labels)) / dataset.num_samples
 
 

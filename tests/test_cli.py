@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankcal import cli, data, errors, model, trainer
+from rankcal import calibration, cli, data, errors, model, trainer
 from rankcal.cli import main
 from rankcal.data import Dataset, SyntheticSpec, generate_synthetic, load_csv_dataset
 from rankcal.data import standardize_apply, standardize_fit, write_csv_dataset
@@ -545,14 +545,14 @@ class TestCompareCommand:
     def test_one_forward_per_model(self, tmp_path, monkeypatch):
         compare_cfg = self.train_pair(tmp_path)
         calls = []
-        classify_core = model.classify_core
+        forward_core = model.forward_core
 
         def counting(*args, **kwargs):
             calls.append(1)
-            return classify_core(*args, **kwargs)
+            return forward_core(*args, **kwargs)
 
-        for module in (model, trainer):
-            monkeypatch.setattr(module, "classify_core", counting)
+        for module in (model, calibration, trainer):
+            monkeypatch.setattr(module, "forward_core", counting)
         assert main(["compare", "--config", str(compare_cfg), "--out", str(tmp_path / "c")]) == 0
         assert len(calls) == 2
 
@@ -815,6 +815,16 @@ class TestSweepCommand:
         assert lines[0] == "param,acc_baseline,acc_cml,delta"
         assert len(lines) == 1 + 4
         assert lines[1].startswith("eps=0;on=0")
+
+    def test_noise_sweep_labels_each_epsilon_to_nine_digits(self, tmp_path):
+        # At six digits, 0.1 and 0.10000001 shared a label and 1234567 read 1.23457e+06.
+        sweep = {"kind": "noise", "epsilons": [0.1, 0.10000001, 1234567.0], "target_sets": [[0]]}
+        cfg = write_config(tmp_path / "config.json", sweep=sweep, train={"epochs": 1})
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out_dir)]) == 0
+        lines = (out_dir / "sweep_noise.csv").read_text().splitlines()[1:]
+        labels = [line.split(",")[0] for line in lines]
+        assert labels == ["eps=0.1;on=0", "eps=0.10000001;on=0", "eps=1234567;on=0"]
 
     def test_missing_kind_fails(self, tmp_path):
         cfg = write_config(tmp_path / "config.json", sweep={})

@@ -13,9 +13,6 @@ from rankcal.model import (
     ModelSpec,
     SubsetMask,
     backward_masks,
-    classify_core,
-    encode_copies,
-    encode_core,
     forward_core,
     init_params,
     load_checkpoint,
@@ -291,51 +288,22 @@ class TestForward:
             assert np.allclose(probs[b, k], expected, rtol=0, atol=1e-15)
 
 
-class TestStackedHalves:
-    """encode_copies and a stacked classify_core run each copy's forward bit for bit."""
-
-    # One row makes every matmul a vector product, which one stacked 2-D matmul would not be.
-    @pytest.mark.parametrize("rows", [1, 5, 301])
-    def test_each_stacked_copy_is_its_own_forward(self, rows):
-        spec = ModelSpec(modality_dims=(3, 4, 2), hidden_dim=32, latent_dim=12, num_classes=4)
-        params = init_params(spec, seed=3)
-        clean = random_features(spec, 0, rows)
-        rng = np.random.default_rng(1)
-        copies = [[x + rng.standard_normal(x.shape) for x in clean] for _ in range(4)]
-        full = np.ones((1, spec.num_modalities), dtype=bool)
-        weights = full / spec.num_modalities
-        latents = np.repeat(encode_core(params, clean)[1][None], len(copies), axis=0)
-        for m in (0, 2):  # modality 1 stays clean in every copy
-            stack = np.stack([copy[m] for copy in copies])
-            latents[:, m] = encode_copies(params, m, stack)
-        _, exp, sums = classify_core(params, weights, latents)
-        for c, copy in enumerate(copies):
-            fwd = forward_core(params, [copy[0], clean[1], copy[2]], mask_weights(full))
-            assert exp[c].tobytes() == fwd.exp.tobytes()
-            assert sums[c].tobytes() == fwd.sums.tobytes()
-
-
 class TestClassMajorLayout:
-    """classify_core's exponentials are C-contiguous (..., C, B*K); its sums are (..., B, K).
+    """forward_core's exponentials are C-contiguous (C, B*K); its sums are (B, K).
 
     An F-ordered result holds the same bits, so only the layout shows the difference.
     """
 
     @pytest.mark.parametrize("per_row", [False, True])
-    @pytest.mark.parametrize("stack", [(), (3,)])  # 2-D latents per modality, or the noise sweep's
-    def test_exp_is_c_contiguous_class_major(self, stack, per_row):
+    def test_exp_is_c_contiguous_class_major(self, per_row):
         params = init_params(SPEC, seed=2)
         feats = random_features(SPEC, 1, rows=5)
-        _, latents = encode_core(params, feats)
-        latents = np.broadcast_to(latents, stack + latents.shape).copy()
         presence = np.random.default_rng(3).random((5, 4, 3) if per_row else (4, 3)) < 0.6
         presence[..., 0] |= ~presence.any(axis=-1)
-        fused, exp, sums = classify_core(params, mask_weights(presence), latents)
-        assert fused.shape == stack + (5, 4, SPEC.latent_dim)
-        assert exp.shape == stack + (SPEC.num_classes, 5 * 4) and exp.flags.c_contiguous
-        assert sums.shape == stack + (5, 4)
         fwd = forward_core(params, feats, mask_weights(presence))
-        assert fwd.exp.flags.c_contiguous
+        assert fwd.fused.shape == (5, 4, SPEC.latent_dim)
+        assert fwd.exp.shape == (SPEC.num_classes, 5 * 4) and fwd.exp.flags.c_contiguous
+        assert fwd.sums.shape == (5, 4)
 
 
 class TestConfidence:

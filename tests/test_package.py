@@ -1,7 +1,13 @@
 from __future__ import annotations
 
 import ast
+import functools
+import importlib
+import io
 import platform
+import re
+import tokenize
+import types
 from dataclasses import fields
 from pathlib import Path
 
@@ -427,4 +433,85 @@ def test_section_checks_reports_loads_outside_the_parse_function(tmp_path):
         "_prepare: check_section",
         "Loader: SyntheticSpec.from_json_dict",
         "<module>: check_section",
+    ]
+
+
+def _doc_texts(root: Path):
+    """(file name, text) of each backticked span in `root`'s README.md outside fenced blocks,
+    and of each docstring and comment in its src/rankcal."""
+    prose = "".join((root / "README.md").read_text(encoding="utf-8").split("```")[::2])
+    yield from (("README.md", span) for span in re.findall(r"`([^`]+)`", prose))
+    for path in sorted((root / "src" / "rankcal").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        tree = ast.parse(source)
+        owners = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        texts = [ast.get_docstring(node) for node in ast.walk(tree) if isinstance(node, owners)]
+        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+        texts += [token.string for token in tokens if token.type == tokenize.COMMENT]
+        yield from ((path.name, text) for text in texts if text)
+
+
+def dead_doc_references(root: Path, modules: dict) -> list[str]:
+    """Each `module.name[.attr...]` in `root`'s docs (see _doc_texts) that does not resolve
+    by getattr, as "file: reference"; `modules` maps each rankcal module name to its module.
+
+    A reference starts at a name of `modules` not preceded by a word character or a dot, so
+    `config.model.x` is no reference. Left out: a config-key path of cli.SECTIONS
+    (`model.hidden_dim`, `data.synthetic.seed`), a file name ending in .json, .csv, .bin or
+    .py, and a reference followed by ":" and whitespace, a quoted error line
+    (`model.hiden_dim: unknown key`).
+    """
+    sections = modules["cli"].SECTIONS  # a top-level key is one word: never a reference
+    config = {f"{section}.{key}" for section in sections for key in sections[section]}
+    config |= set(sections)
+    names = "|".join(map(re.escape, modules))
+    pattern = re.compile(rf"(?<![\w.])(?:{names})(?:\.\w+)+")
+    dead = []
+    for file, text in _doc_texts(root):
+        for match in pattern.finditer(text):
+            module, *attrs = match.group().split(".")
+            prefixes = {".".join([module, *attrs[:i]]) for i in range(1, len(attrs) + 1)}
+            quoted_error = re.match(r":\s", text[match.end() :])
+            if prefixes & config or attrs[-1] in ("json", "csv", "bin", "py") or quoted_error:
+                continue
+            try:
+                functools.reduce(getattr, attrs, modules[module])
+            except AttributeError:
+                dead.append(f"{file}: {match.group()}")
+    return dead
+
+
+def test_docs_name_only_live_code():
+    stems = [path.stem for path in (ROOT / "src" / "rankcal").glob("*.py")]
+    modules = {stem: importlib.import_module(f"rankcal.{stem}") for stem in stems if stem[0] != "_"}
+    assert dead_doc_references(ROOT, modules) == []
+
+
+def test_dead_doc_references_reports_names_that_do_not_resolve(tmp_path):
+    pkg = tmp_path / "src" / "rankcal"
+    pkg.mkdir(parents=True)
+    (pkg / "cli.py").write_text(
+        '"""Reads lib.LIMIT and lib.gone."""\n'
+        "SECTIONS = {'lib': {'size': None}}\n"
+    )
+    (pkg / "lib.py").write_text(
+        "LIMIT = 3  # not lib.LIMIT_OLD\n"
+        "class Box:\n"
+        '    """A box; see Box.gone, lib.Box.grow and lib.Box.shrink."""\n'
+        "    def grow(self):\n        return LIMIT\n"
+    )
+    (tmp_path / "README.md").write_text(
+        "Prose lib.unquoted is not read; `lib.LIMIT`, `lib.Box.grow()` and `cli.gone` are.\n"
+        "```\nlib.fenced\n```\n"
+        "`config.lib.x`, `lib.size`, `lib.json`, `lib.Box.size: unknown key`.\n"
+    )
+    modules = {}
+    for path in sorted(pkg.glob("*.py")):
+        modules[path.stem] = types.ModuleType(path.stem)
+        exec(path.read_text(), vars(modules[path.stem]))
+    assert dead_doc_references(tmp_path, modules) == [
+        "README.md: cli.gone",
+        "cli.py: lib.gone",
+        "lib.py: lib.Box.shrink",
+        "lib.py: lib.LIMIT_OLD",
     ]

@@ -55,6 +55,20 @@ def config(**overrides) -> TrainConfig:
     return TrainConfig(**defaults)
 
 
+def count_forwards(monkeypatch) -> list:
+    """Patch forward_core wherever it is called; each call appends to the returned list."""
+    calls = []
+    forward_core = model.forward_core
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return forward_core(*args, **kwargs)
+
+    for module in (model, calibration, trainer):
+        monkeypatch.setattr(module, "forward_core", counting)
+    return calls
+
+
 class TestTrainConfig:
     """A TrainConfig checks itself when it is built, so one that exists is valid."""
 
@@ -366,16 +380,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("mode, seed", [("exhaustive", 0), ("sampled", 0), ("sampled", 1)])
     def test_one_forward_per_evaluate(self, monkeypatch, mode, seed):
-        # Every forward, batched or stacked, runs the classifier half once.
-        calls = []
-        classify_core = model.classify_core
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return classify_core(*args, **kwargs)
-
-        for module in (model, trainer):
-            monkeypatch.setattr(module, "classify_core", counting)
+        calls = count_forwards(monkeypatch)
         _, test_set = make_sets(per_class=5)
         evaluate(init_params(MODEL, seed=0), test_set, config(vrr_mode=mode, seed=seed))
         assert len(calls) == 1
@@ -594,17 +599,24 @@ class TestNoiseSweep:
         drawn = {tuple(cell.generate_state(4)) for cell in cells}
         assert len(drawn) == len(cells) and not drawn & others
 
-    # One cell per chunk, three cells per chunk with a ragged last chunk, one chunk in all.
-    @pytest.mark.parametrize("chunk_rows", [30, 90, 1 << 20])
-    def test_chunking_changes_no_row(self, monkeypatch, chunk_rows):
-        params_a, params_b, test_set = self.sweep_case(3, 30)
-        targets = default_target_sets(3)
-        args = (params_a, params_b, test_set, [0.0, 0.2, 0.7], targets)
-        want = reference_noise_sweep(*args, seed=4)
-        monkeypatch.setattr(trainer, "NOISE_SWEEP_ROWS", chunk_rows)
+    # One row makes every matmul a vector product; 1,100 rows repeat the 200 rows, each copy
+    # with noise of its own.
+    @pytest.mark.parametrize("num_rows", [1, 30, 1100])
+    def test_rows_equal_the_oracle_at_any_test_set_size(self, num_rows):
+        params_a, params_b, test_set = self.sweep_case(3, 200)
+        test_set = test_set.take(np.arange(num_rows) % test_set.num_samples)
+        args = (params_a, params_b, test_set, [0.0, 0.2, 0.7], default_target_sets(3))
         rows = noise_sweep(*args, seed=4)
         got = [(r.epsilon, r.targets, r.acc_baseline, r.acc_cml, r.delta) for r in rows]
-        assert got == want
+        assert got == reference_noise_sweep(*args, seed=4)
+
+    @pytest.mark.parametrize("epsilons, num_targets", [([0.3], 1), ([0.0, 0.2, 0.7], 4)])
+    def test_one_forward_per_model_and_cell(self, monkeypatch, epsilons, num_targets):
+        params_a, params_b, test_set = self.sweep_case(3, 30)
+        targets = default_target_sets(3)[:num_targets]
+        calls = count_forwards(monkeypatch)
+        noise_sweep(params_a, params_b, test_set, epsilons, targets, seed=4)
+        assert len(calls) == 2 * len(epsilons) * len(targets)
 
     # The oracle classifies row-major; from 8 classes on its sums are pairwise.
     @pytest.mark.parametrize("num_classes", [8, 11])
