@@ -20,6 +20,8 @@ Exhaustive VRR reads everything that depends only on the modality count M
 from one cached lattice table per M: the mask weights, the pairs' columns and
 bit codes, the mask-size groups and the full-set pair block. A call then runs
 forward_core on the table's weights and gathers the pairs' confidences.
+Records carry their masks as bit codes; write_records_csv names them with
+model.mask_names, which formats each distinct code once.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from .data import write_text
 from .errors import CapabilityError, ConfigError, EmptyInputError, SpecError, one_of
-from .model import ClassifierParams, backward_masks, forward_core, mask_weights
+from .model import ClassifierParams, backward_masks, forward_core, mask_names, mask_weights
 from .numerics import Array, Workspace
 
 REGULARIZER_VARIANTS = ("hinge", "difference", "none")
@@ -380,13 +382,10 @@ def evaluate_vrr(
 
 
 def write_records_csv(path, records: RankingRecords) -> None:
-    """CSV dump: sample_id,t_mask,s_mask,conf_t,conf_s,ci with 9-digit floats."""
-    # The name of every bit code up to the largest, as SubsetMask.format writes it (5 -> "0+2").
-    bits = range(int(records.s_code.max(initial=0)).bit_length())
-    names = np.array(["+".join(str(m) for m in bits if c >> m & 1) for c in range(1 << len(bits))])
-    columns = (records.sample_id, names[records.t_code], names[records.s_code])
-    columns += (records.conf_t, records.conf_s, records.ci)
+    """CSV dump: sample_id,t_mask,s_mask,conf_t,conf_s,ci; mask_names masks, 9-digit floats."""
+    columns = [records.sample_id.tolist(), mask_names(records.t_code), mask_names(records.s_code)]
+    columns += [c.tolist() for c in (records.conf_t, records.conf_s, records.ci)]
     # One %-format over the row-major values and one write; '%.9g' % x is '{:.9g}'.format(x).
-    values = tuple(itertools.chain.from_iterable(zip(*(c.tolist() for c in columns))))
+    values = tuple(itertools.chain.from_iterable(zip(*columns)))
     rows = "%s,%s,%s,%.9g,%.9g,%.9g\n" * len(records.sample_id) % values
     write_text(path, "sample_id,t_mask,s_mask,conf_t,conf_s,ci\n" + rows)

@@ -28,11 +28,11 @@ from pathlib import Path
 
 from . import calibration, data, trainer
 from .errors import AT_LEAST_1, FINITE_NON_NEGATIVE, NON_EMPTY, NON_NEGATIVE, OPEN_FRACTION, PATH
-from .errors import Bound, ConfigError, Key, MaskError, RankcalError, SpecError, StateError
+from .errors import Bound, ConfigError, Key, RankcalError, SpecError, StateError
 from .errors import check_section, one_of, read_section
 from .metrics import mean_abs_conf_shift
-from .model import SPEC_SCHEMA, ClassifierParams, ModelSpec, SubsetMask
-from .model import load_checkpoint, save_checkpoint
+from .model import SPEC_SCHEMA, ClassifierParams, ModelSpec, load_checkpoint, mask_names
+from .model import save_checkpoint
 
 DEFAULT_HIDDEN_DIM = 128
 DEFAULT_LATENT_DIM = 64
@@ -70,7 +70,7 @@ SECTIONS = {
         "kind": Key(str, one_of(*_SWEEP_KEYS)),
         "lambda_grid": Key(list[float], FINITE_NON_NEGATIVE, NON_EMPTY),
         "epsilons": Key(list[float], FINITE_NON_NEGATIVE, NON_EMPTY),
-        "target_sets": Key(list[list[int]], size=NON_EMPTY),
+        "target_sets": trainer.TARGET_SETS,
         "baseline_run": Key(str, PATH),
         "cml_run": Key(str, PATH),
     },
@@ -325,12 +325,6 @@ def cmd_sweep(
         raise ConfigError(f'sweep.{unread[0]}: unknown key for kind "{kind}"')
     if kind == "noise" and jobs is not None:
         raise ConfigError('--jobs: not used by sweep kind "noise"')
-    masks = []  # sweep.target_sets as masks; their range is checked once the data is read
-    for i, entry in enumerate(sweep_cfg.get("target_sets", [])):
-        try:
-            masks.append(SubsetMask.of(entry))
-        except MaskError as exc:
-            raise ConfigError(f"sweep.target_sets[{i}]: {exc}") from None
     runs = [key for key in ("baseline_run", "cml_run") if key in sweep_cfg]
     if kind == "noise" and len(runs) == 1:
         (missing,) = {"baseline_run", "cml_run"} - set(runs)
@@ -364,11 +358,8 @@ def cmd_sweep(
         return 0
 
     num_modalities = prepared.test.num_modalities
-    for i, mask in enumerate(masks):
-        try:
-            mask.validate_for(num_modalities)
-        except MaskError as exc:
-            raise ConfigError(f"sweep.target_sets[{i}]: {exc}") from None
+    target_sets = sweep_cfg.get("target_sets") or trainer.default_target_sets(num_modalities)
+    trainer.target_codes(target_sets, num_modalities, "sweep")  # the range, before any training
     base = config_path.parent
     if runs:
         ours = data.fingerprint(prepared.test)
@@ -382,14 +373,14 @@ def cmd_sweep(
         params_b,
         prepared.test,
         epsilons=sweep_cfg.get("epsilons", list(trainer.DEFAULT_NOISE_GRID)),
-        target_sets=masks or trainer.default_target_sets(num_modalities),
+        target_sets=target_sets,
         seed=config.seed,
     )
     out.mkdir(parents=True, exist_ok=True)
     table = "".join(
-        f"eps={row.epsilon:.9g};on={row.targets.format()},"
+        f"eps={row.epsilon:.9g};on={name},"
         f"{row.acc_baseline:.9g},{row.acc_cml:.9g},{row.delta:.9g}\n"
-        for row in rows
+        for row, name in zip(rows, mask_names([row.targets for row in rows]))
     )
     data.write_text(out / "sweep_noise.csv", "param,acc_baseline,acc_cml,delta\n" + table)
     print(f"wrote {out / 'sweep_noise.csv'} ({len(rows)} rows)")

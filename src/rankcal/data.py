@@ -118,9 +118,9 @@ class Dataset:
                 raise DimensionError(
                     f"modality {m}: block {block.shape} is not ({len(labels)} rows, dim)"
                 )
-            bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
-            if len(bad):
-                raise DomainError(f"modality {m}: non-finite feature at row {bad[0]}")
+            if not np.isfinite(block).all():  # the row search runs only on a block that fails
+                row = np.flatnonzero(~np.isfinite(block).all(axis=1))[0]
+                raise DomainError(f"modality {m}: non-finite feature at row {row}")
         bad = np.flatnonzero((labels < 0) | (labels >= self.num_classes))
         if len(bad):
             raise DomainError(

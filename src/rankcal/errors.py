@@ -24,10 +24,6 @@ class NumericError(RankcalError, ArithmeticError):
     """A value that must be finite is NaN or infinite."""
 
 
-class MaskError(RankcalError, ValueError):
-    """Invalid modality subset mask."""
-
-
 class SpecError(RankcalError, ValueError):
     """Invalid model or dataset specification."""
 

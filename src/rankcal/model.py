@@ -4,7 +4,9 @@ Each modality gets its own two-layer encoder (affine -> ReLU -> affine); the
 latents of the modalities that are actually present are fused by an arithmetic
 mean and fed to a shared linear head. Removing a modality is a zero fusion
 weight in the mask, never zero-filled features, so the same parameters serve
-every subset.
+every subset. Outside the numeric path a subset is an int bit code, bit m set
+when modality m is present; a spec holds 2 to 63 modalities, so every code
+fits an int64. mask_names names codes for records.csv and sweep_noise.csv.
 
 One batched path serves training, evaluation and the noise sweep: forward_core
 encodes every modality of a batch of rows once and classifies it under K masks
@@ -42,8 +44,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import AT_LEAST_1, AT_LEAST_2, TWO_OR_MORE, CapabilityError, DimensionError, Key
-from .errors import MaskError, StateError, check_section, read_section
+from .errors import AT_LEAST_1, AT_LEAST_2, Bound, CapabilityError, DimensionError, Key
+from .errors import StateError, check_section, read_section
 from .numerics import ALLOCATE, Array, Workspace, softmax_parts
 
 CHECKPOINT_MAGIC = "rankcal-checkpoint v1"
@@ -51,9 +53,11 @@ CHECKPOINT_MAGIC = "rankcal-checkpoint v1"
 # The largest parameter vector init_params allocates: 1 GiB, 2**27 float64 values.
 MAX_PARAM_BYTES = 1 << 30
 
+# Subsets are int64 bit codes (bit m set when modality m is present); bit 63 is the sign.
+_MODALITY_COUNT = Bound("2 to 63 entries", lambda v: 2 <= len(v) <= 63)
 # Every ModelSpec key, in a config "model" section and a checkpoint header.
 SPEC_SCHEMA = {
-    "modality_dims": Key(list[int], AT_LEAST_1, TWO_OR_MORE),
+    "modality_dims": Key(list[int], AT_LEAST_1, _MODALITY_COUNT),
     "hidden_dim": Key(int, AT_LEAST_1),
     "latent_dim": Key(int, AT_LEAST_1),
     "num_classes": Key(int, AT_LEAST_2),
@@ -86,36 +90,12 @@ class ModelSpec:
         return cls(**read_section("spec", obj, SPEC_SCHEMA, required=SPEC_SCHEMA))
 
 
-@dataclass(frozen=True)
-class SubsetMask:
-    """Nonempty set of modality indices presented to the model."""
-
-    present: frozenset[int]
-
-    def __post_init__(self):
-        if not self.present:
-            raise MaskError("mask must contain at least one modality")
-        if any((not isinstance(i, (int, np.integer))) or i < 0 for i in self.present):
-            raise MaskError(f"mask indices must be non-negative integers: {self.present}")
-        object.__setattr__(self, "present", frozenset(int(i) for i in self.present))
-
-    @classmethod
-    def of(cls, indices) -> "SubsetMask":
-        return cls(frozenset(indices))
-
-    @classmethod
-    def full(cls, num_modalities: int) -> "SubsetMask":
-        return cls(frozenset(range(num_modalities)))
-
-    def sorted_indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.present))
-
-    def validate_for(self, num_modalities: int) -> None:
-        if any(i >= num_modalities for i in self.present):
-            raise MaskError(f"mask {self.format()} out of range for {num_modalities} modalities")
-
-    def format(self) -> str:
-        return "+".join(str(i) for i in self.sorted_indices())
+def mask_names(codes) -> list[str]:
+    """The name of each modality bit code (bit m set when m is present): its indices joined
+    by "+", so 5 is "0+2". Each distinct code is formatted once, whatever its bit length."""
+    codes = codes.tolist() if hasattr(codes, "tolist") else list(codes)
+    names = {c: "+".join(str(m) for m in range(c.bit_length()) if c >> m & 1) for c in set(codes)}
+    return [names[c] for c in codes]
 
 
 class ClassifierParams:

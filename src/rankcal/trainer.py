@@ -28,10 +28,9 @@ from .calibration import (
 from .data import Dataset, corrupt_block
 from .errors import AT_LEAST_1, FINITE_NON_NEGATIVE, FINITE_POSITIVE, NON_EMPTY, NON_NEGATIVE
 from .errors import DivergenceError, EmptyInputError, Key, NumericError, SpecError
-from .errors import SweepError, check_section, one_of, read_section
+from .errors import Bound, SweepError, check_section, one_of, read_section
 from .metrics import MetricsReport, build_report
-from .model import ClassifierParams, ModelSpec, SubsetMask, forward_core, init_params
-from .model import mask_weights
+from .model import ClassifierParams, ModelSpec, forward_core, init_params, mask_weights
 from .numerics import Workspace, adam_update, init_adam_state, nll_loss
 
 # Stream tags keeping shuffling, removal-order and noise-sweep draws independent.
@@ -314,7 +313,7 @@ def lambda_sweep(
 @dataclass(frozen=True)
 class NoiseSweepRow:
     epsilon: float
-    targets: SubsetMask
+    targets: int  # the target set's bit code (model.mask_names names it)
     acc_baseline: float
     acc_cml: float
     delta: float
@@ -323,11 +322,27 @@ class NoiseSweepRow:
 DEFAULT_NOISE_GRID = (0.1, 0.2, 0.3, 0.5)
 
 
-def default_target_sets(num_modalities: int) -> list[SubsetMask]:
+# A list of target sets, each a non-empty list of modality indices: the sweep table's key.
+_TARGET_SET = Bound("a non-empty list of modality indices >= 0", lambda v: min(v, default=-1) >= 0)
+TARGET_SETS = Key(list[list[int]], _TARGET_SET, NON_EMPTY)
+
+
+def default_target_sets(num_modalities: int) -> list[list[int]]:
     """Each single modality, then all modalities at once."""
-    targets = [SubsetMask.of([m]) for m in range(num_modalities)]
-    targets.append(SubsetMask.full(num_modalities))
-    return targets
+    return [[m] for m in range(num_modalities)] + [list(range(num_modalities))]
+
+
+def target_codes(target_sets, num_modalities: int, section: str = "") -> list[int]:
+    """The bit code of each target set, a list of modality indices (duplicates are one).
+
+    The sets are checked first as <section>.target_sets against TARGET_SETS,
+    then each against `num_modalities`, so no code is computed out of range.
+    """
+    sets = check_section(section, {"target_sets": target_sets}, {"target_sets": TARGET_SETS})
+    below = Bound(f"modality indices below {num_modalities}", lambda v: max(v) < num_modalities)
+    for i, targets in enumerate(sets["target_sets"]):
+        below.check(section, f"target_sets[{i}]", targets)
+    return [sum(1 << m for m in set(targets)) for targets in sets["target_sets"]]
 
 
 @_fp_errors("noise sweep")
@@ -336,12 +351,13 @@ def noise_sweep(
     params_cml: ClassifierParams,
     test_set: Dataset,
     epsilons: Sequence[float],
-    target_sets: Sequence[SubsetMask],
+    target_sets: Sequence[Sequence[int]],
     seed: int,
 ) -> list[NoiseSweepRow]:
     """Accuracy of both models on the same corrupted copies of the test set.
 
-    Each epsilon must be a finite value >= 0, checked before any noise is drawn.
+    Each epsilon must be a finite value >= 0, and each target set a list of
+    modality indices (target_codes), both checked before any noise is drawn.
     Cell (epsilon, target set) draws its copy from data.corrupt_block's streams,
     keyed by (seed, epsilon index, target index). Each cell runs one full-mask
     forward_core per model on its copy and counts the rows whose most probable
@@ -354,21 +370,21 @@ def noise_sweep(
         raise EmptyInputError("empty test set")
     _check_dataset(params_baseline.spec, test_set)
     NON_EMPTY.check("", "epsilons", epsilons)
-    NON_EMPTY.check("", "target_sets", target_sets)
-    cells = []  # (targets, epsilon, seed, the modalities that get noise) per cell
+    codes = target_codes(target_sets, test_set.num_modalities)
+    cells = []  # (target code, epsilon, seed, the modalities that get noise) per cell
     for e_idx, eps in enumerate(map(float, epsilons)):
         FINITE_NON_NEGATIVE.check("", f"epsilons[{e_idx}]", eps)
-        for t_idx, targets in enumerate(target_sets):
-            targets.validate_for(test_set.num_modalities)
+        for t_idx, code in enumerate(codes):
             # A spawn key, not [seed, 4, e, t]: SeedSequence drops trailing zeros up to
             # its 4-word pool, so cell (0, 0) would be data.split's class-4 stream [seed, 4].
             stream = np.random.SeedSequence(seed, spawn_key=(_NOISE_STREAM, e_idx, t_idx))
             cell_seed = int(np.random.default_rng(stream).integers(2**31))
-            cells.append((targets, eps, cell_seed, targets.present if eps > 0.0 else ()))
+            noisy = [m for m in range(len(test_set.modalities)) if eps > 0.0 and code >> m & 1]
+            cells.append((code, eps, cell_seed, noisy))
     blocks = test_set.modalities
     weights = mask_weights(np.ones((1, len(blocks)), dtype=bool))  # the full mask's weights
     rows = []
-    for targets, eps, cell_seed, noisy in cells:
+    for code, eps, cell_seed, noisy in cells:
         copy = list(blocks)
         for m in noisy:
             copy[m] = corrupt_block(blocks[m], eps, cell_seed, m)
@@ -378,5 +394,5 @@ def noise_sweep(
             predicted = forward_core(params, copy, weights).mask_probs(0).argmax(axis=-1)
             correct.append(np.count_nonzero(predicted == test_set.labels))
         acc_a, acc_b = (100.0 * count / test_set.num_samples for count in correct)
-        rows.append(NoiseSweepRow(eps, targets, acc_a, acc_b, acc_b - acc_a))
+        rows.append(NoiseSweepRow(eps, code, acc_a, acc_b, acc_b - acc_a))
     return rows

@@ -145,11 +145,12 @@ def noise_sweep_rows(num_modalities: int) -> list[tuple]:
     )
     params_a = trainer.train(config, train_set).params
     params_b = trainer.train(replace(config, lam=8.0), train_set).params
-    targets = trainer.default_target_sets(m) + [model.SubsetMask.of([0, m - 1])]
+    targets = trainer.default_target_sets(m) + [[0, m - 1]]
     rows = trainer.noise_sweep(params_a, params_b, test_set, SWEEP_EPSILONS, targets, seed=9)
+    names = model.mask_names([row.targets for row in rows])
     return [
-        (row.epsilon.hex(), row.targets.format(), row.acc_baseline.hex(), row.acc_cml.hex())
-        for row in rows
+        (row.epsilon.hex(), name, row.acc_baseline.hex(), row.acc_cml.hex())
+        for row, name in zip(rows, names)
     ]
 
 

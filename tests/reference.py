@@ -24,17 +24,18 @@ confidences) read it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 
 from rankcal import trainer
 from rankcal.calibration import chain_objective, chain_presence, removal_orders
 from rankcal.data import Dataset, corrupt_block
-from rankcal.errors import DivergenceError, DomainError, MaskError, NumericError, ParseError
-from rankcal.errors import SpecError
-from rankcal.model import ClassifierParams, SubsetMask, forward_core, init_params, mask_weights
+from rankcal.errors import DivergenceError, DomainError, NumericError, ParseError, SpecError
+from rankcal.model import ClassifierParams, forward_core, init_params, mask_weights
 from rankcal.numerics import adam_update, describe_bad, init_adam_state, softmax_parts
 
 
@@ -94,12 +95,14 @@ def label_of(dataset, index: int) -> int:
     return int(dataset.labels[index])
 
 
-def parse_mask(text: str) -> SubsetMask:
-    """The SubsetMask that SubsetMask.format writes as `text`, e.g. "0+2"."""
-    try:
-        return SubsetMask.of(int(part) for part in text.split("+"))
-    except ValueError as exc:
-        raise MaskError(f"cannot parse mask {text!r}") from exc
+def format_mask(code: int) -> str:
+    """The present modalities of bit code `code`, ascending and joined by "+": 5 -> "0+2"."""
+    return "+".join(str(m) for m in range(code.bit_length()) if code >> m & 1)
+
+
+def parse_mask(text: str) -> int:
+    """The bit code that format_mask writes as `text`, e.g. "0+2" -> 5."""
+    return sum(1 << m for m in {int(part) for part in text.split("+")})
 
 
 def predicted_classes(fwd) -> np.ndarray:
@@ -372,14 +375,10 @@ def reference_aurc(confidence, correct) -> float:
 def reference_records_csv(rows) -> str:
     """records.csv text from the per-record f-string formatter."""
 
-    def name(code: int) -> str:
-        return SubsetMask.of(m for m in range(code.bit_length()) if code >> m & 1).format()
-
     lines = ["sample_id,t_mask,s_mask,conf_t,conf_s,ci\n"]
     for sample_id, t_code, s_code, conf_t, conf_s, ci in rows:
-        lines.append(
-            f"{sample_id},{name(t_code)},{name(s_code)},{conf_t:.9g},{conf_s:.9g},{ci:.9g}\n"
-        )
+        t_mask, s_mask = format_mask(t_code), format_mask(s_code)
+        lines.append(f"{sample_id},{t_mask},{s_mask},{conf_t:.9g},{conf_s:.9g},{ci:.9g}\n")
     return "".join(lines)
 
 
@@ -486,7 +485,10 @@ def full_mask_accuracy(params, dataset) -> float:
 
 
 def reference_noise_sweep(params_a, params_b, test_set, epsilons, target_sets, seed):
-    """(epsilon, targets, acc_a, acc_b, delta) per cell: one corrupted copy, then two forwards."""
+    """(epsilon, target code, acc_a, acc_b, delta) per cell: one corrupted copy, then two forwards.
+
+    Each target set is a list of modality indices; its code has bit m set for each index m.
+    """
     rows = []
     for e_idx, eps in enumerate(epsilons):
         for t_idx, targets in enumerate(target_sets):
@@ -494,10 +496,11 @@ def reference_noise_sweep(params_a, params_b, test_set, epsilons, target_sets, s
                 seed, spawn_key=(trainer._NOISE_STREAM, e_idx, t_idx)
             )
             cell_seed = int(np.random.default_rng(cell_stream).integers(2**31))
-            corrupted = corrupt_gaussian(test_set, targets.present, float(eps), cell_seed)
+            corrupted = corrupt_gaussian(test_set, set(targets), float(eps), cell_seed)
             acc_a = full_mask_accuracy(params_a, corrupted)
             acc_b = full_mask_accuracy(params_b, corrupted)
-            rows.append((float(eps), targets, acc_a, acc_b, acc_b - acc_a))
+            code = functools.reduce(operator.or_, (1 << m for m in targets))
+            rows.append((float(eps), code, acc_a, acc_b, acc_b - acc_a))
     return rows
 
 

@@ -27,7 +27,7 @@ from rankcal.data import (
 )
 from rankcal.errors import ParseError
 from rankcal.metrics import aurc, e_aurc
-from rankcal.model import ModelSpec, SubsetMask, init_params
+from rankcal.model import ModelSpec, init_params
 from rankcal.trainer import TrainConfig, lambda_sweep, noise_sweep, run_and_evaluate
 
 from gradcheck import grad_check
@@ -129,7 +129,7 @@ def experiment() -> Experiment:
             run_cml.params,
             test_set,
             epsilons=[0.1, 0.5],
-            target_sets=[SubsetMask.of([STRONGEST_MODALITY])],
+            target_sets=[[STRONGEST_MODALITY]],
             seed=777,
         )
         pairs.append(

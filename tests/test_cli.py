@@ -142,6 +142,44 @@ class TestTrainCommand:
         assert history[0] == "epoch,cls_loss,cml_loss,train_acc"
         assert len(history) == 1 + 3
 
+    @staticmethod
+    def wide_config(path: Path, num_modalities: int) -> Path:
+        """A tiny config over `num_modalities` one-dimensional synthetic modalities."""
+        synthetic = {**SYNTHETIC, "modality_dims": [1] * num_modalities, "class_separation": 3.0}
+        return write_config(
+            path,
+            data={"synthetic": {**synthetic, "samples_per_class": 4}},
+            split={"train_fraction": 0.5},
+            model={"hidden_dim": 2, "latent_dim": 2},
+            train={"epochs": 1},
+        )
+
+    # Before, the int64 code of the full set wrapped to -1 at 64 modalities.
+    def test_63_modalities_write_the_full_set(self, tmp_path):
+        run_dir = tmp_path / "run"
+        cfg = self.wide_config(tmp_path / "config.json", 63)
+        assert main(["train", "--config", str(cfg), "--out", str(run_dir)]) == 0
+        rows = [line.split(",") for line in (run_dir / "records.csv").read_text().splitlines()]
+        full = "+".join(map(str, range(63)))
+        heads = [row for row in rows[1:] if row[2] == full]  # each chain starts at the full set
+        assert len(heads) == 4 and len(rows) == 1 + 4 * 62
+        assert all(len(row[1].split("+")) == 62 for row in heads)
+
+    def test_64_modalities_fail_naming_the_key_before_training(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a model was trained")
+
+        monkeypatch.setattr(trainer, "train", no_training)
+        run_dir = tmp_path / "run"
+        cfg = self.wide_config(tmp_path / "config.json", 64)
+        assert main(["train", "--config", str(cfg), "--out", str(run_dir)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: model.modality_dims: expected 2 to 63 entries, got [")
+        assert not run_dir.exists()
+
     def test_rerun_identical_metrics(self, tmp_path):
         cfg = write_config(tmp_path / "config.json")
         a, b = tmp_path / "a", tmp_path / "b"
@@ -762,12 +800,22 @@ class TestSweepCommand:
             # Before, the pair was trained first and the error named no key.
             ({"kind": "noise", "target_sets": []}, "sweep.target_sets: expected a non-empty list"),
             (
+                {"kind": "noise", "target_sets": [[-1]]},
+                "sweep.target_sets[0]: expected a non-empty list of modality indices >= 0, "
+                "got [-1]",
+            ),
+            (
                 {"kind": "noise", "target_sets": [[0], []]},
-                "sweep.target_sets[1]: mask must contain at least one modality",
+                "sweep.target_sets[1]: expected a non-empty list of modality indices >= 0, got []",
             ),
             (
                 {"kind": "noise", "target_sets": [[1], [7]]},
-                "sweep.target_sets[1]: mask 7 out of range for 2 modalities",
+                "sweep.target_sets[1]: expected modality indices below 2, got [7]",
+            ),
+            # The range is checked before any code is computed: 1 << 10**30 would not finish.
+            (
+                {"kind": "noise", "target_sets": [[10**30]]},
+                f"sweep.target_sets[0]: expected modality indices below 2, got [{10**30}]",
             ),
             ({"kind": "noise", "epsilons": []}, "sweep.epsilons: expected a non-empty list"),
             ({"kind": "lambda", "lambda_grid": []}, "sweep.lambda_grid: expected a non-empty list"),
@@ -815,6 +863,16 @@ class TestSweepCommand:
         assert lines[0] == "param,acc_baseline,acc_cml,delta"
         assert len(lines) == 1 + 4
         assert lines[1].startswith("eps=0;on=0")
+
+    def test_duplicate_target_indices_write_the_same_table(self, tmp_path):
+        tables = []
+        for targets in ([[0]], [[0, 0]]):
+            sweep = {"kind": "noise", "epsilons": [0.0, 0.5], "target_sets": targets}
+            cfg = write_config(tmp_path / "config.json", sweep=sweep, train={"epochs": 1})
+            out_dir = tmp_path / f"sweep{len(targets[0])}"
+            assert main(["sweep", "--config", str(cfg), "--out", str(out_dir)]) == 0
+            tables.append((out_dir / "sweep_noise.csv").read_bytes())
+        assert tables[0] == tables[1] and b"eps=0.5;on=0," in tables[0]
 
     def test_noise_sweep_labels_each_epsilon_to_nine_digits(self, tmp_path):
         # At six digits, 0.1 and 0.10000001 shared a label and 1234567 read 1.23457e+06.

@@ -65,11 +65,15 @@ def tables() -> dict:
 
 
 def values_for(kind) -> dict:
-    """Case id -> value: a wrong kind, HOSTILE, and for a list kind each HOSTILE value as entry."""
+    """Case id -> value: a wrong kind, HOSTILE, for a list kind each HOSTILE value as entry,
+    and for a list-of-lists kind each HOSTILE value as an entry's entry."""
     cases = {"wrong-kind": "x" if kind is bool else True, **HOSTILE}
     options = typing.get_args(kind) if isinstance(kind, types.UnionType) else (kind,)
-    if any(typing.get_origin(option) is list for option in options):
+    lists = [option for option in options if typing.get_origin(option) is list]
+    if lists:
         cases |= {f"[{name}]": [value] for name, value in HOSTILE.items()}
+    if any(typing.get_origin(typing.get_args(option)[0]) is list for option in lists):
+        cases |= {f"[[{name}]]": [[value]] for name, value in HOSTILE.items()}
     return cases
 
 

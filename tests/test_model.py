@@ -6,16 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from rankcal.errors import CapabilityError, ConfigError, DimensionError, MaskError, StateError
+from rankcal.errors import CapabilityError, ConfigError, DimensionError, StateError
 from rankcal.model import (
     MAX_PARAM_BYTES,
     ClassifierParams,
     ModelSpec,
-    SubsetMask,
     backward_masks,
     forward_core,
     init_params,
     load_checkpoint,
+    mask_names,
     mask_weights,
     param_shapes,
     save_checkpoint,
@@ -23,7 +23,7 @@ from rankcal.model import (
 from rankcal.numerics import nll_loss
 
 from gradcheck import grad_check
-from reference import nll_logit_grads, parse_mask, predicted_classes, reference_probs
+from reference import format_mask, nll_logit_grads, parse_mask, predicted_classes, reference_probs
 from reference import row_major_probs
 
 SPEC = ModelSpec(modality_dims=(3, 4, 2), hidden_dim=6, latent_dim=4, num_classes=3)
@@ -42,10 +42,10 @@ def zero_params(spec: ModelSpec) -> ClassifierParams:
 
 
 def run(params, feats, *masks):
-    """forward_core on the given masks, shared by every row."""
+    """forward_core on the given masks (lists of modality indices), shared by every row."""
     presence = np.zeros((len(masks), len(params.w1)), dtype=bool)
     for k, mask in enumerate(masks):
-        presence[k, list(mask.present)] = True
+        presence[k, mask] = True
     return forward_core(params, feats, mask_weights(presence))
 
 
@@ -64,7 +64,7 @@ def identity_passthrough_params() -> ClassifierParams:
 
 class TestModelSpec:
     def test_rejects_single_modality(self):
-        with pytest.raises(ConfigError, match=r"^model.modality_dims: expected at least 2 entries"):
+        with pytest.raises(ConfigError, match=r"^model.modality_dims: expected 2 to 63 entries"):
             ModelSpec(modality_dims=(3,), hidden_dim=4, latent_dim=2, num_classes=2)
 
     def test_rejects_single_class(self):
@@ -112,23 +112,20 @@ class TestModelSpec:
             ModelSpec(*fields)
 
 
-class TestSubsetMask:
-    def test_empty_rejected(self):
-        with pytest.raises(MaskError):
-            SubsetMask.of([])
-
-    def test_negative_rejected(self):
-        with pytest.raises(MaskError):
-            SubsetMask.of([-1, 0])
-
+class TestMaskNames:
     def test_format_and_parse(self):
-        mask = SubsetMask.of([2, 0])
-        assert mask.format() == "0+2"
-        assert parse_mask("0+2") == mask
+        assert mask_names([0b101]) == ["0+2"]
+        assert parse_mask("0+2") == 0b101
 
-    def test_out_of_range(self):
-        with pytest.raises(MaskError):
-            SubsetMask.of([0, 5]).validate_for(3)
+    def test_every_code_below_64_matches_the_reference(self):
+        codes = np.arange(1 << 6)
+        assert mask_names(codes) == [format_mask(c) for c in range(1 << 6)]
+
+    # Before, the names came from a table of all 2^M codes, which at M = 40 would not finish.
+    def test_forty_modalities_name_only_the_given_codes(self):
+        codes = [(1 << 40) - 1, 1 << 39, 0b101, (1 << 40) - 1]
+        assert mask_names(np.array(codes)) == [format_mask(c) for c in codes]
+        assert mask_names(codes)[0] == "+".join(map(str, range(40)))
 
 
 class TestInitParams:
@@ -231,33 +228,33 @@ class TestForward:
     def test_fused_latents_hand_example(self):
         params = identity_passthrough_params()
         feats = [np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]])]
-        fwd = run(params, feats, SubsetMask.of([0, 1]))
+        fwd = run(params, feats, [0, 1])
         assert np.array_equal(fwd.fused, [[[2.0, 3.0]]])
 
     def test_mean_of_equal_latents(self):
         params = identity_passthrough_params()
         feats = [np.array([[1.5, 0.5]]), np.array([[1.5, 0.5]])]
-        fwd = run(params, feats, SubsetMask.of([0, 1]))
+        fwd = run(params, feats, [0, 1])
         assert np.array_equal(fwd.fused, [[[1.5, 0.5]]])
 
     def test_singleton_mask_is_that_latent(self):
         params = identity_passthrough_params()
         feats = [np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]])]
-        fwd = run(params, feats, SubsetMask.of([1]), SubsetMask.of([0]))
+        fwd = run(params, feats, [1], [0])
         assert np.array_equal(fwd.fused, [[[3.0, 4.0], [1.0, 2.0]]])
 
     def test_deterministic_bit_identical(self):
         params = init_params(SPEC, seed=1)
         feats = random_features(SPEC, 2, rows=5)
-        mask = SubsetMask.of([0, 2])
+        mask = [0, 2]
         first, second = (row_major_probs(run(params, feats, mask)) for _ in range(2))
         assert first.tobytes() == second.tobytes()
 
     def test_mask_order_irrelevant(self):
         params = init_params(SPEC, seed=1)
         feats = random_features(SPEC, 2, rows=5)
-        a = run(params, feats, SubsetMask.of([2, 0, 1]))
-        b = run(params, feats, SubsetMask.of([1, 2, 0]))
+        a = run(params, feats, [2, 0, 1])
+        b = run(params, feats, [1, 2, 0])
         assert row_major_probs(a).tobytes() == row_major_probs(b).tobytes()
 
     def test_unused_modality_parameters_never_reach_probs(self):
@@ -265,7 +262,7 @@ class TestForward:
         # to the fused latent, whatever finite latent the unused encoder gives
         params = init_params(SPEC, seed=1)
         feats = random_features(SPEC, 2, rows=5)
-        masks = (SubsetMask.of([0, 2]), SubsetMask.of([2]))
+        masks = ([0, 2], [2])
         before = row_major_probs(run(params, feats, *masks))
         rng = np.random.default_rng(3)
         for a in encoder(params, 1):
@@ -308,20 +305,20 @@ class TestClassMajorLayout:
 
 class TestConfidence:
     def test_zero_params_uniform_tie_break(self):
-        fwd = run(zero_params(SPEC), random_features(SPEC, 3), SubsetMask.full(3))
+        fwd = run(zero_params(SPEC), random_features(SPEC, 3), [0, 1, 2])
         assert predicted_classes(fwd)[0, 0] == 0
         assert abs(fwd.confidence[0, 0] - 1.0 / SPEC.num_classes) < 1e-15
 
     def test_head_bias_sets_probs(self):
         params = zero_params(SPEC)
         params.head_b[...] = np.log([0.7, 0.2, 0.1])
-        fwd = run(params, random_features(SPEC, 3), SubsetMask.full(3))
+        fwd = run(params, random_features(SPEC, 3), [0, 1, 2])
         assert predicted_classes(fwd)[0, 0] == 0
         assert abs(fwd.confidence[0, 0] - 0.7) < 1e-12
 
     def test_exact_tie_goes_to_lowest_index(self):
         spec = ModelSpec(modality_dims=(2, 2), hidden_dim=2, latent_dim=2, num_classes=2)
-        fwd = run(zero_params(spec), [np.ones((1, 2)), np.ones((1, 2))], SubsetMask.full(2))
+        fwd = run(zero_params(spec), [np.ones((1, 2)), np.ones((1, 2))], [0, 1])
         assert predicted_classes(fwd)[0, 0] == 0 and fwd.confidence[0, 0] == 0.5
 
     @pytest.mark.parametrize("per_row", [False, True])
@@ -343,14 +340,14 @@ class TestConfidence:
     def test_confidence_bounds(self):
         for seed in range(10):
             params = init_params(SPEC, seed=seed)
-            conf = run(params, random_features(SPEC, seed, rows=4), SubsetMask.full(3)).confidence
+            conf = run(params, random_features(SPEC, seed, rows=4), [0, 1, 2]).confidence
             assert np.all(1.0 / SPEC.num_classes <= conf) and np.all(conf < 1.0)
 
 
 class TestBackward:
     def test_absent_modality_zero_grads(self):
         params = init_params(SPEC, seed=4)
-        fwd = run(params, random_features(SPEC, 5, rows=3), SubsetMask.of([0, 2]))
+        fwd = run(params, random_features(SPEC, 5, rows=3), [0, 2])
         grads = backward_masks(params, fwd, nll_logit_grads(fwd, 1))
         for a in encoder(grads, 1):
             assert not a.any() and not np.signbit(a).any()  # +0.0, not -0.0
@@ -360,7 +357,7 @@ class TestBackward:
         # With |mask| = 1 the fused latent is the encoder latent itself, so
         # the encoder must see the undivided upstream gradient.
         params = init_params(SPEC, seed=4)
-        fwd = run(params, random_features(SPEC, 5), SubsetMask.of([1]))
+        fwd = run(params, random_features(SPEC, 5), [1])
         g = nll_logit_grads(fwd, 0)
         grads = backward_masks(params, fwd, g)
         d_fused = g.T @ params.head_w.T
@@ -373,10 +370,10 @@ class TestBackward:
         params = init_params(SPEC, seed=4)
         feats = random_features(SPEC, 5, rows=3)
         out = ClassifierParams(params.spec)
-        full = run(params, feats, SubsetMask.full(3), SubsetMask.of([1]))
+        full = run(params, feats, [0, 1, 2], [1])
         backward_masks(params, full, nll_logit_grads(full, 1), out)
         assert out.w1[1].any() and out.b2[1].any()
-        partial = run(params, feats, SubsetMask.of([0, 2]), SubsetMask.of([2]))
+        partial = run(params, feats, [0, 2], [2])
         g = nll_logit_grads(partial, 1)
         assert backward_masks(params, partial, g, out) is out
         assert out.flat.tobytes() == backward_masks(params, partial, g).flat.tobytes()
@@ -387,7 +384,7 @@ class TestBackward:
         params = init_params(SPEC, seed=6)
         flat0 = params.flat.copy()
         feats = random_features(SPEC, 7, rows=2)
-        mask = SubsetMask.of(mask_indices)
+        mask = list(mask_indices)
         labels = np.array([[2], [0]])
 
         def objective(flat):

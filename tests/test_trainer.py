@@ -18,7 +18,7 @@ from rankcal.errors import (
     SweepError,
 )
 from rankcal.metrics import accuracy, aurc, e_aurc
-from rankcal.model import ModelSpec, SubsetMask, init_params
+from rankcal.model import ModelSpec, init_params
 from rankcal.trainer import (
     DEFAULT_LAMBDA_GRID,
     DEFAULT_NOISE_GRID,
@@ -534,7 +534,7 @@ class TestNoiseSweep:
         params_a = train(config(epochs=2), train_set).params
         params_b = train(config(epochs=2, lam=10.0), train_set).params
         rows = noise_sweep(
-            params_a, params_b, test_set, [0.0, 0.2], [SubsetMask.of([0])], seed=0
+            params_a, params_b, test_set, [0.0, 0.2], [[0]], seed=0
         )
         assert rows[0].acc_baseline == full_mask_accuracy(params_a, test_set)
         assert rows[0].acc_cml == full_mask_accuracy(params_b, test_set)
@@ -562,7 +562,7 @@ class TestNoiseSweep:
     @pytest.mark.parametrize("num_modalities", [2, 3, 4])
     def test_rows_equal_the_per_cell_oracle(self, num_modalities, num_rows):
         params_a, params_b, test_set = self.sweep_case(num_modalities, num_rows)
-        targets = default_target_sets(num_modalities) + [SubsetMask.of([0, num_modalities - 1])]
+        targets = default_target_sets(num_modalities) + [[0, num_modalities - 1]]
         epsilons = [0.0, 0.05, 0.3, 1.5, 8.0]
         rows = noise_sweep(params_a, params_b, test_set, epsilons, targets, seed=11)
         want = reference_noise_sweep(params_a, params_b, test_set, epsilons, targets, seed=11)
@@ -639,7 +639,7 @@ class TestNoiseSweep:
             params,
             test_set,
             [0.1, 0.2, 0.3],
-            [SubsetMask.of([0]), SubsetMask.of([1])],
+            [[0], [1]],
             seed=0,
         )
         assert len(rows) == 6
@@ -647,14 +647,13 @@ class TestNoiseSweep:
 
     def test_default_grids(self):
         assert DEFAULT_NOISE_GRID == (0.1, 0.2, 0.3, 0.5)
-        targets = default_target_sets(2)
-        assert targets == [SubsetMask.of([0]), SubsetMask.of([1]), SubsetMask.of([0, 1])]
+        assert default_target_sets(2) == [[0], [1], [0, 1]]
 
     def test_empty_test_set_rejected(self):
         params = init_params(MODEL, 0)
         empty = make_sets(per_class=20)[1].take([])
         with pytest.raises(EmptyInputError, match="empty test set"):
-            noise_sweep(params, params, empty, [0.1], [SubsetMask.of([0])], seed=0)
+            noise_sweep(params, params, empty, [0.1], [[0]], seed=0)
 
     @pytest.mark.parametrize(
         "epsilons, bad", [([0.1, -1.0], 1), ([float("nan")], 0), ([0.2, 0.3, float("inf")], 2)]
@@ -665,13 +664,44 @@ class TestNoiseSweep:
         params, test_set = init_params(MODEL, 0), make_sets(per_class=20)[1]
         want = rf"^epsilons\[{bad}\]: expected a finite value >= 0, got {epsilons[bad]!r}$"
         with pytest.raises(ConfigError, match=want):
-            noise_sweep(params, params, test_set, epsilons, [SubsetMask.of([0])], seed=0)
+            noise_sweep(params, params, test_set, epsilons, [[0]], seed=0)
         assert drawn == []
+
+    @pytest.mark.parametrize(
+        "target_sets, message",
+        [
+            ([[-1]], r"target_sets\[0\]: expected a non-empty list of modality indices >= 0"),
+            ([[0], []], r"target_sets\[1\]: expected a non-empty list of modality indices >= 0"),
+            ([[1], [0, 7]], r"target_sets\[1\]: expected modality indices below 2, got \[0, 7\]"),
+            ([[0, 0.5]], r"target_sets\[0\]\[1\]: expected int, got 0\.5$"),
+            # Checked before any code is computed: 1 << 10**30 would not finish.
+            ([[10**30]], r"target_sets\[0\]: expected modality indices below 2"),
+        ],
+    )
+    def test_bad_target_set_rejected_naming_it_before_any_noise(
+        self, monkeypatch, target_sets, message
+    ):
+        drawn = []
+        monkeypatch.setattr(trainer, "corrupt_block", lambda *args: drawn.append(args))
+        params, test_set = init_params(MODEL, 0), make_sets(per_class=20)[1]
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            noise_sweep(params, params, test_set, [0.1], target_sets, seed=0)
+        assert drawn == []
+
+    def test_repeated_or_numpy_indices_are_the_same_target(self):
+        params, test_set = init_params(MODEL, 0), make_sets(per_class=20)[1]
+        once, twice, array = (
+            noise_sweep(params, params, test_set, [0.0, 0.4], [targets], seed=2)
+            for targets in ([0], [0, 0], np.array([0]))
+        )
+        assert once == twice == array
+        assert [type(row.targets) for row in array] == [int, int]
+        assert model.mask_names([row.targets for row in array]) == ["0", "0"]
 
     @pytest.mark.parametrize("key", ["epsilons", "target_sets"])
     def test_empty_grid_rejected_naming_it(self, key):
         params = init_params(MODEL, 0)
-        grids = {"epsilons": [0.1], "target_sets": [SubsetMask.of([0])], key: []}
+        grids = {"epsilons": [0.1], "target_sets": [[0]], key: []}
         with pytest.raises(ConfigError, match=rf"^{key}: expected a non-empty list, got \[\]$"):
             noise_sweep(params, params, make_sets(per_class=20)[1], seed=0, **grids)
 
@@ -679,7 +709,7 @@ class TestNoiseSweep:
         other = ModelSpec(modality_dims=(4, 5), hidden_dim=8, latent_dim=4, num_classes=2)
         params = init_params(other, 0)
         with pytest.raises(SpecError, match=r"dataset dims \(4, 3\) != model dims \(4, 5\)"):
-            noise_sweep(params, params, make_sets()[1], [0.1], [SubsetMask.of([0])], seed=0)
+            noise_sweep(params, params, make_sets()[1], [0.1], [[0]], seed=0)
 
     def test_spec_mismatch_rejected(self):
         train_set, test_set = make_sets(per_class=20)
@@ -690,6 +720,6 @@ class TestNoiseSweep:
                 init_params(other, 0),
                 test_set,
                 [0.1],
-                [SubsetMask.of([0])],
+                [[0]],
                 seed=0,
             )
