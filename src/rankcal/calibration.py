@@ -163,14 +163,15 @@ def chain_objective(
     pairs and is weighted by `lam`. With `skip_on_wrong_full` the penalty is
     dropped (loss and gradients) for samples whose full-mask prediction is
     wrong. Gradients flow through both pair confidences. The call runs
-    objective_core on a Workspace of its own, as train does on one per batch shape.
+    objective_core on a Workspace and gradient buffer of its own, as train
+    does on one per batch shape and one for the run.
     """
     presence = np.asarray(presence, dtype=bool)
     batch, num_masks, _ = presence.shape
     labels = np.asarray(labels)
     onehot = label_onehot(labels, params.spec.num_classes, num_masks)
     workspace = Workspace.for_batch(params.spec, batch, num_masks)
-    options = (variant, lam, skip_on_wrong_full, None, workspace)  # None: new gradients
+    options = (variant, lam, skip_on_wrong_full, ClassifierParams(params.spec), workspace)
     return objective_core(params, list(features), mask_weights(presence), labels, onehot, *options)
 
 
@@ -194,10 +195,10 @@ def objective_core(
     """chain_objective on the (B, K, M) mask `weights` (the presence divided by each mask's size).
 
     `labels` is the batch's (B,) labels and `onehot` their label_onehot for K
-    masks, or a column slice of one. The gradients overwrite `out`, or go to a
-    new ClassifierParams when it is None. `workspace`, built for B rows and K
-    masks, takes every batch-sized temporary, the returned confidences among
-    them: the next call with it overwrites this result's arrays.
+    masks, or a column slice of one. The gradients overwrite the
+    ClassifierParams `out`, returned as `grads`. `workspace`, built for B rows
+    and K masks, takes every batch-sized temporary, the returned confidences
+    among them: the next call with it overwrites this result's arrays.
     """
     fwd = forward_core(params, blocks, weights, workspace)
     batch, num_masks = fwd.sums.shape
@@ -212,10 +213,7 @@ def objective_core(
     full_correct = predicted[::num_masks] == labels
     # The true class's probability: probs * onehot summed over the classes, whose zeros add +0.0.
     true_prob = probs.reshape(-1, batch, num_masks)[labels, workspace.rows]
-    if variant == "none":
-        gate = np.zeros(batch)
-    else:
-        gate = full_correct.astype(np.float64) if skip_on_wrong_full else np.ones(batch)
+    gate = full_correct.astype(np.float64) if skip_on_wrong_full else np.ones(batch)
     pair_loss, d_conf_t = pair_losses(variant, confidence[:, 1:], confidence[:, :-1])
     reg = np.add.reduce(pair_loss, axis=1) * gate  # ndarray.sum without its Python wrapper
 

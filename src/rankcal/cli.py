@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -299,8 +298,7 @@ def cmd_compare(config_path: Path, out_override: str | None) -> int:
     conf_a = report_a.mean_confidence_by_subset_size
     conf_b = report_b.mean_confidence_by_subset_size
     curve = "subset_size,conf_baseline,conf_cml\n" + "".join(
-        f"{size},{conf_a.get(size, math.nan):.9g},{conf_b.get(size, math.nan):.9g}\n"
-        for size in sorted(set(conf_a) | set(conf_b))
+        f"{size},{conf_a[size]:.9g},{conf_b[size]:.9g}\n" for size in sorted(conf_a)
     )
     data.write_text(out / "confidence_by_subset_size.csv", curve)
     print(
@@ -434,6 +432,8 @@ def main(argv: list[str] | None = None) -> int:
                 seed_override = int(env_seed)
             except ValueError:
                 raise ConfigError(f"CML_SEED must be an integer, got {env_seed!r}") from None
+        if seed_override is not None:
+            NON_NEGATIVE.check("", "CML_SEED" if args.seed is None else "--seed", seed_override)
         if args.command == "train":
             return cmd_train(config_path, args.out, seed_override)
         return cmd_sweep(config_path, args.out, seed_override, args.jobs)

@@ -16,8 +16,9 @@ inputs: the feature blocks come from a data.Dataset, which checked them when it
 was built, and the callers check the model spec against the data once per run.
 Every caller converts presence to weights itself, so training does it once per
 epoch.
-A ClassifierParams carries the ModelSpec it was built for, the one statement of
-its shapes, and holds every parameter as a view into one flat vector. Every
+A ClassifierParams carries the ModelSpec it was built for and holds every
+parameter as a view into one flat vector, laid out as param_shapes lists, the
+one statement of the shapes; a checkpoint stores that vector as it is. Every
 encoder has the spec's hidden and latent sizes, so each encoder layer's
 parameters are stacked over the modalities and the cores run a layer for all
 of them in one numpy call; only the first-layer matmul, whose input dims
@@ -45,10 +46,10 @@ from typing import Iterator
 import numpy as np
 
 from .errors import AT_LEAST_1, AT_LEAST_2, Bound, CapabilityError, DimensionError, Key
-from .errors import StateError, check_section, read_section
+from .errors import StateError, check_section, one_of, read_section
 from .numerics import ALLOCATE, Array, Workspace, softmax_parts
 
-CHECKPOINT_MAGIC = "rankcal-checkpoint v1"
+CHECKPOINT_MAGIC = "rankcal-checkpoint v2"
 
 # The largest parameter vector init_params allocates: 1 GiB, 2**27 float64 values.
 MAX_PARAM_BYTES = 1 << 30
@@ -62,7 +63,9 @@ SPEC_SCHEMA = {
     "latent_dim": Key(int, AT_LEAST_1),
     "num_classes": Key(int, AT_LEAST_2),
 }
-_HEADER_SCHEMA = {"spec": Key(dict), "arrays": Key(list[list[int]]), "dtype": Key(str)}
+_HEADER_SCHEMA = {
+    "spec": Key(dict), "arrays": Key(list[list[int]]), "dtype": Key(str, one_of("<f8"))
+}
 
 
 @dataclass(frozen=True)
@@ -98,24 +101,32 @@ def mask_names(codes) -> list[str]:
     return [names[c] for c in codes]
 
 
+def param_shapes(spec: ModelSpec) -> list[tuple[int, ...]]:
+    """The shapes of a ClassifierParams' views, in the order they tile `flat`.
+
+    Each modality's first-layer weights `w1[m]` (d_m, H), then `b1` (M, H),
+    `w2` (M, H, L) and `b2` (M, L) stacked over the modalities, then the head
+    weights (L, C) and bias (C,). A checkpoint's header lists them.
+    """
+    num, hidden, latent = spec.num_modalities, spec.hidden_dim, spec.latent_dim
+    stacked = [(num, hidden), (num, hidden, latent), (num, latent)]  # b1, w2, b2
+    head = [(latent, spec.num_classes), (spec.num_classes,)]
+    return [(d, hidden) for d in spec.modality_dims] + stacked + head
+
+
 class ClassifierParams:
     """A model's spec and every parameter array as a view into one flat float64 buffer.
 
-    `flat` holds each modality's first-layer weights `w1[m]` (d_m, H) in
-    order, then the stacked `b1` (M, H), `w2` (M, H, L) and `b2` (M, L), then
-    the head weights and bias, so one numpy call runs a layer for every
-    modality. `arrays()` keeps declaration order (per modality w1, b1, w2, b2;
-    then the head), which is also the checkpoint order. An in-place write to
-    `flat` shows through every named array and vice versa; rebinding a named
-    attribute would break that link.
+    The views tile `flat` in param_shapes order, so one numpy call runs a
+    layer for every modality. `arrays()` yields them per modality instead
+    (w1, b1, w2, b2; then the head), the order init_params draws its weights
+    in. An in-place write to `flat` shows through every named array and vice
+    versa; rebinding a named attribute would break that link.
     """
 
     def __init__(self, spec: ModelSpec, flat: Array | None = None):
         """Views into `flat` itself (no copy), laid out as above; all zeros without `flat`."""
-        num, hidden, latent = spec.num_modalities, spec.hidden_dim, spec.latent_dim
-        shapes = [(d, hidden) for d in spec.modality_dims]
-        shapes += [(num, hidden), (num, hidden, latent), (num, latent)]
-        shapes += [(latent, spec.num_classes), (spec.num_classes,)]
+        shapes = param_shapes(spec)
         sizes = [math.prod(shape) for shape in shapes]
         if flat is None:
             flat = np.zeros(sum(sizes))
@@ -124,11 +135,11 @@ class ClassifierParams:
             raise DimensionError(f"flat parameters must be {expected}: {flat.dtype}{flat.shape}")
         starts = itertools.accumulate(sizes, initial=0)
         views = [flat[i : i + n].reshape(shape) for i, n, shape in zip(starts, sizes, shapes)]
-        self.spec, self.flat, self.w1 = spec, flat, views[:num]
-        self.b1, self.w2, self.b2, self.head_w, self.head_b = views[num:]
+        self.spec, self.flat, self.w1 = spec, flat, views[:-5]
+        self.b1, self.w2, self.b2, self.head_w, self.head_b = views[-5:]
 
     def arrays(self) -> Iterator[Array]:
-        """All parameter arrays in declaration order (also the checkpoint order)."""
+        """All parameter arrays per modality (w1, b1, w2, b2), then the head weights and bias."""
         for m, w1 in enumerate(self.w1):
             yield w1
             yield self.b1[m]
@@ -136,14 +147,6 @@ class ClassifierParams:
             yield self.b2[m]
         yield self.head_w
         yield self.head_b
-
-
-def param_shapes(spec: ModelSpec) -> list[tuple[int, ...]]:
-    """The shapes of ClassifierParams(spec).arrays(), in declaration order, without allocating."""
-    hidden, latent = spec.hidden_dim, spec.latent_dim
-    rest = ((hidden,), (hidden, latent), (latent,))  # b1, w2 and b2 of every encoder
-    encoders = [s for d in spec.modality_dims for s in ((d, hidden), *rest)]
-    return encoders + [(latent, spec.num_classes), (spec.num_classes,)]
 
 
 def init_params(spec: ModelSpec, seed: int) -> ClassifierParams:
@@ -241,8 +244,8 @@ def backward_masks(
     params: ClassifierParams,
     fwd: MaskedForward,
     logit_grads: Array,
-    out: ClassifierParams | None = None,
-    workspace: Workspace = ALLOCATE,
+    out: ClassifierParams,
+    workspace: Workspace,
 ) -> ClassifierParams:
     """Exact parameter gradients of sum(logit_grads * logits) over every row and mask.
 
@@ -253,15 +256,14 @@ def backward_masks(
     are read in place, with no copy.
     Each modality collects its latent gradient over every mask containing it
     before one encoder backward pass; a modality that no mask uses gets zero
-    gradients. The gradients overwrite every array of `out` when it is given
-    (so one buffer serves every batch) and go to a new ClassifierParams otherwise.
+    gradients. The gradients overwrite every array of `out`, which it returns,
+    so one buffer serves every batch.
     The ReLU mask is a multiply, a third of np.where's in-loop cost, whose -0.0
     gradients sum to +0.0 in b1 and w1 as np.where's +0.0 do (see _hidden_grads).
-    The batch's temporaries go to `workspace`'s arrays when it is given.
+    The batch's temporaries go to `workspace`'s arrays; numpy allocates those
+    that it lacks, all of them for numerics.ALLOCATE.
     """
     batch, num_masks = fwd.sums.shape
-    if out is None:
-        out = ClassifierParams(params.spec, np.empty_like(params.flat))
     g = np.ascontiguousarray(logit_grads.T)
     np.matmul(fwd.fused.reshape(-1, fwd.fused.shape[-1]).T, g, out=out.head_w)
     np.add.reduce(g, axis=0, out=out.head_b)  # ndarray.sum without its Python wrapper
@@ -291,31 +293,34 @@ def _hidden_grads(hidden: Array, d_latents: Array, w2: Array, workspace: Workspa
 
 
 def save_checkpoint(path, params: ClassifierParams) -> None:
-    """Write magic line, JSON header (with `params.spec`), then raw little-endian float64 arrays.
+    """Write magic line, JSON header, then `params.flat` as raw little-endian float64.
 
-    Arrays follow in declaration order (per modality: w1, b1, w2, b2; then the
-    head weights and bias), each C-contiguous. Round-trips are bit-exact.
+    The header holds `params.spec`, its param_shapes and the dtype `<f8`; the
+    payload is `flat` as it is in memory, so a round trip is bit-exact.
     """
     header = {
         "spec": params.spec.to_json_dict(),
-        "arrays": [list(a.shape) for a in params.arrays()],
+        "arrays": param_shapes(params.spec),
         "dtype": "<f8",
     }
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC.encode("ascii") + b"\n")
         fh.write(json.dumps(header, sort_keys=True, allow_nan=False).encode("ascii") + b"\n")
-        fh.writelines(a.astype("<f8").tobytes() for a in params.arrays())
+        fh.write(np.ascontiguousarray(params.flat, dtype="<f8"))
 
 
 def load_checkpoint(path) -> tuple[ModelSpec, ClassifierParams]:
-    """The spec and parameters that save_checkpoint wrote; `params.spec` is that spec."""
+    """The spec and parameters that save_checkpoint wrote; `params.spec` is that spec.
+
+    A file of another version, or whose header disagrees with itself or its payload, fails.
+    """
     with open(path, "rb") as fh:
         magic = fh.readline().rstrip(b"\n").decode("ascii", errors="replace")
         if magic != CHECKPOINT_MAGIC:
             raise StateError(f"{path}: not a checkpoint file (magic {magic!r})")
         try:
             header = json.loads(fh.readline().decode("ascii"))
-            header = check_section("header", header, _HEADER_SCHEMA, required=("spec", "arrays"))
+            header = check_section("header", header, _HEADER_SCHEMA, required=_HEADER_SCHEMA)
             spec = ModelSpec.from_json_dict(header["spec"])
         except (ValueError, RecursionError) as exc:  # RecursionError: a header nested too deeply
             raise StateError(f"{path}: {exc}") from None
@@ -328,10 +333,4 @@ def load_checkpoint(path) -> tuple[ModelSpec, ClassifierParams]:
     values = np.frombuffer(payload, dtype="<f8")
     if not np.isfinite(values).all():
         raise StateError(f"{path}: non-finite parameter values")
-    # The file holds the arrays in declaration order; `flat` stacks the encoder layers.
-    params = ClassifierParams(spec, np.empty(values.size))
-    start = 0
-    for view in params.arrays():
-        view[...] = values[start : start + view.size].reshape(view.shape)
-        start += view.size
-    return spec, params
+    return spec, ClassifierParams(spec, values.astype(np.float64))

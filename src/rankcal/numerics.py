@@ -14,9 +14,10 @@ and the bias add's memory order.
 
 A Workspace holds every batch-sized array of one training step for one batch
 shape. The step's functions take it as their last argument and write each
-temporary into its array with out=. calibration.objective_core needs one; the
-others default to ALLOCATE, which has no arrays, so numpy allocates each
-temporary as the call needs it. Both give the same bits.
+temporary into its array with out=. calibration.objective_core and
+model.backward_masks need one; the others default to ALLOCATE, which has no
+arrays, so numpy allocates each temporary as the call needs it. Both give the
+same bits.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ class Workspace:
     same arrays, so whatever a step returns that views them (a MaskedForward,
     a ChainObjective's confidence) is overwritten by the next step. A field
     left None is allocated afresh by the call that needs it: ALLOCATE, the
-    default of the forward, backward and softmax functions, leaves all of them
-    None (`padded`, `rows` and `columns` serve only objective_core).
+    default of the forward and softmax functions, leaves all of them None
+    (`padded`, `rows` and `columns` serve only objective_core).
     Shapes use M modalities, hidden size H, latent size L and C classes.
     """
 

@@ -24,7 +24,7 @@ from rankcal.data import Dataset
 from rankcal.errors import CapabilityError, ConfigError, DomainError, EmptyInputError, SpecError
 from rankcal.model import ClassifierParams, ModelSpec, backward_masks, forward_core, init_params
 from rankcal.model import mask_weights
-from rankcal.numerics import Workspace
+from rankcal.numerics import ALLOCATE, Workspace
 
 from gradcheck import grad_check
 from reference import (
@@ -299,7 +299,8 @@ class TestCompositeGradient:
             for mask in chains[b]:
                 fwd = forward_core(params, row, mask_weights(mask[None, :]))
                 g = nll_logit_grads(fwd, labels[b]) / 3
-                reference += backward_masks(params, fwd, g).flat
+                grads = backward_masks(params, fwd, g, ClassifierParams(SPEC3), ALLOCATE)
+                reference += grads.flat
         assert np.allclose(res.grads.flat, reference, rtol=1e-12, atol=1e-15)
 
     def test_grad_check_hinge(self):

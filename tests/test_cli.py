@@ -227,6 +227,23 @@ class TestTrainCommand:
         assert len(err.splitlines()) == 1 and "CML_SEED" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_negative_env_seed_fails_naming_variable_before_reading_data(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # Before, this was reported as train.seed, a config key the user had not set.
+        def no_data(*args, **kwargs):
+            raise AssertionError("data was read before CML_SEED was checked")
+
+        monkeypatch.setattr(data, "generate_synthetic", no_data)
+        monkeypatch.setenv("CML_SEED", "-3")
+        cfg = write_config(tmp_path / "config.json")
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: CML_SEED: expected an int >= 0, got -3"]
+        assert not out.exists()
+
     def test_non_finite_csv_cell_fails_naming_line(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "gen.json")
         assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "ds")]) == 0
@@ -430,6 +447,19 @@ class TestCompareCommand:
         checkpoint.write_bytes(b"\n".join([magic, json.dumps(header).encode(), payload]))
         err = self.compare_error(tmp_path, capsys, run_dir)
         assert f"{checkpoint}: spec.hidden_dim: missing key" in err
+
+    @pytest.mark.parametrize("dtype", [">f8", "int8"])
+    def test_checkpoint_of_another_dtype_fails_naming_it(self, tmp_path, capsys, dtype):
+        # Before, the header's dtype was never read: byte-swapped values loaded as they were.
+        cfg = write_config(tmp_path / "config.json")
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(run_dir)]) == 0
+        checkpoint = run_dir / "checkpoint.bin"
+        magic, header, payload = checkpoint.read_bytes().split(b"\n", 2)
+        header = {**json.loads(header), "dtype": dtype}
+        checkpoint.write_bytes(b"\n".join([magic, json.dumps(header).encode(), payload]))
+        err = self.compare_error(tmp_path, capsys, run_dir)
+        assert err == f"error: {checkpoint}: header.dtype: expected one of '<f8', got '{dtype}'\n"
 
     def test_checkpoint_header_nested_too_deeply_fails_naming_it(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "config.json")
@@ -1226,6 +1256,9 @@ class TestCommandSections:
                 [],
                 "split.val_fraction: expected a value in (0, 1), got 0.0",
             ),
+            # Before, a negative override was reported as train.seed, which the user had not set.
+            ("train", {}, ["--seed", "-1"], "--seed: expected an int >= 0, got -1"),
+            ("sweep", {}, ["--seed", "-1"], "--seed: expected an int >= 0, got -1"),
         ],
     )
     def test_non_finite_setting_fails_naming_it_before_training(

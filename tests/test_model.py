@@ -20,13 +20,18 @@ from rankcal.model import (
     param_shapes,
     save_checkpoint,
 )
-from rankcal.numerics import nll_loss
+from rankcal.numerics import ALLOCATE, nll_loss
 
 from gradcheck import grad_check
 from reference import format_mask, nll_logit_grads, parse_mask, predicted_classes, reference_probs
 from reference import row_major_probs
 
 SPEC = ModelSpec(modality_dims=(3, 4, 2), hidden_dim=6, latent_dim=4, num_classes=3)
+CHECKPOINT_SPECS = [
+    SPEC,
+    ModelSpec((1, 7, 2, 5), hidden_dim=1, latent_dim=9, num_classes=2),
+    ModelSpec((5, 5), hidden_dim=3, latent_dim=1, num_classes=6),
+]
 
 
 def random_features(spec: ModelSpec, seed: int, rows: int = 1) -> list[np.ndarray]:
@@ -47,6 +52,12 @@ def run(params, feats, *masks):
     for k, mask in enumerate(masks):
         presence[k, mask] = True
     return forward_core(params, feats, mask_weights(presence))
+
+
+def gradients(params, fwd, logit_grads, out=None) -> ClassifierParams:
+    """backward_masks into `out`, or into a new buffer, allocating every temporary."""
+    out = ClassifierParams(params.spec) if out is None else out
+    return backward_masks(params, fwd, logit_grads, out, ALLOCATE)
 
 
 def encoder(params, m: int) -> tuple[np.ndarray, ...]:
@@ -204,9 +215,20 @@ class TestClassifierParams:
     def test_without_flat_every_parameter_is_zero(self, spec):
         params = ClassifierParams(spec)
         assert params.spec is spec and params.flat.dtype == np.float64
-        assert [a.shape for a in params.arrays()] == param_shapes(spec)
         assert params.flat.size == sum(map(math.prod, param_shapes(spec)))
         assert not params.flat.any()
+
+    @pytest.mark.parametrize("spec", CHECKPOINT_SPECS)
+    def test_views_tile_flat_in_param_shapes_order(self, spec):
+        params = ClassifierParams(spec)
+        views = [*params.w1, params.b1, params.w2, params.b2, params.head_w, params.head_b]
+        assert [v.shape for v in views] == param_shapes(spec)
+        start = params.flat.ctypes.data
+        for view in views:  # each view begins where the one before it ends: no gap, no overlap
+            assert view.base is params.flat and view.flags.c_contiguous
+            assert view.ctypes.data == start
+            start += view.nbytes
+        assert start == params.flat.ctypes.data + params.flat.nbytes
 
     def test_given_flat_is_viewed_not_copied(self):
         flat = np.arange(init_params(SPEC, seed=0).flat.size, dtype=np.float64)
@@ -348,7 +370,7 @@ class TestBackward:
     def test_absent_modality_zero_grads(self):
         params = init_params(SPEC, seed=4)
         fwd = run(params, random_features(SPEC, 5, rows=3), [0, 2])
-        grads = backward_masks(params, fwd, nll_logit_grads(fwd, 1))
+        grads = gradients(params, fwd, nll_logit_grads(fwd, 1))
         for a in encoder(grads, 1):
             assert not a.any() and not np.signbit(a).any()  # +0.0, not -0.0
         assert grads.w1[0].any()
@@ -359,7 +381,7 @@ class TestBackward:
         params = init_params(SPEC, seed=4)
         fwd = run(params, random_features(SPEC, 5), [1])
         g = nll_logit_grads(fwd, 0)
-        grads = backward_masks(params, fwd, g)
+        grads = gradients(params, fwd, g)
         d_fused = g.T @ params.head_w.T
         d_w2_expected = fwd.hidden[1].T @ d_fused
         assert np.allclose(grads.w2[1], d_w2_expected, atol=1e-15)
@@ -371,12 +393,12 @@ class TestBackward:
         feats = random_features(SPEC, 5, rows=3)
         out = ClassifierParams(params.spec)
         full = run(params, feats, [0, 1, 2], [1])
-        backward_masks(params, full, nll_logit_grads(full, 1), out)
+        gradients(params, full, nll_logit_grads(full, 1), out)
         assert out.w1[1].any() and out.b2[1].any()
         partial = run(params, feats, [0, 2], [2])
         g = nll_logit_grads(partial, 1)
-        assert backward_masks(params, partial, g, out) is out
-        assert out.flat.tobytes() == backward_masks(params, partial, g).flat.tobytes()
+        assert gradients(params, partial, g, out) is out
+        assert out.flat.tobytes() == gradients(params, partial, g).flat.tobytes()
         assert not any(a.any() for a in encoder(out, 1))
 
     @pytest.mark.parametrize("mask_indices", [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)])
@@ -390,7 +412,7 @@ class TestBackward:
         def objective(flat):
             params.flat[:] = flat
             fwd = run(params, feats, mask)
-            grads = backward_masks(params, fwd, nll_logit_grads(fwd, labels))
+            grads = gradients(params, fwd, nll_logit_grads(fwd, labels))
             return float(nll_loss(row_major_probs(fwd)[:, 0], labels[:, 0]).sum()), grads.flat
 
         result = grad_check(objective, flat0, tolerance=1e-4)
@@ -398,13 +420,14 @@ class TestBackward:
 
 
 class TestCheckpoint:
-    def test_round_trip_bit_exact(self, tmp_path):
-        params = init_params(SPEC, seed=11)
+    @pytest.mark.parametrize("spec", CHECKPOINT_SPECS)
+    def test_round_trip_bit_exact(self, tmp_path, spec):
+        flat = np.random.default_rng(13).standard_normal(ClassifierParams(spec).flat.size)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, params)
+        save_checkpoint(path, ClassifierParams(spec, flat))
         spec_loaded, loaded = load_checkpoint(path)
-        assert spec_loaded == SPEC
-        assert loaded.flat.tobytes() == params.flat.tobytes()
+        assert spec_loaded == loaded.spec == spec
+        assert loaded.flat.tobytes() == flat.tobytes()
 
     def test_header_spec_is_the_params_spec(self, tmp_path):
         spec = ModelSpec(modality_dims=(2, 5), hidden_dim=3, latent_dim=7, num_classes=4)
@@ -438,29 +461,32 @@ class TestCheckpoint:
         with pytest.raises(StateError):
             load_checkpoint(path)
 
-    def test_payload_is_the_declaration_order_arrays(self, tmp_path):
+    def test_payload_is_flat_and_header_lists_param_shapes(self, tmp_path):
         params = init_params(SPEC, seed=11)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params)
-        payload = path.read_bytes().split(b"\n", 2)[2]
-        assert payload == np.concatenate([a.ravel() for a in params.arrays()]).tobytes()
-        assert payload != params.flat.tobytes()  # flat is stacked, not in declaration order
+        magic, header, payload = path.read_bytes().split(b"\n", 2)
+        assert magic == b"rankcal-checkpoint v2"
+        header = json.loads(header)
+        assert [tuple(shape) for shape in header["arrays"]] == param_shapes(SPEC)
+        assert header["dtype"] == "<f8"
+        assert payload == params.flat.astype("<f8").tobytes()
 
-    def test_hand_built_declaration_order_bytes_load(self, tmp_path):
+    def test_v1_file_fails_naming_file_and_magic(self, tmp_path):
+        # Version 1 stored each modality's w1, b1, w2, b2 in turn, then the head.
         rng = np.random.default_rng(12)
-        declared = [rng.standard_normal(shape) for shape in param_shapes(SPEC)]
-        header = {"spec": SPEC.to_json_dict(), "arrays": [list(a.shape) for a in declared]}
+        hidden, latent = SPEC.hidden_dim, SPEC.latent_dim
+        rest = ((hidden,), (hidden, latent), (latent,))
+        shapes = [s for d in SPEC.modality_dims for s in ((d, hidden), *rest)]
+        shapes += [(latent, SPEC.num_classes), (SPEC.num_classes,)]
+        header = {"spec": SPEC.to_json_dict(), "arrays": shapes, "dtype": "<f8"}
+        payload = b"".join(rng.standard_normal(shape).astype("<f8").tobytes() for shape in shapes)
         path = tmp_path / "model.ckpt"
-        payload = b"".join(a.astype("<f8").tobytes() for a in declared)
         path.write_bytes(b"rankcal-checkpoint v1\n" + json.dumps(header).encode() + b"\n" + payload)
-        _, loaded = load_checkpoint(path)
-        for got, want in zip(loaded.arrays(), declared, strict=True):
-            assert got.tobytes() == want.tobytes()
-        # loading packs the declaration-order arrays into the stacked layout
-        stacked = [*declared[0:12:4], *(np.stack(declared[k:12:4]) for k in (1, 2, 3))]
-        expected = np.concatenate([a.ravel() for a in stacked + declared[-2:]])
-        assert loaded.flat.tobytes() == expected.tobytes()
-        assert loaded.spec == SPEC
+        message = f"{path}: not a checkpoint file (magic 'rankcal-checkpoint v1')"
+        with pytest.raises(StateError) as caught:
+            load_checkpoint(path)
+        assert str(caught.value) == message
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
