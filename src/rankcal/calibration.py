@@ -7,14 +7,13 @@ with ci < 0 is the violating ranking rate (VRR). Training adds a hinge
 penalty max(0, conf(T) - conf(S)) over the pairs of a randomly sampled
 removal chain, weighted by lambda on top of the classification loss.
 
-chain_objective turns a batch's chains into mask weights and runs
-objective_core, the arithmetic of one batch (forward_core, the NLL, the penalty
-and backward_masks) on model.MaskedForward's class-major softmax, in a
-numerics.Workspace of its own. trainer.train takes a whole epoch's mask
-weights from its removal orders at once (chain_weights) and calls
-objective_core per batch, in one Workspace per batch shape, so both run one
-path. Nothing here checks its inputs: they come from a data.Dataset, which
-checked them when it was built.
+objective_core is the arithmetic of one batch (forward_core, the NLL, the
+penalty and backward_masks) on model.MaskedForward's class-major softmax.
+trainer.train takes a whole epoch's mask weights from its removal orders at
+once (chain_weights), with their label_onehot, and calls objective_core per
+batch on their slices, in one numerics.Workspace per batch shape. Nothing here
+checks its inputs: they come from a data.Dataset, which checked them when it
+was built.
 
 Exhaustive VRR reads everything that depends only on the modality count M
 from one cached lattice table per M: the mask weights, the pairs' columns and
@@ -29,7 +28,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -66,32 +64,20 @@ def removal_orders(rng: np.random.Generator, num_samples: int, num_modalities: i
     return rng.random((num_samples, num_modalities)).argsort(axis=1, kind="stable")
 
 
-def chain_presence(orders) -> Array:
-    """(B, M, M) presence of each sample's removal chain.
+def chain_weights(orders: Array) -> Array:
+    """(B, M, M) mask weights of each sample's removal chain, from (B, M) removal orders.
 
     Mask 0 is the full set and mask k+1 drops orders[b, k] from mask k, so the
     chain ends at the single modality orders[b, M-1]; consecutive masks
-    (k+1, k) are the chain's (T, S) pairs.
+    (k+1, k) are the chain's (T, S) pairs. Mask k holds M - k modalities, so its
+    weights are its presence divided by M - k: model.mask_weights of that
+    presence, bit for bit. Each order must be a permutation, as removal_orders
+    draws them; nothing checks it.
     """
-    orders = np.asarray(orders)
-    if orders.ndim != 2 or orders.shape[1] < 1:
-        raise SpecError(f"removal orders {orders.shape} must be (B, M) with M >= 1")
-    if np.any(np.sort(orders, axis=1) != np.arange(orders.shape[1])):
-        raise SpecError("each removal order must be a permutation of the modalities")
-    return _presence(orders)
-
-
-def _presence(orders: Array) -> Array:
-    """chain_presence of (B, M) orders known to be permutations, unchecked."""
-    steps = np.arange(orders.shape[1])
-    position = orders.argsort(axis=1, kind="stable")  # each modality's removal step (the inverse)
-    return position[:, None, :] >= steps[:, None]
-
-
-def chain_weights(orders: Array) -> Array:
-    """mask_weights(chain_presence(orders)) bit for bit, unchecked: mask k holds M - k modalities."""
     num_modalities = orders.shape[1]
-    return _presence(orders) / (num_modalities - np.arange(num_modalities))[:, None]
+    steps = np.arange(num_modalities)
+    position = orders.argsort(axis=1, kind="stable")  # each modality's removal step (the inverse)
+    return (position[:, None, :] >= steps[:, None]) / (num_modalities - steps)[:, None]
 
 
 def pair_losses(variant: str, conf_t: Array, conf_s: Array) -> tuple[Array, Array]:
@@ -144,37 +130,6 @@ class ChainObjective:
     full_correct: Array
 
 
-def chain_objective(
-    params: ClassifierParams,
-    features: Sequence[Array],
-    labels,
-    presence,
-    variant: str = "hinge",
-    lam: float = 0.0,
-    skip_on_wrong_full: bool = True,
-) -> ChainObjective:
-    """Composite objective summed over a batch, each sample on its own removal chain.
-
-    `features[m]` is the (B, d_m) float64 block of modality m, `labels` the
-    (B,) integer labels, and `presence[b]` sample b's chain of K masks (see
-    chain_presence); mask 0 is the full set. Per sample, the classification
-    loss averages the NLL over the K masks (1/M factor for a full chain); the
-    ranking penalty sums the variant's pair loss over the (mask k+1, mask k)
-    pairs and is weighted by `lam`. With `skip_on_wrong_full` the penalty is
-    dropped (loss and gradients) for samples whose full-mask prediction is
-    wrong. Gradients flow through both pair confidences. The call runs
-    objective_core on a Workspace and gradient buffer of its own, as train
-    does on one per batch shape and one for the run.
-    """
-    presence = np.asarray(presence, dtype=bool)
-    batch, num_masks, _ = presence.shape
-    labels = np.asarray(labels)
-    onehot = label_onehot(labels, params.spec.num_classes, num_masks)
-    workspace = Workspace.for_batch(params.spec, batch, num_masks)
-    options = (variant, lam, skip_on_wrong_full, ClassifierParams(params.spec), workspace)
-    return objective_core(params, list(features), mask_weights(presence), labels, onehot, *options)
-
-
 def label_onehot(labels: Array, num_classes: int, num_masks: int) -> Array:
     """(C, B*K) float64 one-hot of (B,) labels for K masks each, in MaskedForward.exp's layout."""
     return (labels.repeat(num_masks) == np.arange(num_classes)[:, None]).astype(np.float64)
@@ -192,13 +147,21 @@ def objective_core(
     out,
     workspace: Workspace,
 ) -> ChainObjective:
-    """chain_objective on the (B, K, M) mask `weights` (the presence divided by each mask's size).
+    """Composite objective summed over a batch, each sample on its own chain of K masks.
 
-    `labels` is the batch's (B,) labels and `onehot` their label_onehot for K
-    masks, or a column slice of one. The gradients overwrite the
+    `blocks[m]` is the (B, d_m) float64 block of modality m and `weights` the
+    (B, K, M) mask weights of each sample's chain (chain_weights, or its first
+    K masks); mask 0 is the full set. `labels` is the batch's (B,) labels and
+    `onehot` their label_onehot for K masks, or a column slice of one. Per
+    sample, the classification loss averages the NLL over the K masks; the
+    ranking penalty sums the variant's pair loss over the (mask k+1, mask k)
+    pairs and is weighted by `lam`. With `skip_on_wrong_full` the penalty is
+    dropped (loss and gradients) for samples whose full-mask prediction is
+    wrong. Gradients flow through both pair confidences. They overwrite the
     ClassifierParams `out`, returned as `grads`. `workspace`, built for B rows
-    and K masks, takes every batch-sized temporary, the returned confidences
-    among them: the next call with it overwrites this result's arrays.
+    and K masks (Workspace.for_batch), takes every batch-sized temporary, the
+    returned confidences among them: the next call with it overwrites this
+    result's arrays.
     """
     fwd = forward_core(params, blocks, weights, workspace)
     batch, num_masks = fwd.sums.shape
@@ -343,9 +306,9 @@ def evaluate_vrr(
     else:
         rng = np.random.default_rng([seed, _VRR_STREAM, 0])
         orders = removal_orders(rng, num_samples, num_modalities)
-        presence = _presence(orders)
-        fwd = forward_core(params, dataset.modalities, mask_weights(presence))
-        conf, code = fwd.confidence, presence @ (1 << np.arange(num_modalities))
+        weights = chain_weights(orders)  # the chains of training, one per sample
+        fwd = forward_core(params, dataset.modalities, weights)
+        conf, code = fwd.confidence, (weights > 0.0) @ (1 << np.arange(num_modalities))
         full_col = 0  # every chain starts at the full set
         full_probs = fwd.mask_probs(full_col)
         t_col, s_col = np.arange(1, num_modalities), np.arange(num_modalities - 1)

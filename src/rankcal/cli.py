@@ -4,8 +4,9 @@ All experiment parameters live in one JSON config; the flags only pick the
 config file, output directory, (for train and sweep) seed override, and (for
 sweep) lambda-sweep parallelism, so a run is reproducible from the config
 alone. For the two commands that train, `CML_SEED` in the environment (or
---seed, which wins) overrides the configured training seed; generate and
-compare read neither.
+--seed, which wins) overrides the configured training seed, given as an
+optional "-" and the digits 0-9 alone; generate and compare read neither.
+compare subtracts two runs' VRRs only when both were scored in one vrr_mode.
 
 A config is checked in two layers: its tables, once per section in
 _parse_sections before any data is read, then each config class, once when it
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -29,7 +31,7 @@ from . import calibration, data, trainer
 from .errors import AT_LEAST_1, FINITE_NON_NEGATIVE, NON_EMPTY, NON_NEGATIVE, OPEN_FRACTION, PATH
 from .errors import Bound, ConfigError, Key, RankcalError, SpecError, StateError
 from .errors import check_section, one_of, read_section
-from .metrics import mean_abs_conf_shift
+from .metrics import MetricsReport, mean_abs_conf_shift
 from .model import SPEC_SCHEMA, ClassifierParams, ModelSpec, load_checkpoint, mask_names
 from .model import save_checkpoint
 
@@ -78,6 +80,8 @@ _SPLIT_DEFAULTS = {"train_fraction": 0.75, "seed": 0}
 # The keys that the compare and sweep commands require of their own section.
 _REQUIRED = {"compare": ("baseline_run", "cml_run"), "sweep": ("kind",)}
 _ONE_SOURCE = Bound("exactly one of 'manifest', 'synthetic'", lambda keys: len(keys) == 1)
+# A seed override's text: an optional "-", then ASCII digits.
+_SEED_TEXT = re.compile("-?[0-9]+")
 # A noise sweep without runs trains its own pair: the baseline at lambda 0, the CML model at this.
 _PAIR_LAMBDA = Bound("a value > 0 for a noise sweep without runs", lambda lam: lam > 0)
 
@@ -213,7 +217,13 @@ def cmd_generate(config_path: Path, out_override: str | None) -> int:
     return 0
 
 
-def _write_run_dir(run_dir: Path, snapshot: dict, result: trainer.RunResult) -> None:
+def _write_run_dir(
+    run_dir: Path,
+    snapshot: dict,
+    result: trainer.RunResult,
+    report: MetricsReport,
+    records: calibration.RankingRecords,
+) -> None:
     run_dir.mkdir(parents=True, exist_ok=True)
     # The timestamp is the single non-reproducible key in the run directory.
     snapshot["meta"] = {"written_at": datetime.now(timezone.utc).isoformat()}
@@ -223,21 +233,21 @@ def _write_run_dir(run_dir: Path, snapshot: dict, result: trainer.RunResult) -> 
         for epoch, stats in enumerate(result.history)
     )
     data.write_text(run_dir / HISTORY_NAME, "epoch,cls_loss,cml_loss,train_acc\n" + history)
-    data.write_json(run_dir / METRICS_NAME, result.report.to_json_dict())
+    data.write_json(run_dir / METRICS_NAME, report.to_json_dict())
     save_checkpoint(run_dir / CHECKPOINT_NAME, result.params)
-    calibration.write_records_csv(run_dir / RECORDS_NAME, result.vrr_evaluation.records)
+    calibration.write_records_csv(run_dir / RECORDS_NAME, records)
 
 
 def cmd_train(config_path: Path, out_override: str | None, seed_override: int | None) -> int:
     raw, cfg = _load_config(config_path)
     prepared = _prepare(cfg, config_path.parent)
     config = _build_train_config(cfg, prepared.model_spec, seed_override)
-    result = trainer.run_and_evaluate(config, prepared.train, prepared.test)
+    result = trainer.train(config, prepared.train)
+    report, vrr_eval = trainer.evaluate_with_vrr(result.params, prepared.test, config)
     run_dir = _out_dir(cfg, config_path.parent, out_override, "run")
     snapshot = raw | {"resolved_train": config.to_json_dict()}
     snapshot["resolved_test"] = data.fingerprint(prepared.test)
-    _write_run_dir(run_dir, snapshot, result)
-    report = result.report
+    _write_run_dir(run_dir, snapshot, result, report, vrr_eval.records)
     print(
         f"acc={report.accuracy_pct:.2f} vrr={report.vrr_pct:.2f} "
         f"nll={report.nll_scaled:.2f} aurc={report.aurc_scaled:.2f}"
@@ -278,9 +288,16 @@ def cmd_compare(config_path: Path, out_override: str | None) -> int:
     test_set = _prepare(cfg, base).test
     ours = data.fingerprint(test_set)
     params_a, config_a = _load_run(_resolve(base, runs["baseline_run"]), ours)
-    params_b, config_b = _load_run(_resolve(base, runs["cml_run"]), ours)
+    cml_run = _resolve(base, runs["cml_run"])
+    params_b, config_b = _load_run(cml_run, ours)
     if params_a.spec != params_b.spec:
         raise ConfigError("runs have different model specs")
+    if config_a.vrr_mode != config_b.vrr_mode:
+        # A chain weights a lattice pair by 1/(C(M, s) * s), exhaustive VRR every pair alike.
+        raise StateError(
+            f"{cml_run / CONFIG_SNAPSHOT_NAME}: resolved_train.vrr_mode: {config_b.vrr_mode!r}, "
+            f"but the baseline run's is {config_a.vrr_mode!r}; VRRs of two modes do not subtract"
+        )
     report_a, vrr_a = trainer.evaluate_with_vrr(params_a, test_set, config_a)
     report_b, vrr_b = trainer.evaluate_with_vrr(params_b, test_set, config_b)
     # The full-mask confidences of each model's evaluation forward: no forward of its own.
@@ -408,12 +425,27 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="path to the experiment config JSON")
         cmd.add_argument("--out", default=None, help="output directory override")
         if name in ("train", "sweep"):  # the commands that train
-            cmd.add_argument("--seed", type=int, default=None, help="training seed override")
+            cmd.add_argument("--seed", default=None, help="training seed override")
         if name == "sweep":
             cmd.add_argument(
                 "--jobs", type=int, default=None, help="parallel lambda-sweep cells (default 1)"
             )
     return parser
+
+
+def _seed_override(name: str, text: str) -> int:
+    """The seed that the flag or variable `name` sets as `text`, which must be _SEED_TEXT.
+
+    int() alone would also take underscores, surrounding whitespace and non-ASCII digits.
+    """
+    try:
+        value = int(text) if _SEED_TEXT.fullmatch(text) else None
+    except ValueError:  # more digits than int() converts
+        value = None
+    if value is None:
+        raise ConfigError(f"{name}: expected an int of digits 0-9, got {text!r}")
+    NON_NEGATIVE.check("", name, value)
+    return value
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -425,15 +457,11 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_generate(config_path, args.out)
         if args.command == "compare":
             return cmd_compare(config_path, args.out)
-        seed_override = args.seed
-        env_seed = os.environ.get("CML_SEED")
-        if seed_override is None and env_seed:
-            try:
-                seed_override = int(env_seed)
-            except ValueError:
-                raise ConfigError(f"CML_SEED must be an integer, got {env_seed!r}") from None
-        if seed_override is not None:
-            NON_NEGATIVE.check("", "CML_SEED" if args.seed is None else "--seed", seed_override)
+        seed_override = None
+        if args.seed is not None:
+            seed_override = _seed_override("--seed", args.seed)
+        elif "CML_SEED" in os.environ:
+            seed_override = _seed_override("CML_SEED", os.environ["CML_SEED"])
         if args.command == "train":
             return cmd_train(config_path, args.out, seed_override)
         return cmd_sweep(config_path, args.out, seed_override, args.jobs)

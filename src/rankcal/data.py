@@ -139,9 +139,6 @@ class Dataset:
     def modality_dims(self) -> tuple[int, ...]:
         return tuple(m.shape[1] for m in self.modalities)
 
-    def features(self, index: int) -> list[np.ndarray]:
-        return [m[index] for m in self.modalities]
-
     def take(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.intp)  # fancy indexing copies
         return Dataset(

@@ -16,7 +16,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import json_text
 from .numerics import Array
 
 NLL_SCALE = 10.0
@@ -46,13 +45,12 @@ def aurc(confidence, correct) -> float:
     return _risk_coverage_average(~np.asarray(correct, dtype=bool)[order])
 
 
-def e_aurc(confidence, correct) -> float:
-    """AURC in excess of the best achievable ordering (all correct first)."""
-    return _excess_aurc(aurc(confidence, correct), correct)
+def e_aurc(aurc_value: float, correct) -> float:
+    """AURC in excess of the best achievable ordering (all correct first).
 
-
-def _excess_aurc(aurc_value: float, correct) -> float:
-    """e_aurc from the AURC already computed for `correct`."""
+    `aurc_value` is aurc(confidence, correct) for this `correct`, so a report
+    computes one AURC for both values.
+    """
     num_correct = int(np.count_nonzero(correct))
     optimal = _risk_coverage_average(np.arange(len(correct)) >= num_correct)
     excess = aurc_value - optimal
@@ -86,10 +84,6 @@ class MetricsReport:
         }
         return obj
 
-    def to_json(self) -> str:
-        """The report as json_text: a NaN or infinite field raises DomainError."""
-        return json_text(self.to_json_dict())
-
 
 def build_report(
     confidence,
@@ -105,7 +99,7 @@ def build_report(
     """
     nll_value = _mean(nll)
     aurc_value = aurc(confidence, correct)
-    e_aurc_value = _excess_aurc(aurc_value, correct)
+    e_aurc_value = e_aurc(aurc_value, correct)
     return MetricsReport(
         accuracy_pct=accuracy(correct),
         nll_raw=nll_value,

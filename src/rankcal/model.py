@@ -10,12 +10,13 @@ fits an int64. mask_names names codes for records.csv and sweep_noise.csv.
 
 One batched path serves training, evaluation and the noise sweep: forward_core
 encodes every modality of a batch of rows once and classifies it under K masks
-at a time, given as the mask weights of a presence tensor (mask_weights), and
-backward_masks returns the matching parameter gradients. Neither checks its
+at a time, given as mask weights, each mask's presence divided by its size,
+and backward_masks returns the matching parameter gradients. Neither checks its
 inputs: the feature blocks come from a data.Dataset, which checked them when it
 was built, and the callers check the model spec against the data once per run.
-Every caller converts presence to weights itself, so training does it once per
-epoch.
+Every caller builds its weights itself: training and sampled VRR straight from
+removal orders (calibration.chain_weights), training once per epoch, and
+exhaustive VRR and the noise sweep from presence (mask_weights).
 A ClassifierParams carries the ModelSpec it was built for and holds every
 parameter as a view into one flat vector, laid out as param_shapes lists, the
 one statement of the shapes; a checkpoint stores that vector as it is. Every
@@ -173,8 +174,8 @@ def init_params(spec: ModelSpec, seed: int) -> ClassifierParams:
 class MaskedForward:
     """Activations of a batch of rows under K masks; what backward_masks needs.
 
-    `weights` (mask_weights of the presence) is (K, M) when every row shares
-    its masks and (B, K, M) when each row has its own. `hidden` is the stacked
+    `weights` (the presence divided by each mask's size) is (K, M) when every
+    row shares its masks and (B, K, M) when each row has its own. `hidden` is the stacked
     (M, B, H) encoder activations of every modality, used by a mask or not.
 
     The softmax is kept as its two parts: `exp`, the max-shifted exponentials

@@ -2,7 +2,10 @@
 
 One training run is fully deterministic: data order, removal chains, and VRR
 evaluation all draw from rng streams derived from (seed, stream tag, epoch),
-so reruns are bit-identical.
+so reruns are bit-identical. A run is train, which returns the parameters and
+the per-epoch history, then evaluate_with_vrr on the test set, which returns
+the report and the VrrEvaluation whose records the CLI writes; evaluate
+returns the report alone.
 """
 
 from __future__ import annotations
@@ -113,8 +116,6 @@ class EpochStats:
 class RunResult:
     params: ClassifierParams
     history: list[EpochStats]
-    report: MetricsReport | None = None
-    vrr_evaluation: VrrEvaluation | None = None
 
 
 def _check_dataset(model: ModelSpec, dataset: Dataset) -> None:
@@ -229,14 +230,6 @@ def evaluate(params: ClassifierParams, test_set: Dataset, config: TrainConfig) -
     saying that evaluation failed, and why.
     """
     return evaluate_with_vrr(params, test_set, config)[0]
-
-
-def run_and_evaluate(
-    config: TrainConfig, train_set: Dataset, test_set: Dataset
-) -> RunResult:
-    result = train(config, train_set)
-    result.report, result.vrr_evaluation = evaluate_with_vrr(result.params, test_set, config)
-    return result
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,20 @@
 """Per-sample reference model, chain objective, VRR records and CSV I/O: oracles for the batched path.
 
 Plain loops over one sample, one mask, one pair or one cell at a time, written
-independently of rankcal's batched forward_core/backward_masks/chain_objective,
+independently of rankcal's batched forward_core/backward_masks/objective_core,
 its columnar VRR records and AURC, and its block CSV reader/writer, so tests
 can compare the two. Alongside them are the small oracles that only tests
 use: the divided-out softmax, the NLL gradient, the confidence increment, a
-sample's label, mask parsing, the argmax of a forward and corrupt_gaussian,
-the whole-dataset form of data.corrupt_block.
-reference_chain_objective is chain_objective as the composition of batched
-forward, NLL and backward that it was before its checks moved to the boundary,
-written out in plain numpy with the same float operations in the same order.
+sample's label and features, mask parsing, a removal chain's presence, the
+argmax of a forward and corrupt_gaussian, the whole-dataset form of
+data.corrupt_block.
+reference_batch_objective is objective_core as the composition of batched
+forward, NLL and backward, written out in plain numpy with the same float
+operations in the same order, on the presence of each chain's masks.
 reference_train is the training loop as it was before the per-epoch gather and
-the reused gradient buffer, around chain_objective; since train and
-chain_objective share one core, only reference_chain_objective pins the arithmetic.
+the reused gradient buffer: each batch calls objective_core, as train does, on
+a fresh gradient buffer and Workspace; since both share that core, only
+reference_batch_objective pins the arithmetic.
 reference_split is data.split's index sets as sorted Python lists, class by class.
 reference_noise_sweep is the noise sweep one cell at a time: one corrupt_gaussian
 copy and one full_mask_accuracy forward per model per cell.
@@ -32,11 +34,11 @@ import operator
 import numpy as np
 
 from rankcal import trainer
-from rankcal.calibration import chain_objective, chain_presence, removal_orders
+from rankcal.calibration import chain_weights, label_onehot, objective_core, removal_orders
 from rankcal.data import Dataset, corrupt_block
 from rankcal.errors import DivergenceError, DomainError, NumericError, ParseError, SpecError
 from rankcal.model import ClassifierParams, forward_core, init_params, mask_weights
-from rankcal.numerics import adam_update, describe_bad, init_adam_state, softmax_parts
+from rankcal.numerics import Workspace, adam_update, describe_bad, init_adam_state, softmax_parts
 
 
 def softmax(logits) -> np.ndarray:
@@ -93,6 +95,22 @@ def confidence_increment(conf_t, conf_s):
 def label_of(dataset, index: int) -> int:
     """Sample `index`'s label as a Python int."""
     return int(dataset.labels[index])
+
+
+def features_of(dataset, index: int) -> list[np.ndarray]:
+    """Sample `index`'s row of each modality, as 1-D vectors."""
+    return [block[index] for block in dataset.modalities]
+
+
+def presence_of_chains(orders) -> np.ndarray:
+    """(B, M, M) presence of each sample's removal chain: mask k holds orders[b, k:]."""
+    orders = np.asarray(orders)
+    batch, num_modalities = orders.shape
+    presence = np.zeros((batch, num_modalities, num_modalities), dtype=bool)
+    for b in range(batch):
+        for k in range(num_modalities):
+            presence[b, k, orders[b, k:]] = True
+    return presence
 
 
 def format_mask(code: int) -> str:
@@ -223,7 +241,7 @@ def reference_objective(
     return cls + lam * reg, cls, reg, grads.flat
 
 
-def reference_chain_objective(
+def reference_batch_objective(
     params,
     features,
     labels,
@@ -344,7 +362,7 @@ def reference_vrr(confidence, num_samples: int, num_modalities: int, orders=None
 
 def reference_confidence_lookup(params, dataset):
     """confidence(i, mask) for reference_vrr from reference_probs."""
-    return lambda i, mask: float(reference_probs(params, dataset.features(i), mask).max())
+    return lambda i, mask: float(reference_probs(params, features_of(dataset, i), mask).max())
 
 
 def reference_confidence_by_subset_size(rows) -> dict[int, float]:
@@ -422,20 +440,25 @@ def reference_train(config, train_set):
     for epoch in range(config.epochs):
         order = np.random.default_rng([config.seed, trainer._SHUFFLE_STREAM, epoch]).permutation(n)
         chain_rng = np.random.default_rng([config.seed, trainer._CHAIN_STREAM, epoch])
-        chains = chain_presence(removal_orders(chain_rng, n, train_set.num_modalities))
+        weights = chain_weights(removal_orders(chain_rng, n, train_set.num_modalities))
         cls_sum = reg_sum = 0.0
         correct = 0
         for batch_idx, start in enumerate(range(0, n, config.batch_size)):
             batch = order[start : start + config.batch_size]
+            labels = train_set.labels[batch]
+            num_masks = weights.shape[1]
             try:
-                result = chain_objective(
+                result = objective_core(
                     params,
                     [block[batch] for block in train_set.modalities],
-                    train_set.labels[batch],
-                    chains[batch],
-                    variant=config.variant,
-                    lam=config.lam,
-                    skip_on_wrong_full=config.skip_on_wrong_full,
+                    weights[batch],
+                    labels,
+                    label_onehot(labels, config.model.num_classes, num_masks),
+                    config.variant,
+                    config.lam,
+                    config.skip_on_wrong_full,
+                    ClassifierParams(config.model),
+                    Workspace.for_batch(config.model, len(batch), num_masks),
                 )
             except NumericError:
                 raise DivergenceError(epoch=epoch, batch=batch_idx, loss=float("nan")) from None

@@ -15,10 +15,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from rankcal.calibration import chain_objective, chain_presence
+from rankcal.calibration import chain_weights, label_onehot, objective_core
 from rankcal.data import (
     SyntheticSpec,
     generate_synthetic,
+    json_text,
     load_csv_dataset,
     split,
     standardize_apply,
@@ -27,11 +28,12 @@ from rankcal.data import (
 )
 from rankcal.errors import ParseError
 from rankcal.metrics import aurc, e_aurc
-from rankcal.model import ModelSpec, init_params
-from rankcal.trainer import TrainConfig, lambda_sweep, noise_sweep, run_and_evaluate
+from rankcal.model import ClassifierParams, ModelSpec, init_params
+from rankcal.numerics import Workspace
+from rankcal.trainer import TrainConfig, evaluate_with_vrr, lambda_sweep, noise_sweep, train
 
 from gradcheck import grad_check
-from reference import reference_probs
+from reference import features_of, reference_probs
 
 
 def verdict(name: str, passed: bool, detail: str) -> None:
@@ -45,6 +47,20 @@ SEPARATIONS = (6.0, 3.0, 2.5)
 STRONGEST_MODALITY = 0
 NUM_SEEDS = 5
 SWEEP_GRID = (1.0, 5.0, 10.0, 20.0)
+
+
+@dataclass
+class Run:
+    """What `rankcal train` computes: train's parameters, then evaluate_with_vrr's results."""
+
+    params: object
+    report: object
+    vrr_evaluation: object
+
+
+def run_and_score(config: TrainConfig, train_set, test_set) -> Run:
+    params = train(config, train_set).params
+    return Run(params, *evaluate_with_vrr(params, test_set, config))
 
 
 @dataclass
@@ -118,12 +134,12 @@ def experiment() -> Experiment:
     pairs = []
     baseline_seed0_json = ""
     for seed in range(NUM_SEEDS):
-        run_base = run_and_evaluate(replace(config, lam=0.0, seed=seed), train_set, test_set)
-        run_cml = run_and_evaluate(
+        run_base = run_and_score(replace(config, lam=0.0, seed=seed), train_set, test_set)
+        run_cml = run_and_score(
             replace(config, lam=sweep.best_lambda, seed=seed), train_set, test_set
         )
         if seed == 0:
-            baseline_seed0_json = run_base.report.to_json()
+            baseline_seed0_json = json_text(run_base.report.to_json_dict())
         noise = noise_sweep(
             run_base.params,
             run_cml.params,
@@ -165,14 +181,14 @@ def test_criterion_1_composite_gradient():
     flat0 = params.flat.copy()
     rng = np.random.default_rng(42)
     feats = [rng.standard_normal((1, d)) for d in spec.modality_dims]
-    chain = chain_presence([[2, 1, 0]])
+    weights = chain_weights(np.array([[2, 1, 0]]))
     label = np.array([2])
+    onehot = label_onehot(label, spec.num_classes, 3)
+    buffers = (ClassifierParams(spec), Workspace.for_batch(spec, 1, 3))
 
     def objective(flat):
         params.flat[:] = flat
-        out = chain_objective(
-            params, feats, label, chain, variant="hinge", lam=10.0, skip_on_wrong_full=False
-        )
+        out = objective_core(params, feats, weights, label, onehot, "hinge", 10.0, False, *buffers)
         return out.loss, out.grads.flat
 
     result = grad_check(objective, flat0, tolerance=1e-4)
@@ -188,7 +204,7 @@ def test_criterion_2_metric_oracles():
     good = ([0.9, 0.8], [True, False])
     bad = ([0.9, 0.8], [False, True])
     aurc_ok = aurc(*good) == 0.25 and aurc(*bad) == 0.75
-    e_aurc_ok = e_aurc(*bad) == 0.5 and e_aurc(*good) == 0.0
+    e_aurc_ok = e_aurc(aurc(*bad), bad[1]) == 0.5 and e_aurc(aurc(*good), good[1]) == 0.0
 
     spec = ModelSpec(modality_dims=(3, 4, 2), hidden_dim=6, latent_dim=4, num_classes=3)
     params = init_params(spec, seed=5)
@@ -206,7 +222,7 @@ def test_criterion_2_metric_oracles():
     violations = 0
     total = 0
     for i in range(fixture.num_samples):
-        feats = fixture.features(i)
+        feats = features_of(fixture, i)
         for size in range(3, 1, -1):
             for s_idx in itertools.combinations(range(3), size):
                 conf_s = reference_probs(params, feats, s_idx).max()
@@ -217,17 +233,12 @@ def test_criterion_2_metric_oracles():
     vrr_ok = result.vrr == violations / total and len(result.records) == 9 * 50
 
     rng = np.random.default_rng(7)
-    min_e_aurc = min(
-        e_aurc(
-            *zip(
-                *[
-                    (float(rng.uniform(0.1, 1.0)), bool(rng.integers(2)))
-                    for _ in range(int(rng.integers(1, 30)))
-                ]
-            )
-        )
-        for _ in range(1000)
-    )
+    min_e_aurc = float("inf")
+    for _ in range(1000):
+        size = int(rng.integers(1, 30))
+        pairs = [(float(rng.uniform(0.1, 1.0)), bool(rng.integers(2))) for _ in range(size)]
+        confidence, correct = zip(*pairs)
+        min_e_aurc = min(min_e_aurc, e_aurc(aurc(confidence, correct), correct))
     verdict(
         "criterion 2: metric oracles",
         aurc_ok and e_aurc_ok and vrr_ok and min_e_aurc >= 0.0,
@@ -278,13 +289,13 @@ def test_criterion_5_noise_robustness(experiment):
 
 def test_criterion_6_difference_loss_collapse(experiment):
     cfg = replace(experiment.config, epochs=260)
-    run_plain = run_and_evaluate(
+    run_plain = run_and_score(
         replace(cfg, lam=0.0, variant="none"), experiment.train_set, experiment.test_set
     )
-    run_hinge = run_and_evaluate(
+    run_hinge = run_and_score(
         replace(cfg, lam=30.0, variant="hinge"), experiment.train_set, experiment.test_set
     )
-    run_diff = run_and_evaluate(
+    run_diff = run_and_score(
         replace(cfg, lam=30.0, variant="difference"), experiment.train_set, experiment.test_set
     )
     singleton_hinge = run_hinge.report.mean_confidence_by_subset_size[1]
@@ -318,10 +329,10 @@ def test_criterion_7_ranking_confidence_consequence(experiment):
 
 
 def test_criterion_8_determinism(experiment):
-    rerun = run_and_evaluate(
+    rerun = run_and_score(
         replace(experiment.config, lam=0.0, seed=0), experiment.train_set, experiment.test_set
     )
-    identical = rerun.report.to_json() == experiment.baseline_seed0_json
+    identical = json_text(rerun.report.to_json_dict()) == experiment.baseline_seed0_json
     verdict(
         "criterion 8: determinism",
         identical,

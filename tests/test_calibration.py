@@ -9,8 +9,6 @@ from rankcal.calibration import (
     _VRR_STREAM,
     REGULARIZER_VARIANTS,
     RankingRecords,
-    chain_objective,
-    chain_presence,
     chain_weights,
     compute_vrr,
     evaluate_vrr,
@@ -29,8 +27,10 @@ from rankcal.numerics import ALLOCATE, Workspace
 from gradcheck import grad_check
 from reference import (
     confidence_increment,
+    features_of,
     nll_logit_grads,
-    reference_chain_objective,
+    presence_of_chains,
+    reference_batch_objective,
     reference_confidence_by_subset_size,
     reference_confidence_lookup,
     reference_objective,
@@ -81,9 +81,21 @@ def zero_params(spec: ModelSpec) -> ClassifierParams:
     return params
 
 
-def chain_masks(presence_row) -> list[list[int]]:
-    """The masks of one sample's chain as sorted index lists."""
-    return [np.flatnonzero(mask).tolist() for mask in presence_row]
+def chain_masks(weights_row) -> list[list[int]]:
+    """The masks of one sample's chain, given as its mask weights, as sorted index lists."""
+    return [np.flatnonzero(mask).tolist() for mask in weights_row]
+
+
+def objective(params, feats, labels, weights, variant="hinge", lam=0.0, skip_on_wrong_full=True):
+    """objective_core as train runs it, on a gradient buffer and a Workspace of its own.
+
+    `weights` is (B, K, M): chain_weights, or its first K masks.
+    """
+    batch, num_masks, _ = weights.shape
+    onehot = label_onehot(labels, params.spec.num_classes, num_masks)
+    workspace = Workspace.for_batch(params.spec, batch, num_masks)
+    options = (variant, lam, skip_on_wrong_full, ClassifierParams(params.spec), workspace)
+    return objective_core(params, feats, weights, labels, onehot, *options)
 
 
 def reference_confidence(params, feats, mask) -> float:
@@ -92,21 +104,21 @@ def reference_confidence(params, feats, mask) -> float:
 
 class TestSampleChain:
     def test_structure_three_modalities(self):
-        chains = chain_presence(removal_orders(np.random.default_rng(0), 5, 3))
+        orders = removal_orders(np.random.default_rng(0), 5, 3)
+        assert np.array_equal(np.sort(orders, axis=1), np.tile([0, 1, 2], (5, 1)))
+        chains = chain_weights(orders) > 0.0
         assert chains.shape == (5, 3, 3)
         assert np.array_equal(chains.sum(axis=2), np.tile([3, 2, 1], (5, 1)))
         # each mask is a subset of the one before it
         assert np.all(chains[:, 1:] <= chains[:, :-1])
 
     def test_single_modality(self):
-        chains = chain_presence(removal_orders(np.random.default_rng(0), 2, 1))
-        assert chains.shape == (2, 1, 1) and chains.all()
+        weights = chain_weights(removal_orders(np.random.default_rng(0), 2, 1))
+        assert weights.shape == (2, 1, 1) and (weights == 1.0).all()
 
     def test_zero_modalities_rejected(self):
         with pytest.raises(SpecError):
             removal_orders(np.random.default_rng(0), 4, 0)
-        with pytest.raises(SpecError):
-            chain_presence(np.zeros((4, 0), dtype=int))
 
     def test_deterministic_given_rng_state(self):
         a = removal_orders(np.random.default_rng(123), 10, 4)
@@ -139,32 +151,25 @@ class TestSampleChain:
 
         orders = removal_orders(TiedDraws(), *np.shape(draws))
         assert orders.tolist() == expected
-        weights = mask_weights(chain_presence(orders))
+        weights = mask_weights(presence_of_chains(orders))
         assert chain_weights(orders).tobytes() == weights.tobytes()
-
-    def test_invalid_chain_rejected(self):
-        with pytest.raises(SpecError):
-            chain_presence(np.array([[0, 0, 2]]))
 
     @pytest.mark.parametrize("num_modalities", range(2, 7))
     def test_chain_weights_are_the_presence_weights_bit_for_bit(self, num_modalities):
         orders = removal_orders(np.random.default_rng(num_modalities), 50, num_modalities)
         weights = chain_weights(orders)
         assert weights.dtype == np.float64
-        assert weights.tobytes() == mask_weights(chain_presence(orders)).tobytes()
-        # chain_weights skips the check that chain_presence, for outside callers, keeps
-        with pytest.raises(SpecError):
-            chain_presence(np.concatenate([orders[:1, :1], orders[:1, :-1]], axis=1))
+        assert weights.tobytes() == mask_weights(presence_of_chains(orders)).tobytes()
 
 
 class TestEnumerateChainPairs:
     def test_hand_example(self):
         # removing 1 then 0 walks {0,1,2} -> {0,2} -> {2}
-        (chain,) = chain_presence(np.array([[1, 0, 2]]))
+        (chain,) = chain_weights(np.array([[1, 0, 2]]))
         assert chain_masks(chain) == [[0, 1, 2], [0, 2], [2]]
 
     def test_two_modalities_one_pair(self):
-        (chain,) = chain_presence(removal_orders(np.random.default_rng(1), 1, 2))
+        (chain,) = chain_weights(removal_orders(np.random.default_rng(1), 1, 2))
         assert len(chain) - 1 == 1
 
 
@@ -207,11 +212,11 @@ class TestSampleObjective:
         self.feats = [3 * rng.standard_normal((1, d)) for d in SPEC3.modality_dims]
         self.labels = np.array([1])
         # removes 0 then 2: {0,1,2} -> {1,2} -> {1}
-        self.chain = chain_presence(np.array([[0, 2, 1]]))
+        self.chain = chain_weights(np.array([[0, 2, 1]]))
 
     def objective(self, variant, lam=0.0, labels=None, **kwargs):
         labels = self.labels if labels is None else labels
-        return chain_objective(self.params, self.feats, labels, self.chain, variant, lam, **kwargs)
+        return objective(self.params, self.feats, labels, self.chain, variant, lam, **kwargs)
 
     def test_lambda_zero_is_pure_classification(self):
         res = self.objective("hinge", lam=0.0)
@@ -267,8 +272,8 @@ class TestSampleObjective:
             rng = np.random.default_rng(100 + trial)
             feats = [3 * rng.standard_normal((7, d)) for d in spec.modality_dims]
             labels = rng.integers(0, 3, size=7)
-            chains = chain_presence(removal_orders(rng, 7, 4))
-            res = chain_objective(params, feats, labels, chains, variant, 2.5, skip_on_wrong_full)
+            chains = chain_weights(removal_orders(rng, 7, 4))
+            res = objective(params, feats, labels, chains, variant, 2.5, skip_on_wrong_full)
             parts = [
                 reference_objective(
                     params, [x[b] for x in feats], int(labels[b]), chain_masks(chains[b]),
@@ -290,14 +295,14 @@ class TestCompositeGradient:
         rng = np.random.default_rng(9)
         feats = [rng.standard_normal((4, d)) for d in SPEC3.modality_dims]
         labels = np.array([1, 0, 2, 1])
-        chains = chain_presence(removal_orders(rng, 4, 3))
-        res = chain_objective(params, feats, labels, chains, "none")
+        chains = chain_weights(removal_orders(rng, 4, 3))
+        res = objective(params, feats, labels, chains, "none")
 
         reference = np.zeros_like(params.flat)
         for b in range(4):
             row = [x[b : b + 1] for x in feats]
             for mask in chains[b]:
-                fwd = forward_core(params, row, mask_weights(mask[None, :]))
+                fwd = forward_core(params, row, mask[None, :])
                 g = nll_logit_grads(fwd, labels[b]) / 3
                 grads = backward_masks(params, fwd, g, ClassifierParams(SPEC3), ALLOCATE)
                 reference += grads.flat
@@ -311,22 +316,22 @@ class TestCompositeGradient:
         flat0 = params.flat.copy()
         rng = np.random.default_rng(42)
         feats = [rng.standard_normal((1, d)) for d in spec.modality_dims]
-        chain = chain_presence(np.array([[2, 1, 0]]))
+        chain = chain_weights(np.array([[2, 1, 0]]))
         label = np.array([2])
 
         def run():
-            return chain_objective(
+            return objective(
                 params, feats, label, chain, "hinge", lam=10.0, skip_on_wrong_full=False
             )
 
         assert np.all(np.abs(np.diff(run().confidence)) > 1e-3)
 
-        def objective(flat):
+        def loss_and_grads(flat):
             params.flat[:] = flat
             out = run()
             return out.loss, out.grads.flat
 
-        result = grad_check(objective, flat0, tolerance=1e-4)
+        result = grad_check(loss_and_grads, flat0, tolerance=1e-4)
         assert result.passed, result.max_rel_error
 
     def test_grad_check_difference(self):
@@ -336,22 +341,22 @@ class TestCompositeGradient:
         flat0 = params.flat.copy()
         rng = np.random.default_rng(42)
         feats = [rng.standard_normal((3, d)) for d in spec.modality_dims]
-        chains = chain_presence(np.array([[2, 1, 0], [0, 1, 2], [1, 2, 0]]))
+        chains = chain_weights(np.array([[2, 1, 0], [0, 1, 2], [1, 2, 0]]))
         labels = np.array([2, 0, 3])
 
-        def objective(flat):
+        def loss_and_grads(flat):
             params.flat[:] = flat
-            out = chain_objective(
+            out = objective(
                 params, feats, labels, chains, "difference", lam=5.0, skip_on_wrong_full=False
             )
             return out.loss, out.grads.flat
 
-        result = grad_check(objective, flat0, tolerance=1e-4)
+        result = grad_check(loss_and_grads, flat0, tolerance=1e-4)
         assert result.passed, result.max_rel_error
 
 
 class TestObjectiveMatchesComposition:
-    """chain_objective's bytes must match the plain composition of forward, NLL and backward.
+    """objective_core's bytes must match the plain composition of forward, NLL and backward.
 
     The row-major oracle sums the classes left to right below 8 and pairwise from 8 on.
     A chain may stop short of its single-modality end: `dropped` masks come off
@@ -376,12 +381,13 @@ class TestObjectiveMatchesComposition:
         rng = np.random.default_rng([batch, num_modalities])
         feats = [2 * rng.standard_normal((batch, d)) for d in dims]
         labels = rng.integers(0, num_classes, size=batch)
-        chains = chain_presence(removal_orders(rng, batch, num_modalities))
-        chains = chains[:, : num_modalities - dropped]
+        orders = removal_orders(rng, batch, num_modalities)
+        weights = chain_weights(orders)[:, : num_modalities - dropped]
         options = (variant, lam, skip_on_wrong_full)
-        res = chain_objective(params, feats, labels, chains, *options)
-        loss, cls, reg, grads, confidence, full_correct = reference_chain_objective(
-            params, feats, labels, chains, *options
+        res = objective(params, feats, labels, weights, *options)
+        presence = presence_of_chains(orders)[:, : num_modalities - dropped]
+        loss, cls, reg, grads, confidence, full_correct = reference_batch_objective(
+            params, feats, labels, presence, *options
         )
         assert (res.loss, res.cls_loss, res.reg_loss) == (loss, cls, reg)
         assert res.grads.flat.tobytes() == grads.tobytes()
@@ -400,11 +406,10 @@ class TestObjectiveMatchesComposition:
             rng = np.random.default_rng([6, draw])
             feats = [2 * rng.standard_normal((9, d)) for d in spec.modality_dims]
             labels = rng.integers(0, 4, size=9)
-            chains = chain_presence(removal_orders(rng, 9, 3))
+            weights = chain_weights(removal_orders(rng, 9, 3))
             options = (variant, 2.5, draw != 1)
-            want = chain_objective(params, feats, labels, chains, *options)
+            want = objective(params, feats, labels, weights, *options)
             onehot = label_onehot(labels, 4, 3)
-            weights = mask_weights(chains)
             got = objective_core(params, feats, weights, labels, onehot, *options, out, workspace)
             assert got.grads is out
             sums = [(r.loss, r.cls_loss, r.reg_loss) for r in (got, want)]
@@ -429,7 +434,8 @@ class TestDeadUnitGradientBytes:
         # Positive features: every w1 product with the dead unit's gradient is -0.0.
         feats = [np.abs(rng.standard_normal((9, d))) + 0.1 for d in spec.modality_dims]
         labels = np.zeros(9, dtype=np.int64)
-        chains = chain_presence(removal_orders(rng, 9, 3))
+        orders = removal_orders(rng, 9, 3)
+        chains = chain_weights(orders)
         params.b1[modality, 0] = -1e3  # the unit is dead on every row
         # Two classes, all labelled 0, no penalty: each row's latent gradient is a positive
         # multiple of head_w[:, 1] - head_w[:, 0], so this w2 row makes the upstream one negative.
@@ -437,10 +443,11 @@ class TestDeadUnitGradientBytes:
         options = ("hinge", 0.0, False)
         for b in range(9):  # one row's b2 gradient is its latent gradient
             row = [f[b : b + 1] for f in feats]
-            one = chain_objective(params, row, labels[:1], chains[b : b + 1], *options)
+            one = objective(params, row, labels[:1], chains[b : b + 1], *options)
             assert one.grads.b2[modality] @ params.w2[modality, 0] < 0.0
-        res = chain_objective(params, feats, labels, chains, *options)
-        flat = reference_chain_objective(params, feats, labels, chains, *options)[3]
+        res = objective(params, feats, labels, chains, *options)
+        presence = presence_of_chains(orders)
+        flat = reference_batch_objective(params, feats, labels, presence, *options)[3]
         grads = ClassifierParams(spec, flat)
         assert res.grads.b1.tobytes() == grads.b1.tobytes()
         for got, want in zip(res.grads.w1, grads.w1):
@@ -500,7 +507,7 @@ class TestEvaluateVrr:
         violations = 0
         total = 0
         for i in range(dataset.num_samples):
-            feats = dataset.features(i)
+            feats = features_of(dataset, i)
             for t_set, s_set in expected_pairs:
                 conf_t = reference_confidence(params, feats, t_set)
                 conf_s = reference_confidence(params, feats, s_set)

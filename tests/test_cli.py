@@ -244,6 +244,37 @@ class TestTrainCommand:
         assert err == ["error: CML_SEED: expected an int >= 0, got -3"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("--seed", "1_0"),
+            ("--seed", " 1_0 "),
+            ("--seed", " 10"),
+            ("--seed", "+3"),
+            ("--seed", "\u0663"),  # ARABIC-INDIC DIGIT THREE, which int() reads as 3
+            pytest.param("--seed", "1" * 5000, id="--seed-5000-digits"),  # past int()'s limit
+            ("CML_SEED", "1_000"),
+            ("CML_SEED", "7\n"),
+            ("CML_SEED", "\uff17"),  # FULLWIDTH DIGIT SEVEN
+            ("CML_SEED", ""),
+        ],
+    )
+    def test_seed_override_of_other_text_than_digits_fails_naming_it(
+        self, tmp_path, capsys, monkeypatch, command, name, text
+    ):
+        # Before, int() read 1_000 as 1000 and ' 1_0 ' as 10, and an empty CML_SEED was ignored.
+        monkeypatch.delenv("CML_SEED", raising=False)
+        flags = ["--seed", text] if name == "--seed" else []
+        if name == "CML_SEED":
+            monkeypatch.setenv("CML_SEED", text)
+        cfg = write_config(tmp_path / "config.json", split={"val_fraction": 0.25})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 1
+        message = f"error: {name}: expected an int of digits 0-9, got {text!r}"
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not out.exists()
+
     def test_non_finite_csv_cell_fails_naming_line(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "gen.json")
         assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "ds")]) == 0
@@ -387,6 +418,24 @@ class TestCompareCommand:
         assert comparison["vrr_delta_pct"] == 0.0
         assert comparison["accuracy_delta_pct"] == 0.0
         assert comparison["mean_abs_conf_shift_full"] == 0.0
+
+    @pytest.mark.parametrize("modes", [("sampled", "exhaustive"), ("exhaustive", "sampled")])
+    def test_runs_of_two_vrr_modes_fail_naming_the_cml_run(self, tmp_path, capsys, modes):
+        # Before, compare exited 0 with a sampled VRR subtracted from an exhaustive one.
+        for run, lam, mode in zip(("run_a", "run_b"), (0.0, 10.0), modes):
+            train = {"lambda": lam, "vrr_mode": mode}
+            cfg = write_config(tmp_path / f"{run}.json", train=train, output_dir=run)
+            assert main(["train", "--config", str(cfg)]) == 0
+        compare_cfg = write_config(tmp_path / "compare.json", **run_pair_section("compare"))
+        capsys.readouterr()
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", str(compare_cfg), "--out", str(out)]) == 1
+        snapshot = tmp_path / "run_b" / "config.json"
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {snapshot}: resolved_train.vrr_mode: '{modes[1]}', but the baseline run's "
+            f"is '{modes[0]}'; VRRs of two modes do not subtract"
+        ]
+        assert not out.exists()
 
     def test_deltas_match_run_metrics_and_curve_rows(self, tmp_path):
         compare_cfg = self.train_pair(tmp_path)
@@ -640,7 +689,7 @@ class TestCompareCommand:
         )
         total = 0.0
         for i in range(test_set.num_samples):
-            row = test_set.features(i)
+            row = [block[i] for block in test_set.modalities]
             conf_a = reference_probs(params_a, row, (0, 1)).max()
             conf_b = reference_probs(params_b, row, (0, 1)).max()
             total += abs(conf_a - conf_b)

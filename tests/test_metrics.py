@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rankcal import metrics
+from rankcal.data import json_text
 from rankcal.metrics import (
     MetricsReport,
     accuracy,
@@ -79,7 +80,8 @@ class TestAurc:
         correct = rng.integers(2, size=15).astype(bool)
         order = rng.permutation(15)
         assert aurc(confs[order], correct[order]) == aurc(confs, correct)
-        assert e_aurc(confs[order], correct[order]) == e_aurc(confs, correct)
+        shuffled = e_aurc(aurc(confs[order], correct[order]), correct[order])
+        assert shuffled == e_aurc(aurc(confs, correct), correct)
 
     def test_tie_break_by_original_index(self):
         # equal confidences: the earlier element is ranked first
@@ -98,24 +100,27 @@ class TestAurc:
             value = reference_aurc(confs, correct)
             optimal = reference_aurc(np.zeros(n), np.sort(correct)[::-1])
             assert aurc(confs, correct) == value
-            assert e_aurc(confs, correct) == max(value - optimal, 0.0)
+            assert e_aurc(aurc(confs, correct), correct) == max(value - optimal, 0.0)
 
 
 class TestEAurc:
     def test_all_correct_zero(self):
-        assert e_aurc(np.full(4, 0.9), np.ones(4, dtype=bool)) == 0.0
+        correct = np.ones(4, dtype=bool)
+        assert e_aurc(aurc(np.full(4, 0.9), correct), correct) == 0.0
 
     def test_hand_example(self):
-        assert e_aurc([0.9, 0.8], [False, True]) == 0.5
+        assert e_aurc(aurc([0.9, 0.8], [False, True]), [False, True]) == 0.5
 
     def test_perfectly_ranked_zero(self):
-        assert e_aurc([0.9, 0.8, 0.5, 0.4], [True, True, False, False]) == 0.0
+        correct = [True, True, False, False]
+        assert e_aurc(aurc([0.9, 0.8, 0.5, 0.4], correct), correct) == 0.0
 
     def test_non_negative_on_random_fixtures(self):
         rng = np.random.default_rng(4)
         for _ in range(300):
             n = int(rng.integers(1, 40))
-            assert e_aurc(rng.uniform(0.2, 1.0, n), rng.integers(2, size=n).astype(bool)) >= 0.0
+            confs, correct = rng.uniform(0.2, 1.0, n), rng.integers(2, size=n).astype(bool)
+            assert e_aurc(aurc(confs, correct), correct) >= 0.0
 
 
 class TestMeanAbsConfShift:
@@ -159,7 +164,7 @@ class TestBuildReport:
         assert built.accuracy_pct == accuracy(correct)
         assert built.nll_raw == float(np.mean(nll))
         assert built.aurc_raw == aurc(confidence, correct)
-        assert built.e_aurc_raw == e_aurc(confidence, correct)
+        assert built.e_aurc_raw == e_aurc(aurc(confidence, correct), correct)
         assert built.mean_confidence_full == float(np.mean(confidence))
 
     def test_one_aurc_per_report(self, monkeypatch):
@@ -174,4 +179,4 @@ class TestBuildReport:
         # Before, an infinite NLL was written as the invalid JSON token Infinity.
         infinite = dataclasses.replace(self.make_report(), nll_raw=np.inf)
         with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
-            infinite.to_json()
+            json_text(infinite.to_json_dict())

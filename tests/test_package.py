@@ -67,19 +67,25 @@ def _loads(tree: ast.AST) -> list[tuple[ast.AST, str]]:
     return loads
 
 
+def _readers(root: Path) -> dict[Path, ast.Module]:
+    """The parsed files whose loads and calls count as callers: `root`'s src/rankcal/*.py, then
+    its perfbench/*.py. No test counts, the acceptance tests included."""
+    src = sorted((root / "src" / "rankcal").glob("*.py"))
+    readers = src + sorted(root.glob("perfbench/*.py"))
+    return {path: ast.parse(path.read_text(encoding="utf-8")) for path in readers}
+
+
 def uncalled_names(root: Path) -> list[str]:
     """Public names in `root`'s src/rankcal that nothing outside their own definition loads.
 
-    A caller is a load (a read, a call, an annotation) of the name in
-    src/rankcal outside the definition itself, in tests/test_acceptance.py or
-    in perfbench/*.py; the other tests do not count, so library surface that
-    only they reach is reported. The check matches by name alone: it misses a
-    name that only other dead code loads, and a method whose name some other
-    function or method shares.
+    A caller is a load (a read, a call, an annotation) of the name in one of
+    _readers outside the definition itself, so library surface that only tests
+    reach is reported. The check matches by name alone: it misses a name that
+    only other dead code loads, and a method whose name some other function or
+    method shares.
     """
     src = sorted((root / "src" / "rankcal").glob("*.py"))
-    readers = src + [root / "tests" / "test_acceptance.py"] + sorted(root.glob("perfbench/*.py"))
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in readers}
+    trees = _readers(root)
     loads = {path: _loads(tree) for path, tree in trees.items()}
     uncalled = []
     for path in src:
@@ -101,17 +107,22 @@ def test_every_public_name_has_a_caller():
 def test_uncalled_names_reports_names_only_their_own_definition_reads(tmp_path):
     (tmp_path / "src" / "rankcal").mkdir(parents=True)
     (tmp_path / "tests").mkdir()
+    (tmp_path / "perfbench").mkdir()
     (tmp_path / "src" / "rankcal" / "lib.py").write_text(
         "LIMIT = 3\n"
         "UNUSED = 4\n"
+        "TESTED = 5\n"
         "def recurse(n):\n    return recurse(n - 1) if n else LIMIT\n"
         "class Box:\n"
         "    def __init__(self):\n        self.size = 1\n"
         "    def grow(self):\n        return self.size\n"
         "    def unused(self):\n        return self.grow()\n"
     )
-    (tmp_path / "tests" / "test_acceptance.py").write_text("from rankcal.lib import Box\nBox()\n")
-    assert uncalled_names(tmp_path) == ["lib.UNUSED", "lib.recurse", "lib.Box.unused"]
+    (tmp_path / "perfbench" / "run.py").write_text("from rankcal.lib import Box\nBox()\n")
+    (tmp_path / "tests" / "test_acceptance.py").write_text(
+        "from rankcal.lib import TESTED\nassert TESTED\n"
+    )
+    assert uncalled_names(tmp_path) == ["lib.UNUSED", "lib.TESTED", "lib.recurse", "lib.Box.unused"]
 
 
 # What uncalled_parameters records for a call that passes every parameter.
@@ -153,14 +164,13 @@ def uncalled_parameters(root: Path) -> list[str]:
     """Each parameter with a default, of a public function or method in `root`'s src/rankcal,
     that no call passes, as "module.function(parameter=)".
 
-    The calls are those in uncalled_names' readers (see _passed). A call passes
-    a parameter by keyword or by position, a method's self or cls not counted.
-    A class's `__init__` is called by the class's name. Like uncalled_names,
-    the check matches by name alone.
+    The calls are those in _readers (see _passed). A call passes a parameter by
+    keyword or by position, a method's self or cls not counted. A class's
+    `__init__` is called by the class's name. Like uncalled_names, the check
+    matches by name alone.
     """
     src = sorted((root / "src" / "rankcal").glob("*.py"))
-    readers = src + [root / "tests" / "test_acceptance.py"] + sorted(root.glob("perfbench/*.py"))
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in readers}
+    trees = _readers(root)
     passed = _passed(trees.values())
     uncalled = []
     for path in src:
@@ -198,7 +208,7 @@ def test_every_optional_parameter_has_a_caller():
 
 def test_uncalled_parameters_counts_every_way_to_pass_one(tmp_path):
     (tmp_path / "src" / "rankcal").mkdir(parents=True)
-    (tmp_path / "tests").mkdir()
+    (tmp_path / "perfbench").mkdir()
     (tmp_path / "src" / "rankcal" / "lib.py").write_text(
         "def by_key(a, b=1, c=2):\n    return a\n"
         "def by_position(a, b=1, c=2, *, d=3):\n    return a\n"
@@ -213,7 +223,7 @@ def test_uncalled_parameters_counts_every_way_to_pass_one(tmp_path):
         "    @staticmethod\n"
         "    def make(size=1, tag=None):\n        return Box(size)\n"
     )
-    (tmp_path / "tests" / "test_acceptance.py").write_text(
+    (tmp_path / "perfbench" / "run.py").write_text(
         "from rankcal.lib import *\n"
         "by_key(0, c=5)\n"
         "by_position(0, 1, d=4)\n"

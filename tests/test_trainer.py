@@ -27,11 +27,11 @@ from rankcal.trainer import (
     evaluate,
     lambda_sweep,
     noise_sweep,
-    run_and_evaluate,
     train,
 )
 
-from reference import full_mask_accuracy, label_of, reference_noise_sweep, reference_probs
+from reference import features_of, full_mask_accuracy, label_of, reference_noise_sweep
+from reference import reference_probs
 from reference import reference_train
 
 MODEL = ModelSpec(modality_dims=(4, 3), hidden_dim=8, latent_dim=4, num_classes=2)
@@ -356,7 +356,8 @@ class TestEvaluate:
         result = train(cfg, train_set)
         report = evaluate(result.params, fixture, cfg)
 
-        probs = [reference_probs(result.params, fixture.features(i), [0, 1]) for i in range(10)]
+        params = result.params
+        probs = [reference_probs(params, features_of(fixture, i), [0, 1]) for i in range(10)]
         labels = [label_of(fixture, i) for i in range(10)]
         confidence = np.array([p.max() for p in probs])
         correct = np.array([int(np.argmax(p)) == y for p, y in zip(probs, labels)])
@@ -364,7 +365,8 @@ class TestEvaluate:
         assert report.accuracy_pct == accuracy(correct)
         assert report.nll_raw == pytest.approx(np.mean(nll), rel=1e-12)
         assert report.aurc_raw == pytest.approx(aurc(confidence, correct), rel=1e-12)
-        assert report.e_aurc_raw == pytest.approx(e_aurc(confidence, correct), abs=1e-15)
+        e_aurc_value = e_aurc(aurc(confidence, correct), correct)
+        assert report.e_aurc_raw == pytest.approx(e_aurc_value, abs=1e-15)
 
     def test_spec_mismatch_rejected(self):
         train_set, test_set = make_sets()
@@ -375,8 +377,8 @@ class TestEvaluate:
 
     def test_subset_size_confidences_cover_all_sizes(self):
         train_set, test_set = make_sets()
-        result = run_and_evaluate(config(epochs=2), train_set, test_set)
-        assert sorted(result.report.mean_confidence_by_subset_size) == [1, 2]
+        report = evaluate(train(config(epochs=2), train_set).params, test_set, config(epochs=2))
+        assert sorted(report.mean_confidence_by_subset_size) == [1, 2]
 
     @pytest.mark.parametrize("mode, seed", [("exhaustive", 0), ("sampled", 0), ("sampled", 1)])
     def test_one_forward_per_evaluate(self, monkeypatch, mode, seed):
