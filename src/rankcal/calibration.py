@@ -11,9 +11,8 @@ objective_core is the arithmetic of one batch (forward_core, the NLL, the
 penalty and backward_masks) on model.MaskedForward's class-major softmax.
 trainer.train takes a whole epoch's mask weights from its removal orders at
 once (chain_weights), with their label_onehot, and calls objective_core per
-batch on their slices, in one numerics.Workspace per batch shape. Nothing here
-checks its inputs: they come from a data.Dataset, which checked them when it
-was built.
+batch on their slices. Nothing here checks its inputs: they come from a
+data.Dataset, which checked them when it was built.
 
 Exhaustive VRR reads everything that depends only on the modality count M
 from one cached lattice table per M: the mask weights, the pairs' columns and
@@ -34,7 +33,7 @@ import numpy as np
 from .data import write_text
 from .errors import CapabilityError, ConfigError, EmptyInputError, SpecError, one_of
 from .model import ClassifierParams, backward_masks, forward_core, mask_names, mask_weights
-from .numerics import Array, Workspace
+from .numerics import Array
 
 REGULARIZER_VARIANTS = ("hinge", "difference", "none")
 VRR_MODES = one_of("sampled", "exhaustive")
@@ -116,11 +115,7 @@ class RankingRecords:
 
 @dataclass
 class ChainObjective:
-    """Batch sums of the composite objective, with the gradient of `loss`.
-
-    objective_core returns its Workspace's array as `confidence`, so the next
-    batch of that shape overwrites it.
-    """
+    """Batch sums of the composite objective, with the gradient of `loss`."""
 
     loss: float
     cls_loss: float
@@ -145,7 +140,6 @@ def objective_core(
     lam,
     skip_on_wrong_full,
     out,
-    workspace: Workspace,
 ) -> ChainObjective:
     """Composite objective summed over a batch, each sample on its own chain of K masks.
 
@@ -158,24 +152,21 @@ def objective_core(
     pairs and is weighted by `lam`. With `skip_on_wrong_full` the penalty is
     dropped (loss and gradients) for samples whose full-mask prediction is
     wrong. Gradients flow through both pair confidences. They overwrite the
-    ClassifierParams `out`, returned as `grads`. `workspace`, built for B rows
-    and K masks (Workspace.for_batch), takes every batch-sized temporary, the
-    returned confidences among them: the next call with it overwrites this
-    result's arrays.
+    ClassifierParams `out`, returned as `grads`.
     """
-    fwd = forward_core(params, blocks, weights, workspace)
+    fwd = forward_core(params, blocks, weights)
     batch, num_masks = fwd.sums.shape
     # (C, B*K) class probabilities, class-major like the one-hot.
-    probs = np.divide(fwd.exp, fwd.sums.reshape(-1), out=workspace.probs)
-    logit_grads = np.subtract(probs, onehot, out=workspace.logit_grads)
+    probs = fwd.exp / fwd.sums.reshape(-1)
+    logit_grads = probs - onehot
     logit_grads /= num_masks
 
-    predicted = probs.argmax(axis=0, out=workspace.predicted)
+    predicted = probs.argmax(axis=0)
     # Bit for bit the probability at `predicted` (MaskedForward.confidence).
-    confidence = np.divide(1.0, fwd.sums, out=workspace.confidence)
+    confidence = 1.0 / fwd.sums
     full_correct = predicted[::num_masks] == labels
     # The true class's probability: probs * onehot summed over the classes, whose zeros add +0.0.
-    true_prob = probs.reshape(-1, batch, num_masks)[labels, workspace.rows]
+    true_prob = probs.reshape(-1, batch, num_masks)[labels, np.arange(batch)]
     gate = full_correct.astype(np.float64) if skip_on_wrong_full else np.ones(batch)
     pair_loss, d_conf_t = pair_losses(variant, confidence[:, 1:], confidence[:, :-1])
     reg = np.add.reduce(pair_loss, axis=1) * gate  # ndarray.sum without its Python wrapper
@@ -183,13 +174,13 @@ def objective_core(
     if lam > 0.0 and variant != "none":
         # Column k + 1 of the zero-padded buffer holds pair k's weighted derivative,
         # which mask k + 1 (T) gains and mask k (S) loses.
-        padded = workspace.padded
+        padded = np.zeros((batch, num_masks + 1))
         np.multiply(lam * gate[:, None], d_conf_t, out=padded[:, 1:-1])
         d_conf = padded[:, :-1] - padded[:, 1:]
         # d max_k p_k / d z = p_c * (onehot_c - p), differentiating through the
         # argmax class fixed by this forward pass; the probabilities are read no more.
         d_logits = np.negative(probs, out=probs)
-        d_logits[predicted, workspace.columns] = 1.0 - confidence.ravel()
+        d_logits[predicted, np.arange(batch * num_masks)] = 1.0 - confidence.ravel()
         d_logits *= (d_conf * confidence).ravel()
         logit_grads += d_logits
 
@@ -199,7 +190,7 @@ def objective_core(
         loss=float(np.add.reduce(cls + lam * reg)),
         cls_loss=float(np.add.reduce(cls)),
         reg_loss=float(np.add.reduce(reg)),
-        grads=backward_masks(params, fwd, logit_grads, out, workspace),
+        grads=backward_masks(params, fwd, logit_grads, out),
         confidence=confidence,
         full_correct=full_correct,
     )

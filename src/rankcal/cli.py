@@ -4,8 +4,9 @@ All experiment parameters live in one JSON config; the flags only pick the
 config file, output directory, (for train and sweep) seed override, and (for
 sweep) lambda-sweep parallelism, so a run is reproducible from the config
 alone. For the two commands that train, `CML_SEED` in the environment (or
---seed, which wins) overrides the configured training seed, given as an
-optional "-" and the digits 0-9 alone; generate and compare read neither.
+--seed, which wins) overrides the configured training seed; generate and
+compare read neither. A seed and --jobs are given as an optional "-" and the
+digits 0-9 alone.
 compare subtracts two runs' VRRs only when both were scored in one vrr_mode.
 
 A config is checked in two layers: its tables, once per section in
@@ -80,8 +81,8 @@ _SPLIT_DEFAULTS = {"train_fraction": 0.75, "seed": 0}
 # The keys that the compare and sweep commands require of their own section.
 _REQUIRED = {"compare": ("baseline_run", "cml_run"), "sweep": ("kind",)}
 _ONE_SOURCE = Bound("exactly one of 'manifest', 'synthetic'", lambda keys: len(keys) == 1)
-# A seed override's text: an optional "-", then ASCII digits.
-_SEED_TEXT = re.compile("-?[0-9]+")
+# The text of an int flag or variable: an optional "-", then ASCII digits.
+_INT_TEXT = re.compile("-?[0-9]+")
 # A noise sweep without runs trains its own pair: the baseline at lambda 0, the CML model at this.
 _PAIR_LAMBDA = Bound("a value > 0 for a noise sweep without runs", lambda lam: lam > 0)
 
@@ -330,8 +331,6 @@ def cmd_compare(config_path: Path, out_override: str | None) -> int:
 def cmd_sweep(
     config_path: Path, out_override: str | None, seed_override: int | None, jobs: int | None
 ) -> int:
-    if jobs is not None:
-        AT_LEAST_1.check("", "--jobs", jobs)
     cfg = _load_config(config_path, "sweep")[1]
     sweep_cfg = cfg["sweep"]
     kind = sweep_cfg["kind"]
@@ -427,24 +426,22 @@ def _parser() -> argparse.ArgumentParser:
         if name in ("train", "sweep"):  # the commands that train
             cmd.add_argument("--seed", default=None, help="training seed override")
         if name == "sweep":
-            cmd.add_argument(
-                "--jobs", type=int, default=None, help="parallel lambda-sweep cells (default 1)"
-            )
+            cmd.add_argument("--jobs", default=None, help="parallel lambda-sweep cells (default 1)")
     return parser
 
 
-def _seed_override(name: str, text: str) -> int:
-    """The seed that the flag or variable `name` sets as `text`, which must be _SEED_TEXT.
+def _int_override(name: str, text: str, bound: Bound) -> int:
+    """The int that the flag or variable `name` sets as `text`: _INT_TEXT, within `bound`.
 
     int() alone would also take underscores, surrounding whitespace and non-ASCII digits.
     """
     try:
-        value = int(text) if _SEED_TEXT.fullmatch(text) else None
+        value = int(text) if _INT_TEXT.fullmatch(text) else None
     except ValueError:  # more digits than int() converts
         value = None
     if value is None:
         raise ConfigError(f"{name}: expected an int of digits 0-9, got {text!r}")
-    NON_NEGATIVE.check("", name, value)
+    bound.check("", name, value)
     return value
 
 
@@ -459,12 +456,13 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_compare(config_path, args.out)
         seed_override = None
         if args.seed is not None:
-            seed_override = _seed_override("--seed", args.seed)
+            seed_override = _int_override("--seed", args.seed, NON_NEGATIVE)
         elif "CML_SEED" in os.environ:
-            seed_override = _seed_override("CML_SEED", os.environ["CML_SEED"])
+            seed_override = _int_override("CML_SEED", os.environ["CML_SEED"], NON_NEGATIVE)
         if args.command == "train":
             return cmd_train(config_path, args.out, seed_override)
-        return cmd_sweep(config_path, args.out, seed_override, args.jobs)
+        jobs = None if args.jobs is None else _int_override("--jobs", args.jobs, AT_LEAST_1)
+        return cmd_sweep(config_path, args.out, seed_override, jobs)
     # Bad input, a failed run or a file system error; any other error is a bug: it propagates.
     except (RankcalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

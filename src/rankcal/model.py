@@ -27,13 +27,12 @@ differ, runs once per modality.
 
 The forward's classifier half (fusion, head, softmax) is class-major: the
 logits, exponentials, probabilities and logit gradients are (C, B*K), one row
-per class, and all but a workspace's logit gradients are C-contiguous. Two traps:
-the head matmul must stay row-major, (B*K, L) @ (L, C), since that BLAS call
-fixes the bits (its transpose picks another OpenBLAS kernel at latent 64); and
-the transposing bias add must ask for C order, or it returns F order with the
-same bits and every later reduce strides across memory. backward_masks copies
-the logit gradients back to row-major for the head's backward; a workspace
-keeps them in a row-major array's transpose, so training copies nothing.
+per class, and all of them are C-contiguous. Two traps: the head matmul must
+stay row-major, (B*K, L) @ (L, C), since that BLAS call fixes the bits (its
+transpose picks another OpenBLAS kernel at latent 64); and the transposing bias
+add must ask for C order, or it returns F order with the same bits and every
+later reduce strides across memory. backward_masks copies the logit gradients
+back to row-major once per batch for the head's backward.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ import numpy as np
 
 from .errors import AT_LEAST_1, AT_LEAST_2, Bound, CapabilityError, DimensionError, Key
 from .errors import StateError, check_section, one_of, read_section
-from .numerics import ALLOCATE, Array, Workspace, softmax_parts
+from .numerics import Array, softmax_parts
 
 CHECKPOINT_MAGIC = "rankcal-checkpoint v2"
 
@@ -183,8 +182,6 @@ class MaskedForward:
     C-contiguous (C, B*K), column b*K + k holding row b under mask k (see the
     module docstring). objective_core divides out every class probability;
     mask_probs divides out one mask's.
-    A forward run with a numerics.Workspace views its arrays, so the next
-    forward with that workspace overwrites it.
     """
 
     features: list[Array]
@@ -212,9 +209,7 @@ def mask_weights(presence) -> Array:
     return presence / presence.sum(axis=-1, keepdims=True)
 
 
-def forward_core(
-    params: ClassifierParams, blocks: list[Array], weights, workspace: Workspace = ALLOCATE
-) -> MaskedForward:
+def forward_core(params: ClassifierParams, blocks: list[Array], weights) -> MaskedForward:
     """Encode each modality once for all rows, then mean-fuse and classify per mask.
 
     `blocks[m]` is the (B, d_m) float64 block of modality m, and `weights` the
@@ -222,65 +217,54 @@ def forward_core(
     modality. A modality outside a mask gets a zero fusion weight there, so for
     finite parameters its latent adds exactly zero to that mask's fused latent.
     The head runs as one row-major (B*K, L) matmul (see the module docstring
-    for the layout's traps). A `workspace` built for B rows and K masks takes
-    every array of the result (see MaskedForward).
+    for the layout's traps).
     """
-    hidden = workspace.hidden
-    if hidden is None:
-        hidden = np.empty((len(blocks), len(blocks[0]), params.b1.shape[1]))
+    hidden = np.empty((len(blocks), len(blocks[0]), params.b1.shape[1]))
     for m, x in enumerate(blocks):  # one matmul per modality: the input dims differ
         np.matmul(x, params.w1[m], out=hidden[m])
     hidden += params.b1[:, None]
     np.maximum(hidden, 0.0, out=hidden)
-    latents = np.matmul(hidden, params.w2, out=workspace.latents)
+    latents = np.matmul(hidden, params.w2)
     latents += params.b2[:, None]
-    fused = np.matmul(weights, latents.swapaxes(-3, -2), out=workspace.fused)
-    rows = np.matmul(fused.reshape(-1, fused.shape[-1]), params.head_w, out=workspace.head_rows)
-    logits = np.add(rows.T, params.head_b[:, None], out=workspace.logits, order="C")
-    exp, sums = softmax_parts(logits, workspace)
+    fused = np.matmul(weights, latents.swapaxes(-3, -2))
+    rows = np.matmul(fused.reshape(-1, fused.shape[-1]), params.head_w)
+    logits = np.add(rows.T, params.head_b[:, None], order="C")
+    exp, sums = softmax_parts(logits)
     return MaskedForward(blocks, hidden, weights, fused, exp, sums.reshape(fused.shape[:-1]))
 
 
 def backward_masks(
-    params: ClassifierParams,
-    fwd: MaskedForward,
-    logit_grads: Array,
-    out: ClassifierParams,
-    workspace: Workspace,
+    params: ClassifierParams, fwd: MaskedForward, logit_grads: Array, out: ClassifierParams
 ) -> ClassifierParams:
     """Exact parameter gradients of sum(logit_grads * logits) over every row and mask.
 
     `logit_grads` is float64 in fwd.exp's class-major (C, B*K) layout; one
     row-major copy keeps the head's matmuls and bias sum in their bit order
-    (see the module docstring for the layout and its traps). A workspace's
-    logit gradients are already the transpose of a row-major array, so they
-    are read in place, with no copy.
+    (see the module docstring for the layout and its traps).
     Each modality collects its latent gradient over every mask containing it
     before one encoder backward pass; a modality that no mask uses gets zero
     gradients. The gradients overwrite every array of `out`, which it returns,
     so one buffer serves every batch.
     The ReLU mask is a multiply, a third of np.where's in-loop cost, whose -0.0
     gradients sum to +0.0 in b1 and w1 as np.where's +0.0 do (see _hidden_grads).
-    The batch's temporaries go to `workspace`'s arrays; numpy allocates those
-    that it lacks, all of them for numerics.ALLOCATE.
     """
     batch, num_masks = fwd.sums.shape
     g = np.ascontiguousarray(logit_grads.T)
     np.matmul(fwd.fused.reshape(-1, fwd.fused.shape[-1]).T, g, out=out.head_w)
     np.add.reduce(g, axis=0, out=out.head_b)  # ndarray.sum without its Python wrapper
-    d_fused = np.matmul(g, params.head_w.T, out=workspace.d_fused).reshape(batch, num_masks, -1)
-    d_latents = np.matmul(fwd.weights.swapaxes(-1, -2), d_fused, out=workspace.d_latents)
+    d_fused = np.matmul(g, params.head_w.T).reshape(batch, num_masks, -1)
+    d_latents = np.matmul(fwd.weights.swapaxes(-1, -2), d_fused)
     d_latents = d_latents.transpose(1, 0, 2)
     np.matmul(fwd.hidden.transpose(0, 2, 1), d_latents, out=out.w2)
     np.add.reduce(d_latents, axis=1, out=out.b2)
-    d_pre = _hidden_grads(fwd.hidden, d_latents, params.w2, workspace)
+    d_pre = _hidden_grads(fwd.hidden, d_latents, params.w2)
     np.add.reduce(d_pre, axis=1, out=out.b1)
     for m, x in enumerate(fwd.features):  # one matmul per modality: the input dims differ
         np.matmul(x.T, d_pre[m], out=out.w1[m])
     return out
 
 
-def _hidden_grads(hidden: Array, d_latents: Array, w2: Array, workspace: Workspace) -> Array:
+def _hidden_grads(hidden: Array, d_latents: Array, w2: Array) -> Array:
     """Gradient at the stacked (M, B, H) pre-activations from the (M, B, L) latent gradients.
 
     The ReLU subgradient at exactly zero is zero; no input gradient is needed.
@@ -289,8 +273,8 @@ def _hidden_grads(hidden: Array, d_latents: Array, w2: Array, workspace: Workspa
     unit with a negative upstream gradient), a sign that no gradient shows:
     numpy's add.reduce for b1 and the BLAS accumulators for w1 start at +0.0.
     """
-    d_pre = np.matmul(d_latents, w2.transpose(0, 2, 1), out=workspace.d_pre)
-    return np.multiply(d_pre, np.greater(hidden, 0.0, out=workspace.active), out=d_pre)
+    d_pre = np.matmul(d_latents, w2.transpose(0, 2, 1))
+    return np.multiply(d_pre, hidden > 0.0, out=d_pre)
 
 
 def save_checkpoint(path, params: ClassifierParams) -> None:

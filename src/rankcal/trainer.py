@@ -34,7 +34,7 @@ from .errors import DivergenceError, EmptyInputError, Key, NumericError, SpecErr
 from .errors import Bound, SweepError, check_section, one_of, read_section
 from .metrics import MetricsReport, build_report
 from .model import ClassifierParams, ModelSpec, forward_core, init_params, mask_weights
-from .numerics import Workspace, adam_update, init_adam_state, nll_loss
+from .numerics import adam_update, init_adam_state, nll_loss
 
 # Stream tags keeping shuffling, removal-order and noise-sweep draws independent.
 _SHUFFLE_STREAM = 1
@@ -134,9 +134,7 @@ def train(config: TrainConfig, train_set: Dataset) -> RunResult:
     depend on the batch it lands in; one optimizer step is taken per
     mini-batch on the mean of the per-sample gradients. The mask weights
     (chain_weights) and the label one-hot are built once per epoch; each batch
-    then runs only objective_core on their slices. Every batch-sized
-    temporary lives in one Workspace per batch shape, built once per run:
-    one for the full batches and one for a ragged last batch.
+    then runs only objective_core on their slices.
     A non-finite loss or logit, or a floating-point overflow, division by zero
     or invalid operation stops the run with a DivergenceError naming the epoch
     and batch.
@@ -152,8 +150,6 @@ def train(config: TrainConfig, train_set: Dataset) -> RunResult:
     options = (config.variant, config.lam, config.skip_on_wrong_full)
 
     n = train_set.num_samples
-    sizes = {min(config.batch_size, n), n % config.batch_size} - {0}  # full and ragged batches
-    workspaces = {size: Workspace.for_batch(config.model, size, num_modalities) for size in sizes}
     history: list[EpochStats] = []
     # Set once per run: an overflow, division by zero or invalid operation raises, not warns.
     with np.errstate(**_RAISE_FP):
@@ -179,14 +175,13 @@ def train(config: TrainConfig, train_set: Dataset) -> RunResult:
                         onehot[:, start * num_modalities : batch.stop * num_modalities],
                         *options,
                         grads,
-                        workspaces[min(config.batch_size, n - start)],
                     )
                     if not math.isfinite(result.loss):
                         raise DivergenceError(epoch=epoch, batch=batch_idx, loss=result.loss)
                     grads.flat /= len(result.full_correct)
                     adam_update(params.flat, grads.flat, state)
-                except NumericError:
-                    raise DivergenceError(epoch=epoch, batch=batch_idx, loss=float("nan")) from None
+                except NumericError as exc:
+                    raise DivergenceError(epoch, batch_idx, float("nan"), str(exc)) from None
                 except FloatingPointError as exc:
                     reason = f"floating-point {exc}"
                     raise DivergenceError(epoch, batch_idx, float("nan"), reason) from None

@@ -13,7 +13,7 @@ forward, NLL and backward, written out in plain numpy with the same float
 operations in the same order, on the presence of each chain's masks.
 reference_train is the training loop as it was before the per-epoch gather and
 the reused gradient buffer: each batch calls objective_core, as train does, on
-a fresh gradient buffer and Workspace; since both share that core, only
+a fresh gradient buffer; since both share that core, only
 reference_batch_objective pins the arithmetic.
 reference_split is data.split's index sets as sorted Python lists, class by class.
 reference_noise_sweep is the noise sweep one cell at a time: one corrupt_gaussian
@@ -38,7 +38,7 @@ from rankcal.calibration import chain_weights, label_onehot, objective_core, rem
 from rankcal.data import Dataset, corrupt_block
 from rankcal.errors import DivergenceError, DomainError, NumericError, ParseError, SpecError
 from rankcal.model import ClassifierParams, forward_core, init_params, mask_weights
-from rankcal.numerics import Workspace, adam_update, describe_bad, init_adam_state, softmax_parts
+from rankcal.numerics import adam_update, describe_bad, init_adam_state, softmax_parts
 
 
 def softmax(logits) -> np.ndarray:
@@ -458,10 +458,9 @@ def reference_train(config, train_set):
                     config.lam,
                     config.skip_on_wrong_full,
                     ClassifierParams(config.model),
-                    Workspace.for_batch(config.model, len(batch), num_masks),
                 )
-            except NumericError:
-                raise DivergenceError(epoch=epoch, batch=batch_idx, loss=float("nan")) from None
+            except NumericError as exc:
+                raise DivergenceError(epoch, batch_idx, float("nan"), str(exc)) from None
             if not np.isfinite(result.loss):
                 raise DivergenceError(epoch=epoch, batch=batch_idx, loss=result.loss)
             cls_sum += result.cls_loss

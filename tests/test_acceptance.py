@@ -29,7 +29,6 @@ from rankcal.data import (
 from rankcal.errors import ParseError
 from rankcal.metrics import aurc, e_aurc
 from rankcal.model import ClassifierParams, ModelSpec, init_params
-from rankcal.numerics import Workspace
 from rankcal.trainer import TrainConfig, evaluate_with_vrr, lambda_sweep, noise_sweep, train
 
 from gradcheck import grad_check
@@ -184,11 +183,11 @@ def test_criterion_1_composite_gradient():
     weights = chain_weights(np.array([[2, 1, 0]]))
     label = np.array([2])
     onehot = label_onehot(label, spec.num_classes, 3)
-    buffers = (ClassifierParams(spec), Workspace.for_batch(spec, 1, 3))
+    grads = ClassifierParams(spec)
 
     def objective(flat):
         params.flat[:] = flat
-        out = objective_core(params, feats, weights, label, onehot, "hinge", 10.0, False, *buffers)
+        out = objective_core(params, feats, weights, label, onehot, "hinge", 10.0, False, grads)
         return out.loss, out.grads.flat
 
     result = grad_check(objective, flat0, tolerance=1e-4)

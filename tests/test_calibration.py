@@ -22,7 +22,6 @@ from rankcal.data import Dataset
 from rankcal.errors import CapabilityError, ConfigError, DomainError, EmptyInputError, SpecError
 from rankcal.model import ClassifierParams, ModelSpec, backward_masks, forward_core, init_params
 from rankcal.model import mask_weights
-from rankcal.numerics import ALLOCATE, Workspace
 
 from gradcheck import grad_check
 from reference import (
@@ -87,14 +86,12 @@ def chain_masks(weights_row) -> list[list[int]]:
 
 
 def objective(params, feats, labels, weights, variant="hinge", lam=0.0, skip_on_wrong_full=True):
-    """objective_core as train runs it, on a gradient buffer and a Workspace of its own.
+    """objective_core as train runs it, on a gradient buffer of its own.
 
     `weights` is (B, K, M): chain_weights, or its first K masks.
     """
-    batch, num_masks, _ = weights.shape
-    onehot = label_onehot(labels, params.spec.num_classes, num_masks)
-    workspace = Workspace.for_batch(params.spec, batch, num_masks)
-    options = (variant, lam, skip_on_wrong_full, ClassifierParams(params.spec), workspace)
+    onehot = label_onehot(labels, params.spec.num_classes, weights.shape[1])
+    options = (variant, lam, skip_on_wrong_full, ClassifierParams(params.spec))
     return objective_core(params, feats, weights, labels, onehot, *options)
 
 
@@ -304,7 +301,7 @@ class TestCompositeGradient:
             for mask in chains[b]:
                 fwd = forward_core(params, row, mask[None, :])
                 g = nll_logit_grads(fwd, labels[b]) / 3
-                grads = backward_masks(params, fwd, g, ClassifierParams(SPEC3), ALLOCATE)
+                grads = backward_masks(params, fwd, g, ClassifierParams(SPEC3))
                 reference += grads.flat
         assert np.allclose(res.grads.flat, reference, rtol=1e-12, atol=1e-15)
 
@@ -395,13 +392,12 @@ class TestObjectiveMatchesComposition:
         assert np.array_equal(res.full_correct, full_correct)
 
     @pytest.mark.parametrize("variant", REGULARIZER_VARIANTS)
-    def test_reused_gradient_buffer_and_workspace_change_no_byte(self, variant):
-        # train runs objective_core on one gradient buffer and one workspace per batch shape:
-        # a call must overwrite every array that an earlier batch of that shape left behind.
+    def test_reused_gradient_buffer_changes_no_byte(self, variant):
+        # train runs objective_core on one gradient buffer for the whole run: a call
+        # must overwrite every gradient that an earlier batch left behind.
         spec = ModelSpec((2, 3, 4), hidden_dim=7, latent_dim=5, num_classes=4)
         params = init_params(spec, seed=6)
         out = ClassifierParams(spec, np.full_like(params.flat, np.nan))
-        workspace = Workspace.for_batch(spec, 9, 3)
         for draw in range(3):
             rng = np.random.default_rng([6, draw])
             feats = [2 * rng.standard_normal((9, d)) for d in spec.modality_dims]
@@ -410,7 +406,7 @@ class TestObjectiveMatchesComposition:
             options = (variant, 2.5, draw != 1)
             want = objective(params, feats, labels, weights, *options)
             onehot = label_onehot(labels, 4, 3)
-            got = objective_core(params, feats, weights, labels, onehot, *options, out, workspace)
+            got = objective_core(params, feats, weights, labels, onehot, *options, out)
             assert got.grads is out
             sums = [(r.loss, r.cls_loss, r.reg_loss) for r in (got, want)]
             assert sums[0] == sums[1]

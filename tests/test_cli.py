@@ -510,6 +510,17 @@ class TestCompareCommand:
         err = self.compare_error(tmp_path, capsys, run_dir)
         assert err == f"error: {checkpoint}: header.dtype: expected one of '<f8', got '{dtype}'\n"
 
+    def test_checkpoint_header_of_another_kind_fails_naming_it(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "config.json")
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(run_dir)]) == 0
+        checkpoint = run_dir / "checkpoint.bin"
+        magic, _, payload = checkpoint.read_bytes().split(b"\n", 2)
+        checkpoint.write_bytes(b"\n".join([magic, b"[1, 2]", payload]))
+        err = self.compare_error(tmp_path, capsys, run_dir)
+        assert err == f"error: {checkpoint}: header: expected a JSON object, got [1, 2]\n"
+        assert not (tmp_path / "c").exists()
+
     def test_checkpoint_header_nested_too_deeply_fails_naming_it(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "config.json")
         run_dir = tmp_path / "run"
@@ -555,6 +566,18 @@ class TestCompareCommand:
         snapshot.write_text(json.dumps(obj))
         err = self.compare_error(tmp_path, capsys, run_dir)
         assert err == f"error: {snapshot}: {message}\n"
+        assert not (tmp_path / "c").exists()
+
+    def test_snapshot_section_of_another_kind_fails_naming_it(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "config.json")
+        run_dir = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(run_dir)]) == 0
+        snapshot = run_dir / "config.json"
+        obj = json.loads(snapshot.read_text())
+        obj["resolved_test"] = 5
+        snapshot.write_text(json.dumps(obj))
+        err = self.compare_error(tmp_path, capsys, run_dir)
+        assert err == f"error: {snapshot}: resolved_test: expected a JSON object, got 5\n"
         assert not (tmp_path / "c").exists()
 
     @pytest.mark.parametrize("command", ["compare", "sweep"])
@@ -1155,10 +1178,16 @@ class TestCommandSections:
                 {"data": {"test_manifest": "bad_manifest.json"}},
                 "bad_manifest.json:1: manifest.modalities[0].dim: missing key",
             ),
+            (
+                "train",
+                {"data": {"test_manifest": "list_manifest.json"}},
+                "list_manifest.json:1: manifest: expected a JSON object, got []",
+            ),
         ],
     )
     def test_bad_key_fails_naming_it(self, tmp_path, capsys, command, overrides, message):
         (tmp_path / "bad_manifest.json").write_text(json.dumps(BAD_MANIFEST))
+        (tmp_path / "list_manifest.json").write_text("[]")
         cfg = write_config(tmp_path / "config.json", **overrides)
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
@@ -1202,6 +1231,17 @@ class TestCommandSections:
         assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 1
         err = capsys.readouterr().err
         assert err.splitlines() == [f"error: --jobs: expected an int >= 1, got {jobs}"]
+        assert not out.exists()
+
+    # Before, int() read ' 1_0 ' as 10, '+2' as 2 and ARABIC-INDIC DIGIT THREE as 3,
+    # and argparse failed 'abc' with its usage text and exit 2.
+    @pytest.mark.parametrize("jobs", [" 1_0 ", "+2", "\u0663", "abc"])
+    def test_jobs_of_other_text_than_digits_fail_naming_the_flag(self, tmp_path, capsys, jobs):
+        cfg = write_config(tmp_path / "config.json", sweep={"kind": "lambda", "lambda_grid": [1.0]})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: --jobs: expected an int of digits 0-9, got {jobs!r}"]
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -1405,6 +1445,19 @@ class TestCommandSections:
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
         manifest = tmp_path / "empty" / "manifest.json"
         assert capsys.readouterr().err.splitlines() == [f"error: {manifest}:1: {ZERO_ROWS}"]
+        assert not out.exists()
+
+    def test_one_modality_manifest_fails_naming_it(self, tmp_path, capsys):
+        dataset = generate_synthetic(SyntheticSpec.from_json_dict(SYNTHETIC))
+        manifest = write_csv_dataset(dataset, tmp_path / "test")
+        written = json.loads(manifest.read_text())
+        del written["modalities"][1]
+        manifest.write_text(json.dumps(written))
+        cfg = write_config(tmp_path / "config.json", data={"test_manifest": "test/manifest.json"})
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        message = f"error: {manifest}:1: need at least 2 modalities"
+        assert capsys.readouterr().err.splitlines() == [message]
         assert not out.exists()
 
     def test_zero_row_source_to_split_fails_naming_its_manifest(self, tmp_path, capsys):
@@ -1633,6 +1686,14 @@ class TestErrorBase:
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {cfg}: cannot read JSON (")
+
+    def test_config_of_another_kind_than_an_object_fails_naming_it(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text("[]")
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+        message = f"error: {cfg}: config must be a JSON object"
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not (tmp_path / "run").exists()
 
     def test_every_error_type_derives_from_the_base(self):
         types = [v for v in vars(errors).values() if isinstance(v, type)]

@@ -20,7 +20,7 @@ from rankcal.model import (
     param_shapes,
     save_checkpoint,
 )
-from rankcal.numerics import ALLOCATE, nll_loss
+from rankcal.numerics import nll_loss
 
 from gradcheck import grad_check
 from reference import format_mask, nll_logit_grads, parse_mask, predicted_classes, reference_probs
@@ -55,9 +55,9 @@ def run(params, feats, *masks):
 
 
 def gradients(params, fwd, logit_grads, out=None) -> ClassifierParams:
-    """backward_masks into `out`, or into a new buffer, allocating every temporary."""
+    """backward_masks into `out`, or into a new buffer."""
     out = ClassifierParams(params.spec) if out is None else out
-    return backward_masks(params, fwd, logit_grads, out, ALLOCATE)
+    return backward_masks(params, fwd, logit_grads, out)
 
 
 def encoder(params, m: int) -> tuple[np.ndarray, ...]:

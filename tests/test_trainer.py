@@ -14,6 +14,7 @@ from rankcal.errors import (
     DivergenceError,
     DomainError,
     EmptyInputError,
+    NumericError,
     SpecError,
     SweepError,
 )
@@ -210,10 +211,35 @@ class TestTrain:
         assert excinfo.value.epoch >= 0
         assert excinfo.value.batch >= 0
 
+    def test_numeric_error_reason_kept(self, monkeypatch):
+        # On a BLAS that raises no floating-point flag, non-finite logits reach softmax_parts.
+        reason = "non-finite logits: 3 of 40, the first at index (0, 5)"
+
+        def failing(*args):
+            raise NumericError(reason)
+
+        monkeypatch.setattr(trainer, "objective_core", failing)
+        with pytest.raises(DivergenceError) as excinfo:
+            train(config(), make_sets()[0])
+        assert str(excinfo.value) == f"{reason} at epoch 0, batch 0"
+        assert math.isnan(excinfo.value.loss)
+
+    def test_non_finite_loss_without_a_floating_point_error(self, monkeypatch):
+        calls = []
+
+        def infinite_second_batch(*args):
+            calls.append(calibration.objective_core(*args))
+            return dataclasses.replace(calls[-1], loss=math.inf) if len(calls) == 2 else calls[-1]
+
+        monkeypatch.setattr(trainer, "objective_core", infinite_second_batch)
+        with pytest.raises(DivergenceError) as excinfo:
+            train(config(), make_sets()[0])
+        assert str(excinfo.value) == "non-finite loss inf at epoch 0, batch 1"
+        assert (excinfo.value.epoch, excinfo.value.batch, excinfo.value.loss) == (0, 1, math.inf)
+
 
 class TestTrainMatchesReferenceLoop:
-    """train gathers once per epoch and writes every batch temporary into a per-run
-    workspace; the bytes must not change."""
+    """train gathers once per epoch and reuses one gradient buffer; the bytes must not change."""
 
     MODEL3 = ModelSpec(modality_dims=(4, 3, 2), hidden_dim=8, latent_dim=4, num_classes=3)
 
@@ -236,8 +262,7 @@ class TestTrainMatchesReferenceLoop:
     # 25 samples a class: batches of 16 leave a ragged last batch (11 rows at 3 classes);
     # "all" is one batch of every row, and "all-but-one" leaves a 1-row last batch.
     # From 8 classes on, softmax_parts sums each column from a row-major copy.
-    # At lambda 0 the objective skips the penalty, so the reused workspace's padded
-    # buffer is never written and the gradient holds the class term alone.
+    # At lambda 0 the objective skips the penalty, so the gradient holds the class term alone.
     @pytest.mark.parametrize("num_classes", [3, 8, 11])
     @pytest.mark.parametrize("batch_size", [16, "all", "all-but-one"])
     @pytest.mark.parametrize("lam", [0.0, 5.0])
@@ -275,36 +300,6 @@ class TestTrainMatchesReferenceLoop:
         assert (new.epoch, new.batch) != (0, 0)  # one Adam step ran on the reused buffer first
         # The reference logs a zero probability into an infinite loss; train stops at that log.
         assert old.loss == np.inf and str(new).startswith("floating-point divide by zero")
-
-
-class TestWorkspace:
-    """train builds one Workspace per batch shape per run; every batch of that shape reuses it."""
-
-    def test_consecutive_batches_write_the_same_buffers(self, monkeypatch):
-        results = []
-
-        def recording(*args):
-            results.append(calibration.objective_core(*args))
-            return results[-1]
-
-        monkeypatch.setattr(trainer, "objective_core", recording)
-        train(config(epochs=1, batch_size=16), make_sets()[0])  # 80 rows: 5 batches of 16
-        assert len(results) == 5
-        assert np.shares_memory(results[0].confidence, results[1].confidence)
-
-    # 80 rows: batches of 16 divide them, 30 leaves a ragged 20, and 100 is one batch of 80.
-    @pytest.mark.parametrize("batch_size, sizes", [(16, [16]), (30, [20, 30]), (100, [80])])
-    def test_at_most_one_workspace_per_batch_shape(self, monkeypatch, batch_size, sizes):
-        built = []
-        for_batch = trainer.Workspace.for_batch
-
-        def counting(spec, batch, num_masks):
-            built.append((batch, num_masks))
-            return for_batch(spec, batch, num_masks)
-
-        monkeypatch.setattr(trainer.Workspace, "for_batch", counting)
-        train(config(epochs=3, batch_size=batch_size), make_sets()[0])
-        assert sorted(built) == [(size, MODEL.num_modalities) for size in sizes]
 
 
 class TestTrainBoundary:
